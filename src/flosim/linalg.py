@@ -27,9 +27,14 @@ def as_complex_matrix(m):
     a = np.asarray(m, dtype=complex)
     if a.ndim != 2:
         raise ValueError(f"expected a matrix, got array of ndim {a.ndim}")
-    if a.size and not np.all(np.isfinite(a)):
-        raise ValueError("matrix entries must be finite")
+    require_finite(a)
     return a
+
+
+def require_finite(a):
+    """Reject an array holding NaN or infinite entries."""
+    if not np.isfinite(a).all():
+        raise ValueError("matrix entries must be finite")
 
 
 def _require_square(a, what):

@@ -12,6 +12,7 @@ Projections are applied in exact operator form, term by term, so the
 relative phases between determinants are preserved to machine precision.
 """
 
+import cmath
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,12 +20,13 @@ import numpy as np
 from .errors import (
     BadContext,
     DimensionMismatch,
+    FlosimError,
     ImpossibleOutcome,
     ModesNotOrthogonal,
     TermCapExceeded,
     WrongParticleNumber,
 )
-from .linalg import antisym_canonical, pfaffian
+from .linalg import antisym_canonical, pfaffian, require_finite
 from .slater import (
     SlaterState,
     check_mode,
@@ -32,7 +34,6 @@ from .slater import (
     evolve,
     rotate_in_first,
     annihilate,
-    slater_overlap,
     standard_state,
 )
 
@@ -59,8 +60,9 @@ class SlaterSum:
     """A linear combination of determinants with identical D and N.
 
     Terms whose total weight |coefficient * amplitude| is at or below
-    the prune tolerance are dropped on construction; exceeding max_terms
-    raises TermCapExceeded.  modes/electrons may be given explicitly for
+    the prune tolerance are dropped on construction; a non-finite
+    coefficient raises FlosimError and exceeding max_terms raises
+    TermCapExceeded.  modes/electrons may be given explicitly for
     the empty (zero-state) sum.
     """
 
@@ -71,9 +73,12 @@ class SlaterSum:
 
     def __post_init__(self):
         kept = []
-        for coeff, state in self.terms:
-            if abs(complex(coeff) * state.amplitude) > PRUNE_TOL:
-                kept.append((complex(coeff), state))
+        for i, (coeff, state) in enumerate(self.terms):
+            coeff = complex(coeff)
+            if not cmath.isfinite(coeff):
+                raise FlosimError(f"term {i}: coefficient {coeff} is not finite")
+            if abs(coeff * state.amplitude) > PRUNE_TOL:
+                kept.append((coeff, state))
         modes = self.modes
         electrons = self.electrons
         for _, state in kept:
@@ -102,13 +107,41 @@ class SlaterSum:
         return len(self.terms)
 
 
+def _overlap_total(s):
+    """Sum of conj(c_i) c_j <Phi_i|Phi_j> over all ordered term pairs.
+
+    Bitwise equal to the double loop over slater_overlap in row-major
+    pair order.  Row i takes one stacked Gram product against every term
+    and one batched determinant; both round exactly like the per-pair
+    calls.  Pair weights use Python's scalar complex multiply in the
+    order (conj(c_i) c_j) ((conj(a_i) a_j) det_ij), since numpy's
+    vectorized complex multiply rounds differently, and are added one
+    after another, not by np.sum's pairwise tree.  Hermitian symmetry is
+    not used: with pivoting, det(G^H) is not bitwise conj(det G).
+    """
+    if not s.terms:
+        return 0.0 + 0.0j
+    coeffs = [c for c, _ in s.terms]
+    amps = [st.amplitude for _, st in s.terms]
+    psi = np.array([st.orbitals for _, st in s.terms])
+    # Slot 0 carries the running total, slots 1.. the current row's weights.
+    acc = np.zeros(len(coeffs) + 1, dtype=complex)
+    for c, st in s.terms:
+        gram = st.orbitals.conj().T @ psi
+        require_finite(gram)
+        dets = np.linalg.det(gram).tolist()
+        ci, ai = c.conjugate(), st.amplitude.conjugate()
+        acc[1:] = [ci * cj * (ai * aj * d) for cj, aj, d in zip(coeffs, amps, dets)]
+        acc[0] = np.add.accumulate(acc)[-1]
+    return complex(acc[0])
+
+
 def sum_norm(s):
-    """Norm of the represented state, via pairwise determinant overlaps."""
-    acc = 0.0 + 0.0j
-    for ci, si in s.terms:
-        for cj, sj in s.terms:
-            acc += np.conj(ci) * cj * slater_overlap(si, sj)
-    return float(np.sqrt(max(acc.real, 0.0)))
+    """Norm of the represented state, via pairwise determinant overlaps.
+
+    Costs O(T^2 (D N^2 + N^3)) for T terms of N electrons on D modes.
+    """
+    return float(np.sqrt(max(_overlap_total(s).real, 0.0)))
 
 
 def scale_sum(s, factor):
@@ -227,10 +260,7 @@ def measure_two_mode(s, kappa, lam, grouping, forced=None, rng=None):
     labels = [group_label(g) for g in groups]
     idx = _pick(labels, probs, forced, rng)
     prob = probs[idx]
-    if prob < PROB_FLOOR:
-        raise ImpossibleOutcome(f"outcome {labels[idx]!r} has probability {prob:.3e}")
-    post = scale_sum(group_sums[idx], 1.0 / np.sqrt(prob))
-    return labels[idx], prob, post
+    return labels[idx], prob, collapse(group_sums[idx], prob, repr(labels[idx]))
 
 
 def project_single_mode(s, kappa, outcome):
@@ -246,20 +276,32 @@ def project_single_mode(s, kappa, outcome):
     return SlaterSum(tuple(terms), s.modes, s.electrons, s.max_terms)
 
 
+def collapse(projected, prob, label):
+    """Renormalize the projection of a chosen outcome of probability prob.
+
+    Raises ImpossibleOutcome when prob is below PROB_FLOOR.
+    """
+    if prob < PROB_FLOOR:
+        raise ImpossibleOutcome(f"outcome {label} has probability {prob:.3e}")
+    return scale_sum(projected, 1.0 / np.sqrt(prob))
+
+
+def single_mode_branches(s, kappa):
+    """Unnormalized projections of a sum on occupations 0 and 1 of kappa,
+    and their probabilities, as two lists indexed by outcome."""
+    projected = [project_single_mode(s, kappa, want) for want in (0, 1)]
+    return projected, [sum_norm(p) ** 2 for p in projected]
+
+
 def measure_mode_sum(s, kappa, forced=None, rng=None):
     """Single-mode occupation measurement applied to a whole sum.
 
     Returns (outcome, probability, post) exactly like measure_mode but
     with SlaterSum states on both ends.
     """
-    projected = {want: project_single_mode(s, kappa, want) for want in (0, 1)}
-    probs = [sum_norm(projected[0]) ** 2, sum_norm(projected[1]) ** 2]
+    projected, probs = single_mode_branches(s, kappa)
     idx = _pick(["0", "1"], probs, forced, rng)
-    prob = probs[idx]
-    if prob < PROB_FLOOR:
-        raise ImpossibleOutcome(f"outcome {idx} has probability {prob:.3e}")
-    post = scale_sum(projected[idx], 1.0 / np.sqrt(prob))
-    return idx, prob, post
+    return idx, probs[idx], collapse(projected[idx], probs[idx], idx)
 
 
 def reduce_to_two_fermion(s, kappa, lam):

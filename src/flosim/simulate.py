@@ -23,12 +23,13 @@ from .multislater import (
     GROUPINGS,
     SlaterSum,
     apply_two_mode_projector,
+    collapse,
     evolve_sum,
     group_label,
     measure_mode_sum,
     measure_two_mode,
-    project_single_mode,
     scale_sum,
+    single_mode_branches,
     sum_norm,
 )
 from .slater import (
@@ -249,13 +250,13 @@ def simulate_sampled(circuit, d, n, seed=0, initial=None, max_terms=DEFAULT_MAX_
                 outcome, prob, state = measure_mode_sum(state, kap, rng=rng)
                 label = str(outcome)
             else:
-                p0 = sum_norm(project_single_mode(state, kap, 0)) ** 2
-                p1 = sum_norm(project_single_mode(state, kap, 1)) ** 2
+                projected, (p0, p1) = single_mode_branches(state, kap)
                 if p0 >= 1 - CERTAINTY_TOL or p1 >= 1 - CERTAINTY_TOL:
                     label, prob = ("0", p0) if p0 >= p1 else ("1", p1)
                 else:
                     outcome = 0 if p0 > PROB_FLOOR else 1
-                    _, prob, state = measure_mode_sum(state, kap, forced=outcome)
+                    prob = (p0, p1)[outcome]
+                    state = collapse(projected[outcome], prob, outcome)
                     label = str(outcome)
             cumulative *= prob
             rows.append(

@@ -21,6 +21,7 @@ from flosim.simulate import MeasureOne, MeasureTwo, Rotate
 ROOT = Path(__file__).resolve().parent.parent
 EXAMPLES = sorted((ROOT / "circuits").glob("*.json"))
 EXAMPLE_IDS = [p.stem for p in EXAMPLES]
+GOLDEN = Path(__file__).resolve().parent / "data" / "golden"
 
 
 def run_cli(argv, capsys):
@@ -31,6 +32,23 @@ def run_cli(argv, capsys):
 
 def minimal_doc(steps, modes=4, electrons=2):
     return json.dumps({"modes": modes, "electrons": electrons, "steps": steps})
+
+
+@pytest.mark.parametrize(
+    ("argv", "name"),
+    [(["simulate", p, "--seed", "7"], f"simulate_{p.stem}") for p in EXAMPLES]
+    + [(["nogo", ROOT / "circuits" / "nogo_demo.json"], "nogo_nogo_demo")],
+    ids=[f"simulate-{i}" for i in EXAMPLE_IDS] + ["nogo-nogo_demo"],
+)
+def test_golden_transcript(argv, name, capsys):
+    """Transcripts stay byte-identical to the recorded ones.
+
+    tests/data/golden holds the stdout of `flosim <argv>`; regenerate a
+    file only for an intended change of the transcript format or numbers.
+    """
+    code, out, err = run_cli(argv, capsys)
+    assert code == 0 and err == ""
+    assert out.encode("utf-8") == (GOLDEN / f"{name}.txt").read_bytes()
 
 
 class TestCircuitFormat:
@@ -437,6 +455,32 @@ class TestSlaterRankCommand:
             ["slater-rank", path, "--angles", "0", "0", "0"], capsys
         )
         assert code == 1
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_coefficient_exits_1(self, bad, tmp_path, capsys):
+        path = tmp_path / "state.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "modes": 4,
+                    "electrons": 2,
+                    "terms": [
+                        {
+                            "coefficient": [bad, 0.0],
+                            "orbitals": [[1, 0], [0, 1], [0, 0], [0, 0]],
+                        },
+                        {
+                            "coefficient": [0.6, 0.0],
+                            "orbitals": [[0, 0], [0, 0], [1, 0], [0, 1]],
+                        },
+                    ],
+                }
+            )
+        )
+        code, out, err = run_cli(["slater-rank", path], capsys)
+        assert code == 1 and out == ""
+        assert err.startswith("FlosimError: term 0: coefficient")
+        assert err.count("\n") == 1
 
     def test_non_orthonormal_file_is_a_parse_error(self, tmp_path, capsys):
         path = tmp_path / "state.json"

@@ -8,6 +8,7 @@ that was itself verified by brute-force enumeration.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import (
     random_mode,
@@ -20,15 +21,23 @@ from conftest import (
 from flosim.errors import (
     BadContext,
     DimensionMismatch,
+    FlosimError,
     ImpossibleOutcome,
     ModesNotOrthogonal,
     TermCapExceeded,
     WrongParticleNumber,
 )
-from flosim.slater import SlaterState, annihilate, measure_mode, standard_state
+from flosim.slater import (
+    SlaterState,
+    annihilate,
+    measure_mode,
+    slater_overlap,
+    standard_state,
+)
 from flosim.multislater import (
     GROUPINGS,
     SlaterSum,
+    _overlap_total,
     apply_two_mode_projector,
     evolve_sum,
     generic_p1_study,
@@ -99,6 +108,98 @@ class TestSlaterSumType:
         )
         with pytest.raises(TermCapExceeded):
             SlaterSum(terms, max_terms=2)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [float("nan"), complex(float("nan"), 0.0), complex(0.0, float("nan"))],
+    )
+    def test_rejects_nan_coefficient(self, bad):
+        """A NaN weight fails the prune comparison, so it must be caught
+        before pruning rather than dropped as negligible."""
+        st_ = standard_state(4, 2)
+        with pytest.raises(FlosimError, match="term 1: coefficient .* is not finite"):
+            SlaterSum(((1.0, st_), (bad, st_)))
+
+    @pytest.mark.parametrize(
+        "bad", [float("inf"), complex(0.0, float("-inf")), complex(float("inf"), 1.0)]
+    )
+    def test_rejects_infinite_coefficient(self, bad):
+        st_ = standard_state(4, 2)
+        with pytest.raises(FlosimError, match="term 0: coefficient .* is not finite") as err:
+            SlaterSum(((bad, st_),))
+        assert "\n" not in str(err.value)
+
+
+def reference_overlap_total(s):
+    """The per-pair double loop over slater_overlap that sum_norm's
+    batched kernel replaces; kept as the bitwise reference."""
+    acc = 0.0 + 0.0j
+    for ci, si in s.terms:
+        for cj, sj in s.terms:
+            acc += np.conj(ci) * cj * slater_overlap(si, sj)
+    return acc
+
+
+def reference_sum_norm(s):
+    return float(np.sqrt(max(reference_overlap_total(s).real, 0.0)))
+
+
+def bits(z):
+    """Exact bit pattern of a complex number, signed zeros included."""
+    z = complex(z)
+    return z.real.hex(), z.imag.hex()
+
+
+# Per-term recipes: "phase" draws independent phases for coefficient and
+# amplitude, "real"/"imag" use signed real or imaginary coefficients,
+# "zero" has amplitude 0 and "repeat" reuses the previous orbitals.
+TERM_KINDS = ("phase", "real", "imag", "zero", "repeat")
+
+
+@st.composite
+def sum_recipes(draw):
+    t = draw(st.sampled_from([0, 1, 2, 3, 17]))
+    n = draw(st.sampled_from([0, 1, 3]))
+    d = draw(st.integers(max(n, 1), 8))
+    kinds = draw(st.lists(st.sampled_from(TERM_KINDS), min_size=t, max_size=t))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    terms = []
+    orbitals = random_orthonormal_columns(rng, d, n)
+    for kind in kinds:
+        if kind != "repeat":
+            orbitals = random_orthonormal_columns(rng, d, n)
+        size = float(rng.uniform(0.1, 2.0))
+        sign = float(rng.choice([-1.0, 1.0]))
+        amp = np.exp(1j * rng.uniform(0, 2 * np.pi))
+        if kind == "real":
+            coeff, amp = sign * size, sign
+        elif kind == "imag":
+            coeff = sign * size * 1j
+        else:
+            coeff = size * np.exp(1j * rng.uniform(0, 2 * np.pi))
+        if kind == "zero":
+            amp = 0.0
+        terms.append((coeff, SlaterState(orbitals, amp)))
+    return d, n, tuple(terms)
+
+
+class TestSumNormKernel:
+    """sum_norm's batched kernel against the per-pair double loop,
+    bit for bit (the transcripts print 13 digits of its square)."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=150)
+    @given(sum_recipes())
+    def test_bitwise_equal_to_pairwise_loop(self, recipe):
+        d, n, terms = recipe
+        s = SlaterSum(terms, d, n)
+        assert bits(_overlap_total(s)) == bits(reference_overlap_total(s))
+        assert sum_norm(s).hex() == reference_sum_norm(s).hex()
+        # The kernel also matches on terms the constructor would prune,
+        # zero amplitudes included.
+        raw = SlaterSum((), d, n)
+        object.__setattr__(raw, "terms", tuple((complex(c), x) for c, x in terms))
+        assert bits(_overlap_total(raw)) == bits(reference_overlap_total(raw))
 
 
 class TestSumNorm:

@@ -15,7 +15,13 @@ from conftest import (
 
 from flosim.errors import ParityGroupingUnsupported
 from flosim.slater import SlaterState, standard_state
-from flosim.multislater import SlaterSum, sum_norm
+from flosim.multislater import (
+    SlaterSum,
+    evolve_sum,
+    measure_mode_sum,
+    measure_two_mode,
+    sum_norm,
+)
 from flosim.simulate import (
     MeasureOne,
     MeasureTwo,
@@ -270,6 +276,34 @@ class TestSampled:
             assert a.probability == pytest.approx(b.probability, abs=1e-10)
         fid = fock.fidelity(fock.expand_sum(f_sampled), fock.expand(f_exact))
         assert fid >= 1 - 1e-9
+
+    def test_exact_policy_single_mode_on_sum_matches_forced(self):
+        """On a multi-term sum with neither outcome certain, the exact
+        policy's measure1 gives bitwise the probability and post state
+        of measure_mode_sum forced onto the chosen outcome."""
+        rng = rng_for(107)
+        d, n = 6, 3
+        u = random_unitary(rng, d)
+        kap, lam = random_orthogonal_pair(rng, d)
+        mode = random_mode(rng, d)
+        circuit = [
+            Rotate(unitary=u),
+            MeasureTwo(kap, lam, grouping="02/1", policy="forced", outcome="02"),
+            MeasureOne(mode, policy="exact"),
+        ]
+        transcript, final = simulate_sampled(circuit, d, n, seed=0)
+        state = SlaterSum.from_state(standard_state(d, n))
+        _, _, state = measure_two_mode(
+            evolve_sum(state, u), kap, lam, "02/1", forced="02"
+        )
+        assert state.term_count == 2
+        _, prob, post = measure_mode_sum(state, mode, forced=0)
+        assert 1e-3 < prob < 1 - 1e-3
+        row = transcript.rows[-1]
+        assert (row.outcome, row.probability, row.terms) == ("0", prob, post.term_count)
+        for (c1, s1), (c2, s2) in zip(final.terms, post.terms):
+            assert c1 == c2 and s1.amplitude == s2.amplitude
+            assert np.array_equal(s1.orbitals, s2.orbitals)
 
     def test_exact_policy_rejects_parity_step(self):
         rng = rng_for(105)
