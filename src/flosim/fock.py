@@ -25,11 +25,10 @@ from .errors import (
     TooManyModes,
     ZeroVector,
 )
-from .slater import check_mode
+from .slater import ORTHOGONAL_TOL, check_mode
 
 VECTOR_MODE_CAP = 12
 DENSITY_MODE_CAP = 8
-ORTHOGONAL_TOL = 1e-10
 
 
 @dataclass(frozen=True)

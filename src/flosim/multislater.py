@@ -26,8 +26,10 @@ from .errors import (
     TermCapExceeded,
     WrongParticleNumber,
 )
-from .linalg import antisym_canonical, pfaffian, require_finite
+from .linalg import PAIR_THRESHOLD, antisym_canonical, pfaffian, require_finite
 from .slater import (
+    ORTHOGONAL_TOL,
+    PROB_FLOOR,
     SlaterState,
     check_mode,
     decompose_mode,
@@ -39,9 +41,6 @@ from .slater import (
 
 PRUNE_TOL = 1e-12
 DEFAULT_MAX_TERMS = 1024
-ORTHOGONAL_TOL = 1e-10
-PROB_FLOOR = 1e-12
-PAIR_THRESHOLD = 1e-9
 
 GROUPINGS = {
     "012": ((0,), (1,), (2,)),
@@ -156,44 +155,59 @@ def evolve_sum(s, v):
     )
 
 
-def _term_project(state, kap, want):
-    """Exact unnormalized single-mode occupation projector on one determinant.
+def _split(state, vec):
+    """Both single-mode occupation projections [zero, one] of a determinant,
+    from one decomposition and one rotation of the filled span.
 
-    Returns (scale, new_state) with projector(state) == scale * new_state,
-    or None when the projection vanishes.  new_state keeps unit norm so
-    the scale carries the whole magnitude change.
+    Each entry is (scale, new_state) with projector(state) == scale *
+    new_state, or None when it vanishes; new_state keeps unit norm.
     """
-    if state.electrons == 0:
-        return (1.0, state) if want == 0 else None
-    dec = decompose_mode(state, kap)
-    if want == 1:
-        if dec.in_orbital is None:
-            return None
-        rot = rotate_in_first(state, dec.in_orbital)
-        new = SlaterState(
-            np.column_stack([kap.reshape(-1, 1), rot.orbitals[:, 1:]]), rot.amplitude
-        )
-        return dec.alpha, new
+    dec = decompose_mode(state, vec)
     if dec.in_orbital is None:
-        return 1.0, state
-    if dec.out_orbital is None:
-        return None
+        return [(1.0, state), None]
     rot = rotate_in_first(state, dec.in_orbital)
+    rest = rot.orbitals[:, 1:]
+    one = SlaterState(np.column_stack([vec.reshape(-1, 1), rest]), rot.amplitude)
+    if dec.out_orbital is None:
+        return [None, (dec.alpha, one)]
     perp = dec.beta * dec.in_orbital - dec.alpha * dec.out_orbital
-    new = SlaterState(
-        np.column_stack([perp.reshape(-1, 1), rot.orbitals[:, 1:]]), rot.amplitude
-    )
-    return dec.beta, new
+    zero = SlaterState(np.column_stack([perp.reshape(-1, 1), rest]), rot.amplitude)
+    return [(dec.beta, zero), (dec.alpha, one)]
 
 
-def _apply_branch(coeff, state, sequence):
-    for vec, want in sequence:
-        res = _term_project(state, vec, want)
-        if res is None:
-            return None
-        coeff = coeff * res[0]
-        state = res[1]
-    return coeff, state
+def _single_mode_sums(s, kappa):
+    """Projections of a sum on occupations 0 and 1 of kappa, one split per term."""
+    kap = check_mode(kappa, s.modes)
+    out = ([], [])
+    for coeff, state in s.terms:
+        for want, res in enumerate(_split(state, kap)):
+            if res is not None:
+                out[want].append((coeff * res[0], res[1]))
+    return [SlaterSum(tuple(t), s.modes, s.electrons, s.max_terms) for t in out]
+
+
+def _two_mode_terms(s, kappa, lam):
+    """Term lists of the projections on total occupation 0, 1 and 2.
+
+    Each term is split on lambda once and each surviving child on kappa
+    once, so three decompositions per term serve all three outcomes.
+    """
+    kap = check_mode(kappa, s.modes)
+    lamv = check_mode(lam, s.modes)
+    ip = abs(np.vdot(kap, lamv))
+    if ip > ORTHOGONAL_TOL:
+        raise ModesNotOrthogonal(f"<kappa|lambda> = {ip:.3e}")
+    out = ([], [], [])
+    for coeff, state in s.terms:
+        by_lam = _split(state, lamv)
+        # Lambda occupied first, so outcome 1 lists (1, 0) before (0, 1).
+        for i in (1, 0):
+            if by_lam[i] is not None:
+                scale, child = by_lam[i]
+                for j, res in enumerate(_split(child, kap)):
+                    if res is not None:
+                        out[i + j].append((coeff * scale * res[0], res[1]))
+    return out
 
 
 def apply_two_mode_projector(s, kappa, lam, outcome):
@@ -202,43 +216,50 @@ def apply_two_mode_projector(s, kappa, lam, outcome):
     The result is the exact unnormalized projected state.  Outcomes 0 and
     2 keep at most one term per input term; outcome 1 produces up to two.
     """
-    kap = check_mode(kappa, s.modes)
-    lamv = check_mode(lam, s.modes)
-    ip = abs(np.vdot(kap, lamv))
-    if ip > ORTHOGONAL_TOL:
-        raise ModesNotOrthogonal(f"<kappa|lambda> = {ip:.3e}")
-    if outcome == 0:
-        branches = [((lamv, 0), (kap, 0))]
-    elif outcome == 2:
-        branches = [((lamv, 1), (kap, 1))]
-    elif outcome == 1:
-        branches = [((lamv, 1), (kap, 0)), ((lamv, 0), (kap, 1))]
-    else:
+    terms = _two_mode_terms(s, kappa, lam)
+    if outcome not in (0, 1, 2):
         raise ValueError(f"outcome must be 0, 1 or 2, got {outcome}")
-    new_terms = []
-    for coeff, state in s.terms:
-        for seq in branches:
-            res = _apply_branch(coeff, state, seq)
-            if res is not None:
-                new_terms.append(res)
-    return SlaterSum(tuple(new_terms), s.modes, s.electrons, s.max_terms)
+    return SlaterSum(tuple(terms[int(outcome)]), s.modes, s.electrons, s.max_terms)
 
 
-def _pick(labels, probs, forced, rng):
+def two_mode_groups(s, kappa, lam, grouping):
+    """Unnormalized projected sum of each outcome group, keyed by label.
+
+    The sums of outcomes 0, 1 and 2 are built, pruned and capped, in that
+    order; a merged group concatenates the terms of its member outcomes.
+    """
+    if grouping not in GROUPINGS:
+        raise ValueError(f"unknown grouping {grouping!r}")
+    shape = (s.modes, s.electrons, s.max_terms)
+    sums = [SlaterSum(tuple(t), *shape) for t in _two_mode_terms(s, kappa, lam)]
+    return {
+        group_label(g): SlaterSum(tuple(t for o in g for t in sums[o].terms), *shape)
+        for g in GROUPINGS[grouping]
+    }
+
+
+def _pick(labels, sums, forced, rng):
+    """Index and probability of the chosen outcome among projected sums.
+
+    Only the groups the pick reads are normed: the forced one alone, or,
+    when sampling, each group in order up to the one the draw falls in.
+    """
     if forced is not None:
         label = str(forced)
         if label not in labels:
             raise ValueError(f"outcome {label!r} is not one of {labels}")
-        return labels.index(label)
+        idx = labels.index(label)
+        return idx, sum_norm(sums[idx]) ** 2
     if rng is None:
         raise ValueError("need a forced outcome or an rng to sample")
     u = rng.random()
     acc = 0.0
-    for i, p in enumerate(probs):
-        acc += p
+    for idx, projected in enumerate(sums):
+        prob = sum_norm(projected) ** 2
+        acc += prob
         if u < acc:
-            return i
-    return len(probs) - 1
+            break
+    return idx, prob
 
 
 def measure_two_mode(s, kappa, lam, grouping, forced=None, rng=None):
@@ -248,32 +269,18 @@ def measure_two_mode(s, kappa, lam, grouping, forced=None, rng=None):
     (label, probability, post) with post renormalized; merged groups
     concatenate the term lists of their member projections.
     """
-    if grouping not in GROUPINGS:
-        raise ValueError(f"unknown grouping {grouping!r}")
-    groups = GROUPINGS[grouping]
-    projected = {o: apply_two_mode_projector(s, kappa, lam, o) for o in (0, 1, 2)}
-    group_sums = []
-    for group in groups:
-        terms = tuple(t for o in group for t in projected[o].terms)
-        group_sums.append(SlaterSum(terms, s.modes, s.electrons, s.max_terms))
-    probs = [sum_norm(g) ** 2 for g in group_sums]
-    labels = [group_label(g) for g in groups]
-    idx = _pick(labels, probs, forced, rng)
-    prob = probs[idx]
-    return labels[idx], prob, collapse(group_sums[idx], prob, repr(labels[idx]))
+    table = two_mode_groups(s, kappa, lam, grouping)
+    labels = list(table)
+    idx, prob = _pick(labels, list(table.values()), forced, rng)
+    return labels[idx], prob, collapse(table[labels[idx]], prob, repr(labels[idx]))
 
 
 def project_single_mode(s, kappa, outcome):
     """Exact unnormalized single-mode occupation projector on a sum."""
-    kap = check_mode(kappa, s.modes)
+    sums = _single_mode_sums(s, kappa)
     if outcome not in (0, 1):
         raise ValueError(f"outcome must be 0 or 1, got {outcome}")
-    terms = []
-    for coeff, state in s.terms:
-        res = _term_project(state, kap, outcome)
-        if res is not None:
-            terms.append((coeff * res[0], res[1]))
-    return SlaterSum(tuple(terms), s.modes, s.electrons, s.max_terms)
+    return sums[int(outcome)]
 
 
 def collapse(projected, prob, label):
@@ -289,7 +296,7 @@ def collapse(projected, prob, label):
 def single_mode_branches(s, kappa):
     """Unnormalized projections of a sum on occupations 0 and 1 of kappa,
     and their probabilities, as two lists indexed by outcome."""
-    projected = [project_single_mode(s, kappa, want) for want in (0, 1)]
+    projected = _single_mode_sums(s, kappa)
     return projected, [sum_norm(p) ** 2 for p in projected]
 
 
@@ -299,9 +306,9 @@ def measure_mode_sum(s, kappa, forced=None, rng=None):
     Returns (outcome, probability, post) exactly like measure_mode but
     with SlaterSum states on both ends.
     """
-    projected, probs = single_mode_branches(s, kappa)
-    idx = _pick(["0", "1"], probs, forced, rng)
-    return idx, probs[idx], collapse(projected[idx], probs[idx], idx)
+    projected = _single_mode_sums(s, kappa)
+    idx, prob = _pick(["0", "1"], projected, forced, rng)
+    return idx, prob, collapse(projected[idx], prob, idx)
 
 
 def reduce_to_two_fermion(s, kappa, lam):

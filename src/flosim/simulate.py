@@ -22,17 +22,17 @@ from .multislater import (
     DEFAULT_MAX_TERMS,
     GROUPINGS,
     SlaterSum,
-    apply_two_mode_projector,
     collapse,
     evolve_sum,
-    group_label,
     measure_mode_sum,
     measure_two_mode,
     scale_sum,
     single_mode_branches,
     sum_norm,
+    two_mode_groups,
 )
 from .slater import (
+    PROB_FLOOR,
     SlaterState,
     check_mode,
     decompose_mode,
@@ -42,7 +42,6 @@ from .slater import (
 )
 
 CERTAINTY_TOL = 1e-9
-PROB_FLOOR = 1e-12
 PARITY_GROUPING = "02/1"
 
 # Groups whose projector maps one determinant to one determinant, per
@@ -132,13 +131,8 @@ class Transcript:
 
 def _group_probabilities(s, kappa, lam, grouping):
     """Probability and unnormalized projected sum per outcome label."""
-    projected = {o: apply_two_mode_projector(s, kappa, lam, o) for o in (0, 1, 2)}
-    table = {}
-    for group in GROUPINGS[grouping]:
-        terms = tuple(t for o in group for t in projected[o].terms)
-        combined = SlaterSum(terms, s.modes, s.electrons, s.max_terms)
-        table[group_label(group)] = (sum_norm(combined) ** 2, combined)
-    return table
+    groups = two_mode_groups(s, kappa, lam, grouping)
+    return {label: (sum_norm(g) ** 2, g) for label, g in groups.items()}
 
 
 def _certain_label(table):
@@ -299,9 +293,8 @@ def simulate_sampled(circuit, d, n, seed=0, initial=None, max_terms=DEFAULT_MAX_
                             f"step {idx}: no certain outcome and no admissible "
                             "determinant-preserving branch"
                         )
-                    label, prob, state = measure_two_mode(
-                        state, kap, lam, step.grouping, forced=label
-                    )
+                    prob, combined = table[label]
+                    state = collapse(combined, prob, repr(label))
             cumulative *= prob
             rows.append(
                 TranscriptRow(idx, "measure2", label, prob, cumulative, state.term_count)

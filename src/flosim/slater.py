@@ -30,6 +30,7 @@ ORTHO_TOL = 1e-10
 UNITARY_TOL = 1e-10
 SPAN_TOL = 1e-9
 PROB_FLOOR = 1e-12
+ORTHOGONAL_TOL = 1e-10  # largest |<kappa|lambda>| for two measured modes
 ABSENT_TOL = 1e-12
 
 

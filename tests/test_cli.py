@@ -22,6 +22,10 @@ ROOT = Path(__file__).resolve().parent.parent
 EXAMPLES = sorted((ROOT / "circuits").glob("*.json"))
 EXAMPLE_IDS = [p.stem for p in EXAMPLES]
 GOLDEN = Path(__file__).resolve().parent / "data" / "golden"
+# Every measurement policy on a multi-term sum: a sampled parity step,
+# then exact measure2 (grouping 012), exact and sampled measure1, and a
+# forced 01/2 step.
+POLICY_MIX = GOLDEN.parent / "policy_mix.json"
 
 
 def run_cli(argv, capsys):
@@ -37,8 +41,10 @@ def minimal_doc(steps, modes=4, electrons=2):
 @pytest.mark.parametrize(
     ("argv", "name"),
     [(["simulate", p, "--seed", "7"], f"simulate_{p.stem}") for p in EXAMPLES]
-    + [(["nogo", ROOT / "circuits" / "nogo_demo.json"], "nogo_nogo_demo")],
-    ids=[f"simulate-{i}" for i in EXAMPLE_IDS] + ["nogo-nogo_demo"],
+    + [(["nogo", ROOT / "circuits" / "nogo_demo.json"], "nogo_nogo_demo")]
+    + [(["simulate", POLICY_MIX, "--seed", "7"], "simulate_policy_mix")],
+    ids=[f"simulate-{i}" for i in EXAMPLE_IDS]
+    + ["nogo-nogo_demo", "simulate-policy_mix"],
 )
 def test_golden_transcript(argv, name, capsys):
     """Transcripts stay byte-identical to the recorded ones.

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (
+    random_complex,
     random_mode,
     random_orthogonal_pair,
     random_orthonormal_columns,
@@ -30,7 +31,9 @@ from flosim.errors import (
 from flosim.slater import (
     SlaterState,
     annihilate,
+    decompose_mode,
     measure_mode,
+    rotate_in_first,
     slater_overlap,
     standard_state,
 )
@@ -38,18 +41,24 @@ from flosim.multislater import (
     GROUPINGS,
     SlaterSum,
     _overlap_total,
+    _split,
+    _two_mode_terms,
     apply_two_mode_projector,
     evolve_sum,
     generic_p1_study,
+    group_label,
     measure_mode_sum,
     measure_two_mode,
+    project_single_mode,
     reduce_to_two_fermion,
     scale_sum,
+    single_mode_branches,
     slater_number_two_fermion,
     sum_norm,
     two_fermion_w,
+    two_mode_groups,
 )
-from flosim import fock
+from flosim import fock, multislater
 
 
 def standard_mode(d, m):
@@ -236,6 +245,270 @@ class TestEvolveSum:
         slow = fock.one_body_apply(fock.expand_sum(s), b, tau)
         assert np.allclose(fast.amplitudes, slow.amplitudes, atol=1e-9)
         assert sum_norm(evolved) == pytest.approx(sum_norm(s), abs=1e-10)
+
+
+def reference_term_project(state, kap, want):
+    """One single-mode projection with its own decomposition and
+    rotation, as each outcome was projected before the split tree; kept
+    as the bitwise reference for _split and the two-mode tree."""
+    if state.electrons == 0:
+        return (1.0, state) if want == 0 else None
+    dec = decompose_mode(state, kap)
+    if want == 1:
+        if dec.in_orbital is None:
+            return None
+        rot = rotate_in_first(state, dec.in_orbital)
+        new = SlaterState(
+            np.column_stack([kap.reshape(-1, 1), rot.orbitals[:, 1:]]), rot.amplitude
+        )
+        return dec.alpha, new
+    if dec.in_orbital is None:
+        return 1.0, state
+    if dec.out_orbital is None:
+        return None
+    rot = rotate_in_first(state, dec.in_orbital)
+    perp = dec.beta * dec.in_orbital - dec.alpha * dec.out_orbital
+    new = SlaterState(
+        np.column_stack([perp.reshape(-1, 1), rot.orbitals[:, 1:]]), rot.amplitude
+    )
+    return dec.beta, new
+
+
+def reference_apply_branch(coeff, state, sequence):
+    for vec, want in sequence:
+        res = reference_term_project(state, vec, want)
+        if res is None:
+            return None
+        coeff = coeff * res[0]
+        state = res[1]
+    return coeff, state
+
+
+# (lambda, kappa) occupations of the branches of each total occupation.
+REFERENCE_BRANCHES = {0: ((0, 0),), 1: ((1, 0), (0, 1)), 2: ((1, 1),)}
+
+
+def reference_two_mode_terms(s, kap, lam, outcome):
+    """Projected terms of one outcome, every branch projected on its own."""
+    out = []
+    for coeff, state in s.terms:
+        for want_lam, want_kap in REFERENCE_BRANCHES[outcome]:
+            seq = ((lam, want_lam), (kap, want_kap))
+            res = reference_apply_branch(coeff, state, seq)
+            if res is not None:
+                out.append(res)
+    return out
+
+
+def reference_single_mode(s, kap, want):
+    terms = []
+    for coeff, state in s.terms:
+        res = reference_term_project(state, kap, want)
+        if res is not None:
+            terms.append((coeff * res[0], res[1]))
+    return SlaterSum(tuple(terms), s.modes, s.electrons, s.max_terms)
+
+
+def state_bits(state):
+    return bits(state.amplitude), state.orbitals.shape, state.orbitals.tobytes()
+
+
+def terms_bits(terms):
+    return [(bits(c), state_bits(st)) for c, st in terms]
+
+
+def _unit_in(rng, basis):
+    v = basis @ random_complex(rng, basis.shape[1])
+    return v / np.linalg.norm(v)
+
+
+def _orthogonalized(v, w):
+    w = w - v * np.vdot(v, w)
+    return w / np.linalg.norm(w)
+
+
+# Where the measured pair sits relative to the first term's filled span:
+# anywhere, inside it, orthogonal to it, kappa inside and lambda outside,
+# or on two standard sites.  A placement the shape cannot host falls
+# back to "generic".
+PLACEMENTS = ("generic", "in_span", "out_of_span", "straddle", "standard")
+# "same_span" rotates the previous term's orbitals within their span, so
+# a mode placed against the first term's span keeps its place for the
+# terms that follow it that way.
+SPLIT_TERM_KINDS = ("fresh", "same_span", "repeat", "standard")
+
+
+@st.composite
+def projection_recipes(draw, placement):
+    d = draw(st.integers(2, 8))
+    fill = draw(st.sampled_from(("empty", "full", "part", "part", "part")))
+    n = {"empty": 0, "full": d}.get(fill)
+    if n is None:
+        n = draw(st.integers(1, d - 1))
+    t = draw(st.integers(0, 9))
+    kinds = draw(st.lists(st.sampled_from(SPLIT_TERM_KINDS), min_size=t, max_size=t))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    first = random_orthonormal_columns(rng, d, n)
+    orbitals = first
+    terms = []
+    for i, kind in enumerate(kinds):
+        if kind == "standard":
+            orbitals = np.eye(d, n, dtype=complex)
+        elif kind == "same_span" and n:
+            orbitals = orbitals @ random_unitary(rng, n)
+        elif kind == "fresh" and i:
+            orbitals = random_orthonormal_columns(rng, d, n)
+        amp = np.exp(1j * rng.uniform(0, 2 * np.pi))
+        coeff = rng.uniform(0.1, 2.0) * np.exp(1j * rng.uniform(0, 2 * np.pi))
+        terms.append((coeff, SlaterState(orbitals, amp)))
+    span = terms[0][1].orbitals if terms else first
+    # Orthonormal basis of the complement of the span.
+    m = random_complex(rng, d, d - n)
+    comp = np.linalg.qr(m - span @ (span.conj().T @ m))[0]
+    kap, lam = random_orthogonal_pair(rng, d)
+    if placement == "in_span" and n:
+        kap = _unit_in(rng, span)
+        lam = _orthogonalized(kap, _unit_in(rng, span) if n > 1 else lam)
+    elif placement == "out_of_span" and n < d:
+        kap = _unit_in(rng, comp)
+        lam = _orthogonalized(kap, _unit_in(rng, comp) if d - n > 1 else lam)
+    elif placement == "straddle" and 0 < n < d:
+        kap, lam = _unit_in(rng, span), _unit_in(rng, comp)
+    elif placement == "standard":
+        i, j = rng.choice(d, size=2, replace=False)
+        kap, lam = np.eye(d, dtype=complex)[:, i], np.eye(d, dtype=complex)[:, j]
+    return d, n, tuple(terms), kap, lam
+
+
+class TestSplitTree:
+    """The shared split tree and _split against the per-outcome
+    projection chain they replace, bit for bit: coefficients,
+    amplitudes and orbital bytes of every term."""
+
+    @pytest.mark.parametrize("placement", PLACEMENTS)
+    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @given(data=st.data())
+    def test_bitwise_equal_to_projection_chain(self, placement, data):
+        d, n, terms, kap, lam = data.draw(projection_recipes(placement))
+        s = SlaterSum(terms, d, n)
+        tree = _two_mode_terms(s, kap, lam)
+        groups = two_mode_groups(s, kap, lam, "012")
+        for outcome in (0, 1, 2):
+            ref = reference_two_mode_terms(s, kap, lam, outcome)
+            assert terms_bits(tree[outcome]) == terms_bits(ref)
+            ref_sum = SlaterSum(tuple(ref), d, n).terms
+            got = apply_two_mode_projector(s, kap, lam, outcome).terms
+            assert terms_bits(got) == terms_bits(ref_sum)
+            assert terms_bits(groups[str(outcome)].terms) == terms_bits(ref_sum)
+        for vec in (kap, lam):
+            branches, _ = single_mode_branches(s, vec)
+            for want in (0, 1):
+                ref = reference_single_mode(s, vec, want).terms
+                got = project_single_mode(s, vec, want).terms
+                assert terms_bits(got) == terms_bits(ref)
+                assert terms_bits(branches[want].terms) == terms_bits(ref)
+                for _, state in terms:
+                    new = _split(state, vec)[want]
+                    old = reference_term_project(state, vec, want)
+                    assert (new is None) == (old is None)
+                    if new is not None:
+                        assert float(new[0]).hex() == float(old[0]).hex()
+                        assert state_bits(new[1]) == state_bits(old[1])
+
+
+def eager_pick(sums, rng):
+    """The sampled pick as it was before lazy norms: every group normed
+    first, then one draw."""
+    probs = [sum_norm(g) ** 2 for g in sums]
+    u = rng.random()
+    acc = 0.0
+    for i, p in enumerate(probs):
+        acc += p
+        if u < acc:
+            return i, p
+    return len(probs) - 1, probs[-1]
+
+
+@pytest.fixture
+def norm_calls(monkeypatch):
+    """Records every sum passed to multislater.sum_norm."""
+    calls = []
+    real = multislater.sum_norm
+
+    def counting(s):
+        calls.append(s)
+        return real(s)
+
+    monkeypatch.setattr(multislater, "sum_norm", counting)
+    return calls
+
+
+class TestLazyPick:
+    def test_forced_pick_norms_only_the_forced_group(self, norm_calls):
+        rng = rng_for(71)
+        d = 6
+        s = random_two_term_sum(rng, d, 3)
+        kap, lam = random_orthogonal_pair(rng, d)
+        for grouping, groups in GROUPINGS.items():
+            for group in groups:
+                norm_calls.clear()
+                measure_two_mode(s, kap, lam, grouping, forced=group_label(group))
+                assert len(norm_calls) == 1
+        for outcome in (0, 1):
+            norm_calls.clear()
+            measure_mode_sum(s, kap, forced=outcome)
+            assert len(norm_calls) == 1
+
+    @pytest.mark.parametrize("grouping", sorted(GROUPINGS))
+    def test_sampled_pick_matches_eager_reference(self, grouping, norm_calls):
+        rng = rng_for(72)
+        d = 5
+        s = random_two_term_sum(rng, d, 2)
+        kap, lam = random_orthogonal_pair(rng, d)
+        table = two_mode_groups(s, kap, lam, grouping)
+        labels = list(table)
+        picked = set()
+        for seed in range(50):
+            lazy, eager = rng_for(seed), rng_for(seed)
+            norm_calls.clear()
+            label, prob, _ = measure_two_mode(s, kap, lam, grouping, rng=lazy)
+            idx, ref_prob = eager_pick(list(table.values()), eager)
+            assert (label, prob.hex()) == (labels[idx], ref_prob.hex())
+            assert lazy.bit_generator.state == eager.bit_generator.state
+            # Groups after the chosen one are never normed.
+            assert len(norm_calls) == idx + 1
+            picked.add(label)
+        assert len(picked) > 1
+
+    def test_sampled_single_mode_matches_eager_reference(self):
+        rng = rng_for(73)
+        d = 5
+        s = random_two_term_sum(rng, d, 2)
+        kap = random_orthogonal_pair(rng, d)[0]
+        branches, _ = single_mode_branches(s, kap)
+        picked = set()
+        for seed in range(50):
+            lazy, eager = rng_for(seed), rng_for(seed)
+            outcome, prob, _ = measure_mode_sum(s, kap, rng=lazy)
+            idx, ref_prob = eager_pick(branches, eager)
+            assert (outcome, prob.hex()) == (idx, ref_prob.hex())
+            assert lazy.bit_generator.state == eager.bit_generator.state
+            picked.add(outcome)
+        assert picked == {0, 1}
+
+    @pytest.mark.parametrize(("grouping", "label"), [("012", "0"), ("02/1", "02")])
+    def test_cap_on_an_unchosen_outcome_still_raises(self, grouping, label):
+        rng = rng_for(74)
+        d = 5
+        s = SlaterSum(random_two_term_sum(rng, d, 2).terms, max_terms=2)
+        kap, lam = random_orthogonal_pair(rng, d)
+        assert apply_two_mode_projector(s, kap, lam, 0).term_count == 2
+        with pytest.raises(TermCapExceeded):
+            apply_two_mode_projector(s, kap, lam, 1)
+        with pytest.raises(TermCapExceeded):
+            measure_two_mode(s, kap, lam, grouping, forced=label)
+        with pytest.raises(TermCapExceeded):
+            measure_two_mode(s, kap, lam, grouping, rng=rng_for(0))
 
 
 class TestApplyTwoModeProjector:

@@ -305,6 +305,34 @@ class TestSampled:
             assert c1 == c2 and s1.amplitude == s2.amplitude
             assert np.array_equal(s1.orbitals, s2.orbitals)
 
+    def test_exact_policy_two_mode_on_sum_matches_forced(self):
+        """On a multi-term sum with no certain outcome, the exact policy's
+        measure2 gives bitwise the probability and post state of
+        measure_two_mode forced onto the steered label."""
+        rng = rng_for(108)
+        d, n = 6, 3
+        u, u2 = random_unitary(rng, d), random_unitary(rng, d)
+        kap, lam = random_orthogonal_pair(rng, d)
+        kap2, lam2 = random_orthogonal_pair(rng, d)
+        circuit = [
+            Rotate(unitary=u),
+            MeasureTwo(kap, lam, grouping="02/1", policy="forced", outcome="02"),
+            Rotate(unitary=u2),
+            MeasureTwo(kap2, lam2, grouping="012", policy="exact"),
+        ]
+        transcript, final = simulate_sampled(circuit, d, n, seed=0)
+        _, before = simulate_sampled(circuit[:3], d, n, seed=0)
+        assert before.term_count == 2
+        row = transcript.rows[-1]
+        label, prob, post = measure_two_mode(
+            before, kap2, lam2, "012", forced=row.outcome
+        )
+        assert 1e-3 < prob < 1 - 1e-3
+        assert (row.outcome, row.probability, row.terms) == (label, prob, post.term_count)
+        for (c1, s1), (c2, s2) in zip(final.terms, post.terms):
+            assert c1 == c2 and s1.amplitude == s2.amplitude
+            assert np.array_equal(s1.orbitals, s2.orbitals)
+
     def test_exact_policy_rejects_parity_step(self):
         rng = rng_for(105)
         kap, lam = random_orthogonal_pair(rng, 4)
