@@ -71,23 +71,6 @@ def _print_lines(lines, handle=None):
         out.write(line + "\n")
 
 
-def _dense_unitary_apply(vec, u):
-    """Dense reference for a one-body rotation on the occupation basis."""
-    d = vec.modes
-    out = np.zeros_like(vec.amplitudes)
-    for mask in range(1 << d):
-        amp = vec.amplitudes[mask]
-        if amp == 0:
-            continue
-        if mask == 0:
-            out[0] += amp
-            continue
-        cols = [m for m in range(d) if (mask >> m) & 1]
-        image = fock.expand(SlaterState(u[:, cols], 1.0))
-        out += amp * image.amplitudes
-    return fock.FockVector(d, out)
-
-
 def _oracle_replay(circuit, transcript):
     """Re-run sampled outcomes against the dense reference.
 
@@ -104,7 +87,7 @@ def _oracle_replay(circuit, transcript):
         if isinstance(step, Rotate):
             u = step.resolve()
             state = evolve_sum(state, u)
-            vec = _dense_unitary_apply(vec, u)
+            vec = fock.unitary_apply(vec, u)
         elif isinstance(step, MeasureOne):
             row = rows[idx]
             kap = check_mode(step.kappa, d)
@@ -141,6 +124,11 @@ def _oracle_replay(circuit, transcript):
 
 def cmd_simulate(args):
     circuit = load_circuit(args.path)
+    if args.oracle_check and circuit.modes > ORACLE_MODE_CAP:
+        raise BadConfig(
+            f"the oracle check handles at most {ORACLE_MODE_CAP} modes, "
+            f"got {circuit.modes}"
+        )
     transcript, final = simulate_sampled(
         circuit.steps,
         circuit.modes,
@@ -160,11 +148,6 @@ def cmd_simulate(args):
     lines.append(f"# final terms = {final.term_count}")
     failure = None
     if args.oracle_check:
-        if circuit.modes > ORACLE_MODE_CAP:
-            raise BadConfig(
-                f"the oracle check handles at most {ORACLE_MODE_CAP} modes, "
-                f"got {circuit.modes}"
-            )
         max_dev, min_fid = _oracle_replay(circuit, transcript)
         lines.append(f"# oracle max probability deviation = {max_dev:.3e}")
         lines.append(f"# oracle min fidelity = {min_fid:.12f}")

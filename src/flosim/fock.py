@@ -11,7 +11,6 @@ Dense vectors are capped at 12 modes and density matrices at 8, which
 keeps everything desk sized.
 """
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -22,13 +21,15 @@ from .errors import (
     FlosimError,
     ModesNotOrthogonal,
     NotHermitian,
+    NotUnitary,
     TooManyModes,
     ZeroVector,
 )
-from .slater import ORTHOGONAL_TOL, check_mode
+from .slater import ORTHOGONAL_TOL, UNITARY_TOL, check_mode
 
 VECTOR_MODE_CAP = 12
 DENSITY_MODE_CAP = 8
+MINOR_BATCH = 4096  # most minors per stacked determinant call in unitary_apply
 
 
 @dataclass(frozen=True)
@@ -99,6 +100,30 @@ def _masks_by_weight(d):
     return tuple(np.flatnonzero(counts == k) for k in range(d + 1))
 
 
+@lru_cache(maxsize=None)
+def _occupied_modes(d, k):
+    """(C(d, k), k) array: the set bits of each weight-k mask, ascending."""
+    rows = [[m for m in range(d) if (mask >> m) & 1] for mask in _masks_by_weight(d)[k]]
+    out = np.array(rows, dtype=np.intp).reshape(len(rows), k)
+    out.setflags(write=False)
+    return out
+
+
+def _scaled(amp, z):
+    """amp * z entrywise, rounded as the scalar complex product.
+
+    numpy's vectorized complex multiply may fuse multiply-adds and so
+    differ in the last bit from the scalar a * b; spelling out the real
+    and imaginary parts keeps every entry equal to the scalar product.
+    """
+    a, b = amp.real, amp.imag
+    zr, zi = z.real, z.imag
+    out = np.empty_like(z)
+    out.real = a * zr - b * zi
+    out.imag = a * zi + b * zr
+    return out
+
+
 def vacuum(d):
     _check_vector_cap(d)
     amps = np.zeros(1 << d, dtype=complex)
@@ -160,18 +185,19 @@ def expand(s):
 
     The amplitude on a sorted index set is the state's amplitude times
     the determinant of the selected orbital rows, which reproduces the
-    creation-operator ordering convention above.
+    creation-operator ordering convention above.  All C(D, N) minors are
+    taken in one stacked determinant call.
     """
-    _check_vector_cap(s.modes)
-    amps = np.zeros(1 << s.modes, dtype=complex)
+    d, n = s.modes, s.electrons
+    _check_vector_cap(d)
+    amps = np.zeros(1 << d, dtype=complex)
     if s.amplitude != 0.0:
-        for rows in itertools.combinations(range(s.modes), s.electrons):
-            mask = 0
-            for i in rows:
-                mask |= 1 << i
-            sub = s.orbitals[list(rows), :]
-            amps[mask] = s.amplitude * np.linalg.det(sub) if s.electrons else s.amplitude
-    return FockVector(s.modes, amps)
+        if n == 0:
+            amps[0] = s.amplitude
+        else:
+            minors = np.linalg.det(s.orbitals[_occupied_modes(d, n)])
+            amps[_masks_by_weight(d)[n]] = _scaled(s.amplitude, minors)
+    return FockVector(d, amps)
 
 
 def expand_sum(ssum):
@@ -184,6 +210,44 @@ def expand_sum(ssum):
     if total is None:
         total = np.zeros(1 << ssum.modes, dtype=complex)
     return FockVector(ssum.modes, total)
+
+
+def unitary_apply(v, u):
+    """Apply the one-body unitary u (a_j^dag -> sum_i u_ij a_i^dag) densely.
+
+    Basis mask c of weight k maps to the determinant of its columns of
+    u, whose amplitude on mask r is the minor det(u[rows_r, cols_c]): a
+    column of the k-th compound matrix of u.  The minors of a block come
+    from stacked determinant calls of at most MINOR_BATCH matrices, and
+    the images accumulate in ascending mask order within each block.
+    Blocks touch disjoint entries, so this is the same sum, bit for bit,
+    as one pass over all masks in ascending order.
+    """
+    d = v.modes
+    _check_vector_cap(d)
+    mat = np.asarray(u, dtype=complex)
+    if mat.shape != (d, d):
+        raise DimensionMismatch(f"unitary has shape {mat.shape}, expected ({d}, {d})")
+    dev = np.linalg.norm(mat.conj().T @ mat - np.eye(d))
+    if dev > UNITARY_TOL:
+        raise NotUnitary(f"deviation from unitarity {dev:.3e}")
+    amps = v.amplitudes
+    out = np.zeros_like(amps)
+    out[0] += amps[0]  # the vacuum is invariant
+    for k in range(1, d + 1):
+        basis = _masks_by_weight(d)[k]
+        occ = _occupied_modes(d, k)
+        present = np.flatnonzero(amps[basis])
+        step = max(1, MINOR_BATCH // len(basis))
+        for start in range(0, len(present), step):
+            chunk = present[start : start + step]
+            cols = occ[chunk][None, :, None, :]
+            minors = np.linalg.det(mat[occ[:, None, :, None], cols])
+            images = np.zeros((len(chunk), 1 << d), dtype=complex)
+            images[:, basis] = _scaled(1.0, minors).T  # as expand rounds 1.0 * det
+            for amp, image in zip(amps[basis[chunk]], images):
+                out += amp * image
+    return FockVector(d, out)
 
 
 def _hermitian_checked(b, d):

@@ -32,6 +32,7 @@ SPAN_TOL = 1e-9
 PROB_FLOOR = 1e-12
 ORTHOGONAL_TOL = 1e-10  # largest |<kappa|lambda>| for two measured modes
 ABSENT_TOL = 1e-12
+REORTH_TOL = 1e-4  # below this beta, resid / beta loses orthogonality to the span
 
 
 @dataclass(frozen=True)
@@ -120,6 +121,11 @@ def decompose_mode(s, kappa):
     inside = s.orbitals @ coeffs
     resid = kap - inside
     beta = float(np.linalg.norm(resid))
+    if ABSENT_TOL < beta < REORTH_TOL:
+        # kappa - inside cancels to a residual of relative error about
+        # eps / beta along the span; project that part out once more.
+        resid = resid - s.orbitals @ (s.orbitals.conj().T @ resid)
+        beta = float(np.linalg.norm(resid))
     in_orb = inside / alpha if alpha > ABSENT_TOL else None
     out_orb = resid / beta if beta > ABSENT_TOL else None
     return ModeDecomposition(alpha=alpha, beta=beta, in_orbital=in_orb, out_orbital=out_orb)

@@ -42,15 +42,22 @@ def minimal_doc(steps, modes=4, electrons=2):
     ("argv", "name"),
     [(["simulate", p, "--seed", "7"], f"simulate_{p.stem}") for p in EXAMPLES]
     + [(["nogo", ROOT / "circuits" / "nogo_demo.json"], "nogo_nogo_demo")]
-    + [(["simulate", POLICY_MIX, "--seed", "7"], "simulate_policy_mix")],
+    + [(["simulate", POLICY_MIX, "--seed", "7"], "simulate_policy_mix")]
+    + [
+        (["simulate", p, "--seed", "3", "--oracle-check"], f"oracle_{p.stem}")
+        for p in EXAMPLES + [POLICY_MIX]
+    ],
     ids=[f"simulate-{i}" for i in EXAMPLE_IDS]
-    + ["nogo-nogo_demo", "simulate-policy_mix"],
+    + ["nogo-nogo_demo", "simulate-policy_mix"]
+    + [f"oracle-{i}" for i in EXAMPLE_IDS + ["policy_mix"]],
 )
 def test_golden_transcript(argv, name, capsys):
     """Transcripts stay byte-identical to the recorded ones.
 
     tests/data/golden holds the stdout of `flosim <argv>`; regenerate a
     file only for an intended change of the transcript format or numbers.
+    The oracle_* files pin the oracle trailer lines, which print the
+    dense oracle's probability deviation to three digits near 1e-16.
     """
     code, out, err = run_cli(argv, capsys)
     assert code == 0 and err == ""
@@ -240,6 +247,24 @@ class TestSimulateCommand:
         code, _, err = run_cli(["simulate", path, "--oracle-check"], capsys)
         assert code == 1
         assert err.startswith("BadConfig:")
+
+    def test_oracle_cap_checked_before_simulating(self, tmp_path, capsys):
+        """A 7-mode parity circuit that would hit the term cap of 1 is
+        refused by the oracle's mode cap first, with nothing printed."""
+        gen = (np.ones((7, 7)) + np.diag(np.arange(7.0))).tolist()
+        steps = [
+            {"kind": "rotate", "tau": 0.9, "generator": gen},
+            {"kind": "measure2", "first": 0, "second": 1, "grouping": "02/1",
+             "policy": "forced", "outcome": "02"},
+        ]
+        path = tmp_path / "wide_parity.json"
+        path.write_text(minimal_doc(steps, modes=7, electrons=3))
+        argv = ["simulate", path, "--oracle-check", "--max-terms", "1"]
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith("BadConfig:") and err.count("\n") == 1
+        code, _, err = run_cli(argv[:2] + argv[3:], capsys)
+        assert code == 4 and err.startswith("TermCapExceeded:")
 
     def test_term_cap_exit_code(self, capsys):
         code, _, err = run_cli(

@@ -1,14 +1,19 @@
 """Tests for the dense occupation-basis oracle: operator algebra,
 projector identities, evolution blocks, and the decohering channel."""
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import (
+    random_complex,
     random_hermitian,
     random_mode,
     random_orthogonal_pair,
     random_orthonormal_columns,
+    random_unitary,
     rng_for,
 )
 
@@ -16,9 +21,11 @@ from flosim.errors import (
     DimensionMismatch,
     ModesNotOrthogonal,
     NotHermitian,
+    NotUnitary,
     TooManyModes,
     ZeroVector,
 )
+from flosim.linalg import one_body_unitary
 from flosim.slater import SlaterState, standard_state
 from flosim import fock
 
@@ -122,6 +129,126 @@ class TestExpand:
     def test_mode_cap(self):
         with pytest.raises(TooManyModes):
             fock.expand(standard_state(13, 1))
+
+
+def reference_expand(s):
+    """One determinant per row set in a Python loop: the expansion that
+    fock.expand's stacked minors replace, kept as the bitwise reference."""
+    amps = np.zeros(1 << s.modes, dtype=complex)
+    if s.amplitude != 0.0:
+        for rows in itertools.combinations(range(s.modes), s.electrons):
+            mask = 0
+            for i in rows:
+                mask |= 1 << i
+            sub = s.orbitals[list(rows), :]
+            amps[mask] = s.amplitude * np.linalg.det(sub) if s.electrons else s.amplitude
+    return fock.FockVector(s.modes, amps)
+
+
+def reference_unitary_apply(vec, u):
+    """One expansion per occupied basis mask, in ascending mask order:
+    the rotation that fock.unitary_apply's compound matrices replace."""
+    d = vec.modes
+    out = np.zeros_like(vec.amplitudes)
+    for mask in range(1 << d):
+        amp = vec.amplitudes[mask]
+        if amp == 0:
+            continue
+        if mask == 0:
+            out[0] += amp
+            continue
+        cols = [m for m in range(d) if (mask >> m) & 1]
+        image = reference_expand(SlaterState(u[:, cols], 1.0))
+        out += amp * image.amplitudes
+    return fock.FockVector(d, out)
+
+
+def _unitary(rng, d, kind):
+    """A Haar-ish unitary, or a phased permutation or the identity, whose
+    minors are exact zeros and units (signed zeros included)."""
+    if kind == "haar":
+        return random_unitary(rng, d)
+    if kind == "identity":
+        return np.eye(d, dtype=complex)
+    phases = np.exp(1j * rng.uniform(0, 2 * np.pi, d))
+    return np.eye(d, dtype=complex)[:, rng.permutation(d)] * phases
+
+
+@st.composite
+def expand_recipes(draw):
+    d = draw(st.integers(1, 6))
+    n = draw(st.integers(0, d))
+    kind = draw(st.sampled_from(("zero", "unit", "generic")))
+    basis = draw(st.sampled_from(("haar", "identity", "permutation")))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    amp = {"zero": 0.0, "unit": 1.0, "generic": complex(*rng.standard_normal(2))}[kind]
+    return SlaterState(_unitary(rng, d, basis)[:, :n], amp)
+
+
+@st.composite
+def rotation_recipes(draw):
+    """A unitary and a vector with any mix of particle-number blocks."""
+    d = draw(st.integers(1, 6))
+    basis = draw(st.sampled_from(("haar", "identity", "permutation")))
+    kind = draw(st.sampled_from(("dense", "sparse", "one_block", "basis_state")))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    amps = random_complex(rng, 1 << d)
+    if kind == "sparse":
+        amps[rng.random(1 << d) < 0.5] = 0.0
+    elif kind == "one_block":
+        amps[fock._popcounts(d) != rng.integers(0, d + 1)] = 0.0
+    elif kind == "basis_state":
+        amps = np.zeros(1 << d, dtype=complex)
+        amps[rng.integers(0, 1 << d)] = 1.0
+    return fock.FockVector(d, amps), _unitary(rng, d, basis)
+
+
+class TestDenseKernels:
+    """The stacked-minor kernels against the per-minor loops, bit for bit
+    (the oracle trailers print probability deviations near 1e-16)."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(expand_recipes())
+    def test_expand_bitwise_equal_to_minor_loop(self, s):
+        fast = fock.expand(s).amplitudes.tobytes()
+        assert fast == reference_expand(s).amplitudes.tobytes()
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=150)
+    @given(rotation_recipes())
+    def test_unitary_apply_bitwise_equal_to_mask_loop(self, recipe):
+        v, u = recipe
+        fast = fock.unitary_apply(v, u).amplitudes.tobytes()
+        assert fast == reference_unitary_apply(v, u).amplitudes.tobytes()
+
+    @pytest.mark.parametrize("batch", [1, 7, 50])
+    def test_unitary_apply_bitwise_equal_in_small_batches(self, batch, monkeypatch):
+        """Splitting a block's minors over several det calls changes nothing."""
+        monkeypatch.setattr(fock, "MINOR_BATCH", batch)
+        rng = rng_for(39)
+        for d in (5, 6):
+            v = fock.FockVector(d, random_complex(rng, 1 << d))
+            u = random_unitary(rng, d)
+            fast = fock.unitary_apply(v, u).amplitudes.tobytes()
+            assert fast == reference_unitary_apply(v, u).amplitudes.tobytes()
+
+    @pytest.mark.parametrize("d", range(1, 7))
+    def test_unitary_apply_matches_generator_evolution(self, d):
+        rng = rng_for(40 + d)
+        amps = random_complex(rng, 1 << d)
+        v = fock.FockVector(d, amps / np.linalg.norm(amps))
+        b = random_hermitian(rng, d)
+        out = fock.unitary_apply(v, one_body_unitary(b, 0.7))
+        ref = fock.one_body_apply(v, b, 0.7)
+        assert np.max(np.abs(out.amplitudes - ref.amplitudes)) < 1e-12
+
+    def test_unitary_apply_rejects_bad_unitaries(self):
+        v = fock.vacuum(3)
+        with pytest.raises(DimensionMismatch):
+            fock.unitary_apply(v, np.eye(4))
+        with pytest.raises(NotUnitary):
+            fock.unitary_apply(v, 2 * np.eye(3))
+        with pytest.raises(TooManyModes):
+            fock.unitary_apply(fock.FockVector(13, np.zeros(1 << 13)), np.eye(13))
 
 
 class TestOneBodyApply:

@@ -716,6 +716,47 @@ class TestMeasureModeSum:
             measure_mode_sum(s, standard_mode(4, 3), forced=1)
 
 
+class TestNearSpanMode:
+    """A measured mode within eps of the filled span leaves a residual
+    whose direction cancels badly; both measurements must still build
+    their outcome-0 branch and agree with the dense oracle."""
+
+    @pytest.mark.parametrize("eps", [1e-13, 1e-11, 1e-9, 1e-7, 1e-5])
+    def test_certain_outcome_matches_oracle(self, eps):
+        rng = rng_for(72)
+        d = 6
+        u = random_unitary(rng, d)
+        state = SlaterState(u[:, :3])
+        chi = u[:, 3:] @ random_mode(rng, 3)
+        kap = np.sqrt(1 - eps**2) * u[:, 0] + eps * chi
+        kap /= np.linalg.norm(kap)
+        # lam lies outside the span and is orthogonal to chi, hence to kap.
+        lam = u[:, 3] - chi * np.vdot(chi, u[:, 3])
+        lam /= np.linalg.norm(lam)
+        s = SlaterSum.from_state(state)
+        vec = fock.expand(state)
+
+        _, prob, post = measure_mode_sum(s, kap, forced=1)
+        occupied = fock.creation_op_apply(fock.annihilation_op_apply(vec, kap), kap)
+        assert prob == pytest.approx(fock.norm(occupied) ** 2, abs=1e-12)
+        assert sum_norm(post) == pytest.approx(1.0, abs=1e-10)
+
+        _, prob, post = measure_two_mode(s, kap, lam, "012", forced="1")
+        oracle = fock.two_mode_projector_apply(vec, kap, lam, 1)
+        assert prob == pytest.approx(fock.norm(oracle) ** 2, abs=1e-12)
+        assert sum_norm(post) == pytest.approx(1.0, abs=1e-10)
+
+    @pytest.mark.parametrize("eps", [1e-11, 1e-9, 1e-7])
+    def test_out_orbital_is_orthogonal_to_span(self, eps):
+        rng = rng_for(73)
+        u = random_unitary(rng, 6)
+        state = SlaterState(u[:, :3])
+        kap = np.sqrt(1 - eps**2) * u[:, 0] + eps * (u[:, 3:] @ random_mode(rng, 3))
+        dec = decompose_mode(state, kap / np.linalg.norm(kap))
+        assert dec.beta == pytest.approx(eps, rel=1e-6)
+        assert np.linalg.norm(state.orbitals.conj().T @ dec.out_orbital) < 1e-14
+
+
 class TestReduceToTwoFermion:
     def test_two_electron_input_unchanged(self):
         rng = rng_for(72)
