@@ -37,6 +37,18 @@ def require_finite(a):
         raise ValueError("matrix entries must be finite")
 
 
+def row_norms(x):
+    """np.linalg.norm of every row of a 2-d complex array, bit for bit.
+
+    norm adds two real dot products over the strided .real and .imag
+    views; 1 x L by L x 1 matmuls on the same views round the same way,
+    while norm(axis=1), einsum and contiguous .real copies do not.
+    """
+    re, im = x.real, x.imag
+    squares = re[:, None, :] @ re[:, :, None] + im[:, None, :] @ im[:, :, None]
+    return np.sqrt(squares[:, 0, 0])
+
+
 def _require_square(a, what):
     if a.shape[0] != a.shape[1]:
         raise NonSquare(f"{what} needs a square matrix, got shape {a.shape}")

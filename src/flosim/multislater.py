@@ -26,21 +26,28 @@ from .errors import (
     TermCapExceeded,
     WrongParticleNumber,
 )
-from .linalg import PAIR_THRESHOLD, antisym_canonical, pfaffian, require_finite
+from .linalg import PAIR_THRESHOLD, antisym_canonical, pfaffian, require_finite, row_norms
 from .slater import (
+    ABSENT_TOL,
+    ORTHO_TOL,
     ORTHOGONAL_TOL,
     PROB_FLOOR,
+    REORTH_TOL,
+    SPAN_TOL,
     SlaterState,
     check_mode,
+    check_unitary,
     decompose_mode,
     evolve,
     rotate_in_first,
     annihilate,
     standard_state,
+    valid_stack,
 )
 
 PRUNE_TOL = 1e-12
 DEFAULT_MAX_TERMS = 1024
+SPLIT_BATCH = 32  # most terms per stacked split, bounding its scratch arrays
 
 GROUPINGS = {
     "012": ((0,), (1,), (2,)),
@@ -150,9 +157,24 @@ def scale_sum(s, factor):
 
 
 def evolve_sum(s, v):
-    return SlaterSum(
-        tuple((c, evolve(st, v)) for c, st in s.terms), s.modes, s.electrons, s.max_terms
-    )
+    """Rotate every term by v: one unitarity check, then one stacked matmul
+    per batch of SPLIT_BATCH terms, bitwise the per-term evolve."""
+    if not s.terms:
+        return s
+    mat = check_unitary(v, s.modes)
+    terms = []
+    for start in range(0, len(s.terms), SPLIT_BATCH):
+        batch = s.terms[start : start + SPLIT_BATCH]
+        rotated = mat @ np.array([st.orbitals for _, st in batch])
+        if not valid_stack(rotated):
+            # Term by term, the first failing state raises its own message.
+            terms = [(c, evolve(st, mat)) for c, st in s.terms]
+            break
+        terms.extend(
+            (c, SlaterState._checked(orb, st.amplitude))
+            for (c, st), orb in zip(batch, rotated)
+        )
+    return SlaterSum(tuple(terms), s.modes, s.electrons, s.max_terms)
 
 
 def _split(state, vec):
@@ -175,15 +197,144 @@ def _split(state, vec):
     return [(dec.beta, zero), (dec.alpha, one)]
 
 
+def _split_each(states, vec):
+    return [_split(st, vec) for st in states]
+
+
+class _StackCheckFailed(FlosimError):
+    """A state in a stacked split failed a check; the caller redoes the
+    split term by term, where the first failing term raises."""
+
+
+def _split_stack(states, vec):
+    """_split of every state on the same mode vector, bit for bit.
+
+    Batches of up to SPLIT_BATCH terms go through one stacked
+    decomposition and rotation each (_split_batch).  A lone term, or
+    terms with at most one electron (no rotation to share), take _split,
+    which costs less there.
+    """
+    if len(states) < 2 or states[0].electrons <= 1:
+        return _split_each(states, vec)
+    out = []
+    for start in range(0, len(states), SPLIT_BATCH):
+        out.extend(_split_batch(states[start : start + SPLIT_BATCH], vec))
+    return out
+
+
+def _split_batch(states, vec):
+    """decompose_mode, rotate_in_first and _split's two children for a
+    stack of states with N >= 2, each step one stacked numpy call.
+
+    Stacked gemv, matmul, svd and det, broadcast divisions and row_norms
+    round like their per-slice calls, so every result is bitwise _split's.
+    Every check _split makes (the mode norm, NotInSpan, determinant and
+    constructor finiteness, orthonormality) runs once per stack with the
+    same tolerance and raises _StackCheckFailed.  Terms whose orbitals are
+    not C-contiguous (BLAS rounds other layouts differently) or whose beta
+    falls in the re-orthogonalization band take _split itself.
+    """
+    phi = np.array([st.orbitals for st in states])
+    phi_h = phi.conj().transpose(0, 2, 1)
+    coeffs = phi_h @ vec
+    alpha = row_norms(coeffs)
+    inside = (phi @ coeffs[:, :, None])[:, :, 0]
+    resid = vec - inside
+    beta = row_norms(resid)
+    alphas, betas = alpha.tolist(), beta.tolist()
+    contiguous = np.array([st.orbitals.flags.c_contiguous for st in states])
+    per_term = ~contiguous | ((ABSENT_TOL < beta) & (beta < REORTH_TOL))
+    lanes = np.flatnonzero(~per_term & (alpha > ABSENT_TOL))
+    out = [[(1.0, st), None] for st in states]
+    if lanes.size:
+        rows = _rows(lanes, len(states))
+        phi, phi_h, a, b = phi[rows], phi_h[rows], alpha[rows, None], beta[rows, None]
+        in_orb = inside[rows] / a
+        # rotate_in_first(state, in_orb)
+        c = phi_h @ in_orb[:, :, None]
+        off_norm = abs(row_norms(in_orb) - 1.0) > ORTHO_TOL
+        if off_norm.any() or (row_norms(in_orb - (phi @ c)[:, :, 0]) > SPAN_TOL).any():
+            raise _StackCheckFailed
+        c = c[:, :, 0] / row_norms(c[:, :, 0])[:, None]
+        # complement_basis([c], n): the last n - 1 rows of the svd's vh.
+        comp = np.linalg.svd(c.conj()[:, None, :], full_matrices=True)[2][:, 1:]
+        change = np.concatenate([c[:, :, None], comp.conj().transpose(0, 2, 1)], axis=2)
+        if not np.isfinite(change).all():
+            raise _StackCheckFailed
+        change[:, :, -1] /= np.linalg.det(change)[:, None]
+        if not np.isfinite(change).all():
+            raise _StackCheckFailed
+        dets = np.linalg.det(change).tolist()
+        rot = phi @ change
+        # Drop the stacks no longer needed before checking and building
+        # the children, so the batch's peak memory stays low.
+        del phi, phi_h, comp, change
+        if not valid_stack(rot):
+            raise _StackCheckFailed
+        # The children share the rotated span's other orbitals.
+        vecs = np.broadcast_to(vec[:, None], (len(lanes), len(vec), 1))
+        one = np.concatenate([vecs, rot[:, :, 1:]], axis=2)
+        has_out = b[:, 0] > ABSENT_TOL
+        k = _rows(np.flatnonzero(has_out), len(lanes))
+        out_orb = resid[rows][k] / b[k]
+        perp = b[k] * in_orb[k] - a[k] * out_orb
+        zero = np.concatenate([perp[:, :, None], rot[k, :, 1:]], axis=2)
+        del rot
+        if not (valid_stack(one) and valid_stack(zero)):
+            raise _StackCheckFailed
+        zeros = iter(zero)
+        for i, orb, d, out_too in zip(lanes.tolist(), one, dets, has_out.tolist()):
+            amp = states[i].amplitude / d
+            out[i] = [
+                (betas[i], SlaterState._checked(next(zeros), amp)) if out_too else None,
+                (alphas[i], SlaterState._checked(orb, amp)),
+            ]
+    for i in np.flatnonzero(per_term).tolist():
+        out[i] = _split(states[i], vec)
+    return out
+
+
+def _rows(index, size):
+    """index, or a full slice when it selects all size rows, so that
+    indexing returns views instead of copies."""
+    return slice(None) if index.size == size else index
+
+
 def _single_mode_sums(s, kappa):
     """Projections of a sum on occupations 0 and 1 of kappa, one split per term."""
     kap = check_mode(kappa, s.modes)
+    states = [st for _, st in s.terms]
+    try:
+        splits = _split_stack(states, kap)
+    except (FlosimError, ValueError):
+        # Term by term, the first failing term raises its own error.
+        splits = _split_each(states, kap)
     out = ([], [])
-    for coeff, state in s.terms:
-        for want, res in enumerate(_split(state, kap)):
+    for (coeff, _), pair in zip(s.terms, splits):
+        for want, res in enumerate(pair):
             if res is not None:
                 out[want].append((coeff * res[0], res[1]))
     return [SlaterSum(tuple(t), s.modes, s.electrons, s.max_terms) for t in out]
+
+
+def _tree(terms, kap, lamv, split):
+    """Leaves of the split tree: every term split on lambda, then every
+    child on kappa, each level one call of split over the whole list."""
+    by_lam = split([st for _, st in terms], lamv)
+    # Lambda occupied first, so outcome 1 lists (1, 0) before (0, 1).
+    children = [
+        (coeff * res[0], i, res[1])
+        for (coeff, _), pair in zip(terms, by_lam)
+        for i in (1, 0)
+        if (res := pair[i]) is not None
+    ]
+    by_kap = split([child for _, _, child in children], kap)
+    out = ([], [], [])
+    for (coeff, i, _), pair in zip(children, by_kap):
+        for j, res in enumerate(pair):
+            if res is not None:
+                out[i + j].append((coeff * res[0], res[1]))
+    return out
 
 
 def _two_mode_terms(s, kappa, lam):
@@ -197,17 +348,16 @@ def _two_mode_terms(s, kappa, lam):
     ip = abs(np.vdot(kap, lamv))
     if ip > ORTHOGONAL_TOL:
         raise ModesNotOrthogonal(f"<kappa|lambda> = {ip:.3e}")
-    out = ([], [], [])
-    for coeff, state in s.terms:
-        by_lam = _split(state, lamv)
-        # Lambda occupied first, so outcome 1 lists (1, 0) before (0, 1).
-        for i in (1, 0):
-            if by_lam[i] is not None:
-                scale, child = by_lam[i]
-                for j, res in enumerate(_split(child, kap)):
-                    if res is not None:
-                        out[i + j].append((coeff * scale * res[0], res[1]))
-    return out
+    try:
+        return _tree(s.terms, kap, lamv, _split_stack)
+    except (FlosimError, ValueError):
+        # Term by term, both levels per term, the first failing check
+        # raises as it always has.
+        out = ([], [], [])
+        for term in s.terms:
+            for leaves, more in zip(out, _tree((term,), kap, lamv, _split_each)):
+                leaves.extend(more)
+        return out
 
 
 def apply_two_mode_projector(s, kappa, lam, outcome):

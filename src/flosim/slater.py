@@ -24,7 +24,7 @@ from .errors import (
     NotInSpan,
     NotUnitary,
 )
-from .linalg import complement_basis, determinant
+from .linalg import complement_basis, determinant, row_norms
 
 ORTHO_TOL = 1e-10
 UNITARY_TOL = 1e-10
@@ -59,6 +59,15 @@ class SlaterState:
         object.__setattr__(self, "orbitals", orb)
         object.__setattr__(self, "amplitude", complex(self.amplitude))
 
+    @classmethod
+    def _checked(cls, orbitals, amplitude):
+        """A state whose orbitals passed valid_stack, skipping the checks;
+        amplitude must already be a Python complex."""
+        state = object.__new__(cls)
+        object.__setattr__(state, "orbitals", orbitals)
+        object.__setattr__(state, "amplitude", amplitude)
+        return state
+
     @property
     def modes(self):
         return self.orbitals.shape[0]
@@ -82,6 +91,18 @@ class ModeDecomposition:
     out_orbital: np.ndarray | None
 
 
+def valid_stack(orbitals):
+    """Whether every state of a (T, D, N) stack passes the constructor's
+    checks: finite entries and a deviation from orthonormality at most
+    ORTHO_TOL, computed bitwise as the constructor does on each slice."""
+    if not np.isfinite(orbitals).all():
+        return False
+    t, _, n = orbitals.shape
+    gram = orbitals.conj().transpose(0, 2, 1) @ orbitals
+    gram -= np.eye(n)
+    return not (row_norms(gram.reshape(t, n * n)) > ORTHO_TOL).any()
+
+
 def check_mode(v, d):
     """Validate a mode vector: length d, unit norm; returns it as ndarray."""
     vec = np.asarray(v, dtype=complex)
@@ -100,17 +121,20 @@ def standard_state(d, n):
     return SlaterState(np.eye(d, n, dtype=complex), 1.0)
 
 
-def evolve(s, v):
-    """Apply a one-body unitary: every orbital column c becomes v @ c."""
+def check_unitary(v, d):
+    """Validate a one-body unitary on d modes; returns it as ndarray."""
     mat = np.asarray(v, dtype=complex)
-    if mat.shape != (s.modes, s.modes):
-        raise DimensionMismatch(
-            f"unitary has shape {mat.shape}, state has {s.modes} modes"
-        )
-    dev = np.linalg.norm(mat.conj().T @ mat - np.eye(s.modes))
+    if mat.shape != (d, d):
+        raise DimensionMismatch(f"unitary has shape {mat.shape}, state has {d} modes")
+    dev = np.linalg.norm(mat.conj().T @ mat - np.eye(d))
     if dev > UNITARY_TOL:
         raise NotUnitary(f"deviation from unitarity {dev:.3e}")
-    return SlaterState(mat @ s.orbitals, s.amplitude)
+    return mat
+
+
+def evolve(s, v):
+    """Apply a one-body unitary: every orbital column c becomes v @ c."""
+    return SlaterState(check_unitary(v, s.modes) @ s.orbitals, s.amplitude)
 
 
 def decompose_mode(s, kappa):

@@ -26,6 +26,10 @@ GOLDEN = Path(__file__).resolve().parent / "data" / "golden"
 # then exact measure2 (grouping 012), exact and sampled measure1, and a
 # forced 01/2 step.
 POLICY_MIX = GOLDEN.parent / "policy_mix.json"
+# Six rounds of a dense rotation and a sampled parity step on D=8, N=4,
+# doubling the sum to 64 terms, then a sampled measure1 and a 012
+# measure2 on it.
+PARITY_DEEP = GOLDEN.parent / "parity_deep.json"
 
 
 def run_cli(argv, capsys):
@@ -43,12 +47,13 @@ def minimal_doc(steps, modes=4, electrons=2):
     [(["simulate", p, "--seed", "7"], f"simulate_{p.stem}") for p in EXAMPLES]
     + [(["nogo", ROOT / "circuits" / "nogo_demo.json"], "nogo_nogo_demo")]
     + [(["simulate", POLICY_MIX, "--seed", "7"], "simulate_policy_mix")]
+    + [(["simulate", PARITY_DEEP, "--seed", "7"], "simulate_parity_deep")]
     + [
         (["simulate", p, "--seed", "3", "--oracle-check"], f"oracle_{p.stem}")
         for p in EXAMPLES + [POLICY_MIX]
     ],
     ids=[f"simulate-{i}" for i in EXAMPLE_IDS]
-    + ["nogo-nogo_demo", "simulate-policy_mix"]
+    + ["nogo-nogo_demo", "simulate-policy_mix", "simulate-parity_deep"]
     + [f"oracle-{i}" for i in EXAMPLE_IDS + ["policy_mix"]],
 )
 def test_golden_transcript(argv, name, capsys):
@@ -279,6 +284,22 @@ class TestSimulateCommand:
         assert code == 4
         assert err.startswith("TermCapExceeded:")
         assert err.count("\n") == 1
+
+    def test_non_unitary_rotation_of_a_sum_exit_code(self, tmp_path, capsys):
+        """A two-term sum is rotated with one check of the matrix, which
+        fails with the per-term message and exit code."""
+        steps = [
+            {"kind": "rotate", "modes": [0, 2], "theta": 0.7, "phi": 0.3},
+            {"kind": "rotate", "modes": [1, 3], "theta": 0.5, "phi": 0.2},
+            {"kind": "measure2", "first": 0, "second": 1, "grouping": "02/1",
+             "policy": "forced", "outcome": "1"},
+            {"kind": "rotate", "unitary": np.diag([1.001, 1, 1, 1]).tolist()},
+        ]
+        path = tmp_path / "non_unitary.json"
+        path.write_text(minimal_doc(steps))
+        code, out, err = run_cli(["simulate", path, "--seed", "1"], capsys)
+        assert code == 1
+        assert err == "NotUnitary: deviation from unitarity 2.001e-03\n"
 
     def test_parse_failure_exit_code(self, tmp_path, capsys):
         path = tmp_path / "broken.json"

@@ -74,6 +74,16 @@ class TestOrthonormalize:
         assert linalg.orthonormalize(a).shape == (3, 0)
 
 
+class TestRowNorms:
+    def test_bitwise_equal_to_norm(self):
+        """row_norms(x)[i] is np.linalg.norm(x[i]) bit for bit."""
+        rng = rng_for(31)
+        for length in list(range(1, 70)) + [127, 128, 255, 1000, 4096]:
+            x = random_complex(rng, 9, length) * 10.0 ** rng.uniform(-8, 8, (9, 1))
+            got = [v.hex() for v in linalg.row_norms(x).tolist()]
+            assert got == [float(np.linalg.norm(row)).hex() for row in x]
+
+
 class TestDeterminant:
     def test_identity(self):
         assert linalg.determinant(np.eye(3)) == pytest.approx(1.0)

@@ -6,6 +6,8 @@ the Pfaffian of the outcome-1 state is pinned against a closed form
 that was itself verified by brute-force enumeration.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,6 +27,7 @@ from flosim.errors import (
     FlosimError,
     ImpossibleOutcome,
     ModesNotOrthogonal,
+    NotUnitary,
     TermCapExceeded,
     WrongParticleNumber,
 )
@@ -32,6 +35,7 @@ from flosim.slater import (
     SlaterState,
     annihilate,
     decompose_mode,
+    evolve,
     measure_mode,
     rotate_in_first,
     slater_overlap,
@@ -42,6 +46,8 @@ from flosim.multislater import (
     SlaterSum,
     _overlap_total,
     _split,
+    _split_batch,
+    _split_stack,
     _two_mode_terms,
     apply_two_mode_projector,
     evolve_sum,
@@ -59,6 +65,10 @@ from flosim.multislater import (
     two_mode_groups,
 )
 from flosim import fock, multislater
+
+
+def random_state(rng, d, n):
+    return SlaterState(random_orthonormal_columns(rng, d, n))
 
 
 def standard_mode(d, m):
@@ -246,6 +256,47 @@ class TestEvolveSum:
         assert np.allclose(fast.amplitudes, slow.amplitudes, atol=1e-9)
         assert sum_norm(evolved) == pytest.approx(sum_norm(s), abs=1e-10)
 
+    @pytest.mark.parametrize("t", [1, 2, 17])
+    @pytest.mark.parametrize("n", [0, 1, 3, 6])
+    def test_bitwise_equal_to_per_term_evolve(self, t, n):
+        """The stacked matmul rounds like evolve on each term, whatever
+        the memory layout of the term's orbitals."""
+        rng = rng_for(53 + 7 * t + n)
+        d = 6
+        u = random_unitary(rng, d)
+        kinds = ("generic", "fortran", "view")
+        terms = tuple(
+            (random_complex(rng), SlaterState(kernel_orbitals(rng, kinds[i % 3], u, n)))
+            for i in range(t)
+        )
+        s = SlaterSum(terms, d, n)
+        v = random_unitary(rng, d)
+        want = terms_bits([(c, evolve(state, v)) for c, state in s.terms])
+        assert terms_bits(evolve_sum(s, v).terms) == want
+        with mock.patch.object(multislater, "SPLIT_BATCH", 7):
+            assert terms_bits(evolve_sum(s, v).terms) == want
+
+    def test_bad_rotation_raises_as_per_term(self):
+        s = random_two_term_sum(rng_for(54), 5, 2)
+        for bad in (np.diag([1, 1, 1, 1, 1.001]), np.eye(4), np.eye(5)[:, :4]):
+            want = raised(evolve, s.terms[0][1], bad)
+            assert want[0] in (NotUnitary, DimensionMismatch)
+            assert raised(evolve_sum, s, bad) == want
+
+    def test_off_orthonormal_term_raises_as_per_term(self):
+        rng = rng_for(55)
+        u = random_unitary(rng, 7)
+        terms = [(1.0, random_state(rng, 7, 3)) for _ in range(5)]
+        terms[3] = (1.0, off_orthonormal_state(u, 3, (0, 1, 2), 1e-8))
+        s = SlaterSum(tuple(terms), 7, 3)
+        v = random_unitary(rng, 7)
+        want = raised(lambda: [evolve(state, v) for _, state in s.terms])
+        assert want[0] is FlosimError and "not orthonormal" in want[1]
+        assert raised(evolve_sum, s, v) == want
+        # The failing term sits in the second batch.
+        with mock.patch.object(multislater, "SPLIT_BATCH", 2):
+            assert raised(evolve_sum, s, v) == want
+
 
 def reference_term_project(state, kap, want):
     """One single-mode projection with its own decomposition and
@@ -414,6 +465,181 @@ class TestSplitTree:
                     if new is not None:
                         assert float(new[0]).hex() == float(old[0]).hex()
                         assert state_bits(new[1]) == state_bits(old[1])
+
+
+def split_bits(pair):
+    return [None if r is None else (float(r[0]).hex(), state_bits(r[1])) for r in pair]
+
+
+def reference_split(state, vec):
+    return [reference_term_project(state, vec, want) for want in (0, 1)]
+
+
+def reference_tree(s, kap, lam, split=reference_split):
+    """_two_mode_terms term by term, both tree levels per term, as the
+    leaves were listed before the stacked kernel."""
+    out = ([], [], [])
+    for coeff, state in s.terms:
+        by_lam = split(state, lam)
+        for i in (1, 0):
+            if by_lam[i] is not None:
+                scale, child = by_lam[i]
+                for j, res in enumerate(split(child, kap)):
+                    if res is not None:
+                        out[i + j].append((coeff * scale * res[0], res[1]))
+    return out
+
+
+NEAR_EPS = 1e-9  # inside the re-orthogonalization band of decompose_mode
+# Terms placed against the measured mode u[:, 0]: a random span, a span
+# holding the mode, one orthogonal to it, one NEAR_EPS from it, and
+# random spans stored in Fortran order or as a strided column view,
+# which the kernel hands to _split.  A kind the shape cannot host falls
+# back to "generic".
+KERNEL_TERM_KINDS = ("generic", "in_span", "orthogonal", "near_span", "fortran", "view")
+
+
+def kernel_orbitals(rng, kind, u, n):
+    d = u.shape[0]
+    vec, comp = u[:, 0], u[:, 1:]
+    if kind == "in_span" and n:
+        rest = comp @ random_orthonormal_columns(rng, d - 1, n - 1)
+        return np.column_stack([vec, rest]) @ random_unitary(rng, n)
+    if kind == "orthogonal" and n < d:
+        return comp @ random_orthonormal_columns(rng, d - 1, n)
+    if kind == "near_span" and 0 < n < d:
+        w = comp @ random_unitary(rng, d - 1)
+        phi = np.sqrt(1 - NEAR_EPS**2) * vec - NEAR_EPS * w[:, 0]
+        return np.column_stack([phi, w[:, 1:n]]) @ random_unitary(rng, n)
+    orbitals = random_orthonormal_columns(rng, d, n)
+    if kind == "fortran":
+        return np.asfortranarray(orbitals)
+    if kind == "view":
+        return np.column_stack([orbitals, orbitals[:, :1]])[:, :n]
+    return orbitals
+
+
+@st.composite
+def kernel_stacks(draw):
+    d = draw(st.integers(1, 8))
+    n = draw(st.integers(0, d))
+    t = draw(st.sampled_from([0, 1, 2, 17, 64]))
+    kinds = draw(st.lists(st.sampled_from(KERNEL_TERM_KINDS), min_size=t, max_size=t))
+    contiguous_mode = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    u = random_unitary(rng, d)
+    terms = []
+    for kind in kinds:
+        amp = rng.uniform(0.0, 2.0) * np.exp(1j * rng.uniform(0, 2 * np.pi))
+        coeff = rng.uniform(0.1, 2.0) * np.exp(1j * rng.uniform(0, 2 * np.pi))
+        terms.append((coeff, SlaterState(kernel_orbitals(rng, kind, u, n), amp)))
+    vec = np.ascontiguousarray(u[:, 0]) if contiguous_mode else u[:, 0]
+    lam = u[:, 1] if d > 1 else None
+    return d, n, tuple(terms), vec, lam
+
+
+class TestSplitKernel:
+    """The stacked split against the per-term projection, bit for bit:
+    scales, amplitudes and orbital bytes, for every batch size."""
+
+    @pytest.mark.parametrize("batch", [1, 7, multislater.SPLIT_BATCH])
+    @settings(derandomize=True, database=None, deadline=None, max_examples=40)
+    @given(recipe=kernel_stacks())
+    def test_bitwise_equal_to_per_term_projection(self, batch, recipe):
+        d, n, terms, vec, lam = recipe
+        states = [state for _, state in terms]
+        ref = [split_bits(reference_split(state, vec)) for state in states]
+        with mock.patch.object(multislater, "SPLIT_BATCH", batch):
+            assert [split_bits(p) for p in _split_stack(states, vec)] == ref
+            if states and n >= 2:
+                assert [split_bits(p) for p in _split_batch(states, vec)] == ref
+            if lam is not None:
+                s = SlaterSum(terms, d, n)
+                tree = _two_mode_terms(s, vec, lam)
+                for got, want in zip(tree, reference_tree(s, vec, lam)):
+                    assert terms_bits(got) == terms_bits(want)
+
+
+def off_orthonormal_state(u, n, span, delta):
+    """Orbitals u[:, span[0]], u[:, span[1]] and u[:, span[2]] + delta *
+    u[:, span[1]], plus further columns of u, bypassing the constructor.
+    A split on a mode of this span passes the mode and span checks; its
+    rotated span then fails the orthonormality check, deviation about
+    sqrt(2) delta."""
+    cols = [u[:, k] for k in span[:n]]
+    cols[2] = cols[2] + delta * cols[1]
+    return SlaterState._checked(np.column_stack(cols), 1.0 + 0.0j)
+
+
+def raised(fn, *args):
+    with pytest.raises(Exception) as err:
+        fn(*args)
+    return type(err.value), str(err.value)
+
+
+class TestStackedChecks:
+    """A state failing a check inside a stack raises exactly what the
+    per-term path (_split on each term in turn) raises: the same class,
+    the same message, from the same first failing term."""
+
+    def _sum(self, rng, d, n, t, bad):
+        u = random_unitary(rng, d)
+        terms = [(1.0, random_state(rng, d, n)) for _ in range(t)]
+        for index, span, delta in bad:
+            terms[index] = (0.5, off_orthonormal_state(u, n, span, delta))
+        return u, SlaterSum(tuple(terms), d, n)
+
+    @pytest.mark.parametrize("batch", [7, multislater.SPLIT_BATCH])
+    @pytest.mark.parametrize("t,index", [(2, 0), (2, 1), (17, 8), (40, 39)])
+    def test_off_orthonormal_term(self, batch, t, index):
+        d, n = 7, 3
+        u, s = self._sum(rng_for(90 + t), d, n, t, [(index, (0, 1, 2), 1e-8)])
+        kap, lam = u[:, 0], u[:, 5]
+        ref = raised(lambda: [_split(state, kap) for _, state in s.terms])
+        assert ref[0] is FlosimError and "not orthonormal" in ref[1]
+        tree_ref = raised(reference_tree, s, kap, lam, _split)
+        with mock.patch.object(multislater, "SPLIT_BATCH", batch):
+            for want in (0, 1):
+                assert raised(project_single_mode, s, kap, want) == ref
+            assert raised(_two_mode_terms, s, kap, lam) == tree_ref
+            assert raised(two_mode_groups, s, kap, lam, "02/1") == tree_ref
+
+    @pytest.mark.parametrize("batch", [7, multislater.SPLIT_BATCH])
+    def test_first_failing_term_wins_across_tree_levels(self, batch):
+        """Term 3 fails only when its child is split on kappa (lambda is
+        orthogonal to its span), term 5 already on lambda.  Term by term,
+        term 3's error comes first, though the stacked lambda level meets
+        term 5 first."""
+        d, n = 8, 3
+        bad = [(3, (0, 1, 2), 1e-8), (5, (4, 1, 3), 3e-8)]
+        u, s = self._sum(rng_for(93), d, n, 12, bad)
+        kap, lam = u[:, 0], u[:, 4]
+        ref = raised(reference_tree, s, kap, lam, _split)
+        assert ref == raised(_split, s.terms[3][1], kap)
+        assert ref != raised(_split, s.terms[5][1], lam)
+        with mock.patch.object(multislater, "SPLIT_BATCH", batch):
+            assert raised(_two_mode_terms, s, kap, lam) == ref
+
+    def test_nan_term_passes_through_as_per_term(self):
+        """A NaN orbital makes alpha NaN, so the per-term split leaves the
+        term untouched; the stack does the same, and the norm rejects it."""
+        d, n = 6, 3
+        rng = rng_for(94)
+        u = random_unitary(rng, d)
+        orbitals = random_orthonormal_columns(rng, d, n)
+        orbitals[2, 1] = np.nan
+        terms = [(1.0, random_state(rng, d, n)) for _ in range(5)]
+        terms[2] = (0.5, SlaterState._checked(orbitals, 1.0 + 0.0j))
+        s = SlaterSum(tuple(terms), d, n)
+        kap, lam = u[:, 0], u[:, 1]
+        tree = _two_mode_terms(s, kap, lam)
+        for got, want in zip(tree, reference_tree(s, kap, lam)):
+            assert terms_bits(got) == terms_bits(want)
+        assert any(st_ is terms[2][1] for _, st_ in tree[0])
+        assert raised(measure_two_mode, s, kap, lam, "012", "0") == (
+            ValueError,
+            "matrix entries must be finite",
+        )
 
 
 def eager_pick(sums, rng):

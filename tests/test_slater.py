@@ -32,6 +32,7 @@ from flosim.slater import (
     rotate_in_first,
     slater_overlap,
     standard_state,
+    valid_stack,
 )
 from flosim import fock
 
@@ -75,6 +76,36 @@ class TestSlaterStateType:
         bad[0, 0] = np.nan
         with pytest.raises(FlosimError):
             SlaterState(bad)
+
+
+class TestValidStack:
+    """valid_stack accepts a stack exactly when the constructor accepts
+    every slice of it."""
+
+    @pytest.mark.parametrize(
+        "defect, valid",
+        # A column overlap delta gives a deviation of about sqrt(2) delta,
+        # so 7.0e-11 and 7.2e-11 straddle ORTHO_TOL = 1e-10.
+        [(None, True), ("nan", False), ("inf", False), (7.0e-11, True), (7.2e-11, False),
+         (1e-8, False)],
+    )
+    def test_agrees_with_constructor(self, defect, valid):
+        rng = rng_for(24)
+        stack = np.array([random_orthonormal_columns(rng, 6, 3) for _ in range(5)])
+        if defect in ("nan", "inf"):
+            stack[2, 4, 1] = float(defect)
+        elif defect is not None:
+            stack[2, :, 2] += defect * stack[2, :, 1]
+
+        def accepted(orbitals):
+            try:
+                SlaterState(orbitals)
+            except FlosimError:
+                return False
+            return True
+
+        assert valid_stack(stack) is valid
+        assert all(accepted(orbitals) for orbitals in stack) is valid
 
 
 class TestEvolve:
