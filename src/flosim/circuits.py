@@ -334,9 +334,3 @@ def serialize_circuit(circuit):
             raise TypeError(f"unknown step type {type(step).__name__}")
     doc = {"modes": circuit.modes, "electrons": circuit.electrons, "steps": steps}
     return json.dumps(doc, indent=2) + "\n"
-
-
-def save_circuit(circuit, path):
-    """Write a circuit document to a file."""
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(serialize_circuit(circuit))

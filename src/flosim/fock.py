@@ -21,11 +21,10 @@ from .errors import (
     FlosimError,
     ModesNotOrthogonal,
     NotHermitian,
-    NotUnitary,
     TooManyModes,
     ZeroVector,
 )
-from .slater import ORTHOGONAL_TOL, UNITARY_TOL, check_mode
+from .slater import ORTHOGONAL_TOL, check_mode, check_unitary
 
 VECTOR_MODE_CAP = 12
 DENSITY_MODE_CAP = 8
@@ -138,46 +137,42 @@ def basis_vector(d, mask):
     return FockVector(d, amps)
 
 
-def _creation_components(amps, d, vec):
-    out = np.zeros_like(amps)
+def _ladder(d, vec, create):
+    """The walk of a_vec^dag (create) or a_vec over the basis masks.
+
+    Yields, per mode m that vec touches, (coefficient, source masks,
+    target masks, signs): the operator sends mask src to src with bit m
+    flipped, times coefficient * sign, where the coefficient is vec[m]
+    or its conjugate and the sign is (-1)^(occupied modes below m).
+    """
     masks = np.arange(1 << d)
     pops = _popcounts(d)
     for m in range(d):
-        coef = vec[m]
+        coef = vec[m] if create else np.conj(vec[m])
         if coef == 0.0:
             continue
         bit = 1 << m
-        src = masks[(masks & bit) == 0]
-        signs = 1.0 - 2.0 * (pops[src & (bit - 1)] % 2)
-        out[src | bit] += coef * signs * amps[src]
-    return out
+        src = masks[((masks & bit) != 0) != create]
+        yield coef, src, src ^ bit, 1.0 - 2.0 * (pops[src & (bit - 1)] % 2)
 
 
-def _annihilation_components(amps, d, vec):
+def _ladder_apply(amps, d, vec, create):
     out = np.zeros_like(amps)
-    masks = np.arange(1 << d)
-    pops = _popcounts(d)
-    for m in range(d):
-        coef = np.conj(vec[m])
-        if coef == 0.0:
-            continue
-        bit = 1 << m
-        src = masks[(masks & bit) != 0]
-        signs = 1.0 - 2.0 * (pops[src & (bit - 1)] % 2)
-        out[src ^ bit] += coef * signs * amps[src]
+    for coef, src, dst, signs in _ladder(d, vec, create):
+        out[dst] += coef * signs * amps[src]
     return out
 
 
 def creation_op_apply(v, mode):
     """Apply a_mode^dag, the creation operator of an arbitrary mode vector."""
     vec = check_mode(mode, v.modes)
-    return FockVector(v.modes, _creation_components(v.amplitudes, v.modes, vec))
+    return FockVector(v.modes, _ladder_apply(v.amplitudes, v.modes, vec, True))
 
 
 def annihilation_op_apply(v, mode):
     """Apply a_mode, the annihilation operator of an arbitrary mode vector."""
     vec = check_mode(mode, v.modes)
-    return FockVector(v.modes, _annihilation_components(v.amplitudes, v.modes, vec))
+    return FockVector(v.modes, _ladder_apply(v.amplitudes, v.modes, vec, False))
 
 
 def expand(s):
@@ -225,12 +220,7 @@ def unitary_apply(v, u):
     """
     d = v.modes
     _check_vector_cap(d)
-    mat = np.asarray(u, dtype=complex)
-    if mat.shape != (d, d):
-        raise DimensionMismatch(f"unitary has shape {mat.shape}, expected ({d}, {d})")
-    dev = np.linalg.norm(mat.conj().T @ mat - np.eye(d))
-    if dev > UNITARY_TOL:
-        raise NotUnitary(f"deviation from unitarity {dev:.3e}")
+    mat = check_unitary(u, d)
     amps = v.amplitudes
     out = np.zeros_like(amps)
     out[0] += amps[0]  # the vacuum is invariant
@@ -333,10 +323,10 @@ def two_mode_projector_apply(v, kappa, lam, outcome):
     amps = v.amplitudes
 
     def cre(vec, a):
-        return _creation_components(a, d, vec)
+        return _ladder_apply(a, d, vec, True)
 
     def ann(vec, a):
-        return _annihilation_components(a, d, vec)
+        return _ladder_apply(a, d, vec, False)
 
     if outcome == 0:
         out = ann(kap, cre(kap, ann(lamv, cre(lamv, amps))))
@@ -355,18 +345,9 @@ def creation_matrix(d, mode):
     """Dense matrix of a_mode^dag on the full Fock space."""
     _check_density_cap(d)
     vec = check_mode(mode, d)
-    dim = 1 << d
-    masks = np.arange(dim)
-    pops = _popcounts(d)
-    mat = np.zeros((dim, dim), dtype=complex)
-    for m in range(d):
-        coef = vec[m]
-        if coef == 0.0:
-            continue
-        bit = 1 << m
-        src = masks[(masks & bit) == 0]
-        signs = 1.0 - 2.0 * (pops[src & (bit - 1)] % 2)
-        mat[src | bit, src] += coef * signs
+    mat = np.zeros((1 << d, 1 << d), dtype=complex)
+    for coef, src, dst, signs in _ladder(d, vec, True):
+        mat[dst, src] += coef * signs
     return mat
 
 

@@ -37,10 +37,9 @@ from .slater import (
     SlaterState,
     check_mode,
     check_unitary,
-    decompose_mode,
     evolve,
-    rotate_in_first,
     annihilate,
+    split_mode,
     standard_state,
     valid_stack,
 )
@@ -159,9 +158,9 @@ def scale_sum(s, factor):
 def evolve_sum(s, v):
     """Rotate every term by v: one unitarity check, then one stacked matmul
     per batch of SPLIT_BATCH terms, bitwise the per-term evolve."""
+    mat = check_unitary(v, s.modes)
     if not s.terms:
         return s
-    mat = check_unitary(v, s.modes)
     terms = []
     for start in range(0, len(s.terms), SPLIT_BATCH):
         batch = s.terms[start : start + SPLIT_BATCH]
@@ -177,28 +176,9 @@ def evolve_sum(s, v):
     return SlaterSum(tuple(terms), s.modes, s.electrons, s.max_terms)
 
 
-def _split(state, vec):
-    """Both single-mode occupation projections [zero, one] of a determinant,
-    from one decomposition and one rotation of the filled span.
-
-    Each entry is (scale, new_state) with projector(state) == scale *
-    new_state, or None when it vanishes; new_state keeps unit norm.
-    """
-    dec = decompose_mode(state, vec)
-    if dec.in_orbital is None:
-        return [(1.0, state), None]
-    rot = rotate_in_first(state, dec.in_orbital)
-    rest = rot.orbitals[:, 1:]
-    one = SlaterState(np.column_stack([vec.reshape(-1, 1), rest]), rot.amplitude)
-    if dec.out_orbital is None:
-        return [None, (dec.alpha, one)]
-    perp = dec.beta * dec.in_orbital - dec.alpha * dec.out_orbital
-    zero = SlaterState(np.column_stack([perp.reshape(-1, 1), rest]), rot.amplitude)
-    return [(dec.beta, zero), (dec.alpha, one)]
-
-
 def _split_each(states, vec):
-    return [_split(st, vec) for st in states]
+    """split_mode's [zero, one] projections of each state in turn."""
+    return [split_mode(st, vec)[1] for st in states]
 
 
 class _StackCheckFailed(FlosimError):
@@ -207,12 +187,13 @@ class _StackCheckFailed(FlosimError):
 
 
 def _split_stack(states, vec):
-    """_split of every state on the same mode vector, bit for bit.
+    """split_mode's projections of every state on the same mode vector,
+    bit for bit.
 
     Batches of up to SPLIT_BATCH terms go through one stacked
     decomposition and rotation each (_split_batch).  A lone term, or
-    terms with at most one electron (no rotation to share), take _split,
-    which costs less there.
+    terms with at most one electron (no rotation to share), take
+    split_mode, which costs less there.
     """
     if len(states) < 2 or states[0].electrons <= 1:
         return _split_each(states, vec)
@@ -223,16 +204,17 @@ def _split_stack(states, vec):
 
 
 def _split_batch(states, vec):
-    """decompose_mode, rotate_in_first and _split's two children for a
+    """decompose_mode, rotate_in_first and split_mode's two children for a
     stack of states with N >= 2, each step one stacked numpy call.
 
     Stacked gemv, matmul, svd and det, broadcast divisions and row_norms
-    round like their per-slice calls, so every result is bitwise _split's.
-    Every check _split makes (the mode norm, NotInSpan, determinant and
-    constructor finiteness, orthonormality) runs once per stack with the
-    same tolerance and raises _StackCheckFailed.  Terms whose orbitals are
-    not C-contiguous (BLAS rounds other layouts differently) or whose beta
-    falls in the re-orthogonalization band take _split itself.
+    round like their per-slice calls, so every result is bitwise
+    split_mode's.  Every check split_mode makes (the mode norm, NotInSpan,
+    determinant and constructor finiteness, orthonormality) runs once per
+    stack with the same tolerance and raises _StackCheckFailed.  Terms
+    whose orbitals are not C-contiguous (BLAS rounds other layouts
+    differently) or whose beta falls in the re-orthogonalization band
+    take split_mode itself.
     """
     phi = np.array([st.orbitals for st in states])
     phi_h = phi.conj().transpose(0, 2, 1)
@@ -290,7 +272,7 @@ def _split_batch(states, vec):
                 (alphas[i], SlaterState._checked(orb, amp)),
             ]
     for i in np.flatnonzero(per_term).tolist():
-        out[i] = _split(states[i], vec)
+        out[i] = split_mode(states[i], vec)[1]
     return out
 
 
@@ -366,9 +348,9 @@ def apply_two_mode_projector(s, kappa, lam, outcome):
     The result is the exact unnormalized projected state.  Outcomes 0 and
     2 keep at most one term per input term; outcome 1 produces up to two.
     """
-    terms = _two_mode_terms(s, kappa, lam)
     if outcome not in (0, 1, 2):
         raise ValueError(f"outcome must be 0, 1 or 2, got {outcome}")
+    terms = _two_mode_terms(s, kappa, lam)
     return SlaterSum(tuple(terms[int(outcome)]), s.modes, s.electrons, s.max_terms)
 
 
@@ -427,10 +409,9 @@ def measure_two_mode(s, kappa, lam, grouping, forced=None, rng=None):
 
 def project_single_mode(s, kappa, outcome):
     """Exact unnormalized single-mode occupation projector on a sum."""
-    sums = _single_mode_sums(s, kappa)
     if outcome not in (0, 1):
         raise ValueError(f"outcome must be 0 or 1, got {outcome}")
-    return sums[int(outcome)]
+    return _single_mode_sums(s, kappa)[int(outcome)]
 
 
 def collapse(projected, prob, label):

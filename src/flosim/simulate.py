@@ -6,7 +6,8 @@ determinant and, at every measurement, either records an outcome that
 is already certain or steers into a branch whose projector preserves
 determinant form.  simulate_sampled is the reference executor: it
 carries a full SlaterSum, supports every grouping including parity,
-and draws outcomes from a seeded generator.
+and draws outcomes from a seeded generator.  Both take the exact
+policy's branch by the same certainty-or-steer rule (_steer).
 """
 
 from dataclasses import dataclass
@@ -26,7 +27,6 @@ from .multislater import (
     evolve_sum,
     measure_mode_sum,
     measure_two_mode,
-    scale_sum,
     single_mode_branches,
     sum_norm,
     two_mode_groups,
@@ -35,9 +35,8 @@ from .slater import (
     PROB_FLOOR,
     SlaterState,
     check_mode,
-    decompose_mode,
     evolve,
-    measure_mode,
+    split_mode,
     standard_state,
 )
 
@@ -80,6 +79,7 @@ class Rotate:
 class MeasureOne:
     """Single-mode occupation measurement."""
 
+    kind = "measure1"
     kappa: np.ndarray
     policy: str = "sample"
     outcome: int | None = None
@@ -95,6 +95,7 @@ class MeasureOne:
 class MeasureTwo:
     """Two-mode total-occupation measurement under a grouping."""
 
+    kind = "measure2"
     kappa: np.ndarray
     lam: np.ndarray
     grouping: str = "012"
@@ -135,21 +136,45 @@ def _group_probabilities(s, kappa, lam, grouping):
     return {label: (sum_norm(g) ** 2, g) for label, g in groups.items()}
 
 
-def _certain_label(table):
-    for label, (prob, _) in table.items():
-        if prob >= 1 - CERTAINTY_TOL:
-            return label
-    return None
+def _steer(idx, probs, admissible):
+    """The certainty-or-steer rule of the exact policy.
+
+    probs maps every outcome label to its probability, in label order;
+    admissible lists, in preference order, the labels whose projector
+    keeps a single determinant.  Returns (label, probability, certain):
+    the most probable label (the earliest on a tie) when it lies within
+    CERTAINTY_TOL of 1, else the first admissible label above
+    PROB_FLOOR.  Raises NoAdmissibleBranch when there is neither.
+    """
+    best = max(probs, key=probs.get)
+    if probs[best] >= 1 - CERTAINTY_TOL:
+        return best, probs[best], True
+    for label in admissible:
+        if probs[label] > PROB_FLOOR:
+            return label, probs[label], False
+    raise NoAdmissibleBranch(
+        f"step {idx}: no certain outcome and every determinant-preserving "
+        "branch has probability below 1e-12; the probabilities are inconsistent"
+    )
+
+
+def _steer_two_mode(idx, s, kap, lam, grouping):
+    """The exact policy's two-mode step on a sum: (label, probability,
+    post), post being None when the outcome was certain."""
+    table = _group_probabilities(s, kap, lam, grouping)
+    probs = {label: prob for label, (prob, _) in table.items()}
+    label, prob, certain = _steer(idx, probs, SINGLE_TERM_GROUPS[grouping])
+    return label, prob, None if certain else collapse(table[label][1], prob, repr(label))
 
 
 def simulate_exact_branch(circuit, d, n, initial=None):
     """Run a circuit keeping one Slater determinant throughout.
 
-    Measurement branches are chosen by the certainty-or-steer rule:
-    an outcome with probability within 1e-9 of 1 is recorded without
-    touching the state; otherwise the lowest-labeled branch whose
-    projector preserves determinant form (total occupation 0 or 2, or
-    either single-mode outcome) is taken and renormalized.  Circuits
+    Measurement branches are chosen by the certainty-or-steer rule
+    (_steer): an outcome with probability within 1e-9 of 1 is recorded
+    without touching the state; otherwise the lowest-labeled branch
+    whose projector preserves determinant form (total occupation 0 or 2,
+    or either single-mode outcome) is taken and renormalized.  Circuits
     containing the parity grouping are rejected up front.
 
     Returns (transcript, final SlaterState).
@@ -169,50 +194,25 @@ def simulate_exact_branch(circuit, d, n, initial=None):
         if isinstance(step, Rotate):
             state = evolve(state, step.resolve())
             continue
+        if not isinstance(step, (MeasureOne, MeasureTwo)):
+            raise TypeError(f"step {idx}: not a circuit step: {step!r}")
+        kap = check_mode(step.kappa, d)
         if isinstance(step, MeasureOne):
-            kap = check_mode(step.kappa, d)
-            if state.electrons == 0:
-                p0, p1 = 1.0, 0.0
-            else:
-                dec = decompose_mode(state, kap)
-                p0, p1 = dec.beta**2, dec.alpha**2
-            if p0 >= 1 - CERTAINTY_TOL or p1 >= 1 - CERTAINTY_TOL:
-                label, prob = ("0", p0) if p0 >= p1 else ("1", p1)
-            else:
-                outcome = 0 if p0 > PROB_FLOOR else 1
-                _, prob, state = measure_mode(state, kap, forced=outcome)
-                label = str(outcome)
-            cumulative *= prob
-            rows.append(TranscriptRow(idx, "measure1", label, prob, cumulative, 1))
-            continue
-        if isinstance(step, MeasureTwo):
-            kap = check_mode(step.kappa, d)
+            dec, children = split_mode(state, kap)
+            p0, p1 = (1.0, 0.0) if state.electrons == 0 else (dec.beta**2, dec.alpha**2)
+            label, prob, certain = _steer(idx, {"0": p0, "1": p1}, ("0", "1"))
+            if not certain:
+                state = children[int(label)][1]
+        else:
             lam = check_mode(step.lam, d)
-            table = _group_probabilities(
-                SlaterSum.from_state(state), kap, lam, step.grouping
+            label, prob, post = _steer_two_mode(
+                idx, SlaterSum.from_state(state), kap, lam, step.grouping
             )
-            label = _certain_label(table)
-            if label is not None:
-                prob = table[label][0]
-            else:
-                label = None
-                for candidate in SINGLE_TERM_GROUPS[step.grouping]:
-                    if table[candidate][0] > PROB_FLOOR:
-                        label = candidate
-                        break
-                if label is None:
-                    raise NoAdmissibleBranch(
-                        f"step {idx}: no certain outcome and every "
-                        "determinant-preserving branch has probability "
-                        "below 1e-12; the probabilities are inconsistent"
-                    )
-                prob, combined = table[label]
-                coeff, term = scale_sum(combined, 1.0 / np.sqrt(prob)).terms[0]
+            if post is not None:
+                coeff, term = post.terms[0]
                 state = SlaterState(term.orbitals, term.amplitude * coeff)
-            cumulative *= prob
-            rows.append(TranscriptRow(idx, "measure2", label, prob, cumulative, 1))
-            continue
-        raise TypeError(f"step {idx}: not a circuit step: {step!r}")
+        cumulative *= prob
+        rows.append(TranscriptRow(idx, step.kind, label, prob, cumulative, 1))
     return Transcript(tuple(rows)), state
 
 
@@ -235,70 +235,35 @@ def simulate_sampled(circuit, d, n, seed=0, initial=None, max_terms=DEFAULT_MAX_
         if isinstance(step, Rotate):
             state = evolve_sum(state, step.resolve())
             continue
+        if not isinstance(step, (MeasureOne, MeasureTwo)):
+            raise TypeError(f"step {idx}: not a circuit step: {step!r}")
+        forced = step.outcome if step.policy == "forced" else None
+        kap = check_mode(step.kappa, d)
         if isinstance(step, MeasureOne):
-            kap = check_mode(step.kappa, d)
-            if step.policy == "forced":
-                _, prob, state = measure_mode_sum(state, kap, forced=step.outcome)
-                label = str(int(step.outcome))
-            elif step.policy == "sample":
-                outcome, prob, state = measure_mode_sum(state, kap, rng=rng)
-                label = str(outcome)
-            else:
+            if step.policy == "exact":
                 projected, (p0, p1) = single_mode_branches(state, kap)
-                if p0 >= 1 - CERTAINTY_TOL or p1 >= 1 - CERTAINTY_TOL:
-                    label, prob = ("0", p0) if p0 >= p1 else ("1", p1)
-                else:
-                    outcome = 0 if p0 > PROB_FLOOR else 1
-                    prob = (p0, p1)[outcome]
-                    state = collapse(projected[outcome], prob, outcome)
-                    label = str(outcome)
-            cumulative *= prob
-            rows.append(
-                TranscriptRow(idx, "measure1", label, prob, cumulative, state.term_count)
-            )
-            continue
-        if isinstance(step, MeasureTwo):
-            kap = check_mode(step.kappa, d)
+                label, prob, certain = _steer(idx, {"0": p0, "1": p1}, ("0", "1"))
+                if not certain:
+                    state = collapse(projected[int(label)], prob, int(label))
+            else:
+                outcome, prob, state = measure_mode_sum(state, kap, forced=forced, rng=rng)
+                label = str(outcome)
+        else:
             lam = check_mode(step.lam, d)
-            if step.policy == "forced":
+            if step.policy != "exact":
                 label, prob, state = measure_two_mode(
-                    state, kap, lam, step.grouping, forced=step.outcome
+                    state, kap, lam, step.grouping, forced=forced, rng=rng
                 )
-            elif step.policy == "sample":
-                label, prob, state = measure_two_mode(
-                    state, kap, lam, step.grouping, rng=rng
+            elif step.grouping == PARITY_GROUPING:
+                raise ParityGroupingUnsupported(
+                    f"step {idx}: the exact-branch rule has no "
+                    "determinant-preserving outcome for the parity "
+                    "grouping '02/1'"
                 )
             else:
-                if step.grouping == PARITY_GROUPING:
-                    raise ParityGroupingUnsupported(
-                        f"step {idx}: the exact-branch rule has no "
-                        "determinant-preserving outcome for the parity "
-                        "grouping '02/1'"
-                    )
-                table = _group_probabilities(state, kap, lam, step.grouping)
-                label = _certain_label(table)
-                if label is not None:
-                    prob = table[label][0]
-                else:
-                    label = next(
-                        (
-                            c
-                            for c in SINGLE_TERM_GROUPS[step.grouping]
-                            if table[c][0] > PROB_FLOOR
-                        ),
-                        None,
-                    )
-                    if label is None:
-                        raise NoAdmissibleBranch(
-                            f"step {idx}: no certain outcome and no admissible "
-                            "determinant-preserving branch"
-                        )
-                    prob, combined = table[label]
-                    state = collapse(combined, prob, repr(label))
-            cumulative *= prob
-            rows.append(
-                TranscriptRow(idx, "measure2", label, prob, cumulative, state.term_count)
-            )
-            continue
-        raise TypeError(f"step {idx}: not a circuit step: {step!r}")
+                label, prob, post = _steer_two_mode(idx, state, kap, lam, step.grouping)
+                state = state if post is None else post
+        cumulative *= prob
+        terms = state.term_count
+        rows.append(TranscriptRow(idx, step.kind, label, prob, cumulative, terms))
     return Transcript(tuple(rows)), state

@@ -180,21 +180,44 @@ def rotate_in_first(s, in_orbital):
     return SlaterState(s.orbitals @ basis_change, s.amplitude / d_resid)
 
 
+def split_mode(s, vec):
+    """Both single-mode occupation projections of s on the mode vector vec
+    (an ndarray, as check_mode returns it), from one decomposition and
+    one rotation of the filled span.
+
+    Returns (decompose_mode(s, vec), [zero, one]).  Each projection is
+    (scale, new_state) with projector(s) == scale * new_state, or None
+    when it vanishes; new_state keeps unit norm.  Outcome 1 replaces the
+    first orbital by vec, outcome 0 by the in-span vector orthogonal to
+    vec.
+    """
+    dec = decompose_mode(s, vec)
+    if dec.in_orbital is None:
+        return dec, [(1.0, s), None]
+    rot = rotate_in_first(s, dec.in_orbital)
+    rest = rot.orbitals[:, 1:]
+    one = SlaterState(np.column_stack([vec.reshape(-1, 1), rest]), rot.amplitude)
+    if dec.out_orbital is None:
+        return dec, [None, (dec.alpha, one)]
+    perp = dec.beta * dec.in_orbital - dec.alpha * dec.out_orbital
+    zero = SlaterState(np.column_stack([perp.reshape(-1, 1), rest]), rot.amplitude)
+    return dec, [(dec.beta, zero), (dec.alpha, one)]
+
+
 def measure_mode(s, kappa, forced=None, rng=None):
     """Measure the occupation of mode kappa.
 
-    Returns (outcome, probability, post).  The post state is renormalized
-    and stays a single determinant: outcome 1 replaces the first orbital
-    by kappa, outcome 0 by the in-span vector orthogonal to kappa.  Pass
-    forced=0 or forced=1 to steer the branch, or a numpy Generator as rng
-    to sample.
+    Returns (outcome, probability, post).  The post state is split_mode's
+    projection of that outcome, renormalized, so it stays a single
+    determinant.  Pass forced=0 or forced=1 to steer the branch, or a
+    numpy Generator as rng to sample.
     """
     kap = check_mode(kappa, s.modes)
     if s.electrons == 0:
         if forced == 1:
             raise ImpossibleOutcome("the vacuum never reports an occupied mode")
         return 0, 1.0, s
-    dec = decompose_mode(s, kap)
+    dec, children = split_mode(s, kap)
     p1 = dec.alpha ** 2
     p0 = dec.beta ** 2
     if forced is None:
@@ -208,22 +231,7 @@ def measure_mode(s, kappa, forced=None, rng=None):
     prob = p1 if outcome == 1 else p0
     if prob < PROB_FLOOR:
         raise ImpossibleOutcome(f"outcome {outcome} has probability {prob:.3e}")
-    if outcome == 1:
-        rot = rotate_in_first(s, dec.in_orbital)
-        post = SlaterState(
-            np.column_stack([kap.reshape(-1, 1), rot.orbitals[:, 1:]]), rot.amplitude
-        )
-        return 1, prob, post
-    if dec.in_orbital is None:
-        # kappa has no overlap with the filled span; the projector acts
-        # as the identity.
-        return 0, prob, s
-    perp = dec.beta * dec.in_orbital - dec.alpha * dec.out_orbital
-    rot = rotate_in_first(s, dec.in_orbital)
-    post = SlaterState(
-        np.column_stack([perp.reshape(-1, 1), rot.orbitals[:, 1:]]), rot.amplitude
-    )
-    return 0, prob, post
+    return outcome, prob, children[outcome][1]
 
 
 def annihilate(s, mode):
@@ -236,11 +244,11 @@ def annihilate(s, mode):
     kap = check_mode(mode, s.modes)
     if s.electrons == 0:
         return SlaterState(s.orbitals, 0.0)
-    dec = decompose_mode(s, kap)
-    if dec.in_orbital is None:
+    one = split_mode(s, kap)[1][1]
+    if one is None:
         return SlaterState(s.orbitals[:, : s.electrons - 1], 0.0)
-    rot = rotate_in_first(s, dec.in_orbital)
-    return SlaterState(rot.orbitals[:, 1:], rot.amplitude * dec.alpha)
+    alpha, occupied = one
+    return SlaterState(occupied.orbitals[:, 1:], occupied.amplitude * alpha)
 
 
 def slater_overlap(s1, s2):

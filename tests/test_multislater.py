@@ -32,6 +32,7 @@ from flosim.errors import (
     WrongParticleNumber,
 )
 from flosim.slater import (
+    PROB_FLOOR,
     SlaterState,
     annihilate,
     decompose_mode,
@@ -39,13 +40,13 @@ from flosim.slater import (
     measure_mode,
     rotate_in_first,
     slater_overlap,
+    split_mode,
     standard_state,
 )
 from flosim.multislater import (
     GROUPINGS,
     SlaterSum,
     _overlap_total,
-    _split,
     _split_batch,
     _split_stack,
     _two_mode_terms,
@@ -277,11 +278,15 @@ class TestEvolveSum:
             assert terms_bits(evolve_sum(s, v).terms) == want
 
     def test_bad_rotation_raises_as_per_term(self):
+        """Also on the empty sum, whose rotation has no term to check."""
         s = random_two_term_sum(rng_for(54), 5, 2)
-        for bad in (np.diag([1, 1, 1, 1, 1.001]), np.eye(4), np.eye(5)[:, :4]):
+        empty = SlaterSum((), 5, 2)
+        bads = (np.diag([1, 1, 1, 1, 1.001]), np.eye(4), np.eye(5)[:, :4], 5 * np.eye(5))
+        for bad in bads:
             want = raised(evolve, s.terms[0][1], bad)
             assert want[0] in (NotUnitary, DimensionMismatch)
             assert raised(evolve_sum, s, bad) == want
+            assert raised(evolve_sum, empty, bad) == want
 
     def test_off_orthonormal_term_raises_as_per_term(self):
         rng = rng_for(55)
@@ -301,7 +306,7 @@ class TestEvolveSum:
 def reference_term_project(state, kap, want):
     """One single-mode projection with its own decomposition and
     rotation, as each outcome was projected before the split tree; kept
-    as the bitwise reference for _split and the two-mode tree."""
+    as the bitwise reference for split_mode and the two-mode tree."""
     if state.electrons == 0:
         return (1.0, state) if want == 0 else None
     dec = decompose_mode(state, kap)
@@ -432,9 +437,10 @@ def projection_recipes(draw, placement):
 
 
 class TestSplitTree:
-    """The shared split tree and _split against the per-outcome
-    projection chain they replace, bit for bit: coefficients,
-    amplitudes and orbital bytes of every term."""
+    """The shared split tree, split_mode, measure_mode and annihilate
+    against the per-outcome projection chain they replace, bit for bit:
+    coefficients, probabilities, amplitudes and orbital bytes of every
+    term."""
 
     @pytest.mark.parametrize("placement", PLACEMENTS)
     @settings(derandomize=True, database=None, deadline=None, max_examples=60)
@@ -459,16 +465,54 @@ class TestSplitTree:
                 assert terms_bits(got) == terms_bits(ref)
                 assert terms_bits(branches[want].terms) == terms_bits(ref)
                 for _, state in terms:
-                    new = _split(state, vec)[want]
+                    new = split_mode(state, vec)[1][want]
                     old = reference_term_project(state, vec, want)
                     assert (new is None) == (old is None)
                     if new is not None:
                         assert float(new[0]).hex() == float(old[0]).hex()
                         assert state_bits(new[1]) == state_bits(old[1])
+                    check_measure_mode(state, vec, want, old)
+            for _, state in terms:
+                check_annihilate(state, vec)
+
+
+def check_measure_mode(state, vec, want, old):
+    """measure_mode forced to `want` posts the reference projection
+    `old`, with probability its squared scale, or raises when that
+    projection vanishes or falls below PROB_FLOOR."""
+    if old is None or old[0] ** 2 < PROB_FLOOR:
+        with pytest.raises(ImpossibleOutcome):
+            measure_mode(state, vec, forced=want)
+        return
+    outcome, prob, post = measure_mode(state, vec, forced=want)
+    assert outcome == want
+    assert state_bits(post) == state_bits(old[1])
+    if old[1] is state:  # vec misses the span; no projection was built
+        assert post is state
+    else:
+        assert float(prob).hex() == float(old[0] ** 2).hex()
+
+
+def check_annihilate(state, vec):
+    """annihilate drops the reference occupation-1 projection's first
+    orbital, vec, and scales its amplitude by the projection's scale."""
+    got = annihilate(state, vec)
+    one = reference_term_project(state, vec, 1)
+    if one is None:
+        assert got.amplitude == 0.0
+        assert got.electrons == max(state.electrons - 1, 0)
+        return
+    scale, occupied = one
+    want = SlaterState(occupied.orbitals[:, 1:], occupied.amplitude * scale)
+    assert state_bits(got) == state_bits(want)
 
 
 def split_bits(pair):
     return [None if r is None else (float(r[0]).hex(), state_bits(r[1])) for r in pair]
+
+
+def split_children(state, vec):
+    return split_mode(state, vec)[1]
 
 
 def reference_split(state, vec):
@@ -494,7 +538,7 @@ NEAR_EPS = 1e-9  # inside the re-orthogonalization band of decompose_mode
 # Terms placed against the measured mode u[:, 0]: a random span, a span
 # holding the mode, one orthogonal to it, one NEAR_EPS from it, and
 # random spans stored in Fortran order or as a strided column view,
-# which the kernel hands to _split.  A kind the shape cannot host falls
+# which the kernel hands to split_mode.  A kind the shape cannot host falls
 # back to "generic".
 KERNEL_TERM_KINDS = ("generic", "in_span", "orthogonal", "near_span", "fortran", "view")
 
@@ -579,7 +623,7 @@ def raised(fn, *args):
 
 class TestStackedChecks:
     """A state failing a check inside a stack raises exactly what the
-    per-term path (_split on each term in turn) raises: the same class,
+    per-term path (split_mode on each term in turn) raises: the same class,
     the same message, from the same first failing term."""
 
     def _sum(self, rng, d, n, t, bad):
@@ -595,9 +639,9 @@ class TestStackedChecks:
         d, n = 7, 3
         u, s = self._sum(rng_for(90 + t), d, n, t, [(index, (0, 1, 2), 1e-8)])
         kap, lam = u[:, 0], u[:, 5]
-        ref = raised(lambda: [_split(state, kap) for _, state in s.terms])
+        ref = raised(lambda: [split_mode(state, kap) for _, state in s.terms])
         assert ref[0] is FlosimError and "not orthonormal" in ref[1]
-        tree_ref = raised(reference_tree, s, kap, lam, _split)
+        tree_ref = raised(reference_tree, s, kap, lam, split_children)
         with mock.patch.object(multislater, "SPLIT_BATCH", batch):
             for want in (0, 1):
                 assert raised(project_single_mode, s, kap, want) == ref
@@ -614,9 +658,9 @@ class TestStackedChecks:
         bad = [(3, (0, 1, 2), 1e-8), (5, (4, 1, 3), 3e-8)]
         u, s = self._sum(rng_for(93), d, n, 12, bad)
         kap, lam = u[:, 0], u[:, 4]
-        ref = raised(reference_tree, s, kap, lam, _split)
-        assert ref == raised(_split, s.terms[3][1], kap)
-        assert ref != raised(_split, s.terms[5][1], lam)
+        ref = raised(reference_tree, s, kap, lam, split_children)
+        assert ref == raised(split_mode, s.terms[3][1], kap)
+        assert ref != raised(split_mode, s.terms[5][1], lam)
         with mock.patch.object(multislater, "SPLIT_BATCH", batch):
             assert raised(_two_mode_terms, s, kap, lam) == ref
 
@@ -757,6 +801,20 @@ class TestApplyTwoModeProjector:
         out0 = apply_two_mode_projector(s, kap, lam, 0)
         assert out0.term_count == 1
         assert sum_norm(out0) == pytest.approx(1.0, abs=1e-12)
+
+    def test_bad_outcome_raises_before_any_split(self):
+        s = SlaterSum.from_state(standard_state(4, 2))
+        kap, lam = standard_mode(4, 0), standard_mode(4, 1)
+        unused = mock.Mock(side_effect=AssertionError("projections were built"))
+        with mock.patch.object(multislater, "_two_mode_terms", unused), \
+                mock.patch.object(multislater, "_single_mode_sums", unused):
+            for outcome in (3, -1, "1", None):
+                with pytest.raises(ValueError, match="outcome must be 0, 1 or 2"):
+                    apply_two_mode_projector(s, kap, lam, outcome)
+            for outcome in (2, -1, "0", None):
+                with pytest.raises(ValueError, match="outcome must be 0 or 1"):
+                    project_single_mode(s, kap, outcome)
+        unused.assert_not_called()
 
     def test_one_in_span_eigenstate(self):
         """kappa filled, lambda empty: an occupation-1 eigenstate."""

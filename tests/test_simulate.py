@@ -9,11 +9,12 @@ from conftest import (
     random_hermitian,
     random_mode,
     random_orthogonal_pair,
+    random_orthonormal_columns,
     random_unitary,
     rng_for,
 )
 
-from flosim.errors import ParityGroupingUnsupported
+from flosim.errors import NoAdmissibleBranch, ParityGroupingUnsupported
 from flosim.slater import SlaterState, standard_state
 from flosim.multislater import (
     SlaterSum,
@@ -28,6 +29,7 @@ from flosim.simulate import (
     Rotate,
     Transcript,
     TranscriptRow,
+    _steer,
     simulate_exact_branch,
     simulate_sampled,
 )
@@ -357,3 +359,63 @@ class TestSampled:
             simulate_sampled(["rotate"], 3, 1, seed=0)
         with pytest.raises(TypeError):
             simulate_exact_branch(["rotate"], 3, 1)
+
+
+NO_BRANCH = (
+    "step {}: no certain outcome and every determinant-preserving branch has "
+    "probability below 1e-12; the probabilities are inconsistent"
+)
+
+
+class TestSteeringRule:
+    """The exact policy's certainty-or-steer rule, one for both executors.
+
+    An initial amplitude of 1e-7 scales every outcome probability of the
+    sum path and of two-mode steps to about 1e-14: no outcome is certain
+    and no branch clears PROB_FLOOR, so the rule raises."""
+
+    def faint(self, d, n):
+        return SlaterState(random_orthonormal_columns(rng_for(110), d, n), 1e-7)
+
+    @pytest.mark.parametrize("grouping", ["012", "01/2", "0/12"])
+    def test_measure2_without_admissible_branch(self, grouping):
+        d, n = 5, 2
+        kap, lam = random_orthogonal_pair(rng_for(111), d)
+        circuit = [Rotate(unitary=np.eye(d)), MeasureTwo(kap, lam, grouping, "exact")]
+        init = self.faint(d, n)
+        with pytest.raises(NoAdmissibleBranch) as nogo:
+            simulate_exact_branch(circuit, d, n, initial=init)
+        with pytest.raises(NoAdmissibleBranch) as exact:
+            simulate_sampled(circuit, d, n, initial=init)
+        assert str(nogo.value) == str(exact.value) == NO_BRANCH.format(1)
+
+    def test_measure1_without_admissible_branch(self):
+        d, n = 5, 2
+        circuit = [MeasureOne(random_mode(rng_for(112), d), policy="exact")]
+        with pytest.raises(NoAdmissibleBranch) as exact:
+            simulate_sampled(circuit, d, n, initial=self.faint(d, n))
+        assert str(exact.value) == NO_BRANCH.format(0)
+
+    @pytest.mark.parametrize(
+        "probs,admissible,want",
+        [
+            ({"0": 1.0, "1": 1.0}, ("0", "1"), ("0", 1.0, True)),
+            ({"0": 0.2, "1": 1 - 1e-10}, ("0", "1"), ("1", 1 - 1e-10, True)),
+            ({"0": 0.5, "1": 0.5}, ("0", "1"), ("0", 0.5, False)),
+            ({"0": 1e-12, "1": 0.3, "2": 0.7}, ("0", "2"), ("2", 0.7, False)),
+        ],
+    )
+    def test_certain_then_first_admissible(self, probs, admissible, want):
+        """The most probable label wins when certain, the earliest on a
+        tie; else the first admissible label strictly above PROB_FLOOR."""
+        assert _steer(0, probs, admissible) == want
+
+    def test_vacuum_measure1_is_certain_in_both_executors(self):
+        """The vacuum reports occupation 0 with probability exactly 1,
+        though this mode vector's squared norm rounds to 1 - 2**-52."""
+        kap = np.full(2, 1 / np.sqrt(2), dtype=complex)
+        assert np.linalg.norm(kap) ** 2 != 1.0
+        circuit = [MeasureOne(kap, policy="exact")]
+        nogo, _ = simulate_exact_branch(circuit, 2, 0)
+        exact, _ = simulate_sampled(circuit, 2, 0)
+        assert nogo.rows == exact.rows == (TranscriptRow(0, "measure1", "0", 1.0, 1.0, 1),)
