@@ -48,6 +48,14 @@ class FockVector:
             raise FlosimError("amplitudes must be finite")
         object.__setattr__(self, "amplitudes", amps)
 
+    @classmethod
+    def _checked(cls, modes, amplitudes):
+        """A vector computed from validated inputs, skipping the checks."""
+        vec = object.__new__(cls)
+        object.__setattr__(vec, "modes", modes)
+        object.__setattr__(vec, "amplitudes", amplitudes)
+        return vec
+
 
 @dataclass(frozen=True)
 class FockDensity:
@@ -127,14 +135,14 @@ def vacuum(d):
     _check_vector_cap(d)
     amps = np.zeros(1 << d, dtype=complex)
     amps[0] = 1.0
-    return FockVector(d, amps)
+    return FockVector._checked(d, amps)
 
 
 def basis_vector(d, mask):
     _check_vector_cap(d)
     amps = np.zeros(1 << d, dtype=complex)
     amps[mask] = 1.0
-    return FockVector(d, amps)
+    return FockVector._checked(d, amps)
 
 
 def _ladder(d, vec, create):
@@ -166,13 +174,13 @@ def _ladder_apply(amps, d, vec, create):
 def creation_op_apply(v, mode):
     """Apply a_mode^dag, the creation operator of an arbitrary mode vector."""
     vec = check_mode(mode, v.modes)
-    return FockVector(v.modes, _ladder_apply(v.amplitudes, v.modes, vec, True))
+    return FockVector._checked(v.modes, _ladder_apply(v.amplitudes, v.modes, vec, True))
 
 
 def annihilation_op_apply(v, mode):
     """Apply a_mode, the annihilation operator of an arbitrary mode vector."""
     vec = check_mode(mode, v.modes)
-    return FockVector(v.modes, _ladder_apply(v.amplitudes, v.modes, vec, False))
+    return FockVector._checked(v.modes, _ladder_apply(v.amplitudes, v.modes, vec, False))
 
 
 def expand(s):
@@ -185,6 +193,8 @@ def expand(s):
     """
     d, n = s.modes, s.electrons
     _check_vector_cap(d)
+    if not np.isfinite(s.amplitude):
+        raise FlosimError("amplitudes must be finite")
     amps = np.zeros(1 << d, dtype=complex)
     if s.amplitude != 0.0:
         if n == 0:
@@ -192,19 +202,16 @@ def expand(s):
         else:
             minors = np.linalg.det(s.orbitals[_occupied_modes(d, n)])
             amps[_masks_by_weight(d)[n]] = _scaled(s.amplitude, minors)
-    return FockVector(d, amps)
+    return FockVector._checked(d, amps)
 
 
 def expand_sum(ssum):
     """Expand a sum of determinants (anything with a .terms list)."""
-    total = None
+    _check_vector_cap(ssum.modes)
+    total = np.zeros(1 << ssum.modes, dtype=complex)
     for coeff, state in ssum.terms:
-        vec = expand(state)
-        contrib = coeff * vec.amplitudes
-        total = contrib if total is None else total + contrib
-    if total is None:
-        total = np.zeros(1 << ssum.modes, dtype=complex)
-    return FockVector(ssum.modes, total)
+        total = total + coeff * expand(state).amplitudes
+    return FockVector._checked(ssum.modes, total)
 
 
 def unitary_apply(v, u):
@@ -237,7 +244,7 @@ def unitary_apply(v, u):
             images[:, basis] = _scaled(1.0, minors).T  # as expand rounds 1.0 * det
             for amp, image in zip(amps[basis[chunk]], images):
                 out += amp * image
-    return FockVector(d, out)
+    return FockVector._checked(d, out)
 
 
 def _hermitian_checked(b, d):
@@ -338,7 +345,7 @@ def two_mode_projector_apply(v, kappa, lam, outcome):
         out = first + second
     else:
         raise ValueError(f"outcome must be 0, 1 or 2, got {outcome}")
-    return FockVector(d, out)
+    return FockVector._checked(d, out)
 
 
 def creation_matrix(d, mode):

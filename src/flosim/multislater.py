@@ -14,6 +14,7 @@ relative phases between determinants are preserved to machine precision.
 
 import cmath
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -29,7 +30,7 @@ from .errors import (
 from .linalg import PAIR_THRESHOLD, antisym_canonical, pfaffian, require_finite, row_norms
 from .slater import (
     ABSENT_TOL,
-    ORTHO_TOL,
+    MODE_NORM_TOL,
     ORTHOGONAL_TOL,
     PROB_FLOOR,
     REORTH_TOL,
@@ -149,6 +150,29 @@ def sum_norm(s):
     return float(np.sqrt(max(_overlap_total(s).real, 0.0)))
 
 
+def _expectations(s, m, xs):
+    """Re <psi|G(1 - x M M^H)|psi> for each x of xs, G(Q) being the Fock
+    map of the one-body map Q and m's columns orthonormal modes: the norm
+    squared (x = 0), the weight with m's modes empty (1), their parity (2).
+    Pair (i, j) is det(Phi_i^H Q Phi_j) and pair (j, i) its conjugate, so
+    row i takes only j >= i: one Gram product for every j and x, one det.
+    """
+    t, d, n = len(s.terms), s.modes, s.electrons
+    weights = np.array([c * st.amplitude for c, st in s.terms])
+    psi = np.array([st.orbitals for _, st in s.terms]).reshape(t, d, n)
+    cols = psi.transpose(1, 0, 2).reshape(d, t * n)
+    scale = np.array(xs, dtype=float)[:, None, None]
+    totals = np.zeros(len(xs), dtype=complex)
+    for i, w_i in enumerate(weights.conj()):
+        phi_h = psi[i].conj().T  # Phi_i^H Q = Phi_i^H - x (Phi_i^H M) M^H
+        gram = (phi_h - scale * (phi_h @ m @ m.conj().T)).reshape(-1, d) @ cols[:, i * n :]
+        require_finite(gram)
+        dets = np.linalg.det(gram.reshape(len(xs), n, t - i, n).transpose(0, 2, 1, 3))
+        dets[:, 1:] *= 2.0
+        totals += dets @ (w_i * weights[i:])
+    return totals.real.tolist()
+
+
 def scale_sum(s, factor):
     return SlaterSum(
         tuple((c * factor, st) for c, st in s.terms), s.modes, s.electrons, s.max_terms
@@ -234,7 +258,7 @@ def _split_batch(states, vec):
         in_orb = inside[rows] / a
         # rotate_in_first(state, in_orb)
         c = phi_h @ in_orb[:, :, None]
-        off_norm = abs(row_norms(in_orb) - 1.0) > ORTHO_TOL
+        off_norm = ~(abs(row_norms(in_orb) - 1.0) <= MODE_NORM_TOL)
         if off_norm.any() or (row_norms(in_orb - (phi @ c)[:, :, 0]) > SPAN_TOL).any():
             raise _StackCheckFailed
         c = c[:, :, 0] / row_norms(c[:, :, 0])[:, None]
@@ -370,28 +394,38 @@ def two_mode_groups(s, kappa, lam, grouping):
     }
 
 
-def _pick(labels, sums, forced, rng):
-    """Index and probability of the chosen outcome among projected sums.
+def _two_mode_outcomes(s, kappa, lam, grouping):
+    """two_mode_groups, and each group's probability from the norm n,
+    parity par and empty weight p0 of s itself: outcome 1 has (n - par)/2,
+    outcomes 0 and 2 (n + par)/2, outcome 2 that minus p0.  Each is
+    clamped at 0, as sum_norm clamps."""
+    table = two_mode_groups(s, kappa, lam, grouping)
+    m = np.column_stack([check_mode(lam, s.modes), check_mode(kappa, s.modes)])
+    if grouping == "0/12":
+        n, p0 = _expectations(s, m, (0, 1))
+        probs = {"0": p0, "12": n - p0}
+    elif grouping == "02/1":
+        n, par = _expectations(s, m, (0, 2))
+        probs = {"02": (n + par) / 2, "1": (n - par) / 2}
+    else:
+        n, par, p0 = _expectations(s, m, (0, 2, 1))
+        p2 = (n + par) / 2 - p0
+        probs = {"0": p0, "1": (n - par) / 2, "2": p2, "01": n - p2}
+    return table, {label: max(probs[label], 0.0) for label in table}
 
-    Only the groups the pick reads are normed: the forced one alone, or,
-    when sampling, each group in order up to the one the draw falls in.
-    """
+
+def _pick(labels, probs, forced, rng):
+    """Index of the chosen outcome: the forced label, or where one draw
+    falls among the probabilities taken in label order."""
     if forced is not None:
         label = str(forced)
         if label not in labels:
             raise ValueError(f"outcome {label!r} is not one of {labels}")
-        idx = labels.index(label)
-        return idx, sum_norm(sums[idx]) ** 2
+        return labels.index(label)
     if rng is None:
         raise ValueError("need a forced outcome or an rng to sample")
     u = rng.random()
-    acc = 0.0
-    for idx, projected in enumerate(sums):
-        prob = sum_norm(projected) ** 2
-        acc += prob
-        if u < acc:
-            break
-    return idx, prob
+    return next((i for i, acc in enumerate(accumulate(probs)) if u < acc), len(probs) - 1)
 
 
 def measure_two_mode(s, kappa, lam, grouping, forced=None, rng=None):
@@ -401,10 +435,10 @@ def measure_two_mode(s, kappa, lam, grouping, forced=None, rng=None):
     (label, probability, post) with post renormalized; merged groups
     concatenate the term lists of their member projections.
     """
-    table = two_mode_groups(s, kappa, lam, grouping)
+    table, probs = _two_mode_outcomes(s, kappa, lam, grouping)
     labels = list(table)
-    idx, prob = _pick(labels, list(table.values()), forced, rng)
-    return labels[idx], prob, collapse(table[labels[idx]], prob, repr(labels[idx]))
+    label = labels[_pick(labels, list(probs.values()), forced, rng)]
+    return label, probs[label], collapse(table[label], probs[label], repr(label))
 
 
 def project_single_mode(s, kappa, outcome):
@@ -426,9 +460,10 @@ def collapse(projected, prob, label):
 
 def single_mode_branches(s, kappa):
     """Unnormalized projections of a sum on occupations 0 and 1 of kappa,
-    and their probabilities, as two lists indexed by outcome."""
+    and their probabilities p0 (kappa empty) and n - p0, clamped at 0."""
     projected = _single_mode_sums(s, kappa)
-    return projected, [sum_norm(p) ** 2 for p in projected]
+    n, p0 = _expectations(s, check_mode(kappa, s.modes)[:, None], (0, 1))
+    return projected, [max(p0, 0.0), max(n - p0, 0.0)]
 
 
 def measure_mode_sum(s, kappa, forced=None, rng=None):
@@ -437,9 +472,9 @@ def measure_mode_sum(s, kappa, forced=None, rng=None):
     Returns (outcome, probability, post) exactly like measure_mode but
     with SlaterSum states on both ends.
     """
-    projected = _single_mode_sums(s, kappa)
-    idx, prob = _pick(["0", "1"], projected, forced, rng)
-    return idx, prob, collapse(projected[idx], prob, idx)
+    projected, probs = single_mode_branches(s, kappa)
+    idx = _pick(["0", "1"], probs, forced, rng)
+    return idx, probs[idx], collapse(projected[idx], probs[idx], idx)
 
 
 def reduce_to_two_fermion(s, kappa, lam):

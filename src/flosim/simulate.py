@@ -23,13 +23,12 @@ from .multislater import (
     DEFAULT_MAX_TERMS,
     GROUPINGS,
     SlaterSum,
+    _two_mode_outcomes,
     collapse,
     evolve_sum,
     measure_mode_sum,
     measure_two_mode,
     single_mode_branches,
-    sum_norm,
-    two_mode_groups,
 )
 from .slater import (
     PROB_FLOOR,
@@ -130,12 +129,6 @@ class Transcript:
         return self.rows[-1].cumulative if self.rows else 1.0
 
 
-def _group_probabilities(s, kappa, lam, grouping):
-    """Probability and unnormalized projected sum per outcome label."""
-    groups = two_mode_groups(s, kappa, lam, grouping)
-    return {label: (sum_norm(g) ** 2, g) for label, g in groups.items()}
-
-
 def _steer(idx, probs, admissible):
     """The certainty-or-steer rule of the exact policy.
 
@@ -159,12 +152,10 @@ def _steer(idx, probs, admissible):
 
 
 def _steer_two_mode(idx, s, kap, lam, grouping):
-    """The exact policy's two-mode step on a sum: (label, probability,
-    post), post being None when the outcome was certain."""
-    table = _group_probabilities(s, kap, lam, grouping)
-    probs = {label: prob for label, (prob, _) in table.items()}
+    """The exact policy's two-mode step: (label, p, post or None if certain)."""
+    table, probs = _two_mode_outcomes(s, kap, lam, grouping)
     label, prob, certain = _steer(idx, probs, SINGLE_TERM_GROUPS[grouping])
-    return label, prob, None if certain else collapse(table[label][1], prob, repr(label))
+    return label, prob, None if certain else collapse(table[label], prob, repr(label))
 
 
 def simulate_exact_branch(circuit, d, n, initial=None):

@@ -33,6 +33,7 @@ PROB_FLOOR = 1e-12
 ORTHOGONAL_TOL = 1e-10  # largest |<kappa|lambda>| for two measured modes
 ABSENT_TOL = 1e-12
 REORTH_TOL = 1e-4  # below this beta, resid / beta loses orthogonality to the span
+MODE_NORM_TOL = ORTHO_TOL / 4  # a split child's Gram error is about twice its mode's norm error
 
 
 @dataclass(frozen=True)
@@ -104,12 +105,12 @@ def valid_stack(orbitals):
 
 
 def check_mode(v, d):
-    """Validate a mode vector: length d, unit norm; returns it as ndarray."""
+    """Validate a mode vector: length d, finite, unit norm; returns it as ndarray."""
     vec = np.asarray(v, dtype=complex)
     if vec.ndim != 1 or vec.shape[0] != d:
         raise DimensionMismatch(f"mode vector has shape {vec.shape}, expected ({d},)")
     norm = np.linalg.norm(vec)
-    if abs(norm - 1.0) > ORTHO_TOL:
+    if not abs(norm - 1.0) <= MODE_NORM_TOL:
         raise FlosimError(f"mode vector norm {norm:.12f} is not 1")
     return vec
 
@@ -122,12 +123,12 @@ def standard_state(d, n):
 
 
 def check_unitary(v, d):
-    """Validate a one-body unitary on d modes; returns it as ndarray."""
+    """Validate a finite one-body unitary on d modes; returns it as ndarray."""
     mat = np.asarray(v, dtype=complex)
     if mat.shape != (d, d):
         raise DimensionMismatch(f"unitary has shape {mat.shape}, state has {d} modes")
     dev = np.linalg.norm(mat.conj().T @ mat - np.eye(d))
-    if dev > UNITARY_TOL:
+    if not dev <= UNITARY_TOL:
         raise NotUnitary(f"deviation from unitarity {dev:.3e}")
     return mat
 

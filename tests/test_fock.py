@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from unittest import mock
+
 from conftest import (
     random_complex,
     random_hermitian,
@@ -19,6 +21,7 @@ from conftest import (
 
 from flosim.errors import (
     DimensionMismatch,
+    FlosimError,
     ModesNotOrthogonal,
     NotHermitian,
     NotUnitary,
@@ -424,3 +427,39 @@ class TestVectorUtilities:
     def test_inner_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             fock.inner(fock.vacuum(2), fock.vacuum(3))
+
+
+class TestFockVectorType:
+    def test_public_constructor_rejects_bad_shape(self):
+        with pytest.raises(DimensionMismatch, match=r"expected \(8,\)"):
+            fock.FockVector(3, np.zeros(7))
+        with pytest.raises(DimensionMismatch):
+            fock.FockVector(2, np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), complex(0.0, float("-inf"))])
+    def test_public_constructor_rejects_nonfinite(self, bad):
+        amps = np.zeros(4, dtype=complex)
+        amps[3] = bad
+        with pytest.raises(FlosimError, match="amplitudes must be finite"):
+            fock.FockVector(2, amps)
+
+    def test_kernel_results_skip_the_checks(self):
+        """Vectors computed from validated inputs are built unchecked."""
+        rng = rng_for(45)
+        d = 4
+        s = SlaterState(random_orthonormal_columns(rng, d, 2))
+        kap, lam = random_orthogonal_pair(rng, d)
+        check = mock.Mock(side_effect=AssertionError("re-checked"))
+        with mock.patch.object(fock.FockVector, "__post_init__", check):
+            v = fock.expand(s)
+            fock.unitary_apply(v, random_unitary(rng, d))
+            fock.creation_op_apply(fock.annihilation_op_apply(v, kap), kap)
+            fock.two_mode_projector_apply(v, kap, lam, 1)
+            fock.vacuum(d)
+            fock.basis_vector(d, 3)
+        check.assert_not_called()
+
+    def test_expand_rejects_a_nonfinite_amplitude(self):
+        s = SlaterState(np.eye(3, 2, dtype=complex), complex(float("inf"), 0.0))
+        with pytest.raises(FlosimError, match="amplitudes must be finite"):
+            fock.expand(s)

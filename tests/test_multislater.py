@@ -713,58 +713,87 @@ def norm_calls(monkeypatch):
     return calls
 
 
+def parity_grown_sum(rng, d, n, rounds):
+    """A normalized sum after `rounds` rotations each followed by one
+    parity group, so that sibling terms are exactly orthogonal."""
+    s = SlaterSum.from_state(standard_state(d, n))
+    for _ in range(rounds):
+        s = evolve_sum(s, random_unitary(rng, d))
+        kap, lam = random_orthogonal_pair(rng, d)
+        groups = two_mode_groups(s, kap, lam, "02/1")
+        norms = {label: sum_norm(g) for label, g in groups.items()}
+        label = max(norms, key=norms.get) if rng.random() < 0.5 else min(norms, key=norms.get)
+        if norms[label] < 1e-3:
+            label = max(norms, key=norms.get)
+        s = scale_sum(groups[label], 1.0 / norms[label])
+    return s
+
+
+def assert_close_probability(got, want):
+    assert abs(got - want) <= 1e-13 + 1e-12 * want, (got, want)
+
+
 class TestLazyPick:
-    def test_forced_pick_norms_only_the_forced_group(self, norm_calls):
+    """Outcome probabilities come from one pass over the measured sum's
+    own term pairs; no projected group is normed."""
+
+    def test_measurements_call_sum_norm_zero_times(self, norm_calls):
         rng = rng_for(71)
         d = 6
-        s = random_two_term_sum(rng, d, 3)
+        s = parity_grown_sum(rng, d, 3, 2)
         kap, lam = random_orthogonal_pair(rng, d)
         for grouping, groups in GROUPINGS.items():
             for group in groups:
-                norm_calls.clear()
                 measure_two_mode(s, kap, lam, grouping, forced=group_label(group))
-                assert len(norm_calls) == 1
+            for seed in range(5):
+                measure_two_mode(s, kap, lam, grouping, rng=rng_for(seed))
         for outcome in (0, 1):
-            norm_calls.clear()
             measure_mode_sum(s, kap, forced=outcome)
-            assert len(norm_calls) == 1
+        for seed in range(5):
+            measure_mode_sum(s, kap, rng=rng_for(seed))
+        assert norm_calls == []
 
     @pytest.mark.parametrize("grouping", sorted(GROUPINGS))
-    def test_sampled_pick_matches_eager_reference(self, grouping, norm_calls):
+    def test_sampled_pick_matches_eager_reference(self, grouping):
         rng = rng_for(72)
         d = 5
-        s = random_two_term_sum(rng, d, 2)
+        s = parity_grown_sum(rng, d, 2, 3)
         kap, lam = random_orthogonal_pair(rng, d)
         table = two_mode_groups(s, kap, lam, grouping)
         labels = list(table)
         picked = set()
         for seed in range(50):
-            lazy, eager = rng_for(seed), rng_for(seed)
-            norm_calls.clear()
-            label, prob, _ = measure_two_mode(s, kap, lam, grouping, rng=lazy)
+            got_rng, eager = rng_for(seed), rng_for(seed)
+            label, prob, _ = measure_two_mode(s, kap, lam, grouping, rng=got_rng)
             idx, ref_prob = eager_pick(list(table.values()), eager)
-            assert (label, prob.hex()) == (labels[idx], ref_prob.hex())
-            assert lazy.bit_generator.state == eager.bit_generator.state
-            # Groups after the chosen one are never normed.
-            assert len(norm_calls) == idx + 1
+            assert label == labels[idx]
+            assert got_rng.bit_generator.state == eager.bit_generator.state
+            assert_close_probability(prob, ref_prob)
             picked.add(label)
         assert len(picked) > 1
+        for label, group in table.items():
+            prob = measure_two_mode(s, kap, lam, grouping, forced=label)[1]
+            assert_close_probability(prob, sum_norm(group) ** 2)
 
     def test_sampled_single_mode_matches_eager_reference(self):
         rng = rng_for(73)
         d = 5
-        s = random_two_term_sum(rng, d, 2)
+        s = parity_grown_sum(rng, d, 2, 3)
         kap = random_orthogonal_pair(rng, d)[0]
         branches, _ = single_mode_branches(s, kap)
         picked = set()
         for seed in range(50):
-            lazy, eager = rng_for(seed), rng_for(seed)
-            outcome, prob, _ = measure_mode_sum(s, kap, rng=lazy)
+            got_rng, eager = rng_for(seed), rng_for(seed)
+            outcome, prob, _ = measure_mode_sum(s, kap, rng=got_rng)
             idx, ref_prob = eager_pick(branches, eager)
-            assert (outcome, prob.hex()) == (idx, ref_prob.hex())
-            assert lazy.bit_generator.state == eager.bit_generator.state
+            assert outcome == idx
+            assert got_rng.bit_generator.state == eager.bit_generator.state
+            assert_close_probability(prob, ref_prob)
             picked.add(outcome)
         assert picked == {0, 1}
+        for outcome, branch in enumerate(branches):
+            prob = measure_mode_sum(s, kap, forced=outcome)[1]
+            assert_close_probability(prob, sum_norm(branch) ** 2)
 
     @pytest.mark.parametrize(("grouping", "label"), [("012", "0"), ("02/1", "02")])
     def test_cap_on_an_unchosen_outcome_still_raises(self, grouping, label):
@@ -779,6 +808,66 @@ class TestLazyPick:
             measure_two_mode(s, kap, lam, grouping, forced=label)
         with pytest.raises(TermCapExceeded):
             measure_two_mode(s, kap, lam, grouping, rng=rng_for(0))
+
+
+@st.composite
+def measured_sums(draw):
+    """(sum, kappa, lambda): D from 2 to 12, N from 0 to D (0 and D in
+    one case of three), a sum grown by up to five parity steps, and measured modes that are
+    either two standard sites or a random orthonormal pair."""
+    d = draw(st.integers(2, 12))
+    fill = draw(st.sampled_from(["empty", "full", "some", "some", "some", "some"]))
+    n = {"empty": 0, "full": d}[fill] if fill != "some" else draw(st.integers(1, d - 1))
+    rounds = draw(st.integers(0, 5))
+    rng = rng_for(draw(st.integers(0, 2**32 - 1)))
+    s = parity_grown_sum(rng, d, n, rounds)
+    if draw(st.booleans()):
+        i, j = rng.choice(d, size=2, replace=False)
+        return s, standard_mode(d, i), standard_mode(d, j)
+    return s, *random_orthogonal_pair(rng, d)
+
+
+def assert_probabilities_match_norms(s, kap, lam):
+    """Every grouping's and both single-mode probabilities against
+    sum_norm(group) ** 2, and every possible post-state normalized."""
+    for grouping in GROUPINGS:
+        groups, probs = multislater._two_mode_outcomes(s, kap, lam, grouping)
+        assert list(probs) == list(groups)
+        for label, group in groups.items():
+            assert_close_probability(probs[label], sum_norm(group) ** 2)
+            if probs[label] >= PROB_FLOOR:
+                post = measure_two_mode(s, kap, lam, grouping, forced=label)[2]
+                assert abs(sum_norm(post) - 1.0) <= 1e-12
+    branches, probs = single_mode_branches(s, kap)
+    for outcome, branch in enumerate(branches):
+        assert_close_probability(probs[outcome], sum_norm(branch) ** 2)
+        if probs[outcome] >= PROB_FLOOR:
+            post = measure_mode_sum(s, kap, forced=outcome)[2]
+            assert abs(sum_norm(post) - 1.0) <= 1e-12
+
+
+class TestOutcomeProbabilities:
+    """Outcome probabilities of both measurement kinds, judged by norming
+    the projected groups themselves."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=80)
+    @given(measured_sums())
+    def test_match_group_norms(self, case):
+        assert_probabilities_match_norms(*case)
+
+    @pytest.mark.parametrize("seed", [81, 82, 83])
+    def test_large_single_determinant(self, seed):
+        rng = rng_for(seed)
+        s = SlaterSum.from_state(random_state(rng, 64, 32))
+        assert_probabilities_match_norms(s, *random_orthogonal_pair(rng, 64))
+
+    def test_empty_sum_has_zero_probabilities(self):
+        s = SlaterSum((), 4, 2)
+        kap, lam = standard_mode(4, 0), standard_mode(4, 1)
+        for grouping in GROUPINGS:
+            groups, probs = multislater._two_mode_outcomes(s, kap, lam, grouping)
+            assert set(probs.values()) == {0.0}
+        assert single_mode_branches(s, kap)[1] == [0.0, 0.0]
 
 
 class TestApplyTwoModeProjector:

@@ -22,9 +22,12 @@ from flosim.errors import (
     NotUnitary,
 )
 from flosim.linalg import one_body_unitary
+from flosim.multislater import SlaterSum, measure_mode_sum
 from flosim.slater import (
     SlaterState,
     annihilate,
+    check_mode,
+    check_unitary,
     decompose_mode,
     evolve,
     measure_mode,
@@ -106,6 +109,51 @@ class TestValidStack:
 
         assert valid_stack(stack) is valid
         assert all(accepted(orbitals) for orbitals in stack) is valid
+
+
+class TestInputChecks:
+    """A mode vector's norm error reappears in every split child's Gram
+    check, so check_mode admits only what the children can hold."""
+
+    @staticmethod
+    def stretched_mode(delta):
+        return np.array([0.6, 0.0, 0.8, 0.0]) * (1 + delta)
+
+    @pytest.mark.parametrize("delta", [3e-11, 5e-11, 8e-11])
+    def test_rejects_a_norm_error_the_children_would_fail(self, delta):
+        s = standard_state(4, 2)
+        kap = self.stretched_mode(delta)
+        message = f"mode vector norm {1 + delta:.12f} is not 1"
+        for call in (
+            lambda: check_mode(kap, 4),
+            lambda: measure_mode(s, kap, forced=0),
+            lambda: annihilate(s, kap),
+            lambda: measure_mode_sum(SlaterSum.from_state(s), kap, forced=1),
+        ):
+            with pytest.raises(FlosimError) as err:
+                call()
+            assert str(err.value) == message
+
+    def test_a_smaller_norm_error_measures(self):
+        s = standard_state(4, 2)
+        kap = self.stretched_mode(2e-11)
+        check_mode(kap, 4)
+        for outcome, want in ((0, 0.64), (1, 0.36)):
+            assert measure_mode(s, kap, forced=outcome)[1] == pytest.approx(want)
+            got = measure_mode_sum(SlaterSum.from_state(s), kap, forced=outcome)[1]
+            assert got == pytest.approx(want)
+        assert abs(annihilate(s, kap).amplitude) == pytest.approx(0.6)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_rejects_nonfinite_modes(self, bad):
+        with pytest.raises(FlosimError, match="mode vector norm .* is not 1"):
+            check_mode(np.array([1.0, 0.0, bad]), 3)
+
+    def test_rejects_a_nan_unitary(self):
+        u = np.eye(3, dtype=complex)
+        u[1, 2] = float("nan")
+        with pytest.raises(NotUnitary, match="deviation from unitarity nan"):
+            check_unitary(u, 3)
 
 
 class TestEvolve:
