@@ -55,15 +55,48 @@ def plane_wave(d, n):
     half = (d - 1) // 2
     if not -half <= n <= half:
         raise IndexOutOfRange(f"momentum index {n} outside [-{half}, {half}]")
+    return _plane_waves(d, [n])[0]
+
+
+def _momenta(n_el):
+    """Momentum indices of the N filled plane waves, ascending."""
+    half_n = (n_el - 1) // 2
+    return range(-half_n, half_n + 1)
+
+
+def _plane_waves(d, momenta):
+    """Row r is the plane wave e^{2 pi i n x / d}/sqrt(d), x = 0..d-1, of
+    momentum index n = momenta[r]."""
+    n = np.array(momenta)[:, None]
     x = np.arange(d)
     return np.exp(2j * np.pi * n * x / d) / np.sqrt(d)
 
 
 def fermi_sea(cfg):
     """Ground state of nearest-neighbor hopping: the |n| smallest momenta."""
-    half_n = (cfg.electrons - 1) // 2
-    cols = [plane_wave(cfg.sites, n) for n in range(-half_n, half_n + 1)]
-    return SlaterState(np.column_stack(cols))
+    waves = _plane_waves(cfg.sites, _momenta(cfg.electrons))
+    return SlaterState(waves.T.copy())
+
+
+def _w_rows(cfg, labels):
+    """The W orbitals W_s for s in labels, one per row.
+
+    Each momentum, in ascending order, adds its phase column times its
+    plane wave to all rows at once, so every entry sees the same products
+    and adds, in the same order, as a loop over momenta for one orbital;
+    a matmul would reorder the sum.  The phase arguments stay Python
+    complex scalars: numpy's array complex divide multiplies by a
+    reciprocal and rounds differently.
+    """
+    n_el = cfg.electrons
+    waves = _plane_waves(cfg.sites, _momenta(n_el))
+    phases = np.exp(
+        np.array([[2j * np.pi * n * s / n_el for s in labels] for n in _momenta(n_el)])
+    )
+    acc = np.zeros((len(labels), cfg.sites), dtype=complex)
+    for phase, wave in zip(phases, waves):
+        acc += phase[:, None] * wave
+    return acc / np.sqrt(n_el)
 
 
 def w_orbital(cfg, s):
@@ -76,11 +109,7 @@ def w_orbital(cfg, s):
     n_el = cfg.electrons
     if not 0 <= s < n_el:
         raise IndexOutOfRange(f"orbital label {s} outside 0..{n_el - 1}")
-    half_n = (n_el - 1) // 2
-    acc = np.zeros(cfg.sites, dtype=complex)
-    for n in range(-half_n, half_n + 1):
-        acc += np.exp(2j * np.pi * n * s / n_el) * plane_wave(cfg.sites, n)
-    return acc / np.sqrt(n_el)
+    return _w_rows(cfg, [s])[0]
 
 
 def closed_form_w0(cfg, x):
@@ -129,17 +158,17 @@ def measure_origin(cfg, outcome):
     nu = cfg.filling
     origin = np.zeros(d, dtype=complex)
     origin[0] = 1.0
-    w_cols = [w_orbital(cfg, s) for s in range(n)]
-    rest = w_cols[1:]
+    if outcome == 0 and n == d:
+        raise ImpossibleOutcome("a completely filled band always answers 1")
+    # row s holds W_s; W_0 is replaced by the post state's first orbital
+    w = _w_rows(cfg, range(n))
     if outcome == 1:
         probability = n / d
-        first = origin
+        w[0] = origin
     else:
-        if n == d:
-            raise ImpossibleOutcome("a completely filled band always answers 1")
         probability = 1.0 - n / d
-        first = -np.sqrt(nu / (1 - nu)) * origin + w_cols[0] / np.sqrt(1 - nu)
-    post = SlaterState(np.column_stack([first] + rest))
+        w[0] = -np.sqrt(nu / (1 - nu)) * origin + w[0] / np.sqrt(1 - nu)
+    post = SlaterState(w.T.copy())
     # row r of the profile describes centered coordinate x[r]; sites maps
     # it back to the storage index of the orbital arrays
     x = centered_positions(d)

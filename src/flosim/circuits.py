@@ -32,6 +32,7 @@ Mode indices are 0-based everywhere.
 import json
 import warnings
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -81,10 +82,42 @@ def _vector_from_json(value, length, where):
     return vec
 
 
+def _array_from_json(value, shape):
+    """The matrix as one float array, or None unless every row is a list
+    of `cols` finite bare ints/floats or of `cols` such [re, im] pairs.
+
+    np.array alone would also take bools, numeric strings, None (as NaN)
+    and tuples, so the row, entry and leaf types are checked too.
+    """
+    rows, cols = shape
+    try:
+        arr = np.array(value, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    if arr.shape not in ((rows, cols), (rows, cols, 2)) or not np.isfinite(arr).all():
+        return None
+    if set(map(type, value)) != {list}:
+        return None
+    entries = list(chain.from_iterable(value))
+    numbers = entries
+    if arr.ndim == 3:
+        if set(map(type, entries)) != {list}:
+            return None
+        numbers = chain.from_iterable(entries)
+    return arr if set(map(type, numbers)) <= {int, float} else None
+
+
 def _matrix_from_json(value, shape, where):
     rows, cols = shape
     if not isinstance(value, list) or len(value) != rows:
         raise ParseError(f"{where}: expected {rows} rows")
+    arr = _array_from_json(value, shape)
+    if arr is not None:
+        if arr.ndim == 3:
+            return arr.view(complex).reshape(shape)
+        return arr.astype(complex)
+    # the entry walk names the first bad entry, and reads rows that mix
+    # bare numbers and [re, im] pairs
     mat = np.zeros((rows, cols), dtype=complex)
     for i, row in enumerate(value):
         mat[i] = _vector_from_json(row, cols, f"{where}[{i}]")

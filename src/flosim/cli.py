@@ -14,6 +14,7 @@ inputs and seeds.  Exit codes: 0 success, 1 parse or config failure,
 """
 
 import argparse
+import functools
 import json
 import sys
 
@@ -194,16 +195,16 @@ def cmd_bands(args):
     lines.append(f"# outcome = {outcome}")
     lines.append(f"# probability = {probability!r}")
     lines.append("x,density_before,density_after,orbital_re,orbital_im,closed_form")
+    closed = closed_form_w0(cfg, profile.x)
     for r in range(cfg.sites):
-        x = int(profile.x[r])
         orb = profile.first_orbital[r]
         cells = [
-            str(x),
+            str(int(profile.x[r])),
             repr(float(profile.density_before[r])),
             repr(float(profile.density_after[r])),
             repr(float(orb.real)),
             repr(float(orb.imag)),
-            repr(float(closed_form_w0(cfg, x))),
+            repr(float(closed[r])),
         ]
         lines.append(",".join(cells))
     if args.out is None:
@@ -291,6 +292,8 @@ def cmd_slater_rank(args):
     return 0
 
 
+# one parser per process: parse_args leaves it unchanged
+@functools.cache
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="flosim",

@@ -67,9 +67,9 @@ class SlaterSum:
 
     Terms whose total weight |coefficient * amplitude| is at or below
     the prune tolerance are dropped on construction; a non-finite
-    coefficient raises FlosimError and exceeding max_terms raises
-    TermCapExceeded.  modes/electrons may be given explicitly for
-    the empty (zero-state) sum.
+    coefficient or a NaN weight raises FlosimError and exceeding
+    max_terms raises TermCapExceeded.  modes/electrons may be given
+    explicitly for the empty (zero-state) sum.
     """
 
     terms: tuple = field(default=())
@@ -83,8 +83,11 @@ class SlaterSum:
             coeff = complex(coeff)
             if not cmath.isfinite(coeff):
                 raise FlosimError(f"term {i}: coefficient {coeff} is not finite")
-            if abs(coeff * state.amplitude) > PRUNE_TOL:
+            weight = coeff * state.amplitude
+            if abs(weight) > PRUNE_TOL:
                 kept.append((coeff, state))
+            elif weight != weight:
+                raise FlosimError(f"term {i}: coefficient * amplitude is {weight}")
         modes = self.modes
         electrons = self.electrons
         for _, state in kept:

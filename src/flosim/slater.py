@@ -127,6 +127,9 @@ def check_unitary(v, d):
     mat = np.asarray(v, dtype=complex)
     if mat.shape != (d, d):
         raise DimensionMismatch(f"unitary has shape {mat.shape}, state has {d} modes")
+    if not np.isfinite(mat).all():
+        # an inf entry would make the product warn before this raise
+        raise NotUnitary("deviation from unitarity nan")
     dev = np.linalg.norm(mat.conj().T @ mat - np.eye(d))
     if not dev <= UNITARY_TOL:
         raise NotUnitary(f"deviation from unitarity {dev:.3e}")

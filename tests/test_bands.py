@@ -3,6 +3,7 @@ ground state, W orbitals, origin measurements, and exchange holes."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import random_orthonormal_columns, rng_for
 
@@ -19,7 +20,7 @@ from flosim.bands import (
     w_orbital,
 )
 from flosim.slater import SlaterState, measure_mode, slater_overlap
-from flosim import fock
+from flosim import bands, fock
 
 
 def hopping_generator(d):
@@ -206,6 +207,90 @@ class TestMeasureOrigin:
         assert len(profile.first_orbital) == 15
         assert len(profile.density_before) == 15
         assert len(profile.density_after) == 15
+
+
+def reference_plane_wave(d, n):
+    """One plane wave per call, as bands built them before the
+    plane-wave matrix; kept as the bitwise reference."""
+    x = np.arange(d)
+    return np.exp(2j * np.pi * n * x / d) / np.sqrt(d)
+
+
+def reference_w_orbital(cfg, s):
+    """The one-orbital loop over plane-wave calls that bands' W kernel
+    replaces; kept as the bitwise reference."""
+    n_el = cfg.electrons
+    half_n = (n_el - 1) // 2
+    acc = np.zeros(cfg.sites, dtype=complex)
+    for n in range(-half_n, half_n + 1):
+        acc += np.exp(2j * np.pi * n * s / n_el) * reference_plane_wave(cfg.sites, n)
+    return acc / np.sqrt(n_el)
+
+
+def reference_measure_origin(cfg, outcome):
+    """measure_origin's post-state orbitals built column by column."""
+    d, n = cfg.sites, cfg.electrons
+    nu = cfg.filling
+    origin = np.zeros(d, dtype=complex)
+    origin[0] = 1.0
+    w_cols = [reference_w_orbital(cfg, s) for s in range(n)]
+    if outcome == 1:
+        first = origin
+    else:
+        first = -np.sqrt(nu / (1 - nu)) * origin + w_cols[0] / np.sqrt(1 - nu)
+    return np.column_stack([first] + w_cols[1:])
+
+
+@st.composite
+def lattices(draw, max_sites):
+    """Odd D up to max_sites; N = 1 and N = D in one case of three each."""
+    d = 2 * draw(st.integers(0, (max_sites - 1) // 2)) + 1
+    odd = st.integers(0, (d - 1) // 2).map(lambda k: 2 * k + 1)
+    n = draw(st.one_of(st.just(1), st.just(d), odd))
+    return LatticeConfig(d, n)
+
+
+class TestWKernel:
+    """All W orbitals come from one plane-wave matrix, bit for bit equal
+    to the one-orbital loop."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=40)
+    @given(cfg=lattices(301), data=st.data())
+    def test_rows_match_the_one_orbital_loop(self, cfg, data):
+        d, n_el = cfg.sites, cfg.electrons
+        waves = bands._plane_waves(d, bands._momenta(n_el))
+        for row, n in zip(waves, bands._momenta(n_el)):
+            want = reference_plane_wave(d, n).tobytes()
+            assert row.tobytes() == want
+            assert plane_wave(d, n).tobytes() == want
+        w = bands._w_rows(cfg, range(n_el))
+        drawn = data.draw(st.lists(st.integers(0, n_el - 1), max_size=3))
+        labels = {0, n_el - 1, *drawn}
+        for s in sorted(labels):
+            want = reference_w_orbital(cfg, s).tobytes()
+            assert w[s].tobytes() == want
+            assert w_orbital(cfg, s).tobytes() == want
+        sea = fermi_sea(cfg).orbitals
+        assert sea.flags.c_contiguous
+        assert sea.tobytes() == np.column_stack(list(waves)).tobytes()
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=40)
+    @given(cfg=lattices(41), outcome=st.sampled_from([0, 1]))
+    def test_post_state_matches_column_by_column(self, cfg, outcome):
+        if outcome == 0 and cfg.electrons == cfg.sites:
+            with pytest.raises(ImpossibleOutcome):
+                measure_origin(cfg, outcome)
+            return
+        _, post, profile = measure_origin(cfg, outcome)
+        assert post.orbitals.flags.c_contiguous
+        assert post.orbitals.tobytes() == reference_measure_origin(cfg, outcome).tobytes()
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @given(cfg=lattices(1001))
+    def test_closed_form_array_matches_scalar_calls(self, cfg):
+        x = centered_positions(cfg.sites)
+        scalars = [closed_form_w0(cfg, int(xi)) for xi in x]
+        assert closed_form_w0(cfg, x).tobytes() == np.array(scalars).tobytes()
 
 
 class TestExchangeHole:

@@ -1,15 +1,20 @@
 """End-to-end checks for the command-line front end and circuit files."""
 
+import argparse
 import json
 import re
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from conftest import rng_for
+from hypothesis import given, settings, strategies as st
 
 from flosim import cli
 from flosim.circuits import (
+    _matrix_from_json,
+    _vector_from_json,
     load_circuit,
     pair_rotation,
     parse_circuit,
@@ -30,6 +35,19 @@ POLICY_MIX = GOLDEN.parent / "policy_mix.json"
 # doubling the sum to 64 terms, then a sampled measure1 and a 012
 # measure2 on it.
 PARITY_DEEP = GOLDEN.parent / "parity_deep.json"
+BANDS_101 = ["bands", "--sites", "101", "--electrons", "51"]
+# The `analysis` commands: the filled-band origin measurement at the
+# benchmark's size and at 15/7, and slater-rank on two-electron sums of
+# four determinants (D = 8 and 12) and on the two-rotation study state.
+ANALYSIS = {
+    "bands_101_51_outcome0": BANDS_101 + ["--outcome", "0"],
+    "bands_101_51_outcome1": BANDS_101 + ["--outcome", "1"],
+    "bands_101_51_seed7": BANDS_101 + ["--seed", "7"],
+    "bands_15_7": ["bands", "--sites", "15", "--electrons", "7"],
+    "rank_d8": ["slater-rank", GOLDEN.parent / "rank_d8.json"],
+    "rank_d12": ["slater-rank", GOLDEN.parent / "rank_d12.json"],
+    "rank_angles": ["slater-rank", "--angles", "0.7", "0.4", "1.1", "--electrons", "4"],
+}
 
 
 def run_cli(argv, capsys):
@@ -51,10 +69,12 @@ def minimal_doc(steps, modes=4, electrons=2):
     + [
         (["simulate", p, "--seed", "3", "--oracle-check"], f"oracle_{p.stem}")
         for p in EXAMPLES + [POLICY_MIX]
-    ],
+    ]
+    + [(argv, name) for name, argv in ANALYSIS.items()],
     ids=[f"simulate-{i}" for i in EXAMPLE_IDS]
     + ["nogo-nogo_demo", "simulate-policy_mix", "simulate-parity_deep"]
-    + [f"oracle-{i}" for i in EXAMPLE_IDS + ["policy_mix"]],
+    + [f"oracle-{i}" for i in EXAMPLE_IDS + ["policy_mix"]]
+    + [name.replace("_", "-", 1) for name in ANALYSIS],
 )
 def test_golden_transcript(argv, name, capsys):
     """Transcripts stay byte-identical to the recorded ones.
@@ -63,6 +83,8 @@ def test_golden_transcript(argv, name, capsys):
     file only for an intended change of the transcript format or numbers.
     The oracle_* files pin the oracle trailer lines, which print the
     dense oracle's probability deviation to three digits near 1e-16.
+    The bands_* files pin every digit of the W-orbital profile and of
+    the closed form, the rank_* files the printed w and its Pfaffian.
     """
     code, out, err = run_cli(argv, capsys)
     assert code == 0 and err == ""
@@ -190,6 +212,103 @@ class TestCircuitFormat:
     def test_json_error_reports_position(self):
         with pytest.raises(ParseError, match="line 1"):
             parse_circuit("{ not json")
+
+
+def reference_matrix_from_json(value, shape, where):
+    """The per-entry walk that _matrix_from_json runs only on failure;
+    kept as the reference for values and messages."""
+    rows, cols = shape
+    if not isinstance(value, list) or len(value) != rows:
+        raise ParseError(f"{where}: expected {rows} rows")
+    mat = np.zeros((rows, cols), dtype=complex)
+    for i, row in enumerate(value):
+        mat[i] = _vector_from_json(row, cols, f"{where}[{i}]")
+    return mat
+
+
+def parsed_or_error(parse, value, shape):
+    try:
+        mat = parse(value, shape, "m")
+    except ParseError as exc:
+        return str(exc)
+    assert mat.dtype == complex and mat.shape == shape and mat.flags.c_contiguous
+    return mat.tobytes()
+
+
+JSON_ENTRY = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(-(2**70), 2**70),
+    st.sampled_from([0, 0.0, -0.0]),
+)
+
+
+class TestMatrixEntries:
+    """Matrices parse as one float array; the per-entry walk runs only
+    when that fails and names the first bad entry."""
+
+    @staticmethod
+    def unitary_error(rows):
+        with pytest.raises(ParseError) as err:
+            parse_circuit(minimal_doc([{"kind": "rotate", "unitary": rows}], 2, 1))
+        return str(err.value)
+
+    @pytest.mark.parametrize(
+        ("rows", "message"),
+        [
+            ([[1, 0], [True, 1]], "[1][0]: expected a number or an [re, im] pair, got True"),
+            ([[[1, 0], [0, 0]], [[0, 0], [False, 1]]],
+             "[1][1]: expected a number or an [re, im] pair, got [False, 1]"),
+            ([[1, 0], [0]], "[1]: expected a list of 2 entries"),
+            ([[1, 0], [0, 1, 0]], "[1]: expected a list of 2 entries"),
+            ([[1, 0], [0, float("nan")]], "[1]: non-finite entry"),
+            ([[[1, 0], [0, float("inf")]], [[0, 0], [1, 0]]], "[0]: non-finite entry"),
+            ([[1, [0, [1, 0]]], [0, 1]],
+             "[0][1]: expected a number or an [re, im] pair, got [0, [1, 0]]"),
+            ([[[1, 0, 0], [0, 0]], [[0, 0], [1, 0]]],
+             "[0][0]: expected a number or an [re, im] pair, got [1, 0, 0]"),
+            ([[1, 0]], ": expected 2 rows"),
+            ([[1, 0], [0, 1], [0, 0]], ": expected 2 rows"),
+            ([[1, "0"], [0, 1]], "[0][1]: expected a number or an [re, im] pair, got '0'"),
+            ([[1, None], [0, 1]], "[0][1]: expected a number or an [re, im] pair, got None"),
+            # the first bad entry wins: a type error before a NaN in its row
+            ([[float("nan"), True], [0, 1]],
+             "[0][1]: expected a number or an [re, im] pair, got True"),
+            ([[float("nan"), 0], [True, 1]], "[0]: non-finite entry"),
+        ],
+        ids=["bool", "bool-in-pair", "short-row", "long-row", "nan", "inf-pair",
+             "mixed-in-pair", "pair-length", "few-rows", "many-rows",
+             "string", "null", "type-before-nan", "nan-before-later-row"],
+    )
+    def test_errors_name_the_first_bad_entry(self, rows, message):
+        assert self.unitary_error(rows) == f"step 0.unitary{message}"
+        assert parsed_or_error(_matrix_from_json, rows, (2, 2)) == parsed_or_error(
+            reference_matrix_from_json, rows, (2, 2)
+        )
+
+    def test_only_lists_are_rows(self):
+        """np.array would read a tuple row; the walk names it."""
+        with pytest.raises(ParseError, match=r"^m\[1\]: expected a list of 2 entries$"):
+            _matrix_from_json([[1, 0], (0, 1)], (2, 2), "m")
+
+    def test_rows_mixing_bare_and_pair_entries_parse(self):
+        rows = [[1, [0.0, -1.5]], [[2, 3], -0.0]]
+        mat = _matrix_from_json(rows, (2, 2), "m")
+        assert mat.tobytes() == reference_matrix_from_json(rows, (2, 2), "m").tobytes()
+        assert mat.tolist() == [[1, -1.5j], [2 + 3j, 0]]
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=120)
+    @given(data=st.data(), rows=st.integers(0, 5), cols=st.integers(0, 5),
+           form=st.sampled_from(["bare", "pairs", "mixed"]))
+    def test_values_match_the_entry_walk(self, data, rows, cols, form):
+        def entry():
+            if form == "bare" or (form == "mixed" and data.draw(st.booleans())):
+                return data.draw(JSON_ENTRY)
+            return [data.draw(JSON_ENTRY), data.draw(JSON_ENTRY)]
+
+        value = json.loads(json.dumps([[entry() for _ in range(cols)] for _ in range(rows)]))
+        assert parsed_or_error(_matrix_from_json, value, (rows, cols)) == (
+            parsed_or_error(reference_matrix_from_json, value, (rows, cols))
+        )
 
 
 class TestSimulateCommand:
@@ -548,3 +667,42 @@ class TestSlaterRankCommand:
         code, _, err = run_cli(["slater-rank", path], capsys)
         assert code == 1
         assert err.startswith("ParseError:")
+
+
+class TestParser:
+    """main reuses one parser per process; its help, usage errors and
+    exit code 2 are those of a freshly built parser."""
+
+    @staticmethod
+    def exit_and_output(parse, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            parse(argv)
+        captured = capsys.readouterr()
+        return exc.value.code, captured.out, captured.err
+
+    def test_main_does_not_rebuild_the_parser(self, capsys):
+        assert cli.build_parser() is cli.build_parser()
+        with mock.patch.object(
+            argparse.ArgumentParser, "add_subparsers", side_effect=AssertionError
+        ):
+            code, out, _ = run_cli(["bands", "--sites", "3", "--electrons", "1"], capsys)
+        assert code == 0 and out.startswith("# sites = 3 electrons = 1\n")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [],
+            ["--help"],
+            ["bands", "--help"],
+            ["bands", "--sites", "5"],
+            ["bands", "--sites", "5", "--electrons", "3", "--outcome", "2"],
+            ["simulate"],
+            ["warp"],
+        ],
+    )
+    def test_help_and_usage_errors_match_a_fresh_parser(self, argv, capsys):
+        fresh = cli.build_parser.__wrapped__()
+        want = self.exit_and_output(fresh.parse_args, argv, capsys)
+        for _ in range(2):
+            assert self.exit_and_output(cli.main, argv, capsys) == want
+        assert want[0] == (0 if "--help" in argv else 2)

@@ -149,6 +149,31 @@ class TestSlaterSumType:
             SlaterSum(((bad, st_),))
         assert "\n" not in str(err.value)
 
+    def test_rejects_nan_amplitude_in_a_mixed_sum(self):
+        """A NaN weight fails the prune comparison, so the term used to be
+        dropped silently, leaving a one-term sum of norm 1."""
+        st_ = standard_state(4, 2)
+        nan_state = SlaterState(st_.orbitals, float("nan"))
+        with pytest.raises(FlosimError) as err:
+            SlaterSum(((1.0, st_), (1.0, nan_state)))
+        assert str(err.value) == "term 1: coefficient * amplitude is (nan+nanj)"
+
+    def test_rejects_nan_amplitude_alone(self):
+        """With only the NaN term the sum used to come out empty."""
+        st_ = standard_state(4, 2)
+        with pytest.raises(FlosimError, match=r"^term 0: coefficient \* amplitude is"):
+            SlaterSum(((0.5, SlaterState(st_.orbitals, complex(0.0, float("nan")))),))
+
+    def test_zero_coefficient_on_infinite_amplitude_is_nan(self):
+        st_ = standard_state(4, 2)
+        with pytest.raises(FlosimError, match=r"^term 0: coefficient \* amplitude is"):
+            SlaterSum(((0.0, SlaterState(st_.orbitals, float("inf"))),))
+
+    def test_negligible_weights_are_still_pruned(self):
+        st_ = standard_state(4, 2)
+        s = SlaterSum(((1.0, st_), (1e-300, st_), (0.0, st_)))
+        assert s.term_count == 1
+
 
 def reference_overlap_total(s):
     """The per-pair double loop over slater_overlap that sum_norm's

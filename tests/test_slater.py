@@ -22,7 +22,7 @@ from flosim.errors import (
     NotUnitary,
 )
 from flosim.linalg import one_body_unitary
-from flosim.multislater import SlaterSum, measure_mode_sum
+from flosim.multislater import SlaterSum, evolve_sum, measure_mode_sum
 from flosim.slater import (
     SlaterState,
     annihilate,
@@ -154,6 +154,25 @@ class TestInputChecks:
         u[1, 2] = float("nan")
         with pytest.raises(NotUnitary, match="deviation from unitarity nan"):
             check_unitary(u, 3)
+
+    @pytest.mark.parametrize(
+        "bad", [float("inf"), -float("inf"), complex(0.0, float("inf"))]
+    )
+    def test_rejects_an_infinite_unitary(self, bad):
+        """An inf entry makes the Gram product warn, so it is rejected
+        before the product, with the NaN message; tier 1 turns a
+        RuntimeWarning into an error."""
+        u = np.eye(3, dtype=complex)
+        u[1, 2] = bad
+        s = standard_state(3, 1)
+        for call in (
+            lambda: check_unitary(u, 3),
+            lambda: evolve(s, u),
+            lambda: evolve_sum(SlaterSum.from_state(s), u),
+        ):
+            with pytest.raises(NotUnitary) as err:
+                call()
+            assert str(err.value) == "deviation from unitarity nan"
 
 
 class TestEvolve:
