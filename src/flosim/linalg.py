@@ -109,22 +109,22 @@ def _check_antisymmetric(a, tol):
         raise NotAntisymmetric(f"deviation from antisymmetry {dev:.3e} exceeds {tol:.1e}")
 
 
-def _pfaffian_expansion(a):
-    # First-row expansion: Pf(A) = sum_j (-1)^j A[0, j] Pf(A without rows/cols 0, j)
-    # with alternating signs starting positive at j = 1.
-    n = a.shape[0]
-    if n == 0:
+def _pfaffian_expansion(a, idx=None):
+    # First-row expansion over rows and columns idx of a (default all):
+    # Pf = sum_j (-1)^j A[i0, j] Pf(idx without i0, j), signs starting
+    # positive at the second index.  Minors index a; none is copied.
+    idx = tuple(range(a.shape[0])) if idx is None else idx
+    if not idx:
         return 1.0 + 0.0j
-    if n == 2:
-        return a[0, 1]
+    if len(idx) == 2:
+        return a[idx]
     acc = 0.0 + 0.0j
-    rest = list(range(1, n))
+    first, rest = idx[0], idx[1:]
     for pos, j in enumerate(rest):
-        if a[0, j] == 0.0:
+        if a[first, j] == 0.0:
             continue
-        others = rest[:pos] + rest[pos + 1:]
         sign = 1.0 if pos % 2 == 0 else -1.0
-        acc += sign * a[0, j] * _pfaffian_expansion(a[np.ix_(others, others)])
+        acc += sign * a[first, j] * _pfaffian_expansion(a, rest[:pos] + rest[pos + 1:])
     return acc
 
 

@@ -326,47 +326,60 @@ def _single_mode_sums(s, kappa):
     return [SlaterSum(tuple(t), s.modes, s.electrons, s.max_terms) for t in out]
 
 
-def _tree(terms, kap, lamv, split):
-    """Leaves of the split tree: every term split on lambda, then every
-    child on kappa, each level one call of split over the whole list."""
+def _tree(terms, kap, lamv, split, wanted):
+    """Leaves of the split tree on the total occupations in wanted: every
+    term split on lambda, then every child that can still reach a wanted
+    outcome on kappa, each level one call of split over the whole list."""
     by_lam = split([st for _, st in terms], lamv)
     # Lambda occupied first, so outcome 1 lists (1, 0) before (0, 1).
     children = [
         (coeff * res[0], i, res[1])
         for (coeff, _), pair in zip(terms, by_lam)
         for i in (1, 0)
-        if (res := pair[i]) is not None
+        if (res := pair[i]) is not None and (i in wanted or i + 1 in wanted)
     ]
     by_kap = split([child for _, _, child in children], kap)
     out = ([], [], [])
     for (coeff, i, _), pair in zip(children, by_kap):
         for j, res in enumerate(pair):
-            if res is not None:
+            if res is not None and i + j in wanted:
                 out[i + j].append((coeff * res[0], res[1]))
     return out
 
 
-def _two_mode_terms(s, kappa, lam):
-    """Term lists of the projections on total occupation 0, 1 and 2.
-
-    Each term is split on lambda once and each surviving child on kappa
-    once, so three decompositions per term serve all three outcomes.
-    """
+def _measured_pair(s, kappa, lam):
+    """kappa and lambda as checked mode vectors, required orthogonal."""
     kap = check_mode(kappa, s.modes)
     lamv = check_mode(lam, s.modes)
     ip = abs(np.vdot(kap, lamv))
     if ip > ORTHOGONAL_TOL:
         raise ModesNotOrthogonal(f"<kappa|lambda> = {ip:.3e}")
+    return kap, lamv
+
+
+def _two_mode_terms(s, kappa, lam, wanted):
+    """_tree's leaves on total occupations 0, 1 and 2, built only for those
+    in wanted: three splits per term, two for outcome 0 or 2 alone."""
+    kap, lamv = _measured_pair(s, kappa, lam)
     try:
-        return _tree(s.terms, kap, lamv, _split_stack)
+        return _tree(s.terms, kap, lamv, _split_stack, wanted)
     except (FlosimError, ValueError):
         # Term by term, both levels per term, the first failing check
         # raises as it always has.
         out = ([], [], [])
         for term in s.terms:
-            for leaves, more in zip(out, _tree((term,), kap, lamv, _split_each)):
+            for leaves, more in zip(out, _tree((term,), kap, lamv, _split_each, wanted)):
                 leaves.extend(more)
         return out
+
+
+def _group_sum(s, kappa, lam, group):
+    """Unnormalized projection of s on one outcome group, named by its label
+    ("02") or outcomes ((0, 2)); only its leaves are built and capped."""
+    group = tuple(map(int, group))
+    leaves = _two_mode_terms(s, kappa, lam, group)
+    terms = tuple(t for o in group for t in leaves[o])
+    return SlaterSum(terms, s.modes, s.electrons, s.max_terms)
 
 
 def apply_two_mode_projector(s, kappa, lam, outcome):
@@ -377,33 +390,17 @@ def apply_two_mode_projector(s, kappa, lam, outcome):
     """
     if outcome not in (0, 1, 2):
         raise ValueError(f"outcome must be 0, 1 or 2, got {outcome}")
-    terms = _two_mode_terms(s, kappa, lam)
-    return SlaterSum(tuple(terms[int(outcome)]), s.modes, s.electrons, s.max_terms)
-
-
-def two_mode_groups(s, kappa, lam, grouping):
-    """Unnormalized projected sum of each outcome group, keyed by label.
-
-    The sums of outcomes 0, 1 and 2 are built, pruned and capped, in that
-    order; a merged group concatenates the terms of its member outcomes.
-    """
-    if grouping not in GROUPINGS:
-        raise ValueError(f"unknown grouping {grouping!r}")
-    shape = (s.modes, s.electrons, s.max_terms)
-    sums = [SlaterSum(tuple(t), *shape) for t in _two_mode_terms(s, kappa, lam)]
-    return {
-        group_label(g): SlaterSum(tuple(t for o in g for t in sums[o].terms), *shape)
-        for g in GROUPINGS[grouping]
-    }
+    return _group_sum(s, kappa, lam, (outcome,))
 
 
 def _two_mode_outcomes(s, kappa, lam, grouping):
-    """two_mode_groups, and each group's probability from the norm n,
-    parity par and empty weight p0 of s itself: outcome 1 has (n - par)/2,
-    outcomes 0 and 2 (n + par)/2, outcome 2 that minus p0.  Each is
-    clamped at 0, as sum_norm clamps."""
-    table = two_mode_groups(s, kappa, lam, grouping)
-    m = np.column_stack([check_mode(lam, s.modes), check_mode(kappa, s.modes)])
+    """Each group's probability, keyed by label in grouping order, from
+    the norm n, parity par and empty weight p0 of s itself: outcome 1 has
+    (n - par)/2, outcomes 0 and 2 (n + par)/2, outcome 2 that minus p0.
+    Each is clamped at 0, as sum_norm clamps.  Nothing is projected."""
+    if grouping not in GROUPINGS:
+        raise ValueError(f"unknown grouping {grouping!r}")
+    m = np.column_stack(_measured_pair(s, kappa, lam)[::-1])  # [lambda kappa]
     if grouping == "0/12":
         n, p0 = _expectations(s, m, (0, 1))
         probs = {"0": p0, "12": n - p0}
@@ -414,7 +411,7 @@ def _two_mode_outcomes(s, kappa, lam, grouping):
         n, par, p0 = _expectations(s, m, (0, 2, 1))
         p2 = (n + par) / 2 - p0
         probs = {"0": p0, "1": (n - par) / 2, "2": p2, "01": n - p2}
-    return table, {label: max(probs[label], 0.0) for label in table}
+    return {label: max(probs[label], 0.0) for label in map(group_label, GROUPINGS[grouping])}
 
 
 def _pick(labels, probs, forced, rng):
@@ -436,12 +433,12 @@ def measure_two_mode(s, kappa, lam, grouping, forced=None, rng=None):
 
     grouping is one of "012", "01/2", "0/12", "02/1".  Returns
     (label, probability, post) with post renormalized; merged groups
-    concatenate the term lists of their member projections.
+    concatenate their outcomes' terms.  Only the chosen group is built.
     """
-    table, probs = _two_mode_outcomes(s, kappa, lam, grouping)
-    labels = list(table)
-    label = labels[_pick(labels, list(probs.values()), forced, rng)]
-    return label, probs[label], collapse(table[label], probs[label], repr(label))
+    probs = _two_mode_outcomes(s, kappa, lam, grouping)
+    label = list(probs)[_pick(list(probs), list(probs.values()), forced, rng)]
+    post = _group_sum(s, kappa, lam, label)
+    return label, probs[label], collapse(post, probs[label], repr(label))
 
 
 def project_single_mode(s, kappa, outcome):

@@ -23,6 +23,7 @@ from .multislater import (
     DEFAULT_MAX_TERMS,
     GROUPINGS,
     SlaterSum,
+    _group_sum,
     _two_mode_outcomes,
     collapse,
     evolve_sum,
@@ -152,10 +153,12 @@ def _steer(idx, probs, admissible):
 
 
 def _steer_two_mode(idx, s, kap, lam, grouping):
-    """The exact policy's two-mode step: (label, p, post or None if certain)."""
-    table, probs = _two_mode_outcomes(s, kap, lam, grouping)
+    """The exact policy's two-mode step: (label, p, post or None if certain).
+    Only the steered group is projected, and nothing when certain."""
+    probs = _two_mode_outcomes(s, kap, lam, grouping)
     label, prob, certain = _steer(idx, probs, SINGLE_TERM_GROUPS[grouping])
-    return label, prob, None if certain else collapse(table[label], prob, repr(label))
+    post = None if certain else collapse(_group_sum(s, kap, lam, label), prob, repr(label))
+    return label, prob, post
 
 
 def simulate_exact_branch(circuit, d, n, initial=None):

@@ -184,6 +184,52 @@ class TestPfaffian:
         assert abs(pf * pf - det) <= 1e-8 * max(1.0, abs(det))
 
 
+def reference_pfaffian_expansion(a):
+    """The first-row expansion as it was written before minors became
+    index tuples: every minor a fresh np.ix_ copy."""
+    n = a.shape[0]
+    if n == 0:
+        return 1.0 + 0.0j
+    if n == 2:
+        return a[0, 1]
+    acc = 0.0 + 0.0j
+    rest = list(range(1, n))
+    for pos, j in enumerate(rest):
+        if a[0, j] == 0.0:
+            continue
+        others = rest[:pos] + rest[pos + 1:]
+        sign = 1.0 if pos % 2 == 0 else -1.0
+        acc += sign * a[0, j] * reference_pfaffian_expansion(a[np.ix_(others, others)])
+    return acc
+
+
+def complex_bits(z):
+    z = complex(z)
+    return z.real.hex(), z.imag.hex()
+
+
+class TestPfaffianExpansion:
+    """The expansion over index tuples makes the same products in the same
+    order as the copying reference, so every result is bit for bit."""
+
+    @pytest.mark.parametrize("n", [0, 2, 4, 6, 8])
+    def test_bitwise_equal_to_copying_reference(self, n):
+        rng = rng_for(20 + n)
+        for trial in range(40):
+            w = random_antisymmetric(rng, n)
+            if n and trial % 2:
+                # Exact zeros in row 0 and deeper rows take the skip.
+                mask = np.triu(rng.random((n, n)) < 0.35, 1)
+                mask[0, rng.integers(1, n)] = True
+                w[mask | mask.T] = 0.0
+            a = (w - w.T) / 2
+            want = reference_pfaffian_expansion(a)
+            got = linalg._pfaffian_expansion(a)
+            assert type(got) is type(want)
+            assert complex_bits(got) == complex_bits(want)
+            assert complex_bits(linalg.pfaffian(w)) == complex_bits(want)
+
+
 class TestAntisymCanonical:
     def test_elementary_block_identity_transform(self):
         w = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)

@@ -49,6 +49,7 @@ from flosim.multislater import (
     _overlap_total,
     _split_batch,
     _split_stack,
+    _group_sum,
     _two_mode_terms,
     apply_two_mode_projector,
     evolve_sum,
@@ -63,7 +64,6 @@ from flosim.multislater import (
     slater_number_two_fermion,
     sum_norm,
     two_fermion_w,
-    two_mode_groups,
 )
 from flosim import fock, multislater
 
@@ -473,7 +473,7 @@ class TestSplitTree:
     def test_bitwise_equal_to_projection_chain(self, placement, data):
         d, n, terms, kap, lam = data.draw(projection_recipes(placement))
         s = SlaterSum(terms, d, n)
-        tree = _two_mode_terms(s, kap, lam)
+        tree = _two_mode_terms(s, kap, lam, ALL_OUTCOMES)
         groups = two_mode_groups(s, kap, lam, "012")
         for outcome in (0, 1, 2):
             ref = reference_two_mode_terms(s, kap, lam, outcome)
@@ -559,6 +559,23 @@ def reference_tree(s, kap, lam, split=reference_split):
     return out
 
 
+ALL_OUTCOMES = (0, 1, 2)
+
+
+def two_mode_groups(s, kap, lam, grouping):
+    """Every group sum of a grouping from the full split tree, built term
+    by term: the sums of outcomes 0, 1 and 2 built, pruned and capped in
+    that order, then a merged group concatenating its outcomes' terms.
+    The library built every group this way before it built only the
+    chosen one; it stays here as the reference for that group."""
+    shape = (s.modes, s.electrons, s.max_terms)
+    sums = [SlaterSum(tuple(t), *shape) for t in reference_tree(s, kap, lam, split_children)]
+    return {
+        group_label(g): SlaterSum(tuple(t for o in g for t in sums[o].terms), *shape)
+        for g in GROUPINGS[grouping]
+    }
+
+
 NEAR_EPS = 1e-9  # inside the re-orthogonalization band of decompose_mode
 # Terms placed against the measured mode u[:, 0]: a random span, a span
 # holding the mode, one orthogonal to it, one NEAR_EPS from it, and
@@ -624,7 +641,7 @@ class TestSplitKernel:
                 assert [split_bits(p) for p in _split_batch(states, vec)] == ref
             if lam is not None:
                 s = SlaterSum(terms, d, n)
-                tree = _two_mode_terms(s, vec, lam)
+                tree = _two_mode_terms(s, vec, lam, ALL_OUTCOMES)
                 for got, want in zip(tree, reference_tree(s, vec, lam)):
                     assert terms_bits(got) == terms_bits(want)
 
@@ -651,7 +668,8 @@ class TestStackedChecks:
     per-term path (split_mode on each term in turn) raises: the same class,
     the same message, from the same first failing term."""
 
-    def _sum(self, rng, d, n, t, bad):
+    @staticmethod
+    def _sum(rng, d, n, t, bad):
         u = random_unitary(rng, d)
         terms = [(1.0, random_state(rng, d, n)) for _ in range(t)]
         for index, span, delta in bad:
@@ -670,8 +688,8 @@ class TestStackedChecks:
         with mock.patch.object(multislater, "SPLIT_BATCH", batch):
             for want in (0, 1):
                 assert raised(project_single_mode, s, kap, want) == ref
-            assert raised(_two_mode_terms, s, kap, lam) == tree_ref
-            assert raised(two_mode_groups, s, kap, lam, "02/1") == tree_ref
+            assert raised(_two_mode_terms, s, kap, lam, ALL_OUTCOMES) == tree_ref
+            assert raised(measure_two_mode, s, kap, lam, "02/1", "02") == tree_ref
 
     @pytest.mark.parametrize("batch", [7, multislater.SPLIT_BATCH])
     def test_first_failing_term_wins_across_tree_levels(self, batch):
@@ -687,7 +705,7 @@ class TestStackedChecks:
         assert ref == raised(split_mode, s.terms[3][1], kap)
         assert ref != raised(split_mode, s.terms[5][1], lam)
         with mock.patch.object(multislater, "SPLIT_BATCH", batch):
-            assert raised(_two_mode_terms, s, kap, lam) == ref
+            assert raised(_two_mode_terms, s, kap, lam, ALL_OUTCOMES) == ref
 
     def test_nan_term_passes_through_as_per_term(self):
         """A NaN orbital makes alpha NaN, so the per-term split leaves the
@@ -701,7 +719,7 @@ class TestStackedChecks:
         terms[2] = (0.5, SlaterState._checked(orbitals, 1.0 + 0.0j))
         s = SlaterSum(tuple(terms), d, n)
         kap, lam = u[:, 0], u[:, 1]
-        tree = _two_mode_terms(s, kap, lam)
+        tree = _two_mode_terms(s, kap, lam, ALL_OUTCOMES)
         for got, want in zip(tree, reference_tree(s, kap, lam)):
             assert terms_bits(got) == terms_bits(want)
         assert any(st_ is terms[2][1] for _, st_ in tree[0])
@@ -709,6 +727,100 @@ class TestStackedChecks:
             ValueError,
             "matrix entries must be finite",
         )
+
+
+@st.composite
+def pruned_tree_cases(draw, t):
+    """(sum, kappa, lambda) of t terms on D from 2 to 8 modes, N drawn
+    from 0 to D with N <= 1 and N = D often, terms placed against kappa
+    as the kernel tests place them (per-term lanes included), and the
+    pair a random orthonormal pair or two standard sites."""
+    d = draw(st.integers(2, 8))
+    n = draw(st.sampled_from([0, 1, 1, d, *range(d + 1)]))
+    kinds = draw(st.lists(st.sampled_from(KERNEL_TERM_KINDS), min_size=t, max_size=t))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    u = random_unitary(rng, d)
+    if draw(st.booleans()):
+        i, j = rng.choice(d, size=2, replace=False)
+        u = np.eye(d, dtype=complex)[:, [i, j, *np.setdiff1d(range(d), [i, j])]]
+    terms = []
+    for kind in kinds:
+        amp = rng.uniform(0.1, 2.0) * np.exp(1j * rng.uniform(0, 2 * np.pi))
+        coeff = rng.uniform(0.1, 2.0) * np.exp(1j * rng.uniform(0, 2 * np.pi))
+        terms.append((coeff, SlaterState(kernel_orbitals(rng, kind, u, n), amp)))
+    return SlaterSum(tuple(terms), d, n), u[:, 0], u[:, 1]
+
+
+class TestPrunedTree:
+    """A measurement builds only the leaves of its chosen group.  Each
+    group built alone is bitwise the full tree's group (two_mode_groups),
+    in every grouping: coefficients, amplitudes and orbital bytes."""
+
+    # t = 1 takes split_mode, t >= 2 the stacked kernel, 33 two batches.
+    @pytest.mark.parametrize("t", [1, 2, 9, 33])
+    @settings(derandomize=True, database=None, deadline=None, max_examples=20)
+    @given(data=st.data())
+    def test_chosen_group_alone_matches_full_tree(self, t, data):
+        s, kap, lam = data.draw(pruned_tree_cases(t))
+        for grouping in GROUPINGS:
+            full = two_mode_groups(s, kap, lam, grouping)
+            probs = multislater._two_mode_outcomes(s, kap, lam, grouping)
+            for label, group in full.items():
+                assert terms_bits(_group_sum(s, kap, lam, label).terms) == terms_bits(group.terms)
+                if probs[label] >= PROB_FLOOR:
+                    post = measure_two_mode(s, kap, lam, grouping, forced=label)[2]
+                    want = scale_sum(group, 1.0 / np.sqrt(probs[label]))
+                    assert terms_bits(post.terms) == terms_bits(want.terms)
+            if grouping == "012":
+                for outcome in ALL_OUTCOMES:
+                    got = apply_two_mode_projector(s, kap, lam, outcome)
+                    assert terms_bits(got.terms) == terms_bits(full[str(outcome)].terms)
+
+    @pytest.mark.parametrize("batch", [7, multislater.SPLIT_BATCH])
+    def test_failing_term_falls_back_only_where_its_leaves_are_needed(self, batch):
+        """Term 3 lies orthogonal to lambda and fails a stack check when
+        its lambda-empty child is split on kappa.  Every group with
+        outcome 0 or 1 splits that child, so the stack falls back term by
+        term and raises the full tree's error.  Group 2 never splits it,
+        and equals the full tree's group 2 of the other terms."""
+        d, n = 8, 3
+        u, s = TestStackedChecks._sum(rng_for(95), d, n, 12, [(3, (0, 1, 2), 1e-8)])
+        kap, lam = u[:, 0], u[:, 4]
+        ref = raised(reference_tree, s, kap, lam, split_children)
+        assert ref[0] is FlosimError and "not orthonormal" in ref[1]
+        others = SlaterSum(s.terms[:3] + s.terms[4:], d, n)
+        with mock.patch.object(multislater, "SPLIT_BATCH", batch):
+            for grouping, groups in GROUPINGS.items():
+                for label in map(group_label, groups):
+                    if label == "2":
+                        want = two_mode_groups(others, kap, lam, grouping)[label]
+                        got = _group_sum(s, kap, lam, label)
+                        assert terms_bits(got.terms) == terms_bits(want.terms)
+                    else:
+                        assert raised(_group_sum, s, kap, lam, label) == ref
+                        assert raised(measure_two_mode, s, kap, lam, grouping, label) == ref
+
+    def test_outcome_0_or_2_alone_takes_two_splits_per_term(self, monkeypatch):
+        """On one generic determinant the full tree splits three states;
+        outcome 0 or 2 alone splits only the lambda child it needs.  No
+        leaf of an unwanted outcome is kept."""
+        split = []
+        real = multislater._split_stack
+
+        def counting(states, vec):
+            split.extend(states)
+            return real(states, vec)
+
+        monkeypatch.setattr(multislater, "_split_stack", counting)
+        rng = rng_for(96)
+        s = SlaterSum.from_state(random_state(rng, 6, 3))
+        kap, lam = random_orthogonal_pair(rng, 6)
+        for outcome, count in ((0, 2), (1, 3), (2, 2)):
+            split.clear()
+            apply_two_mode_projector(s, kap, lam, outcome)
+            assert len(split) == count
+            leaves = _two_mode_terms(s, kap, lam, (outcome,))
+            assert [bool(t) for t in leaves] == [o == outcome for o in ALL_OUTCOMES]
 
 
 def eager_pick(sums, rng):
@@ -820,8 +932,11 @@ class TestLazyPick:
             prob = measure_mode_sum(s, kap, forced=outcome)[1]
             assert_close_probability(prob, sum_norm(branch) ** 2)
 
-    @pytest.mark.parametrize(("grouping", "label"), [("012", "0"), ("02/1", "02")])
-    def test_cap_on_an_unchosen_outcome_still_raises(self, grouping, label):
+    def test_cap_applies_to_the_kept_group_only(self):
+        """The term cap binds the sum a measurement keeps.  Outcome 1 of
+        this two-term sum has four terms, over the cap of 2: it raises when
+        projected on its own or inside group 02, but measuring outcome 0
+        never builds it."""
         rng = rng_for(74)
         d = 5
         s = SlaterSum(random_two_term_sum(rng, d, 2).terms, max_terms=2)
@@ -829,10 +944,11 @@ class TestLazyPick:
         assert apply_two_mode_projector(s, kap, lam, 0).term_count == 2
         with pytest.raises(TermCapExceeded):
             apply_two_mode_projector(s, kap, lam, 1)
+        label, prob, post = measure_two_mode(s, kap, lam, "012", forced="0")
+        want = scale_sum(apply_two_mode_projector(s, kap, lam, 0), 1.0 / np.sqrt(prob))
+        assert label == "0" and terms_bits(post.terms) == terms_bits(want.terms)
         with pytest.raises(TermCapExceeded):
-            measure_two_mode(s, kap, lam, grouping, forced=label)
-        with pytest.raises(TermCapExceeded):
-            measure_two_mode(s, kap, lam, grouping, rng=rng_for(0))
+            measure_two_mode(s, kap, lam, "02/1", forced="02")
 
 
 @st.composite
@@ -856,7 +972,8 @@ def assert_probabilities_match_norms(s, kap, lam):
     """Every grouping's and both single-mode probabilities against
     sum_norm(group) ** 2, and every possible post-state normalized."""
     for grouping in GROUPINGS:
-        groups, probs = multislater._two_mode_outcomes(s, kap, lam, grouping)
+        groups = two_mode_groups(s, kap, lam, grouping)
+        probs = multislater._two_mode_outcomes(s, kap, lam, grouping)
         assert list(probs) == list(groups)
         for label, group in groups.items():
             assert_close_probability(probs[label], sum_norm(group) ** 2)
@@ -873,7 +990,7 @@ def assert_probabilities_match_norms(s, kap, lam):
 
 class TestOutcomeProbabilities:
     """Outcome probabilities of both measurement kinds, judged by norming
-    the projected groups themselves."""
+    the full split tree's groups (the two_mode_groups reference)."""
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=80)
     @given(measured_sums())
@@ -890,7 +1007,8 @@ class TestOutcomeProbabilities:
         s = SlaterSum((), 4, 2)
         kap, lam = standard_mode(4, 0), standard_mode(4, 1)
         for grouping in GROUPINGS:
-            groups, probs = multislater._two_mode_outcomes(s, kap, lam, grouping)
+            probs = multislater._two_mode_outcomes(s, kap, lam, grouping)
+            assert list(probs) == [group_label(g) for g in GROUPINGS[grouping]]
             assert set(probs.values()) == {0.0}
         assert single_mode_branches(s, kap)[1] == [0.0, 0.0]
 

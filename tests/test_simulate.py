@@ -18,6 +18,7 @@ from flosim.errors import NoAdmissibleBranch, ParityGroupingUnsupported
 from flosim.slater import SlaterState, standard_state
 from flosim.multislater import (
     SlaterSum,
+    _two_mode_outcomes,
     evolve_sum,
     measure_mode_sum,
     measure_two_mode,
@@ -33,7 +34,7 @@ from flosim.simulate import (
     simulate_exact_branch,
     simulate_sampled,
 )
-from flosim import fock
+from flosim import fock, multislater, simulate, slater
 
 
 def standard_mode(d, m):
@@ -409,6 +410,43 @@ class TestSteeringRule:
         """The most probable label wins when certain, the earliest on a
         tie; else the first admissible label strictly above PROB_FLOOR."""
         assert _steer(0, probs, admissible) == want
+
+    def test_certain_measure2_builds_nothing(self, monkeypatch):
+        """A certain two-mode step records its row and leaves the state
+        alone without splitting a single term, in both executors: the
+        pair (0, 1) lies in the rotated filled span, (3, 4) outside it,
+        and (2, 5) straddles it."""
+        d, n = 6, 3
+        e = np.eye(d, dtype=complex)
+        rng = rng_for(113)
+        u = np.eye(d, dtype=complex)
+        u[np.ix_([0, 1], [0, 1])] = random_unitary(rng, 2)
+        u[np.ix_([3, 4], [3, 4])] = random_unitary(rng, 2)
+        steps = [("012", 0, 1, "2"), ("0/12", 3, 4, "0"), ("01/2", 2, 5, "01")]
+        circuit = [Rotate(unitary=u)] + [
+            MeasureTwo(e[:, i], e[:, j], grouping, "exact") for grouping, i, j, _ in steps
+        ]
+        rotated = SlaterSum.from_state(SlaterState(u @ np.eye(d, n)))
+        rows, cumulative = [], 1.0
+        for idx, (grouping, i, j, label) in enumerate(steps, start=1):
+            prob = _two_mode_outcomes(rotated, e[:, i], e[:, j], grouping)[label]
+            assert prob >= 1 - 1e-9
+            cumulative *= prob
+            rows.append(TranscriptRow(idx, "measure2", label, prob, cumulative, 1))
+        calls = []
+        for module, name in ((multislater, "_split_stack"), (multislater, "split_mode"),
+                             (slater, "split_mode"), (simulate, "split_mode")):
+            real = getattr(module, name)
+            monkeypatch.setattr(
+                module, name, lambda *a, real=real, name=name: calls.append(name) or real(*a)
+            )
+        nogo, state = simulate_exact_branch(circuit, d, n)
+        exact, total = simulate_sampled(circuit, d, n, seed=0)
+        assert calls == []
+        assert list(nogo.rows) == list(exact.rows) == rows
+        assert np.array_equal(state.orbitals, u @ np.eye(d, n))
+        (coeff, term), = total.terms
+        assert coeff == 1.0 and np.array_equal(term.orbitals, state.orbitals)
 
     def test_vacuum_measure1_is_certain_in_both_executors(self):
         """The vacuum reports occupation 0 with probability exactly 1,
