@@ -19,12 +19,12 @@ import numpy as np
 from .errors import (
     DimensionMismatch,
     FlosimError,
-    ModesNotOrthogonal,
     NotHermitian,
     TooManyModes,
     ZeroVector,
 )
-from .slater import ORTHOGONAL_TOL, check_mode, check_unitary
+from .linalg import HERMITIAN_TOL
+from .slater import check_mode, check_modes, check_unitary
 
 VECTOR_MODE_CAP = 12
 DENSITY_MODE_CAP = 8
@@ -252,7 +252,7 @@ def _hermitian_checked(b, d):
     if mat.shape != (d, d):
         raise DimensionMismatch(f"generator has shape {mat.shape}, expected ({d}, {d})")
     dev = np.linalg.norm(mat - mat.conj().T)
-    if dev > 1e-10:
+    if dev > HERMITIAN_TOL:
         raise NotHermitian(f"generator deviates from Hermiticity by {dev:.3e}")
     return (mat + mat.conj().T) / 2
 
@@ -309,12 +309,6 @@ def one_body_apply(v, b, tau):
     return FockVector(v.modes, out)
 
 
-def _check_orthogonal_pair(kappa, lam):
-    ip = np.vdot(kappa, lam)
-    if abs(ip) > ORTHOGONAL_TOL:
-        raise ModesNotOrthogonal(f"<kappa|lambda> = {abs(ip):.3e}")
-
-
 def two_mode_projector_apply(v, kappa, lam, outcome):
     """Project onto total occupation 0, 1 or 2 of two orthogonal modes.
 
@@ -323,9 +317,7 @@ def two_mode_projector_apply(v, kappa, lam, outcome):
       P2 = a_k^dag a_k a_l^dag a_l
       P1 = a_k a_k^dag a_l^dag a_l + a_k^dag a_k a_l a_l^dag
     """
-    kap = check_mode(kappa, v.modes)
-    lamv = check_mode(lam, v.modes)
-    _check_orthogonal_pair(kap, lamv)
+    kap, lamv = check_modes(v.modes, kappa, lam)
     d = v.modes
     amps = v.amplitudes
 

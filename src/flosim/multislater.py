@@ -6,7 +6,8 @@ orthogonal modes.  Outcomes 0 and 2 map each determinant to at most one
 determinant; outcome 1 is a sum of two projector products and can double
 the term count, which is why sums are needed at all.  Merged-outcome
 groupings concatenate the projected term lists; the {0,2} vs {1} parity
-grouping is the one that forces genuine growth.
+grouping is the one that forces genuine growth.  A single-mode
+measurement of a sum is the one-mode case of the same code.
 
 Projections are applied in exact operator form, term by term, so the
 relative phases between determinants are preserved to machine precision.
@@ -23,7 +24,6 @@ from .errors import (
     DimensionMismatch,
     FlosimError,
     ImpossibleOutcome,
-    ModesNotOrthogonal,
     TermCapExceeded,
     WrongParticleNumber,
 )
@@ -37,6 +37,7 @@ from .slater import (
     SPAN_TOL,
     SlaterState,
     check_mode,
+    check_modes,
     check_unitary,
     evolve,
     annihilate,
@@ -55,6 +56,7 @@ GROUPINGS = {
     "0/12": ((0,), (1, 2)),
     "02/1": ((0, 2), (1,)),
 }
+ONE_MODE = ((0,), (1,))  # the outcome groups of a single-mode measurement
 
 
 def group_label(group):
@@ -309,75 +311,44 @@ def _rows(index, size):
     return slice(None) if index.size == size else index
 
 
-def _single_mode_sums(s, kappa):
-    """Projections of a sum on occupations 0 and 1 of kappa, one split per term."""
-    kap = check_mode(kappa, s.modes)
-    states = [st for _, st in s.terms]
-    try:
-        splits = _split_stack(states, kap)
-    except (FlosimError, ValueError):
-        # Term by term, the first failing term raises its own error.
-        splits = _split_each(states, kap)
-    out = ([], [])
-    for (coeff, _), pair in zip(s.terms, splits):
-        for want, res in enumerate(pair):
-            if res is not None:
-                out[want].append((coeff * res[0], res[1]))
-    return [SlaterSum(tuple(t), s.modes, s.electrons, s.max_terms) for t in out]
+def _tree(terms, vecs, split, wanted):
+    """Leaves of the split tree of the measured modes vecs, (lambda, kappa)
+    or (kappa,), on the total occupations in wanted, listed by total
+    occupation: every term split on vecs[0], then every child that can
+    still reach a wanted outcome on the next mode, each level one call of
+    split over the whole list."""
+    nodes = [(coeff, 0, st) for coeff, st in terms]
+    for level, vec in enumerate(vecs):
+        # A child can still gain one occupation per mode left to split.
+        reach = {w - r for w in wanted for r in range(len(vecs) - level)}
+        pairs = split([st for _, _, st in nodes], vec)
+        # Occupied first, so outcome 1 lists (1, 0) before (0, 1).
+        nodes = [
+            (coeff * res[0], o + i, res[1])
+            for (coeff, o, _), pair in zip(nodes, pairs)
+            for i in (1, 0)
+            if (res := pair[i]) is not None and o + i in reach
+        ]
+    leaves = ([], [], [])
+    for coeff, o, st in nodes:
+        leaves[o].append((coeff, st))
+    return leaves
 
 
-def _tree(terms, kap, lamv, split, wanted):
-    """Leaves of the split tree on the total occupations in wanted: every
-    term split on lambda, then every child that can still reach a wanted
-    outcome on kappa, each level one call of split over the whole list."""
-    by_lam = split([st for _, st in terms], lamv)
-    # Lambda occupied first, so outcome 1 lists (1, 0) before (0, 1).
-    children = [
-        (coeff * res[0], i, res[1])
-        for (coeff, _), pair in zip(terms, by_lam)
-        for i in (1, 0)
-        if (res := pair[i]) is not None and (i in wanted or i + 1 in wanted)
-    ]
-    by_kap = split([child for _, _, child in children], kap)
-    out = ([], [], [])
-    for (coeff, i, _), pair in zip(children, by_kap):
-        for j, res in enumerate(pair):
-            if res is not None and i + j in wanted:
-                out[i + j].append((coeff * res[0], res[1]))
-    return out
-
-
-def _measured_pair(s, kappa, lam):
-    """kappa and lambda as checked mode vectors, required orthogonal."""
-    kap = check_mode(kappa, s.modes)
-    lamv = check_mode(lam, s.modes)
-    ip = abs(np.vdot(kap, lamv))
-    if ip > ORTHOGONAL_TOL:
-        raise ModesNotOrthogonal(f"<kappa|lambda> = {ip:.3e}")
-    return kap, lamv
-
-
-def _two_mode_terms(s, kappa, lam, wanted):
-    """_tree's leaves on total occupations 0, 1 and 2, built only for those
-    in wanted: three splits per term, two for outcome 0 or 2 alone."""
-    kap, lamv = _measured_pair(s, kappa, lam)
-    try:
-        return _tree(s.terms, kap, lamv, _split_stack, wanted)
-    except (FlosimError, ValueError):
-        # Term by term, both levels per term, the first failing check
-        # raises as it always has.
-        out = ([], [], [])
-        for term in s.terms:
-            for leaves, more in zip(out, _tree((term,), kap, lamv, _split_each, wanted)):
-                leaves.extend(more)
-        return out
-
-
-def _group_sum(s, kappa, lam, group):
-    """Unnormalized projection of s on one outcome group, named by its label
-    ("02") or outcomes ((0, 2)); only its leaves are built and capped."""
+def _group_sum(s, vecs, group):
+    """Unnormalized projection of s on one outcome group of the measured
+    modes vecs (in _tree's order), named by its label ("02") or outcomes
+    ((0, 2)); only its leaves are built and capped."""
     group = tuple(map(int, group))
-    leaves = _two_mode_terms(s, kappa, lam, group)
+    try:
+        leaves = _tree(s.terms, vecs, _split_stack, group)
+    except (FlosimError, ValueError):
+        # Term by term, every level per term, the first failing check
+        # raises as it always has.
+        leaves = ([], [], [])
+        for term in s.terms:
+            for out, more in zip(leaves, _tree((term,), vecs, _split_each, group)):
+                out.extend(more)
     terms = tuple(t for o in group for t in leaves[o])
     return SlaterSum(terms, s.modes, s.electrons, s.max_terms)
 
@@ -390,28 +361,36 @@ def apply_two_mode_projector(s, kappa, lam, outcome):
     """
     if outcome not in (0, 1, 2):
         raise ValueError(f"outcome must be 0, 1 or 2, got {outcome}")
-    return _group_sum(s, kappa, lam, (outcome,))
+    return _group_sum(s, check_modes(s.modes, kappa, lam)[::-1], (outcome,))
 
 
-def _two_mode_outcomes(s, kappa, lam, grouping):
-    """Each group's probability, keyed by label in grouping order, from
-    the norm n, parity par and empty weight p0 of s itself: outcome 1 has
-    (n - par)/2, outcomes 0 and 2 (n + par)/2, outcome 2 that minus p0.
-    Each is clamped at 0, as sum_norm clamps.  Nothing is projected."""
-    if grouping not in GROUPINGS:
-        raise ValueError(f"unknown grouping {grouping!r}")
-    m = np.column_stack(_measured_pair(s, kappa, lam)[::-1])  # [lambda kappa]
-    if grouping == "0/12":
+def project_single_mode(s, kappa, outcome):
+    """Exact unnormalized single-mode occupation projector on a sum."""
+    if outcome not in (0, 1):
+        raise ValueError(f"outcome must be 0 or 1, got {outcome}")
+    return _group_sum(s, check_modes(s.modes, kappa), (outcome,))
+
+
+def _probabilities(s, vecs, groups):
+    """Each group's probability, in order, for the measured modes vecs
+    (in _tree's order), from the norm n, the weight p0 with every measured
+    mode empty and the parity par of s itself: outcome 0 has p0 and the
+    other outcomes n - p0; of two modes, outcome 1 has (n - par)/2,
+    outcomes 0 and 2 (n + par)/2 and outcome 2 that minus p0.  Each is
+    clamped at 0, as sum_norm clamps.  Nothing is projected."""
+    m = np.column_stack(vecs)
+    if groups in (ONE_MODE, GROUPINGS["0/12"]):
         n, p0 = _expectations(s, m, (0, 1))
-        probs = {"0": p0, "12": n - p0}
-    elif grouping == "02/1":
+        probs = [p0, n - p0]
+    elif groups == GROUPINGS["02/1"]:
         n, par = _expectations(s, m, (0, 2))
-        probs = {"02": (n + par) / 2, "1": (n - par) / 2}
+        probs = [(n + par) / 2, (n - par) / 2]
     else:
         n, par, p0 = _expectations(s, m, (0, 2, 1))
         p2 = (n + par) / 2 - p0
-        probs = {"0": p0, "1": (n - par) / 2, "2": p2, "01": n - p2}
-    return {label: max(probs[label], 0.0) for label in map(group_label, GROUPINGS[grouping])}
+        table = {(0,): p0, (1,): (n - par) / 2, (2,): p2, (0, 1): n - p2}
+        probs = [table[g] for g in groups]
+    return [max(p, 0.0) for p in probs]
 
 
 def _pick(labels, probs, forced, rng):
@@ -428,6 +407,19 @@ def _pick(labels, probs, forced, rng):
     return next((i for i, acc in enumerate(accumulate(probs)) if u < acc), len(probs) - 1)
 
 
+def _measure(s, vecs, groups, forced, rng):
+    """Measure the modes vecs (in _tree's order) under groups: every
+    group's probability, the pick, the PROB_FLOOR check, and only then the
+    chosen group, built and renormalized.  Returns (index, p, post)."""
+    probs = _probabilities(s, vecs, groups)
+    labels = [group_label(g) for g in groups]
+    i = _pick(labels, probs, forced, rng)
+    if probs[i] < PROB_FLOOR:
+        shown = labels[i] if len(vecs) == 1 else repr(labels[i])
+        raise ImpossibleOutcome(f"outcome {shown} has probability {probs[i]:.3e}")
+    return i, probs[i], scale_sum(_group_sum(s, vecs, groups[i]), 1.0 / np.sqrt(probs[i]))
+
+
 def measure_two_mode(s, kappa, lam, grouping, forced=None, rng=None):
     """Measure total occupation of two orthogonal modes under a grouping.
 
@@ -435,35 +427,11 @@ def measure_two_mode(s, kappa, lam, grouping, forced=None, rng=None):
     (label, probability, post) with post renormalized; merged groups
     concatenate their outcomes' terms.  Only the chosen group is built.
     """
-    probs = _two_mode_outcomes(s, kappa, lam, grouping)
-    label = list(probs)[_pick(list(probs), list(probs.values()), forced, rng)]
-    post = _group_sum(s, kappa, lam, label)
-    return label, probs[label], collapse(post, probs[label], repr(label))
-
-
-def project_single_mode(s, kappa, outcome):
-    """Exact unnormalized single-mode occupation projector on a sum."""
-    if outcome not in (0, 1):
-        raise ValueError(f"outcome must be 0 or 1, got {outcome}")
-    return _single_mode_sums(s, kappa)[int(outcome)]
-
-
-def collapse(projected, prob, label):
-    """Renormalize the projection of a chosen outcome of probability prob.
-
-    Raises ImpossibleOutcome when prob is below PROB_FLOOR.
-    """
-    if prob < PROB_FLOOR:
-        raise ImpossibleOutcome(f"outcome {label} has probability {prob:.3e}")
-    return scale_sum(projected, 1.0 / np.sqrt(prob))
-
-
-def single_mode_branches(s, kappa):
-    """Unnormalized projections of a sum on occupations 0 and 1 of kappa,
-    and their probabilities p0 (kappa empty) and n - p0, clamped at 0."""
-    projected = _single_mode_sums(s, kappa)
-    n, p0 = _expectations(s, check_mode(kappa, s.modes)[:, None], (0, 1))
-    return projected, [max(p0, 0.0), max(n - p0, 0.0)]
+    if grouping not in GROUPINGS:
+        raise ValueError(f"unknown grouping {grouping!r}")
+    groups = GROUPINGS[grouping]
+    i, prob, post = _measure(s, check_modes(s.modes, kappa, lam)[::-1], groups, forced, rng)
+    return group_label(groups[i]), prob, post
 
 
 def measure_mode_sum(s, kappa, forced=None, rng=None):
@@ -472,9 +440,7 @@ def measure_mode_sum(s, kappa, forced=None, rng=None):
     Returns (outcome, probability, post) exactly like measure_mode but
     with SlaterSum states on both ends.
     """
-    projected, probs = single_mode_branches(s, kappa)
-    idx = _pick(["0", "1"], probs, forced, rng)
-    return idx, probs[idx], collapse(projected[idx], probs[idx], idx)
+    return _measure(s, check_modes(s.modes, kappa), ONE_MODE, forced, rng)
 
 
 def reduce_to_two_fermion(s, kappa, lam):
@@ -494,7 +460,7 @@ def reduce_to_two_fermion(s, kappa, lam):
         float(np.max(np.abs(kap[context]), initial=0.0)),
         float(np.max(np.abs(lamv[context]), initial=0.0)),
     )
-    if overlap > 1e-10:
+    if overlap > ORTHOGONAL_TOL:
         raise BadContext(
             f"measured modes overlap the context modes 2..{n - 1} by {overlap:.3e}"
         )

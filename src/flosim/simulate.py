@@ -22,19 +22,21 @@ from .linalg import one_body_unitary
 from .multislater import (
     DEFAULT_MAX_TERMS,
     GROUPINGS,
+    ONE_MODE,
     SlaterSum,
     _group_sum,
-    _two_mode_outcomes,
-    collapse,
+    _probabilities,
     evolve_sum,
+    group_label,
     measure_mode_sum,
     measure_two_mode,
-    single_mode_branches,
+    scale_sum,
 )
 from .slater import (
     PROB_FLOOR,
     SlaterState,
     check_mode,
+    check_modes,
     evolve,
     split_mode,
     standard_state,
@@ -42,15 +44,6 @@ from .slater import (
 
 CERTAINTY_TOL = 1e-9
 PARITY_GROUPING = "02/1"
-
-# Groups whose projector maps one determinant to one determinant, per
-# grouping tag, in the branch-preference order (lowest label first).
-SINGLE_TERM_GROUPS = {
-    "012": ("0", "2"),
-    "01/2": ("2",),
-    "0/12": ("0",),
-    PARITY_GROUPING: (),
-}
 
 POLICIES = ("sample", "forced", "exact")
 
@@ -148,16 +141,21 @@ def _steer(idx, probs, admissible):
             return label, probs[label], False
     raise NoAdmissibleBranch(
         f"step {idx}: no certain outcome and every determinant-preserving "
-        "branch has probability below 1e-12; the probabilities are inconsistent"
+        f"branch has probability below {PROB_FLOOR:g}; the probabilities are inconsistent"
     )
 
 
-def _steer_two_mode(idx, s, kap, lam, grouping):
-    """The exact policy's two-mode step: (label, p, post or None if certain).
-    Only the steered group is projected, and nothing when certain."""
-    probs = _two_mode_outcomes(s, kap, lam, grouping)
-    label, prob, certain = _steer(idx, probs, SINGLE_TERM_GROUPS[grouping])
-    post = None if certain else collapse(_group_sum(s, kap, lam, label), prob, repr(label))
+def _steer_modes(idx, s, vecs, groups):
+    """The exact policy's step on a sum s measuring the modes vecs
+    ((lambda, kappa) or (kappa,)) under groups: (label, p, post or None
+    if certain).  Admissible are the single outcomes with every measured
+    mode empty or every one filled, whose projectors keep one determinant,
+    lowest label first.  Only the steered group is built, and nothing
+    when certain."""
+    probs = dict(zip(map(group_label, groups), _probabilities(s, vecs, groups)))
+    admissible = [group_label(g) for g in groups if g in ((0,), (len(vecs),))]
+    label, prob, certain = _steer(idx, probs, admissible)
+    post = None if certain else scale_sum(_group_sum(s, vecs, label), 1.0 / np.sqrt(prob))
     return label, prob, post
 
 
@@ -198,10 +196,9 @@ def simulate_exact_branch(circuit, d, n, initial=None):
             if not certain:
                 state = children[int(label)][1]
         else:
-            lam = check_mode(step.lam, d)
-            label, prob, post = _steer_two_mode(
-                idx, SlaterSum.from_state(state), kap, lam, step.grouping
-            )
+            vecs = check_modes(d, kap, step.lam)[::-1]
+            s = SlaterSum.from_state(state)
+            label, prob, post = _steer_modes(idx, s, vecs, GROUPINGS[step.grouping])
             if post is not None:
                 coeff, term = post.terms[0]
                 state = SlaterState(term.orbitals, term.amplitude * coeff)
@@ -235,10 +232,8 @@ def simulate_sampled(circuit, d, n, seed=0, initial=None, max_terms=DEFAULT_MAX_
         kap = check_mode(step.kappa, d)
         if isinstance(step, MeasureOne):
             if step.policy == "exact":
-                projected, (p0, p1) = single_mode_branches(state, kap)
-                label, prob, certain = _steer(idx, {"0": p0, "1": p1}, ("0", "1"))
-                if not certain:
-                    state = collapse(projected[int(label)], prob, int(label))
+                label, prob, post = _steer_modes(idx, state, (kap,), ONE_MODE)
+                state = state if post is None else post
             else:
                 outcome, prob, state = measure_mode_sum(state, kap, forced=forced, rng=rng)
                 label = str(outcome)
@@ -255,7 +250,8 @@ def simulate_sampled(circuit, d, n, seed=0, initial=None, max_terms=DEFAULT_MAX_
                     "grouping '02/1'"
                 )
             else:
-                label, prob, post = _steer_two_mode(idx, state, kap, lam, step.grouping)
+                vecs = check_modes(d, kap, lam)[::-1]
+                label, prob, post = _steer_modes(idx, state, vecs, GROUPINGS[step.grouping])
                 state = state if post is None else post
         cumulative *= prob
         terms = state.term_count

@@ -21,6 +21,7 @@ from .errors import (
     DimensionMismatch,
     FlosimError,
     ImpossibleOutcome,
+    ModesNotOrthogonal,
     NotInSpan,
     NotUnitary,
 )
@@ -113,6 +114,15 @@ def check_mode(v, d):
     if not abs(norm - 1.0) <= MODE_NORM_TOL:
         raise FlosimError(f"mode vector norm {norm:.12f} is not 1")
     return vec
+
+
+def check_modes(d, *vecs):
+    """check_mode on each measured mode vector in turn; two of them, kappa
+    then lambda, must also be orthogonal.  Returns the checked vectors."""
+    out = tuple(check_mode(v, d) for v in vecs)
+    if len(out) == 2 and (ip := abs(np.vdot(*out))) > ORTHOGONAL_TOL:
+        raise ModesNotOrthogonal(f"<kappa|lambda> = {ip:.3e}")
+    return out
 
 
 def standard_state(d, n):

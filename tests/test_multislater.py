@@ -45,12 +45,14 @@ from flosim.slater import (
 )
 from flosim.multislater import (
     GROUPINGS,
+    ONE_MODE,
     SlaterSum,
+    _group_sum,
     _overlap_total,
+    _probabilities,
     _split_batch,
     _split_stack,
-    _group_sum,
-    _two_mode_terms,
+    _tree,
     apply_two_mode_projector,
     evolve_sum,
     generic_p1_study,
@@ -60,7 +62,6 @@ from flosim.multislater import (
     project_single_mode,
     reduce_to_two_fermion,
     scale_sum,
-    single_mode_branches,
     slater_number_two_fermion,
     sum_norm,
     two_fermion_w,
@@ -381,12 +382,18 @@ def reference_two_mode_terms(s, kap, lam, outcome):
     return out
 
 
-def reference_single_mode(s, kap, want):
+def reference_single_leaves(s, kap, want):
+    """Projected terms of one single-mode outcome, term by term."""
     terms = []
     for coeff, state in s.terms:
         res = reference_term_project(state, kap, want)
         if res is not None:
             terms.append((coeff * res[0], res[1]))
+    return terms
+
+
+def reference_single_mode(s, kap, want):
+    terms = reference_single_leaves(s, kap, want)
     return SlaterSum(tuple(terms), s.modes, s.electrons, s.max_terms)
 
 
@@ -473,7 +480,7 @@ class TestSplitTree:
     def test_bitwise_equal_to_projection_chain(self, placement, data):
         d, n, terms, kap, lam = data.draw(projection_recipes(placement))
         s = SlaterSum(terms, d, n)
-        tree = _two_mode_terms(s, kap, lam, ALL_OUTCOMES)
+        tree = _tree(s.terms, (lam, kap), _split_stack, ALL_OUTCOMES)
         groups = two_mode_groups(s, kap, lam, "012")
         for outcome in (0, 1, 2):
             ref = reference_two_mode_terms(s, kap, lam, outcome)
@@ -483,12 +490,12 @@ class TestSplitTree:
             assert terms_bits(got) == terms_bits(ref_sum)
             assert terms_bits(groups[str(outcome)].terms) == terms_bits(ref_sum)
         for vec in (kap, lam):
-            branches, _ = single_mode_branches(s, vec)
+            leaves = _tree(s.terms, (vec,), _split_stack, (0, 1))
             for want in (0, 1):
                 ref = reference_single_mode(s, vec, want).terms
                 got = project_single_mode(s, vec, want).terms
                 assert terms_bits(got) == terms_bits(ref)
-                assert terms_bits(branches[want].terms) == terms_bits(ref)
+                assert terms_bits(SlaterSum(tuple(leaves[want]), d, n).terms) == terms_bits(ref)
                 for _, state in terms:
                     new = split_mode(state, vec)[1][want]
                     old = reference_term_project(state, vec, want)
@@ -545,8 +552,8 @@ def reference_split(state, vec):
 
 
 def reference_tree(s, kap, lam, split=reference_split):
-    """_two_mode_terms term by term, both tree levels per term, as the
-    leaves were listed before the stacked kernel."""
+    """_tree's two-mode leaves term by term, both tree levels per term, as
+    the leaves were listed before the stacked kernel."""
     out = ([], [], [])
     for coeff, state in s.terms:
         by_lam = split(state, lam)
@@ -560,6 +567,12 @@ def reference_tree(s, kap, lam, split=reference_split):
 
 
 ALL_OUTCOMES = (0, 1, 2)
+
+
+def outcome_probs(s, kap, lam, grouping):
+    """_probabilities of a two-mode measurement, keyed by group label."""
+    groups = GROUPINGS[grouping]
+    return dict(zip(map(group_label, groups), _probabilities(s, (lam, kap), groups)))
 
 
 def two_mode_groups(s, kap, lam, grouping):
@@ -639,9 +652,12 @@ class TestSplitKernel:
             assert [split_bits(p) for p in _split_stack(states, vec)] == ref
             if states and n >= 2:
                 assert [split_bits(p) for p in _split_batch(states, vec)] == ref
+            s = SlaterSum(terms, d, n)
+            for want in (0, 1):
+                got = _tree(s.terms, (vec,), _split_stack, (want,))[want]
+                assert terms_bits(got) == terms_bits(reference_single_leaves(s, vec, want))
             if lam is not None:
-                s = SlaterSum(terms, d, n)
-                tree = _two_mode_terms(s, vec, lam, ALL_OUTCOMES)
+                tree = _tree(s.terms, (lam, vec), _split_stack, ALL_OUTCOMES)
                 for got, want in zip(tree, reference_tree(s, vec, lam)):
                     assert terms_bits(got) == terms_bits(want)
 
@@ -688,7 +704,8 @@ class TestStackedChecks:
         with mock.patch.object(multislater, "SPLIT_BATCH", batch):
             for want in (0, 1):
                 assert raised(project_single_mode, s, kap, want) == ref
-            assert raised(_two_mode_terms, s, kap, lam, ALL_OUTCOMES) == tree_ref
+                assert raised(measure_mode_sum, s, kap, want) == ref
+            assert raised(_group_sum, s, (lam, kap), ALL_OUTCOMES) == tree_ref
             assert raised(measure_two_mode, s, kap, lam, "02/1", "02") == tree_ref
 
     @pytest.mark.parametrize("batch", [7, multislater.SPLIT_BATCH])
@@ -705,7 +722,7 @@ class TestStackedChecks:
         assert ref == raised(split_mode, s.terms[3][1], kap)
         assert ref != raised(split_mode, s.terms[5][1], lam)
         with mock.patch.object(multislater, "SPLIT_BATCH", batch):
-            assert raised(_two_mode_terms, s, kap, lam, ALL_OUTCOMES) == ref
+            assert raised(_group_sum, s, (lam, kap), ALL_OUTCOMES) == ref
 
     def test_nan_term_passes_through_as_per_term(self):
         """A NaN orbital makes alpha NaN, so the per-term split leaves the
@@ -719,10 +736,13 @@ class TestStackedChecks:
         terms[2] = (0.5, SlaterState._checked(orbitals, 1.0 + 0.0j))
         s = SlaterSum(tuple(terms), d, n)
         kap, lam = u[:, 0], u[:, 1]
-        tree = _two_mode_terms(s, kap, lam, ALL_OUTCOMES)
+        tree = _tree(s.terms, (lam, kap), _split_stack, ALL_OUTCOMES)
         for got, want in zip(tree, reference_tree(s, kap, lam)):
             assert terms_bits(got) == terms_bits(want)
         assert any(st_ is terms[2][1] for _, st_ in tree[0])
+        single = _tree(s.terms, (kap,), _split_stack, (0, 1))
+        for want in (0, 1):
+            assert terms_bits(single[want]) == terms_bits(reference_single_leaves(s, kap, want))
         assert raised(measure_two_mode, s, kap, lam, "012", "0") == (
             ValueError,
             "matrix entries must be finite",
@@ -754,7 +774,9 @@ def pruned_tree_cases(draw, t):
 class TestPrunedTree:
     """A measurement builds only the leaves of its chosen group.  Each
     group built alone is bitwise the full tree's group (two_mode_groups),
-    in every grouping: coefficients, amplitudes and orbital bytes."""
+    in every grouping, and each single-mode outcome the per-term
+    projection (reference_single_mode): coefficients, amplitudes and
+    orbital bytes."""
 
     # t = 1 takes split_mode, t >= 2 the stacked kernel, 33 two batches.
     @pytest.mark.parametrize("t", [1, 2, 9, 33])
@@ -764,9 +786,10 @@ class TestPrunedTree:
         s, kap, lam = data.draw(pruned_tree_cases(t))
         for grouping in GROUPINGS:
             full = two_mode_groups(s, kap, lam, grouping)
-            probs = multislater._two_mode_outcomes(s, kap, lam, grouping)
+            probs = outcome_probs(s, kap, lam, grouping)
             for label, group in full.items():
-                assert terms_bits(_group_sum(s, kap, lam, label).terms) == terms_bits(group.terms)
+                got = _group_sum(s, (lam, kap), label)
+                assert terms_bits(got.terms) == terms_bits(group.terms)
                 if probs[label] >= PROB_FLOOR:
                     post = measure_two_mode(s, kap, lam, grouping, forced=label)[2]
                     want = scale_sum(group, 1.0 / np.sqrt(probs[label]))
@@ -775,6 +798,16 @@ class TestPrunedTree:
                 for outcome in ALL_OUTCOMES:
                     got = apply_two_mode_projector(s, kap, lam, outcome)
                     assert terms_bits(got.terms) == terms_bits(full[str(outcome)].terms)
+        for vec in (kap, lam):
+            probs = _probabilities(s, (vec,), ONE_MODE)
+            for outcome in (0, 1):
+                want = reference_single_mode(s, vec, outcome)
+                got = _group_sum(s, (vec,), (outcome,))
+                assert terms_bits(got.terms) == terms_bits(want.terms)
+                if probs[outcome] >= PROB_FLOOR:
+                    post = measure_mode_sum(s, vec, forced=outcome)[2]
+                    want = scale_sum(want, 1.0 / np.sqrt(probs[outcome]))
+                    assert terms_bits(post.terms) == terms_bits(want.terms)
 
     @pytest.mark.parametrize("batch", [7, multislater.SPLIT_BATCH])
     def test_failing_term_falls_back_only_where_its_leaves_are_needed(self, batch):
@@ -782,23 +815,33 @@ class TestPrunedTree:
         its lambda-empty child is split on kappa.  Every group with
         outcome 0 or 1 splits that child, so the stack falls back term by
         term and raises the full tree's error.  Group 2 never splits it,
-        and equals the full tree's group 2 of the other terms."""
+        and equals the full tree's group 2 of the other terms.  Measured
+        alone, kappa splits term 3 and raises its error in both outcomes;
+        lambda misses its span, and both outcomes equal the per-term
+        projections."""
         d, n = 8, 3
         u, s = TestStackedChecks._sum(rng_for(95), d, n, 12, [(3, (0, 1, 2), 1e-8)])
         kap, lam = u[:, 0], u[:, 4]
         ref = raised(reference_tree, s, kap, lam, split_children)
         assert ref[0] is FlosimError and "not orthonormal" in ref[1]
         others = SlaterSum(s.terms[:3] + s.terms[4:], d, n)
+        single_ref = raised(split_mode, s.terms[3][1], kap)
         with mock.patch.object(multislater, "SPLIT_BATCH", batch):
             for grouping, groups in GROUPINGS.items():
                 for label in map(group_label, groups):
                     if label == "2":
                         want = two_mode_groups(others, kap, lam, grouping)[label]
-                        got = _group_sum(s, kap, lam, label)
+                        got = _group_sum(s, (lam, kap), label)
                         assert terms_bits(got.terms) == terms_bits(want.terms)
                     else:
-                        assert raised(_group_sum, s, kap, lam, label) == ref
+                        assert raised(_group_sum, s, (lam, kap), label) == ref
                         assert raised(measure_two_mode, s, kap, lam, grouping, label) == ref
+            for outcome in (0, 1):
+                assert raised(_group_sum, s, (kap,), (outcome,)) == single_ref
+                assert raised(measure_mode_sum, s, kap, outcome) == single_ref
+                want = reference_single_mode(s, lam, outcome)
+                got = _group_sum(s, (lam,), (outcome,))
+                assert terms_bits(got.terms) == terms_bits(want.terms)
 
     def test_outcome_0_or_2_alone_takes_two_splits_per_term(self, monkeypatch):
         """On one generic determinant the full tree splits three states;
@@ -819,8 +862,26 @@ class TestPrunedTree:
             split.clear()
             apply_two_mode_projector(s, kap, lam, outcome)
             assert len(split) == count
-            leaves = _two_mode_terms(s, kap, lam, (outcome,))
+            leaves = _tree(s.terms, (lam, kap), real, (outcome,))
             assert [bool(t) for t in leaves] == [o == outcome for o in ALL_OUTCOMES]
+
+    @pytest.mark.parametrize("kind", ["one", "two"])
+    def test_floor_is_checked_before_building(self, kind):
+        """A forced outcome of probability 0 raises ImpossibleOutcome
+        before any term is split: mode 0 is filled and mode 2 empty, so
+        outcome 0 of mode 0 and group 02 of the pair are impossible."""
+        s = SlaterSum.from_state(standard_state(4, 2), max_terms=1)
+        e = np.eye(4, dtype=complex)
+        unused = mock.Mock(side_effect=AssertionError("a term was split"))
+        with mock.patch.object(multislater, "_split_stack", unused), \
+                mock.patch.object(multislater, "split_mode", unused):
+            if kind == "one":
+                with pytest.raises(ImpossibleOutcome, match=r"^outcome 0 has probability"):
+                    measure_mode_sum(s, e[:, 0], forced=0)
+            else:
+                with pytest.raises(ImpossibleOutcome, match=r"^outcome '02' has probability"):
+                    measure_two_mode(s, e[:, 0], e[:, 2], "02/1", forced="02")
+        unused.assert_not_called()
 
 
 def eager_pick(sums, rng):
@@ -917,7 +978,7 @@ class TestLazyPick:
         d = 5
         s = parity_grown_sum(rng, d, 2, 3)
         kap = random_orthogonal_pair(rng, d)[0]
-        branches, _ = single_mode_branches(s, kap)
+        branches = [project_single_mode(s, kap, outcome) for outcome in (0, 1)]
         picked = set()
         for seed in range(50):
             got_rng, eager = rng_for(seed), rng_for(seed)
@@ -973,15 +1034,16 @@ def assert_probabilities_match_norms(s, kap, lam):
     sum_norm(group) ** 2, and every possible post-state normalized."""
     for grouping in GROUPINGS:
         groups = two_mode_groups(s, kap, lam, grouping)
-        probs = multislater._two_mode_outcomes(s, kap, lam, grouping)
+        probs = outcome_probs(s, kap, lam, grouping)
         assert list(probs) == list(groups)
         for label, group in groups.items():
             assert_close_probability(probs[label], sum_norm(group) ** 2)
             if probs[label] >= PROB_FLOOR:
                 post = measure_two_mode(s, kap, lam, grouping, forced=label)[2]
                 assert abs(sum_norm(post) - 1.0) <= 1e-12
-    branches, probs = single_mode_branches(s, kap)
-    for outcome, branch in enumerate(branches):
+    probs = _probabilities(s, (kap,), ONE_MODE)
+    for outcome in (0, 1):
+        branch = project_single_mode(s, kap, outcome)
         assert_close_probability(probs[outcome], sum_norm(branch) ** 2)
         if probs[outcome] >= PROB_FLOOR:
             post = measure_mode_sum(s, kap, forced=outcome)[2]
@@ -1007,10 +1069,10 @@ class TestOutcomeProbabilities:
         s = SlaterSum((), 4, 2)
         kap, lam = standard_mode(4, 0), standard_mode(4, 1)
         for grouping in GROUPINGS:
-            probs = multislater._two_mode_outcomes(s, kap, lam, grouping)
-            assert list(probs) == [group_label(g) for g in GROUPINGS[grouping]]
-            assert set(probs.values()) == {0.0}
-        assert single_mode_branches(s, kap)[1] == [0.0, 0.0]
+            assert _probabilities(s, (lam, kap), GROUPINGS[grouping]) == [0.0] * len(
+                GROUPINGS[grouping]
+            )
+        assert _probabilities(s, (kap,), ONE_MODE) == [0.0, 0.0]
 
 
 class TestApplyTwoModeProjector:
@@ -1038,8 +1100,8 @@ class TestApplyTwoModeProjector:
         s = SlaterSum.from_state(standard_state(4, 2))
         kap, lam = standard_mode(4, 0), standard_mode(4, 1)
         unused = mock.Mock(side_effect=AssertionError("projections were built"))
-        with mock.patch.object(multislater, "_two_mode_terms", unused), \
-                mock.patch.object(multislater, "_single_mode_sums", unused):
+        with mock.patch.object(multislater, "_group_sum", unused), \
+                mock.patch.object(multislater, "_tree", unused):
             for outcome in (3, -1, "1", None):
                 with pytest.raises(ValueError, match="outcome must be 0, 1 or 2"):
                     apply_two_mode_projector(s, kap, lam, outcome)
@@ -1230,6 +1292,19 @@ class TestMeasureModeSum:
         s = SlaterSum.from_state(standard_state(4, 2))
         with pytest.raises(ImpossibleOutcome):
             measure_mode_sum(s, standard_mode(4, 3), forced=1)
+
+    def test_builds_only_its_outcome(self):
+        """One SlaterSum for the kept outcome's projection and one for its
+        renormalization; the other outcome is never built."""
+        rng = rng_for(75)
+        s = random_two_term_sum(rng, 5, 2)
+        kap = random_mode(rng, 5)
+        for outcome in (0, 1):
+            with mock.patch.object(multislater, "SlaterSum", wraps=SlaterSum) as built:
+                _, prob, post = measure_mode_sum(s, kap, forced=outcome)
+            assert built.call_count == 2
+            want = scale_sum(project_single_mode(s, kap, outcome), 1.0 / np.sqrt(prob))
+            assert terms_bits(post.terms) == terms_bits(want.terms)
 
 
 class TestNearSpanMode:

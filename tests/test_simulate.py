@@ -18,7 +18,6 @@ from flosim.errors import NoAdmissibleBranch, ParityGroupingUnsupported
 from flosim.slater import SlaterState, standard_state
 from flosim.multislater import (
     SlaterSum,
-    _two_mode_outcomes,
     evolve_sum,
     measure_mode_sum,
     measure_two_mode,
@@ -429,7 +428,7 @@ class TestSteeringRule:
         rotated = SlaterSum.from_state(SlaterState(u @ np.eye(d, n)))
         rows, cumulative = [], 1.0
         for idx, (grouping, i, j, label) in enumerate(steps, start=1):
-            prob = _two_mode_outcomes(rotated, e[:, i], e[:, j], grouping)[label]
+            prob = measure_two_mode(rotated, e[:, i], e[:, j], grouping, forced=label)[1]
             assert prob >= 1 - 1e-9
             cumulative *= prob
             rows.append(TranscriptRow(idx, "measure2", label, prob, cumulative, 1))
@@ -447,6 +446,27 @@ class TestSteeringRule:
         assert np.array_equal(state.orbitals, u @ np.eye(d, n))
         (coeff, term), = total.terms
         assert coeff == 1.0 and np.array_equal(term.orbitals, state.orbitals)
+
+    def test_certain_measure1_on_a_sum_builds_nothing(self, monkeypatch):
+        """A certain single-mode exact step of simulate_sampled records its
+        row without splitting a term: mode 0 of the standard state is
+        filled and mode 5 empty."""
+        e = np.eye(6, dtype=complex)
+        circuit = [MeasureOne(e[:, 0], policy="exact"), MeasureOne(e[:, 5], policy="exact")]
+        calls = []
+        for module, name in ((multislater, "_split_stack"), (multislater, "split_mode")):
+            real = getattr(module, name)
+            monkeypatch.setattr(
+                module, name, lambda *a, real=real, name=name: calls.append(name) or real(*a)
+            )
+        transcript, final = simulate_sampled(circuit, 6, 3, seed=0)
+        assert calls == []
+        assert transcript.rows == (
+            TranscriptRow(0, "measure1", "1", 1.0, 1.0, 1),
+            TranscriptRow(1, "measure1", "0", 1.0, 1.0, 1),
+        )
+        (coeff, term), = final.terms
+        assert coeff == 1.0 and np.array_equal(term.orbitals, np.eye(6, 3))
 
     def test_vacuum_measure1_is_certain_in_both_executors(self):
         """The vacuum reports occupation 0 with probability exactly 1,

@@ -1,11 +1,18 @@
 """The benchmark's traced run (perfbench/tracing.py) wraps flosim
 functions that it looks up by module and name, so a refactor that
-moves or renames one of them crashes `perfbench/run.py --trace 1`.
-This reads the tracer's TARGETS without importing or changing it."""
+moves or renames one of them crashes `perfbench/run.py --trace 1`, and
+one that routes work around them zeroes their counters.  This reads the
+tracer's TARGETS without importing or changing it."""
 
 import ast
 import importlib
 from pathlib import Path
+from unittest import mock
+
+import numpy as np
+
+from flosim import simulate
+from flosim.simulate import MeasureOne, MeasureTwo, simulate_sampled
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -29,3 +36,24 @@ def test_every_traced_name_is_bound_in_its_module():
         if not callable(getattr(importlib.import_module(f"flosim.{module}"), name, None))
     ]
     assert missing == []
+
+
+def test_sampled_measurements_go_through_the_traced_names():
+    """simulate_sampled's sampled and forced steps of both kinds call the
+    names simulate binds, which the tracer wraps; a call straight into a
+    private body would leave their counters at 0."""
+    e = np.eye(4, dtype=complex)
+    kap, lam = (e[:, 0] + e[:, 2]) / np.sqrt(2), (e[:, 1] - e[:, 3]) / np.sqrt(2)
+    circuit = [
+        MeasureOne(kap, policy="forced", outcome=1),
+        MeasureOne(kap, policy="sample"),
+        MeasureTwo(kap, lam, "012", policy="forced", outcome="1"),
+        MeasureTwo(kap, lam, "012", policy="sample"),
+    ]
+    one = mock.Mock(wraps=simulate.measure_mode_sum)
+    two = mock.Mock(wraps=simulate.measure_two_mode)
+    with mock.patch.object(simulate, "measure_mode_sum", one), \
+            mock.patch.object(simulate, "measure_two_mode", two):
+        transcript, _ = simulate_sampled(circuit, 4, 2, seed=5)
+    assert len(transcript.rows) == 4
+    assert one.call_count == 2 and two.call_count == 2
