@@ -35,23 +35,14 @@ from .linalg import pfaffian
 from .multislater import (
     DEFAULT_MAX_TERMS,
     SlaterSum,
-    evolve_sum,
     generic_p1_study,
-    measure_mode_sum,
-    measure_two_mode,
     scale_sum,
     slater_number_two_fermion,
     sum_norm,
     two_fermion_w,
 )
-from .simulate import (
-    MeasureOne,
-    MeasureTwo,
-    Rotate,
-    simulate_exact_branch,
-    simulate_sampled,
-)
-from .slater import SlaterState, check_mode, standard_state
+from .simulate import MeasureOne, sampled_steps, simulate_exact_branch, transcript_of
+from .slater import SlaterState
 
 RNG_NAME = "numpy-default-pcg64"
 ORACLE_TOL = 1e-8
@@ -72,53 +63,40 @@ def _print_lines(lines, handle=None):
         out.write(line + "\n")
 
 
-def _oracle_replay(circuit, transcript):
-    """Re-run sampled outcomes against the dense reference.
+def _oracle_judge(steps, records):
+    """Judge a sampled run on the dense reference, step by step.
 
-    Returns (max probability deviation, min post-state fidelity) over
-    every step of the trajectory the transcript records.
+    records are the run's own simulate.sampled_steps records.  The dense
+    vector starts from the run's start state, takes each rotation's
+    recorded unitary and projects on each measurement's recorded outcome.
+    Returns (max deviation of the recorded probabilities, min fidelity of
+    the recorded states) over every step.
     """
-    d, n = circuit.modes, circuit.electrons
-    rows = {row.step: row for row in transcript.rows}
-    state = SlaterSum.from_state(standard_state(d, n))
-    vec = fock.expand(standard_state(d, n))
     max_dev = 0.0
     min_fid = 1.0
-    for idx, step in enumerate(circuit.steps):
-        if isinstance(step, Rotate):
-            u = step.resolve()
-            state = evolve_sum(state, u)
+    for idx, u, row, state in records:
+        if idx is None:
+            vec = fock.expand_sum(state)
+            continue
+        if u is not None:
             vec = fock.unitary_apply(vec, u)
-        elif isinstance(step, MeasureOne):
-            row = rows[idx]
-            kap = check_mode(step.kappa, d)
-            outcome = int(row.outcome)
-            _, prob, state = measure_mode_sum(state, kap, forced=outcome)
-            if outcome == 1:
-                proj = fock.creation_op_apply(
-                    fock.annihilation_op_apply(vec, kap), kap
-                )
+        else:
+            step = steps[idx]
+            if isinstance(step, MeasureOne):
+                kap = step.kappa
+                if row.outcome == "1":
+                    proj = fock.creation_op_apply(fock.annihilation_op_apply(vec, kap), kap)
+                else:
+                    proj = fock.annihilation_op_apply(fock.creation_op_apply(vec, kap), kap)
+                total = proj.amplitudes
             else:
-                proj = fock.annihilation_op_apply(
-                    fock.creation_op_apply(vec, kap), kap
-                )
-            p_oracle = fock.norm(proj) ** 2
-            max_dev = max(max_dev, abs(prob - p_oracle))
-            vec = fock.FockVector(d, proj.amplitudes / np.sqrt(p_oracle))
-        elif isinstance(step, MeasureTwo):
-            row = rows[idx]
-            kap = check_mode(step.kappa, d)
-            lam = check_mode(step.lam, d)
-            _, prob, state = measure_two_mode(
-                state, kap, lam, step.grouping, forced=row.outcome
-            )
-            total = np.zeros_like(vec.amplitudes)
-            for digit in row.outcome:
-                part = fock.two_mode_projector_apply(vec, kap, lam, int(digit))
-                total += part.amplitudes
+                total = np.zeros_like(vec.amplitudes)
+                for digit in row.outcome:
+                    part = fock.two_mode_projector_apply(vec, step.kappa, step.lam, int(digit))
+                    total += part.amplitudes
             p_oracle = float(np.linalg.norm(total)) ** 2
-            max_dev = max(max_dev, abs(prob - p_oracle))
-            vec = fock.FockVector(d, total / np.sqrt(p_oracle))
+            max_dev = max(max_dev, abs(row.probability - p_oracle))
+            vec = fock.FockVector(vec.modes, total / np.sqrt(p_oracle))
         min_fid = min(min_fid, fock.fidelity(fock.expand_sum(state), vec))
     return max_dev, min_fid
 
@@ -130,13 +108,17 @@ def cmd_simulate(args):
             f"the oracle check handles at most {ORACLE_MODE_CAP} modes, "
             f"got {circuit.modes}"
         )
-    transcript, final = simulate_sampled(
+    records = sampled_steps(
         circuit.steps,
         circuit.modes,
         circuit.electrons,
         seed=args.seed,
         max_terms=args.max_terms,
     )
+    if args.oracle_check:
+        # the whole run first, so that a simulation error wins over the judge
+        records = list(records)
+    transcript, final = transcript_of(records)
     lines = [
         "# flosim transcript",
         "# command = simulate",
@@ -149,7 +131,7 @@ def cmd_simulate(args):
     lines.append(f"# final terms = {final.term_count}")
     failure = None
     if args.oracle_check:
-        max_dev, min_fid = _oracle_replay(circuit, transcript)
+        max_dev, min_fid = _oracle_judge(circuit.steps, records)
         lines.append(f"# oracle max probability deviation = {max_dev:.3e}")
         lines.append(f"# oracle min fidelity = {min_fid:.12f}")
         if max_dev > ORACLE_TOL or min_fid < 1.0 - ORACLE_TOL:
@@ -307,7 +289,7 @@ def build_parser():
     p_sim.add_argument(
         "--oracle-check",
         action="store_true",
-        help="replay against the dense reference (needs at most 6 modes)",
+        help="judge each step of the run on the dense reference (needs at most 6 modes)",
     )
     p_sim.add_argument("--max-terms", type=int, default=DEFAULT_MAX_TERMS)
     p_sim.set_defaults(func=cmd_simulate)

@@ -6,8 +6,9 @@ determinant and, at every measurement, either records an outcome that
 is already certain or steers into a branch whose projector preserves
 determinant form.  simulate_sampled is the reference executor: it
 carries a full SlaterSum, supports every grouping including parity,
-and draws outcomes from a seeded generator.  Both take the exact
-policy's branch by the same certainty-or-steer rule (_steer).
+and draws outcomes from a seeded generator, yielding every step's
+record (sampled_steps).  Both take the exact policy's branch by the
+same certainty-or-steer rule (_steer).
 """
 
 from dataclasses import dataclass
@@ -207,53 +208,66 @@ def simulate_exact_branch(circuit, d, n, initial=None):
     return Transcript(tuple(rows)), state
 
 
-def simulate_sampled(circuit, d, n, seed=0, initial=None, max_terms=DEFAULT_MAX_TERMS):
+def sampled_steps(circuit, d, n, seed=0, initial=None, max_terms=DEFAULT_MAX_TERMS):
     """Run a circuit on a full determinant sum, sampling outcomes.
 
-    Per-step policies: "sample" draws from the seeded generator,
-    "forced" takes the step's outcome, "exact" applies the same branch
-    rule as simulate_exact_branch.  All four groupings are supported;
-    parity measurements grow the term count and may hit the cap.
-
-    Returns (transcript, final SlaterSum).
+    Yields (index, unitary, row, state): first (None, None, None, start),
+    then per step its index, a rotation's resolved unitary or a
+    measurement's TranscriptRow, and the sum after it.  Policies:
+    "sample" draws from the seeded generator, "forced" takes the step's
+    outcome, "exact" applies simulate_exact_branch's rule.  All four
+    groupings are supported; parity measurements grow the term count and
+    may hit the cap.
     """
     rng = np.random.default_rng(seed)
     start = initial if initial is not None else standard_state(d, n)
     state = SlaterSum.from_state(start, max_terms=max_terms)
-    rows = []
+    yield None, None, None, state
     cumulative = 1.0
     for idx, step in enumerate(circuit):
         if isinstance(step, Rotate):
-            state = evolve_sum(state, step.resolve())
+            u = step.resolve()
+            state = evolve_sum(state, u)
+            yield idx, u, None, state
             continue
         if not isinstance(step, (MeasureOne, MeasureTwo)):
             raise TypeError(f"step {idx}: not a circuit step: {step!r}")
-        forced = step.outcome if step.policy == "forced" else None
-        kap = check_mode(step.kappa, d)
-        if isinstance(step, MeasureOne):
-            if step.policy == "exact":
-                label, prob, post = _steer_modes(idx, state, (kap,), ONE_MODE)
-                state = state if post is None else post
-            else:
-                outcome, prob, state = measure_mode_sum(state, kap, forced=forced, rng=rng)
+        if step.policy != "exact":
+            forced = step.outcome if step.policy == "forced" else None
+            if isinstance(step, MeasureOne):
+                outcome, prob, state = measure_mode_sum(state, step.kappa, forced=forced, rng=rng)
                 label = str(outcome)
-        else:
-            lam = check_mode(step.lam, d)
-            if step.policy != "exact":
-                label, prob, state = measure_two_mode(
-                    state, kap, lam, step.grouping, forced=forced, rng=rng
-                )
-            elif step.grouping == PARITY_GROUPING:
-                raise ParityGroupingUnsupported(
-                    f"step {idx}: the exact-branch rule has no "
-                    "determinant-preserving outcome for the parity "
-                    "grouping '02/1'"
-                )
             else:
-                vecs = check_modes(d, kap, lam)[::-1]
-                label, prob, post = _steer_modes(idx, state, vecs, GROUPINGS[step.grouping])
-                state = state if post is None else post
+                label, prob, state = measure_two_mode(
+                    state, step.kappa, step.lam, step.grouping, forced=forced, rng=rng
+                )
+        else:
+            vecs, groups = (check_mode(step.kappa, d),), ONE_MODE
+            if isinstance(step, MeasureTwo):
+                lam = check_mode(step.lam, d)
+                if step.grouping == PARITY_GROUPING:
+                    raise ParityGroupingUnsupported(
+                        f"step {idx}: the exact-branch rule has no "
+                        "determinant-preserving outcome for the parity "
+                        "grouping '02/1'"
+                    )
+                vecs, groups = check_modes(d, vecs[0], lam)[::-1], GROUPINGS[step.grouping]
+            label, prob, post = _steer_modes(idx, state, vecs, groups)
+            state = state if post is None else post
         cumulative *= prob
-        terms = state.term_count
-        rows.append(TranscriptRow(idx, step.kind, label, prob, cumulative, terms))
+        row = TranscriptRow(idx, step.kind, label, prob, cumulative, state.term_count)
+        yield idx, None, row, state
+
+
+def transcript_of(records):
+    """(Transcript, final state) of a run's sampled_steps records."""
+    rows = []
+    for _, _, row, state in records:
+        if row is not None:
+            rows.append(row)
     return Transcript(tuple(rows)), state
+
+
+def simulate_sampled(circuit, d, n, seed=0, initial=None, max_terms=DEFAULT_MAX_TERMS):
+    """sampled_steps' run, collected: (transcript, final SlaterSum)."""
+    return transcript_of(sampled_steps(circuit, d, n, seed, initial, max_terms))

@@ -24,8 +24,7 @@ from conftest import (
 
 from flosim import fock
 from flosim.bands import LatticeConfig, closed_form_w0, fermi_sea, measure_origin, w_orbital
-from flosim.circuits import Circuit
-from flosim.cli import _oracle_replay
+from flosim.cli import _oracle_judge
 from flosim.errors import ImpossibleOutcome, ParityGroupingUnsupported
 from flosim.linalg import one_body_unitary, pfaffian
 from flosim.multislater import (
@@ -44,6 +43,7 @@ from flosim.simulate import (
     MeasureOne,
     MeasureTwo,
     Rotate,
+    sampled_steps,
     simulate_exact_branch,
     simulate_sampled,
 )
@@ -116,8 +116,8 @@ def test_criterion_1_oracle_equivalence_sweep():
         for step in steps:
             if isinstance(step, MeasureTwo):
                 groupings_seen.add(step.grouping)
-        transcript, _ = simulate_sampled(steps, d, n, seed=9100 + k)
-        dev, fid = _oracle_replay(Circuit(d, n, tuple(steps)), transcript)
+        records = list(sampled_steps(steps, d, n, seed=9100 + k))
+        dev, fid = _oracle_judge(steps, records)
         worst_dev = max(worst_dev, dev)
         worst_fid = min(worst_fid, fid)
     elapsed = time.perf_counter() - start

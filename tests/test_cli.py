@@ -1,8 +1,12 @@
 """End-to-end checks for the command-line front end and circuit files."""
 
 import argparse
+import dataclasses
 import json
 import re
+import sys
+from collections import Counter
+from contextlib import ExitStack
 from pathlib import Path
 from unittest import mock
 
@@ -11,7 +15,7 @@ import pytest
 from conftest import rng_for
 from hypothesis import given, settings, strategies as st
 
-from flosim import cli
+from flosim import cli, multislater
 from flosim.circuits import (
     _matrix_from_json,
     _vector_from_json,
@@ -21,7 +25,7 @@ from flosim.circuits import (
     serialize_circuit,
 )
 from flosim.errors import ParseError
-from flosim.simulate import MeasureOne, MeasureTwo, Rotate
+from flosim.simulate import MeasureOne, MeasureTwo, Rotate, sampled_steps
 
 ROOT = Path(__file__).resolve().parent.parent
 EXAMPLES = sorted((ROOT / "circuits").glob("*.json"))
@@ -364,6 +368,55 @@ class TestSimulateCommand:
         assert float(dev_line[0].rsplit("=", 1)[1]) <= 1e-8
         fid_line = [l for l in out.splitlines() if l.startswith("# oracle min fid")]
         assert float(fid_line[0].rsplit("=", 1)[1]) >= 1 - 1e-8
+
+    def test_oracle_check_judges_the_run_without_rerunning_it(self, capsys):
+        """--oracle-check makes exactly as many Slater-sum step calls as
+        the plain run, counted through every flosim module's binding of
+        them: the dense oracle judges the run's own steps."""
+        names = ("evolve_sum", "measure_mode_sum", "measure_two_mode")
+
+        def counted(real, calls):
+            def call(*args, **kwargs):
+                calls[real.__name__] += 1
+                return real(*args, **kwargs)
+            return call
+
+        def step_calls(argv):
+            calls = Counter()
+            modules = [
+                m for k, m in sys.modules.items() if k.startswith("flosim.") and m is not multislater
+            ]
+            with ExitStack() as stack:
+                for module in modules:
+                    for real in (getattr(multislater, name) for name in names):
+                        if getattr(module, real.__name__, None) is real:
+                            stack.enter_context(
+                                mock.patch.object(module, real.__name__, counted(real, calls))
+                            )
+                code, _, _ = run_cli(argv, capsys)
+            assert code == 0
+            return calls
+
+        argv = ["simulate", POLICY_MIX, "--seed", "7"]
+        plain = step_calls(argv)
+        assert set(plain) == set(names)
+        assert step_calls(argv + ["--oracle-check"]) == plain
+
+    def test_oracle_judge_reads_the_recorded_p_and_state(self):
+        """The judge compares the run's own records with the dense vector:
+        a recorded p shifted by 1e-3 shows as that deviation, and the last
+        record carrying its predecessor's state as a low fidelity."""
+        circuit = load_circuit(POLICY_MIX)
+        records = list(sampled_steps(circuit.steps, circuit.modes, circuit.electrons, seed=7))
+        dev, fid = cli._oracle_judge(circuit.steps, records)
+        assert dev <= 1e-12 and fid >= 1 - 1e-12
+        k = next(k for k, (_, _, row, _) in enumerate(records) if row is not None)
+        idx, u, row, state = records[k]
+        shifted = list(records)
+        shifted[k] = (idx, u, dataclasses.replace(row, probability=row.probability + 1e-3), state)
+        assert cli._oracle_judge(circuit.steps, shifted)[0] == pytest.approx(1e-3, rel=1e-9)
+        stale = records[:-1] + [(*records[-1][:3], records[-2][3])]
+        assert cli._oracle_judge(circuit.steps, stale)[1] < 0.5
 
     def test_oracle_check_rejects_wide_circuits(self, tmp_path, capsys):
         path = tmp_path / "wide.json"

@@ -2,6 +2,9 @@
 simulator and the sampled reference executor, replayed step by step
 against the dense oracle."""
 
+from dataclasses import replace
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -30,6 +33,7 @@ from flosim.simulate import (
     Transcript,
     TranscriptRow,
     _steer,
+    sampled_steps,
     simulate_exact_branch,
     simulate_sampled,
 )
@@ -477,3 +481,117 @@ class TestSteeringRule:
         nogo, _ = simulate_exact_branch(circuit, 2, 0)
         exact, _ = simulate_sampled(circuit, 2, 0)
         assert nogo.rows == exact.rows == (TranscriptRow(0, "measure1", "0", 1.0, 1.0, 1),)
+
+
+ALL_GROUPINGS = ("012", "01/2", "0/12", "02/1")
+
+
+def record_bits(record):
+    """A sampled_steps record with every array and complex as its bytes."""
+    idx, u, row, state = record
+    terms = [
+        (np.complex128(c).tobytes(), np.complex128(t.amplitude).tobytes(), t.orbitals.tobytes())
+        for c, t in state.terms
+    ]
+    return idx, None if u is None else u.tobytes(), row, terms
+
+
+def policy_circuit(rng, d):
+    """Random rotations and measurements of both kinds on d modes, with
+    every grouping and a policy of sample, exact or forced per step.  The
+    steps to force come back as sampled ones with their indices."""
+    steps, to_force = [], []
+    for idx in range(int(rng.integers(4, 9))):
+        if rng.random() < 0.35:
+            tau = float(rng.uniform(0.2, 1.4))
+            steps.append(Rotate(generator=random_hermitian(rng, d), tau=tau))
+            continue
+        policy = ("sample", "forced", "exact")[int(rng.integers(3))]
+        if rng.random() < 0.35:
+            step = MeasureOne(random_mode(rng, d))
+        else:
+            kap, lam = random_orthogonal_pair(rng, d)
+            step = MeasureTwo(kap, lam, ALL_GROUPINGS[int(rng.integers(4))])
+            if step.grouping == "02/1" and policy == "exact":
+                policy = "sample"
+        if policy == "forced":
+            to_force.append(idx)
+        steps.append(replace(step, policy="exact") if policy == "exact" else step)
+    return steps, to_force
+
+
+def forced_to(steps, indices, rows):
+    """steps with each step at indices forced to its row's outcome."""
+    labels = {row.step: row.outcome for row in rows}
+    out = list(steps)
+    for idx in indices:
+        label = labels[idx]
+        out[idx] = replace(
+            out[idx], policy="forced",
+            outcome=int(label) if isinstance(out[idx], MeasureOne) else label,
+        )
+    return out
+
+
+class TestSampledSteps:
+    def test_records_are_the_run(self):
+        """sampled_steps yields the start, then per step its index, a
+        rotation's resolved unitary or a measurement's row, and the state
+        after it; simulate_sampled returns those rows and the last state."""
+        circuit = generator_circuit(rng_for(120), 4, 8, ALL_GROUPINGS, "sample")
+        records = list(sampled_steps(circuit, 4, 2, seed=3))
+        assert [r[0] for r in records] == [None, *range(len(circuit))]
+        assert record_bits(records[0]) == record_bits(
+            (None, None, None, SlaterSum.from_state(standard_state(4, 2)))
+        )
+        for (idx, u, row, _), step in zip(records[1:], circuit):
+            if isinstance(step, Rotate):
+                assert row is None and np.array_equal(u, step.resolve())
+            else:
+                assert u is None and row.step == idx and row.kind == step.kind
+        transcript, final = simulate_sampled(circuit, 4, 2, seed=3)
+        assert transcript.rows == tuple(r[2] for r in records if r[2] is not None)
+        assert record_bits((0, None, None, final))[3] == record_bits(records[-1])[3]
+
+    def test_forced_rerun_is_bitwise_equal(self):
+        """Forcing every sampled measurement to the label it drew re-runs
+        the same trajectory bit for bit: each step's row (label, p,
+        cumulative, terms), unitary, coefficients, amplitudes and
+        orbitals.  Random circuits on D <= 6 mix sampled, forced and exact
+        steps over all four groupings."""
+        rng = rng_for(121)
+        seen = set()
+        for k in range(30):
+            d = int(rng.integers(3, 7))
+            n = int(rng.integers(1, d))
+            steps, to_force = policy_circuit(rng, d)
+            drawn = simulate_sampled(steps, d, n, seed=k)[0].rows
+            steps = forced_to(steps, to_force, drawn)
+            run = list(sampled_steps(steps, d, n, seed=k))
+            sampled = [i for i, s in enumerate(steps) if getattr(s, "policy", "") == "sample"]
+            rows = [r[2] for r in run if r[2] is not None]
+            rerun = sampled_steps(forced_to(steps, sampled, rows), d, n, seed=k + 1)
+            assert [record_bits(r) for r in run] == [record_bits(r) for r in rerun]
+            seen |= {(getattr(s, "grouping", "1"), s.policy) for s in steps if hasattr(s, "policy")}
+        assert {g for g, _ in seen} == {"1", *ALL_GROUPINGS}
+        assert {p for _, p in seen} == {"sample", "forced", "exact"}
+
+    @pytest.mark.parametrize("kind,calls", [("measure2", 4), ("measure1", 3)])
+    def test_measured_modes_are_checked_by_the_measure_call(self, kind, calls, monkeypatch):
+        """A forced step's executor adds no check_mode call of its own:
+        measure_two_mode / measure_mode_sum check kappa (and lambda) once,
+        and the rest are the per-term split lanes' checks.  The executor's
+        own checks made these 6 and 4."""
+        e = np.eye(4, dtype=complex)
+        kap, lam = (e[:, 0] + e[:, 2]) / np.sqrt(2), (e[:, 1] - e[:, 3]) / np.sqrt(2)
+        if kind == "measure2":
+            step = MeasureTwo(kap, lam, "012", policy="forced", outcome="1")
+        else:
+            step = MeasureOne(kap, policy="forced", outcome=1)
+        real = slater.check_mode
+        counter = mock.Mock(wraps=real)
+        for module in (slater, multislater, simulate, fock):
+            if getattr(module, "check_mode", None) is real:
+                monkeypatch.setattr(module, "check_mode", counter)
+        simulate_sampled([step], 4, 2, initial=standard_state(4, 2))
+        assert counter.call_count == calls

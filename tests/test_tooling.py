@@ -6,15 +6,18 @@ tracer's TARGETS without importing or changing it."""
 
 import ast
 import importlib
+import importlib.util
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
 
-from flosim import simulate
+from flosim import cli, simulate
 from flosim.simulate import MeasureOne, MeasureTwo, simulate_sampled
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACING = ROOT / "perfbench" / "tracing.py"
+CORPUS = ROOT / "tools" / "corpus.py"
 
 
 def tracer_targets():
@@ -57,3 +60,27 @@ def test_sampled_measurements_go_through_the_traced_names():
         transcript, _ = simulate_sampled(circuit, 4, 2, seed=5)
     assert len(transcript.rows) == 4
     assert one.call_count == 2 and two.call_count == 2
+
+
+def test_corpus_captures_each_run_as_the_cli_prints_it(tmp_path, monkeypatch, capsys):
+    """tools/corpus.py lists its 158 runs and records each run's exit
+    code, stdout and stderr under a source tree.  Two of them run here,
+    under the working tree only: an oracle-checked run and one refused
+    with exit code 1."""
+    spec = importlib.util.spec_from_file_location("corpus", CORPUS)
+    corpus = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(corpus)
+    argvs = corpus.invocations(tmp_path)
+    assert len(argvs) == 158
+    picked = [
+        ["simulate", "circuits/generic_p1.json", "--seed", "3", "--oracle-check"],
+        ["simulate", "tests/data/parity_deep.json", "--seed", "3", "--oracle-check"],
+    ]
+    assert all(argv in argvs for argv in picked)
+    monkeypatch.chdir(ROOT)
+    expected = []
+    for argv in picked:
+        code = cli.main(argv)
+        expected.append([code, *capsys.readouterr()])
+    assert [code for code, _, _ in expected] == [0, 1]
+    assert corpus.run_tree(ROOT / "src", picked) == expected

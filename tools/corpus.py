@@ -1,0 +1,146 @@
+"""Byte-identity corpus: run the same flosim invocations against two
+source trees and print every run whose stdout, stderr or exit code
+differs.
+
+    python3 tools/corpus.py BASE_SRC [HEAD_SRC]
+
+Each argument is a directory holding the `flosim` package; HEAD_SRC
+defaults to this checkout's src.  Another commit's tree can be had with
+`git archive REV | tar -x -C DIR`, then DIR/src.  Every tree runs all
+invocations in one fresh interpreter, in process through
+flosim.cli.main, from this checkout's root with BLAS at one thread.
+Exits 1 if any run differs.
+
+The corpus, 158 runs, all on this checkout's inputs:
+  - circuits/*.json, tests/data/policy_mix.json and parity_deep.json
+    under `simulate --seed 3/7/11`, plain and with --oracle-check, and
+    under `nogo`;
+  - policy_mix.json under `simulate --seed 7..26 --oracle-check`;
+  - the benchmark's `oracle_check` input pools of seeds 201-203 and 213,
+    which perfbench/workloads.py writes to a temporary directory.
+"""
+
+import contextlib
+import difflib
+import importlib.util
+import io
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+CIRCUITS = (
+    *sorted(p.relative_to(ROOT).as_posix() for p in ROOT.glob("circuits/*.json")),
+    "tests/data/policy_mix.json",
+    "tests/data/parity_deep.json",
+)
+POOL_SEEDS = (201, 202, 203, 213)
+SHOWN_DIFF_LINES = 20
+
+
+def invocations(pool_dir):
+    """The corpus as a list of argv lists; writes the pools under pool_dir."""
+    runs = []
+    for path in CIRCUITS:
+        for seed in ("3", "7", "11"):
+            runs.append(["simulate", path, "--seed", seed])
+            runs.append(["simulate", path, "--seed", seed, "--oracle-check"])
+        runs.append(["nogo", path])
+    for seed in range(7, 27):
+        runs.append(["simulate", "tests/data/policy_mix.json", "--seed", str(seed),
+                     "--oracle-check"])
+    spec = importlib.util.spec_from_file_location(
+        "workloads", ROOT / "perfbench" / "workloads.py"
+    )
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    for seed in POOL_SEEDS:
+        plan = workloads.generate("oracle_check", seed, os.path.join(pool_dir, str(seed)))
+        runs += [argv for job in plan for argv in job["argv"]]
+    return runs
+
+
+def _run_here(src, argvs):
+    """Run every argv through src's flosim.cli.main in this process;
+    returns [exit code, stdout, stderr] per run."""
+    sys.path.insert(0, src)
+    from flosim import cli
+
+    if not Path(cli.__file__).resolve().is_relative_to(Path(src).resolve()):
+        raise SystemExit(f"flosim was imported from {cli.__file__}, not from {src}")
+    results = []
+    for argv in argvs:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            except Exception as exc:  # an escaped error is a result to compare too
+                code = "uncaught"
+                print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+        results.append([code, out.getvalue(), err.getvalue()])
+    return results
+
+
+def run_tree(src, argvs):
+    """[exit code, stdout, stderr] of every argv under the tree src, from
+    one fresh interpreter."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1")
+    env.pop("PYTHONPATH", None)
+    proc = subprocess.run(
+        [sys.executable, __file__, "--run-here", os.path.abspath(src)],
+        input=json.dumps(argvs), capture_output=True, text=True, cwd=ROOT,
+        env=env, check=False,
+    )
+    if proc.returncode != 0:
+        raise RuntimeError(f"the run under {src} failed:\n{proc.stderr}")
+    return json.loads(proc.stdout)
+
+
+def compare(base_src, head_src, argvs):
+    """The runs that differ: (argv, base result, head result) triples."""
+    base = run_tree(base_src, argvs)
+    head = run_tree(head_src, argvs)
+    return [(argv, b, h) for argv, b, h in zip(argvs, base, head) if b != h]
+
+
+def _report(argv, base, head):
+    lines = [" ".join(argv)]
+    for name, b, h in zip(("exit code", "stdout", "stderr"), base, head):
+        if b == h:
+            continue
+        if name == "exit code":
+            lines.append(f"  exit code {b!r} -> {h!r}")
+            continue
+        diff = difflib.unified_diff(
+            b.splitlines(), h.splitlines(), "base " + name, "head " + name, lineterm=""
+        )
+        lines += ["  " + line for line in list(diff)[:SHOWN_DIFF_LINES]]
+    return "\n".join(lines)
+
+
+def main(argv=None):
+    args = sys.argv[1:] if argv is None else argv
+    if args[:1] == ["--run-here"] and len(args) == 2:
+        json.dump(_run_here(args[1], json.load(sys.stdin)), sys.stdout)
+        return 0
+    if not 1 <= len(args) <= 2 or args[0].startswith("-"):
+        print(__doc__.strip(), file=sys.stderr)
+        return 2
+    base_src, head_src = args[0], args[1] if len(args) == 2 else str(ROOT / "src")
+    with tempfile.TemporaryDirectory() as pool_dir:
+        argvs = invocations(pool_dir)
+        differing = compare(base_src, head_src, argvs)
+    for run in differing:
+        print(_report(*run))
+    print(f"{len(differing)} of {len(argvs)} runs differ")
+    return 1 if differing else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
