@@ -18,8 +18,6 @@ import numpy as np
 from .errors import BadConfig, ImpossibleOutcome, IndexOutOfRange
 from .slater import SlaterState
 
-W_GRAM_TOL = 1e-10
-
 
 @dataclass(frozen=True)
 class LatticeConfig:

@@ -1,4 +1,4 @@
-"""Load and save circuit description files.
+"""Load and save circuit description files, and load state files.
 
 A circuit file is a JSON document with three top-level keys::
 
@@ -36,11 +36,13 @@ from itertools import chain
 
 import numpy as np
 
-from .errors import ParseError
-from .multislater import GROUPINGS, group_label
+from .errors import FlosimError, ParseError
+from .multislater import GROUPINGS, SlaterSum, group_label, scale_sum, sum_norm
 from .simulate import POLICIES, MeasureOne, MeasureTwo, Rotate
+from .slater import SlaterState
 
 RENORMALIZE_WARN = 1e-6
+ZERO_STATE_TOL = 1e-12  # a state file's sum at or below this norm is the zero state
 
 _TOP_KEYS = {"modes", "electrons", "steps"}
 _STEP_KEYS = {
@@ -275,8 +277,17 @@ _STEP_PARSERS = {
 }
 
 
-def parse_circuit(text):
-    """Parse a circuit document from a JSON string."""
+def _read_text(path):
+    """The text of a UTF-8 input file, or one ParseError line."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from exc
+
+
+def _document(text):
+    """The JSON object a circuit or state document holds."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -285,6 +296,12 @@ def parse_circuit(text):
         ) from exc
     if not isinstance(doc, dict):
         raise ParseError("top level must be an object")
+    return doc
+
+
+def parse_circuit(text):
+    """Parse a circuit document from a JSON string."""
+    doc = _document(text)
     _check_keys(doc, _TOP_KEYS, "top level")
     for key in ("modes", "electrons", "steps"):
         if key not in doc:
@@ -313,8 +330,42 @@ def parse_circuit(text):
 
 def load_circuit(path):
     """Parse a circuit document from a file."""
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_circuit(handle.read())
+    return parse_circuit(_read_text(path))
+
+
+def load_state_sum(path):
+    """Read a state file, normalized: "modes", "electrons" and either
+    "orbitals" (and "amplitude") or "terms" ("orbitals", "coefficient")."""
+    doc = _document(_read_text(path))
+    d, n = doc.get("modes"), doc.get("electrons")
+    if not isinstance(d, int) or not isinstance(n, int):
+        raise ParseError("state file needs integer 'modes' and 'electrons'")
+    raw_terms = []
+    if "orbitals" in doc:
+        amp = _complex_from_json(doc.get("amplitude", 1.0), "amplitude")
+        raw_terms.append((amp, doc["orbitals"]))
+    elif "terms" in doc:
+        if not isinstance(doc["terms"], list) or not doc["terms"]:
+            raise ParseError("terms: expected a nonempty list")
+        for i, term in enumerate(doc["terms"]):
+            if not isinstance(term, dict) or "orbitals" not in term:
+                raise ParseError(f"terms[{i}]: expected an object with 'orbitals'")
+            coeff = _complex_from_json(term.get("coefficient", 1.0), f"terms[{i}].coefficient")
+            raw_terms.append((coeff, term["orbitals"]))
+    else:
+        raise ParseError("state file needs 'orbitals' or 'terms'")
+    built = []
+    for i, (coeff, rows) in enumerate(raw_terms):
+        mat = _matrix_from_json(rows, (d, n), f"terms[{i}].orbitals")
+        try:
+            built.append((coeff, SlaterState(mat, 1.0)))
+        except FlosimError as exc:
+            raise ParseError(f"terms[{i}].orbitals: {exc}") from exc
+    ssum = SlaterSum(terms=tuple(built), modes=d, electrons=n)
+    nrm = sum_norm(ssum)
+    if nrm < ZERO_STATE_TOL:
+        raise ParseError("state file describes a zero state")
+    return scale_sum(ssum, 1.0 / nrm)
 
 
 def _rotate_to_json(step):

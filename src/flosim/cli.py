@@ -15,14 +15,13 @@ inputs and seeds.  Exit codes: 0 success, 1 parse or config failure,
 
 import argparse
 import functools
-import json
 import sys
 
 import numpy as np
 
 from . import fock
 from .bands import LatticeConfig, closed_form_w0, measure_origin
-from .circuits import _complex_from_json, _matrix_from_json, load_circuit
+from .circuits import load_circuit, load_state_sum
 from .errors import (
     BadConfig,
     FlosimError,
@@ -34,15 +33,11 @@ from .errors import (
 from .linalg import pfaffian
 from .multislater import (
     DEFAULT_MAX_TERMS,
-    SlaterSum,
     generic_p1_study,
-    scale_sum,
     slater_number_two_fermion,
-    sum_norm,
     two_fermion_w,
 )
 from .simulate import MeasureOne, sampled_steps, simulate_exact_branch, transcript_of
-from .slater import SlaterState
 
 RNG_NAME = "numpy-default-pcg64"
 ORACLE_TOL = 1e-8
@@ -57,10 +52,16 @@ def _row_line(row):
     )
 
 
-def _print_lines(lines, handle=None):
-    out = handle if handle is not None else sys.stdout
-    for line in lines:
-        out.write(line + "\n")
+def _print_lines(lines, path=None):
+    """Write lines to stdout, or to the file path: FlosimError if unwritable."""
+    if path is None:
+        sys.stdout.writelines(line + "\n" for line in lines)
+        return
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as handle:
+            handle.writelines(line + "\n" for line in lines)
+    except OSError as exc:
+        raise FlosimError(f"cannot write {path}: {exc}") from exc
 
 
 def _oracle_judge(steps, records):
@@ -189,64 +190,13 @@ def cmd_bands(args):
             repr(float(closed[r])),
         ]
         lines.append(",".join(cells))
-    if args.out is None:
-        _print_lines(lines)
-    else:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
-            _print_lines(lines, handle)
+    _print_lines(lines, args.out)
     return 0
 
 
 def _format_complex(z):
     z = complex(z)
     return f"{z.real:+.9e}{z.imag:+.9e}j"
-
-
-def _state_sum_from_file(path):
-    """Read a determinant-sum state file for the rank report."""
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            doc = json.load(handle)
-    except json.JSONDecodeError as exc:
-        raise ParseError(
-            f"bad JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
-        ) from exc
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ParseError("top level must be an object")
-    d = doc.get("modes")
-    n = doc.get("electrons")
-    if not isinstance(d, int) or not isinstance(n, int):
-        raise ParseError("state file needs integer 'modes' and 'electrons'")
-    raw_terms = []
-    if "orbitals" in doc:
-        amp = _complex_from_json(doc.get("amplitude", 1.0), "amplitude")
-        raw_terms.append((amp, doc["orbitals"]))
-    elif "terms" in doc:
-        if not isinstance(doc["terms"], list) or not doc["terms"]:
-            raise ParseError("terms: expected a nonempty list")
-        for i, term in enumerate(doc["terms"]):
-            if not isinstance(term, dict) or "orbitals" not in term:
-                raise ParseError(f"terms[{i}]: expected an object with 'orbitals'")
-            coeff = _complex_from_json(
-                term.get("coefficient", 1.0), f"terms[{i}].coefficient"
-            )
-            raw_terms.append((coeff, term["orbitals"]))
-    else:
-        raise ParseError("state file needs 'orbitals' or 'terms'")
-    built = []
-    for i, (coeff, rows) in enumerate(raw_terms):
-        mat = _matrix_from_json(rows, (d, n), f"terms[{i}].orbitals")
-        try:
-            built.append((coeff, SlaterState(mat, 1.0)))
-        except FlosimError as exc:
-            raise ParseError(f"terms[{i}].orbitals: {exc}") from exc
-    ssum = SlaterSum(terms=tuple(built), modes=d, electrons=n)
-    nrm = sum_norm(ssum)
-    if nrm < 1e-12:
-        raise ParseError("state file describes a zero state")
-    return scale_sum(ssum, 1.0 / nrm)
 
 
 def cmd_slater_rank(args):
@@ -257,7 +207,7 @@ def cmd_slater_rank(args):
         w, pf, closed = generic_p1_study(theta, phi, xi, args.electrons)
         closed_text = repr(float(closed))
     else:
-        ssum = _state_sum_from_file(args.path)
+        ssum = load_state_sum(args.path)
         w = two_fermion_w(ssum)
         pf = pfaffian(w) if w.shape[0] % 2 == 0 else None
         closed_text = "n/a"
@@ -274,6 +224,17 @@ def cmd_slater_rank(args):
     return 0
 
 
+def _seed(text):
+    """A --seed value: a non-negative integer, as numpy's generator takes."""
+    seed = int(text)
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {seed}")
+    return seed
+
+
+_seed.__name__ = "int"  # so that --seed abc still reads "invalid int value: 'abc'"
+
+
 # one parser per process: parse_args leaves it unchanged
 @functools.cache
 def build_parser():
@@ -285,7 +246,7 @@ def build_parser():
 
     p_sim = sub.add_parser("simulate", help="run a circuit on a determinant sum")
     p_sim.add_argument("path", help="circuit file")
-    p_sim.add_argument("--seed", type=int, default=0)
+    p_sim.add_argument("--seed", type=_seed, default=0)
     p_sim.add_argument(
         "--oracle-check",
         action="store_true",
@@ -306,7 +267,7 @@ def build_parser():
     p_bands.add_argument("--sites", type=int, required=True)
     p_bands.add_argument("--electrons", type=int, required=True)
     p_bands.add_argument("--outcome", choices=("0", "1", "sample"), default="sample")
-    p_bands.add_argument("--seed", type=int, default=0)
+    p_bands.add_argument("--seed", type=_seed, default=0)
     p_bands.add_argument("--out", default=None, help="CSV output path (default stdout)")
     p_bands.set_defaults(func=cmd_bands)
 

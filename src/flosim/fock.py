@@ -24,11 +24,12 @@ from .errors import (
     ZeroVector,
 )
 from .linalg import HERMITIAN_TOL
-from .slater import check_mode, check_modes, check_unitary
+from .slater import SlaterState, check_mode, check_modes, check_unitary
 
 VECTOR_MODE_CAP = 12
 DENSITY_MODE_CAP = 8
 MINOR_BATCH = 4096  # most minors per stacked determinant call in unitary_apply
+DENSITY_HERMITIAN_TOL = 1e-9  # largest ||rho - rho^H|| of a FockDensity
 
 
 @dataclass(frozen=True)
@@ -74,7 +75,7 @@ class FockDensity:
         if not np.all(np.isfinite(mat)):
             raise FlosimError("density entries must be finite")
         dev = np.linalg.norm(mat - mat.conj().T)
-        if dev > 1e-9:
+        if dev > DENSITY_HERMITIAN_TOL:
             raise NotHermitian(f"density deviates from Hermiticity by {dev:.3e}")
         object.__setattr__(self, "matrix", mat)
 
@@ -206,11 +207,11 @@ def expand(s):
 
 
 def expand_sum(ssum):
-    """Expand a sum of determinants (anything with a .terms list)."""
+    """Expand a determinant sum term by term over its orbital stack."""
     _check_vector_cap(ssum.modes)
     total = np.zeros(1 << ssum.modes, dtype=complex)
-    for coeff, state in ssum.terms:
-        total = total + coeff * expand(state).amplitudes
+    for coeff, amp, orbitals in zip(ssum.coeffs, ssum.amps, ssum.orbitals):
+        total = total + coeff * expand(SlaterState._checked(orbitals, amp)).amplitudes
     return FockVector._checked(ssum.modes, total)
 
 

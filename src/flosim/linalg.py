@@ -15,7 +15,6 @@ from .errors import (
     RankDeficient,
 )
 
-# Default tolerances, overridable per call where it matters.
 RANK_TOL = 1e-10
 HERMITIAN_TOL = 1e-10
 ANTISYM_TOL = 1e-10
@@ -41,12 +40,11 @@ def row_norms(x):
     """np.linalg.norm of every row of a 2-d complex array, bit for bit.
 
     norm adds two real dot products over the strided .real and .imag
-    views; 1 x L by L x 1 matmuls on the same views round the same way,
-    while norm(axis=1), einsum and contiguous .real copies do not.
+    views; np.vecdot on the same views rounds the same way, while
+    norm(axis=1), einsum and contiguous .real copies do not.
     """
     re, im = x.real, x.imag
-    squares = re[:, None, :] @ re[:, :, None] + im[:, None, :] @ im[:, :, None]
-    return np.sqrt(squares[:, 0, 0])
+    return np.sqrt(np.vecdot(re, re) + np.vecdot(im, im))
 
 
 def _require_square(a, what):
@@ -54,7 +52,7 @@ def _require_square(a, what):
         raise NonSquare(f"{what} needs a square matrix, got shape {a.shape}")
 
 
-def orthonormalize(cols, rank_tol=RANK_TOL):
+def orthonormalize(cols):
     """Orthonormalize the columns of a matrix, keeping the column span.
 
     The change of basis is upper triangular with positive real diagonal,
@@ -62,15 +60,15 @@ def orthonormalize(cols, rank_tol=RANK_TOL):
     every prefix of the output spans the matching prefix of the input.
 
     Raises RankDeficient when the smallest singular value is at or below
-    rank_tol.
+    RANK_TOL.
     """
     a = as_complex_matrix(cols)
     if a.shape[1] == 0:
         return a.copy()
     smallest = np.linalg.svd(a, compute_uv=False)[-1]
-    if smallest <= rank_tol:
+    if smallest <= RANK_TOL:
         raise RankDeficient(
-            f"smallest singular value {smallest:.3e} is at or below {rank_tol:.1e}"
+            f"smallest singular value {smallest:.3e} is at or below {RANK_TOL:.1e}"
         )
     q, r = np.linalg.qr(a)
     phases = np.diag(r).copy()
@@ -87,7 +85,7 @@ def determinant(m):
     return complex(np.linalg.det(a))
 
 
-def one_body_unitary(b, tau, herm_tol=HERMITIAN_TOL):
+def one_body_unitary(b, tau):
     """exp(-i b tau) for Hermitian b, via eigendecomposition.
 
     This is the single-particle evolution matrix of a quadratic
@@ -96,17 +94,17 @@ def one_body_unitary(b, tau, herm_tol=HERMITIAN_TOL):
     a = as_complex_matrix(b)
     _require_square(a, "one_body_unitary")
     dev = np.linalg.norm(a - a.conj().T)
-    if dev > herm_tol:
-        raise NotHermitian(f"deviation from Hermiticity {dev:.3e} exceeds {herm_tol:.1e}")
+    if dev > HERMITIAN_TOL:
+        raise NotHermitian(f"deviation from Hermiticity {dev:.3e} exceeds {HERMITIAN_TOL:.1e}")
     sym = (a + a.conj().T) / 2
     evals, vecs = np.linalg.eigh(sym)
     return (vecs * np.exp(-1j * evals * tau)[np.newaxis, :]) @ vecs.conj().T
 
 
-def _check_antisymmetric(a, tol):
+def _check_antisymmetric(a):
     dev = np.linalg.norm(a + a.T)
-    if dev > tol:
-        raise NotAntisymmetric(f"deviation from antisymmetry {dev:.3e} exceeds {tol:.1e}")
+    if dev > ANTISYM_TOL:
+        raise NotAntisymmetric(f"deviation from antisymmetry {dev:.3e} exceeds {ANTISYM_TOL:.1e}")
 
 
 def _pfaffian_expansion(a, idx=None):
@@ -155,7 +153,7 @@ def _pfaffian_elimination(a):
     return pf
 
 
-def pfaffian(w, antisym_tol=ANTISYM_TOL):
+def pfaffian(w):
     """Pfaffian of an even-dimensional antisymmetric matrix.
 
     Satisfies pfaffian(w)**2 == determinant(w).  Small matrices use the
@@ -167,7 +165,7 @@ def pfaffian(w, antisym_tol=ANTISYM_TOL):
     n = a.shape[0]
     if n % 2 != 0:
         raise OddDimension(f"Pfaffian needs even dimension, got {n}")
-    _check_antisymmetric(a, antisym_tol)
+    _check_antisymmetric(a)
     a = (a - a.T) / 2
     if n <= 8:
         return complex(_pfaffian_expansion(a))
@@ -188,7 +186,7 @@ def complement_basis(vectors, dim):
     return vh.conj().T[:, len(vecs):]
 
 
-def antisym_canonical(w, antisym_tol=ANTISYM_TOL):
+def antisym_canonical(w):
     """Bring an antisymmetric matrix to its paired canonical form.
 
     Returns (U, pairs) with U unitary such that U w U^T is block
@@ -202,7 +200,7 @@ def antisym_canonical(w, antisym_tol=ANTISYM_TOL):
     """
     a = as_complex_matrix(w)
     _require_square(a, "antisym_canonical")
-    _check_antisymmetric(a, antisym_tol)
+    _check_antisymmetric(a)
     a = (a - a.T) / 2
     n = a.shape[0]
     if n == 0:

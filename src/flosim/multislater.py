@@ -14,7 +14,6 @@ relative phases between determinants are preserved to machine precision.
 """
 
 import cmath
-from dataclasses import dataclass, field
 from itertools import accumulate
 
 import numpy as np
@@ -36,14 +35,13 @@ from .slater import (
     REORTH_TOL,
     SPAN_TOL,
     SlaterState,
+    annihilate,
     check_mode,
     check_modes,
+    check_orthonormal,
     check_unitary,
-    evolve,
-    annihilate,
     split_mode,
     standard_state,
-    valid_stack,
 )
 
 PRUNE_TOL = 1e-12
@@ -63,9 +61,28 @@ def group_label(group):
     return "".join(str(o) for o in group)
 
 
-@dataclass(frozen=True)
+def _kept(coeffs, amps):
+    """Indices and complex coefficients of the terms whose weight |c a| is
+    above PRUNE_TOL; a non-finite c or a NaN weight raises FlosimError."""
+    keep, kept = [], []
+    for i, (coeff, amp) in enumerate(zip(coeffs, amps)):
+        coeff = complex(coeff)
+        if not cmath.isfinite(coeff):
+            raise FlosimError(f"term {i}: coefficient {coeff} is not finite")
+        weight = coeff * amp
+        if abs(weight) > PRUNE_TOL:
+            keep.append(i)
+            kept.append(coeff)
+        elif weight != weight:
+            raise FlosimError(f"term {i}: coefficient * amplitude is {weight}")
+    return keep, kept
+
+
 class SlaterSum:
-    """A linear combination of determinants with identical D and N.
+    """A linear combination of determinants with identical D and N, stored
+    once: one Python complex per term in coeffs and in amps (apart, as the
+    kernels multiply them in a fixed order) and one read-only C-contiguous
+    (T, D, N) orbital stack.
 
     Terms whose total weight |coefficient * amplitude| is at or below
     the prune tolerance are dropped on construction; a non-finite
@@ -74,48 +91,61 @@ class SlaterSum:
     explicitly for the empty (zero-state) sum.
     """
 
-    terms: tuple = field(default=())
-    modes: int | None = None
-    electrons: int | None = None
-    max_terms: int = DEFAULT_MAX_TERMS
+    __slots__ = ("coeffs", "amps", "orbitals", "max_terms")
 
-    def __post_init__(self):
-        kept = []
-        for i, (coeff, state) in enumerate(self.terms):
-            coeff = complex(coeff)
-            if not cmath.isfinite(coeff):
-                raise FlosimError(f"term {i}: coefficient {coeff} is not finite")
-            weight = coeff * state.amplitude
-            if abs(weight) > PRUNE_TOL:
-                kept.append((coeff, state))
-            elif weight != weight:
-                raise FlosimError(f"term {i}: coefficient * amplitude is {weight}")
-        modes = self.modes
-        electrons = self.electrons
-        for _, state in kept:
-            if modes is None:
-                modes = state.modes
-            if electrons is None:
-                electrons = state.electrons
-            if state.modes != modes or state.electrons != electrons:
-                raise DimensionMismatch(
-                    "all terms of a sum must share the same modes and electrons"
-                )
+    def __init__(self, terms=(), modes=None, electrons=None, max_terms=DEFAULT_MAX_TERMS):
+        terms = tuple(terms)
+        keep, coeffs = _kept([c for c, _ in terms], [st.amplitude for _, st in terms])
+        states = [terms[i][1] for i in keep]
+        modes = states[0].modes if modes is None and states else modes
+        electrons = states[0].electrons if electrons is None and states else electrons
+        if any((st.modes, st.electrons) != (modes, electrons) for st in states):
+            raise DimensionMismatch("all terms of a sum must share the same modes and electrons")
         if modes is None or electrons is None:
             raise DimensionMismatch("an empty sum needs explicit modes and electrons")
-        if len(kept) > self.max_terms:
-            raise TermCapExceeded(f"{len(kept)} terms exceed the cap of {self.max_terms}")
-        object.__setattr__(self, "terms", tuple(kept))
-        object.__setattr__(self, "modes", modes)
-        object.__setattr__(self, "electrons", electrons)
+        orbitals = _stack([st.orbitals for st in states], modes, electrons)
+        self._store(coeffs, [st.amplitude for st in states], orbitals, max_terms)
+
+    @classmethod
+    def _stacked(cls, coeffs, amps, orbitals, max_terms):
+        """The kernels' constructor: the sum of coeffs[i] (amps[i],
+        orbitals[i]) over a C-contiguous (T, D, N) stack it takes over,
+        pruned and capped as the public one does."""
+        keep, coeffs = _kept(coeffs, amps)
+        if len(keep) < len(amps):
+            amps, orbitals = [amps[i] for i in keep], orbitals[keep]
+        s = object.__new__(cls)
+        s._store(coeffs, amps, orbitals, max_terms)
+        return s
+
+    def _store(self, coeffs, amps, orbitals, max_terms):
+        """Every sum's cap check, then its fields."""
+        if len(coeffs) > max_terms:
+            raise TermCapExceeded(f"{len(coeffs)} terms exceed the cap of {max_terms}")
+        orbitals.flags.writeable = False
+        self.coeffs, self.amps, self.orbitals = tuple(coeffs), tuple(amps), orbitals
+        self.max_terms = max_terms
 
     @classmethod
     def from_state(cls, state, max_terms=DEFAULT_MAX_TERMS):
         return cls(((1.0 + 0.0j, state),), state.modes, state.electrons, max_terms)
 
+    modes = property(lambda self: self.orbitals.shape[1])
+    electrons = property(lambda self: self.orbitals.shape[2])
+    term_count = property(lambda self: len(self.coeffs))
+
     @property
-    def term_count(self):
-        return len(self.terms)
+    def terms(self):
+        """(coefficient, SlaterState) pairs over the stack's rows, built anew."""
+        return tuple(
+            (c, SlaterState._checked(orb, a))
+            for c, a, orb in zip(self.coeffs, self.amps, self.orbitals)
+        )
+
+
+def _stack(rows, d, n):
+    """The (T, D, N) stack of T orbital matrices, copied in C order."""
+    return np.array(rows, dtype=complex).reshape(len(rows), d, n)
 
 
 def _overlap_total(s):
@@ -130,19 +160,14 @@ def _overlap_total(s):
     after another, not by np.sum's pairwise tree.  Hermitian symmetry is
     not used: with pivoting, det(G^H) is not bitwise conj(det G).
     """
-    if not s.terms:
-        return 0.0 + 0.0j
-    coeffs = [c for c, _ in s.terms]
-    amps = [st.amplitude for _, st in s.terms]
-    psi = np.array([st.orbitals for _, st in s.terms])
     # Slot 0 carries the running total, slots 1.. the current row's weights.
-    acc = np.zeros(len(coeffs) + 1, dtype=complex)
-    for c, st in s.terms:
-        gram = st.orbitals.conj().T @ psi
+    acc = np.zeros(s.term_count + 1, dtype=complex)
+    for c, a, phi in zip(s.coeffs, s.amps, s.orbitals):
+        gram = phi.conj().T @ s.orbitals
         require_finite(gram)
         dets = np.linalg.det(gram).tolist()
-        ci, ai = c.conjugate(), st.amplitude.conjugate()
-        acc[1:] = [ci * cj * (ai * aj * d) for cj, aj, d in zip(coeffs, amps, dets)]
+        ci, ai = c.conjugate(), a.conjugate()
+        acc[1:] = [ci * cj * (ai * aj * d) for cj, aj, d in zip(s.coeffs, s.amps, dets)]
         acc[0] = np.add.accumulate(acc)[-1]
     return complex(acc[0])
 
@@ -162,14 +187,13 @@ def _expectations(s, m, xs):
     Pair (i, j) is det(Phi_i^H Q Phi_j) and pair (j, i) its conjugate, so
     row i takes only j >= i: one Gram product for every j and x, one det.
     """
-    t, d, n = len(s.terms), s.modes, s.electrons
-    weights = np.array([c * st.amplitude for c, st in s.terms])
-    psi = np.array([st.orbitals for _, st in s.terms]).reshape(t, d, n)
-    cols = psi.transpose(1, 0, 2).reshape(d, t * n)
+    t, d, n = s.orbitals.shape
+    weights = np.array([c * a for c, a in zip(s.coeffs, s.amps)])
+    cols = s.orbitals.transpose(1, 0, 2).reshape(d, t * n)
     scale = np.array(xs, dtype=float)[:, None, None]
     totals = np.zeros(len(xs), dtype=complex)
     for i, w_i in enumerate(weights.conj()):
-        phi_h = psi[i].conj().T  # Phi_i^H Q = Phi_i^H - x (Phi_i^H M) M^H
+        phi_h = s.orbitals[i].conj().T  # Phi_i^H Q = Phi_i^H - x (Phi_i^H M) M^H
         gram = (phi_h - scale * (phi_h @ m @ m.conj().T)).reshape(-1, d) @ cols[:, i * n :]
         require_finite(gram)
         dets = np.linalg.det(gram.reshape(len(xs), n, t - i, n).transpose(0, 2, 1, 3))
@@ -179,73 +203,50 @@ def _expectations(s, m, xs):
 
 
 def scale_sum(s, factor):
-    return SlaterSum(
-        tuple((c * factor, st) for c, st in s.terms), s.modes, s.electrons, s.max_terms
-    )
+    return SlaterSum._stacked([c * factor for c in s.coeffs], s.amps, s.orbitals, s.max_terms)
 
 
 def evolve_sum(s, v):
-    """Rotate every term by v: one unitarity check, then one stacked matmul
-    per batch of SPLIT_BATCH terms, bitwise the per-term evolve."""
+    """evolve on every term, errors included, as one stacked matmul and check."""
     mat = check_unitary(v, s.modes)
-    if not s.terms:
-        return s
-    terms = []
-    for start in range(0, len(s.terms), SPLIT_BATCH):
-        batch = s.terms[start : start + SPLIT_BATCH]
-        rotated = mat @ np.array([st.orbitals for _, st in batch])
-        if not valid_stack(rotated):
-            # Term by term, the first failing state raises its own message.
-            terms = [(c, evolve(st, mat)) for c, st in s.terms]
-            break
-        terms.extend(
-            (c, SlaterState._checked(orb, st.amplitude))
-            for (c, st), orb in zip(batch, rotated)
-        )
-    return SlaterSum(tuple(terms), s.modes, s.electrons, s.max_terms)
+    rotated = mat @ s.orbitals
+    check_orthonormal(rotated)
+    return SlaterSum._stacked(s.coeffs, s.amps, rotated, s.max_terms)
 
 
-def _split_each(states, vec):
-    """split_mode's [zero, one] projections of each state in turn."""
-    return [split_mode(st, vec)[1] for st in states]
+def _split_each(amps, orbitals, vec):
+    """split_mode's [zero, one] of each state, as (scale, amplitude, orbitals) or None."""
+    states = map(SlaterState._checked, orbitals, amps)
+    pairs = (split_mode(st, vec)[1] for st in states)
+    return [[r and (r[0], r[1].amplitude, r[1].orbitals) for r in pair] for pair in pairs]
 
 
-class _StackCheckFailed(FlosimError):
-    """A state in a stacked split failed a check; the caller redoes the
-    split term by term, where the first failing term raises."""
-
-
-def _split_stack(states, vec):
-    """split_mode's projections of every state on the same mode vector,
-    bit for bit.
+def _split_stack(amps, orbitals, vec):
+    """_split_each's projections of a (T, D, N) stack, bit for bit.
 
     Batches of up to SPLIT_BATCH terms go through one stacked
     decomposition and rotation each (_split_batch).  A lone term, or
     terms with at most one electron (no rotation to share), take
     split_mode, which costs less there.
     """
-    if len(states) < 2 or states[0].electrons <= 1:
-        return _split_each(states, vec)
-    out = []
-    for start in range(0, len(states), SPLIT_BATCH):
-        out.extend(_split_batch(states[start : start + SPLIT_BATCH], vec))
-    return out
+    if len(amps) < 2 or orbitals.shape[2] <= 1:
+        return _split_each(amps, orbitals, vec)
+    batches = (slice(start, start + SPLIT_BATCH) for start in range(0, len(amps), SPLIT_BATCH))
+    return [pair for b in batches for pair in _split_batch(amps[b], orbitals[b], vec)]
 
 
-def _split_batch(states, vec):
+def _split_batch(amps, phi, vec):
     """decompose_mode, rotate_in_first and split_mode's two children for a
-    stack of states with N >= 2, each step one stacked numpy call.
+    (T, D, N) stack phi with N >= 2, each step one stacked numpy call.
 
     Stacked gemv, matmul, svd and det, broadcast divisions and row_norms
     round like their per-slice calls, so every result is bitwise
     split_mode's.  Every check split_mode makes (the mode norm, NotInSpan,
     determinant and constructor finiteness, orthonormality) runs once per
-    stack with the same tolerance and raises _StackCheckFailed.  Terms
-    whose orbitals are not C-contiguous (BLAS rounds other layouts
-    differently) or whose beta falls in the re-orthogonalization band
-    take split_mode itself.
+    stack with the same tolerance and raises a FlosimError, on which
+    _group_sum redoes the split term by term.  Terms whose beta falls in
+    the re-orthogonalization band take split_mode itself.
     """
-    phi = np.array([st.orbitals for st in states])
     phi_h = phi.conj().transpose(0, 2, 1)
     coeffs = phi_h @ vec
     alpha = row_norms(coeffs)
@@ -253,86 +254,76 @@ def _split_batch(states, vec):
     resid = vec - inside
     beta = row_norms(resid)
     alphas, betas = alpha.tolist(), beta.tolist()
-    contiguous = np.array([st.orbitals.flags.c_contiguous for st in states])
-    per_term = ~contiguous | ((ABSENT_TOL < beta) & (beta < REORTH_TOL))
+    per_term = (ABSENT_TOL < beta) & (beta < REORTH_TOL)
     lanes = np.flatnonzero(~per_term & (alpha > ABSENT_TOL))
-    out = [[(1.0, st), None] for st in states]
+    out = [[(1.0, amp, orb), None] for amp, orb in zip(amps, phi)]
+    for i in np.flatnonzero(per_term).tolist():
+        out[i] = _split_each(amps[i : i + 1], phi[i : i + 1], vec)[0]
     if lanes.size:
-        rows = _rows(lanes, len(states))
+        # A full slice where every row is taken, so that indexing gives views.
+        rows = slice(None) if lanes.size == len(amps) else lanes
         phi, phi_h, a, b = phi[rows], phi_h[rows], alpha[rows, None], beta[rows, None]
         in_orb = inside[rows] / a
         # rotate_in_first(state, in_orb)
         c = phi_h @ in_orb[:, :, None]
         off_norm = ~(abs(row_norms(in_orb) - 1.0) <= MODE_NORM_TOL)
         if off_norm.any() or (row_norms(in_orb - (phi @ c)[:, :, 0]) > SPAN_TOL).any():
-            raise _StackCheckFailed
+            raise FlosimError("a stacked split check failed")
         c = c[:, :, 0] / row_norms(c[:, :, 0])[:, None]
         # complement_basis([c], n): the last n - 1 rows of the svd's vh.
         comp = np.linalg.svd(c.conj()[:, None, :], full_matrices=True)[2][:, 1:]
         change = np.concatenate([c[:, :, None], comp.conj().transpose(0, 2, 1)], axis=2)
         if not np.isfinite(change).all():
-            raise _StackCheckFailed
+            raise FlosimError("a stacked split check failed")
         change[:, :, -1] /= np.linalg.det(change)[:, None]
         if not np.isfinite(change).all():
-            raise _StackCheckFailed
+            raise FlosimError("a stacked split check failed")
         dets = np.linalg.det(change).tolist()
         rot = phi @ change
         # Drop the stacks no longer needed before checking and building
         # the children, so the batch's peak memory stays low.
         del phi, phi_h, comp, change
-        if not valid_stack(rot):
-            raise _StackCheckFailed
+        check_orthonormal(rot)
         # The children share the rotated span's other orbitals.
         vecs = np.broadcast_to(vec[:, None], (len(lanes), len(vec), 1))
         one = np.concatenate([vecs, rot[:, :, 1:]], axis=2)
         has_out = b[:, 0] > ABSENT_TOL
-        k = _rows(np.flatnonzero(has_out), len(lanes))
+        k = slice(None) if has_out.all() else np.flatnonzero(has_out)
         out_orb = resid[rows][k] / b[k]
         perp = b[k] * in_orb[k] - a[k] * out_orb
         zero = np.concatenate([perp[:, :, None], rot[k, :, 1:]], axis=2)
         del rot
-        if not (valid_stack(one) and valid_stack(zero)):
-            raise _StackCheckFailed
+        check_orthonormal(one)
+        check_orthonormal(zero)
         zeros = iter(zero)
         for i, orb, d, out_too in zip(lanes.tolist(), one, dets, has_out.tolist()):
-            amp = states[i].amplitude / d
-            out[i] = [
-                (betas[i], SlaterState._checked(next(zeros), amp)) if out_too else None,
-                (alphas[i], SlaterState._checked(orb, amp)),
-            ]
-    for i in np.flatnonzero(per_term).tolist():
-        out[i] = split_mode(states[i], vec)[1]
+            amp = amps[i] / d
+            out[i] = [(betas[i], amp, next(zeros)) if out_too else None, (alphas[i], amp, orb)]
     return out
 
 
-def _rows(index, size):
-    """index, or a full slice when it selects all size rows, so that
-    indexing returns views instead of copies."""
-    return slice(None) if index.size == size else index
-
-
-def _tree(terms, vecs, split, wanted):
-    """Leaves of the split tree of the measured modes vecs, (lambda, kappa)
-    or (kappa,), on the total occupations in wanted, listed by total
-    occupation: every term split on vecs[0], then every child that can
-    still reach a wanted outcome on the next mode, each level one call of
-    split over the whole list."""
-    nodes = [(coeff, 0, st) for coeff, st in terms]
+def _tree(coeffs, amps, orbitals, vecs, split, wanted):
+    """Leaves (coefficient, amplitude, orbitals) of the split tree of the
+    measured modes vecs, (lambda, kappa) or (kappa,), on the total
+    occupations in wanted, listed by total occupation: every term split
+    on vecs[0], then every child that can still reach a wanted outcome on
+    the next mode, each level one call of split over one stack."""
+    d, n = orbitals.shape[1:]
+    nodes = list(zip(coeffs, [0] * len(coeffs), amps, orbitals))
     for level, vec in enumerate(vecs):
         # A child can still gain one occupation per mode left to split.
         reach = {w - r for w in wanted for r in range(len(vecs) - level)}
-        pairs = split([st for _, _, st in nodes], vec)
+        if level:
+            orbitals = _stack([orb for *_, orb in nodes], d, n)
+        pairs = split([amp for _, _, amp, _ in nodes], orbitals, vec)
         # Occupied first, so outcome 1 lists (1, 0) before (0, 1).
         nodes = [
-            (coeff * res[0], o + i, res[1])
-            for (coeff, o, _), pair in zip(nodes, pairs)
+            (coeff * res[0], o + i, res[1], res[2])
+            for (coeff, o, _, _), pair in zip(nodes, pairs)
             for i in (1, 0)
             if (res := pair[i]) is not None and o + i in reach
         ]
-    leaves = ([], [], [])
-    for coeff, o, st in nodes:
-        leaves[o].append((coeff, st))
-    return leaves
+    return [[(coeff, amp, orb) for coeff, o, amp, orb in nodes if o == out] for out in range(3)]
 
 
 def _group_sum(s, vecs, group):
@@ -341,16 +332,16 @@ def _group_sum(s, vecs, group):
     ((0, 2)); only its leaves are built and capped."""
     group = tuple(map(int, group))
     try:
-        leaves = _tree(s.terms, vecs, _split_stack, group)
+        leaves = _tree(s.coeffs, s.amps, s.orbitals, vecs, _split_stack, group)
     except (FlosimError, ValueError):
         # Term by term, every level per term, the first failing check
         # raises as it always has.
-        leaves = ([], [], [])
-        for term in s.terms:
-            for out, more in zip(leaves, _tree((term,), vecs, _split_each, group)):
-                out.extend(more)
-    terms = tuple(t for o in group for t in leaves[o])
-    return SlaterSum(terms, s.modes, s.electrons, s.max_terms)
+        terms = [slice(i, i + 1) for i in range(s.term_count)]
+        trees = [_tree(s.coeffs[i], s.amps[i], s.orbitals[i], vecs, _split_each, group)
+                 for i in terms]
+        leaves = [[leaf for tree in trees for leaf in tree[o]] for o in range(3)]
+    coeffs, amps, rows = list(zip(*[leaf for o in group for leaf in leaves[o]])) or ((), (), ())
+    return SlaterSum._stacked(coeffs, amps, _stack(rows, s.modes, s.electrons), s.max_terms)
 
 
 def apply_two_mode_projector(s, kappa, lam, outcome):
@@ -484,10 +475,9 @@ def two_fermion_w(s):
     if s.electrons != 2:
         raise WrongParticleNumber(f"w is defined for 2 electrons, got {s.electrons}")
     w = np.zeros((s.modes, s.modes), dtype=complex)
-    for coeff, state in s.terms:
-        u = state.orbitals[:, 0]
-        v = state.orbitals[:, 1]
-        w += coeff * state.amplitude * (np.outer(u, v) - np.outer(v, u))
+    for coeff, amp, orb in zip(s.coeffs, s.amps, s.orbitals):
+        u, v = orb[:, 0], orb[:, 1]
+        w += coeff * amp * (np.outer(u, v) - np.outer(v, u))
     return w / 2.0
 
 

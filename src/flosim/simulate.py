@@ -189,20 +189,18 @@ def simulate_exact_branch(circuit, d, n, initial=None):
             continue
         if not isinstance(step, (MeasureOne, MeasureTwo)):
             raise TypeError(f"step {idx}: not a circuit step: {step!r}")
-        kap = check_mode(step.kappa, d)
         if isinstance(step, MeasureOne):
-            dec, children = split_mode(state, kap)
+            dec, children = split_mode(state, check_mode(step.kappa, d))
             p0, p1 = (1.0, 0.0) if state.electrons == 0 else (dec.beta**2, dec.alpha**2)
             label, prob, certain = _steer(idx, {"0": p0, "1": p1}, ("0", "1"))
             if not certain:
                 state = children[int(label)][1]
         else:
-            vecs = check_modes(d, kap, step.lam)[::-1]
+            vecs = check_modes(d, step.kappa, step.lam)[::-1]
             s = SlaterSum.from_state(state)
             label, prob, post = _steer_modes(idx, s, vecs, GROUPINGS[step.grouping])
             if post is not None:
-                coeff, term = post.terms[0]
-                state = SlaterState(term.orbitals, term.amplitude * coeff)
+                state = SlaterState(post.orbitals[0], post.amps[0] * post.coeffs[0])
         cumulative *= prob
         rows.append(TranscriptRow(idx, step.kind, label, prob, cumulative, 1))
     return Transcript(tuple(rows)), state
@@ -242,16 +240,15 @@ def sampled_steps(circuit, d, n, seed=0, initial=None, max_terms=DEFAULT_MAX_TER
                     state, step.kappa, step.lam, step.grouping, forced=forced, rng=rng
                 )
         else:
-            vecs, groups = (check_mode(step.kappa, d),), ONE_MODE
-            if isinstance(step, MeasureTwo):
-                lam = check_mode(step.lam, d)
-                if step.grouping == PARITY_GROUPING:
-                    raise ParityGroupingUnsupported(
-                        f"step {idx}: the exact-branch rule has no "
-                        "determinant-preserving outcome for the parity "
-                        "grouping '02/1'"
-                    )
-                vecs, groups = check_modes(d, vecs[0], lam)[::-1], GROUPINGS[step.grouping]
+            two = isinstance(step, MeasureTwo)
+            if two and step.grouping == PARITY_GROUPING:
+                raise ParityGroupingUnsupported(
+                    f"step {idx}: the exact-branch rule has no "
+                    "determinant-preserving outcome for the parity "
+                    "grouping '02/1'"
+                )
+            vecs = check_modes(d, step.kappa, *([step.lam] if two else []))[::-1]
+            groups = GROUPINGS[step.grouping] if two else ONE_MODE
             label, prob, post = _steer_modes(idx, state, vecs, groups)
             state = state if post is None else post
         cumulative *= prob

@@ -52,19 +52,15 @@ class SlaterState:
             raise BadDimensions(
                 f"cannot fill {orb.shape[1]} orbitals with only {orb.shape[0]} modes"
             )
-        if orb.size and not np.all(np.isfinite(orb)):
-            raise FlosimError("orbital entries must be finite")
-        n = orb.shape[1]
-        dev = np.linalg.norm(orb.conj().T @ orb - np.eye(n))
-        if dev > ORTHO_TOL:
-            raise FlosimError(f"orbital columns not orthonormal, deviation {dev:.3e}")
+        check_orthonormal(orb[None])
         object.__setattr__(self, "orbitals", orb)
         object.__setattr__(self, "amplitude", complex(self.amplitude))
 
     @classmethod
     def _checked(cls, orbitals, amplitude):
-        """A state whose orbitals passed valid_stack, skipping the checks;
-        amplitude must already be a Python complex."""
+        """A state whose orbitals passed check_orthonormal or are a row of
+        a sum's stack, skipping the checks; amplitude must already be a
+        Python complex."""
         state = object.__new__(cls)
         object.__setattr__(state, "orbitals", orbitals)
         object.__setattr__(state, "amplitude", amplitude)
@@ -93,16 +89,23 @@ class ModeDecomposition:
     out_orbital: np.ndarray | None
 
 
-def valid_stack(orbitals):
-    """Whether every state of a (T, D, N) stack passes the constructor's
-    checks: finite entries and a deviation from orthonormality at most
-    ORTHO_TOL, computed bitwise as the constructor does on each slice."""
-    if not np.isfinite(orbitals).all():
-        return False
+def check_orthonormal(orbitals):
+    """The constructor's check on each state of a (T, D, N) stack: raise for
+    the first with a non-finite entry or a deviation ||Phi^H Phi - 1||_F
+    (np.linalg.norm's, bit for bit) above ORTHO_TOL."""
     t, _, n = orbitals.shape
-    gram = orbitals.conj().transpose(0, 2, 1) @ orbitals
-    gram -= np.eye(n)
-    return not (row_norms(gram.reshape(t, n * n)) > ORTHO_TOL).any()
+    safe = orbitals
+    if not np.isfinite(orbitals).all():
+        # Zeroed, as their Gram would warn; deviation sqrt(N) then fails them.
+        safe = np.where(np.isfinite(orbitals).all(axis=(1, 2))[:, None, None], orbitals, 0)
+    gram = (safe.conj().transpose(0, 2, 1) @ safe).reshape(t, n * n)
+    gram[:, :: n + 1] -= 1.0  # Phi^H Phi - 1, as subtracting np.eye(n) rounds
+    dev = row_norms(gram)
+    if (dev > ORTHO_TOL).any():
+        i = (dev > ORTHO_TOL).argmax()
+        if not np.isfinite(orbitals[i]).all():
+            raise FlosimError("orbital entries must be finite")
+        raise FlosimError(f"orbital columns not orthonormal, deviation {dev[i]:.3e}")
 
 
 def check_mode(v, d):

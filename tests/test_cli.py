@@ -722,6 +722,66 @@ class TestSlaterRankCommand:
         assert err.startswith("ParseError:")
 
 
+class TestInputBoundary:
+    """Whatever the input, main ends in one stderr line and an exit code:
+    an unreadable input file or --out path exits 1, a negative --seed is
+    a usage error like --seed abc (exit 2)."""
+
+    @staticmethod
+    def _unreadable(kind, tmp_path):
+        if kind == "missing":
+            return tmp_path / "missing.json"
+        if kind == "directory":
+            return tmp_path
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"modes": 4, "note": "\xe9"}')
+        return path
+
+    @pytest.mark.parametrize("command", ["simulate", "nogo", "slater-rank"])
+    @pytest.mark.parametrize("kind", ["missing", "directory", "not_utf8"])
+    def test_unreadable_input_file(self, command, kind, tmp_path, capsys):
+        path = self._unreadable(kind, tmp_path)
+        code, out, err = run_cli([command, path], capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"ParseError: cannot read {path}: ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "circuits/generic_p1.json", "--seed", "-1"],
+            ["bands", "--sites", "5", "--electrons", "3", "--seed", "-2"],
+        ],
+    )
+    def test_negative_seed_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        err = capsys.readouterr().err
+        assert exc.value.code == 2
+        assert err.splitlines()[-1].endswith(
+            f"error: argument --seed: must be non-negative, got {argv[-1]}"
+        )
+
+    def test_seed_zero_and_abc_keep_their_meaning(self, capsys):
+        code, out, _ = run_cli(["bands", "--sites", "5", "--electrons", "3", "--seed", "0"], capsys)
+        assert code == 0 and "# seed = 0 rng = numpy-default-pcg64\n" in out
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["bands", "--sites", "5", "--electrons", "3", "--seed", "abc"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1].endswith(
+            "error: argument --seed: invalid int value: 'abc'"
+        )
+
+    def test_unwritable_out_path(self, tmp_path, capsys):
+        out_path = tmp_path / "missing" / "x.csv"
+        code, out, err = run_cli(
+            ["bands", "--sites", "5", "--electrons", "3", "--out", out_path], capsys
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith(f"FlosimError: cannot write {out_path}: ")
+        assert err.count("\n") == 1
+
+
 class TestParser:
     """main reuses one parser per process; its help, usage errors and
     exit code 2 are those of a freshly built parser."""

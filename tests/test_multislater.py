@@ -244,7 +244,9 @@ class TestSumNormKernel:
         # The kernel also matches on terms the constructor would prune,
         # zero amplitudes included.
         raw = SlaterSum((), d, n)
-        object.__setattr__(raw, "terms", tuple((complex(c), x) for c, x in terms))
+        object.__setattr__(raw, "coeffs", tuple(complex(c) for c, _ in terms))
+        object.__setattr__(raw, "amps", tuple(x.amplitude for _, x in terms))
+        object.__setattr__(raw, "orbitals", stack_of([x for _, x in terms], d, n))
         assert bits(_overlap_total(raw)) == bits(reference_overlap_total(raw))
 
 
@@ -300,8 +302,6 @@ class TestEvolveSum:
         v = random_unitary(rng, d)
         want = terms_bits([(c, evolve(state, v)) for c, state in s.terms])
         assert terms_bits(evolve_sum(s, v).terms) == want
-        with mock.patch.object(multislater, "SPLIT_BATCH", 7):
-            assert terms_bits(evolve_sum(s, v).terms) == want
 
     def test_bad_rotation_raises_as_per_term(self):
         """Also on the empty sum, whose rotation has no term to check."""
@@ -324,9 +324,6 @@ class TestEvolveSum:
         want = raised(lambda: [evolve(state, v) for _, state in s.terms])
         assert want[0] is FlosimError and "not orthonormal" in want[1]
         assert raised(evolve_sum, s, v) == want
-        # The failing term sits in the second batch.
-        with mock.patch.object(multislater, "SPLIT_BATCH", 2):
-            assert raised(evolve_sum, s, v) == want
 
 
 def reference_term_project(state, kap, want):
@@ -395,6 +392,26 @@ def reference_single_leaves(s, kap, want):
 def reference_single_mode(s, kap, want):
     terms = reference_single_leaves(s, kap, want)
     return SlaterSum(tuple(terms), s.modes, s.electrons, s.max_terms)
+
+
+def tree_leaves(s, vecs, wanted):
+    """_tree's leaves of the sum s as (coefficient, SlaterState) lists."""
+    leaves = _tree(s.coeffs, s.amps, s.orbitals, vecs, _split_stack, wanted)
+    return [[(c, SlaterState._checked(orb, a)) for c, a, orb in out] for out in leaves]
+
+
+def stack_of(states, d, n):
+    """The states' orbitals as one C-contiguous (T, D, N) stack."""
+    return np.array([st_.orbitals for st_ in states], dtype=complex).reshape(len(states), d, n)
+
+
+def split_states(pairs):
+    """A split kernel's (scale, amplitude, orbitals) children as
+    split_mode's (scale, SlaterState) children."""
+    return [
+        [None if r is None else (r[0], SlaterState._checked(r[2], r[1])) for r in pair]
+        for pair in pairs
+    ]
 
 
 def state_bits(state):
@@ -480,7 +497,7 @@ class TestSplitTree:
     def test_bitwise_equal_to_projection_chain(self, placement, data):
         d, n, terms, kap, lam = data.draw(projection_recipes(placement))
         s = SlaterSum(terms, d, n)
-        tree = _tree(s.terms, (lam, kap), _split_stack, ALL_OUTCOMES)
+        tree = tree_leaves(s, (lam, kap), ALL_OUTCOMES)
         groups = two_mode_groups(s, kap, lam, "012")
         for outcome in (0, 1, 2):
             ref = reference_two_mode_terms(s, kap, lam, outcome)
@@ -490,7 +507,7 @@ class TestSplitTree:
             assert terms_bits(got) == terms_bits(ref_sum)
             assert terms_bits(groups[str(outcome)].terms) == terms_bits(ref_sum)
         for vec in (kap, lam):
-            leaves = _tree(s.terms, (vec,), _split_stack, (0, 1))
+            leaves = tree_leaves(s, (vec,), (0, 1))
             for want in (0, 1):
                 ref = reference_single_mode(s, vec, want).terms
                 got = project_single_mode(s, vec, want).terms
@@ -591,11 +608,12 @@ def two_mode_groups(s, kap, lam, grouping):
 
 NEAR_EPS = 1e-9  # inside the re-orthogonalization band of decompose_mode
 # Terms placed against the measured mode u[:, 0]: a random span, a span
-# holding the mode, one orthogonal to it, one NEAR_EPS from it, and
-# random spans stored in Fortran order or as a strided column view,
-# which the kernel hands to split_mode.  A kind the shape cannot host falls
-# back to "generic".
-KERNEL_TERM_KINDS = ("generic", "in_span", "orthogonal", "near_span", "fortran", "view")
+# holding the mode, one orthogonal to it and one NEAR_EPS from it, which
+# the kernel hands to split_mode.  A kind the shape cannot host falls
+# back to "generic".  kernel_orbitals also stores random spans in Fortran
+# order ("fortran") or as a strided column view ("view"); a sum stores
+# both as C-contiguous rows (TestStoredLayout).
+KERNEL_TERM_KINDS = ("generic", "in_span", "orthogonal", "near_span")
 
 
 def kernel_orbitals(rng, kind, u, n):
@@ -648,18 +666,106 @@ class TestSplitKernel:
         d, n, terms, vec, lam = recipe
         states = [state for _, state in terms]
         ref = [split_bits(reference_split(state, vec)) for state in states]
+        amps = [state.amplitude for state in states]
+        stack = stack_of(states, d, n)
         with mock.patch.object(multislater, "SPLIT_BATCH", batch):
-            assert [split_bits(p) for p in _split_stack(states, vec)] == ref
+            got = split_states(_split_stack(amps, stack, vec))
+            assert [split_bits(p) for p in got] == ref
             if states and n >= 2:
-                assert [split_bits(p) for p in _split_batch(states, vec)] == ref
+                got = split_states(_split_batch(amps, stack, vec))
+                assert [split_bits(p) for p in got] == ref
             s = SlaterSum(terms, d, n)
             for want in (0, 1):
-                got = _tree(s.terms, (vec,), _split_stack, (want,))[want]
+                got = tree_leaves(s, (vec,), (want,))[want]
                 assert terms_bits(got) == terms_bits(reference_single_leaves(s, vec, want))
             if lam is not None:
-                tree = _tree(s.terms, (lam, vec), _split_stack, ALL_OUTCOMES)
+                tree = tree_leaves(s, (lam, vec), ALL_OUTCOMES)
                 for got, want in zip(tree, reference_tree(s, vec, lam)):
                     assert terms_bits(got) == terms_bits(want)
+
+
+class TestStoredLayout:
+    """A sum stores its orbitals once, as a read-only C-contiguous
+    (T, D, N) stack.  Built from Fortran-ordered or strided-view states,
+    it holds their entries in C order, so every kernel rounds as on the
+    sum of their C-contiguous copies."""
+
+    @pytest.mark.parametrize("kind", ["fortran", "view"])
+    def test_rounds_like_its_c_contiguous_copy(self, kind):
+        rng = rng_for(131)
+        d, n = 7, 3
+        u = random_unitary(rng, d)
+        terms = tuple(
+            (random_complex(rng), SlaterState(kernel_orbitals(rng, kind, u, n)))
+            for _ in range(5)
+        )
+        assert not any(st_.orbitals.flags.c_contiguous for _, st_ in terms)
+        copies = tuple(
+            (c, SlaterState(np.ascontiguousarray(st_.orbitals), st_.amplitude))
+            for c, st_ in terms
+        )
+        s, ref = SlaterSum(terms), SlaterSum(copies)
+        assert s.orbitals.shape == (5, d, n)
+        assert s.orbitals.flags.c_contiguous and not s.orbitals.flags.writeable
+        assert terms_bits(s.terms) == terms_bits(ref.terms)
+        assert bits(_overlap_total(s)) == bits(_overlap_total(ref))
+        v = random_unitary(rng, d)
+        assert terms_bits(evolve_sum(s, v).terms) == terms_bits(evolve_sum(ref, v).terms)
+        kap, lam = u[:, 0], u[:, 4]
+        for grouping, label in (("02/1", "1"), ("02/1", "02"), ("012", "0")):
+            got = measure_two_mode(s, kap, lam, grouping, forced=label)
+            want = measure_two_mode(ref, kap, lam, grouping, forced=label)
+            assert got[1].hex() == want[1].hex()
+            assert terms_bits(got[2].terms) == terms_bits(want[2].terms)
+
+
+class TestStoredForm:
+    """coeffs, amps and the orbital stack are the sum; .terms is a view."""
+
+    @staticmethod
+    def _parity_grown(rng, d, n, rounds):
+        s = SlaterSum.from_state(SlaterState(random_orthonormal_columns(rng, d, n)))
+        for _ in range(rounds):
+            kap, lam = random_orthogonal_pair(rng, d)
+            s = measure_two_mode(s, kap, lam, "02/1", forced="1")[2]
+        return s
+
+    def test_terms_view_reads_the_stack(self):
+        s = self._parity_grown(rng_for(132), 6, 3, 2)
+        assert s.term_count == len(s.coeffs) == len(s.amps) == s.orbitals.shape[0] >= 2
+        assert (s.modes, s.electrons) == (6, 3)
+        for (c, state), c_row, a, orb in zip(s.terms, s.coeffs, s.amps, s.orbitals):
+            assert np.shares_memory(state.orbitals, s.orbitals)
+            assert (c, state.amplitude) == (c_row, a)
+            assert state.orbitals.tobytes() == orb.tobytes()
+        with pytest.raises(ValueError):
+            s.terms[0][1].orbitals[0, 0] = 2.0
+        empty = SlaterSum((), 5, 2)
+        assert empty.orbitals.shape == (0, 5, 2) and empty.terms == ()
+
+    def test_parity_grown_measurement_builds_no_per_term_state(self, monkeypatch):
+        """measure_two_mode on a parity-grown sum (T >= 2, N >= 2, generic
+        modes) builds no SlaterState, public or _checked, and none of its
+        terms takes split_mode's per-term lane."""
+        rng = rng_for(133)
+        s = self._parity_grown(rng, 6, 3, 2)
+        assert s.term_count >= 2
+        built = []
+        post_init, checked = SlaterState.__post_init__, SlaterState._checked
+        monkeypatch.setattr(
+            SlaterState, "__post_init__", lambda self: built.append("public") or post_init(self)
+        )
+        monkeypatch.setattr(
+            SlaterState, "_checked",
+            classmethod(lambda cls, orb, amp: built.append("checked") or checked(orb, amp)),
+        )
+        unused = mock.Mock(side_effect=AssertionError("a term took split_mode"))
+        monkeypatch.setattr(multislater, "split_mode", unused)
+        kap, lam = random_orthogonal_pair(rng, 6)
+        for grouping, label in (("02/1", "1"), ("02/1", "02"), ("012", "1")):
+            post = measure_two_mode(s, kap, lam, grouping, forced=label)[2]
+            assert post.term_count >= s.term_count
+        assert built == []
 
 
 def off_orthonormal_state(u, n, span, delta):
@@ -736,11 +842,11 @@ class TestStackedChecks:
         terms[2] = (0.5, SlaterState._checked(orbitals, 1.0 + 0.0j))
         s = SlaterSum(tuple(terms), d, n)
         kap, lam = u[:, 0], u[:, 1]
-        tree = _tree(s.terms, (lam, kap), _split_stack, ALL_OUTCOMES)
+        tree = tree_leaves(s, (lam, kap), ALL_OUTCOMES)
         for got, want in zip(tree, reference_tree(s, kap, lam)):
             assert terms_bits(got) == terms_bits(want)
-        assert any(st_ is terms[2][1] for _, st_ in tree[0])
-        single = _tree(s.terms, (kap,), _split_stack, (0, 1))
+        assert any(np.array_equal(st_.orbitals, orbitals, equal_nan=True) for _, st_ in tree[0])
+        single = tree_leaves(s, (kap,), (0, 1))
         for want in (0, 1):
             assert terms_bits(single[want]) == terms_bits(reference_single_leaves(s, kap, want))
         assert raised(measure_two_mode, s, kap, lam, "012", "0") == (
@@ -850,9 +956,9 @@ class TestPrunedTree:
         split = []
         real = multislater._split_stack
 
-        def counting(states, vec):
-            split.extend(states)
-            return real(states, vec)
+        def counting(amps, orbitals, vec):
+            split.extend(amps)
+            return real(amps, orbitals, vec)
 
         monkeypatch.setattr(multislater, "_split_stack", counting)
         rng = rng_for(96)
@@ -862,7 +968,7 @@ class TestPrunedTree:
             split.clear()
             apply_two_mode_projector(s, kap, lam, outcome)
             assert len(split) == count
-            leaves = _tree(s.terms, (lam, kap), real, (outcome,))
+            leaves = _tree(s.coeffs, s.amps, s.orbitals, (lam, kap), real, (outcome,))
             assert [bool(t) for t in leaves] == [o == outcome for o in ALL_OUTCOMES]
 
     @pytest.mark.parametrize("kind", ["one", "two"])
@@ -1300,7 +1406,7 @@ class TestMeasureModeSum:
         s = random_two_term_sum(rng, 5, 2)
         kap = random_mode(rng, 5)
         for outcome in (0, 1):
-            with mock.patch.object(multislater, "SlaterSum", wraps=SlaterSum) as built:
+            with mock.patch.object(SlaterSum, "_stacked", wraps=SlaterSum._stacked) as built:
                 _, prob, post = measure_mode_sum(s, kap, forced=outcome)
             assert built.call_count == 2
             want = scale_sum(project_single_mode(s, kap, outcome), 1.0 / np.sqrt(prob))

@@ -17,7 +17,7 @@ from conftest import (
     rng_for,
 )
 
-from flosim.errors import NoAdmissibleBranch, ParityGroupingUnsupported
+from flosim.errors import ModesNotOrthogonal, NoAdmissibleBranch, ParityGroupingUnsupported
 from flosim.slater import SlaterState, standard_state
 from flosim.multislater import (
     SlaterSum,
@@ -576,22 +576,40 @@ class TestSampledSteps:
         assert {g for g, _ in seen} == {"1", *ALL_GROUPINGS}
         assert {p for _, p in seen} == {"sample", "forced", "exact"}
 
-    @pytest.mark.parametrize("kind,calls", [("measure2", 4), ("measure1", 3)])
+    @pytest.mark.parametrize(
+        "kind,calls", [("measure2", 4), ("measure1", 3), ("exact", 6), ("nogo", 6)]
+    )
     def test_measured_modes_are_checked_by_the_measure_call(self, kind, calls, monkeypatch):
-        """A forced step's executor adds no check_mode call of its own:
-        measure_two_mode / measure_mode_sum check kappa (and lambda) once,
-        and the rest are the per-term split lanes' checks.  The executor's
-        own checks made these 6 and 4."""
+        """A step's executor adds no check_mode call of its own: a forced
+        measure_two_mode / measure_mode_sum checks kappa (and lambda) once,
+        and so does an exact measure2 in either executor (sampled "exact"
+        and nogo); the rest are the per-term split lanes' checks.  The
+        executors' own checks made these 6, 4, 8 and 7."""
         e = np.eye(4, dtype=complex)
         kap, lam = (e[:, 0] + e[:, 2]) / np.sqrt(2), (e[:, 1] - e[:, 3]) / np.sqrt(2)
         if kind == "measure2":
             step = MeasureTwo(kap, lam, "012", policy="forced", outcome="1")
-        else:
+        elif kind == "measure1":
             step = MeasureOne(kap, policy="forced", outcome=1)
+        else:
+            step = MeasureTwo(kap, lam, "012", policy="exact")
         real = slater.check_mode
         counter = mock.Mock(wraps=real)
         for module in (slater, multislater, simulate, fock):
             if getattr(module, "check_mode", None) is real:
                 monkeypatch.setattr(module, "check_mode", counter)
-        simulate_sampled([step], 4, 2, initial=standard_state(4, 2))
+        run = simulate_exact_branch if kind == "nogo" else simulate_sampled
+        run([step], 4, 2, initial=standard_state(4, 2))
         assert counter.call_count == calls
+
+    @pytest.mark.parametrize("run", ["simulate_sampled", "simulate_exact_branch"])
+    def test_exact_parity_rejection_comes_before_the_mode_checks(self, run):
+        """An exact measure2 on a circuit's modes raises what it always
+        has: parity wins over equal modes, which any other grouping
+        rejects as not orthogonal."""
+        e = np.eye(4, dtype=complex)
+        execute = getattr(simulate, run)
+        for grouping, error in (("02/1", ParityGroupingUnsupported), ("012", ModesNotOrthogonal)):
+            step = MeasureTwo(e[:, 1], e[:, 1], grouping, policy="exact")
+            with pytest.raises(error):
+                execute([step], 4, 2)

@@ -27,6 +27,7 @@ from flosim.slater import (
     SlaterState,
     annihilate,
     check_mode,
+    check_orthonormal,
     check_unitary,
     decompose_mode,
     evolve,
@@ -35,7 +36,6 @@ from flosim.slater import (
     rotate_in_first,
     slater_overlap,
     standard_state,
-    valid_stack,
 )
 from flosim import fock
 
@@ -81,9 +81,19 @@ class TestSlaterStateType:
             SlaterState(bad)
 
 
-class TestValidStack:
-    """valid_stack accepts a stack exactly when the constructor accepts
-    every slice of it."""
+def raised_by(fn, *args):
+    """(class, message) of what fn raises, or None."""
+    try:
+        fn(*args)
+    except FlosimError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+class TestOrthonormalCheck:
+    """check_orthonormal raises on a stack exactly what the constructor
+    raises on its first failing slice: class and message, deviation
+    digits included."""
 
     @pytest.mark.parametrize(
         "defect, valid",
@@ -99,16 +109,21 @@ class TestValidStack:
             stack[2, 4, 1] = float(defect)
         elif defect is not None:
             stack[2, :, 2] += defect * stack[2, :, 1]
+        per_slice = [raised_by(SlaterState, orbitals) for orbitals in stack]
+        assert (per_slice == [None] * 5) is valid
+        assert raised_by(check_orthonormal, stack) == next(filter(None, per_slice), None)
 
-        def accepted(orbitals):
-            try:
-                SlaterState(orbitals)
-            except FlosimError:
-                return False
-            return True
-
-        assert valid_stack(stack) is valid
-        assert all(accepted(orbitals) for orbitals in stack) is valid
+    @pytest.mark.parametrize("order", [("nan", 1e-8), (1e-8, "nan"), (3e-8, 1e-8)])
+    def test_first_failing_state_wins(self, order):
+        """Whichever check a state fails, the earliest failing state raises."""
+        rng = rng_for(25)
+        stack = np.array([random_orthonormal_columns(rng, 6, 3) for _ in range(5)])
+        for index, defect in zip((1, 3), order):
+            if defect == "nan":
+                stack[index, 0, 0] = np.nan
+            else:
+                stack[index, :, 2] += defect * stack[index, :, 1]
+        assert raised_by(check_orthonormal, stack) == raised_by(SlaterState, stack[1])
 
 
 class TestInputChecks:

@@ -63,7 +63,7 @@ def test_sampled_measurements_go_through_the_traced_names():
 
 
 def test_corpus_captures_each_run_as_the_cli_prints_it(tmp_path, monkeypatch, capsys):
-    """tools/corpus.py lists its 158 runs and records each run's exit
+    """tools/corpus.py lists its 266 runs and records each run's exit
     code, stdout and stderr under a source tree.  Two of them run here,
     under the working tree only: an oracle-checked run and one refused
     with exit code 1."""
@@ -71,7 +71,7 @@ def test_corpus_captures_each_run_as_the_cli_prints_it(tmp_path, monkeypatch, ca
     corpus = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(corpus)
     argvs = corpus.invocations(tmp_path)
-    assert len(argvs) == 158
+    assert len(argvs) == 266
     picked = [
         ["simulate", "circuits/generic_p1.json", "--seed", "3", "--oracle-check"],
         ["simulate", "tests/data/parity_deep.json", "--seed", "3", "--oracle-check"],

@@ -11,13 +11,14 @@ invocations in one fresh interpreter, in process through
 flosim.cli.main, from this checkout's root with BLAS at one thread.
 Exits 1 if any run differs.
 
-The corpus, 158 runs, all on this checkout's inputs:
+The corpus, 266 runs, all on this checkout's inputs:
   - circuits/*.json, tests/data/policy_mix.json and parity_deep.json
     under `simulate --seed 3/7/11`, plain and with --oracle-check, and
     under `nogo`;
   - policy_mix.json under `simulate --seed 7..26 --oracle-check`;
-  - the benchmark's `oracle_check` input pools of seeds 201-203 and 213,
-    which perfbench/workloads.py writes to a temporary directory.
+  - the benchmark's input pools of every workload (`parity_sum`,
+    `single_det`, `oracle_check` and `analysis`) at seeds 201-203 and
+    213, which perfbench/workloads.py writes to a temporary directory.
 """
 
 import contextlib
@@ -38,6 +39,7 @@ CIRCUITS = (
     "tests/data/parity_deep.json",
 )
 POOL_SEEDS = (201, 202, 203, 213)
+POOL_WORKLOADS = ("oracle_check", "parity_sum", "single_det", "analysis")
 SHOWN_DIFF_LINES = 20
 
 
@@ -57,9 +59,10 @@ def invocations(pool_dir):
     )
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
-    for seed in POOL_SEEDS:
-        plan = workloads.generate("oracle_check", seed, os.path.join(pool_dir, str(seed)))
-        runs += [argv for job in plan for argv in job["argv"]]
+    for workload in POOL_WORKLOADS:
+        for seed in POOL_SEEDS:
+            plan = workloads.generate(workload, seed, os.path.join(pool_dir, workload, str(seed)))
+            runs += [argv for job in plan for argv in job["argv"]]
     return runs
 
 
