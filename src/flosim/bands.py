@@ -181,13 +181,3 @@ def measure_origin(cfg, outcome):
     )
     return probability, post, profile
 
-
-def exchange_hole_profile(cfg, outcome):
-    """Site-density change relative to the uniform sea, per coordinate.
-
-    Returns (x, density_change).  Outcome 1 piles 1 - nu onto the origin
-    and digs the exchange hole around it; outcome 0 empties the origin
-    and pushes that weight outward.
-    """
-    _, _, profile = measure_origin(cfg, outcome)
-    return profile.x, profile.density_after - profile.density_before

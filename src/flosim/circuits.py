@@ -126,19 +126,6 @@ def _matrix_from_json(value, shape, where):
     return mat
 
 
-def _complex_to_json(z):
-    z = complex(z)
-    return [z.real, z.imag]
-
-
-def _vector_to_json(vec):
-    return [_complex_to_json(z) for z in np.asarray(vec)]
-
-
-def _matrix_to_json(mat):
-    return [_vector_to_json(row) for row in np.asarray(mat)]
-
-
 def _require_int(value, where, low=None, high=None):
     if not isinstance(value, int) or isinstance(value, bool):
         raise ParseError(f"{where}: expected an integer, got {value!r}")
@@ -367,54 +354,3 @@ def load_state_sum(path):
         raise ParseError("state file describes a zero state")
     return scale_sum(ssum, 1.0 / nrm)
 
-
-def _rotate_to_json(step):
-    if step.unitary is not None:
-        return {"kind": "rotate", "unitary": _matrix_to_json(step.unitary)}
-    return {
-        "kind": "rotate",
-        "generator": _matrix_to_json(step.generator),
-        "tau": float(step.tau),
-    }
-
-
-def _measure1_to_json(step):
-    out = {"kind": "measure1", "vector": _vector_to_json(step.kappa),
-           "policy": step.policy}
-    if step.outcome is not None:
-        out["outcome"] = int(step.outcome)
-    return out
-
-
-def _measure2_to_json(step):
-    out = {
-        "kind": "measure2",
-        "first": _vector_to_json(step.kappa),
-        "second": _vector_to_json(step.lam),
-        "grouping": step.grouping,
-        "policy": step.policy,
-    }
-    if step.outcome is not None:
-        out["outcome"] = step.outcome
-    return out
-
-
-def serialize_circuit(circuit):
-    """Render a circuit back to JSON text.
-
-    Shorthand rotations come back as their expanded unitaries and mode
-    indices as explicit vectors, so a save/load round trip preserves
-    every matrix exactly even though the surface syntax may differ.
-    """
-    steps = []
-    for step in circuit.steps:
-        if isinstance(step, Rotate):
-            steps.append(_rotate_to_json(step))
-        elif isinstance(step, MeasureOne):
-            steps.append(_measure1_to_json(step))
-        elif isinstance(step, MeasureTwo):
-            steps.append(_measure2_to_json(step))
-        else:
-            raise TypeError(f"unknown step type {type(step).__name__}")
-    doc = {"modes": circuit.modes, "electrons": circuit.electrons, "steps": steps}
-    return json.dumps(doc, indent=2) + "\n"

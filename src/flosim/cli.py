@@ -224,15 +224,22 @@ def cmd_slater_rank(args):
     return 0
 
 
-def _seed(text):
-    """A --seed value: a non-negative integer, as numpy's generator takes."""
-    seed = int(text)
-    if seed < 0:
-        raise argparse.ArgumentTypeError(f"must be non-negative, got {seed}")
-    return seed
+def _int_at_least(low, words):
+    """An argparse type: an integer of at least low, else a usage error
+    saying it must be `words`."""
+
+    def parse(text):
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be {words}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # so that "abc" still reads "invalid int value: 'abc'"
+    return parse
 
 
-_seed.__name__ = "int"  # so that --seed abc still reads "invalid int value: 'abc'"
+_seed = _int_at_least(0, "non-negative")  # as numpy's generator takes
+_term_cap = _int_at_least(1, "positive")  # a cap below 1 fails every run
 
 
 # one parser per process: parse_args leaves it unchanged
@@ -252,7 +259,7 @@ def build_parser():
         action="store_true",
         help="judge each step of the run on the dense reference (needs at most 6 modes)",
     )
-    p_sim.add_argument("--max-terms", type=int, default=DEFAULT_MAX_TERMS)
+    p_sim.add_argument("--max-terms", type=_term_cap, default=DEFAULT_MAX_TERMS)
     p_sim.set_defaults(func=cmd_simulate)
 
     p_nogo = sub.add_parser(

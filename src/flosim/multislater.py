@@ -26,21 +26,17 @@ from .errors import (
     TermCapExceeded,
     WrongParticleNumber,
 )
-from .linalg import PAIR_THRESHOLD, antisym_canonical, pfaffian, require_finite, row_norms
+from .linalg import PAIR_THRESHOLD, antisym_canonical, pfaffian, require_finite
 from .slater import (
-    ABSENT_TOL,
-    MODE_NORM_TOL,
     ORTHOGONAL_TOL,
     PROB_FLOOR,
-    REORTH_TOL,
-    SPAN_TOL,
     SlaterState,
     annihilate,
     check_mode,
     check_modes,
     check_orthonormal,
     check_unitary,
-    split_mode,
+    split_stack,
     standard_state,
 )
 
@@ -214,100 +210,19 @@ def evolve_sum(s, v):
     return SlaterSum._stacked(s.coeffs, s.amps, rotated, s.max_terms)
 
 
-def _split_each(amps, orbitals, vec):
-    """split_mode's [zero, one] of each state, as (scale, amplitude, orbitals) or None."""
-    states = map(SlaterState._checked, orbitals, amps)
-    pairs = (split_mode(st, vec)[1] for st in states)
-    return [[r and (r[0], r[1].amplitude, r[1].orbitals) for r in pair] for pair in pairs]
-
-
 def _split_stack(amps, orbitals, vec):
-    """_split_each's projections of a (T, D, N) stack, bit for bit.
-
-    Batches of up to SPLIT_BATCH terms go through one stacked
-    decomposition and rotation each (_split_batch).  A lone term, or
-    terms with at most one electron (no rotation to share), take
-    split_mode, which costs less there.
-    """
-    if len(amps) < 2 or orbitals.shape[2] <= 1:
-        return _split_each(amps, orbitals, vec)
+    """split_stack's children of a (T, D, N) stack, in batches of up to
+    SPLIT_BATCH terms so that its scratch arrays stay small."""
     batches = (slice(start, start + SPLIT_BATCH) for start in range(0, len(amps), SPLIT_BATCH))
-    return [pair for b in batches for pair in _split_batch(amps[b], orbitals[b], vec)]
+    return [pair for b in batches for pair in split_stack(amps[b], orbitals[b], vec)[2]]
 
 
-def _split_batch(amps, phi, vec):
-    """decompose_mode, rotate_in_first and split_mode's two children for a
-    (T, D, N) stack phi with N >= 2, each step one stacked numpy call.
-
-    Stacked gemv, matmul, svd and det, broadcast divisions and row_norms
-    round like their per-slice calls, so every result is bitwise
-    split_mode's.  Every check split_mode makes (the mode norm, NotInSpan,
-    determinant and constructor finiteness, orthonormality) runs once per
-    stack with the same tolerance and raises a FlosimError, on which
-    _group_sum redoes the split term by term.  Terms whose beta falls in
-    the re-orthogonalization band take split_mode itself.
-    """
-    phi_h = phi.conj().transpose(0, 2, 1)
-    coeffs = phi_h @ vec
-    alpha = row_norms(coeffs)
-    inside = (phi @ coeffs[:, :, None])[:, :, 0]
-    resid = vec - inside
-    beta = row_norms(resid)
-    alphas, betas = alpha.tolist(), beta.tolist()
-    per_term = (ABSENT_TOL < beta) & (beta < REORTH_TOL)
-    lanes = np.flatnonzero(~per_term & (alpha > ABSENT_TOL))
-    out = [[(1.0, amp, orb), None] for amp, orb in zip(amps, phi)]
-    for i in np.flatnonzero(per_term).tolist():
-        out[i] = _split_each(amps[i : i + 1], phi[i : i + 1], vec)[0]
-    if lanes.size:
-        # A full slice where every row is taken, so that indexing gives views.
-        rows = slice(None) if lanes.size == len(amps) else lanes
-        phi, phi_h, a, b = phi[rows], phi_h[rows], alpha[rows, None], beta[rows, None]
-        in_orb = inside[rows] / a
-        # rotate_in_first(state, in_orb)
-        c = phi_h @ in_orb[:, :, None]
-        off_norm = ~(abs(row_norms(in_orb) - 1.0) <= MODE_NORM_TOL)
-        if off_norm.any() or (row_norms(in_orb - (phi @ c)[:, :, 0]) > SPAN_TOL).any():
-            raise FlosimError("a stacked split check failed")
-        c = c[:, :, 0] / row_norms(c[:, :, 0])[:, None]
-        # complement_basis([c], n): the last n - 1 rows of the svd's vh.
-        comp = np.linalg.svd(c.conj()[:, None, :], full_matrices=True)[2][:, 1:]
-        change = np.concatenate([c[:, :, None], comp.conj().transpose(0, 2, 1)], axis=2)
-        if not np.isfinite(change).all():
-            raise FlosimError("a stacked split check failed")
-        change[:, :, -1] /= np.linalg.det(change)[:, None]
-        if not np.isfinite(change).all():
-            raise FlosimError("a stacked split check failed")
-        dets = np.linalg.det(change).tolist()
-        rot = phi @ change
-        # Drop the stacks no longer needed before checking and building
-        # the children, so the batch's peak memory stays low.
-        del phi, phi_h, comp, change
-        check_orthonormal(rot)
-        # The children share the rotated span's other orbitals.
-        vecs = np.broadcast_to(vec[:, None], (len(lanes), len(vec), 1))
-        one = np.concatenate([vecs, rot[:, :, 1:]], axis=2)
-        has_out = b[:, 0] > ABSENT_TOL
-        k = slice(None) if has_out.all() else np.flatnonzero(has_out)
-        out_orb = resid[rows][k] / b[k]
-        perp = b[k] * in_orb[k] - a[k] * out_orb
-        zero = np.concatenate([perp[:, :, None], rot[k, :, 1:]], axis=2)
-        del rot
-        check_orthonormal(one)
-        check_orthonormal(zero)
-        zeros = iter(zero)
-        for i, orb, d, out_too in zip(lanes.tolist(), one, dets, has_out.tolist()):
-            amp = amps[i] / d
-            out[i] = [(betas[i], amp, next(zeros)) if out_too else None, (alphas[i], amp, orb)]
-    return out
-
-
-def _tree(coeffs, amps, orbitals, vecs, split, wanted):
+def _tree(coeffs, amps, orbitals, vecs, wanted):
     """Leaves (coefficient, amplitude, orbitals) of the split tree of the
     measured modes vecs, (lambda, kappa) or (kappa,), on the total
     occupations in wanted, listed by total occupation: every term split
     on vecs[0], then every child that can still reach a wanted outcome on
-    the next mode, each level one call of split over one stack."""
+    the next mode, each level one _split_stack call over one stack."""
     d, n = orbitals.shape[1:]
     nodes = list(zip(coeffs, [0] * len(coeffs), amps, orbitals))
     for level, vec in enumerate(vecs):
@@ -315,7 +230,7 @@ def _tree(coeffs, amps, orbitals, vecs, split, wanted):
         reach = {w - r for w in wanted for r in range(len(vecs) - level)}
         if level:
             orbitals = _stack([orb for *_, orb in nodes], d, n)
-        pairs = split([amp for _, _, amp, _ in nodes], orbitals, vec)
+        pairs = _split_stack([amp for _, _, amp, _ in nodes], orbitals, vec)
         # Occupied first, so outcome 1 lists (1, 0) before (0, 1).
         nodes = [
             (coeff * res[0], o + i, res[1], res[2])
@@ -332,13 +247,12 @@ def _group_sum(s, vecs, group):
     ((0, 2)); only its leaves are built and capped."""
     group = tuple(map(int, group))
     try:
-        leaves = _tree(s.coeffs, s.amps, s.orbitals, vecs, _split_stack, group)
+        leaves = _tree(s.coeffs, s.amps, s.orbitals, vecs, group)
     except (FlosimError, ValueError):
-        # Term by term, every level per term, the first failing check
-        # raises as it always has.
+        # Term by term, every level per term, so that the first failing
+        # term's error wins, as a term-major split raises it.
         terms = [slice(i, i + 1) for i in range(s.term_count)]
-        trees = [_tree(s.coeffs[i], s.amps[i], s.orbitals[i], vecs, _split_each, group)
-                 for i in terms]
+        trees = [_tree(s.coeffs[i], s.amps[i], s.orbitals[i], vecs, group) for i in terms]
         leaves = [[leaf for tree in trees for leaf in tree[o]] for o in range(3)]
     coeffs, amps, rows = list(zip(*[leaf for o in group for leaf in leaves[o]])) or ((), (), ())
     return SlaterSum._stacked(coeffs, amps, _stack(rows, s.modes, s.electrons), s.max_terms)

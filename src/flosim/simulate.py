@@ -190,8 +190,8 @@ def simulate_exact_branch(circuit, d, n, initial=None):
         if not isinstance(step, (MeasureOne, MeasureTwo)):
             raise TypeError(f"step {idx}: not a circuit step: {step!r}")
         if isinstance(step, MeasureOne):
-            dec, children = split_mode(state, check_mode(step.kappa, d))
-            p0, p1 = (1.0, 0.0) if state.electrons == 0 else (dec.beta**2, dec.alpha**2)
+            (alpha, beta), children = split_mode(state, check_mode(step.kappa, d))
+            p0, p1 = (1.0, 0.0) if state.electrons == 0 else (beta**2, alpha**2)
             label, prob, certain = _steer(idx, {"0": p0, "1": p1}, ("0", "1"))
             if not certain:
                 state = children[int(label)][1]

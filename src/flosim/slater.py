@@ -25,7 +25,7 @@ from .errors import (
     NotInSpan,
     NotUnitary,
 )
-from .linalg import complement_basis, determinant, row_norms
+from .linalg import complement_basis, determinant, require_finite, row_norms
 
 ORTHO_TOL = 1e-10
 UNITARY_TOL = 1e-10
@@ -92,17 +92,17 @@ class ModeDecomposition:
 def check_orthonormal(orbitals):
     """The constructor's check on each state of a (T, D, N) stack: raise for
     the first with a non-finite entry or a deviation ||Phi^H Phi - 1||_F
-    (np.linalg.norm's, bit for bit) above ORTHO_TOL."""
+    (np.linalg.norm's, bit for bit) above ORTHO_TOL or not finite."""
     t, _, n = orbitals.shape
-    safe = orbitals
-    if not np.isfinite(orbitals).all():
-        # Zeroed, as their Gram would warn; deviation sqrt(N) then fails them.
-        safe = np.where(np.isfinite(orbitals).all(axis=(1, 2))[:, None, None], orbitals, 0)
-    gram = (safe.conj().transpose(0, 2, 1) @ safe).reshape(t, n * n)
-    gram[:, :: n + 1] -= 1.0  # Phi^H Phi - 1, as subtracting np.eye(n) rounds
-    dev = row_norms(gram)
-    if (dev > ORTHO_TOL).any():
-        i = (dev > ORTHO_TOL).argmax()
+    # A non-finite entry or an overflowing Gram product makes the
+    # deviation inf or NaN, which fails the state without a warning.
+    with np.errstate(all="ignore"):
+        gram = (orbitals.conj().transpose(0, 2, 1) @ orbitals).reshape(t, n * n)
+        gram[:, :: n + 1] -= 1.0  # Phi^H Phi - 1, as subtracting np.eye(n) rounds
+        dev = row_norms(gram)
+    bad = ~(dev <= ORTHO_TOL)
+    if bad.any():
+        i = bad.argmax()
         if not np.isfinite(orbitals[i]).all():
             raise FlosimError("orbital entries must be finite")
         raise FlosimError(f"orbital columns not orthonormal, deviation {dev[i]:.3e}")
@@ -197,28 +197,97 @@ def rotate_in_first(s, in_orbital):
     return SlaterState(s.orbitals @ basis_change, s.amplitude / d_resid)
 
 
-def split_mode(s, vec):
-    """Both single-mode occupation projections of s on the mode vector vec
-    (an ndarray, as check_mode returns it), from one decomposition and
-    one rotation of the filled span.
+def split_stack(amps, orbitals, vec):
+    """Both single-mode occupation projections of every state of a
+    (T, D, N) orbital stack on the mode vector vec (an ndarray, as
+    check_mode returns it), each step one stacked numpy call.
 
-    Returns (decompose_mode(s, vec), [zero, one]).  Each projection is
-    (scale, new_state) with projector(s) == scale * new_state, or None
-    when it vanishes; new_state keeps unit norm.  Outcome 1 replaces the
-    first orbital by vec, outcome 0 by the in-span vector orthogonal to
-    vec.
+    Returns (alphas, betas, children): vec = alpha in + beta out against
+    each state's filled span, and per state [zero, one], each (scale,
+    amplitude, orbitals) with projector(state) == scale * (amplitude,
+    orbitals), or None when it vanishes.  Outcome 1 puts vec first in the
+    rotated span, outcome 0 the in-span vector beta in - alpha out.  A
+    state with no filled component of vec (every one when N = 0) passes
+    through as outcome 0.  Stacked calls round like per-slice ones and a
+    residual in the re-orthogonalization band is projected again with
+    decompose_mode's own 2-D products, so each state splits bit for bit
+    as decompose_mode and rotate_in_first split its C-contiguous copy.
+    Each of their checks and the constructor's runs once per stack and
+    raises the class and message of the first state that fails it.
     """
-    dec = decompose_mode(s, vec)
-    if dec.in_orbital is None:
-        return dec, [(1.0, s), None]
-    rot = rotate_in_first(s, dec.in_orbital)
-    rest = rot.orbitals[:, 1:]
-    one = SlaterState(np.column_stack([vec.reshape(-1, 1), rest]), rot.amplitude)
-    if dec.out_orbital is None:
-        return dec, [None, (dec.alpha, one)]
-    perp = dec.beta * dec.in_orbital - dec.alpha * dec.out_orbital
-    zero = SlaterState(np.column_stack([perp.reshape(-1, 1), rest]), rot.amplitude)
-    return dec, [(dec.beta, zero), (dec.alpha, one)]
+    phi_h = orbitals.conj().transpose(0, 2, 1)
+    coeffs = phi_h @ vec
+    alpha = row_norms(coeffs)
+    inside = (orbitals @ coeffs[:, :, None])[:, :, 0]
+    resid = vec - inside
+    beta = row_norms(resid)
+    alphas, betas = alpha.tolist(), beta.tolist()
+    for i, b_i in enumerate(betas):
+        if ABSENT_TOL < b_i < REORTH_TOL:
+            # kappa - inside cancels to a residual of relative error about
+            # eps / beta along the span; project that part out once more.
+            resid[i] = resid[i] - orbitals[i] @ (phi_h[i] @ resid[i])
+            beta[i] = betas[i] = float(np.linalg.norm(resid[i]))
+    out = [[(1.0, amp, orb), None] for amp, orb in zip(amps, orbitals)]
+    lanes = [i for i, a_i in enumerate(alphas) if a_i > ABSENT_TOL]
+    if not lanes:
+        return alphas, betas, out
+    # A full slice where every row is taken, so that indexing gives views.
+    rows = slice(None) if len(lanes) == len(amps) else lanes
+    phi, phi_h, a, b = orbitals[rows], phi_h[rows], alpha[rows, None], beta[rows, None]
+    in_orb = inside[rows] / a
+    # rotate_in_first(state, in_orb)
+    norms = row_norms(in_orb)
+    off_norm = ~(abs(norms - 1.0) <= MODE_NORM_TOL)
+    if off_norm.any():
+        raise FlosimError(f"mode vector norm {norms[off_norm.argmax()]:.12f} is not 1")
+    c = phi_h @ in_orb[:, :, None]
+    span_resid = row_norms(in_orb - (phi @ c)[:, :, 0])
+    if (span_resid > SPAN_TOL).any():
+        far = span_resid[(span_resid > SPAN_TOL).argmax()]
+        raise NotInSpan(f"vector is {far:.3e} away from the filled span")
+    c = c[:, :, 0] / row_norms(c[:, :, 0])[:, None]
+    change = c[:, :, None]
+    if phi.shape[2] > 1:
+        # complement_basis([c], n): the last n - 1 rows of the svd's vh.
+        vh = np.linalg.svd(c.conj()[:, None, :], full_matrices=True)[2]
+        change = np.concatenate([change, vh[:, 1:].conj().transpose(0, 2, 1)], axis=2)
+        require_finite(change)
+        change[:, :, -1] /= np.linalg.det(change)[:, None]
+    require_finite(change)
+    dets = np.linalg.det(change).tolist()
+    rot = phi @ change
+    # Drop the stacks no longer needed before checking and building the
+    # children, so the batch's peak memory stays low.
+    del phi, phi_h, c, change
+    check_orthonormal(rot)
+    # The children share the rotated span's other orbitals.
+    one = rot.copy()
+    one[:, :, 0] = vec
+    has_out = [betas[i] > ABSENT_TOL for i in lanes]
+    k = slice(None) if all(has_out) else np.flatnonzero(has_out)
+    out_orb = resid[rows][k] / b[k]
+    zero = rot[k]  # rot itself when every state has both children
+    zero[:, :, 0] = b[k] * in_orb[k] - a[k] * out_orb
+    del rot
+    check_orthonormal(one)
+    check_orthonormal(zero)
+    zeros = iter(zero)
+    for i, orb, d, out_too in zip(lanes, one, dets, has_out):
+        amp = amps[i] / d
+        out[i] = [(betas[i], amp, next(zeros)) if out_too else None, (alphas[i], amp, orb)]
+    return alphas, betas, out
+
+
+def split_mode(s, vec):
+    """split_stack on the one state s: returns ((alpha, beta), [zero, one])
+    with each projection (scale, new_state), new_state of unit norm, or
+    None.  When vec has no filled component, zero is (1.0, s) itself."""
+    orbitals = np.ascontiguousarray(s.orbitals)[None]
+    (alpha,), (beta,), (pair,) = split_stack([s.amplitude], orbitals, vec)
+    if pair[1] is None:
+        return (alpha, beta), [(1.0, s), None]
+    return (alpha, beta), [r and (r[0], SlaterState._checked(r[2], r[1])) for r in pair]
 
 
 def measure_mode(s, kappa, forced=None, rng=None):
@@ -234,9 +303,9 @@ def measure_mode(s, kappa, forced=None, rng=None):
         if forced == 1:
             raise ImpossibleOutcome("the vacuum never reports an occupied mode")
         return 0, 1.0, s
-    dec, children = split_mode(s, kap)
-    p1 = dec.alpha ** 2
-    p0 = dec.beta ** 2
+    (alpha, beta), children = split_mode(s, kap)
+    p1 = alpha ** 2
+    p0 = beta ** 2
     if forced is None:
         if rng is None:
             raise ValueError("measure_mode needs forced=0/1 or an rng to sample")

@@ -13,7 +13,6 @@ from flosim.bands import (
     LatticeConfig,
     centered_positions,
     closed_form_w0,
-    exchange_hole_profile,
     fermi_sea,
     measure_origin,
     plane_wave,
@@ -294,10 +293,15 @@ class TestWKernel:
 
 
 class TestExchangeHole:
+    """The density change relative to the uniform sea: outcome 1 piles
+    1 - nu onto the origin and digs the exchange hole around it, outcome 0
+    empties the origin and pushes that weight outward."""
+
     def test_occupied_outcome_shape(self):
         cfg = LatticeConfig(15, 7)
         nu = cfg.filling
-        x, change = exchange_hole_profile(cfg, 1)
+        profile = measure_origin(cfg, 1)[2]
+        x, change = profile.x, profile.density_after - profile.density_before
         at = {int(xi): c for xi, c in zip(x, change)}
         assert at[0] == pytest.approx(1 - nu, abs=1e-10)
         assert at[1] < 0 and at[-1] < 0
@@ -306,7 +310,8 @@ class TestExchangeHole:
     def test_empty_outcome_shape(self):
         cfg = LatticeConfig(15, 7)
         nu = cfg.filling
-        x, change = exchange_hole_profile(cfg, 0)
+        profile = measure_origin(cfg, 0)[2]
+        x, change = profile.x, profile.density_after - profile.density_before
         at = {int(xi): c for xi, c in zip(x, change)}
         assert at[0] == pytest.approx(-nu, abs=1e-10)
         assert at[1] > 0 and at[-1] > 0
@@ -314,8 +319,8 @@ class TestExchangeHole:
 
     def test_outcomes_oppose_near_origin(self):
         cfg = LatticeConfig(9, 3)
-        _, up = exchange_hole_profile(cfg, 1)
-        _, down = exchange_hole_profile(cfg, 0)
+        up, down = (measure_origin(cfg, o)[2] for o in (1, 0))
+        up, down = (p.density_after - p.density_before for p in (up, down))
         center = (9 - 1) // 2
         for offset in (-1, 0, 1):
             assert up[center + offset] * down[center + offset] < 0

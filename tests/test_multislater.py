@@ -27,12 +27,15 @@ from flosim.errors import (
     FlosimError,
     ImpossibleOutcome,
     ModesNotOrthogonal,
+    NotInSpan,
     NotUnitary,
     TermCapExceeded,
     WrongParticleNumber,
 )
 from flosim.slater import (
+    ABSENT_TOL,
     PROB_FLOOR,
+    REORTH_TOL,
     SlaterState,
     annihilate,
     decompose_mode,
@@ -41,6 +44,7 @@ from flosim.slater import (
     rotate_in_first,
     slater_overlap,
     split_mode,
+    split_stack,
     standard_state,
 )
 from flosim.multislater import (
@@ -50,7 +54,6 @@ from flosim.multislater import (
     _group_sum,
     _overlap_total,
     _probabilities,
-    _split_batch,
     _split_stack,
     _tree,
     apply_two_mode_projector,
@@ -66,7 +69,7 @@ from flosim.multislater import (
     sum_norm,
     two_fermion_w,
 )
-from flosim import fock, multislater
+from flosim import fock, multislater, slater
 
 
 def random_state(rng, d, n):
@@ -396,7 +399,7 @@ def reference_single_mode(s, kap, want):
 
 def tree_leaves(s, vecs, wanted):
     """_tree's leaves of the sum s as (coefficient, SlaterState) lists."""
-    leaves = _tree(s.coeffs, s.amps, s.orbitals, vecs, _split_stack, wanted)
+    leaves = _tree(s.coeffs, s.amps, s.orbitals, vecs, wanted)
     return [[(c, SlaterState._checked(orb, a)) for c, a, orb in out] for out in leaves]
 
 
@@ -560,24 +563,23 @@ def split_bits(pair):
     return [None if r is None else (float(r[0]).hex(), state_bits(r[1])) for r in pair]
 
 
-def split_children(state, vec):
-    return split_mode(state, vec)[1]
-
-
 def reference_split(state, vec):
-    return [reference_term_project(state, vec, want) for want in (0, 1)]
+    """[zero, one] of reference_term_project, outcome 1 built first as a
+    split checks its children, so a failing state raises what it raises."""
+    one = reference_term_project(state, vec, 1)
+    return [reference_term_project(state, vec, 0), one]
 
 
-def reference_tree(s, kap, lam, split=reference_split):
+def reference_tree(s, kap, lam):
     """_tree's two-mode leaves term by term, both tree levels per term, as
     the leaves were listed before the stacked kernel."""
     out = ([], [], [])
     for coeff, state in s.terms:
-        by_lam = split(state, lam)
+        by_lam = reference_split(state, lam)
         for i in (1, 0):
             if by_lam[i] is not None:
                 scale, child = by_lam[i]
-                for j, res in enumerate(split(child, kap)):
+                for j, res in enumerate(reference_split(child, kap)):
                     if res is not None:
                         out[i + j].append((coeff * scale * res[0], res[1]))
     return out
@@ -599,7 +601,7 @@ def two_mode_groups(s, kap, lam, grouping):
     The library built every group this way before it built only the
     chosen one; it stays here as the reference for that group."""
     shape = (s.modes, s.electrons, s.max_terms)
-    sums = [SlaterSum(tuple(t), *shape) for t in reference_tree(s, kap, lam, split_children)]
+    sums = [SlaterSum(tuple(t), *shape) for t in reference_tree(s, kap, lam)]
     return {
         group_label(g): SlaterSum(tuple(t for o in g for t in sums[o].terms), *shape)
         for g in GROUPINGS[grouping]
@@ -608,9 +610,9 @@ def two_mode_groups(s, kap, lam, grouping):
 
 NEAR_EPS = 1e-9  # inside the re-orthogonalization band of decompose_mode
 # Terms placed against the measured mode u[:, 0]: a random span, a span
-# holding the mode, one orthogonal to it and one NEAR_EPS from it, which
-# the kernel hands to split_mode.  A kind the shape cannot host falls
-# back to "generic".  kernel_orbitals also stores random spans in Fortran
+# holding the mode, one orthogonal to it and one NEAR_EPS from it, whose
+# residual the kernel projects out twice.  A kind the shape cannot host
+# falls back to "generic".  kernel_orbitals also stores random spans in Fortran
 # order ("fortran") or as a strided column view ("view"); a sum stores
 # both as C-contiguous rows (TestStoredLayout).
 KERNEL_TERM_KINDS = ("generic", "in_span", "orthogonal", "near_span")
@@ -637,11 +639,13 @@ def kernel_orbitals(rng, kind, u, n):
 
 
 @st.composite
-def kernel_stacks(draw):
-    d = draw(st.integers(1, 8))
-    n = draw(st.integers(0, d))
-    t = draw(st.sampled_from([0, 1, 2, 17, 64]))
-    kinds = draw(st.lists(st.sampled_from(KERNEL_TERM_KINDS), min_size=t, max_size=t))
+def kernel_stacks(draw, t=None, n=None, kinds=KERNEL_TERM_KINDS):
+    """(D, N, terms, vec, lam) for t terms of N electrons, each drawn when
+    not given; a given N gets D > N, so that every kind fits."""
+    d = draw(st.integers(1 if n is None else n + 1, 8))
+    n = draw(st.integers(0, d)) if n is None else n
+    t = draw(st.sampled_from([0, 1, 2, 17, 64])) if t is None else t
+    kinds = draw(st.lists(st.sampled_from(kinds), min_size=t, max_size=t))
     contiguous_mode = draw(st.booleans())
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     u = random_unitary(rng, d)
@@ -655,9 +659,26 @@ def kernel_stacks(draw):
     return d, n, tuple(terms), vec, lam
 
 
+def kernel_splits(states, d, n, vec):
+    """split_stack on the states' stack: its (alpha, beta) and children,
+    the children as split_bits."""
+    amps = [state.amplitude for state in states]
+    alphas, betas, pairs = split_stack(amps, stack_of(states, d, n), vec)
+    scales = [(a.hex(), b.hex()) for a, b in zip(alphas, betas)]
+    return scales, [split_bits(p) for p in split_states(pairs)]
+
+
+def reference_splits(states, vec):
+    """decompose_mode's (alpha, beta) and reference_split's children."""
+    decs = [decompose_mode(state, vec) for state in states]
+    scales = [(dec.alpha.hex(), dec.beta.hex()) for dec in decs]
+    return scales, [split_bits(reference_split(state, vec)) for state in states]
+
+
 class TestSplitKernel:
     """The stacked split against the per-term projection, bit for bit:
-    scales, amplitudes and orbital bytes, for every batch size."""
+    scales, amplitudes and orbital bytes, for every batch size, one state,
+    N = 0 and 1, and the re-orthogonalization band."""
 
     @pytest.mark.parametrize("batch", [1, 7, multislater.SPLIT_BATCH])
     @settings(derandomize=True, database=None, deadline=None, max_examples=40)
@@ -668,12 +689,10 @@ class TestSplitKernel:
         ref = [split_bits(reference_split(state, vec)) for state in states]
         amps = [state.amplitude for state in states]
         stack = stack_of(states, d, n)
+        assert kernel_splits(states, d, n, vec) == reference_splits(states, vec)
         with mock.patch.object(multislater, "SPLIT_BATCH", batch):
             got = split_states(_split_stack(amps, stack, vec))
             assert [split_bits(p) for p in got] == ref
-            if states and n >= 2:
-                got = split_states(_split_batch(amps, stack, vec))
-                assert [split_bits(p) for p in got] == ref
             s = SlaterSum(terms, d, n)
             for want in (0, 1):
                 got = tree_leaves(s, (vec,), (want,))[want]
@@ -682,6 +701,33 @@ class TestSplitKernel:
                 tree = tree_leaves(s, (lam, vec), ALL_OUTCOMES)
                 for got, want in zip(tree, reference_tree(s, vec, lam)):
                     assert terms_bits(got) == terms_bits(want)
+
+    @pytest.mark.parametrize("t,n", [(1, None), (None, 0), (None, 1), (1, 0), (1, 1)])
+    @settings(derandomize=True, database=None, deadline=None, max_examples=30)
+    @given(data=st.data())
+    def test_one_state_and_at_most_one_electron(self, t, n, data):
+        """A lone state is a (1, D, N) stack, N = 0 passes every state
+        through and N = 1 rotates by the normalized c alone."""
+        d, n, terms, vec, _ = data.draw(kernel_stacks(t, n))
+        states = [state for _, state in terms]
+        assert kernel_splits(states, d, n, vec) == reference_splits(states, vec)
+        for state in states:
+            (alpha, beta), pair = split_mode(state, vec)
+            assert split_bits(pair) == split_bits(reference_split(state, vec))
+            dec = decompose_mode(state, vec)
+            assert (alpha.hex(), beta.hex()) == (dec.alpha.hex(), dec.beta.hex())
+
+    @pytest.mark.parametrize("t,n", [(1, 1), (2, 2), (17, 3)])
+    @settings(derandomize=True, database=None, deadline=None, max_examples=20)
+    @given(data=st.data())
+    def test_re_orthogonalization_band(self, t, n, data):
+        """Every state lies NEAR_EPS from vec, so its beta falls in the band
+        where the residual is projected out a second time."""
+        d, n, terms, vec, _ = data.draw(kernel_stacks(t, n, ("near_span",)))
+        states = [state for _, state in terms]
+        got = kernel_splits(states, d, n, vec)
+        assert got == reference_splits(states, vec)
+        assert all(ABSENT_TOL < float.fromhex(b) < REORTH_TOL for _, b in got[0])
 
 
 class TestStoredLayout:
@@ -745,8 +791,8 @@ class TestStoredForm:
 
     def test_parity_grown_measurement_builds_no_per_term_state(self, monkeypatch):
         """measure_two_mode on a parity-grown sum (T >= 2, N >= 2, generic
-        modes) builds no SlaterState, public or _checked, and none of its
-        terms takes split_mode's per-term lane."""
+        modes) builds no SlaterState, public or _checked, and splits no
+        term through the one-state split_mode."""
         rng = rng_for(133)
         s = self._parity_grown(rng, 6, 3, 2)
         assert s.term_count >= 2
@@ -759,8 +805,9 @@ class TestStoredForm:
             SlaterState, "_checked",
             classmethod(lambda cls, orb, amp: built.append("checked") or checked(orb, amp)),
         )
+        assert not hasattr(multislater, "split_mode")
         unused = mock.Mock(side_effect=AssertionError("a term took split_mode"))
-        monkeypatch.setattr(multislater, "split_mode", unused)
+        monkeypatch.setattr(slater, "split_mode", unused)
         kap, lam = random_orthogonal_pair(rng, 6)
         for grouping, label in (("02/1", "1"), ("02/1", "02"), ("012", "1")):
             post = measure_two_mode(s, kap, lam, grouping, forced=label)[2]
@@ -779,6 +826,17 @@ def off_orthonormal_state(u, n, span, delta):
     return SlaterState._checked(np.column_stack(cols), 1.0 + 0.0j)
 
 
+def unequal_norm_state(eps):
+    """Orthogonal orbitals sqrt(1 + eps) e0 and sqrt(1 - eps) e1 on 4
+    modes, bypassing the constructor, and a mode on e0 and e1 weighted so
+    that its in-span vector keeps unit norm: a split on it passes the
+    mode-norm check and fails NotInSpan, about eps from the span."""
+    phi = np.zeros((4, 2), dtype=complex)
+    phi[0, 0], phi[1, 1] = np.sqrt(1 + eps), np.sqrt(1 - eps)
+    kap = np.array([np.sqrt((1 - eps) / 2), np.sqrt((1 + eps) / 2), 0, 0], dtype=complex)
+    return SlaterState._checked(phi, 1.0 + 0.0j), kap
+
+
 def raised(fn, *args):
     with pytest.raises(Exception) as err:
         fn(*args)
@@ -787,8 +845,8 @@ def raised(fn, *args):
 
 class TestStackedChecks:
     """A state failing a check inside a stack raises exactly what the
-    per-term path (split_mode on each term in turn) raises: the same class,
-    the same message, from the same first failing term."""
+    per-term path (reference_split on each term in turn) raises: the same
+    class, the same message, from the same first failing term."""
 
     @staticmethod
     def _sum(rng, d, n, t, bad):
@@ -804,9 +862,10 @@ class TestStackedChecks:
         d, n = 7, 3
         u, s = self._sum(rng_for(90 + t), d, n, t, [(index, (0, 1, 2), 1e-8)])
         kap, lam = u[:, 0], u[:, 5]
-        ref = raised(lambda: [split_mode(state, kap) for _, state in s.terms])
+        ref = raised(lambda: [reference_split(state, kap) for _, state in s.terms])
         assert ref[0] is FlosimError and "not orthonormal" in ref[1]
-        tree_ref = raised(reference_tree, s, kap, lam, split_children)
+        assert raised(split_mode, s.terms[index][1], kap) == ref
+        tree_ref = raised(reference_tree, s, kap, lam)
         with mock.patch.object(multislater, "SPLIT_BATCH", batch):
             for want in (0, 1):
                 assert raised(project_single_mode, s, kap, want) == ref
@@ -824,11 +883,36 @@ class TestStackedChecks:
         bad = [(3, (0, 1, 2), 1e-8), (5, (4, 1, 3), 3e-8)]
         u, s = self._sum(rng_for(93), d, n, 12, bad)
         kap, lam = u[:, 0], u[:, 4]
-        ref = raised(reference_tree, s, kap, lam, split_children)
-        assert ref == raised(split_mode, s.terms[3][1], kap)
-        assert ref != raised(split_mode, s.terms[5][1], lam)
+        ref = raised(reference_tree, s, kap, lam)
+        assert ref == raised(reference_split, s.terms[3][1], kap)
+        assert ref != raised(reference_split, s.terms[5][1], lam)
         with mock.patch.object(multislater, "SPLIT_BATCH", batch):
             assert raised(_group_sum, s, (lam, kap), ALL_OUTCOMES) == ref
+
+    @pytest.mark.parametrize(
+        "span,delta,error",
+        [
+            ((0, 1, 2), 1e-8, (FlosimError, "orbital columns not orthonormal")),
+            ((0, 1, 2), 1e-2, (FlosimError, "orbital columns not orthonormal")),
+            ((1, 0, 2), 1e-2, (FlosimError, "mode vector norm")),
+            ((1, 2, 0), 1e-4, (FlosimError, "mode vector norm")),
+            (None, 1e-6, (NotInSpan, "vector is 1.000e-06 away")),
+        ],
+    )
+    def test_one_term_stack_raises_the_reference_error(self, span, delta, error):
+        """A (1, D, N) stack of a failing state raises reference_term_project's
+        class and message, from the rotation's mode-norm and span checks
+        to the orthonormality of the rotated span."""
+        if span is None:
+            state, kap = unequal_norm_state(delta)
+        else:
+            u = random_unitary(rng_for(97), 7)
+            state, kap = off_orthonormal_state(u, 3, span, delta), u[:, 0]
+        ref = raised(reference_term_project, state, kap, 1)
+        assert ref[0] is error[0] and ref[1].startswith(error[1])
+        stack = np.ascontiguousarray(state.orbitals)[None]
+        assert raised(split_stack, [state.amplitude], stack, kap) == ref
+        assert raised(split_mode, state, kap) == ref
 
     def test_nan_term_passes_through_as_per_term(self):
         """A NaN orbital makes alpha NaN, so the per-term split leaves the
@@ -884,7 +968,7 @@ class TestPrunedTree:
     projection (reference_single_mode): coefficients, amplitudes and
     orbital bytes."""
 
-    # t = 1 takes split_mode, t >= 2 the stacked kernel, 33 two batches.
+    # t = 1 is a one-state stack, 33 two batches.
     @pytest.mark.parametrize("t", [1, 2, 9, 33])
     @settings(derandomize=True, database=None, deadline=None, max_examples=20)
     @given(data=st.data())
@@ -928,10 +1012,10 @@ class TestPrunedTree:
         d, n = 8, 3
         u, s = TestStackedChecks._sum(rng_for(95), d, n, 12, [(3, (0, 1, 2), 1e-8)])
         kap, lam = u[:, 0], u[:, 4]
-        ref = raised(reference_tree, s, kap, lam, split_children)
+        ref = raised(reference_tree, s, kap, lam)
         assert ref[0] is FlosimError and "not orthonormal" in ref[1]
         others = SlaterSum(s.terms[:3] + s.terms[4:], d, n)
-        single_ref = raised(split_mode, s.terms[3][1], kap)
+        single_ref = raised(reference_split, s.terms[3][1], kap)
         with mock.patch.object(multislater, "SPLIT_BATCH", batch):
             for grouping, groups in GROUPINGS.items():
                 for label in map(group_label, groups):
@@ -968,7 +1052,7 @@ class TestPrunedTree:
             split.clear()
             apply_two_mode_projector(s, kap, lam, outcome)
             assert len(split) == count
-            leaves = _tree(s.coeffs, s.amps, s.orbitals, (lam, kap), real, (outcome,))
+            leaves = _tree(s.coeffs, s.amps, s.orbitals, (lam, kap), (outcome,))
             assert [bool(t) for t in leaves] == [o == outcome for o in ALL_OUTCOMES]
 
     @pytest.mark.parametrize("kind", ["one", "two"])
@@ -980,7 +1064,7 @@ class TestPrunedTree:
         e = np.eye(4, dtype=complex)
         unused = mock.Mock(side_effect=AssertionError("a term was split"))
         with mock.patch.object(multislater, "_split_stack", unused), \
-                mock.patch.object(multislater, "split_mode", unused):
+                mock.patch.object(multislater, "split_stack", unused):
             if kind == "one":
                 with pytest.raises(ImpossibleOutcome, match=r"^outcome 0 has probability"):
                     measure_mode_sum(s, e[:, 0], forced=0)

@@ -437,8 +437,9 @@ class TestSteeringRule:
             cumulative *= prob
             rows.append(TranscriptRow(idx, "measure2", label, prob, cumulative, 1))
         calls = []
-        for module, name in ((multislater, "_split_stack"), (multislater, "split_mode"),
-                             (slater, "split_mode"), (simulate, "split_mode")):
+        for module, name in ((multislater, "_split_stack"), (multislater, "split_stack"),
+                             (slater, "split_stack"), (slater, "split_mode"),
+                             (simulate, "split_mode")):
             real = getattr(module, name)
             monkeypatch.setattr(
                 module, name, lambda *a, real=real, name=name: calls.append(name) or real(*a)
@@ -458,7 +459,7 @@ class TestSteeringRule:
         e = np.eye(6, dtype=complex)
         circuit = [MeasureOne(e[:, 0], policy="exact"), MeasureOne(e[:, 5], policy="exact")]
         calls = []
-        for module, name in ((multislater, "_split_stack"), (multislater, "split_mode")):
+        for module, name in ((multislater, "_split_stack"), (multislater, "split_stack")):
             real = getattr(module, name)
             monkeypatch.setattr(
                 module, name, lambda *a, real=real, name=name: calls.append(name) or real(*a)
@@ -577,14 +578,15 @@ class TestSampledSteps:
         assert {p for _, p in seen} == {"sample", "forced", "exact"}
 
     @pytest.mark.parametrize(
-        "kind,calls", [("measure2", 4), ("measure1", 3), ("exact", 6), ("nogo", 6)]
+        "kind,calls", [("measure2", 2), ("measure1", 1), ("exact", 2), ("nogo", 2)]
     )
     def test_measured_modes_are_checked_by_the_measure_call(self, kind, calls, monkeypatch):
-        """A step's executor adds no check_mode call of its own: a forced
-        measure_two_mode / measure_mode_sum checks kappa (and lambda) once,
-        and so does an exact measure2 in either executor (sampled "exact"
-        and nogo); the rest are the per-term split lanes' checks.  The
-        executors' own checks made these 6, 4, 8 and 7."""
+        """A step checks each measured mode once, at the measure call: a
+        forced measure_two_mode / measure_mode_sum checks kappa (and
+        lambda), and so does an exact measure2 in either executor (sampled
+        "exact" and nogo); the split kernel checks no mode vector.  The
+        executors' own checks made these 6, 4, 8 and 7, and the per-term
+        split lanes' 4, 3, 6 and 6."""
         e = np.eye(4, dtype=complex)
         kap, lam = (e[:, 0] + e[:, 2]) / np.sqrt(2), (e[:, 1] - e[:, 3]) / np.sqrt(2)
         if kind == "measure2":

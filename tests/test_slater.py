@@ -80,6 +80,12 @@ class TestSlaterStateType:
         with pytest.raises(FlosimError):
             SlaterState(bad)
 
+    def test_rejects_an_overflowing_gram(self):
+        """Finite orbitals whose Gram product overflows have a NaN
+        deviation, which fails the check (without a RuntimeWarning)."""
+        with pytest.raises(FlosimError, match="^orbital columns not orthonormal, deviation nan$"):
+            SlaterState(np.full((3, 2), 1e200 + 1e200j))
+
 
 def raised_by(fn, *args):
     """(class, message) of what fn raises, or None."""
@@ -99,14 +105,16 @@ class TestOrthonormalCheck:
         "defect, valid",
         # A column overlap delta gives a deviation of about sqrt(2) delta,
         # so 7.0e-11 and 7.2e-11 straddle ORTHO_TOL = 1e-10.
-        [(None, True), ("nan", False), ("inf", False), (7.0e-11, True), (7.2e-11, False),
-         (1e-8, False)],
+        [(None, True), ("nan", False), ("inf", False), ("overflow", False), (7.0e-11, True),
+         (7.2e-11, False), (1e-8, False)],
     )
     def test_agrees_with_constructor(self, defect, valid):
         rng = rng_for(24)
         stack = np.array([random_orthonormal_columns(rng, 6, 3) for _ in range(5)])
         if defect in ("nan", "inf"):
             stack[2, 4, 1] = float(defect)
+        elif defect == "overflow":
+            stack[2] = 1e200 + 1e200j
         elif defect is not None:
             stack[2, :, 2] += defect * stack[2, :, 1]
         per_slice = [raised_by(SlaterState, orbitals) for orbitals in stack]
