@@ -71,7 +71,9 @@ def _oracle_judge(steps, records):
     vector starts from the run's start state, takes each rotation's
     recorded unitary and projects on each measurement's recorded outcome.
     Returns (max deviation of the recorded probabilities, min fidelity of
-    the recorded states) over every step.
+    the recorded states) over every step.  A recorded outcome the dense
+    vector gives p = 0 has no dense post-state: the judge counts its
+    deviation, takes fidelity 0 and follows the run no further.
     """
     max_dev = 0.0
     min_fid = 1.0
@@ -97,6 +99,8 @@ def _oracle_judge(steps, records):
                     total += part.amplitudes
             p_oracle = float(np.linalg.norm(total)) ** 2
             max_dev = max(max_dev, abs(row.probability - p_oracle))
+            if p_oracle == 0.0:
+                return max_dev, 0.0
             vec = fock.FockVector(vec.modes, total / np.sqrt(p_oracle))
         min_fid = min(min_fid, fock.fidelity(fock.expand_sum(state), vec))
     return max_dev, min_fid
@@ -242,6 +246,17 @@ _seed = _int_at_least(0, "non-negative")  # as numpy's generator takes
 _term_cap = _int_at_least(1, "positive")  # a cap below 1 fails every run
 
 
+def _finite_float(text):
+    """An argparse type: a finite float, else a usage error."""
+    value = float(text)
+    if not np.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {value}")
+    return value
+
+
+_finite_float.__name__ = "float"  # so that "abc" still reads "invalid float value: 'abc'"
+
+
 # one parser per process: parse_args leaves it unchanged
 @functools.cache
 def build_parser():
@@ -285,7 +300,7 @@ def build_parser():
     p_rank.add_argument(
         "--angles",
         nargs=3,
-        type=float,
+        type=_finite_float,
         default=None,
         metavar=("THETA", "PHI", "XI"),
         help="build the two-rotation study state from three angles",

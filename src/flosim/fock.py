@@ -24,11 +24,11 @@ from .errors import (
     ZeroVector,
 )
 from .linalg import HERMITIAN_TOL
-from .slater import SlaterState, check_mode, check_modes, check_unitary
+from .slater import check_mode, check_modes, check_unitary
 
 VECTOR_MODE_CAP = 12
 DENSITY_MODE_CAP = 8
-MINOR_BATCH = 4096  # most minors per stacked determinant call in unitary_apply
+MINOR_BATCH = 4096  # most minors per stacked determinant call
 DENSITY_HERMITIAN_TOL = 1e-9  # largest ||rho - rho^H|| of a FockDensity
 
 
@@ -146,23 +146,31 @@ def basis_vector(d, mask):
     return FockVector._checked(d, amps)
 
 
+@lru_cache(maxsize=None)
+def _ladder_table(d, m, create):
+    """Read-only (src, dst, signs) of a_m^dag (create) or a_m on d modes:
+    the operator sends mask src to dst = src with bit m flipped, times
+    sign = (-1)^(occupied modes below m)."""
+    masks = np.arange(1 << d)
+    bit = 1 << m
+    src = masks[((masks & bit) != 0) != create]
+    table = (src, src ^ bit, 1.0 - 2.0 * (_popcounts(d)[src & (bit - 1)] % 2))
+    for arr in table:
+        arr.setflags(write=False)
+    return table
+
+
 def _ladder(d, vec, create):
     """The walk of a_vec^dag (create) or a_vec over the basis masks.
 
-    Yields, per mode m that vec touches, (coefficient, source masks,
-    target masks, signs): the operator sends mask src to src with bit m
-    flipped, times coefficient * sign, where the coefficient is vec[m]
-    or its conjugate and the sign is (-1)^(occupied modes below m).
+    Yields, per mode m that vec touches, (coefficient, src, dst, signs)
+    with m's cached table, where the coefficient is vec[m] or its
+    conjugate.
     """
-    masks = np.arange(1 << d)
-    pops = _popcounts(d)
     for m in range(d):
         coef = vec[m] if create else np.conj(vec[m])
-        if coef == 0.0:
-            continue
-        bit = 1 << m
-        src = masks[((masks & bit) != 0) != create]
-        yield coef, src, src ^ bit, 1.0 - 2.0 * (pops[src & (bit - 1)] % 2)
+        if coef != 0.0:
+            yield (coef, *_ladder_table(d, m, create))
 
 
 def _ladder_apply(amps, d, vec, create):
@@ -184,35 +192,84 @@ def annihilation_op_apply(v, mode):
     return FockVector._checked(v.modes, _ladder_apply(v.amplitudes, v.modes, vec, False))
 
 
+def _accumulate(total, scales, images):
+    """total + scales[0] * images[0] + scales[1] * images[1] + ...,
+    entrywise and added in row order, each product as numpy's vectorized
+    scalar-times-array multiply rounds it.
+
+    numpy adds the rows of a 2-D reduce one after another, but sums a
+    single column pairwise; reducing the float view (real and imaginary
+    parts side by side) keeps at least two columns.
+    """
+    rows = np.empty((len(images) + 1, len(total)), dtype=complex)
+    rows[0] = total
+    np.multiply(scales[:, None], images, out=rows[1:])
+    return np.add.reduce(rows.view(float), axis=0).view(complex)
+
+
+def _term_minors(d, n, orbitals, amps):
+    """Yields (chunk, rows) per slice of the (T, D, N) stack: row t is
+    amps[t] * det(orbitals[t][r, :]) over the weight-n row sets r in
+    ascending mask order, rounded as expand always has (the N = 0
+    "minor" is the amplitude itself).  A det call takes at most
+    MINOR_BATCH minors, or one term's."""
+    occ = _occupied_modes(d, n)
+    step = max(1, MINOR_BATCH // len(occ))
+    for start in range(0, len(amps), step):
+        chunk = slice(start, start + step)
+        if n == 0:
+            yield chunk, amps[chunk, None].copy()
+        else:
+            yield chunk, _scaled(amps[chunk, None], np.linalg.det(orbitals[chunk][:, occ]))
+
+
+def _finite_amps(d, amps):
+    """amps as a complex array, after the mode cap; FlosimError unless
+    every one is finite."""
+    _check_vector_cap(d)
+    amps = np.asarray(amps, dtype=complex)
+    if not np.all(np.isfinite(amps)):
+        raise FlosimError("amplitudes must be finite")
+    return amps
+
+
 def expand(s):
     """Expand a SlaterState into the occupation basis.
 
     The amplitude on a sorted index set is the state's amplitude times
     the determinant of the selected orbital rows, which reproduces the
-    creation-operator ordering convention above.  All C(D, N) minors are
-    taken in one stacked determinant call.
+    creation-operator ordering convention above: the one-term case of
+    expand_sum's kernel, without a coefficient.
     """
     d, n = s.modes, s.electrons
-    _check_vector_cap(d)
-    if not np.isfinite(s.amplitude):
-        raise FlosimError("amplitudes must be finite")
-    amps = np.zeros(1 << d, dtype=complex)
-    if s.amplitude != 0.0:
-        if n == 0:
-            amps[0] = s.amplitude
-        else:
-            minors = np.linalg.det(s.orbitals[_occupied_modes(d, n)])
-            amps[_masks_by_weight(d)[n]] = _scaled(s.amplitude, minors)
-    return FockVector._checked(d, amps)
+    amp = _finite_amps(d, [s.amplitude])
+    out = np.zeros(1 << d, dtype=complex)
+    if amp[0] != 0.0:
+        ((_, rows),) = _term_minors(d, n, s.orbitals[None], amp)
+        out[_masks_by_weight(d)[n]] = rows[0]
+    return FockVector._checked(d, out)
 
 
 def expand_sum(ssum):
-    """Expand a determinant sum term by term over its orbital stack."""
-    _check_vector_cap(ssum.modes)
-    total = np.zeros(1 << ssum.modes, dtype=complex)
-    for coeff, amp, orbitals in zip(ssum.coeffs, ssum.amps, ssum.orbitals):
-        total = total + coeff * expand(SlaterState._checked(orbitals, amp)).amplitudes
-    return FockVector._checked(ssum.modes, total)
+    """Expand a determinant sum: sum_t coeff_t * expand(term_t).
+
+    Every term's C(D, N) minors come from stacked det calls over the
+    (T, D, N) orbital stack.  Each chunk's rows are multiplied by their
+    coefficients and added to the running total in term order, so
+    the sum is bit for bit the term-by-term loop 0 + c_0 x_0 + c_1 x_1
+    + ...; only the weight-N entries are touched, as every other entry
+    of that loop stays +0.
+    """
+    d, n = ssum.modes, ssum.electrons
+    amps = _finite_amps(d, ssum.amps)
+    coeffs = np.asarray(ssum.coeffs, dtype=complex)
+    basis = _masks_by_weight(d)[n]
+    total = np.zeros(len(basis), dtype=complex)
+    for chunk, minors in _term_minors(d, n, ssum.orbitals, amps):
+        total = _accumulate(total, coeffs[chunk], minors)
+    out = np.zeros(1 << d, dtype=complex)
+    out[basis] = total
+    return FockVector._checked(d, out)
 
 
 def unitary_apply(v, u):
@@ -222,9 +279,11 @@ def unitary_apply(v, u):
     u, whose amplitude on mask r is the minor det(u[rows_r, cols_c]): a
     column of the k-th compound matrix of u.  The minors of a block come
     from stacked determinant calls of at most MINOR_BATCH matrices, and
-    the images accumulate in ascending mask order within each block.
-    Blocks touch disjoint entries, so this is the same sum, bit for bit,
-    as one pass over all masks in ascending order.
+    each chunk's amplitude-scaled images are added to the block's entries
+    only, in ascending mask order.  That is the same sum, bit for bit, as
+    one pass of full-length images over all masks in ascending order: an
+    image is zero off its own block, and adding a signed zero cannot
+    change an entry that started at +0.
     """
     d = v.modes
     _check_vector_cap(d)
@@ -239,12 +298,10 @@ def unitary_apply(v, u):
         step = max(1, MINOR_BATCH // len(basis))
         for start in range(0, len(present), step):
             chunk = present[start : start + step]
-            cols = occ[chunk][None, :, None, :]
-            minors = np.linalg.det(mat[occ[:, None, :, None], cols])
-            images = np.zeros((len(chunk), 1 << d), dtype=complex)
-            images[:, basis] = _scaled(1.0, minors).T  # as expand rounds 1.0 * det
-            for amp, image in zip(amps[basis[chunk]], images):
-                out += amp * image
+            cols = occ[chunk][:, None, None, :]
+            minors = np.linalg.det(mat[occ[None, :, :, None], cols])
+            # _scaled(1.0, .) rounds the images as expand rounds 1.0 * det
+            out[basis] = _accumulate(out[basis], amps[basis[chunk]], _scaled(1.0, minors))
     return FockVector._checked(d, out)
 
 

@@ -5,6 +5,7 @@ import dataclasses
 import json
 import re
 import sys
+import warnings
 from collections import Counter
 from contextlib import ExitStack
 from pathlib import Path
@@ -376,6 +377,43 @@ class TestSimulateCommand:
         stale = records[:-1] + [(*records[-1][:3], records[-2][3])]
         assert cli._oracle_judge(circuit.steps, stale)[1] < 0.5
 
+    def _empty_mode_records(self):
+        """A run's records on standard_state(4, 2) with its measure1 of the
+        empty mode 3 rewritten to outcome 1 at p = 0.5: an outcome the
+        dense vector gives p = 0."""
+        circuit = parse_circuit(minimal_doc([{"kind": "measure1", "mode": 3}]))
+        records = list(sampled_steps(circuit.steps, 4, 2, seed=1))
+        idx, u, row, state = records[1]
+        assert (row.outcome, row.probability) == ("0", 1.0)
+        wrong = dataclasses.replace(row, outcome="1", probability=0.5, cumulative=0.5)
+        return circuit, [records[0], (idx, u, wrong, state)]
+
+    def test_oracle_judge_fails_an_outcome_of_dense_probability_0(self):
+        circuit, records = self._empty_mode_records()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli._oracle_judge(circuit.steps, records) == (0.5, 0.0)
+
+    def test_oracle_check_reports_an_outcome_of_dense_probability_0(self, tmp_path, capsys):
+        """The transcript and both trailers print, then exit code 3 with
+        one stderr line and no RuntimeWarning."""
+        _, records = self._empty_mode_records()
+        path = tmp_path / "empty_mode.json"
+        path.write_text(minimal_doc([{"kind": "measure1", "mode": 3}]))
+        with mock.patch.object(cli, "sampled_steps", lambda *a, **k: iter(records)), \
+                warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(["simulate", path, "--oracle-check"], capsys)
+        assert code == 3
+        assert out.splitlines()[-4:] == [
+            "step=0 kind=measure1 outcome=1 p=5.000000000000e-01 "
+            "cumulative=5.000000000000e-01 terms=1",
+            "# final terms = 1",
+            "# oracle max probability deviation = 5.000e-01",
+            "# oracle min fidelity = 0.000000000000",
+        ]
+        assert err == "OracleCheckFailed: probability deviation 5.000e-01, fidelity 0.000000000000\n"
+
     def test_oracle_check_rejects_wide_circuits(self, tmp_path, capsys):
         path = tmp_path / "wide.json"
         path.write_text(minimal_doc([], modes=7, electrons=1))
@@ -626,6 +664,36 @@ class TestSlaterRankCommand:
         assert code == 0
         assert self._value(out, "Pfaffian") == "n/a (odd mode count)"
         assert int(self._value(out, "Slater number")) == 1
+
+    @pytest.mark.parametrize("angle", ["inf", "nan", "1e400"])
+    def test_non_finite_angle_is_a_usage_error(self, angle, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["slater-rank", "--angles", "0.1", angle, "0.2"])
+        assert exc.value.code == 2
+        shown = "inf" if angle == "1e400" else angle
+        assert capsys.readouterr().err.splitlines()[-1].endswith(
+            f"error: argument --angles: must be finite, got {shown}"
+        )
+
+    def test_negative_infinite_angle_is_a_usage_error(self, capsys):
+        """argparse reads a bare -inf as an option, so the CLI refuses it
+        before the type sees it; the type refuses it too."""
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["slater-rank", "--angles", "0.1", "0.2", "-inf"])
+        assert exc.value.code == 2
+        assert "argument --angles" in capsys.readouterr().err
+        with pytest.raises(argparse.ArgumentTypeError, match="must be finite, got -inf"):
+            cli._finite_float("-inf")
+
+    def test_finite_and_abc_angles_keep_their_meaning(self, capsys):
+        code, out, _ = run_cli(["slater-rank", "--angles", "0.9", "0.8", "0.6"], capsys)
+        assert code == 0 and out.endswith("Slater number = 2\n")
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["slater-rank", "--angles", "abc", "0", "0"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1].endswith(
+            "error: argument --angles: invalid float value: 'abc'"
+        )
 
     def test_requires_exactly_one_input(self, tmp_path, capsys):
         code, _, err = run_cli(["slater-rank"], capsys)

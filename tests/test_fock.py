@@ -2,6 +2,7 @@
 projector identities, evolution blocks, and the decohering channel."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from flosim.errors import (
     ZeroVector,
 )
 from flosim.linalg import one_body_unitary
+from flosim.multislater import SlaterSum
 from flosim.slater import SlaterState, standard_state
 from flosim import fock
 
@@ -166,6 +168,51 @@ def reference_unitary_apply(vec, u):
     return fock.FockVector(d, out)
 
 
+def reference_expand_sum(ssum):
+    """One expansion per term, scaled by its coefficient and added in term
+    order over full-length vectors: the loop fock.expand_sum replaces."""
+    total = np.zeros(1 << ssum.modes, dtype=complex)
+    for coeff, amp, orbitals in zip(ssum.coeffs, ssum.amps, ssum.orbitals):
+        term = reference_expand(SlaterState._checked(orbitals, amp)).amplitudes
+        total = total + coeff * term
+    return fock.FockVector(ssum.modes, total)
+
+
+def reference_ladder_apply(amps, d, vec, create):
+    """a_vec^dag (create) or a_vec with every mask and sign array rebuilt
+    on the call: the walk the cached ladder tables replace."""
+    masks = np.arange(1 << d)
+    pops = np.array([bin(int(mask)).count("1") for mask in masks])
+    out = np.zeros_like(amps)
+    for m in range(d):
+        coef = vec[m] if create else np.conj(vec[m])
+        if coef == 0.0:
+            continue
+        bit = 1 << m
+        src = masks[((masks & bit) != 0) != create]
+        signs = 1.0 - 2.0 * (pops[src & (bit - 1)] % 2)
+        out[src ^ bit] += coef * signs * amps[src]
+    return out
+
+
+def reference_two_mode_projector(v, kap, lam, outcome):
+    """fock.two_mode_projector_apply's operator products on the uncached walk."""
+    d = v.modes
+
+    def cre(vec, a):
+        return reference_ladder_apply(a, d, vec, True)
+
+    def ann(vec, a):
+        return reference_ladder_apply(a, d, vec, False)
+
+    a = v.amplitudes
+    if outcome == 0:
+        return ann(kap, cre(kap, ann(lam, cre(lam, a))))
+    if outcome == 2:
+        return cre(kap, ann(kap, cre(lam, ann(lam, a))))
+    return ann(kap, cre(kap, cre(lam, ann(lam, a)))) + cre(kap, ann(kap, ann(lam, cre(lam, a))))
+
+
 def _unitary(rng, d, kind):
     """A Haar-ish unitary, or a phased permutation or the identity, whose
     minors are exact zeros and units (signed zeros included)."""
@@ -206,9 +253,43 @@ def rotation_recipes(draw):
     return fock.FockVector(d, amps), _unitary(rng, d, basis)
 
 
+@st.composite
+def sum_recipes(draw):
+    """A determinant sum of 0 to 20 terms with generic weights, and the
+    MINOR_BATCH to expand it under."""
+    d = draw(st.integers(1, 7))
+    n = draw(st.integers(0, d))
+    t = draw(st.integers(0, 20))
+    basis = draw(st.sampled_from(("haar", "identity", "permutation")))
+    batch = draw(st.sampled_from((1, 7, 50, fock.MINOR_BATCH)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    weights = random_complex(rng, 2, t) * 10.0 ** rng.integers(-3, 2, (2, t))
+    terms = [
+        (complex(c), SlaterState(_unitary(rng, d, basis)[:, :n], complex(a)))
+        for c, a in weights.T
+    ]
+    return SlaterSum(terms, d, n), batch
+
+
+@st.composite
+def ladder_recipes(draw):
+    """A vector and an orthonormal mode pair, standard or generic."""
+    d = draw(st.integers(2, 7))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    amps = random_complex(rng, 1 << d)
+    if draw(st.booleans()):
+        amps[rng.random(1 << d) < 0.5] = 0.0
+    if draw(st.booleans()):
+        kap, lam = random_orthogonal_pair(rng, d)
+    else:
+        i, j = rng.choice(d, 2, replace=False)
+        kap, lam = standard_mode(d, i), standard_mode(d, j)
+    return fock.FockVector(d, amps), kap, lam
+
+
 class TestDenseKernels:
-    """The stacked-minor kernels against the per-minor loops, bit for bit
-    (the oracle trailers print probability deviations near 1e-16)."""
+    """The stacked and cached kernels against the loops they replace, bit
+    for bit (the oracle trailers print probability deviations near 1e-16)."""
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=200)
     @given(expand_recipes())
@@ -233,6 +314,65 @@ class TestDenseKernels:
             u = random_unitary(rng, d)
             fast = fock.unitary_apply(v, u).amplitudes.tobytes()
             assert fast == reference_unitary_apply(v, u).amplitudes.tobytes()
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=150)
+    @given(sum_recipes())
+    def test_expand_sum_bitwise_equal_to_term_loop(self, recipe):
+        ssum, batch = recipe
+        with mock.patch.object(fock, "MINOR_BATCH", batch):
+            fast = fock.expand_sum(ssum).amplitudes.tobytes()
+        assert fast == reference_expand_sum(ssum).amplitudes.tobytes()
+
+    def test_expand_sum_adds_in_term_order(self):
+        """Many terms on one basis mask (N = 0 and N = D) are added in
+        term order: numpy would sum a lone column pairwise."""
+        rng = rng_for(46)
+        for d, n in ((3, 0), (3, 3)):
+            coeffs = random_complex(rng, 40) * 10.0 ** rng.integers(-8, 8, 40)
+            ssum = SlaterSum(
+                [(complex(c), SlaterState(random_unitary(rng, d)[:, :n])) for c in coeffs], d, n
+            )
+            fast = fock.expand_sum(ssum).amplitudes.tobytes()
+            assert fast == reference_expand_sum(ssum).amplitudes.tobytes()
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=100)
+    @given(ladder_recipes())
+    def test_ladder_applies_bitwise_equal_to_uncached_walk(self, recipe):
+        v, kap, lam = recipe
+        a, d = v.amplitudes, v.modes
+        pairs = [
+            (fock.creation_op_apply(v, kap), reference_ladder_apply(a, d, kap, True)),
+            (fock.annihilation_op_apply(v, lam), reference_ladder_apply(a, d, lam, False)),
+        ]
+        pairs += [
+            (fock.two_mode_projector_apply(v, kap, lam, o), reference_two_mode_projector(v, kap, lam, o))
+            for o in (0, 1, 2)
+        ]
+        for fast, ref in pairs:
+            assert fast.amplitudes.tobytes() == ref.tobytes()
+
+    def test_cached_ladder_tables_are_read_only(self):
+        for key in ((4, 1, True), (4, 2, False)):
+            table = fock._ladder_table(*key)
+            assert fock._ladder_table(*key) is table
+            for arr in table:
+                with pytest.raises(ValueError, match="read-only"):
+                    arr[0] = arr[1]
+
+    def test_expand_sum_scratch_is_capped(self):
+        """At D = 12, N = 6 and T = 64 an uncapped minor stack would take
+        34 MB; MINOR_BATCH keeps the scratch to a few MB."""
+        rng = rng_for(47)
+        terms = [(1.0 + 0j, SlaterState(random_orthonormal_columns(rng, 12, 6))) for _ in range(64)]
+        ssum = SlaterSum(terms, 12, 6)
+        fock.expand_sum(SlaterSum(terms[:1], 12, 6))  # the cached index tables
+        tracemalloc.start()
+        try:
+            fock.expand_sum(ssum)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
 
     @pytest.mark.parametrize("d", range(1, 7))
     def test_unitary_apply_matches_generator_evolution(self, d):

@@ -7,12 +7,14 @@ tracer's TARGETS without importing or changing it."""
 import ast
 import importlib
 import importlib.util
+import json
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
 
-from flosim import cli, simulate
+from flosim import cli, multislater, simulate
+from flosim.circuits import load_circuit
 from flosim.simulate import MeasureOne, MeasureTwo, simulate_sampled
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -63,7 +65,7 @@ def test_sampled_measurements_go_through_the_traced_names():
 
 
 def test_corpus_captures_each_run_as_the_cli_prints_it(tmp_path, monkeypatch, capsys):
-    """tools/corpus.py lists its 266 runs and records each run's exit
+    """tools/corpus.py lists its 446 runs and records each run's exit
     code, stdout and stderr under a source tree.  Two of them run here,
     under the working tree only: an oracle-checked run and one refused
     with exit code 1."""
@@ -71,7 +73,7 @@ def test_corpus_captures_each_run_as_the_cli_prints_it(tmp_path, monkeypatch, ca
     corpus = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(corpus)
     argvs = corpus.invocations(tmp_path)
-    assert len(argvs) == 266
+    assert len(argvs) == 446
     picked = [
         ["simulate", "circuits/generic_p1.json", "--seed", "3", "--oracle-check"],
         ["simulate", "tests/data/parity_deep.json", "--seed", "3", "--oracle-check"],
@@ -84,3 +86,42 @@ def test_corpus_captures_each_run_as_the_cli_prints_it(tmp_path, monkeypatch, ca
         expected.append([code, *capsys.readouterr()])
     assert [code for code, _, _ in expected] == [0, 1]
     assert corpus.run_tree(ROOT / "src", picked) == expected
+
+
+def test_circuitgen_covers_every_step_form_and_parses(tmp_path):
+    """tools/circuitgen.py's corpus circuits depend only on (seed, index),
+    load as circuits, and reach every step kind, rotation form, mode
+    form, grouping and policy, at N = 0, N = D and in between."""
+    spec = importlib.util.spec_from_file_location("circuitgen", ROOT / "tools" / "circuitgen.py")
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    assert gen.POLICIES == simulate.POLICIES
+    assert gen.LABELS == {
+        name: tuple(multislater.group_label(g) for g in groups)
+        for name, groups in multislater.GROUPINGS.items()
+    }
+    paths = gen.write_circuits(14, 60, tmp_path)
+    assert gen.random_circuit(14, 59) == json.loads(Path(paths[-1]).read_text())
+    seen = set()
+    for path in paths:
+        doc = json.loads(Path(path).read_text())
+        circuit = load_circuit(path)
+        assert (circuit.modes, circuit.electrons) == (doc["modes"], doc["electrons"])
+        d, n = doc["modes"], doc["electrons"]
+        seen.add(("fill", "0" if n == 0 else "D" if n == d else "some"))
+        for step in doc["steps"]:
+            keys = set(step) - {"kind", "policy", "outcome", "grouping", "tau", "theta", "phi"}
+            for key in keys:
+                seen.add((step["kind"], key, type(step[key]).__name__))
+            seen.add(("policy", step.get("policy")))
+            seen.add(("grouping", step.get("grouping")))
+    wanted = {
+        ("rotate", "modes", "list"), ("rotate", "unitary", "list"),
+        ("rotate", "generator", "list"),
+        ("measure1", "mode", "int"), ("measure1", "vector", "list"),
+        ("measure2", "first", "int"), ("measure2", "first", "list"),
+        *(("policy", p) for p in simulate.POLICIES),
+        *(("grouping", g) for g in multislater.GROUPINGS),
+        *(("fill", f) for f in ("0", "D", "some")),
+    }
+    assert wanted <= seen

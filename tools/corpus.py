@@ -11,14 +11,17 @@ invocations in one fresh interpreter, in process through
 flosim.cli.main, from this checkout's root with BLAS at one thread.
 Exits 1 if any run differs.
 
-The corpus, 266 runs, all on this checkout's inputs:
+The corpus, 446 runs, all on this checkout's inputs:
   - circuits/*.json, tests/data/policy_mix.json and parity_deep.json
     under `simulate --seed 3/7/11`, plain and with --oracle-check, and
     under `nogo`;
   - policy_mix.json under `simulate --seed 7..26 --oracle-check`;
   - the benchmark's input pools of every workload (`parity_sum`,
     `single_det`, `oracle_check` and `analysis`) at seeds 201-203 and
-    213, which perfbench/workloads.py writes to a temporary directory.
+    213, which perfbench/workloads.py writes to a temporary directory;
+  - 60 random circuits of tools/circuitgen.py (seed 14), written to the
+    same directory, under `simulate --seed 3/7 --oracle-check` and under
+    `nogo`.
 """
 
 import contextlib
@@ -40,6 +43,7 @@ CIRCUITS = (
 )
 POOL_SEEDS = (201, 202, 203, 213)
 POOL_WORKLOADS = ("oracle_check", "parity_sum", "single_det", "analysis")
+RANDOM_SEED, RANDOM_COUNT = 14, 60
 SHOWN_DIFF_LINES = 20
 
 
@@ -54,16 +58,25 @@ def invocations(pool_dir):
     for seed in range(7, 27):
         runs.append(["simulate", "tests/data/policy_mix.json", "--seed", str(seed),
                      "--oracle-check"])
-    spec = importlib.util.spec_from_file_location(
-        "workloads", ROOT / "perfbench" / "workloads.py"
-    )
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
+    workloads = _load(ROOT / "perfbench" / "workloads.py")
     for workload in POOL_WORKLOADS:
         for seed in POOL_SEEDS:
             plan = workloads.generate(workload, seed, os.path.join(pool_dir, workload, str(seed)))
             runs += [argv for job in plan for argv in job["argv"]]
+    circuitgen = _load(ROOT / "tools" / "circuitgen.py")
+    for path in circuitgen.write_circuits(RANDOM_SEED, RANDOM_COUNT, os.path.join(pool_dir, "random")):
+        for seed in ("3", "7"):
+            runs.append(["simulate", path, "--seed", seed, "--oracle-check"])
+        runs.append(["nogo", path])
     return runs
+
+
+def _load(path):
+    """The module in the file path, imported under its stem."""
+    spec = importlib.util.spec_from_file_location(path.stem, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def _run_here(src, argvs):
