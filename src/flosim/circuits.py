@@ -62,15 +62,10 @@ class Circuit:
 
 
 def _complex_from_json(value, where):
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return complex(value)
-    if (
-        isinstance(value, list)
-        and len(value) == 2
-        and all(isinstance(p, (int, float)) and not isinstance(p, bool) for p in value)
-    ):
-        return complex(value[0], value[1])
-    raise ParseError(f"{where}: expected a number or an [re, im] pair, got {value!r}")
+    parts = value if isinstance(value, list) and len(value) == 2 else [value]
+    if not all(isinstance(p, (int, float)) and not isinstance(p, bool) for p in parts):
+        raise ParseError(f"{where}: expected a number or an [re, im] pair, got {value!r}")
+    return complex(*(_require_real(p, where) for p in parts))
 
 
 def _vector_from_json(value, length, where):
@@ -85,39 +80,44 @@ def _vector_from_json(value, length, where):
 
 
 def _array_from_json(value, shape):
-    """The matrix as one float array, or None unless every row is a list
-    of `cols` finite bare ints/floats or of `cols` such [re, im] pairs.
+    """The matrix as one complex array, or None unless every row is a
+    list of `cols` finite bare ints/floats or of `cols` such [re, im]
+    pairs.
 
-    np.array alone would also take bools, numeric strings, None (as NaN)
-    and tuples, so the row, entry and leaf types are checked too.
+    The leaves are gathered into one flat list, type-checked and
+    converted in one np.array call: bools, strings, None and nested
+    lists are other types, ragged rows other lengths, and an int beyond
+    float range fails the conversion.
     """
-    rows, cols = shape
-    try:
-        arr = np.array(value, dtype=float)
-    except (TypeError, ValueError, OverflowError):
+    cols = shape[1]
+    if set(map(type, value)) != {list} or set(map(len, value)) != {cols}:
         return None
-    if arr.shape not in ((rows, cols), (rows, cols, 2)) or not np.isfinite(arr).all():
-        return None
-    if set(map(type, value)) != {list}:
-        return None
-    entries = list(chain.from_iterable(value))
-    numbers = entries
-    if arr.ndim == 3:
-        if set(map(type, entries)) != {list}:
+    leaves = list(chain.from_iterable(value))
+    pairs = set(map(type, leaves)) == {list}
+    if pairs:
+        if set(map(len, leaves)) != {2}:
             return None
-        numbers = chain.from_iterable(entries)
-    return arr if set(map(type, numbers)) <= {int, float} else None
+        leaves = list(chain.from_iterable(leaves))
+    if not set(map(type, leaves)) <= {int, float}:
+        return None
+    try:
+        arr = np.array(leaves, dtype=float)
+    except OverflowError:
+        return None
+    if not np.isfinite(arr).all():
+        return None
+    if pairs:
+        return arr.view(complex).reshape(shape)
+    return arr.reshape(shape).astype(complex)
 
 
 def _matrix_from_json(value, shape, where):
     rows, cols = shape
     if not isinstance(value, list) or len(value) != rows:
         raise ParseError(f"{where}: expected {rows} rows")
-    arr = _array_from_json(value, shape)
-    if arr is not None:
-        if arr.ndim == 3:
-            return arr.view(complex).reshape(shape)
-        return arr.astype(complex)
+    mat = _array_from_json(value, shape)
+    if mat is not None:
+        return mat
     # the entry walk names the first bad entry, and reads rows that mix
     # bare numbers and [re, im] pairs
     mat = np.zeros((rows, cols), dtype=complex)
@@ -139,7 +139,10 @@ def _require_int(value, where, low=None, high=None):
 def _require_real(value, where):
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise ParseError(f"{where}: expected a real number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ParseError(f"{where}: integer out of float range") from None
 
 
 def _check_keys(obj, allowed, where):
@@ -168,15 +171,18 @@ def _mode_argument(step, key, d, where):
 
 
 def pair_rotation(theta, phi=0.0):
-    """The 2x2 unitary of the two-site rotate shorthand."""
-    c = np.cos(theta)
-    s = np.sin(theta)
-    return np.array(
-        [
-            [c, -1j * s * np.exp(-1j * phi)],
-            [-1j * s * np.exp(1j * phi), c],
-        ]
-    )
+    """The 2x2 unitary of the two-site rotate shorthand.  An infinite angle
+    gives NaN entries without a warning: the step's unitarity check
+    rejects them."""
+    with np.errstate(invalid="ignore"):
+        c = np.cos(theta)
+        s = np.sin(theta)
+        return np.array(
+            [
+                [c, -1j * s * np.exp(-1j * phi)],
+                [-1j * s * np.exp(1j * phi), c],
+            ]
+        )
 
 
 def _parse_rotate(step, d, where):
@@ -206,10 +212,7 @@ def _parse_rotate(step, d, where):
         raise ParseError(f"{where}: 'modes' needs 'theta'")
     theta = _require_real(step["theta"], f"{where}.theta")
     phi = _require_real(step.get("phi", 0.0), f"{where}.phi")
-    block = pair_rotation(theta, phi)
-    full = np.eye(d, dtype=complex)
-    full[np.ix_([i, j], [i, j])] = block
-    return Rotate(unitary=full)
+    return Rotate.on_pair(d, i, j, pair_rotation(theta, phi))
 
 
 def _parse_policy(step, where):

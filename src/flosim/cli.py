@@ -82,7 +82,7 @@ def _oracle_judge(steps, records):
             vec = fock.expand_sum(state)
             continue
         if u is not None:
-            vec = fock.unitary_apply(vec, u)
+            vec = fock._rotated(vec, u)  # the run's evolve_sum checked u
         else:
             step = steps[idx]
             if isinstance(step, MeasureOne):
@@ -311,8 +311,27 @@ def build_parser():
     return parser
 
 
+def _negative_angles(argv):
+    """argv with a space put before each of the three values after
+    slater-rank's --angles that begins with '-' and that float() reads:
+    argparse takes only plain negative numbers such as -0.5 for values,
+    so it would read -1e-3 as an option, while float() skips the space."""
+    argv = list(argv)
+    if argv[:1] == ["slater-rank"] and "--angles" in argv:
+        at = argv.index("--angles") + 1
+        for i, text in enumerate(argv[at : at + 3], start=at):
+            try:
+                float(text)
+            except ValueError:
+                continue
+            if text.startswith("-"):
+                argv[i] = " " + text
+    return argv
+
+
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser().parse_args(_negative_angles(argv))
     try:
         return args.func(args)
     except ParityGroupingUnsupported as exc:

@@ -285,9 +285,14 @@ def unitary_apply(v, u):
     image is zero off its own block, and adding a signed zero cannot
     change an entry that started at +0.
     """
+    _check_vector_cap(v.modes)
+    return _rotated(v, check_unitary(u, v.modes))
+
+
+def _rotated(v, mat):
+    """unitary_apply's kernel, for a unitary mat that check_unitary has
+    already passed against v's modes."""
     d = v.modes
-    _check_vector_cap(d)
-    mat = check_unitary(u, d)
     amps = v.amplitudes
     out = np.zeros_like(amps)
     out[0] += amps[0]  # the vacuum is invariant

@@ -202,19 +202,20 @@ def scale_sum(s, factor):
     return SlaterSum._stacked([c * factor for c in s.coeffs], s.amps, s.orbitals, s.max_terms)
 
 
-def evolve_sum(s, v):
+def evolve_sum(s, v, pair=None):
     """evolve on every term, errors included, as one stacked matmul and check."""
-    mat = check_unitary(v, s.modes)
+    mat = check_unitary(v, s.modes, pair)
     rotated = mat @ s.orbitals
     check_orthonormal(rotated)
     return SlaterSum._stacked(s.coeffs, s.amps, rotated, s.max_terms)
 
 
-def _split_stack(amps, orbitals, vec):
-    """split_stack's children of a (T, D, N) stack, in batches of up to
-    SPLIT_BATCH terms so that its scratch arrays stay small."""
+def _split_stack(amps, orbitals, vec, keep=None):
+    """split_stack's children (only outcome keep's, unless None) of a
+    (T, D, N) stack, in batches of up to SPLIT_BATCH terms so that its
+    scratch arrays stay small."""
     batches = (slice(start, start + SPLIT_BATCH) for start in range(0, len(amps), SPLIT_BATCH))
-    return [pair for b in batches for pair in split_stack(amps[b], orbitals[b], vec)[2]]
+    return [pair for b in batches for pair in split_stack(amps[b], orbitals[b], vec, keep)[2]]
 
 
 def _tree(coeffs, amps, orbitals, vecs, wanted):
@@ -222,15 +223,18 @@ def _tree(coeffs, amps, orbitals, vecs, wanted):
     measured modes vecs, (lambda, kappa) or (kappa,), on the total
     occupations in wanted, listed by total occupation: every term split
     on vecs[0], then every child that can still reach a wanted outcome on
-    the next mode, each level one _split_stack call over one stack."""
+    the next mode, each level one _split_stack call over one stack.  A
+    level where every node keeps the same child builds only that one."""
     d, n = orbitals.shape[1:]
     nodes = list(zip(coeffs, [0] * len(coeffs), amps, orbitals))
     for level, vec in enumerate(vecs):
         # A child can still gain one occupation per mode left to split.
         reach = {w - r for w in wanted for r in range(len(vecs) - level)}
+        kept = {i for o in {node[1] for node in nodes} for i in (0, 1) if o + i in reach}
         if level:
             orbitals = _stack([orb for *_, orb in nodes], d, n)
-        pairs = _split_stack([amp for _, _, amp, _ in nodes], orbitals, vec)
+        keep = kept.pop() if len(kept) == 1 else None
+        pairs = _split_stack([amp for _, _, amp, _ in nodes], orbitals, vec, keep)
         # Occupied first, so outcome 1 lists (1, 0) before (0, 1).
         nodes = [
             (coeff * res[0], o + i, res[1], res[2])

@@ -39,8 +39,8 @@ from .slater import (
     check_mode,
     check_modes,
     evolve,
-    split_mode,
     standard_state,
+    weigh_mode,
 )
 
 CERTAINTY_TOL = 1e-9
@@ -51,17 +51,33 @@ POLICIES = ("sample", "forced", "exact")
 
 @dataclass(frozen=True)
 class Rotate:
-    """One-body rotation, given directly or as a generator and a time."""
+    """One-body rotation, given directly or as a generator and a time.
+
+    pair (i, j), with a unitary only, says the unitary is the identity off
+    rows and columns i and j (Rotate.on_pair builds one so), and the step
+    checks only that 2x2 block's unitarity (check_unitary's pair).
+    """
 
     unitary: np.ndarray | None = None
     generator: np.ndarray | None = None
     tau: float | None = None
+    pair: tuple | None = None
 
     def __post_init__(self):
         has_u = self.unitary is not None
         has_g = self.generator is not None and self.tau is not None
         if has_u == has_g:
             raise ValueError("give either a unitary or a generator with tau")
+        if self.pair is not None and not has_u:
+            raise ValueError("a pair needs a unitary")
+
+    @classmethod
+    def on_pair(cls, d, i, j, block):
+        """The 2x2 unitary block acting on sites i and j of d, the identity
+        on every other site."""
+        full = np.eye(d, dtype=complex)
+        full[[[i], [j]], [i, j]] = block
+        return cls(unitary=full, pair=(i, j))
 
     def resolve(self):
         if self.unitary is not None:
@@ -185,22 +201,23 @@ def simulate_exact_branch(circuit, d, n, initial=None):
     cumulative = 1.0
     for idx, step in enumerate(steps):
         if isinstance(step, Rotate):
-            state = evolve(state, step.resolve())
+            state = evolve(state, step.resolve(), step.pair)
             continue
         if not isinstance(step, (MeasureOne, MeasureTwo)):
             raise TypeError(f"step {idx}: not a circuit step: {step!r}")
         if isinstance(step, MeasureOne):
-            (alpha, beta), children = split_mode(state, check_mode(step.kappa, d))
+            alpha, beta, split = weigh_mode(state, check_mode(step.kappa, d))
             p0, p1 = (1.0, 0.0) if state.electrons == 0 else (beta**2, alpha**2)
             label, prob, certain = _steer(idx, {"0": p0, "1": p1}, ("0", "1"))
             if not certain:
-                state = children[int(label)][1]
+                state = split(int(label))[int(label)][1]
         else:
             vecs = check_modes(d, step.kappa, step.lam)[::-1]
             s = SlaterSum.from_state(state)
             label, prob, post = _steer_modes(idx, s, vecs, GROUPINGS[step.grouping])
             if post is not None:
-                state = SlaterState(post.orbitals[0], post.amps[0] * post.coeffs[0])
+                # the split checked the kept child's orbitals
+                state = SlaterState._checked(post.orbitals[0], post.amps[0] * post.coeffs[0])
         cumulative *= prob
         rows.append(TranscriptRow(idx, step.kind, label, prob, cumulative, 1))
     return Transcript(tuple(rows)), state
@@ -225,7 +242,7 @@ def sampled_steps(circuit, d, n, seed=0, initial=None, max_terms=DEFAULT_MAX_TER
     for idx, step in enumerate(circuit):
         if isinstance(step, Rotate):
             u = step.resolve()
-            state = evolve_sum(state, u)
+            state = evolve_sum(state, u, step.pair)
             yield idx, u, None, state
             continue
         if not isinstance(step, (MeasureOne, MeasureTwo)):

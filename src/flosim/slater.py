@@ -135,23 +135,35 @@ def standard_state(d, n):
     return SlaterState(np.eye(d, n, dtype=complex), 1.0)
 
 
-def check_unitary(v, d):
-    """Validate a finite one-body unitary on d modes; returns it as ndarray."""
+def check_unitary(v, d, pair=None):
+    """Validate a finite one-body unitary on d modes; returns it as ndarray.
+
+    pair (i, j) says v is the identity off rows and columns i and j, as
+    the two-site rotate shorthand builds it: the rest of v^H v - 1 is then
+    exactly zero, so only that 2x2 block is checked, at O(1) cost.
+    """
     mat = np.asarray(v, dtype=complex)
     if mat.shape != (d, d):
         raise DimensionMismatch(f"unitary has shape {mat.shape}, state has {d} modes")
-    if not np.isfinite(mat).all():
+    block = mat
+    if pair is not None:
+        i, j = pair
+        block = mat[[[i], [j]], [i, j]]
+    if not np.isfinite(block).all():
         # an inf entry would make the product warn before this raise
         raise NotUnitary("deviation from unitarity nan")
-    dev = np.linalg.norm(mat.conj().T @ mat - np.eye(d))
+    dev = np.linalg.norm(block.conj().T @ block - np.eye(len(block)))
     if not dev <= UNITARY_TOL:
         raise NotUnitary(f"deviation from unitarity {dev:.3e}")
     return mat
 
 
-def evolve(s, v):
-    """Apply a one-body unitary: every orbital column c becomes v @ c."""
-    return SlaterState(check_unitary(v, s.modes) @ s.orbitals, s.amplitude)
+def evolve(s, v, pair=None):
+    """Apply a one-body unitary: every orbital column c becomes v @ c.
+    pair is check_unitary's."""
+    rotated = check_unitary(v, s.modes, pair) @ s.orbitals
+    check_orthonormal(rotated[None])
+    return SlaterState._checked(rotated, s.amplitude)
 
 
 def decompose_mode(s, kappa):
@@ -197,24 +209,12 @@ def rotate_in_first(s, in_orbital):
     return SlaterState(s.orbitals @ basis_change, s.amplitude / d_resid)
 
 
-def split_stack(amps, orbitals, vec):
-    """Both single-mode occupation projections of every state of a
-    (T, D, N) orbital stack on the mode vector vec (an ndarray, as
-    check_mode returns it), each step one stacked numpy call.
-
-    Returns (alphas, betas, children): vec = alpha in + beta out against
-    each state's filled span, and per state [zero, one], each (scale,
-    amplitude, orbitals) with projector(state) == scale * (amplitude,
-    orbitals), or None when it vanishes.  Outcome 1 puts vec first in the
-    rotated span, outcome 0 the in-span vector beta in - alpha out.  A
-    state with no filled component of vec (every one when N = 0) passes
-    through as outcome 0.  Stacked calls round like per-slice ones and a
-    residual in the re-orthogonalization band is projected again with
-    decompose_mode's own 2-D products, so each state splits bit for bit
-    as decompose_mode and rotate_in_first split its C-contiguous copy.
-    Each of their checks and the constructor's runs once per stack and
-    raises the class and message of the first state that fails it.
-    """
+def _decompose(orbitals, vec):
+    """vec = alpha in + beta out against the filled span of each state of
+    a (T, D, N) stack: (alphas, betas, arrays), alpha and beta per state
+    as Python floats and arrays what _children builds the children from.
+    A residual in the re-orthogonalization band is projected again with
+    decompose_mode's own 2-D products."""
     phi_h = orbitals.conj().transpose(0, 2, 1)
     coeffs = phi_h @ vec
     alpha = row_norms(coeffs)
@@ -228,10 +228,17 @@ def split_stack(amps, orbitals, vec):
             # eps / beta along the span; project that part out once more.
             resid[i] = resid[i] - orbitals[i] @ (phi_h[i] @ resid[i])
             beta[i] = betas[i] = float(np.linalg.norm(resid[i]))
-    out = [[(1.0, amp, orb), None] for amp, orb in zip(amps, orbitals)]
+    return alphas, betas, (phi_h, alpha, beta, inside, resid)
+
+
+def _children(amps, orbitals, vec, decomposed, keep):
+    """split_stack's children from _decompose's result: per state [zero,
+    one], only outcome keep's when keep is 0 or 1."""
+    alphas, betas, (phi_h, alpha, beta, inside, resid) = decomposed
+    out = [[None if keep == 1 else (1.0, amp, orb), None] for amp, orb in zip(amps, orbitals)]
     lanes = [i for i, a_i in enumerate(alphas) if a_i > ABSENT_TOL]
     if not lanes:
-        return alphas, betas, out
+        return out
     # A full slice where every row is taken, so that indexing gives views.
     rows = slice(None) if len(lanes) == len(amps) else lanes
     phi, phi_h, a, b = orbitals[rows], phi_h[rows], alpha[rows, None], beta[rows, None]
@@ -261,33 +268,81 @@ def split_stack(amps, orbitals, vec):
     # children, so the batch's peak memory stays low.
     del phi, phi_h, c, change
     check_orthonormal(rot)
-    # The children share the rotated span's other orbitals.
-    one = rot.copy()
-    one[:, :, 0] = vec
-    has_out = [betas[i] > ABSENT_TOL for i in lanes]
-    k = slice(None) if all(has_out) else np.flatnonzero(has_out)
-    out_orb = resid[rows][k] / b[k]
-    zero = rot[k]  # rot itself when every state has both children
-    zero[:, :, 0] = b[k] * in_orb[k] - a[k] * out_orb
+    # The children share the rotated span's other orbitals; each kept
+    # child is written into rot itself once no other child needs it.
+    one = zero = None
+    if keep != 0:
+        one = rot if keep == 1 else rot.copy()
+        one[:, :, 0] = vec
+    has_out = [keep != 1 and betas[i] > ABSENT_TOL for i in lanes]
+    if keep != 1:
+        k = slice(None) if all(has_out) else np.flatnonzero(has_out)
+        out_orb = resid[rows][k] / b[k]
+        zero = rot[k]  # rot itself when every state has both children
+        zero[:, :, 0] = b[k] * in_orb[k] - a[k] * out_orb
     del rot
-    check_orthonormal(one)
-    check_orthonormal(zero)
-    zeros = iter(zero)
-    for i, orb, d, out_too in zip(lanes, one, dets, has_out):
+    for built in (one, zero):
+        if built is not None:
+            check_orthonormal(built)
+    zeros = iter(() if zero is None else zero)
+    for p, (i, d, out_too) in enumerate(zip(lanes, dets, has_out)):
         amp = amps[i] / d
-        out[i] = [(betas[i], amp, next(zeros)) if out_too else None, (alphas[i], amp, orb)]
-    return alphas, betas, out
+        out[i] = [
+            (betas[i], amp, next(zeros)) if out_too else None,
+            None if one is None else (alphas[i], amp, one[p]),
+        ]
+    return out
 
 
-def split_mode(s, vec):
+def split_stack(amps, orbitals, vec, keep=None):
+    """The single-mode occupation projections of every state of a
+    (T, D, N) orbital stack on the mode vector vec (an ndarray, as
+    check_mode returns it), each step one stacked numpy call.
+
+    Returns (alphas, betas, children): vec = alpha in + beta out against
+    each state's filled span, and per state [zero, one], each (scale,
+    amplitude, orbitals) with projector(state) == scale * (amplitude,
+    orbitals), or None when it vanishes or is not kept.  keep=None
+    builds both children; keep=0 or 1 builds and checks only that
+    outcome's child, bit for bit as keep=None builds it, and leaves the
+    other None.  Outcome 1 puts vec first in the rotated span, outcome 0
+    the in-span vector beta in - alpha out.  A state with no filled
+    component of vec (every one when N = 0) passes through as outcome 0.
+    Stacked calls round like per-slice ones and a residual in the
+    re-orthogonalization band is projected again with decompose_mode's
+    own 2-D products, so each state splits bit for bit as decompose_mode
+    and rotate_in_first split its C-contiguous copy.  Each of their
+    checks and the constructor's runs once per stack, on what is built,
+    and raises the class and message of the first state that fails it.
+    """
+    alphas, betas, _ = decomposed = _decompose(orbitals, vec)
+    return alphas, betas, _children(amps, orbitals, vec, decomposed, keep)
+
+
+def weigh_mode(s, vec):
+    """split_mode weighed before anything is built: (alpha, beta, split),
+    where split(keep) returns split_mode(s, vec, keep)'s children from
+    the same decomposition, so that the caller can pick the outcome to
+    keep from alpha and beta first."""
+    orbitals = np.ascontiguousarray(s.orbitals)[None]
+    decomposed = _decompose(orbitals, vec)
+    (alpha,), (beta,), _ = decomposed
+
+    def split(keep=None):
+        if not alpha > ABSENT_TOL:
+            return [None if keep == 1 else (1.0, s), None]
+        (pair,) = _children([s.amplitude], orbitals, vec, decomposed, keep)
+        return [r and (r[0], SlaterState._checked(r[2], r[1])) for r in pair]
+
+    return alpha, beta, split
+
+
+def split_mode(s, vec, keep=None):
     """split_stack on the one state s: returns ((alpha, beta), [zero, one])
     with each projection (scale, new_state), new_state of unit norm, or
     None.  When vec has no filled component, zero is (1.0, s) itself."""
-    orbitals = np.ascontiguousarray(s.orbitals)[None]
-    (alpha,), (beta,), (pair,) = split_stack([s.amplitude], orbitals, vec)
-    if pair[1] is None:
-        return (alpha, beta), [(1.0, s), None]
-    return (alpha, beta), [r and (r[0], SlaterState._checked(r[2], r[1])) for r in pair]
+    alpha, beta, split = weigh_mode(s, vec)
+    return (alpha, beta), split(keep)
 
 
 def measure_mode(s, kappa, forced=None, rng=None):
@@ -330,7 +385,7 @@ def annihilate(s, mode):
     kap = check_mode(mode, s.modes)
     if s.electrons == 0:
         return SlaterState(s.orbitals, 0.0)
-    one = split_mode(s, kap)[1][1]
+    one = split_mode(s, kap, keep=1)[1][1]
     if one is None:
         return SlaterState(s.orbitals[:, : s.electrons - 1], 0.0)
     alpha, occupied = one

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from flosim import cli, multislater
+from flosim import cli, fock, multislater, slater
 from flosim.circuits import (
     _matrix_from_json,
     _vector_from_json,
@@ -23,8 +23,8 @@ from flosim.circuits import (
     pair_rotation,
     parse_circuit,
 )
-from flosim.errors import ParseError
-from flosim.simulate import sampled_steps
+from flosim.errors import NotUnitary, ParseError
+from flosim.simulate import sampled_steps, simulate_exact_branch
 
 ROOT = Path(__file__).resolve().parent.parent
 EXAMPLES = sorted((ROOT / "circuits").glob("*.json"))
@@ -237,16 +237,25 @@ class TestMatrixEntries:
             ([[float("nan"), True], [0, 1]],
              "[0][1]: expected a number or an [re, im] pair, got True"),
             ([[float("nan"), 0], [True, 1]], "[0]: non-finite entry"),
+            ([[1, 0], [0, 10**400]], "[1][1]: integer out of float range"),
+            ([[[1, 0], [0, 0]], [[0, -(10**400)], [1, 0]]], "[1][0]: integer out of float range"),
         ],
         ids=["bool", "bool-in-pair", "short-row", "long-row", "nan", "inf-pair",
              "mixed-in-pair", "pair-length", "few-rows", "many-rows",
-             "string", "null", "type-before-nan", "nan-before-later-row"],
+             "string", "null", "type-before-nan", "nan-before-later-row",
+             "huge-int", "huge-int-in-pair"],
     )
     def test_errors_name_the_first_bad_entry(self, rows, message):
         assert self.unitary_error(rows) == f"step 0.unitary{message}"
         assert parsed_or_error(_matrix_from_json, rows, (2, 2)) == parsed_or_error(
             reference_matrix_from_json, rows, (2, 2)
         )
+
+    @pytest.mark.parametrize("key", ["theta", "phi"])
+    def test_an_angle_beyond_float_range_is_a_parse_error(self, key):
+        step = {"kind": "rotate", "modes": [0, 1], "theta": 0.5, key: 10**400}
+        with pytest.raises(ParseError, match=f"^step 0.{key}: integer out of float range$"):
+            parse_circuit(minimal_doc([step]))
 
     def test_only_lists_are_rows(self):
         """np.array would read a tuple row; the walk names it."""
@@ -504,6 +513,95 @@ class TestNogoCommand:
         assert err.count("\n") == 1
 
 
+# Rotations that fail their step's unitarity check: the shorthand with a
+# NaN or infinite theta (cos and sin give a NaN block) and a finite
+# unitary-form rotation that is not unitary.
+BAD_ROTATIONS = {
+    "theta-nan": ({"kind": "rotate", "modes": [0, 2], "theta": float("nan")},
+                  "deviation from unitarity nan"),
+    "theta-inf": ({"kind": "rotate", "modes": [3, 1], "theta": float("inf"), "phi": 0.2},
+                  "deviation from unitarity nan"),
+    "unitary": ({"kind": "rotate", "unitary": (2 * np.eye(4)).tolist()},
+                "deviation from unitarity 6.000e+00"),
+}
+COMMANDS = (["nogo"], ["simulate", "--seed", "3"], ["simulate", "--seed", "3", "--oracle-check"])
+
+
+class TestRotationChecks:
+    """A rotation's unitary is checked once, by its own step, in both
+    executors: the shorthand's 2x2 block, a unitary-form rotation whole.
+    A failing one exits 1 with one NotUnitary line, and an earlier step's
+    error still wins; the oracle judge reuses the run's check."""
+
+    @staticmethod
+    def run(tmp_path, capsys, steps, command):
+        path = tmp_path / "circuit.json"
+        path.write_text(minimal_doc(steps))
+        return run_cli([command[0], path, *command[1:]], capsys)
+
+    @pytest.mark.parametrize("command", COMMANDS, ids=["nogo", "simulate", "oracle"])
+    @pytest.mark.parametrize("kind", list(BAD_ROTATIONS))
+    def test_fails_at_its_own_step(self, kind, command, tmp_path, capsys):
+        bad, message = BAD_ROTATIONS[kind]
+        steps = [{"kind": "measure1", "mode": 0}, bad, {"kind": "measure1", "mode": 1}]
+        assert self.run(tmp_path, capsys, steps, command) == (1, "", f"NotUnitary: {message}\n")
+        circuit = parse_circuit(minimal_doc(steps))
+        seen = []
+        with pytest.raises(NotUnitary, match=f"^{re.escape(message)}$"):
+            for idx, *_ in sampled_steps(circuit.steps, 4, 2, seed=3):
+                seen.append(idx)
+        assert seen == [None, 0]
+        simulate_exact_branch(circuit.steps[:1], 4, 2)
+        with pytest.raises(NotUnitary, match=f"^{re.escape(message)}$"):
+            simulate_exact_branch(circuit.steps[:2], 4, 2)
+
+    @pytest.mark.parametrize("command", COMMANDS, ids=["nogo", "simulate", "oracle"])
+    @pytest.mark.parametrize(
+        "first,second",
+        [("unitary", "theta-nan"), ("theta-nan", "unitary"),
+         ("unitary", "theta-inf"), ("theta-inf", "unitary")],
+    )
+    def test_an_earlier_rotation_error_wins(self, first, second, command, tmp_path, capsys):
+        steps = [BAD_ROTATIONS[first][0], BAD_ROTATIONS[second][0]]
+        want = f"NotUnitary: {BAD_ROTATIONS[first][1]}\n"
+        assert self.run(tmp_path, capsys, steps, command) == (1, "", want)
+
+    @pytest.mark.parametrize("command", COMMANDS, ids=["nogo", "simulate", "oracle"])
+    def test_an_earlier_impossible_outcome_wins(self, command, tmp_path, capsys):
+        """Mode 3 of the standard state is empty: simulate fails the forced
+        outcome 1 at step 0, while nogo steers past it to the rotation."""
+        steps = [{"kind": "measure1", "mode": 3, "policy": "forced", "outcome": 1},
+                 BAD_ROTATIONS["theta-nan"][0]]
+        code, out, err = self.run(tmp_path, capsys, steps, command)
+        assert (code, out, err.count("\n")) == (1, "", 1)
+        if command[0] == "nogo":
+            assert err == "NotUnitary: deviation from unitarity nan\n"
+        else:
+            assert err.startswith("ImpossibleOutcome: outcome 1 has probability")
+
+    def test_each_unitary_is_checked_once_per_run(self, tmp_path, capsys, monkeypatch):
+        """Under --oracle-check the run's evolve_sum checks each rotation,
+        the shorthand on its block alone, and the judge checks none again."""
+        rng = np.random.default_rng(153)
+        u = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))[0]
+        steps = [
+            {"kind": "rotate", "modes": [3, 1], "theta": 0.7, "phi": 0.3},
+            {"kind": "rotate", "unitary": [[[z.real, z.imag] for z in row] for row in u]},
+            {"kind": "rotate", "generator": np.diag([0.5, 1.0, -0.2, 0.0]).tolist(), "tau": 0.4},
+            {"kind": "measure1", "mode": 1},
+        ]
+        calls = []
+        real = slater.check_unitary
+        for module in (slater, multislater, fock):
+            monkeypatch.setattr(
+                module, "check_unitary",
+                lambda v, d, pair=None: calls.append(pair) or real(v, d, pair),
+            )
+        code, out, _ = self.run(tmp_path, capsys, steps, COMMANDS[2])
+        assert code == 0 and "# oracle min fidelity = 1.0" in out
+        assert calls == [(3, 1), None, None]
+
+
 class TestBandsCommand:
     def test_csv_shape_and_content(self, tmp_path, capsys):
         out_path = tmp_path / "bands.csv"
@@ -676,14 +774,36 @@ class TestSlaterRankCommand:
         )
 
     def test_negative_infinite_angle_is_a_usage_error(self, capsys):
-        """argparse reads a bare -inf as an option, so the CLI refuses it
-        before the type sees it; the type refuses it too."""
+        """-inf reaches the angle type like inf, which refuses it."""
         with pytest.raises(SystemExit) as exc:
             cli.main(["slater-rank", "--angles", "0.1", "0.2", "-inf"])
         assert exc.value.code == 2
-        assert "argument --angles" in capsys.readouterr().err
+        assert capsys.readouterr().err.splitlines()[-1].endswith(
+            "error: argument --angles: must be finite, got -inf"
+        )
         with pytest.raises(argparse.ArgumentTypeError, match="must be finite, got -inf"):
             cli._finite_float("-inf")
+
+    @pytest.mark.parametrize(
+        ("written", "plain"),
+        [(["-1e-3", "0.2", "0.3"], ["-0.001", "0.2", "0.3"]),
+         (["0.7", "-4E-1", "-1.1e0"], ["0.7", "-0.4", "-1.1"])],
+    )
+    def test_negative_angles_with_an_exponent_run(self, written, plain, capsys):
+        """argparse takes only plain negative numbers such as -0.001 for
+        values; an angle written with an exponent means the same."""
+        got = run_cli(["slater-rank", "--angles", *written, "--electrons", "4"], capsys)
+        want = run_cli(["slater-rank", "--angles", *plain, "--electrons", "4"], capsys)
+        assert got == want and got[0] == 0 and got[2] == ""
+
+    @pytest.mark.parametrize("word", ["-abc", "-x1"])
+    def test_negative_non_numbers_stay_a_usage_error(self, word, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["slater-rank", "--angles", word, "0.2", "0.3"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1].endswith(
+            "error: argument --angles: expected 3 arguments"
+        )
 
     def test_finite_and_abc_angles_keep_their_meaning(self, capsys):
         code, out, _ = run_cli(["slater-rank", "--angles", "0.9", "0.8", "0.6"], capsys)

@@ -717,6 +717,41 @@ class TestSplitKernel:
             dec = decompose_mode(state, vec)
             assert (alpha.hex(), beta.hex()) == (dec.alpha.hex(), dec.beta.hex())
 
+    @pytest.mark.parametrize(
+        "t,n,kinds",
+        [(None, None, KERNEL_TERM_KINDS), (None, 0, KERNEL_TERM_KINDS),
+         (None, 1, KERNEL_TERM_KINDS), (17, 3, ("near_span",))],
+        ids=["any", "n0", "n1", "band"],
+    )
+    @settings(derandomize=True, database=None, deadline=None, max_examples=30)
+    @given(data=st.data())
+    def test_keep_builds_that_child_bit_for_bit(self, t, n, kinds, data):
+        """keep=0 or 1 gives keep=None's alphas, betas and that outcome's
+        children byte for byte, and None for the other outcome: over
+        random spans, spans holding vec (beta = 0), spans orthogonal to
+        it (passed through as outcome 0), N = 0 and 1, and the
+        re-orthogonalization band."""
+        d, n, terms, vec, _ = data.draw(kernel_stacks(t, n, kinds))
+        states = [state for _, state in terms]
+        amps = [state.amplitude for state in states]
+
+        def child_bytes(r):
+            return None if r is None else (float(r[0]).hex(), complex(r[1]), r[2].tobytes())
+
+        alphas, betas, both = split_stack(amps, stack_of(states, d, n), vec)
+        for keep in (0, 1):
+            got_alphas, got_betas, got = split_stack(amps, stack_of(states, d, n), vec, keep)
+            assert [a.hex() for a in got_alphas] == [a.hex() for a in alphas]
+            assert [b.hex() for b in got_betas] == [b.hex() for b in betas]
+            assert [pair[1 - keep] for pair in got] == [None] * len(states)
+            assert [child_bytes(pair[keep]) for pair in got] == [
+                child_bytes(pair[keep]) for pair in both
+            ]
+            for state in states:
+                scales, pair = split_mode(state, vec, keep)
+                assert scales == split_mode(state, vec)[0] and pair[1 - keep] is None
+                assert split_bits(pair)[keep] == split_bits(split_mode(state, vec)[1])[keep]
+
     @pytest.mark.parametrize("t,n", [(1, 1), (2, 2), (17, 3)])
     @settings(derandomize=True, database=None, deadline=None, max_examples=20)
     @given(data=st.data())
@@ -1040,9 +1075,9 @@ class TestPrunedTree:
         split = []
         real = multislater._split_stack
 
-        def counting(amps, orbitals, vec):
+        def counting(amps, orbitals, vec, keep=None):
             split.extend(amps)
-            return real(amps, orbitals, vec)
+            return real(amps, orbitals, vec, keep)
 
         monkeypatch.setattr(multislater, "_split_stack", counting)
         rng = rng_for(96)

@@ -371,6 +371,67 @@ NO_BRANCH = (
 )
 
 
+class TestKeptChildOnly:
+    """nogo builds and checks only the child its step keeps: per split, the
+    rotated span, then the kept child, and no check after it; a certain
+    step builds nothing.  check_orthonormal is every split's and the
+    constructor's orthonormality check."""
+
+    @staticmethod
+    def checked_stacks(monkeypatch):
+        checked = []
+        real = slater.check_orthonormal
+
+        def counting(orbitals):
+            checked.append(orbitals.copy())  # a split writes a kept child into its input
+            return real(orbitals)
+
+        monkeypatch.setattr(slater, "check_orthonormal", counting)
+        return checked
+
+    @pytest.mark.parametrize(("grouping", "label"), [("012", "0"), ("01/2", "2")])
+    def test_measure2_outcome_0_or_2_checks_only_kept_children(
+        self, grouping, label, monkeypatch
+    ):
+        rng = rng_for(151)
+        d, n = 6, 3
+        state = SlaterState(random_orthonormal_columns(rng, d, n))
+        kap, lam = random_orthogonal_pair(rng, d)
+        both = slater.split_mode(state, lam)[1]  # lambda's children, both built
+        checked = self.checked_stacks(monkeypatch)
+        step = MeasureTwo(kap, lam, grouping, "exact")
+        transcript, final = simulate_exact_branch([step], d, n, initial=state)
+        assert transcript.rows[0].outcome == label and transcript.rows[0].probability < 0.99
+        # two levels (lambda, then kappa), each the rotated span and one child
+        assert [c.shape for c in checked] == [(1, d, n)] * 4
+        assert checked[-1][0].tobytes() == final.orbitals.tobytes()
+        kept = 1 if label == "2" else 0
+        assert checked[1][0].tobytes() == both[kept][1].orbitals.tobytes()
+        assert all(c[0].tobytes() != both[1 - kept][1].orbitals.tobytes() for c in checked)
+
+    def test_measure1_checks_only_the_kept_child(self, monkeypatch):
+        rng = rng_for(152)
+        d, n = 6, 3
+        state = SlaterState(random_orthonormal_columns(rng, d, n))
+        kap = random_mode(rng, d)
+        one = slater.split_mode(state, kap)[1][1][1]
+        checked = self.checked_stacks(monkeypatch)
+        transcript, final = simulate_exact_branch([MeasureOne(kap, "exact")], d, n, initial=state)
+        assert transcript.rows[0].outcome == "0" and transcript.rows[0].probability < 0.99
+        assert [c.shape for c in checked] == [(1, d, n)] * 2
+        assert checked[-1][0].tobytes() == final.orbitals.tobytes()
+        assert all(c[0].tobytes() != one.orbitals.tobytes() for c in checked)
+
+    def test_certain_measure1_builds_nothing(self, monkeypatch):
+        start = standard_state(6, 3)
+        checked = self.checked_stacks(monkeypatch)
+        e = np.eye(6, dtype=complex)
+        circuit = [MeasureOne(e[:, 0], "exact"), MeasureOne(e[:, 5], "exact")]
+        transcript, final = simulate_exact_branch(circuit, 6, 3, initial=start)
+        assert [row.outcome for row in transcript.rows] == ["1", "0"]
+        assert checked == [] and np.array_equal(final.orbitals, np.eye(6, 3))
+
+
 class TestSteeringRule:
     """The exact policy's certainty-or-steer rule, one for both executors.
 
@@ -439,7 +500,7 @@ class TestSteeringRule:
         calls = []
         for module, name in ((multislater, "_split_stack"), (multislater, "split_stack"),
                              (slater, "split_stack"), (slater, "split_mode"),
-                             (simulate, "split_mode")):
+                             (slater, "weigh_mode"), (simulate, "weigh_mode")):
             real = getattr(module, name)
             monkeypatch.setattr(
                 module, name, lambda *a, real=real, name=name: calls.append(name) or real(*a)

@@ -21,6 +21,7 @@ from flosim.errors import (
     NotInSpan,
     NotUnitary,
 )
+from flosim.circuits import pair_rotation
 from flosim.linalg import one_body_unitary
 from flosim.multislater import SlaterSum, evolve_sum, measure_mode_sum
 from flosim.slater import (
@@ -248,6 +249,57 @@ class TestEvolve:
     def test_rejects_wrong_shape(self):
         with pytest.raises(DimensionMismatch):
             evolve(standard_state(3, 1), np.eye(4))
+
+
+class TestPairCheck:
+    """check_unitary's pair: a unitary that is the identity off two rows
+    and columns, as the rotate shorthand builds it, is checked on its 2x2
+    block alone, and the step rotates bit for bit as with the full check."""
+
+    @staticmethod
+    def embedded(d, pair, block):
+        u = np.eye(d, dtype=complex)
+        u[np.ix_(pair, pair)] = block
+        return u
+
+    @pytest.mark.parametrize("theta", [0.7, -2.5, 1e300])
+    def test_rotates_as_the_full_check(self, theta):
+        rng = rng_for(150)
+        s = random_state(rng, 8, 3)
+        pair = (5, 2)
+        u = self.embedded(8, pair, pair_rotation(theta, 0.4))
+        assert check_unitary(u, 8, pair) is check_unitary(u, 8)
+        got, want = evolve(s, u, pair), evolve(s, u)
+        assert got.orbitals.tobytes() == want.orbitals.tobytes()
+        assert got.amplitude == want.amplitude
+        ssum = SlaterSum.from_state(s)
+        assert evolve_sum(ssum, u, pair).orbitals.tobytes() == evolve_sum(ssum, u).orbitals.tobytes()
+
+    @pytest.mark.parametrize(
+        ("block", "message"),
+        [
+            (pair_rotation(float("nan")), "deviation from unitarity nan"),
+            (pair_rotation(float("inf")), "deviation from unitarity nan"),
+            (np.diag([2.0, 1.0]), "deviation from unitarity 3.000e+00"),
+        ],
+        ids=["nan", "inf", "scaled"],
+    )
+    def test_rejects_what_the_full_check_rejects(self, block, message):
+        u = self.embedded(5, (3, 0), block)
+        s = standard_state(5, 2)
+        for call in (
+            lambda pair: check_unitary(u, 5, pair),
+            lambda pair: evolve(s, u, pair),
+            lambda pair: evolve_sum(SlaterSum.from_state(s), u, pair),
+        ):
+            for pair in ((3, 0), None):
+                with pytest.raises(NotUnitary) as err:
+                    call(pair)
+                assert str(err.value) == message
+
+    def test_keeps_the_shape_check(self):
+        with pytest.raises(DimensionMismatch, match=r"^unitary has shape \(4, 4\), state has 5"):
+            check_unitary(np.eye(4), 5, (0, 1))
 
 
 class TestDecomposeMode:

@@ -8,6 +8,7 @@ import ast
 import importlib
 import importlib.util
 import json
+import shutil
 from pathlib import Path
 from unittest import mock
 
@@ -86,6 +87,47 @@ def test_corpus_captures_each_run_as_the_cli_prints_it(tmp_path, monkeypatch, ca
         expected.append([code, *capsys.readouterr()])
     assert [code for code, _, _ in expected] == [0, 1]
     assert corpus.run_tree(ROOT / "src", picked) == expected
+
+
+# One-ulp mutations, each a line written before a kernel's return (the
+# line that follows it here): slater.evolve moves one orbital entry of
+# the run's state, fock's dense rotation moves the amplitude of the
+# entry with every mode filled, 0 when N < D, to the smallest subnormal.
+# Neither moves a printed digit.
+ULP_MUTATIONS = {
+    "slater.py": (
+        "    rotated[0, 0] = np.nextafter(rotated[0, 0].real, np.inf) + 1j * rotated[0, 0].imag\n",
+        "    return SlaterState._checked(rotated, s.amplitude)\n",
+    ),
+    "fock.py": (
+        "    out[-1] = np.nextafter(out[-1].real, np.inf)\n",
+        "            out[basis] = _accumulate(out[basis], amps[basis[chunk]], _scaled(1.0, minors))\n"
+        "    return FockVector._checked(d, out)\n",
+    ),
+}
+
+
+def test_corpus_bit_mode_reports_a_one_ulp_change(tmp_path):
+    """tools/corpus.py --bits compares digests of the runs' exact numbers:
+    a tree with the ULP_MUTATIONS prints what this tree prints, but its
+    nogo run's final state and its oracle judge's dense vectors differ."""
+    spec = importlib.util.spec_from_file_location("corpus", CORPUS)
+    corpus = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(corpus)
+    mutated = tmp_path / "src"
+    shutil.copytree(ROOT / "src", mutated, ignore=shutil.ignore_patterns("__pycache__"))
+    for name, (mutation, before) in ULP_MUTATIONS.items():
+        path = mutated / "flosim" / name
+        text = path.read_text(encoding="utf-8")
+        assert text.count(before) == 1
+        last = before.splitlines(keepends=True)[-1]
+        path.write_text(text.replace(before, before.replace(last, mutation + last)), encoding="utf-8")
+    runs = [["nogo", "circuits/nogo_demo.json"],
+            ["simulate", "circuits/generic_p1.json", "--seed", "3", "--oracle-check"]]
+    differing = corpus.compare(ROOT / "src", mutated, runs, bits=True)
+    assert [argv for argv, _, _ in differing] == runs
+    for _, base, head in differing:
+        assert base[0] == 0 and base[:3] == head[:3] and base[3] != head[3]
 
 
 def test_circuitgen_covers_every_step_form_and_parses(tmp_path):

@@ -2,7 +2,7 @@
 source trees and print every run whose stdout, stderr or exit code
 differs.
 
-    python3 tools/corpus.py BASE_SRC [HEAD_SRC]
+    python3 tools/corpus.py [--bits] BASE_SRC [HEAD_SRC]
 
 Each argument is a directory holding the `flosim` package; HEAD_SRC
 defaults to this checkout's src.  Another commit's tree can be had with
@@ -10,6 +10,14 @@ defaults to this checkout's src.  Another commit's tree can be had with
 invocations in one fresh interpreter, in process through
 flosim.cli.main, from this checkout's root with BLAS at one thread.
 Exits 1 if any run differs.
+
+--bits also compares, per run, a SHA-256 digest of the numbers the
+transcript prints rounded: every transcript row's probability and
+cumulative probability and the final state's coefficients, amplitudes
+and orbital bytes (`simulate` and `nogo`), both dense vectors of each
+fidelity the `--oracle-check` judge takes, and the w matrix of
+`slater-rank`.  So a change in the last bit of a kernel shows even
+where the printed digits hide it.
 
 The corpus, 446 runs, all on this checkout's inputs:
   - circuits/*.json, tests/data/policy_mix.json and parity_deep.json
@@ -26,6 +34,7 @@ The corpus, 446 runs, all on this checkout's inputs:
 
 import contextlib
 import difflib
+import hashlib
 import importlib.util
 import io
 import json
@@ -34,6 +43,8 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 CIRCUITS = (
@@ -79,14 +90,64 @@ def _load(path):
     return module
 
 
-def _run_here(src, argvs):
+def _hook(namespace, name, record):
+    """Replace namespace.name by a wrapper that passes each call's
+    arguments and result to record."""
+    real = getattr(namespace, name)
+
+    def hooked(*args, **kwargs):
+        result = real(*args, **kwargs)
+        record(args, result)
+        return result
+
+    setattr(namespace, name, hooked)
+
+
+def _bit_hooks(cli):
+    """Hook the names cli runs through so that each run's exact numbers
+    are gathered; returns the list they are appended to, as bytes."""
+    seen = []
+
+    def rows(transcript):
+        seen.extend(float(x).hex().encode() for r in transcript.rows
+                    for x in (r.probability, r.cumulative))
+
+    def sampled(_, result):
+        transcript, final = result
+        rows(transcript)
+        for numbers in (final.coeffs, final.amps):
+            seen.append(np.array(numbers, dtype=complex).tobytes())
+        seen.append(np.asarray(final.orbitals).tobytes())
+
+    def exact(_, result):
+        transcript, final = result
+        rows(transcript)
+        seen.append(np.array(final.amplitude, dtype=complex).tobytes())
+        seen.append(np.asarray(final.orbitals).tobytes())
+
+    def fidelity(args, _):
+        seen.extend(v.amplitudes.tobytes() for v in args)
+
+    def w_matrix(args, _):
+        seen.append(np.asarray(args[0]).tobytes())
+
+    _hook(cli, "transcript_of", sampled)
+    _hook(cli, "simulate_exact_branch", exact)
+    _hook(cli.fock, "fidelity", fidelity)
+    _hook(cli, "slater_number_two_fermion", w_matrix)
+    return seen
+
+
+def _run_here(src, argvs, bits=False):
     """Run every argv through src's flosim.cli.main in this process;
-    returns [exit code, stdout, stderr] per run."""
+    returns [exit code, stdout, stderr] per run, and with bits the
+    _bit_hooks digest as a fourth entry."""
     sys.path.insert(0, src)
     from flosim import cli
 
     if not Path(cli.__file__).resolve().is_relative_to(Path(src).resolve()):
         raise SystemExit(f"flosim was imported from {cli.__file__}, not from {src}")
+    seen = _bit_hooks(cli) if bits else None
     results = []
     for argv in argvs:
         out, err = io.StringIO(), io.StringIO()
@@ -99,17 +160,21 @@ def _run_here(src, argvs):
                 code = "uncaught"
                 print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         results.append([code, out.getvalue(), err.getvalue()])
+        if bits:
+            results[-1].append(hashlib.sha256(b"|".join(seen)).hexdigest())
+            seen.clear()
     return results
 
 
-def run_tree(src, argvs):
+def run_tree(src, argvs, bits=False):
     """[exit code, stdout, stderr] of every argv under the tree src, from
-    one fresh interpreter."""
+    one fresh interpreter; with bits, the digest of _bit_hooks too."""
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
                MKL_NUM_THREADS="1")
     env.pop("PYTHONPATH", None)
+    mode = "--run-here-bits" if bits else "--run-here"
     proc = subprocess.run(
-        [sys.executable, __file__, "--run-here", os.path.abspath(src)],
+        [sys.executable, __file__, mode, os.path.abspath(src)],
         input=json.dumps(argvs), capture_output=True, text=True, cwd=ROOT,
         env=env, check=False,
     )
@@ -118,20 +183,20 @@ def run_tree(src, argvs):
     return json.loads(proc.stdout)
 
 
-def compare(base_src, head_src, argvs):
+def compare(base_src, head_src, argvs, bits=False):
     """The runs that differ: (argv, base result, head result) triples."""
-    base = run_tree(base_src, argvs)
-    head = run_tree(head_src, argvs)
+    base = run_tree(base_src, argvs, bits)
+    head = run_tree(head_src, argvs, bits)
     return [(argv, b, h) for argv, b, h in zip(argvs, base, head) if b != h]
 
 
 def _report(argv, base, head):
     lines = [" ".join(argv)]
-    for name, b, h in zip(("exit code", "stdout", "stderr"), base, head):
+    for name, b, h in zip(("exit code", "stdout", "stderr", "bits"), base, head):
         if b == h:
             continue
-        if name == "exit code":
-            lines.append(f"  exit code {b!r} -> {h!r}")
+        if name in ("exit code", "bits"):
+            lines.append(f"  {name} {b!r} -> {h!r}")
             continue
         diff = difflib.unified_diff(
             b.splitlines(), h.splitlines(), "base " + name, "head " + name, lineterm=""
@@ -142,16 +207,20 @@ def _report(argv, base, head):
 
 def main(argv=None):
     args = sys.argv[1:] if argv is None else argv
-    if args[:1] == ["--run-here"] and len(args) == 2:
-        json.dump(_run_here(args[1], json.load(sys.stdin)), sys.stdout)
+    if args[:1] in (["--run-here"], ["--run-here-bits"]) and len(args) == 2:
+        bits = args[0] == "--run-here-bits"
+        json.dump(_run_here(args[1], json.load(sys.stdin), bits), sys.stdout)
         return 0
+    bits = args[:1] == ["--bits"]
+    if bits:
+        args = args[1:]
     if not 1 <= len(args) <= 2 or args[0].startswith("-"):
         print(__doc__.strip(), file=sys.stderr)
         return 2
     base_src, head_src = args[0], args[1] if len(args) == 2 else str(ROOT / "src")
     with tempfile.TemporaryDirectory() as pool_dir:
         argvs = invocations(pool_dir)
-        differing = compare(base_src, head_src, argvs)
+        differing = compare(base_src, head_src, argvs, bits)
     for run in differing:
         print(_report(*run))
     print(f"{len(differing)} of {len(argvs)} runs differ")
