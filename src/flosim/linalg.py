@@ -96,9 +96,11 @@ def one_body_unitary(b, tau):
     dev = np.linalg.norm(a - a.conj().T)
     if dev > HERMITIAN_TOL:
         raise NotHermitian(f"deviation from Hermiticity {dev:.3e} exceeds {HERMITIAN_TOL:.1e}")
-    sym = (a + a.conj().T) / 2
-    evals, vecs = np.linalg.eigh(sym)
-    return (vecs * np.exp(-1j * evals * tau)[np.newaxis, :]) @ vecs.conj().T
+    # An overflow or an infinite tau gives, silently, a NaN that check_unitary rejects.
+    with np.errstate(all="ignore"):
+        sym = (a + a.conj().T) / 2
+        evals, vecs = np.linalg.eigh(sym)
+        return (vecs * np.exp(-1j * evals * tau)[np.newaxis, :]) @ vecs.conj().T
 
 
 def _check_antisymmetric(a):

@@ -181,20 +181,24 @@ def _expectations(s, m, xs):
     map of the one-body map Q and m's columns orthonormal modes: the norm
     squared (x = 0), the weight with m's modes empty (1), their parity (2).
     Pair (i, j) is det(Phi_i^H Q Phi_j) and pair (j, i) its conjugate, so
-    row i takes only j >= i: one Gram product for every j and x, one det.
+    row i takes only j > i: one Gram product for every j and x, one det.
+    Stored stacks are orthonormal, so pair (i, i) is det(1_k - x B_i B_i^H),
+    B_i = M^H Phi_i, k <= 2 (Sylvester): one term takes no N x N det.
     """
     t, d, n = s.orbitals.shape
     weights = np.array([c * a for c, a in zip(s.coeffs, s.amps)])
-    cols = s.orbitals.transpose(1, 0, 2).reshape(d, t * n)
     scale = np.array(xs, dtype=float)[:, None, None]
-    totals = np.zeros(len(xs), dtype=complex)
-    for i, w_i in enumerate(weights.conj()):
+    b = m.conj().T @ s.orbitals
+    require_finite(b)
+    own = np.eye(m.shape[1]) - scale[:, None] * (b @ b.conj().transpose(0, 2, 1))
+    totals = np.linalg.det(own) @ (weights.conj() * weights)
+    cols = s.orbitals.transpose(1, 0, 2).reshape(d, t * n)
+    for i, w_i in enumerate(weights[:-1].conj()):
         phi_h = s.orbitals[i].conj().T  # Phi_i^H Q = Phi_i^H - x (Phi_i^H M) M^H
-        gram = (phi_h - scale * (phi_h @ m @ m.conj().T)).reshape(-1, d) @ cols[:, i * n :]
+        gram = (phi_h - scale * (phi_h @ m @ m.conj().T)).reshape(-1, d) @ cols[:, (i + 1) * n :]
         require_finite(gram)
-        dets = np.linalg.det(gram.reshape(len(xs), n, t - i, n).transpose(0, 2, 1, 3))
-        dets[:, 1:] *= 2.0
-        totals += dets @ (w_i * weights[i:])
+        dets = np.linalg.det(gram.reshape(len(xs), n, t - i - 1, n).transpose(0, 2, 1, 3))
+        totals += 2.0 * (dets @ (w_i * weights[i + 1 :]))
     return totals.real.tolist()
 
 

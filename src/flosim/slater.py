@@ -25,7 +25,7 @@ from .errors import (
     NotInSpan,
     NotUnitary,
 )
-from .linalg import complement_basis, determinant, require_finite, row_norms
+from .linalg import determinant, row_norms
 
 ORTHO_TOL = 1e-10
 UNITARY_TOL = 1e-10
@@ -33,7 +33,7 @@ SPAN_TOL = 1e-9
 PROB_FLOOR = 1e-12
 ORTHOGONAL_TOL = 1e-10  # largest |<kappa|lambda>| for two measured modes
 ABSENT_TOL = 1e-12
-REORTH_TOL = 1e-4  # below this beta, resid / beta loses orthogonality to the span
+REORTH_TOL = 1e-4  # below this beta, one projection alone loses orthogonality to the span
 MODE_NORM_TOL = ORTHO_TOL / 4  # a split child's Gram error is about twice its mode's norm error
 
 
@@ -172,63 +172,63 @@ def decompose_mode(s, kappa):
     coeffs = s.orbitals.conj().T @ kap
     alpha = float(np.linalg.norm(coeffs))
     inside = s.orbitals @ coeffs
+    # kappa - inside keeps a part along the span (cancellation, and alpha
+    # times the orbitals' Gram error) that out = resid / beta would grow by
+    # 1 / beta at every split; projecting once more leaves second order.
     resid = kap - inside
+    resid = resid - s.orbitals @ (s.orbitals.conj().T @ resid)
     beta = float(np.linalg.norm(resid))
-    if ABSENT_TOL < beta < REORTH_TOL:
-        # kappa - inside cancels to a residual of relative error about
-        # eps / beta along the span; project that part out once more.
-        resid = resid - s.orbitals @ (s.orbitals.conj().T @ resid)
-        beta = float(np.linalg.norm(resid))
     in_orb = inside / alpha if alpha > ABSENT_TOL else None
     out_orb = resid / beta if beta > ABSENT_TOL else None
     return ModeDecomposition(alpha=alpha, beta=beta, in_orbital=in_orb, out_orbital=out_orb)
 
 
 def rotate_in_first(s, in_orbital):
-    """Re-express the same state so its first orbital is in_orbital.
-
-    The basis change within the filled span is special-unitary, so the
-    represented state, global phase included, is untouched: any tiny
-    determinant residue of the constructed change of basis is divided
-    out of the amplitude.
-    """
+    """Re-express the same state so its first orbital is in_orbital, by
+    split_stack's own rotation (_reflect).  The basis change's determinant,
+    a phase known in closed form, is divided out of the amplitude, so the
+    represented state, global phase included, is untouched."""
     t = check_mode(in_orbital, s.modes)
     n = s.electrons
     c = s.orbitals.conj().T @ t
     resid = np.linalg.norm(t - s.orbitals @ c) if n else 1.0
     if n == 0 or resid > SPAN_TOL:
         raise NotInSpan(f"vector is {resid:.3e} away from the filled span")
-    c = c / np.linalg.norm(c)
-    if n == 1:
-        basis_change = c.reshape(1, 1)
-    else:
-        comp = complement_basis([c], n)
-        basis_change = np.column_stack([c.reshape(-1, 1), comp])
-        basis_change[:, -1] /= determinant(basis_change)
-    d_resid = determinant(basis_change)
-    return SlaterState(s.orbitals @ basis_change, s.amplitude / d_resid)
+    rot, ph = _reflect(np.ascontiguousarray(s.orbitals)[None], (c / np.linalg.norm(c))[None])
+    return SlaterState(rot[0], s.amplitude / complex(ph[0]))
+
+
+def _reflect(phi, c):
+    """Each span of a (T, D, N) stack phi rotated to put phi c first, for
+    unit rows c of span coordinates: (rot, ph), rot = phi H diag(-ph, 1,
+    ..., 1) with H = 1 - 2 w w^H / |w|^2 the Householder reflector of
+    w = c + ph e1, ph = c0 / |c0| (1 when c0 = 0).  H c = -ph e1, so rot's
+    first column is phi c and the basis change has determinant ph."""
+    c0 = c[:, 0]
+    ph = np.ones_like(c0)
+    np.divide(c0, abs(c0), out=ph, where=c0 != 0.0)
+    w = c.copy()
+    w[:, 0] += ph
+    scale = 2.0 / (np.vecdot(w.real, w.real) + np.vecdot(w.imag, w.imag))
+    pw = (phi @ w[:, :, None])[:, :, 0] * scale[:, None]
+    rot = phi - pw[:, :, None] * w.conj()[:, None, :]
+    rot[:, :, 0] *= -ph[:, None]
+    return rot, ph
 
 
 def _decompose(orbitals, vec):
     """vec = alpha in + beta out against the filled span of each state of
     a (T, D, N) stack: (alphas, betas, arrays), alpha and beta per state
     as Python floats and arrays what _children builds the children from.
-    A residual in the re-orthogonalization band is projected again with
-    decompose_mode's own 2-D products."""
+    The residual is projected twice, as decompose_mode projects it."""
     phi_h = orbitals.conj().transpose(0, 2, 1)
     coeffs = phi_h @ vec
     alpha = row_norms(coeffs)
     inside = (orbitals @ coeffs[:, :, None])[:, :, 0]
     resid = vec - inside
+    resid = resid - (orbitals @ (phi_h @ resid[:, :, None]))[:, :, 0]
     beta = row_norms(resid)
-    alphas, betas = alpha.tolist(), beta.tolist()
-    for i, b_i in enumerate(betas):
-        if ABSENT_TOL < b_i < REORTH_TOL:
-            # kappa - inside cancels to a residual of relative error about
-            # eps / beta along the span; project that part out once more.
-            resid[i] = resid[i] - orbitals[i] @ (phi_h[i] @ resid[i])
-            beta[i] = betas[i] = float(np.linalg.norm(resid[i]))
-    return alphas, betas, (phi_h, alpha, beta, inside, resid)
+    return alpha.tolist(), beta.tolist(), (phi_h, alpha, beta, inside, resid)
 
 
 def _children(amps, orbitals, vec, decomposed, keep):
@@ -254,19 +254,10 @@ def _children(amps, orbitals, vec, decomposed, keep):
         far = span_resid[(span_resid > SPAN_TOL).argmax()]
         raise NotInSpan(f"vector is {far:.3e} away from the filled span")
     c = c[:, :, 0] / row_norms(c[:, :, 0])[:, None]
-    change = c[:, :, None]
-    if phi.shape[2] > 1:
-        # complement_basis([c], n): the last n - 1 rows of the svd's vh.
-        vh = np.linalg.svd(c.conj()[:, None, :], full_matrices=True)[2]
-        change = np.concatenate([change, vh[:, 1:].conj().transpose(0, 2, 1)], axis=2)
-        require_finite(change)
-        change[:, :, -1] /= np.linalg.det(change)[:, None]
-    require_finite(change)
-    dets = np.linalg.det(change).tolist()
-    rot = phi @ change
+    rot, ph = _reflect(phi, c)
     # Drop the stacks no longer needed before checking and building the
     # children, so the batch's peak memory stays low.
-    del phi, phi_h, c, change
+    del phi, phi_h, c
     check_orthonormal(rot)
     # The children share the rotated span's other orbitals; each kept
     # child is written into rot itself once no other child needs it.
@@ -285,7 +276,7 @@ def _children(amps, orbitals, vec, decomposed, keep):
         if built is not None:
             check_orthonormal(built)
     zeros = iter(() if zero is None else zero)
-    for p, (i, d, out_too) in enumerate(zip(lanes, dets, has_out)):
+    for p, (i, d, out_too) in enumerate(zip(lanes, ph.tolist(), has_out)):
         amp = amps[i] / d
         out[i] = [
             (betas[i], amp, next(zeros)) if out_too else None,
@@ -308,9 +299,10 @@ def split_stack(amps, orbitals, vec, keep=None):
     other None.  Outcome 1 puts vec first in the rotated span, outcome 0
     the in-span vector beta in - alpha out.  A state with no filled
     component of vec (every one when N = 0) passes through as outcome 0.
-    Stacked calls round like per-slice ones and a residual in the
-    re-orthogonalization band is projected again with decompose_mode's
-    own 2-D products, so each state splits bit for bit as decompose_mode
+    The span is rotated by a Householder reflector (_reflect), whose
+    determinant, a phase, is divided out of the amplitude in closed
+    form; no SVD and no det is taken.  Stacked calls round like
+    per-slice ones, so each state splits bit for bit as decompose_mode
     and rotate_in_first split its C-contiguous copy.  Each of their
     checks and the constructor's runs once per stack, on what is built,
     and raises the class and message of the first state that fails it.

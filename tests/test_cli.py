@@ -525,6 +525,15 @@ BAD_ROTATIONS = {
                 "deviation from unitarity 6.000e+00"),
 }
 COMMANDS = (["nogo"], ["simulate", "--seed", "3"], ["simulate", "--seed", "3", "--oracle-check"])
+# Generator rotations whose exp(-i b tau) comes out NaN: a NaN or an
+# infinite tau, and a Hermitian generator whose 1e308 entry overflows in
+# (b + b^H) / 2.
+NAN_GENERATORS = {
+    "tau-nan": {"kind": "rotate", "generator": np.eye(4).tolist(), "tau": float("nan")},
+    "tau-inf": {"kind": "rotate", "generator": np.eye(4).tolist(), "tau": float("inf")},
+    "overflow": {"kind": "rotate", "generator": np.diag([1e308, 1.0, 0.0, 0.0]).tolist(),
+                 "tau": 0.4},
+}
 
 
 class TestRotationChecks:
@@ -554,6 +563,19 @@ class TestRotationChecks:
         simulate_exact_branch(circuit.steps[:1], 4, 2)
         with pytest.raises(NotUnitary, match=f"^{re.escape(message)}$"):
             simulate_exact_branch(circuit.steps[:2], 4, 2)
+
+    @pytest.mark.parametrize("command", COMMANDS, ids=["nogo", "simulate", "oracle"])
+    @pytest.mark.parametrize("kind", list(NAN_GENERATORS))
+    def test_nan_generator_unitary_fails_in_one_line(self, kind, command, tmp_path, capsys):
+        """An infinite tau or an overflowing generator entry fails as a NaN
+        tau does: exit 1 and one NotUnitary line, with no RuntimeWarning
+        printed before it."""
+        steps = [{"kind": "measure1", "mode": 0}, NAN_GENERATORS[kind]]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got = self.run(tmp_path, capsys, steps, command)
+        assert got == (1, "", "NotUnitary: deviation from unitarity nan\n")
+        assert caught == []
 
     @pytest.mark.parametrize("command", COMMANDS, ids=["nogo", "simulate", "oracle"])
     @pytest.mark.parametrize(

@@ -1,0 +1,177 @@
+"""The dense oracle against the two closed forms on the Slater side.
+
+The split kernel rotates each filled span by a Householder reflector
+whose determinant it knows in closed form, and the probability pass
+takes each term's own pair as a k x k determinant by Sylvester's
+identity.  Neither rounds like the LAPACK route it replaced, so both
+are held here to the Fock-space operators they stand for, on random
+stacks of at most 6 modes: the split's children to the dense
+single-mode projectors, and the expectations to <psi|G(1 - x M M^H)|psi>
+with the product of (1 - x n_a) over the measured modes.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from conftest import random_complex, random_orthonormal_columns, random_unitary
+
+from flosim import fock
+from flosim.circuits import pair_rotation
+from flosim.multislater import SlaterSum, _expectations
+from flosim.simulate import MeasureOne, MeasureTwo, Rotate, simulate_exact_branch
+from flosim.slater import (
+    ABSENT_TOL,
+    REORTH_TOL,
+    SlaterState,
+    decompose_mode,
+    rotate_in_first,
+    split_stack,
+)
+
+ORACLE_TOL = 1e-12
+NEAR_EPS = 1e-9  # a residual beta inside the re-orthogonalization band
+# How each state's span sits against the measured mode u[:, 0]: at
+# random, holding it (beta = 0), orthogonal to it (alpha = 0), NEAR_EPS
+# from it, or spanned by standard sites with the mode's component on the
+# first orbital exactly 0 (so the reflector's c0 = 0).
+KINDS = ("generic", "in_span", "orthogonal", "near_span", "c0_zero")
+
+
+def _orbitals(rng, kind, u, n):
+    """A D x N orthonormal span of the given kind against u[:, 0]; a kind
+    the shape cannot host falls back to a random span."""
+    d = u.shape[0]
+    vec, comp = u[:, 0], u[:, 1:]
+    if kind == "in_span" and n:
+        rest = comp @ random_orthonormal_columns(rng, d - 1, n - 1)
+        return np.column_stack([vec, rest]) @ random_unitary(rng, n)
+    if kind == "orthogonal" and n < d:
+        return comp @ random_orthonormal_columns(rng, d - 1, n)
+    if kind == "near_span" and 0 < n < d:
+        w = comp @ random_unitary(rng, d - 1)
+        phi = np.sqrt(1 - NEAR_EPS**2) * vec - NEAR_EPS * w[:, 0]
+        return np.column_stack([phi, w[:, 1:n]]) @ random_unitary(rng, n)
+    zero = np.flatnonzero(vec == 0.0)
+    if kind == "c0_zero" and n >= 2 and zero.size:
+        # Standard sites, the first one where the mode vanishes.
+        others = rng.permutation(np.setdiff1d(np.arange(d), zero[:1]))
+        sites = [zero[0], *others[: n - 1]]
+        phases = np.exp(1j * rng.uniform(0, 2 * np.pi, n))
+        return np.eye(d, dtype=complex)[:, sites] * phases
+    return random_orthonormal_columns(rng, d, n)
+
+
+@st.composite
+def stacks(draw, max_terms):
+    """(D, N, amps, orbitals, u): 1 to max_terms states of N electrons on
+    D <= 6 modes, N = 1 and N = D drawn often, each placed by a kind of
+    KINDS, and u a unitary whose first column is the measured mode."""
+    d = draw(st.integers(1, 6))
+    n = draw(st.sampled_from([1, d, *range(d + 1)]))
+    t = draw(st.integers(1, max_terms))
+    kinds = draw(st.lists(st.sampled_from(KINDS), min_size=t, max_size=t))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    u = random_unitary(rng, d)
+    if "c0_zero" in kinds and n >= 2:
+        # A measured mode on every site but one, which a c0_zero span
+        # takes as its first orbital's site.
+        vec = random_complex(rng, d)
+        vec[rng.integers(d)] = 0.0
+        u = np.linalg.qr(np.column_stack([vec, random_complex(rng, d, d - 1)]))[0]
+    amps = [complex(rng.uniform(0.5, 1.5) * np.exp(1j * rng.uniform(0, 2 * np.pi)))
+            for _ in range(t)]
+    orbitals = np.array([_orbitals(rng, kind, u, n) for kind in kinds]).reshape(t, d, n)
+    return d, n, amps, orbitals, u
+
+
+def _dense(amp, orbitals):
+    return fock.expand(SlaterState._checked(orbitals, amp)).amplitudes
+
+
+def _number(vec, v):
+    """n_vec v = a_vec^dag a_vec v on a FockVector."""
+    return fock.creation_op_apply(fock.annihilation_op_apply(v, vec), vec)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=120)
+@given(case=stacks(max_terms=3))
+def test_split_children_are_the_dense_projections(case):
+    """Each state's children from split_stack are its dense projections
+    n_vec psi (outcome 1) and psi - n_vec psi (outcome 0); a child that
+    is not built has a vanishing projection.  rotate_in_first, which
+    shares the reflector, leaves the dense vector as it was."""
+    d, n, amps, orbitals, u = case
+    vec = u[:, 0]
+    _, betas, children = split_stack(amps, orbitals, vec)
+    for amp, orb, beta, pair in zip(amps, orbitals, betas, children):
+        psi = fock.FockVector(d, _dense(amp, orb))
+        one = _number(vec, psi).amplitudes
+        dense = (psi.amplitudes - one, one)
+        for child, want in zip(pair, dense):
+            got = 0.0 if child is None else child[0] * _dense(child[1], child[2])
+            assert np.max(np.abs(got - want)) <= ORACLE_TOL
+        dec = decompose_mode(SlaterState._checked(orb, amp), vec)
+        if ABSENT_TOL < beta < REORTH_TOL:
+            assert dec.beta == beta  # the band was reached, and projected again
+        if dec.in_orbital is not None:
+            rot = rotate_in_first(SlaterState._checked(orb, amp), dec.in_orbital)
+            assert np.max(np.abs(rot.orbitals[:, 0] - dec.in_orbital)) <= ORACLE_TOL
+            moved = _dense(rot.amplitude, rot.orbitals) - psi.amplitudes
+            assert np.max(np.abs(moved)) <= ORACLE_TOL
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=120)
+@given(case=stacks(max_terms=4), k=st.sampled_from([2, 1]), data=st.data())
+def test_expectations_are_the_dense_ones(case, k, data):
+    """_expectations over x = 0, 1, 2 of a sum of the drawn terms equals
+    <psi|prod_a (1 - x n_a)|psi> over its k <= 2 measured modes, the
+    first of them the mode the terms are placed against."""
+    d, n, amps, orbitals, u = case
+    k = min(k, d)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    coeffs = [complex(c) for c in rng.uniform(0.3, 1.0, len(amps))
+              * np.exp(1j * rng.uniform(0, 2 * np.pi, len(amps)))]
+    terms = [(c, SlaterState._checked(orb, a)) for c, a, orb in zip(coeffs, amps, orbitals)]
+    s = SlaterSum(terms, d, n)
+    m = u[:, :k]
+    psi = fock.expand_sum(s)
+    got = _expectations(s, m, (0, 1, 2))
+    for x, value in zip((0, 1, 2), got):
+        image = psi
+        for a in range(k):
+            image = fock.FockVector(d, image.amplitudes - x * _number(m[:, a], image).amplitudes)
+        assert abs(value - fock.inner(psi, image).real) <= ORACLE_TOL
+
+
+def _deep_circuit(rng, d, rounds, generic):
+    """rounds times: a shorthand rotation of two random sites, then a
+    measure1 and a 012 measure2, of random sites (the shorthand's modes)
+    or of generic random modes."""
+    steps = []
+    for _ in range(rounds):
+        i, j = rng.choice(d, size=2, replace=False)
+        steps.append(Rotate.on_pair(d, i, j, pair_rotation(*rng.uniform(0, 2 * np.pi, 2))))
+        if generic:
+            modes = random_orthonormal_columns(rng, d, 3)
+        else:
+            modes = np.eye(d, dtype=complex)[:, rng.choice(d, size=3, replace=False)]
+        steps.append(MeasureOne(modes[:, 0]))
+        steps.append(MeasureTwo(modes[:, 1], modes[:, 2], "012"))
+    return steps
+
+
+@pytest.mark.parametrize("generic", [False, True], ids=["sites", "generic"])
+def test_deep_exact_branch_run_keeps_its_orbitals_orthonormal(generic):
+    """3,000 steps of the single-determinant executor at D = 16, N = 8
+    end within 1e-11 of orthonormal.  Each split projects its residual
+    twice; projected once, the out orbital passed the orbitals' Gram
+    error on to the child 1 / beta larger, and these runs failed the
+    orthonormality check within a few hundred steps.  The deviation still
+    grows with depth, as nothing re-orthonormalizes the orbitals."""
+    d, n = 16, 8
+    circuit = _deep_circuit(np.random.default_rng(16), d, 1000, generic)
+    transcript, final = simulate_exact_branch(circuit, d, n)
+    assert len(transcript.rows) == 2000
+    dev = np.linalg.norm(final.orbitals.conj().T @ final.orbitals - np.eye(n))
+    assert dev < 1e-11

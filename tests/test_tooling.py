@@ -167,3 +167,39 @@ def test_circuitgen_covers_every_step_form_and_parses(tmp_path):
         *(("fill", f) for f in ("0", "D", "some")),
     }
     assert wanted <= seen
+
+
+def test_corpus_reports_each_trees_oracle_worst_case(monkeypatch, capsys):
+    """Beside the differing runs, tools/corpus.py prints per tree the
+    largest `oracle max probability deviation` and the smallest `oracle
+    min fidelity` over its runs, so a re-record shows the judge's worst
+    case; runs without the trailer do not count."""
+    spec = importlib.util.spec_from_file_location("corpus", CORPUS)
+    corpus = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(corpus)
+
+    def trailer(dev, fid):
+        return f"# oracle max probability deviation = {dev}\n# oracle min fidelity = {fid}\n"
+
+    trees = {
+        "BASE": [[0, "x\n" + trailer("4.441e-16", "1.000000000000"), ""],
+                 [1, "", "ImpossibleOutcome: outcome 1\n"],
+                 [0, trailer("2.220e-15", "0.999999999998"), ""]],
+        "HEAD": [[0, "x\n" + trailer("6.661e-16", "1.000000000000"), ""],
+                 [1, "", "ImpossibleOutcome: outcome 1\n"],
+                 [0, trailer("1.110e-15", "0.999999999999"), ""]],
+    }
+    assert corpus.accuracy(trees["BASE"]) == (2.22e-15, 0.999999999998, 2)
+    assert corpus.accuracy([[0, "no trailer\n", ""]])[2] == 0
+    argvs = [["simulate", "a.json"], ["simulate", "b.json"], ["nogo", "c.json"]]
+    monkeypatch.setattr(corpus, "invocations", lambda pool_dir: argvs)
+    monkeypatch.setattr(corpus, "run_tree", lambda src, runs, bits=False: trees[src])
+    assert corpus.main(["BASE", "HEAD"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[-3:] == [
+        "base: over 2 oracle-checked runs, max probability deviation 2.220e-15, "
+        "min fidelity 0.999999999998",
+        "head: over 2 oracle-checked runs, max probability deviation 1.110e-15, "
+        "min fidelity 0.999999999999",
+        "2 of 3 runs differ",
+    ]

@@ -9,7 +9,10 @@ defaults to this checkout's src.  Another commit's tree can be had with
 `git archive REV | tar -x -C DIR`, then DIR/src.  Every tree runs all
 invocations in one fresh interpreter, in process through
 flosim.cli.main, from this checkout's root with BLAS at one thread.
-Exits 1 if any run differs.
+Exits 1 if any run differs.  For each tree it also prints the oracle
+judge's worst case over all its `--oracle-check` runs: the largest
+`oracle max probability deviation` and the smallest `oracle min
+fidelity` they print.
 
 --bits also compares, per run, a SHA-256 digest of the numbers the
 transcript prints rounded: every transcript row's probability and
@@ -56,6 +59,8 @@ POOL_SEEDS = (201, 202, 203, 213)
 POOL_WORKLOADS = ("oracle_check", "parity_sum", "single_det", "analysis")
 RANDOM_SEED, RANDOM_COUNT = 14, 60
 SHOWN_DIFF_LINES = 20
+ORACLE_DEV = "# oracle max probability deviation = "
+ORACLE_FID = "# oracle min fidelity = "
 
 
 def invocations(pool_dir):
@@ -185,9 +190,25 @@ def run_tree(src, argvs, bits=False):
 
 def compare(base_src, head_src, argvs, bits=False):
     """The runs that differ: (argv, base result, head result) triples."""
-    base = run_tree(base_src, argvs, bits)
-    head = run_tree(head_src, argvs, bits)
+    return _differing(argvs, run_tree(base_src, argvs, bits), run_tree(head_src, argvs, bits))
+
+
+def _differing(argvs, base, head):
     return [(argv, b, h) for argv, b, h in zip(argvs, base, head) if b != h]
+
+
+def accuracy(results):
+    """The oracle judge's worst case over a tree's results: (largest
+    printed max probability deviation, smallest printed min fidelity,
+    number of runs that print them); NaN for both when none does."""
+    devs, fids = [], []
+    for _, out, *_ in results:
+        for line in out.splitlines():
+            if line.startswith(ORACLE_DEV):
+                devs.append(float(line[len(ORACLE_DEV):]))
+            elif line.startswith(ORACLE_FID):
+                fids.append(float(line[len(ORACLE_FID):]))
+    return max(devs, default=float("nan")), min(fids, default=float("nan")), len(devs)
 
 
 def _report(argv, base, head):
@@ -220,9 +241,14 @@ def main(argv=None):
     base_src, head_src = args[0], args[1] if len(args) == 2 else str(ROOT / "src")
     with tempfile.TemporaryDirectory() as pool_dir:
         argvs = invocations(pool_dir)
-        differing = compare(base_src, head_src, argvs, bits)
+        trees = {"base": run_tree(base_src, argvs, bits), "head": run_tree(head_src, argvs, bits)}
+    differing = _differing(argvs, trees["base"], trees["head"])
     for run in differing:
         print(_report(*run))
+    for name, results in trees.items():
+        dev, fid, checked = accuracy(results)
+        print(f"{name}: over {checked} oracle-checked runs, max probability deviation "
+              f"{dev:.3e}, min fidelity {fid:.12f}")
     print(f"{len(differing)} of {len(argvs)} runs differ")
     return 1 if differing else 0
 
