@@ -6,8 +6,16 @@ orthogonal modes.  Outcomes 0 and 2 map each determinant to at most one
 determinant; outcome 1 is a sum of two projector products and can double
 the term count, which is why sums are needed at all.  Merged-outcome
 groupings concatenate the projected term lists; the {0,2} vs {1} parity
-grouping is the one that forces genuine growth.  A single-mode
-measurement of a sum is the one-mode case of the same code.
+grouping is the one that forces genuine growth.
+
+Each term is split once (slater.split_pair): two Householder reflectors
+rotate its span to [f0, f1, R], f0 = a lam + b kappa + o0 and f1 =
+c kappa + o1 with R orthogonal to both modes, and the leaves of the
+(lambda, kappa) occupations (1, 1), (1, 0), (0, 1) and (0, 0) are
+a c [lam, kappa, R], a |o1| [lam, o1^, R], |u| [kappa, u^, R] with
+u = b o1 - c o0, and |o0| |o1'| [o0^, o1'^, R].  A single-mode
+measurement of a sum takes the single-mode split (slater.split_stack)
+through the same batches, group builder and measure body.
 
 Projections are applied in exact operator form, term by term, so the
 relative phases between determinants are preserved to machine precision.
@@ -36,13 +44,14 @@ from .slater import (
     check_modes,
     check_orthonormal,
     check_unitary,
+    split_pair,
     split_stack,
     standard_state,
 )
 
 PRUNE_TOL = 1e-12
 DEFAULT_MAX_TERMS = 1024
-SPLIT_BATCH = 32  # most terms per stacked split, bounding its scratch arrays
+SPLIT_ENTRIES = 32 * 64 * 32  # most orbital entries per stacked split, bounding its scratch
 
 GROUPINGS = {
     "012": ((0,), (1,), (2,)),
@@ -214,63 +223,59 @@ def evolve_sum(s, v, pair=None):
     return SlaterSum._stacked(s.coeffs, s.amps, rotated, s.max_terms)
 
 
-def _split_stack(amps, orbitals, vec, keep=None):
-    """split_stack's children (only outcome keep's, unless None) of a
-    (T, D, N) stack, in batches of up to SPLIT_BATCH terms so that its
-    scratch arrays stay small."""
-    batches = (slice(start, start + SPLIT_BATCH) for start in range(0, len(amps), SPLIT_BATCH))
-    return [pair for b in batches for pair in split_stack(amps[b], orbitals[b], vec, keep)[2]]
-
-
-def _tree(coeffs, amps, orbitals, vecs, wanted):
-    """Leaves (coefficient, amplitude, orbitals) of the split tree of the
-    measured modes vecs, (lambda, kappa) or (kappa,), on the total
-    occupations in wanted, listed by total occupation: every term split
-    on vecs[0], then every child that can still reach a wanted outcome on
-    the next mode, each level one _split_stack call over one stack.  A
-    level where every node keeps the same child builds only that one."""
-    d, n = orbitals.shape[1:]
-    nodes = list(zip(coeffs, [0] * len(coeffs), amps, orbitals))
-    for level, vec in enumerate(vecs):
-        # A child can still gain one occupation per mode left to split.
-        reach = {w - r for w in wanted for r in range(len(vecs) - level)}
-        kept = {i for o in {node[1] for node in nodes} for i in (0, 1) if o + i in reach}
-        if level:
-            orbitals = _stack([orb for *_, orb in nodes], d, n)
-        keep = kept.pop() if len(kept) == 1 else None
-        pairs = _split_stack([amp for _, _, amp, _ in nodes], orbitals, vec, keep)
-        # Occupied first, so outcome 1 lists (1, 0) before (0, 1).
-        nodes = [
-            (coeff * res[0], o + i, res[1], res[2])
-            for (coeff, o, _, _), pair in zip(nodes, pairs)
-            for i in (1, 0)
-            if (res := pair[i]) is not None and o + i in reach
-        ]
-    return [[(coeff, amp, orb) for coeff, o, amp, orb in nodes if o == out] for out in range(3)]
+def _split(amps, orbitals, vecs, group):
+    """split_pair's (leaves, stack) for the measured modes vecs on the
+    total occupations in group; for one mode, split_stack's children of
+    group's one outcome in the same form."""
+    if len(vecs) == 2:
+        return split_pair(amps, orbitals, *vecs, group)
+    (want,) = group
+    pairs = split_stack(amps, orbitals, vecs[0], want)[2]
+    kept = [(i, res) for i, pair in enumerate(pairs) if (res := pair[want]) is not None]
+    rows = _stack([res[2] for _, res in kept], *orbitals.shape[1:])
+    return [[(i, res[0], res[1]) for i, res in kept]], rows
 
 
 def _group_sum(s, vecs, group):
     """Unnormalized projection of s on one outcome group of the measured
-    modes vecs (in _tree's order), named by its label ("02") or outcomes
-    ((0, 2)); only its leaves are built and capped."""
+    modes vecs ((lambda, kappa) or (kappa,)), named by its label ("02")
+    or outcomes ((0, 2)): one _split call per batch of at most
+    SPLIT_ENTRIES orbital entries, which builds only the group's leaves,
+    listed by outcome, then by term, (1, 0) before (0, 1)."""
     group = tuple(map(int, group))
+    t, d, n = s.orbitals.shape
+    size = max(1, SPLIT_ENTRIES // max(1, d * n))
     try:
-        leaves = _tree(s.coeffs, s.amps, s.orbitals, vecs, group)
+        batches = [(i, _split(s.amps[i : i + size], s.orbitals[i : i + size], vecs, group))
+                   for i in range(0, t, size)]
     except (FlosimError, ValueError):
-        # Term by term, every level per term, so that the first failing
-        # term's error wins, as a term-major split raises it.
-        terms = [slice(i, i + 1) for i in range(s.term_count)]
-        trees = [_tree(s.coeffs[i], s.amps[i], s.orbitals[i], vecs, group) for i in terms]
-        leaves = [[leaf for tree in trees for leaf in tree[o]] for o in range(3)]
-    coeffs, amps, rows = list(zip(*[leaf for o in group for leaf in leaves[o]])) or ((), (), ())
-    return SlaterSum._stacked(coeffs, amps, _stack(rows, s.modes, s.electrons), s.max_terms)
+        # Term by term, so that the first failing term's error wins.
+        batches = [(i, _split(s.amps[i : i + 1], s.orbitals[i : i + 1], vecs, group))
+                   for i in range(t)]
+    # Outcome by outcome, every batch's leaves of it in turn.
+    coeffs, amps, rows = [], [], []
+    for j in range(len(group)):
+        for start, (leaves, stack) in batches:
+            skip = sum(map(len, leaves[:j]))
+            coeffs += [s.coeffs[start + i] * scale for i, scale, _ in leaves[j]]
+            amps += [amp for _, _, amp in leaves[j]]
+            rows.append(stack[skip : skip + len(leaves[j])])
+    if len(batches) == 1:
+        stack = batches[0][1][1]
+    else:
+        stack = np.concatenate([np.empty((0, d, n), complex), *rows])
+    return SlaterSum._stacked(coeffs, amps, stack, s.max_terms)
 
 
 def apply_two_mode_projector(s, kappa, lam, outcome):
     """Project a sum onto total occupation `outcome` of two orthogonal modes.
 
-    The result is the exact unnormalized projected state.  Outcomes 0 and
-    2 keep at most one term per input term; outcome 1 produces up to two.
+    The result is the exact unnormalized projected state, from one split
+    of each term's span (split_pair): outcome 0 keeps its (0, 0) leaf
+    |o0| |o1'| [o0^, o1'^, R], outcome 2 its (1, 1) leaf a c [lam, kappa,
+    R], and outcome 1 its (1, 0) leaf a |o1| [lam, o1^, R] and then its
+    (0, 1) leaf |u| [kappa, u^, R].  So outcomes 0 and 2 keep at most one
+    term per input term, and outcome 1 up to two.
     """
     if outcome not in (0, 1, 2):
         raise ValueError(f"outcome must be 0, 1 or 2, got {outcome}")
@@ -286,7 +291,7 @@ def project_single_mode(s, kappa, outcome):
 
 def _probabilities(s, vecs, groups):
     """Each group's probability, in order, for the measured modes vecs
-    (in _tree's order), from the norm n, the weight p0 with every measured
+    ((lambda, kappa) or (kappa,)), from the norm n, the weight p0 with every measured
     mode empty and the parity par of s itself: outcome 0 has p0 and the
     other outcomes n - p0; of two modes, outcome 1 has (n - par)/2,
     outcomes 0 and 2 (n + par)/2 and outcome 2 that minus p0.  Each is
@@ -321,7 +326,7 @@ def _pick(labels, probs, forced, rng):
 
 
 def _measure(s, vecs, groups, forced, rng):
-    """Measure the modes vecs (in _tree's order) under groups: every
+    """Measure the modes vecs ((lambda, kappa) or (kappa,)) under groups: every
     group's probability, the pick, the PROB_FLOOR check, and only then the
     chosen group, built and renormalized.  Returns (index, p, post)."""
     probs = _probabilities(s, vecs, groups)
@@ -329,7 +334,7 @@ def _measure(s, vecs, groups, forced, rng):
     i = _pick(labels, probs, forced, rng)
     if probs[i] < PROB_FLOOR:
         shown = labels[i] if len(vecs) == 1 else repr(labels[i])
-        raise ImpossibleOutcome(f"outcome {shown} has probability {probs[i]:.3e}")
+        raise ImpossibleOutcome(f"outcome {shown} has probability below {PROB_FLOOR:g}")
     return i, probs[i], scale_sum(_group_sum(s, vecs, groups[i]), 1.0 / np.sqrt(probs[i]))
 
 

@@ -33,7 +33,6 @@ SPAN_TOL = 1e-9
 PROB_FLOOR = 1e-12
 ORTHOGONAL_TOL = 1e-10  # largest |<kappa|lambda>| for two measured modes
 ABSENT_TOL = 1e-12
-REORTH_TOL = 1e-4  # below this beta, one projection alone loses orthogonality to the span
 MODE_NORM_TOL = ORTHO_TOL / 4  # a split child's Gram error is about twice its mode's norm error
 
 
@@ -216,6 +215,29 @@ def _reflect(phi, c):
     return rot, ph
 
 
+def _rotate_to(phi, phi_h, target, present=None):
+    """rotate_in_first on each state of a (T, D, N) stack phi (phi_h its
+    conjugate transpose) and unit in-span target row: its mode-norm and
+    span checks, then _reflect.  Returns (rot, ph).  A lane that present
+    marks False is not checked and reflects by the identity (c = 0)."""
+    norms = row_norms(target)
+    off_norm = ~(abs(norms - 1.0) <= MODE_NORM_TOL)
+    if present is not None:
+        off_norm &= present
+    if off_norm.any():
+        raise FlosimError(f"mode vector norm {norms[off_norm.argmax()]:.12f} is not 1")
+    c = phi_h @ target[:, :, None]
+    span_resid = row_norms(target - (phi @ c)[:, :, 0])
+    far = span_resid > SPAN_TOL
+    if far.any():
+        raise NotInSpan(f"vector is {span_resid[far.argmax()]:.3e} away from the filled span")
+    c = c[:, :, 0]
+    norms = row_norms(c)
+    if present is not None:
+        c[~present], norms[~present] = 0.0, 1.0
+    return _reflect(phi, c / norms[:, None])
+
+
 def _decompose(orbitals, vec):
     """vec = alpha in + beta out against the filled span of each state of
     a (T, D, N) stack: (alphas, betas, arrays), alpha and beta per state
@@ -243,21 +265,10 @@ def _children(amps, orbitals, vec, decomposed, keep):
     rows = slice(None) if len(lanes) == len(amps) else lanes
     phi, phi_h, a, b = orbitals[rows], phi_h[rows], alpha[rows, None], beta[rows, None]
     in_orb = inside[rows] / a
-    # rotate_in_first(state, in_orb)
-    norms = row_norms(in_orb)
-    off_norm = ~(abs(norms - 1.0) <= MODE_NORM_TOL)
-    if off_norm.any():
-        raise FlosimError(f"mode vector norm {norms[off_norm.argmax()]:.12f} is not 1")
-    c = phi_h @ in_orb[:, :, None]
-    span_resid = row_norms(in_orb - (phi @ c)[:, :, 0])
-    if (span_resid > SPAN_TOL).any():
-        far = span_resid[(span_resid > SPAN_TOL).argmax()]
-        raise NotInSpan(f"vector is {far:.3e} away from the filled span")
-    c = c[:, :, 0] / row_norms(c[:, :, 0])[:, None]
-    rot, ph = _reflect(phi, c)
+    rot, ph = _rotate_to(phi, phi_h, in_orb)
     # Drop the stacks no longer needed before checking and building the
     # children, so the batch's peak memory stays low.
-    del phi, phi_h, c
+    del phi, phi_h
     check_orthonormal(rot)
     # The children share the rotated span's other orbitals; each kept
     # child is written into rot itself once no other child needs it.
@@ -309,6 +320,128 @@ def split_stack(amps, orbitals, vec, keep=None):
     """
     alphas, betas, _ = decomposed = _decompose(orbitals, vec)
     return alphas, betas, _children(amps, orbitals, vec, decomposed, keep)
+
+
+# The (lambda, kappa) occupations of each total occupation's leaves, in
+# the order split_pair lists them.
+PAIR_PATTERNS = {0: ((0, 0),), 1: ((1, 0), (0, 1)), 2: ((1, 1),)}
+
+
+def _reflect_onto(phi, vec):
+    """Each span of a (T, D, N) stack phi rotated by _rotate_to to put
+    vec's normalized in-span part first: (rot, ph, alpha) with alpha the
+    norm of vec's span coordinates, or 0 where that is at most ABSENT_TOL
+    (or NaN) and the span is left as it is, ph = 1."""
+    phi_h = phi.conj().transpose(0, 2, 1)
+    coeffs = phi_h @ vec
+    alpha = _norms(coeffs)
+    present = alpha > ABSENT_TOL
+    inside = (phi @ coeffs[:, :, None])[:, :, 0]
+    if present.all():  # the same values without the mask's calls
+        rot, ph = _rotate_to(phi, phi_h, inside / alpha[:, None])
+        return rot, ph, alpha
+    target = inside / np.where(present, alpha, np.inf)[:, None]
+    rot, ph = _rotate_to(phi, phi_h, target, present)
+    return rot, ph, np.where(present, alpha, 0.0)
+
+
+def _outside(q, q_h, x):
+    """The columns of each x of a (T, D, m) stack projected out of the
+    span of its q (q_h its conjugate transpose) twice, as decompose_mode
+    projects its residual."""
+    for _ in range(2):
+        x = x - q @ (q_h @ x)
+    return x
+
+
+def _norms(x):
+    """The norms of x's rows: one complex vecdot, a third of row_norms'
+    time on strided rows, rounding unlike np.linalg.norm."""
+    return np.sqrt(np.vecdot(x, x).real)
+
+
+def _unit(x, norms):
+    """x's rows over their norms, where a norm is above ABSENT_TOL."""
+    return x / np.where(norms > ABSENT_TOL, norms, 1.0)[:, None]
+
+
+def split_pair(amps, orbitals, lam, kap, want):
+    """The two-mode occupation projections of every state of a (T, D, N)
+    orbital stack on the orthogonal modes lam and kap, from one rotation
+    of each span, building only the leaves of the total occupations in
+    want (increasing).  Returns (leaves, stack): per outcome of want a
+    list of (term, scale, amplitude), per term (lambda, kappa) = (1, 0)
+    before (0, 1), and the leaves' orbitals as the stack's rows in that
+    order; a state's projection is the sum of its scaled leaves.
+
+    Two reflectors (_reflect_onto) rotate the span to [f0, f1, R], R
+    orthogonal to both modes, f0 = a lam + b kap + o0 and f1 = c kap +
+    o1 with a, c >= 0.  The leaves of f0 ^ f1 are (1, 1): a c [lam, kap,
+    R]; (1, 0): a |o1| [lam, o1^, R]; (0, 1): |u| [kap, u^, R] with u =
+    b o1 - c o0; (0, 0): |o0| |o1'| [o0^, o1'^, R] with o1' o1 out of o0;
+    x^ = x / |x|.  N = 1 has no f1: a [lam], |b| [b^ kap], |o0| [o0^];
+    N = 0 leaves each state as its (0, 0) leaf.  Each new column is
+    projected out of [lam, kap, R] twice, a leaf of scale at most
+    ABSENT_TOL is not built, and the amplitude divides by the two
+    reflector phases.  rotate_in_first's checks run on each reflector's
+    target, check_orthonormal on the rotated span and once on the stack
+    of leaves, each raising for the first state that fails it.
+    """
+    t, d, n = orbitals.shape
+    if n == 0:
+        kept = list(range(t)) if 0 in want else []
+        return [[(i, 1.0, amps[i]) for i in kept] if o == 0 else [] for o in want], orbitals[kept]
+    rot, ph, a = _reflect_onto(orbitals, lam)
+    ph2 = [1.0] * t
+    if n > 1:
+        rot[:, :, 1:], ph2, c = _reflect_onto(rot[:, :, 1:], kap)
+        ph2 = ph2.tolist()
+    check_orthonormal(rot)
+    q = np.empty((t, d, max(n, 2)), dtype=complex)
+    q[:, :, 0], q[:, :, 1], q[:, :, 2:] = lam, kap, rot[:, :, 2:]
+    # Per pattern its scales and the columns (index, rows) its leaves put
+    # in place of those of [lam, kap, R]; rows are per state or one vector.
+    leaf = {(1, 1): (a * c, ())} if n > 1 else {}
+    if want != (2,):  # outcome 2 alone needs no new column
+        q_h = q.conj().transpose(0, 2, 1)
+        b = np.vecdot(kap, rot[:, :, 0])  # kap^H f0, row by row
+        o = _outside(q, q_h, rot[:, :, :2])
+        o0, o1 = o[:, :, 0], o[:, :, -1]
+        n0 = _norms(o0)
+        u0 = _unit(o0, n0)
+    if n == 1 and want != (2,):
+        leaf[1, 0] = (a, ())
+        leaf[0, 1] = (abs(b), ((0, _unit(b[:, None] * kap, abs(b))),))
+        leaf[0, 0] = (n0, ((0, u0),))
+    if n > 1 and 1 in want:
+        n1 = _norms(o1)
+        leaf[1, 0] = (a * n1, ((1, _unit(o1, n1)),))
+        u = _outside(q, q_h, (b[:, None] * o1 - c[:, None] * o0)[:, :, None])[:, :, 0]
+        nu = _norms(u)
+        leaf[0, 1] = (nu, ((0, kap), (1, _unit(u, nu))))
+    if n > 1 and 0 in want:
+        # o1 projected out of [o0^, lam, kap, R] twice
+        q0 = np.empty((t, d, q.shape[2] + 1), dtype=complex)
+        q0[:, :, 0], q0[:, :, 1:] = u0, q
+        p = _outside(q0, q0.conj().transpose(0, 2, 1), o1[:, :, None])[:, :, 0]
+        n1p = _norms(p)
+        leaf[0, 0] = (np.where(n0 > ABSENT_TOL, n0 * n1p, 0.0), ((0, u0), (1, _unit(p, n1p))))
+    scales = {p: leaf[p][0].tolist() for o in want for p in PAIR_PATTERNS[o] if p in leaf}
+    order = [
+        [(p, i) for i in range(t) for p in PAIR_PATTERNS[o]
+         if p in scales and scales[p][i] > ABSENT_TOL]
+        for o in want
+    ]
+    flat = [pi for out in order for pi in out]
+    stack = q[[i for _, i in flat], :, :n]
+    for p in scales:
+        rows = [k for k, (pp, _) in enumerate(flat) if pp == p]
+        lanes = [i for pp, i in flat if pp == p]
+        for col, value in leaf[p][1]:
+            stack[rows, :, col] = value if value.ndim == 1 else value[lanes]
+    check_orthonormal(stack)
+    amps = [amp / d0 / d1 for amp, d0, d1 in zip(amps, ph.tolist(), ph2)]
+    return [[(i, scales[p][i], amps[i]) for p, i in out] for out in order], stack
 
 
 def weigh_mode(s, vec):
@@ -363,7 +496,7 @@ def measure_mode(s, kappa, forced=None, rng=None):
             raise ValueError(f"forced outcome must be 0 or 1, got {forced}")
     prob = p1 if outcome == 1 else p0
     if prob < PROB_FLOOR:
-        raise ImpossibleOutcome(f"outcome {outcome} has probability {prob:.3e}")
+        raise ImpossibleOutcome(f"outcome {outcome} has probability below {PROB_FLOOR:g}")
     return outcome, prob, children[outcome][1]
 
 

@@ -1,13 +1,16 @@
-"""The dense oracle against the two closed forms on the Slater side.
+"""The dense oracle against the closed forms on the Slater side.
 
-The split kernel rotates each filled span by a Householder reflector
-whose determinant it knows in closed form, and the probability pass
+The split kernels rotate each filled span by Householder reflectors
+whose determinants they know in closed form, the two-mode split reads
+its four leaves off the doubly rotated span, and the probability pass
 takes each term's own pair as a k x k determinant by Sylvester's
-identity.  Neither rounds like the LAPACK route it replaced, so both
-are held here to the Fock-space operators they stand for, on random
-stacks of at most 6 modes: the split's children to the dense
-single-mode projectors, and the expectations to <psi|G(1 - x M M^H)|psi>
-with the product of (1 - x n_a) over the measured modes.
+identity.  None rounds like the route it replaced, so each is held
+here to the Fock-space operators it stands for, on random stacks of at
+most 6 modes: the single-mode split's children to the dense single-mode
+projectors, every two-mode leaf to the dense product of its two
+occupation projectors and every group to fock.two_mode_projector_apply,
+and the expectations to <psi|G(1 - x M M^H)|psi> with the product of
+(1 - x n_a) over the measured modes.
 """
 
 import numpy as np
@@ -18,18 +21,19 @@ from conftest import random_complex, random_orthonormal_columns, random_unitary
 
 from flosim import fock
 from flosim.circuits import pair_rotation
-from flosim.multislater import SlaterSum, _expectations
+from flosim.multislater import GROUPINGS, SlaterSum, _expectations, _group_sum
 from flosim.simulate import MeasureOne, MeasureTwo, Rotate, simulate_exact_branch
 from flosim.slater import (
     ABSENT_TOL,
-    REORTH_TOL,
     SlaterState,
     decompose_mode,
     rotate_in_first,
+    split_pair,
     split_stack,
 )
 
 ORACLE_TOL = 1e-12
+REORTH_TOL = 1e-4  # below this beta, one projection alone loses orthogonality to the span
 NEAR_EPS = 1e-9  # a residual beta inside the re-orthogonalization band
 # How each state's span sits against the measured mode u[:, 0]: at
 # random, holding it (beta = 0), orthogonal to it (alpha = 0), NEAR_EPS
@@ -142,6 +146,97 @@ def test_expectations_are_the_dense_ones(case, k, data):
         for a in range(k):
             image = fock.FockVector(d, image.amplitudes - x * _number(m[:, a], image).amplitudes)
         assert abs(value - fock.inner(psi, image).real) <= ORACLE_TOL
+
+
+# Where a span sits against the measured pair lam = u[:, 0], kap =
+# u[:, 1]: at random, holding one of them or both, orthogonal to one
+# or both, or NEAR_EPS from holding lam or kap, so that leaves with
+# lam or kap empty get scales near NEAR_EPS.  A kind the shape cannot
+# host falls back to a random span.
+PAIR_KINDS = ("generic", "both_in", "lam_in", "kap_in", "lam_out", "kap_out", "both_out",
+              "near_lam", "near_kap", "near_lam", "near_kap")
+
+
+def _pair_orbitals(rng, kind, u, n):
+    d = u.shape[0]
+    lam, kap, comp = u[:, 0], u[:, 1], u[:, 2:]
+    inside = {"both_in": [lam, kap], "lam_in": [lam], "kap_in": [kap]}.get(kind)
+    if inside is not None and len(inside) <= n <= d - 2 + len(inside):
+        rest = comp @ random_orthonormal_columns(rng, d - 2, n - len(inside))
+        return np.column_stack([*inside, rest]) @ random_unitary(rng, n)
+    outside = {"lam_out": u[:, 1:], "kap_out": u[:, [0, *range(2, d)]], "both_out": comp}.get(kind)
+    if outside is not None and n <= outside.shape[1]:
+        return outside @ random_orthonormal_columns(rng, outside.shape[1], n)
+    if kind in ("near_lam", "near_kap") and 0 < n < d:
+        vec, others = (lam, u[:, 1:]) if kind == "near_lam" else (kap, u[:, [0, *range(2, d)]])
+        rest = others @ random_unitary(rng, d - 1)
+        first = np.sqrt(1 - NEAR_EPS**2) * vec - NEAR_EPS * rest[:, 0]
+        return np.column_stack([first, rest[:, 1:n]]) @ random_unitary(rng, n)
+    return random_orthonormal_columns(rng, d, n)
+
+
+@st.composite
+def pair_stacks(draw):
+    """(D, N, amps, orbitals, u): 1 to 3 states of N electrons on 2 <= D
+    <= 6 modes, N = 0, 1, 2, D - 1 and D drawn often, each placed by a
+    kind of PAIR_KINDS against the measured pair u[:, 0], u[:, 1]."""
+    d = draw(st.integers(2, 6))
+    n = draw(st.sampled_from([0, 1, 2, d - 1, d, *range(1, d)]))
+    t = draw(st.integers(1, 3))
+    kinds = draw(st.lists(st.sampled_from(PAIR_KINDS), min_size=t, max_size=t))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    u = random_unitary(rng, d)
+    amps = [complex(rng.uniform(0.5, 1.5) * np.exp(1j * rng.uniform(0, 2 * np.pi)))
+            for _ in range(t)]
+    orbitals = np.array([_pair_orbitals(rng, kind, u, n) for kind in kinds]).reshape(t, d, n)
+    return d, n, amps, orbitals, u
+
+
+# The unique groups of all groupings.
+GROUPS = sorted({group for groups in GROUPINGS.values() for group in groups})
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=70)
+@given(case=pair_stacks())
+def test_two_mode_leaves_are_the_dense_projections(case):
+    """Each state's split_pair leaves are its dense projections, one per
+    (lambda, kappa) occupation pattern, the product of n or 1 - n of each
+    mode; a leaf that is not built has a vanishing projection.  A leaf's
+    pattern is read off its span, which holds each measured mode or is
+    orthogonal to it, and the leaves come in split_pair's order.  Each
+    group of every grouping, built alone from the stack, is
+    fock.two_mode_projector_apply of the sum of the states."""
+    d, n, amps, orbitals, u = case
+    lam, kap = u[:, 0], u[:, 1]
+    leaves, stack = split_pair(amps, orbitals, lam, kap, (0, 1, 2))
+    built = iter(stack)
+    found = {}
+    for outcome, out in enumerate(leaves):
+        for term, scale, amp in out:
+            orb = next(built)
+            pattern = tuple(round(np.linalg.norm(orb.conj().T @ vec) ** 2) for vec in (lam, kap))
+            assert sum(pattern) == outcome and (term, pattern) not in found
+            found[term, pattern] = scale * _dense(amp, orb)
+    assert next(built, None) is None
+    # by outcome, then by term, (1, 0) before (0, 1)
+    assert list(found) == sorted(found, key=lambda k: (sum(k[1]), k[0], k[1] == (0, 1)))
+    for term, (amp, orb) in enumerate(zip(amps, orbitals)):
+        psi = fock.FockVector(d, _dense(amp, orb))
+        for pattern in ((0, 0), (1, 0), (0, 1), (1, 1)):
+            image = psi
+            for vec, occupied in zip((lam, kap), pattern):
+                number = _number(vec, image).amplitudes
+                image = fock.FockVector(d, number if occupied else image.amplitudes - number)
+            got = found.get((term, pattern), 0.0)
+            assert np.max(np.abs(got - image.amplitudes)) <= ORACLE_TOL
+    coeffs = [1.0 + 0.0j] * len(amps)
+    s = SlaterSum([(c, SlaterState._checked(orb, a)) for c, a, orb in zip(coeffs, amps, orbitals)],
+                  d, n)
+    psi = fock.expand_sum(s)
+    dense = [fock.two_mode_projector_apply(psi, kap, lam, o).amplitudes for o in (0, 1, 2)]
+    for group in GROUPS:
+        got = fock.expand_sum(_group_sum(s, (lam, kap), group)).amplitudes
+        assert np.max(np.abs(got - sum(dense[o] for o in group))) <= ORACLE_TOL
 
 
 def _deep_circuit(rng, d, rounds, generic):

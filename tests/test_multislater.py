@@ -35,7 +35,6 @@ from flosim.errors import (
 from flosim.slater import (
     ABSENT_TOL,
     PROB_FLOOR,
-    REORTH_TOL,
     SlaterState,
     annihilate,
     decompose_mode,
@@ -44,6 +43,7 @@ from flosim.slater import (
     rotate_in_first,
     slater_overlap,
     split_mode,
+    split_pair,
     split_stack,
     standard_state,
 )
@@ -54,8 +54,7 @@ from flosim.multislater import (
     _group_sum,
     _overlap_total,
     _probabilities,
-    _split_stack,
-    _tree,
+    _split,
     apply_two_mode_projector,
     evolve_sum,
     generic_p1_study,
@@ -70,6 +69,8 @@ from flosim.multislater import (
     two_fermion_w,
 )
 from flosim import fock, multislater, slater
+
+REORTH_TOL = 1e-4  # below this beta, one projection alone loses orthogonality to the span
 
 
 def random_state(rng, d, n):
@@ -397,10 +398,40 @@ def reference_single_mode(s, kap, want):
     return SlaterSum(tuple(terms), s.modes, s.electrons, s.max_terms)
 
 
-def tree_leaves(s, vecs, wanted):
-    """_tree's leaves of the sum s as (coefficient, SlaterState) lists."""
-    leaves = _tree(s.coeffs, s.amps, s.orbitals, vecs, wanted)
-    return [[(c, SlaterState._checked(orb, a)) for c, a, orb in out] for out in leaves]
+def kernel_leaves(s, vecs, want, size=1):
+    """multislater._split's leaves of the sum s on the outcomes in want,
+    one call per batch of size terms (by default per term, unstacked),
+    as (coefficient, SlaterState) lists per total occupation: the leaves
+    _group_sum stacks, before it prunes them."""
+    out = [[], [], []]
+    for start in range(0, s.term_count, size):
+        rows = slice(start, start + size)
+        leaves, stack = _split(s.amps[rows], s.orbitals[rows], vecs, want)
+        built = iter(stack)
+        for o, got in zip(want, leaves):
+            out[o] += [(s.coeffs[start + i] * scale, SlaterState._checked(next(built), amp))
+                       for i, scale, amp in got]
+    return out
+
+
+def batched(batch, d, n):
+    """_group_sum's batches patched down to batch terms of N electrons
+    on D modes."""
+    return mock.patch.object(multislater, "SPLIT_ENTRIES", batch * max(1, d * n))
+
+
+def kernel_tree(s, kap, lam):
+    """Every two-mode leaf of s, term by term: split_pair on each term
+    alone with every outcome wanted."""
+    return kernel_leaves(s, (lam, kap), ALL_OUTCOMES)
+
+
+def dense_close(terms, want, d, n):
+    """The sums of two lists of (coefficient, SlaterState) terms agree
+    within 1e-12 in every Fock amplitude."""
+    got = fock.expand_sum(SlaterSum(tuple(terms), d, n)).amplitudes
+    ref = fock.expand_sum(SlaterSum(tuple(want), d, n)).amplitudes
+    return np.max(np.abs(got - ref), initial=0.0) <= 1e-12
 
 
 def stack_of(states, d, n):
@@ -489,10 +520,12 @@ def projection_recipes(draw, placement):
 
 
 class TestSplitTree:
-    """The shared split tree, split_mode, measure_mode and annihilate
-    against the per-outcome projection chain they replace, bit for bit:
-    coefficients, probabilities, amplitudes and orbital bytes of every
-    term."""
+    """The two-mode split (split_pair) stacked against its per-term,
+    unstacked call, bit for bit, and against the per-outcome projection
+    chain it replaces within 1e-12 in the dense vector; split_mode,
+    measure_mode, annihilate and the single-mode sum split against that
+    chain bit for bit: coefficients, probabilities, amplitudes and
+    orbital bytes of every term."""
 
     @pytest.mark.parametrize("placement", PLACEMENTS)
     @settings(derandomize=True, database=None, deadline=None, max_examples=60)
@@ -500,22 +533,26 @@ class TestSplitTree:
     def test_bitwise_equal_to_projection_chain(self, placement, data):
         d, n, terms, kap, lam = data.draw(projection_recipes(placement))
         s = SlaterSum(terms, d, n)
-        tree = tree_leaves(s, (lam, kap), ALL_OUTCOMES)
+        per_term = kernel_tree(s, kap, lam)
+        stacked = kernel_leaves(s, (lam, kap), ALL_OUTCOMES, max(1, s.term_count))
         groups = two_mode_groups(s, kap, lam, "012")
         for outcome in (0, 1, 2):
-            ref = reference_two_mode_terms(s, kap, lam, outcome)
-            assert terms_bits(tree[outcome]) == terms_bits(ref)
+            ref = per_term[outcome]
+            assert terms_bits(stacked[outcome]) == terms_bits(ref)
+            alone = kernel_leaves(s, (lam, kap), (outcome,), max(1, s.term_count))
+            assert terms_bits(alone[outcome]) == terms_bits(ref)
             ref_sum = SlaterSum(tuple(ref), d, n).terms
             got = apply_two_mode_projector(s, kap, lam, outcome).terms
             assert terms_bits(got) == terms_bits(ref_sum)
             assert terms_bits(groups[str(outcome)].terms) == terms_bits(ref_sum)
+            assert dense_close(ref, reference_two_mode_terms(s, kap, lam, outcome), d, n)
         for vec in (kap, lam):
-            leaves = tree_leaves(s, (vec,), (0, 1))
             for want in (0, 1):
-                ref = reference_single_mode(s, vec, want).terms
+                ref = reference_single_leaves(s, vec, want)
                 got = project_single_mode(s, vec, want).terms
-                assert terms_bits(got) == terms_bits(ref)
-                assert terms_bits(SlaterSum(tuple(leaves[want]), d, n).terms) == terms_bits(ref)
+                assert terms_bits(got) == terms_bits(SlaterSum(tuple(ref), d, n).terms)
+                leaves = kernel_leaves(s, (vec,), (want,), max(1, s.term_count))[want]
+                assert terms_bits(leaves) == terms_bits(ref)
                 for _, state in terms:
                     new = split_mode(state, vec)[1][want]
                     old = reference_term_project(state, vec, want)
@@ -570,21 +607,6 @@ def reference_split(state, vec):
     return [reference_term_project(state, vec, 0), one]
 
 
-def reference_tree(s, kap, lam):
-    """_tree's two-mode leaves term by term, both tree levels per term, as
-    the leaves were listed before the stacked kernel."""
-    out = ([], [], [])
-    for coeff, state in s.terms:
-        by_lam = reference_split(state, lam)
-        for i in (1, 0):
-            if by_lam[i] is not None:
-                scale, child = by_lam[i]
-                for j, res in enumerate(reference_split(child, kap)):
-                    if res is not None:
-                        out[i + j].append((coeff * scale * res[0], res[1]))
-    return out
-
-
 ALL_OUTCOMES = (0, 1, 2)
 
 
@@ -595,13 +617,14 @@ def outcome_probs(s, kap, lam, grouping):
 
 
 def two_mode_groups(s, kap, lam, grouping):
-    """Every group sum of a grouping from the full split tree, built term
-    by term: the sums of outcomes 0, 1 and 2 built, pruned and capped in
-    that order, then a merged group concatenating its outcomes' terms.
-    The library built every group this way before it built only the
-    chosen one; it stays here as the reference for that group."""
+    """Every group sum of a grouping from every leaf of every term
+    (kernel_tree): the sums of outcomes 0, 1 and 2 built, pruned and
+    capped in that order, then a merged group concatenating its
+    outcomes' terms.  The library built every group this way before it
+    built only the chosen one; it stays here as the reference for that
+    group."""
     shape = (s.modes, s.electrons, s.max_terms)
-    sums = [SlaterSum(tuple(t), *shape) for t in reference_tree(s, kap, lam)]
+    sums = [SlaterSum(tuple(t), *shape) for t in kernel_tree(s, kap, lam)]
     return {
         group_label(g): SlaterSum(tuple(t for o in g for t in sums[o].terms), *shape)
         for g in GROUPINGS[grouping]
@@ -680,7 +703,7 @@ class TestSplitKernel:
     scales, amplitudes and orbital bytes, for every batch size, one state,
     N = 0 and 1, and the re-orthogonalization band."""
 
-    @pytest.mark.parametrize("batch", [1, 7, multislater.SPLIT_BATCH])
+    @pytest.mark.parametrize("batch", [1, 7, 32])
     @settings(derandomize=True, database=None, deadline=None, max_examples=40)
     @given(recipe=kernel_stacks())
     def test_bitwise_equal_to_per_term_projection(self, batch, recipe):
@@ -690,16 +713,21 @@ class TestSplitKernel:
         amps = [state.amplitude for state in states]
         stack = stack_of(states, d, n)
         assert kernel_splits(states, d, n, vec) == reference_splits(states, vec)
-        with mock.patch.object(multislater, "SPLIT_BATCH", batch):
-            got = split_states(_split_stack(amps, stack, vec))
-            assert [split_bits(p) for p in got] == ref
-            s = SlaterSum(terms, d, n)
-            for want in (0, 1):
-                got = tree_leaves(s, (vec,), (want,))[want]
-                assert terms_bits(got) == terms_bits(reference_single_leaves(s, vec, want))
-            if lam is not None:
-                tree = tree_leaves(s, (lam, vec), ALL_OUTCOMES)
-                for got, want in zip(tree, reference_tree(s, vec, lam)):
+        batches = [slice(start, start + batch) for start in range(0, len(states), batch)]
+        got = [pair for b in batches for pair in split_stack(amps[b], stack[b], vec)[2]]
+        assert [split_bits(p) for p in split_states(got)] == ref
+        s = SlaterSum(terms, d, n)
+        for want in (0, 1):
+            got = kernel_leaves(s, (vec,), (want,), batch)[want]
+            assert terms_bits(got) == terms_bits(reference_single_leaves(s, vec, want))
+        if lam is not None:
+            for got, want in zip(kernel_leaves(s, (lam, vec), ALL_OUTCOMES, batch),
+                                 kernel_tree(s, vec, lam)):
+                assert terms_bits(got) == terms_bits(want)
+            with batched(batch, d, n):
+                for outcome in ALL_OUTCOMES:
+                    got = apply_two_mode_projector(s, vec, lam, outcome).terms
+                    want = two_mode_groups(s, vec, lam, "012")[str(outcome)].terms
                     assert terms_bits(got) == terms_bits(want)
 
     @pytest.mark.parametrize("t,n", [(1, None), (None, 0), (None, 1), (1, 0), (1, 1)])
@@ -891,7 +919,7 @@ class TestStackedChecks:
             terms[index] = (0.5, off_orthonormal_state(u, n, span, delta))
         return u, SlaterSum(tuple(terms), d, n)
 
-    @pytest.mark.parametrize("batch", [7, multislater.SPLIT_BATCH])
+    @pytest.mark.parametrize("batch", [7, 32])
     @pytest.mark.parametrize("t,index", [(2, 0), (2, 1), (17, 8), (40, 39)])
     def test_off_orthonormal_term(self, batch, t, index):
         d, n = 7, 3
@@ -900,28 +928,32 @@ class TestStackedChecks:
         ref = raised(lambda: [reference_split(state, kap) for _, state in s.terms])
         assert ref[0] is FlosimError and "not orthonormal" in ref[1]
         assert raised(split_mode, s.terms[index][1], kap) == ref
-        tree_ref = raised(reference_tree, s, kap, lam)
-        with mock.patch.object(multislater, "SPLIT_BATCH", batch):
+        tree_ref = raised(kernel_tree, s, kap, lam)
+        assert tree_ref[0] is FlosimError and "not orthonormal" in tree_ref[1]
+        with batched(batch, d, n):
             for want in (0, 1):
                 assert raised(project_single_mode, s, kap, want) == ref
                 assert raised(measure_mode_sum, s, kap, want) == ref
             assert raised(_group_sum, s, (lam, kap), ALL_OUTCOMES) == tree_ref
             assert raised(measure_two_mode, s, kap, lam, "02/1", "02") == tree_ref
 
-    @pytest.mark.parametrize("batch", [7, multislater.SPLIT_BATCH])
-    def test_first_failing_term_wins_across_tree_levels(self, batch):
-        """Term 3 fails only when its child is split on kappa (lambda is
-        orthogonal to its span), term 5 already on lambda.  Term by term,
-        term 3's error comes first, though the stacked lambda level meets
-        term 5 first."""
+    @pytest.mark.parametrize("batch", [7, 32])
+    def test_first_failing_term_wins_across_checks(self, batch):
+        """Term 3 fails only the check of its rotated span (lambda misses
+        its span), term 5 already the mode-norm check of lambda's
+        reflector.  Term by term, term 3's error comes first, though the
+        stacked reflector check meets term 5 first."""
         d, n = 8, 3
-        bad = [(3, (0, 1, 2), 1e-8), (5, (4, 1, 3), 3e-8)]
+        bad = [(3, (0, 1, 2), 1e-8), (5, (1, 4, 3), 1e-4)]
         u, s = self._sum(rng_for(93), d, n, 12, bad)
         kap, lam = u[:, 0], u[:, 4]
-        ref = raised(reference_tree, s, kap, lam)
-        assert ref == raised(reference_split, s.terms[3][1], kap)
-        assert ref != raised(reference_split, s.terms[5][1], lam)
-        with mock.patch.object(multislater, "SPLIT_BATCH", batch):
+        ref = raised(kernel_tree, s, kap, lam)
+        one = [s.amps[3]], s.orbitals[3:4], lam, kap, ALL_OUTCOMES
+        assert ref == raised(split_pair, *one)
+        assert ref[0] is FlosimError and "not orthonormal" in ref[1]
+        five = raised(split_pair, [s.amps[5]], s.orbitals[5:6], lam, kap, ALL_OUTCOMES)
+        assert five[0] is FlosimError and five[1].startswith("mode vector norm")
+        with batched(batch, d, n):
             assert raised(_group_sum, s, (lam, kap), ALL_OUTCOMES) == ref
 
     @pytest.mark.parametrize(
@@ -948,10 +980,16 @@ class TestStackedChecks:
         stack = np.ascontiguousarray(state.orbitals)[None]
         assert raised(split_stack, [state.amplitude], stack, kap) == ref
         assert raised(split_mode, state, kap) == ref
+        # kap as split_pair's lambda, with a kappa off the span
+        other = standard_mode(4, 3) if span is None else u[:, 6]
+        got = raised(split_pair, [state.amplitude], stack, kap, other, ALL_OUTCOMES)
+        assert got[0] is error[0] and got[1].startswith(error[1])
 
-    def test_nan_term_passes_through_as_per_term(self):
-        """A NaN orbital makes alpha NaN, so the per-term split leaves the
-        term untouched; the stack does the same, and the norm rejects it."""
+    def test_nan_term_splits_as_per_term(self):
+        """A NaN orbital makes alpha NaN, so the per-term single-mode split
+        leaves the term untouched, and the stack does the same; the
+        two-mode split's check of the rotated span rejects it, stacked as
+        per term, and the norm rejects it before any split."""
         d, n = 6, 3
         rng = rng_for(94)
         u = random_unitary(rng, d)
@@ -961,13 +999,15 @@ class TestStackedChecks:
         terms[2] = (0.5, SlaterState._checked(orbitals, 1.0 + 0.0j))
         s = SlaterSum(tuple(terms), d, n)
         kap, lam = u[:, 0], u[:, 1]
-        tree = tree_leaves(s, (lam, kap), ALL_OUTCOMES)
-        for got, want in zip(tree, reference_tree(s, kap, lam)):
-            assert terms_bits(got) == terms_bits(want)
-        assert any(np.array_equal(st_.orbitals, orbitals, equal_nan=True) for _, st_ in tree[0])
-        single = tree_leaves(s, (kap,), (0, 1))
+        ref = raised(kernel_tree, s, kap, lam)
+        assert ref == (FlosimError, "orbital entries must be finite")
+        assert raised(_group_sum, s, (lam, kap), ALL_OUTCOMES) == ref
         for want in (0, 1):
-            assert terms_bits(single[want]) == terms_bits(reference_single_leaves(s, kap, want))
+            single = kernel_leaves(s, (kap,), (want,), s.term_count)[want]
+            assert terms_bits(single) == terms_bits(reference_single_leaves(s, kap, want))
+            if want == 0:
+                assert any(np.array_equal(st_.orbitals, orbitals, equal_nan=True)
+                           for _, st_ in single)
         assert raised(measure_two_mode, s, kap, lam, "012", "0") == (
             ValueError,
             "matrix entries must be finite",
@@ -1003,12 +1043,17 @@ class TestPrunedTree:
     projection (reference_single_mode): coefficients, amplitudes and
     orbital bytes."""
 
-    # t = 1 is a one-state stack, 33 two batches.
+    # t = 1 is a one-state stack, 33 two batches of at most 32 terms.
     @pytest.mark.parametrize("t", [1, 2, 9, 33])
     @settings(derandomize=True, database=None, deadline=None, max_examples=20)
     @given(data=st.data())
     def test_chosen_group_alone_matches_full_tree(self, t, data):
         s, kap, lam = data.draw(pruned_tree_cases(t))
+        with batched(32, s.modes, s.electrons):
+            self._check_groups(s, kap, lam)
+
+    @staticmethod
+    def _check_groups(s, kap, lam):
         for grouping in GROUPINGS:
             full = two_mode_groups(s, kap, lam, grouping)
             probs = outcome_probs(s, kap, lam, grouping)
@@ -1034,33 +1079,25 @@ class TestPrunedTree:
                     want = scale_sum(want, 1.0 / np.sqrt(probs[outcome]))
                     assert terms_bits(post.terms) == terms_bits(want.terms)
 
-    @pytest.mark.parametrize("batch", [7, multislater.SPLIT_BATCH])
-    def test_failing_term_falls_back_only_where_its_leaves_are_needed(self, batch):
-        """Term 3 lies orthogonal to lambda and fails a stack check when
-        its lambda-empty child is split on kappa.  Every group with
-        outcome 0 or 1 splits that child, so the stack falls back term by
-        term and raises the full tree's error.  Group 2 never splits it,
-        and equals the full tree's group 2 of the other terms.  Measured
-        alone, kappa splits term 3 and raises its error in both outcomes;
-        lambda misses its span, and both outcomes equal the per-term
-        projections."""
+    @pytest.mark.parametrize("batch", [7, 32])
+    def test_failing_term_raises_its_error_in_every_group(self, batch):
+        """Term 3 lies orthogonal to lambda and fails the check of its
+        rotated span.  Every two-mode group rotates every term's span, so
+        each falls back term by term and raises term 3's error, as every
+        leaf of the full tree does.  Measured alone, kappa splits term 3
+        and raises its error in both outcomes; lambda misses its span,
+        and both outcomes equal the per-term projections."""
         d, n = 8, 3
         u, s = TestStackedChecks._sum(rng_for(95), d, n, 12, [(3, (0, 1, 2), 1e-8)])
         kap, lam = u[:, 0], u[:, 4]
-        ref = raised(reference_tree, s, kap, lam)
+        ref = raised(kernel_tree, s, kap, lam)
         assert ref[0] is FlosimError and "not orthonormal" in ref[1]
-        others = SlaterSum(s.terms[:3] + s.terms[4:], d, n)
         single_ref = raised(reference_split, s.terms[3][1], kap)
-        with mock.patch.object(multislater, "SPLIT_BATCH", batch):
+        with batched(batch, d, n):
             for grouping, groups in GROUPINGS.items():
                 for label in map(group_label, groups):
-                    if label == "2":
-                        want = two_mode_groups(others, kap, lam, grouping)[label]
-                        got = _group_sum(s, (lam, kap), label)
-                        assert terms_bits(got.terms) == terms_bits(want.terms)
-                    else:
-                        assert raised(_group_sum, s, (lam, kap), label) == ref
-                        assert raised(measure_two_mode, s, kap, lam, grouping, label) == ref
+                    assert raised(_group_sum, s, (lam, kap), label) == ref
+                    assert raised(measure_two_mode, s, kap, lam, grouping, label) == ref
             for outcome in (0, 1):
                 assert raised(_group_sum, s, (kap,), (outcome,)) == single_ref
                 assert raised(measure_mode_sum, s, kap, outcome) == single_ref
@@ -1068,27 +1105,35 @@ class TestPrunedTree:
                 got = _group_sum(s, (lam,), (outcome,))
                 assert terms_bits(got.terms) == terms_bits(want.terms)
 
-    def test_outcome_0_or_2_alone_takes_two_splits_per_term(self, monkeypatch):
-        """On one generic determinant the full tree splits three states;
-        outcome 0 or 2 alone splits only the lambda child it needs.  No
-        leaf of an unwanted outcome is kept."""
-        split = []
-        real = multislater._split_stack
-
-        def counting(amps, orbitals, vec, keep=None):
-            split.extend(amps)
-            return real(amps, orbitals, vec, keep)
-
-        monkeypatch.setattr(multislater, "_split_stack", counting)
+    def test_each_outcome_alone_builds_only_its_leaves(self, monkeypatch):
+        """On one generic determinant each outcome takes one split of its
+        one term, which checks the rotated span and then only that
+        outcome's leaves: one for outcome 0 or 2, (1, 0) and (0, 1) for
+        outcome 1.  No leaf of another outcome is built or checked."""
         rng = rng_for(96)
         s = SlaterSum.from_state(random_state(rng, 6, 3))
         kap, lam = random_orthogonal_pair(rng, 6)
-        for outcome, count in ((0, 2), (1, 3), (2, 2)):
+        tree = kernel_tree(s, kap, lam)
+        assert [len(leaves) for leaves in tree] == [1, 2, 1]
+        split, checked = [], []
+        real_split, real_check = multislater.split_pair, slater.check_orthonormal
+        monkeypatch.setattr(
+            multislater, "split_pair", lambda *a: split.append(len(a[0])) or real_split(*a)
+        )
+        monkeypatch.setattr(
+            slater, "check_orthonormal", lambda orb: checked.append(orb.copy()) or real_check(orb)
+        )
+        for outcome, count in ((0, 1), (1, 2), (2, 1)):
             split.clear()
-            apply_two_mode_projector(s, kap, lam, outcome)
-            assert len(split) == count
-            leaves = _tree(s.coeffs, s.amps, s.orbitals, (lam, kap), (outcome,))
-            assert [bool(t) for t in leaves] == [o == outcome for o in ALL_OUTCOMES]
+            checked.clear()
+            got = apply_two_mode_projector(s, kap, lam, outcome)
+            assert split == [1]
+            assert [c.shape for c in checked] == [(1, 6, 3), (count, 6, 3)]
+            assert checked[1].tobytes() == got.orbitals.tobytes()
+            assert terms_bits(got.terms) == terms_bits(tree[outcome])
+            others = {st_.orbitals.tobytes() for o in ALL_OUTCOMES if o != outcome
+                      for _, st_ in tree[o]}
+            assert not others & {leaf.tobytes() for c in checked for leaf in c}
 
     @pytest.mark.parametrize("kind", ["one", "two"])
     def test_floor_is_checked_before_building(self, kind):
@@ -1098,7 +1143,8 @@ class TestPrunedTree:
         s = SlaterSum.from_state(standard_state(4, 2), max_terms=1)
         e = np.eye(4, dtype=complex)
         unused = mock.Mock(side_effect=AssertionError("a term was split"))
-        with mock.patch.object(multislater, "_split_stack", unused), \
+        with mock.patch.object(multislater, "_split", unused), \
+                mock.patch.object(multislater, "split_pair", unused), \
                 mock.patch.object(multislater, "split_stack", unused):
             if kind == "one":
                 with pytest.raises(ImpossibleOutcome, match=r"^outcome 0 has probability"):
@@ -1107,6 +1153,26 @@ class TestPrunedTree:
                 with pytest.raises(ImpossibleOutcome, match=r"^outcome '02' has probability"):
                     measure_two_mode(s, e[:, 0], e[:, 2], "02/1", forced="02")
         unused.assert_not_called()
+
+
+def test_impossible_outcome_names_the_floor_not_the_noise():
+    """A forced outcome whose probability is rounding noise (about
+    1e-17 here) raises with PROB_FLOOR in its message, so a change in
+    the last bits of a kernel leaves the message as it was: one state,
+    a sum, and a pair whose outcome 2 is that unlikely."""
+    eps = 3e-9
+    e = np.eye(4, dtype=complex)
+    kap = np.sqrt(1 - eps**2) * e[:, 3] + eps * e[:, 0]
+    state = standard_state(4, 2)
+    assert 1e-18 < decompose_mode(state, kap).alpha ** 2 < 1e-16
+    s = SlaterSum.from_state(state)
+    for measure in (measure_mode, measure_mode_sum):
+        with pytest.raises(ImpossibleOutcome) as err:
+            measure(state if measure is measure_mode else s, kap, forced=1)
+        assert str(err.value) == "outcome 1 has probability below 1e-12"
+    with pytest.raises(ImpossibleOutcome) as err:
+        measure_two_mode(s, kap, e[:, 1], "012", forced="2")
+    assert str(err.value) == "outcome '2' has probability below 1e-12"
 
 
 def eager_pick(sums, rng):
@@ -1326,7 +1392,7 @@ class TestApplyTwoModeProjector:
         kap, lam = standard_mode(4, 0), standard_mode(4, 1)
         unused = mock.Mock(side_effect=AssertionError("projections were built"))
         with mock.patch.object(multislater, "_group_sum", unused), \
-                mock.patch.object(multislater, "_tree", unused):
+                mock.patch.object(multislater, "_split", unused):
             for outcome in (3, -1, "1", None):
                 with pytest.raises(ValueError, match="outcome must be 0, 1 or 2"):
                     apply_two_mode_projector(s, kap, lam, outcome)

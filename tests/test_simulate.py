@@ -397,17 +397,21 @@ class TestKeptChildOnly:
         d, n = 6, 3
         state = SlaterState(random_orthonormal_columns(rng, d, n))
         kap, lam = random_orthogonal_pair(rng, d)
-        both = slater.split_mode(state, lam)[1]  # lambda's children, both built
+        # every leaf, (0, 0), (1, 0), (0, 1) and (1, 1), built before counting
+        _, every = slater.split_pair(
+            [state.amplitude], np.ascontiguousarray(state.orbitals)[None], lam, kap, (0, 1, 2)
+        )
         checked = self.checked_stacks(monkeypatch)
         step = MeasureTwo(kap, lam, grouping, "exact")
         transcript, final = simulate_exact_branch([step], d, n, initial=state)
         assert transcript.rows[0].outcome == label and transcript.rows[0].probability < 0.99
-        # two levels (lambda, then kappa), each the rotated span and one child
-        assert [c.shape for c in checked] == [(1, d, n)] * 4
+        # the doubly rotated span, then the one kept leaf
+        assert [c.shape for c in checked] == [(1, d, n)] * 2
         assert checked[-1][0].tobytes() == final.orbitals.tobytes()
-        kept = 1 if label == "2" else 0
-        assert checked[1][0].tobytes() == both[kept][1].orbitals.tobytes()
-        assert all(c[0].tobytes() != both[1 - kept][1].orbitals.tobytes() for c in checked)
+        kept = -1 if label == "2" else 0
+        assert len(every) == 4 and checked[1][0].tobytes() == every[kept].tobytes()
+        discarded = {leaf.tobytes() for i, leaf in enumerate(every) if i != kept % 4}
+        assert all(c[0].tobytes() not in discarded for c in checked)
 
     def test_measure1_checks_only_the_kept_child(self, monkeypatch):
         rng = rng_for(152)
@@ -498,7 +502,8 @@ class TestSteeringRule:
             cumulative *= prob
             rows.append(TranscriptRow(idx, "measure2", label, prob, cumulative, 1))
         calls = []
-        for module, name in ((multislater, "_split_stack"), (multislater, "split_stack"),
+        for module, name in ((multislater, "_split"), (multislater, "split_stack"),
+                             (multislater, "split_pair"), (slater, "split_pair"),
                              (slater, "split_stack"), (slater, "split_mode"),
                              (slater, "weigh_mode"), (simulate, "weigh_mode")):
             real = getattr(module, name)
@@ -520,7 +525,7 @@ class TestSteeringRule:
         e = np.eye(6, dtype=complex)
         circuit = [MeasureOne(e[:, 0], policy="exact"), MeasureOne(e[:, 5], policy="exact")]
         calls = []
-        for module, name in ((multislater, "_split_stack"), (multislater, "split_stack")):
+        for module, name in ((multislater, "_split"), (multislater, "split_stack")):
             real = getattr(module, name)
             monkeypatch.setattr(
                 module, name, lambda *a, real=real, name=name: calls.append(name) or real(*a)

@@ -128,6 +128,33 @@ def test_corpus_bit_mode_reports_a_one_ulp_change(tmp_path):
     assert [argv for argv, _, _ in differing] == runs
     for _, base, head in differing:
         assert base[0] == 0 and base[:3] == head[:3] and base[3] != head[3]
+        assert corpus.digits_only(base, head)
+
+
+def test_corpus_classifies_a_run_that_differs_in_digits_only():
+    """A run differs in digits only when its exit code is the same and
+    its stdout and stderr match once every printed real is masked: a
+    one-ulp change that moves the last printed digit of p and the
+    oracle trailer is digits only; a changed outcome label, terms=
+    count, exit code or message is not."""
+    spec = importlib.util.spec_from_file_location("corpus", CORPUS)
+    corpus = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(corpus)
+    row = "step=1 kind=measure2 outcome={} p={} cumulative=9.004742287683e-01 terms={}\n"
+    trailer = "# oracle max probability deviation = {}\n# oracle min fidelity = 1.000000000000\n"
+    base = [0, row.format("02", "9.004742287683e-01", 2) + trailer.format("4.441e-16"), ""]
+    ulp = [0, row.format("02", "9.004742287684e-01", 2) + trailer.format("9.992e-16"), ""]
+    assert corpus.digits_only(base, ulp)
+    assert corpus.digits_only(base + ["digest a"], ulp + ["digest b"])
+    for changed in (
+        [0, row.format("1", "9.004742287683e-01", 2) + trailer.format("4.441e-16"), ""],
+        [0, row.format("02", "9.004742287683e-01", 4) + trailer.format("4.441e-16"), ""],
+        [1, base[1], ""],
+        [0, base[1], "ImpossibleOutcome: outcome 1 has probability below 1e-12\n"],
+    ):
+        assert not corpus.digits_only(base, changed)
+    noise = [1, "", "ImpossibleOutcome: outcome 1 has probability 7.582e-17\n"]
+    assert corpus.digits_only(noise, [1, "", noise[2].replace("7.582e-17", "2.220e-16")])
 
 
 def test_circuitgen_covers_every_step_form_and_parses(tmp_path):
@@ -201,5 +228,10 @@ def test_corpus_reports_each_trees_oracle_worst_case(monkeypatch, capsys):
         "min fidelity 0.999999999998",
         "head: over 2 oracle-checked runs, max probability deviation 1.110e-15, "
         "min fidelity 0.999999999999",
-        "2 of 3 runs differ",
+        "2 of 3 runs differ: 2 digits only, 0 otherwise",
     ]
+    trees["HEAD"][1] = [1, "", "ImpossibleOutcome: outcome 0\n"]
+    assert corpus.main(["BASE", "HEAD"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[-2:] == ["3 of 3 runs differ: 2 digits only, 1 otherwise",
+                        "  otherwise: simulate b.json"]

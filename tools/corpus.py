@@ -9,10 +9,15 @@ defaults to this checkout's src.  Another commit's tree can be had with
 `git archive REV | tar -x -C DIR`, then DIR/src.  Every tree runs all
 invocations in one fresh interpreter, in process through
 flosim.cli.main, from this checkout's root with BLAS at one thread.
-Exits 1 if any run differs.  For each tree it also prints the oracle
-judge's worst case over all its `--oracle-check` runs: the largest
-`oracle max probability deviation` and the smallest `oracle min
-fidelity` they print.
+Exits 1 if any run differs.  Each differing run is classified: it
+differs in digits only when its exit code is the same and its stdout
+and stderr match once every numeric literal with a fraction or an
+exponent is masked (integers such as outcome labels, step indices and
+`terms=` counts are not masked).  The last lines print how many runs
+differ in digits only and how many otherwise, then list the latter.
+For each tree it also prints the oracle judge's worst case over all
+its `--oracle-check` runs: the largest `oracle max probability
+deviation` and the smallest `oracle min fidelity` they print.
 
 --bits also compares, per run, a SHA-256 digest of the numbers the
 transcript prints rounded: every transcript row's probability and
@@ -42,6 +47,7 @@ import importlib.util
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -61,6 +67,8 @@ RANDOM_SEED, RANDOM_COUNT = 14, 60
 SHOWN_DIFF_LINES = 20
 ORACLE_DEV = "# oracle max probability deviation = "
 ORACLE_FID = "# oracle min fidelity = "
+# A printed real: digits with a fraction, an exponent or both.
+NUMBER = re.compile(r"[-+]?(?:\d+\.\d*(?:[eE][-+]?\d+)?|\.\d+(?:[eE][-+]?\d+)?|\d+[eE][-+]?\d+)")
 
 
 def invocations(pool_dir):
@@ -197,6 +205,19 @@ def _differing(argvs, base, head):
     return [(argv, b, h) for argv, b, h in zip(argvs, base, head) if b != h]
 
 
+def _masked(text):
+    return NUMBER.sub("#", text)
+
+
+def digits_only(base, head):
+    """Whether two results of one run differ in printed digits only:
+    the same exit code, and the same stdout and stderr once every
+    numeric literal with a fraction or an exponent is masked."""
+    return base[0] == head[0] and all(
+        _masked(b) == _masked(h) for b, h in zip(base[1:3], head[1:3])
+    )
+
+
 def accuracy(results):
     """The oracle judge's worst case over a tree's results: (largest
     printed max probability deviation, smallest printed min fidelity,
@@ -249,7 +270,11 @@ def main(argv=None):
         dev, fid, checked = accuracy(results)
         print(f"{name}: over {checked} oracle-checked runs, max probability deviation "
               f"{dev:.3e}, min fidelity {fid:.12f}")
-    print(f"{len(differing)} of {len(argvs)} runs differ")
+    other = [argv for argv, base, head in differing if not digits_only(base, head)]
+    print(f"{len(differing)} of {len(argvs)} runs differ: "
+          f"{len(differing) - len(other)} digits only, {len(other)} otherwise")
+    for argv in other:
+        print("  otherwise: " + " ".join(argv))
     return 1 if differing else 0
 
 
