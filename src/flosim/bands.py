@@ -82,15 +82,18 @@ def _w_rows(cfg, labels):
     Each momentum, in ascending order, adds its phase column times its
     plane wave to all rows at once, so every entry sees the same products
     and adds, in the same order, as a loop over momenta for one orbital;
-    a matmul would reorder the sum.  The phase arguments stay Python
-    complex scalars: numpy's array complex divide multiplies by a
-    reciprocal and rounds differently.
+    a matmul would reorder the sum.  The phase arguments 2 pi i n s / N
+    are one complex array of real part 0 and imaginary part
+    ((2 pi n) s) / N in float64: the float sequence of Python's
+    2j*pi*n*s/N, whose divide by a real int divides the imaginary part
+    exactly, where numpy's complex divide would multiply by a reciprocal.
     """
     n_el = cfg.electrons
-    waves = _plane_waves(cfg.sites, _momenta(n_el))
-    phases = np.exp(
-        np.array([[2j * np.pi * n * s / n_el for s in labels] for n in _momenta(n_el)])
-    )
+    momenta = np.array(_momenta(n_el))
+    waves = _plane_waves(cfg.sites, momenta)
+    args = np.zeros((len(momenta), len(labels)), dtype=complex)
+    args.imag = (2 * np.pi * momenta[:, None]) * np.array(labels) / n_el
+    phases = np.exp(args)
     acc = np.zeros((len(labels), cfg.sites), dtype=complex)
     for phase, wave in zip(phases, waves):
         acc += phase[:, None] * wave

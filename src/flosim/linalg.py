@@ -103,10 +103,17 @@ def one_body_unitary(b, tau):
         return (vecs * np.exp(-1j * evals * tau)[np.newaxis, :]) @ vecs.conj().T
 
 
-def _check_antisymmetric(a):
+def antisymmetric_part(w, what, even=False):
+    """(w - w^T) / 2 of a finite square (its error naming `what`), with
+    even even-dimensional, antisymmetric to ANTISYM_TOL matrix w."""
+    a = as_complex_matrix(w)
+    _require_square(a, what)
+    if even and a.shape[0] % 2 != 0:
+        raise OddDimension(f"Pfaffian needs even dimension, got {a.shape[0]}")
     dev = np.linalg.norm(a + a.T)
     if dev > ANTISYM_TOL:
         raise NotAntisymmetric(f"deviation from antisymmetry {dev:.3e} exceeds {ANTISYM_TOL:.1e}")
+    return (a - a.T) / 2
 
 
 def _pfaffian_expansion(a, idx=None):
@@ -162,14 +169,8 @@ def pfaffian(w):
     combinatorial first-row expansion; larger ones use skew elimination
     with partial pivoting.
     """
-    a = as_complex_matrix(w)
-    _require_square(a, "pfaffian")
-    n = a.shape[0]
-    if n % 2 != 0:
-        raise OddDimension(f"Pfaffian needs even dimension, got {n}")
-    _check_antisymmetric(a)
-    a = (a - a.T) / 2
-    if n <= 8:
+    a = antisymmetric_part(w, "pfaffian", even=True)
+    if a.shape[0] <= 8:
         return complex(_pfaffian_expansion(a))
     return complex(_pfaffian_elimination(a))
 
@@ -200,10 +201,7 @@ def antisym_canonical(w):
     eigenvector v1 is paired with v2 = -conj(w v1)/|w v1|, which is
     automatically orthogonal to v1 and closes a 2x2 block exactly.
     """
-    a = as_complex_matrix(w)
-    _require_square(a, "antisym_canonical")
-    _check_antisymmetric(a)
-    a = (a - a.T) / 2
+    a = antisymmetric_part(w, "antisym_canonical")
     n = a.shape[0]
     if n == 0:
         return np.eye(0, dtype=complex), []

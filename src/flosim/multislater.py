@@ -34,12 +34,11 @@ from .errors import (
     TermCapExceeded,
     WrongParticleNumber,
 )
-from .linalg import PAIR_THRESHOLD, antisym_canonical, pfaffian, require_finite
+from .linalg import PAIR_THRESHOLD, antisymmetric_part, pfaffian, require_finite
 from .slater import (
     ORTHOGONAL_TOL,
     PROB_FLOOR,
     SlaterState,
-    annihilate,
     check_mode,
     check_modes,
     check_orthonormal,
@@ -366,7 +365,8 @@ def reduce_to_two_fermion(s, kappa, lam):
 
     Assumes the usual standard form: the interesting physics lives on
     modes {0, 1, N, N+1} and the context modes 2..N-1 are filled and
-    orthogonal to both measured modes.
+    orthogonal to both measured modes.  Each takes one split_stack of
+    all terms and one check of what is left: annihilate, bit for bit.
     """
     n = s.electrons
     if n < 2:
@@ -383,13 +383,15 @@ def reduce_to_two_fermion(s, kappa, lam):
             f"measured modes overlap the context modes 2..{n - 1} by {overlap:.3e}"
         )
     current = s
-    electrons = n
     for m in range(n - 1, 1, -1):
         e_m = np.zeros(s.modes, dtype=complex)
         e_m[m] = 1.0
-        terms = tuple((c, annihilate(st, e_m)) for c, st in current.terms)
-        electrons -= 1
-        current = SlaterSum(terms, s.modes, electrons, s.max_terms)
+        children = split_stack(current.amps, current.orbitals, e_m, keep=1)[2]
+        ones = [(c, one) for c, (_, one) in zip(current.coeffs, children) if one is not None]
+        reduced = _stack([orb[:, 1:] for _, (_, _, orb) in ones], s.modes, m)
+        check_orthonormal(reduced)
+        amps = [amp * alpha for _, (alpha, amp, _) in ones]
+        current = SlaterSum._stacked([c for c, _ in ones], amps, reduced, s.max_terms)
     return current
 
 
@@ -409,9 +411,13 @@ def two_fermion_w(s):
 
 
 def slater_number_two_fermion(w):
-    """Number of determinants needed for a two-fermion state: rank(w)/2."""
-    _, pairs = antisym_canonical(w)
-    return sum(1 for z in pairs if abs(z) > PAIR_THRESHOLD)
+    """Number of determinants needed for a two-fermion state: rank(w)/2,
+    from one SVD.  Singular values of an antisymmetric w come in equal
+    pairs, the moduli of antisym_canonical's 2x2 blocks; every other one
+    counts above PAIR_THRESHOLD and 1e-12 max(1, largest)."""
+    sv = np.linalg.svd(antisymmetric_part(w, "antisym_canonical"), compute_uv=False)
+    floor = max(PAIR_THRESHOLD, 1e-12 * max(1.0, sv.max(initial=0.0)))
+    return int(np.count_nonzero(sv[::2] > floor))
 
 
 def generic_p1_study(theta, phi, xi, n=2):

@@ -253,6 +253,25 @@ class TestWKernel:
     """All W orbitals come from one plane-wave matrix, bit for bit equal
     to the one-orbital loop."""
 
+    def test_phase_grid_matches_python_complex_phases(self):
+        """Every odd N at D up to 51, and some at D = 101 and 201: the W
+        rows equal, bit for bit, the same kernel whose phases exponentiate
+        Python's complex scalars 2j*pi*n*s/N."""
+        sizes = [(d, n) for d in (1, 3, 5, 11, 21, 51) for n in range(1, d + 1, 2)]
+        sizes += [(101, n) for n in (1, 3, 49, 51, 99, 101)]
+        sizes += [(201, n) for n in (1, 101, 199, 201)]
+        for d, n_el in sizes:
+            cfg = LatticeConfig(d, n_el)
+            momenta = bands._momenta(n_el)
+            for labels in (range(n_el), [n_el - 1, 0]):
+                phases = np.exp(np.array([[2j * np.pi * n * s / n_el for s in labels]
+                                          for n in momenta]))
+                want = np.zeros((len(labels), d), dtype=complex)
+                for phase, wave in zip(phases, bands._plane_waves(d, momenta)):
+                    want += phase[:, None] * wave
+                want /= np.sqrt(n_el)
+                assert bands._w_rows(cfg, labels).tobytes() == want.tobytes(), (d, n_el)
+
     @settings(derandomize=True, database=None, deadline=None, max_examples=40)
     @given(cfg=lattices(301), data=st.data())
     def test_rows_match_the_one_orbital_loop(self, cfg, data):

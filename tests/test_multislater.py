@@ -10,7 +10,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import (
     random_complex,
@@ -27,8 +27,11 @@ from flosim.errors import (
     FlosimError,
     ImpossibleOutcome,
     ModesNotOrthogonal,
+    NonSquare,
+    NotAntisymmetric,
     NotInSpan,
     NotUnitary,
+    OddDimension,
     TermCapExceeded,
     WrongParticleNumber,
 )
@@ -68,7 +71,7 @@ from flosim.multislater import (
     sum_norm,
     two_fermion_w,
 )
-from flosim import fock, multislater, slater
+from flosim import fock, linalg, multislater, slater
 
 REORTH_TOL = 1e-4  # below this beta, one projection alone loses orthogonality to the span
 
@@ -1745,6 +1748,150 @@ class TestSlaterNumber:
             dropped = SlaterSum(terms, modes=d, electrons=2)
             w = two_fermion_w(dropped)
             assert slater_number_two_fermion(w) <= bound
+
+
+def reference_slater_number(w):
+    """The pair count of the canonical-form deflation, which
+    slater_number_two_fermion took before it counted singular values."""
+    return sum(1 for z in linalg.antisym_canonical(w)[1] if abs(z) > linalg.PAIR_THRESHOLD)
+
+
+# The deflation lumps eigenvalues of w^H w within 1e-15 of its top one
+# together with the null space, so a pair whose modulus is counted but
+# below sqrt(1e-15) can come out of it under PAIR_THRESHOLD.
+DEFLATION_WINDOW = 1e-7
+
+
+def pair_blocks(zs, d):
+    """The d x d matrix with one block [[0, z], [-z, 0]] per z of zs on
+    the diagonal, then zeros."""
+    blocks = np.zeros((d, d), dtype=complex)
+    for r, z in enumerate(zs):
+        blocks[2 * r, 2 * r + 1], blocks[2 * r + 1, 2 * r] = z, -z
+    return blocks
+
+
+@st.composite
+def paired_matrices(draw):
+    """(w, moduli): w = U B U^T for a random unitary U and B holding one
+    2x2 block [[0, z], [-z, 0]] per modulus |z|, the rest zero.  Moduli
+    repeat, sit at 2e-9 and 5e-10 either side of PAIR_THRESHOLD, or are
+    0; with scale 1e4 the large ones grow, so that the relative floor
+    1e-12 max(1, top) rises above the small ones."""
+    d = draw(st.integers(1, 12))
+    moduli = draw(st.lists(st.sampled_from([1.0, 0.5, 2e-9, 5e-10, 0.0]), max_size=d // 2))
+    scale = draw(st.sampled_from([1.0, 1e4]))
+    moduli = [m * scale if m >= 0.5 else m for m in moduli]
+    rng = rng_for(draw(st.integers(0, 2**16)))
+    blocks = pair_blocks(moduli * np.exp(2j * np.pi * rng.random(len(moduli))), d)
+    u = random_unitary(rng, d)
+    return u @ blocks @ u.T, moduli
+
+
+class TestSlaterNumberFromSingularValues:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=150)
+    @given(case=paired_matrices())
+    @example(case=(np.zeros((5, 5)), []))
+    @example(case=(np.zeros((0, 0)), []))
+    @example(case=(pair_blocks([1e4, 2e-9], 4), [1e4, 2e-9]))
+    @example(case=(pair_blocks([1.0, 1.0, 0.0], 7), [1.0, 1.0, 0.0]))
+    def test_counts_the_pairs_above_both_floors(self, case):
+        """The count is of the moduli above PAIR_THRESHOLD and above
+        1e-12 max(1, top), and equals the canonical deflation's count
+        wherever that resolves the pairs it counts."""
+        w, moduli = case
+        floor = max(linalg.PAIR_THRESHOLD, 1e-12 * max([1.0, *moduli]))
+        want = sum(1 for m in moduli if m > floor)
+        got = slater_number_two_fermion(w)
+        assert type(got) is int
+        assert got == want
+        if not any(floor < m < DEFLATION_WINDOW for m in moduli):
+            assert got == reference_slater_number(w)
+
+    @pytest.mark.parametrize("bad, cls, message", [
+        (np.ones((2, 3)), NonSquare, "antisym_canonical needs a square matrix, got shape (2, 3)"),
+        (np.ones(3), ValueError, "expected a matrix, got array of ndim 1"),
+        (np.array([[0.0, np.nan], [-1.0, 0.0]]), ValueError, "matrix entries must be finite"),
+        (np.eye(2), NotAntisymmetric, "deviation from antisymmetry 2.828e+00 exceeds 1.0e-10"),
+        (np.array([[0.0, 1.0], [-1.0 + 1e-9, 0.0]]), NotAntisymmetric,
+         "deviation from antisymmetry 1.414e-09 exceeds 1.0e-10"),
+    ])
+    def test_errors_are_the_canonical_forms(self, bad, cls, message):
+        for fn in (slater_number_two_fermion, linalg.antisym_canonical):
+            with pytest.raises(cls) as raised_:
+                fn(bad)
+            assert type(raised_.value) is cls
+            assert str(raised_.value) == message
+
+    @pytest.mark.parametrize("bad, cls, message", [
+        (np.ones((2, 3)), NonSquare, "pfaffian needs a square matrix, got shape (2, 3)"),
+        (np.eye(3), OddDimension, "Pfaffian needs even dimension, got 3"),
+        (np.eye(2), NotAntisymmetric, "deviation from antisymmetry 2.828e+00 exceeds 1.0e-10"),
+    ])
+    def test_pfaffian_checks_in_the_same_order(self, bad, cls, message):
+        with pytest.raises(cls) as raised_:
+            linalg.pfaffian(bad)
+        assert type(raised_.value) is cls
+        assert str(raised_.value) == message
+
+
+def reference_reduction(s, kappa, lam):
+    """reduce_to_two_fermion as annihilate on every term, mode by mode,
+    each step a new SlaterSum: the chain the stacked split replaces."""
+    current = s
+    for m in range(s.electrons - 1, 1, -1):
+        e_m = standard_mode(s.modes, m)
+        terms = tuple((c, annihilate(st, e_m)) for c, st in current.terms)
+        current = SlaterSum(terms, s.modes, m, s.max_terms)
+    return current
+
+
+def sum_bits(s):
+    return ([bits(c) for c in s.coeffs], [bits(a) for a in s.amps], s.orbitals.tobytes(),
+            s.orbitals.shape)
+
+
+class TestStackedReduction:
+    def test_bitwise_equal_to_the_annihilate_chain(self):
+        """Terms with every context mode filled, random ones, one with no
+        component of mode 4 (pruned at the first step) and one holding
+        mode 4 but not mode 3 (pruned at the second)."""
+        rng = rng_for(82)
+        d, n = 7, 5
+        active = [0, 1, 5, 6]
+        v = np.eye(d, dtype=complex)
+        v[np.ix_(active, active)] = random_unitary(rng, 4)
+        no_4 = np.zeros((d, n), dtype=complex)
+        no_4[[0, 1, 2, 3, 5, 6], :] = random_orthonormal_columns(rng, 6, n)
+        no_3 = np.zeros((d, n), dtype=complex)
+        no_3[4, 0] = 1.0
+        no_3[[0, 1, 2, 5, 6], 1:] = random_orthonormal_columns(rng, 5, n - 1)
+        states = [v @ np.eye(d, n), random_orthonormal_columns(rng, d, n), no_4, no_3,
+                  random_orthonormal_columns(rng, d, n)]
+        s = SlaterSum(tuple((complex(c), SlaterState(orb))
+                            for c, orb in zip(random_complex(rng, len(states)), states)))
+        kap, lam = np.zeros(d, dtype=complex), np.zeros(d, dtype=complex)
+        kap[active], lam[active] = random_orthogonal_pair(rng, 4)
+        want = reference_reduction(s, kap, lam)
+        got = reduce_to_two_fermion(s, kap, lam)
+        assert got.term_count == want.term_count == 3
+        assert sum_bits(got) == sum_bits(want)
+        assert got.orbitals.flags.c_contiguous and not got.orbitals.flags.writeable
+        assert two_fermion_w(got).tobytes() == two_fermion_w(want).tobytes()
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=40)
+    @given(angles=st.lists(st.floats(-3.2, 3.2), min_size=3, max_size=3),
+           n=st.integers(2, 6))
+    @example(angles=[0.4, 0.8, 0.0], n=3)
+    @example(angles=[0.0, np.pi / 2, np.pi / 4], n=4)
+    def test_generic_p1_study_is_unchanged(self, angles, n):
+        got = generic_p1_study(*angles, n)
+        with mock.patch.object(multislater, "reduce_to_two_fermion", reference_reduction):
+            want = generic_p1_study(*angles, n)
+        assert got[0].tobytes() == want[0].tobytes()
+        assert bits(got[1]) == bits(want[1])
+        assert bits(got[2]) == bits(want[2])
+        assert slater_number_two_fermion(got[0]) == reference_slater_number(want[0])
 
 
 class TestGenericP1Study:

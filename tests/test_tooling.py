@@ -66,7 +66,7 @@ def test_sampled_measurements_go_through_the_traced_names():
 
 
 def test_corpus_captures_each_run_as_the_cli_prints_it(tmp_path, monkeypatch, capsys):
-    """tools/corpus.py lists its 446 runs and records each run's exit
+    """tools/corpus.py lists its 458 runs and records each run's exit
     code, stdout and stderr under a source tree.  Two of them run here,
     under the working tree only: an oracle-checked run and one refused
     with exit code 1."""
@@ -74,7 +74,7 @@ def test_corpus_captures_each_run_as_the_cli_prints_it(tmp_path, monkeypatch, ca
     corpus = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(corpus)
     argvs = corpus.invocations(tmp_path)
-    assert len(argvs) == 446
+    assert len(argvs) == 458
     picked = [
         ["simulate", "circuits/generic_p1.json", "--seed", "3", "--oracle-check"],
         ["simulate", "tests/data/parity_deep.json", "--seed", "3", "--oracle-check"],
@@ -87,6 +87,24 @@ def test_corpus_captures_each_run_as_the_cli_prints_it(tmp_path, monkeypatch, ca
         expected.append([code, *capsys.readouterr()])
     assert [code for code, _, _ in expected] == [0, 1]
     assert corpus.run_tree(ROOT / "src", picked) == expected
+
+
+def test_corpus_rank_states_print_the_slater_numbers_of_their_moduli(tmp_path, capsys):
+    """The corpus's slater-rank state files: equal pair moduli all count,
+    a zero pair and a modulus 5e-10 do not, one of 2e-9 does, and odd D
+    prints no Pfaffian."""
+    spec = importlib.util.spec_from_file_location("corpus", CORPUS)
+    corpus = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(corpus)
+    want = {"repeated": 4, "zero-pair": 2, "odd": 3, "above": 2, "below": 1, "both": 3}
+    paths = corpus.rank_states(tmp_path)
+    assert len(paths) == 12
+    for path in paths:
+        assert cli.main(["slater-rank", path]) == 0
+        out = capsys.readouterr().out
+        name = Path(path).stem.rsplit("-", 1)[0]
+        assert out.endswith(f"Slater number = {want[name]}\n")
+        assert ("Pfaffian = n/a" in out) == (name == "odd")
 
 
 # One-ulp mutations, each a line written before a kernel's return (the

@@ -27,7 +27,7 @@ fidelity the `--oracle-check` judge takes, and the w matrix of
 `slater-rank`.  So a change in the last bit of a kernel shows even
 where the printed digits hide it.
 
-The corpus, 446 runs, all on this checkout's inputs:
+The corpus, 458 runs, all on this checkout's inputs:
   - circuits/*.json, tests/data/policy_mix.json and parity_deep.json
     under `simulate --seed 3/7/11`, plain and with --oracle-check, and
     under `nogo`;
@@ -37,7 +37,11 @@ The corpus, 446 runs, all on this checkout's inputs:
     213, which perfbench/workloads.py writes to a temporary directory;
   - 60 random circuits of tools/circuitgen.py (seed 14), written to the
     same directory, under `simulate --seed 3/7 --oracle-check` and under
-    `nogo`.
+    `nogo`;
+  - 12 two-electron state files (RANK_STATES at seeds 0 and 1), written
+    to the same directory, under `slater-rank`: their w have repeated
+    pair moduli, a zero pair, odd D, and pairs of modulus near 2e-9 and
+    5e-10, either side of the Slater number's threshold 1e-9.
 """
 
 import contextlib
@@ -64,6 +68,19 @@ CIRCUITS = (
 POOL_SEEDS = (201, 202, 203, 213)
 POOL_WORKLOADS = ("oracle_check", "parity_sum", "single_det", "analysis")
 RANDOM_SEED, RANDOM_COUNT = 14, 60
+# (name, D, coefficients): a state file sums coefficient k times the
+# determinant of columns 2k, 2k+1 of a random unitary, so each pair of
+# its normalized w has modulus |coefficient| / (2 norm); 4e-9 and 1e-9
+# give 2e-9 and 5e-10 beside a pair of modulus 0.5.
+RANK_SEEDS = (0, 1)
+RANK_STATES = (
+    ("repeated", 8, (1.0, 1.0, 1.0, 0.5)),
+    ("zero-pair", 6, (1.0, 0.6)),
+    ("odd", 7, (1.0, 0.8, 0.3)),
+    ("above", 6, (1.0, 4e-9)),
+    ("below", 6, (1.0, 1e-9)),
+    ("both", 8, (1.0, 0.5, 4e-9, 1e-9)),
+)
 SHOWN_DIFF_LINES = 20
 ORACLE_DEV = "# oracle max probability deviation = "
 ORACLE_FID = "# oracle min fidelity = "
@@ -92,7 +109,30 @@ def invocations(pool_dir):
         for seed in ("3", "7"):
             runs.append(["simulate", path, "--seed", seed, "--oracle-check"])
         runs.append(["nogo", path])
+    runs += [["slater-rank", path] for path in rank_states(os.path.join(pool_dir, "rank"))]
     return runs
+
+
+def rank_states(outdir):
+    """Write the RANK_STATES files under outdir; returns their paths."""
+    os.makedirs(outdir, exist_ok=True)
+    paths = []
+    for seed in RANK_SEEDS:
+        rng = np.random.default_rng(seed)
+        for name, d, coeffs in RANK_STATES:
+            u = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))[0]
+            phases = np.exp(2j * np.pi * rng.random(len(coeffs)))
+            terms = [{"coefficient": _pair(c * p),
+                      "orbitals": [[_pair(z) for z in row] for row in u[:, 2 * k : 2 * k + 2]]}
+                     for k, (c, p) in enumerate(zip(coeffs, phases))]
+            paths.append(os.path.join(outdir, f"{name}-{seed}.json"))
+            with open(paths[-1], "w", encoding="utf-8") as handle:
+                json.dump({"modes": d, "electrons": 2, "terms": terms}, handle)
+    return paths
+
+
+def _pair(z):
+    return [float(z.real), float(z.imag)]
 
 
 def _load(path):
