@@ -1,29 +1,27 @@
 """Circuit execution.
 
-Two executors share one circuit vocabulary.  simulate_exact_branch
-follows the efficient classical procedure: it keeps a single Slater
-determinant and, at every measurement, either records an outcome that
-is already certain or steers into a branch whose projector preserves
-determinant form.  simulate_sampled is the reference executor: it
-carries a full SlaterSum, supports every grouping including parity,
-and draws outcomes from a seeded generator, yielding every step's
-record (sampled_steps).  Both take the exact policy's branch by the
-same certainty-or-steer rule (_steer).
+sampled_steps is the one step loop.  It carries a full SlaterSum,
+supports every grouping including parity, and yields every step's
+record.  Each measurement has a policy: "sample" draws its outcome from
+a seeded generator, "forced" takes the step's own, and "exact" follows
+the efficient classical procedure, recording an outcome that is already
+certain or steering into a branch whose projector preserves determinant
+form (_steer).  simulate_sampled collects a run's records;
+simulate_exact_branch runs every measurement on "exact" and returns the
+one determinant that policy keeps.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import (
-    NoAdmissibleBranch,
-    ParityGroupingUnsupported,
-)
+from .errors import FlosimError, NoAdmissibleBranch, ParityGroupingUnsupported
 from .linalg import one_body_unitary
 from .multislater import (
     DEFAULT_MAX_TERMS,
     GROUPINGS,
     ONE_MODE,
+    PRUNE_TOL,
     SlaterSum,
     _group_sum,
     _probabilities,
@@ -33,15 +31,7 @@ from .multislater import (
     measure_two_mode,
     scale_sum,
 )
-from .slater import (
-    PROB_FLOOR,
-    SlaterState,
-    check_mode,
-    check_modes,
-    evolve,
-    standard_state,
-    weigh_mode,
-)
+from .slater import PROB_FLOOR, SlaterState, check_modes, standard_state
 
 CERTAINTY_TOL = 1e-9
 PARITY_GROUPING = "02/1"
@@ -177,50 +167,32 @@ def _steer_modes(idx, s, vecs, groups):
 
 
 def simulate_exact_branch(circuit, d, n, initial=None):
-    """Run a circuit keeping one Slater determinant throughout.
+    """Run a circuit keeping one Slater determinant throughout:
+    sampled_steps with every measurement's policy set to "exact".
 
-    Measurement branches are chosen by the certainty-or-steer rule
-    (_steer): an outcome with probability within 1e-9 of 1 is recorded
-    without touching the state; otherwise the lowest-labeled branch
-    whose projector preserves determinant form (total occupation 0 or 2,
-    or either single-mode outcome) is taken and renormalized.  Circuits
-    containing the parity grouping are rejected up front.
+    An outcome with probability within 1e-9 of 1 is recorded without
+    touching the state; otherwise the lowest-labeled branch whose
+    projector preserves determinant form (total occupation 0 or 2, or
+    either single-mode outcome) is taken and renormalized (_steer).
+    Circuits containing the parity grouping are rejected up front.
 
     Returns (transcript, final SlaterState).
     """
-    steps = list(circuit)
-    for idx, step in enumerate(steps):
+    exact = []
+    for idx, step in enumerate(circuit):
         if isinstance(step, MeasureTwo) and step.grouping == PARITY_GROUPING:
             raise ParityGroupingUnsupported(
                 f"step {idx}: grouping '02/1' merges the even outcomes; no "
                 "branch of the parity measurement preserves a single "
                 "determinant, so the exact-branch simulation does not apply"
             )
-    state = initial if initial is not None else standard_state(d, n)
-    rows = []
-    cumulative = 1.0
-    for idx, step in enumerate(steps):
-        if isinstance(step, Rotate):
-            state = evolve(state, step.resolve(), step.pair)
-            continue
-        if not isinstance(step, (MeasureOne, MeasureTwo)):
-            raise TypeError(f"step {idx}: not a circuit step: {step!r}")
-        if isinstance(step, MeasureOne):
-            alpha, beta, split = weigh_mode(state, check_mode(step.kappa, d))
-            p0, p1 = (1.0, 0.0) if state.electrons == 0 else (beta**2, alpha**2)
-            label, prob, certain = _steer(idx, {"0": p0, "1": p1}, ("0", "1"))
-            if not certain:
-                state = split(int(label))[int(label)][1]
-        else:
-            vecs = check_modes(d, step.kappa, step.lam)[::-1]
-            s = SlaterSum.from_state(state)
-            label, prob, post = _steer_modes(idx, s, vecs, GROUPINGS[step.grouping])
-            if post is not None:
-                # the split checked the kept child's orbitals
-                state = SlaterState._checked(post.orbitals[0], post.amps[0] * post.coeffs[0])
-        cumulative *= prob
-        rows.append(TranscriptRow(idx, step.kind, label, prob, cumulative, 1))
-    return Transcript(tuple(rows)), state
+        measures = isinstance(step, (MeasureOne, MeasureTwo))
+        exact.append(replace(step, policy="exact") if measures else step)
+    transcript, final = transcript_of(sampled_steps(exact, d, n, initial=initial))
+    if not final.term_count:
+        raise FlosimError(f"no determinant is left: the start amplitude is at most {PRUNE_TOL:g}")
+    # every kept orbital stack passed check_orthonormal
+    return transcript, SlaterState._checked(final.orbitals[0], final.amps[0] * final.coeffs[0])
 
 
 def sampled_steps(circuit, d, n, seed=0, initial=None, max_terms=DEFAULT_MAX_TERMS):
@@ -230,7 +202,8 @@ def sampled_steps(circuit, d, n, seed=0, initial=None, max_terms=DEFAULT_MAX_TER
     then per step its index, a rotation's resolved unitary or a
     measurement's TranscriptRow, and the sum after it.  Policies:
     "sample" draws from the seeded generator, "forced" takes the step's
-    outcome, "exact" applies simulate_exact_branch's rule.  All four
+    outcome, "exact" records a certain outcome or steers into a
+    determinant-preserving branch (_steer_modes).  All four
     groupings are supported; parity measurements grow the term count and
     may hit the cap.
     """

@@ -238,11 +238,30 @@ def _rotate_to(phi, phi_h, target, present=None):
     return _reflect(phi, c / norms[:, None])
 
 
-def _decompose(orbitals, vec):
-    """vec = alpha in + beta out against the filled span of each state of
-    a (T, D, N) stack: (alphas, betas, arrays), alpha and beta per state
-    as Python floats and arrays what _children builds the children from.
-    The residual is projected twice, as decompose_mode projects it."""
+def split_stack(amps, orbitals, vec, keep=None):
+    """The single-mode occupation projections of every state of a
+    (T, D, N) orbital stack on the mode vector vec (an ndarray, as
+    check_mode returns it), each step one stacked numpy call.
+
+    Returns (alphas, betas, children): vec = alpha in + beta out against
+    each state's filled span, and per state [zero, one], each (scale,
+    amplitude, orbitals) with projector(state) == scale * (amplitude,
+    orbitals), or None when it vanishes or is not kept.  keep=None
+    builds both children; keep=0 or 1 builds and checks only that
+    outcome's child, bit for bit as keep=None builds it, and leaves the
+    other None.  Outcome 1 puts vec first in the rotated span, outcome 0
+    the in-span vector beta in - alpha out.  A state with no filled
+    component of vec (every one when N = 0) passes through as outcome 0.
+    The span is rotated by a Householder reflector (_reflect), whose
+    determinant, a phase, is divided out of the amplitude in closed
+    form; no SVD and no det is taken.  Stacked calls round like
+    per-slice ones, so each state splits bit for bit as decompose_mode
+    and rotate_in_first split its C-contiguous copy.  Each of their
+    checks and the constructor's runs once per stack, on what is built,
+    and raises the class and message of the first state that fails it.
+    """
+    # vec = alpha in + beta out; the residual is projected twice, as
+    # decompose_mode projects it.
     phi_h = orbitals.conj().transpose(0, 2, 1)
     coeffs = phi_h @ vec
     alpha = row_norms(coeffs)
@@ -250,17 +269,11 @@ def _decompose(orbitals, vec):
     resid = vec - inside
     resid = resid - (orbitals @ (phi_h @ resid[:, :, None]))[:, :, 0]
     beta = row_norms(resid)
-    return alpha.tolist(), beta.tolist(), (phi_h, alpha, beta, inside, resid)
-
-
-def _children(amps, orbitals, vec, decomposed, keep):
-    """split_stack's children from _decompose's result: per state [zero,
-    one], only outcome keep's when keep is 0 or 1."""
-    alphas, betas, (phi_h, alpha, beta, inside, resid) = decomposed
+    alphas, betas = alpha.tolist(), beta.tolist()
     out = [[None if keep == 1 else (1.0, amp, orb), None] for amp, orb in zip(amps, orbitals)]
     lanes = [i for i, a_i in enumerate(alphas) if a_i > ABSENT_TOL]
     if not lanes:
-        return out
+        return alphas, betas, out
     # A full slice where every row is taken, so that indexing gives views.
     rows = slice(None) if len(lanes) == len(amps) else lanes
     phi, phi_h, a, b = orbitals[rows], phi_h[rows], alpha[rows, None], beta[rows, None]
@@ -293,33 +306,7 @@ def _children(amps, orbitals, vec, decomposed, keep):
             (betas[i], amp, next(zeros)) if out_too else None,
             None if one is None else (alphas[i], amp, one[p]),
         ]
-    return out
-
-
-def split_stack(amps, orbitals, vec, keep=None):
-    """The single-mode occupation projections of every state of a
-    (T, D, N) orbital stack on the mode vector vec (an ndarray, as
-    check_mode returns it), each step one stacked numpy call.
-
-    Returns (alphas, betas, children): vec = alpha in + beta out against
-    each state's filled span, and per state [zero, one], each (scale,
-    amplitude, orbitals) with projector(state) == scale * (amplitude,
-    orbitals), or None when it vanishes or is not kept.  keep=None
-    builds both children; keep=0 or 1 builds and checks only that
-    outcome's child, bit for bit as keep=None builds it, and leaves the
-    other None.  Outcome 1 puts vec first in the rotated span, outcome 0
-    the in-span vector beta in - alpha out.  A state with no filled
-    component of vec (every one when N = 0) passes through as outcome 0.
-    The span is rotated by a Householder reflector (_reflect), whose
-    determinant, a phase, is divided out of the amplitude in closed
-    form; no SVD and no det is taken.  Stacked calls round like
-    per-slice ones, so each state splits bit for bit as decompose_mode
-    and rotate_in_first split its C-contiguous copy.  Each of their
-    checks and the constructor's runs once per stack, on what is built,
-    and raises the class and message of the first state that fails it.
-    """
-    alphas, betas, _ = decomposed = _decompose(orbitals, vec)
-    return alphas, betas, _children(amps, orbitals, vec, decomposed, keep)
+    return alphas, betas, out
 
 
 # The (lambda, kappa) occupations of each total occupation's leaves, in
@@ -444,30 +431,15 @@ def split_pair(amps, orbitals, lam, kap, want):
     return [[(i, scales[p][i], amps[i]) for p, i in out] for out in order], stack
 
 
-def weigh_mode(s, vec):
-    """split_mode weighed before anything is built: (alpha, beta, split),
-    where split(keep) returns split_mode(s, vec, keep)'s children from
-    the same decomposition, so that the caller can pick the outcome to
-    keep from alpha and beta first."""
-    orbitals = np.ascontiguousarray(s.orbitals)[None]
-    decomposed = _decompose(orbitals, vec)
-    (alpha,), (beta,), _ = decomposed
-
-    def split(keep=None):
-        if not alpha > ABSENT_TOL:
-            return [None if keep == 1 else (1.0, s), None]
-        (pair,) = _children([s.amplitude], orbitals, vec, decomposed, keep)
-        return [r and (r[0], SlaterState._checked(r[2], r[1])) for r in pair]
-
-    return alpha, beta, split
-
-
 def split_mode(s, vec, keep=None):
     """split_stack on the one state s: returns ((alpha, beta), [zero, one])
     with each projection (scale, new_state), new_state of unit norm, or
     None.  When vec has no filled component, zero is (1.0, s) itself."""
-    alpha, beta, split = weigh_mode(s, vec)
-    return (alpha, beta), split(keep)
+    orbitals = np.ascontiguousarray(s.orbitals)[None]
+    (alpha,), (beta,), (pair,) = split_stack([s.amplitude], orbitals, vec, keep)
+    if not alpha > ABSENT_TOL:
+        return (alpha, beta), [None if keep == 1 else (1.0, s), None]
+    return (alpha, beta), [r and (r[0], SlaterState._checked(r[2], r[1])) for r in pair]
 
 
 def measure_mode(s, kappa, forced=None, rng=None):

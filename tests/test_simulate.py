@@ -1,8 +1,11 @@
-"""Tests for the circuit executors: the single-determinant exact-branch
-simulator and the sampled reference executor, replayed step by step
-against the dense oracle."""
+"""Tests for the circuit executor, sampled_steps, under every policy,
+and for simulate_exact_branch (nogo), its run with every measurement on
+the exact policy, replayed step by step against the dense oracle."""
 
+import importlib.util
+import json
 from dataclasses import replace
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -17,7 +20,13 @@ from conftest import (
     rng_for,
 )
 
-from flosim.errors import ModesNotOrthogonal, NoAdmissibleBranch, ParityGroupingUnsupported
+from flosim.errors import (
+    FlosimError,
+    ModesNotOrthogonal,
+    NoAdmissibleBranch,
+    ParityGroupingUnsupported,
+)
+from flosim.circuits import parse_circuit
 from flosim.slater import SlaterState, standard_state
 from flosim.multislater import (
     SlaterSum,
@@ -38,6 +47,8 @@ from flosim.simulate import (
     simulate_sampled,
 )
 from flosim import fock, multislater, simulate, slater
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def standard_mode(d, m):
@@ -437,7 +448,7 @@ class TestKeptChildOnly:
 
 
 class TestSteeringRule:
-    """The exact policy's certainty-or-steer rule, one for both executors.
+    """The exact policy's certainty-or-steer rule, as nogo and simulate run it.
 
     An initial amplitude of 1e-7 scales every outcome probability of the
     sum path and of two-mode steps to about 1e-14: no outcome is certain
@@ -458,12 +469,31 @@ class TestSteeringRule:
             simulate_sampled(circuit, d, n, initial=init)
         assert str(nogo.value) == str(exact.value) == NO_BRANCH.format(1)
 
-    def test_measure1_without_admissible_branch(self):
+    @pytest.mark.parametrize("first", ["measure1", "measure2"])
+    def test_first_uncertain_measurement_raises_in_both_executors(self, first):
+        """nogo takes a single-mode probability from the state itself,
+        amplitude included, as the exact policy does, so it raises at the
+        first measurement of either kind.  (Its old rule read p = beta^2
+        off the orbitals alone and steered this measure1 at p = 0.770.)"""
         d, n = 5, 2
-        circuit = [MeasureOne(random_mode(rng_for(112), d), policy="exact")]
+        kap, lam = random_orthogonal_pair(rng_for(111), d)
+        one = MeasureOne(random_mode(rng_for(112), d), policy="exact")
+        two = MeasureTwo(kap, lam, "012", "exact")
+        circuit = [one, two] if first == "measure1" else [two, one]
+        init = self.faint(d, n)
+        with pytest.raises(NoAdmissibleBranch) as nogo:
+            simulate_exact_branch(circuit, d, n, initial=init)
         with pytest.raises(NoAdmissibleBranch) as exact:
-            simulate_sampled(circuit, d, n, initial=self.faint(d, n))
-        assert str(exact.value) == NO_BRANCH.format(0)
+            simulate_sampled(circuit, d, n, initial=init)
+        assert str(nogo.value) == str(exact.value) == NO_BRANCH.format(0)
+
+    def test_pruned_start_state_raises_one_line(self):
+        """A start amplitude at or below PRUNE_TOL leaves no determinant
+        for nogo to return."""
+        init = SlaterState(np.eye(4, 2), 1e-13)
+        with pytest.raises(FlosimError) as err:
+            simulate_exact_branch([], 4, 2, initial=init)
+        assert type(err.value) is FlosimError and "\n" not in str(err.value)
 
     @pytest.mark.parametrize(
         "probs,admissible,want",
@@ -481,7 +511,7 @@ class TestSteeringRule:
 
     def test_certain_measure2_builds_nothing(self, monkeypatch):
         """A certain two-mode step records its row and leaves the state
-        alone without splitting a single term, in both executors: the
+        alone without splitting a single term, in nogo and simulate: the
         pair (0, 1) lies in the rotated filled span, (3, 4) outside it,
         and (2, 5) straddles it."""
         d, n = 6, 3
@@ -504,8 +534,7 @@ class TestSteeringRule:
         calls = []
         for module, name in ((multislater, "_split"), (multislater, "split_stack"),
                              (multislater, "split_pair"), (slater, "split_pair"),
-                             (slater, "split_stack"), (slater, "split_mode"),
-                             (slater, "weigh_mode"), (simulate, "weigh_mode")):
+                             (slater, "split_stack"), (slater, "split_mode")):
             real = getattr(module, name)
             monkeypatch.setattr(
                 module, name, lambda *a, real=real, name=name: calls.append(name) or real(*a)
@@ -548,6 +577,47 @@ class TestSteeringRule:
         nogo, _ = simulate_exact_branch(circuit, 2, 0)
         exact, _ = simulate_sampled(circuit, 2, 0)
         assert nogo.rows == exact.rows == (TranscriptRow(0, "measure1", "0", 1.0, 1.0, 1),)
+
+
+def generated_circuits(seed=14, count=60):
+    """The circuits of tools/circuitgen.py's seed (the corpus's random
+    set) that measure no parity grouping."""
+    spec = importlib.util.spec_from_file_location("circuitgen", ROOT / "tools" / "circuitgen.py")
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    circuits = [parse_circuit(json.dumps(gen.random_circuit(seed, i))) for i in range(count)]
+    return [c for c in circuits
+            if not any(getattr(step, "grouping", None) == "02/1" for step in c.steps)]
+
+
+def run_bits(run, circuit):
+    """run's rows and final state, amplitude and orbitals as bytes, or
+    the class and message of what it raised."""
+    try:
+        transcript, final = run(circuit.steps, circuit.modes, circuit.electrons)
+    except Exception as exc:  # a failure is a result to compare too
+        return type(exc), str(exc)
+    if isinstance(final, SlaterSum):
+        (coeff,), (amp,), (orbitals,) = final.coeffs, final.amps, final.orbitals
+        amplitude = amp * coeff
+    else:
+        amplitude, orbitals = final.amplitude, final.orbitals
+    return transcript.rows, np.complex128(amplitude).tobytes(), orbitals.tobytes()
+
+
+def test_nogo_is_the_exact_policy_bit_for_bit():
+    """simulate_exact_branch gives, bit for bit, the rows and final state
+    of simulate_sampled on the same steps with every policy set to
+    "exact", and raises the same class and message when a run fails."""
+    steered = []
+    for circuit in generated_circuits():
+        exact = [replace(step, policy="exact") if hasattr(step, "policy") else step
+                 for step in circuit.steps]
+        nogo = run_bits(simulate_exact_branch, circuit)
+        assert nogo == run_bits(simulate_sampled, replace(circuit, steps=exact))
+        rows = nogo[0] if isinstance(nogo[0], tuple) else ()
+        steered += [row.kind for row in rows if row.probability < 1 - 1e-9]
+    assert {"measure1", "measure2"} <= set(steered)
 
 
 ALL_GROUPINGS = ("012", "01/2", "0/12", "02/1")
@@ -649,8 +719,8 @@ class TestSampledSteps:
     def test_measured_modes_are_checked_by_the_measure_call(self, kind, calls, monkeypatch):
         """A step checks each measured mode once, at the measure call: a
         forced measure_two_mode / measure_mode_sum checks kappa (and
-        lambda), and so does an exact measure2 in either executor (sampled
-        "exact" and nogo); the split kernel checks no mode vector.  The
+        lambda), and so does an exact measure2 (simulate's "exact" policy
+        and nogo); the split kernel checks no mode vector.  The
         executors' own checks made these 6, 4, 8 and 7, and the per-term
         split lanes' 4, 3, 6 and 6."""
         e = np.eye(4, dtype=complex)

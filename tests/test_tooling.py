@@ -107,15 +107,16 @@ def test_corpus_rank_states_print_the_slater_numbers_of_their_moduli(tmp_path, c
         assert ("Pfaffian = n/a" in out) == (name == "odd")
 
 
-# One-ulp mutations, each a line written before a kernel's return (the
-# line that follows it here): slater.evolve moves one orbital entry of
-# the run's state, fock's dense rotation moves the amplitude of the
-# entry with every mode filled, 0 when N < D, to the smallest subnormal.
-# Neither moves a printed digit.
+# One-ulp mutations, each a line written before a return (the line that
+# follows it here): simulate_exact_branch moves the real part of its
+# final state's amplitude, fock's dense rotation moves the amplitude of
+# the entry with every mode filled, 0 when N < D, to the smallest
+# subnormal.  Neither moves a printed digit.  (One inside evolve_sum
+# would reach the sampled run's judge, whose deviation line prints it.)
 ULP_MUTATIONS = {
-    "slater.py": (
-        "    rotated[0, 0] = np.nextafter(rotated[0, 0].real, np.inf) + 1j * rotated[0, 0].imag\n",
-        "    return SlaterState._checked(rotated, s.amplitude)\n",
+    "simulate.py": (
+        "    final.amps = (complex(np.nextafter(final.amps[0].real, np.inf), final.amps[0].imag),)\n",
+        "    return transcript, SlaterState._checked(final.orbitals[0], final.amps[0] * final.coeffs[0])\n",
     ),
     "fock.py": (
         "    out[-1] = np.nextafter(out[-1].real, np.inf)\n",
