@@ -197,33 +197,30 @@ def antisym_canonical(w):
     (ordered by descending modulus), followed by zeros.  The moduli
     |z| are the doubly degenerate singular values of w.
 
-    The construction walks down the spectrum of w^dagger w: the top
-    eigenvector v1 is paired with v2 = -conj(w v1)/|w v1|, which is
-    automatically orthogonal to v1 and closes a 2x2 block exactly.
+    The construction walks down the singular values of w, one SVD of w
+    restricted to the complement of the rows found so far per pair: a
+    top right singular vector v1 is paired with v2 = -conj(w v1)/|w v1|,
+    which is automatically orthogonal to v1 and closes a 2x2 block
+    exactly.  Singular values within 1e-10 of the top one, relative,
+    count as its space; pairs at or below 1e-12 max(1, largest) end the
+    walk.
     """
     a = antisymmetric_part(w, "antisym_canonical")
     n = a.shape[0]
     if n == 0:
         return np.eye(0, dtype=complex), []
-    h = a.conj().T @ a
-    top = float(np.linalg.eigvalsh(h)[-1])
-    sigma_max = np.sqrt(max(top, 0.0))
-    floor = 1e-12 * max(1.0, sigma_max)
+    floor = 1e-12 * max(1.0, float(np.linalg.norm(a, 2)))
 
     rows = []
     pairs = []
     while n - len(rows) >= 2:
         comp = complement_basis(rows, n)
-        hred = comp.conj().T @ h @ comp
-        hred = (hred + hred.conj().T) / 2
-        evals, evecs = np.linalg.eigh(hred)
-        lam = float(evals[-1])
-        if lam <= floor * floor:
+        _, sv, vh = np.linalg.svd(a @ comp, full_matrices=False)
+        if sv[0] <= floor:
             break
-        window = max(1e-15, 1e-10 * lam)
-        topspace = evecs[:, evals >= lam - window]
-        # Deterministic representative of the top eigenspace: project the
-        # standard basis vectors and keep the first sizable one.
+        topspace = vh[sv >= sv[0] * (1 - 1e-10)].conj().T
+        # Deterministic representative of the top singular space: project
+        # the standard basis vectors and keep the first sizable one.
         proj = topspace @ (topspace.conj().T @ comp.conj().T)
         norms = np.linalg.norm(proj, axis=0)
         j = int(np.argmax(norms >= 0.5 * norms.max()))

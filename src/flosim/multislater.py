@@ -17,11 +17,18 @@ u = b o1 - c o0, and |o0| |o1'| [o0^, o1'^, R].  A single-mode
 measurement of a sum takes the single-mode split (slater.split_stack)
 through the same batches, group builder and measure body.
 
+Each leaf is an eigenstate of both measured number operators, so leaves
+of different (lambda, kappa) patterns are exactly orthogonal, and stay
+so under every later rotation.  A two-mode group labels each term with
+its pattern, its sector, and the next probability pass skips the norm
+pairs across sectors (_expectations).
+
 Projections are applied in exact operator form, term by term, so the
 relative phases between determinants are preserved to machine precision.
 """
 
 import cmath
+from bisect import bisect_right
 from itertools import accumulate
 
 import numpy as np
@@ -93,9 +100,14 @@ class SlaterSum:
     coefficient or a NaN weight raises FlosimError and exceeding
     max_terms raises TermCapExceeded.  modes/electrons may be given
     explicitly for the empty (zero-state) sum.
+
+    sectors is None or one label per term: terms of different labels
+    are exactly orthogonal.  The two-mode split sets them (the leaves'
+    (lambda, kappa) patterns), rotations, scalings and pruning carry
+    them, and every other constructor, this one included, leaves None.
     """
 
-    __slots__ = ("coeffs", "amps", "orbitals", "max_terms")
+    __slots__ = ("coeffs", "amps", "orbitals", "max_terms", "sectors")
 
     def __init__(self, terms=(), modes=None, electrons=None, max_terms=DEFAULT_MAX_TERMS):
         terms = tuple(terms)
@@ -111,24 +123,27 @@ class SlaterSum:
         self._store(coeffs, [st.amplitude for st in states], orbitals, max_terms)
 
     @classmethod
-    def _stacked(cls, coeffs, amps, orbitals, max_terms):
+    def _stacked(cls, coeffs, amps, orbitals, max_terms, sectors=None):
         """The kernels' constructor: the sum of coeffs[i] (amps[i],
         orbitals[i]) over a C-contiguous (T, D, N) stack it takes over,
-        pruned and capped as the public one does."""
+        with sectors[i] its sector, pruned and capped as the public one
+        does."""
         keep, coeffs = _kept(coeffs, amps)
         if len(keep) < len(amps):
             amps, orbitals = [amps[i] for i in keep], orbitals[keep]
+            sectors = None if sectors is None else [sectors[i] for i in keep]
         s = object.__new__(cls)
-        s._store(coeffs, amps, orbitals, max_terms)
+        s._store(coeffs, amps, orbitals, max_terms, sectors)
         return s
 
-    def _store(self, coeffs, amps, orbitals, max_terms):
+    def _store(self, coeffs, amps, orbitals, max_terms, sectors=None):
         """Every sum's cap check, then its fields."""
         if len(coeffs) > max_terms:
             raise TermCapExceeded(f"{len(coeffs)} terms exceed the cap of {max_terms}")
         orbitals.flags.writeable = False
         self.coeffs, self.amps, self.orbitals = tuple(coeffs), tuple(amps), orbitals
         self.max_terms = max_terms
+        self.sectors = None if sectors is None else tuple(sectors)
 
     @classmethod
     def from_state(cls, state, max_terms=DEFAULT_MAX_TERMS):
@@ -184,34 +199,74 @@ def sum_norm(s):
     return float(np.sqrt(max(_overlap_total(s).real, 0.0)))
 
 
+def _sector_blocks(sectors, t):
+    """(order, ends) for a pass over t terms with these sector labels:
+    order lists the terms sector by sector, the sectors as they first
+    appear and each one's terms in stored order, or is None where the
+    stored order already does; ends[p] is the end of the block holding
+    position p of that order.  Without labels, the whole sum is one
+    block."""
+    if sectors is None:
+        return None, [t] * t
+    first = {}
+    keys = [first.setdefault(label, len(first)) for label in sectors]
+    order = sorted(range(t), key=keys.__getitem__)
+    keys.sort()
+    ends = [bisect_right(keys, key) for key in keys]
+    return (None if order == list(range(t)) else np.array(order)), ends
+
+
 def _expectations(s, m, xs):
-    """Re <psi|G(1 - x M M^H)|psi> for each x of xs, G(Q) being the Fock
-    map of the one-body map Q and m's columns orthonormal modes: the norm
-    squared (x = 0), the weight with m's modes empty (1), their parity (2).
+    """Re <psi|G(1 - x M M^H)|psi> for each x of xs, the first 0, G(Q)
+    being the Fock map of the one-body map Q and m's columns orthonormal
+    modes: the norm squared (x = 0), the weight with m's modes empty (1),
+    their parity (2).
     Pair (i, j) is det(Phi_i^H Q Phi_j) and pair (j, i) its conjugate, so
-    row i takes only j > i: one Gram product for every j and x, one det.
-    Stored stacks are orthonormal, so pair (i, i) is det(1_k - x B_i B_i^H),
-    B_i = M^H Phi_i, k <= 2 (Sylvester): one term takes no N x N det.
+    row i takes only j > i.  Stored stacks are orthonormal, so pair (i, i)
+    is det(1_k - x B_i B_i^H), B_i = M^H Phi_i, k <= 2 (Sylvester): one
+    term takes no N x N det.
+
+    The terms are ordered by sector once per pass (_sector_blocks).  Row
+    i takes G0 = Phi_i^H [Phi_i+1 ... Phi_T] from one product; the x != 0
+    slices are G0 - x B_i^H [B_i+1 ... B_T], a rank-k update, and visit
+    every later term.  Terms of different sectors are exactly orthogonal,
+    so the x = 0 slice visits only the rest of row i's own sector.  One
+    batched det per row takes all of them.
     """
     t, d, n = s.orbitals.shape
+    order, ends = _sector_blocks(s.sectors, t)
     weights = np.array([c * a for c, a in zip(s.coeffs, s.amps)])
     scale = np.array(xs, dtype=float)[:, None, None]
     b = m.conj().T @ s.orbitals
     require_finite(b)
+    phis = s.orbitals.transpose(0, 2, 1)
+    if order is not None:
+        weights, b, phis = weights.take(order), b.take(order, 0), phis.take(order, 0)
     own = np.eye(m.shape[1]) - scale[:, None] * (b @ b.conj().transpose(0, 2, 1))
     totals = np.linalg.det(own) @ (weights.conj() * weights)
-    cols = s.orbitals.transpose(1, 0, 2).reshape(d, t * n)
+    if t < 2:
+        return totals.real.tolist()
+    # Rows i n ... i n + n - 1 of phis hold Phi_i^T, those of bs B_i^T.
+    phis, bs = phis.reshape(t * n, d), b.transpose(0, 2, 1).reshape(t * n, m.shape[1])
+    later_xs = scale[1:, :, :, None]
+    pairs = np.zeros(len(xs), dtype=complex)  # the sum over i < j of each x's pairs
     for i, w_i in enumerate(weights[:-1].conj()):
-        phi_h = s.orbitals[i].conj().T  # Phi_i^H Q = Phi_i^H - x (Phi_i^H M) M^H
-        gram = (phi_h - scale * (phi_h @ m @ m.conj().T)).reshape(-1, d) @ cols[:, (i + 1) * n :]
-        require_finite(gram)
-        dets = np.linalg.det(gram.reshape(len(xs), n, t - i - 1, n).transpose(0, 2, 1, 3))
-        totals += 2.0 * (dets @ (w_i * weights[i + 1 :]))
-    return totals.real.tolist()
+        rest, mine = t - i - 1, ends[i] - i - 1
+        now, later = slice(i * n, (i + 1) * n), slice((i + 1) * n, None)
+        # Block j of g0 is (Phi_i^H Phi_j)^T, of cross (B_i^H B_j)^T: the same dets.
+        g0 = (phis[later] @ phis[now].conj().T).reshape(rest, n, n)
+        cross = (bs[later] @ bs[now].conj().T).reshape(rest, n, n)
+        slices = (g0 - later_xs * cross).reshape((len(xs) - 1) * rest, n, n)
+        dets = np.linalg.det(np.concatenate([g0[:mine], slices]))
+        pair_w = w_i * weights[i + 1 :]
+        pairs[0] += dets[:mine] @ pair_w[:mine]
+        pairs[1:] += dets[mine:].reshape(len(xs) - 1, rest) @ pair_w
+    return (totals + 2.0 * pairs).real.tolist()
 
 
 def scale_sum(s, factor):
-    return SlaterSum._stacked([c * factor for c in s.coeffs], s.amps, s.orbitals, s.max_terms)
+    coeffs = [c * factor for c in s.coeffs]
+    return SlaterSum._stacked(coeffs, s.amps, s.orbitals, s.max_terms, s.sectors)
 
 
 def evolve_sum(s, v, pair=None):
@@ -219,20 +274,20 @@ def evolve_sum(s, v, pair=None):
     mat = check_unitary(v, s.modes, pair)
     rotated = mat @ s.orbitals
     check_orthonormal(rotated)
-    return SlaterSum._stacked(s.coeffs, s.amps, rotated, s.max_terms)
+    return SlaterSum._stacked(s.coeffs, s.amps, rotated, s.max_terms, s.sectors)
 
 
 def _split(amps, orbitals, vecs, group):
     """split_pair's (leaves, stack) for the measured modes vecs on the
     total occupations in group; for one mode, split_stack's children of
-    group's one outcome in the same form."""
+    group's one outcome in the same form, with no pattern (None)."""
     if len(vecs) == 2:
         return split_pair(amps, orbitals, *vecs, group)
     (want,) = group
     pairs = split_stack(amps, orbitals, vecs[0], want)[2]
     kept = [(i, res) for i, pair in enumerate(pairs) if (res := pair[want]) is not None]
     rows = _stack([res[2] for _, res in kept], *orbitals.shape[1:])
-    return [[(i, res[0], res[1]) for i, res in kept]], rows
+    return [[(i, res[0], res[1], None) for i, res in kept]], rows
 
 
 def _group_sum(s, vecs, group):
@@ -240,7 +295,9 @@ def _group_sum(s, vecs, group):
     modes vecs ((lambda, kappa) or (kappa,)), named by its label ("02")
     or outcomes ((0, 2)): one _split call per batch of at most
     SPLIT_ENTRIES orbital entries, which builds only the group's leaves,
-    listed by outcome, then by term, (1, 0) before (0, 1)."""
+    listed by outcome, then by term, (1, 0) before (0, 1).  Two modes
+    label each leaf with its (lambda, kappa) pattern as its sector; one
+    mode labels none."""
     group = tuple(map(int, group))
     t, d, n = s.orbitals.shape
     size = max(1, SPLIT_ENTRIES // max(1, d * n))
@@ -252,18 +309,20 @@ def _group_sum(s, vecs, group):
         batches = [(i, _split(s.amps[i : i + 1], s.orbitals[i : i + 1], vecs, group))
                    for i in range(t)]
     # Outcome by outcome, every batch's leaves of it in turn.
-    coeffs, amps, rows = [], [], []
+    coeffs, amps, sectors, rows = [], [], [], []
     for j in range(len(group)):
         for start, (leaves, stack) in batches:
             skip = sum(map(len, leaves[:j]))
-            coeffs += [s.coeffs[start + i] * scale for i, scale, _ in leaves[j]]
-            amps += [amp for _, _, amp in leaves[j]]
+            coeffs += [s.coeffs[start + i] * scale for i, scale, _, _ in leaves[j]]
+            amps += [amp for _, _, amp, _ in leaves[j]]
+            sectors += [pattern for *_, pattern in leaves[j]]
             rows.append(stack[skip : skip + len(leaves[j])])
     if len(batches) == 1:
         stack = batches[0][1][1]
     else:
         stack = np.concatenate([np.empty((0, d, n), complex), *rows])
-    return SlaterSum._stacked(coeffs, amps, stack, s.max_terms)
+    sectors = sectors if len(vecs) == 2 else None
+    return SlaterSum._stacked(coeffs, amps, stack, s.max_terms, sectors)
 
 
 def apply_two_mode_projector(s, kappa, lam, outcome):

@@ -357,9 +357,10 @@ def split_pair(amps, orbitals, lam, kap, want):
     orbital stack on the orthogonal modes lam and kap, from one rotation
     of each span, building only the leaves of the total occupations in
     want (increasing).  Returns (leaves, stack): per outcome of want a
-    list of (term, scale, amplitude), per term (lambda, kappa) = (1, 0)
-    before (0, 1), and the leaves' orbitals as the stack's rows in that
-    order; a state's projection is the sum of its scaled leaves.
+    list of (term, scale, amplitude, pattern), pattern the leaf's
+    (lambda, kappa) occupations, per term (1, 0) before (0, 1), and the
+    leaves' orbitals as the stack's rows in that order; a state's
+    projection is the sum of its scaled leaves.
 
     Two reflectors (_reflect_onto) rotate the span to [f0, f1, R], R
     orthogonal to both modes, f0 = a lam + b kap + o0 and f1 = c kap +
@@ -377,7 +378,8 @@ def split_pair(amps, orbitals, lam, kap, want):
     t, d, n = orbitals.shape
     if n == 0:
         kept = list(range(t)) if 0 in want else []
-        return [[(i, 1.0, amps[i]) for i in kept] if o == 0 else [] for o in want], orbitals[kept]
+        return ([[(i, 1.0, amps[i], (0, 0)) for i in kept] if o == 0 else [] for o in want],
+                orbitals[kept])
     rot, ph, a = _reflect_onto(orbitals, lam)
     ph2 = [1.0] * t
     if n > 1:
@@ -428,7 +430,7 @@ def split_pair(amps, orbitals, lam, kap, want):
             stack[rows, :, col] = value if value.ndim == 1 else value[lanes]
     check_orthonormal(stack)
     amps = [amp / d0 / d1 for amp, d0, d1 in zip(amps, ph.tolist(), ph2)]
-    return [[(i, scales[p][i], amps[i]) for p, i in out] for out in order], stack
+    return [[(i, scales[p][i], amps[i], p) for p, i in out] for out in order], stack
 
 
 def split_mode(s, vec, keep=None):

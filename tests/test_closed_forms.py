@@ -21,7 +21,7 @@ from conftest import random_complex, random_orthonormal_columns, random_unitary
 
 from flosim import fock
 from flosim.circuits import pair_rotation
-from flosim.multislater import GROUPINGS, SlaterSum, _expectations, _group_sum
+from flosim.multislater import GROUPINGS, SlaterSum, _expectations, _group_sum, evolve_sum
 from flosim.simulate import MeasureOne, MeasureTwo, Rotate, simulate_exact_branch
 from flosim.slater import (
     ABSENT_TOL,
@@ -138,13 +138,19 @@ def test_expectations_are_the_dense_ones(case, k, data):
               * np.exp(1j * rng.uniform(0, 2 * np.pi, len(amps)))]
     terms = [(c, SlaterState._checked(orb, a)) for c, a, orb in zip(coeffs, amps, orbitals)]
     s = SlaterSum(terms, d, n)
-    m = u[:, :k]
+    _assert_dense_expectations(s, u[:, :k])
+
+
+def _assert_dense_expectations(s, m):
+    """_expectations of s over x = 0, 1, 2 is <psi|prod_a (1 - x n_a)|psi>
+    over the columns a of m, within ORACLE_TOL."""
     psi = fock.expand_sum(s)
     got = _expectations(s, m, (0, 1, 2))
     for x, value in zip((0, 1, 2), got):
         image = psi
-        for a in range(k):
-            image = fock.FockVector(d, image.amplitudes - x * _number(m[:, a], image).amplitudes)
+        for a in range(m.shape[1]):
+            image = fock.FockVector(s.modes, image.amplitudes
+                                    - x * _number(m[:, a], image).amplitudes)
         assert abs(value - fock.inner(psi, image).real) <= ORACLE_TOL
 
 
@@ -202,19 +208,21 @@ def test_two_mode_leaves_are_the_dense_projections(case):
     """Each state's split_pair leaves are its dense projections, one per
     (lambda, kappa) occupation pattern, the product of n or 1 - n of each
     mode; a leaf that is not built has a vanishing projection.  A leaf's
-    pattern is read off its span, which holds each measured mode or is
-    orthogonal to it, and the leaves come in split_pair's order.  Each
-    group of every grouping, built alone from the stack, is
-    fock.two_mode_projector_apply of the sum of the states."""
+    pattern, which split_pair lists with it, is the one read off its
+    span, which holds each measured mode or is orthogonal to it, and the
+    leaves come in split_pair's order.  Each group of every grouping,
+    built alone from the stack, is fock.two_mode_projector_apply of the
+    sum of the states."""
     d, n, amps, orbitals, u = case
     lam, kap = u[:, 0], u[:, 1]
     leaves, stack = split_pair(amps, orbitals, lam, kap, (0, 1, 2))
     built = iter(stack)
     found = {}
     for outcome, out in enumerate(leaves):
-        for term, scale, amp in out:
+        for term, scale, amp, pattern in out:
             orb = next(built)
-            pattern = tuple(round(np.linalg.norm(orb.conj().T @ vec) ** 2) for vec in (lam, kap))
+            spanned = tuple(round(np.linalg.norm(orb.conj().T @ vec) ** 2) for vec in (lam, kap))
+            assert spanned == pattern
             assert sum(pattern) == outcome and (term, pattern) not in found
             found[term, pattern] = scale * _dense(amp, orb)
     assert next(built, None) is None
@@ -237,6 +245,29 @@ def test_two_mode_leaves_are_the_dense_projections(case):
     for group in GROUPS:
         got = fock.expand_sum(_group_sum(s, (lam, kap), group)).amplitudes
         assert np.max(np.abs(got - sum(dense[o] for o in group))) <= ORACLE_TOL
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=80)
+@given(case=pair_stacks(), group=st.sampled_from(GROUPS), k=st.sampled_from([2, 1]),
+       one_mode=st.sampled_from([None, 0, 1]), data=st.data())
+def test_expectations_of_split_made_sums_are_the_dense_ones(case, group, k, one_mode, data):
+    """A group of a two-mode split, its terms labelled by sector, then
+    rotated, and then, if one_mode is set, that outcome of a single-mode
+    split of a new mode: _expectations over new measured modes equals
+    the dense <psi|G(1 - x M M^H)|psi> at x = 0, 1, 2.  The norm pass
+    skips the pairs across sectors; the other slices and a single-mode
+    split's children must not."""
+    d, n, amps, orbitals, u = case
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    coeffs = [complex(c) for c in rng.uniform(0.3, 1.0, len(amps))
+              * np.exp(1j * rng.uniform(0, 2 * np.pi, len(amps)))]
+    s = SlaterSum([(c, SlaterState._checked(orb, a)) for c, a, orb in zip(coeffs, amps, orbitals)],
+                  d, n)
+    split = evolve_sum(_group_sum(s, (u[:, 0], u[:, 1]), group), random_unitary(rng, d))
+    assert split.sectors is None or len(split.sectors) == split.term_count
+    if one_mode is not None:
+        split = _group_sum(split, (random_orthonormal_columns(rng, d, 1)[:, 0],), (one_mode,))
+    _assert_dense_expectations(split, random_orthonormal_columns(rng, d, min(k, d)))
 
 
 def _deep_circuit(rng, d, rounds, generic):

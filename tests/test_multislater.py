@@ -6,6 +6,7 @@ the Pfaffian of the outcome-1 state is pinned against a closed form
 that was itself verified by brute-force enumeration.
 """
 
+import json
 from unittest import mock
 
 import numpy as np
@@ -35,8 +36,10 @@ from flosim.errors import (
     TermCapExceeded,
     WrongParticleNumber,
 )
+from flosim.circuits import load_state_sum
 from flosim.slater import (
     ABSENT_TOL,
+    PAIR_PATTERNS,
     PROB_FLOOR,
     SlaterState,
     annihilate,
@@ -413,7 +416,7 @@ def kernel_leaves(s, vecs, want, size=1):
         built = iter(stack)
         for o, got in zip(want, leaves):
             out[o] += [(s.coeffs[start + i] * scale, SlaterState._checked(next(built), amp))
-                       for i, scale, amp in got]
+                       for i, scale, amp, _ in got]
     return out
 
 
@@ -1756,12 +1759,6 @@ def reference_slater_number(w):
     return sum(1 for z in linalg.antisym_canonical(w)[1] if abs(z) > linalg.PAIR_THRESHOLD)
 
 
-# The deflation lumps eigenvalues of w^H w within 1e-15 of its top one
-# together with the null space, so a pair whose modulus is counted but
-# below sqrt(1e-15) can come out of it under PAIR_THRESHOLD.
-DEFLATION_WINDOW = 1e-7
-
-
 def pair_blocks(zs, d):
     """The d x d matrix with one block [[0, z], [-z, 0]] per z of zs on
     the diagonal, then zeros."""
@@ -1797,16 +1794,14 @@ class TestSlaterNumberFromSingularValues:
     @example(case=(pair_blocks([1.0, 1.0, 0.0], 7), [1.0, 1.0, 0.0]))
     def test_counts_the_pairs_above_both_floors(self, case):
         """The count is of the moduli above PAIR_THRESHOLD and above
-        1e-12 max(1, top), and equals the canonical deflation's count
-        wherever that resolves the pairs it counts."""
+        1e-12 max(1, top), and equals the canonical deflation's count."""
         w, moduli = case
         floor = max(linalg.PAIR_THRESHOLD, 1e-12 * max([1.0, *moduli]))
         want = sum(1 for m in moduli if m > floor)
         got = slater_number_two_fermion(w)
         assert type(got) is int
         assert got == want
-        if not any(floor < m < DEFLATION_WINDOW for m in moduli):
-            assert got == reference_slater_number(w)
+        assert got == reference_slater_number(w)
 
     @pytest.mark.parametrize("bad, cls, message", [
         (np.ones((2, 3)), NonSquare, "antisym_canonical needs a square matrix, got shape (2, 3)"),
@@ -1964,3 +1959,74 @@ class TestGenericP1Study:
         reduced = reduce_to_two_fermion(post, kap, lam)
         w = two_fermion_w(reduced)
         assert slater_number_two_fermion(w) == 2
+
+
+def span_pattern(orbitals, lam, kap):
+    """The (lambda, kappa) occupations of a leaf, read off its span,
+    which holds each measured mode or is orthogonal to it."""
+    return tuple(round(np.linalg.norm(orbitals.conj().T @ vec) ** 2) for vec in (lam, kap))
+
+
+class TestSectorLabels:
+    """The sector labels of a sum's terms: a two-mode group labels each
+    term with its (lambda, kappa) pattern, rotation, scaling and pruning
+    carry the labels, and every other construction leaves None."""
+
+    @staticmethod
+    def _sum(rng, d=6, n=3, t=4):
+        terms = tuple((complex(c), random_state(rng, d, n)) for c in rng.uniform(0.5, 1.5, t))
+        return SlaterSum(terms, d, n)
+
+    def test_two_mode_groups_label_each_term_with_its_pattern(self):
+        rng = rng_for(201)
+        s = self._sum(rng)
+        kap, lam = random_orthogonal_pair(rng, s.modes)
+        for groups in GROUPINGS.values():
+            for group in groups:
+                got = _group_sum(s, (lam, kap), group)
+                leaves = split_pair(s.amps, s.orbitals, lam, kap, group)[0]
+                assert got.sectors == tuple(p for out in leaves for *_, p in out)
+                assert set(got.sectors) == {p for o in group for p in PAIR_PATTERNS[o]}
+                assert got.sectors == tuple(span_pattern(orb, lam, kap) for orb in got.orbitals)
+        post = measure_two_mode(s, kap, lam, "02/1", forced="1")[2]
+        assert set(post.sectors) == {(1, 0), (0, 1)} and len(post.sectors) == post.term_count
+
+    def test_rotation_scaling_and_pruning_carry_the_labels(self):
+        rng = rng_for(202)
+        s = self._sum(rng)
+        kap, lam = random_orthogonal_pair(rng, s.modes)
+        group = _group_sum(s, (lam, kap), (0, 2))
+        assert len(set(group.sectors)) == 2
+        assert evolve_sum(group, random_unitary(rng, s.modes)).sectors == group.sectors
+        assert scale_sum(group, 0.5j).sectors == group.sectors
+        assert scale_sum(group, 0.0).sectors == ()
+        # Every other term's weight at the prune tolerance: those go.
+        coeffs = [c * (1e-13 if i % 2 else 1.0) for i, c in enumerate(group.coeffs)]
+        pruned = SlaterSum._stacked(coeffs, group.amps, group.orbitals, group.max_terms,
+                                    group.sectors)
+        assert pruned.sectors == group.sectors[::2]
+        assert pruned.term_count == len(group.sectors[::2])
+
+    def test_other_constructions_leave_no_labels(self, tmp_path):
+        rng = rng_for(203)
+        d, n = 6, 4
+        e = np.eye(d, dtype=complex)
+        # Modes on {0, 1, N, N + 1}, off the context modes 2..N-1.
+        kap, lam = (e[:, 0] + e[:, n]) / np.sqrt(2), (e[:, 1] - e[:, n + 1]) / np.sqrt(2)
+        start = SlaterSum.from_state(standard_state(d, n))
+        assert start.sectors is None
+        labelled = apply_two_mode_projector(start, kap, lam, 1)
+        assert labelled.sectors == ((1, 0), (0, 1))
+        assert reduce_to_two_fermion(labelled, kap, lam).sectors is None
+        mode = random_mode(rng, d)
+        for outcome in (0, 1):
+            assert project_single_mode(labelled, mode, outcome).sectors is None
+            assert measure_mode_sum(labelled, mode, forced=outcome)[2].sectors is None
+        assert SlaterSum(labelled.terms, d, n).sectors is None
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps({"modes": d, "electrons": n, "terms": [
+            {"coefficient": [(c * st_.amplitude).real, (c * st_.amplitude).imag],
+             "orbitals": [[[z.real, z.imag] for z in row] for row in st_.orbitals]}
+            for c, st_ in labelled.terms]}))
+        loaded = load_state_sum(path)
+        assert loaded.term_count == 2 and loaded.sectors is None

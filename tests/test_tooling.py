@@ -249,8 +249,34 @@ def test_corpus_reports_each_trees_oracle_worst_case(monkeypatch, capsys):
         "min fidelity 0.999999999999",
         "2 of 3 runs differ: 2 digits only, 0 otherwise",
     ]
+    # the fidelities 0.999999999998 and 0.999999999999 of c.json
+    assert out[-4] == "largest digits-only difference 1.000e-12, in nogo c.json"
     trees["HEAD"][1] = [1, "", "ImpossibleOutcome: outcome 0\n"]
     assert corpus.main(["BASE", "HEAD"]) == 1
     out = capsys.readouterr().out.splitlines()
     assert out[-2:] == ["3 of 3 runs differ: 2 digits only, 1 otherwise",
                         "  otherwise: simulate b.json"]
+
+
+def test_corpus_reports_the_largest_digits_only_difference():
+    """Over the runs that differ in digits only, tools/corpus.py finds
+    the largest absolute difference between paired printed numbers and
+    the run that shows it; a run that differs otherwise, or only in its
+    digest, moves nothing."""
+    spec = importlib.util.spec_from_file_location("corpus", CORPUS)
+    corpus = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(corpus)
+    row = "step=1 kind=measure2 outcome=02 p={} cumulative={} terms=2\n"
+    base = [0, row.format("9.004742287683e-01", "9.004742287683e-01"), "", "a"]
+    differing = [
+        (["simulate", "a.json"], base,
+         [0, row.format("9.004742287684e-01", "9.004742287683e-01"), "", "b"]),
+        (["simulate", "b.json"], base,
+         [0, row.format("9.004742287683e-01", "9.004742287686e-01"), "", "b"]),
+        (["nogo", "c.json"], base, [0, base[1], "", "b"]),
+        (["simulate", "d.json"], base, [1, row.format("1.0", "1.0"), "", "b"]),
+    ]
+    largest, where = corpus.largest_digit_change(differing)
+    assert where == ["simulate", "b.json"]
+    assert abs(largest - 3e-13) < 1e-15
+    assert corpus.largest_digit_change(differing[2:]) == (0.0, None)

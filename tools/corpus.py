@@ -15,6 +15,9 @@ and stderr match once every numeric literal with a fraction or an
 exponent is masked (integers such as outcome labels, step indices and
 `terms=` counts are not masked).  The last lines print how many runs
 differ in digits only and how many otherwise, then list the latter.
+Before them, one line gives the size of the digits-only change: the
+largest absolute difference between paired numeric literals over those
+runs, and the run that shows it.
 For each tree it also prints the oracle judge's worst case over all
 its `--oracle-check` runs: the largest `oracle max probability
 deviation` and the smallest `oracle min fidelity` they print.
@@ -258,6 +261,21 @@ def digits_only(base, head):
     )
 
 
+def largest_digit_change(differing):
+    """(largest |base - head| over the paired numeric literals of the
+    stdout and stderr of the differing runs that differ in digits only,
+    that run's argv); (0.0, None) when no printed number moves."""
+    largest, where = 0.0, None
+    for argv, base, head in differing:
+        if not digits_only(base, head):
+            continue
+        for b, h in zip(base[1:3], head[1:3]):
+            for x, y in zip(NUMBER.findall(b), NUMBER.findall(h)):
+                if abs(float(x) - float(y)) > largest:
+                    largest, where = abs(float(x) - float(y)), argv
+    return largest, where
+
+
 def accuracy(results):
     """The oracle judge's worst case over a tree's results: (largest
     printed max probability deviation, smallest printed min fidelity,
@@ -306,6 +324,9 @@ def main(argv=None):
     differing = _differing(argvs, trees["base"], trees["head"])
     for run in differing:
         print(_report(*run))
+    largest, where = largest_digit_change(differing)
+    print(f"largest digits-only difference {largest:.3e}"
+          + (f", in {' '.join(where)}" if where else ""))
     for name, results in trees.items():
         dev, fid, checked = accuracy(results)
         print(f"{name}: over {checked} oracle-checked runs, max probability deviation "
