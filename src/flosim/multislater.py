@@ -17,18 +17,20 @@ u = b o1 - c o0, and |o0| |o1'| [o0^, o1'^, R].  A single-mode
 measurement of a sum takes the single-mode split (slater.split_stack)
 through the same batches, group builder and measure body.
 
-Each leaf is an eigenstate of both measured number operators, so leaves
-of different (lambda, kappa) patterns are exactly orthogonal, and stay
-so under every later rotation.  A two-mode group labels each term with
-its pattern, its sector, and the next probability pass skips the norm
-pairs across sectors (_expectations).
+Every outcome probability comes from one pass over the term pairs
+(_expectations): each term is Q-applied once per map Q = 1 - x M M^H,
+and the rows go ROW_BLOCK at a time, each block's N x N overlaps from
+one stacked product and one batched det.  Each leaf is an eigenstate of
+both measured number operators, so leaves of different (lambda, kappa)
+patterns are exactly orthogonal, and stay so under every later rotation.
+A two-mode group labels each term with its pattern, its sector, and the
+next probability pass skips the norm pairs across sectors.
 
 Projections are applied in exact operator form, term by term, so the
 relative phases between determinants are preserved to machine precision.
 """
 
 import cmath
-from bisect import bisect_right
 from itertools import accumulate
 
 import numpy as np
@@ -58,6 +60,7 @@ from .slater import (
 PRUNE_TOL = 1e-12
 DEFAULT_MAX_TERMS = 1024
 SPLIT_ENTRIES = 32 * 64 * 32  # most orbital entries per stacked split, bounding its scratch
+ROW_BLOCK = 4  # rows per product of the probability pass (_expectations)
 
 GROUPINGS = {
     "012": ((0,), (1,), (2,)),
@@ -199,21 +202,22 @@ def sum_norm(s):
     return float(np.sqrt(max(_overlap_total(s).real, 0.0)))
 
 
-def _sector_blocks(sectors, t):
-    """(order, ends) for a pass over t terms with these sector labels:
+def _sector_keys(sectors, t):
+    """(order, keys) for a pass over t terms with these sector labels:
     order lists the terms sector by sector, the sectors as they first
     appear and each one's terms in stored order, or is None where the
-    stored order already does; ends[p] is the end of the block holding
-    position p of that order.  Without labels, the whole sum is one
-    block."""
+    stored order already does; keys[p] numbers the sector of position p
+    of that order.  Without labels, or with one sector, keys is None:
+    the whole sum is one block."""
     if sectors is None:
-        return None, [t] * t
+        return None, None
     first = {}
     keys = [first.setdefault(label, len(first)) for label in sectors]
+    if len(first) == 1:
+        return None, None
     order = sorted(range(t), key=keys.__getitem__)
     keys.sort()
-    ends = [bisect_right(keys, key) for key in keys]
-    return (None if order == list(range(t)) else np.array(order)), ends
+    return (None if order == list(range(t)) else np.array(order)), np.array(keys)
 
 
 def _expectations(s, m, xs):
@@ -222,45 +226,59 @@ def _expectations(s, m, xs):
     modes: the norm squared (x = 0), the weight with m's modes empty (1),
     their parity (2).
     Pair (i, j) is det(Phi_i^H Q Phi_j) and pair (j, i) its conjugate, so
-    row i takes only j > i.  Stored stacks are orthonormal, so pair (i, i)
+    only j > i is summed.  Stored stacks are orthonormal, so pair (i, i)
     is det(1_k - x B_i B_i^H), B_i = M^H Phi_i, k <= 2 (Sylvester): one
     term takes no N x N det.
 
-    The terms are ordered by sector once per pass (_sector_blocks).  Row
-    i takes G0 = Phi_i^H [Phi_i+1 ... Phi_T] from one product; the x != 0
-    slices are G0 - x B_i^H [B_i+1 ... B_T], a rank-k update, and visit
-    every later term.  Terms of different sectors are exactly orthogonal,
-    so the x = 0 slice visits only the rest of row i's own sector.  One
-    batched det per row takes all of them.
+    Q is Hermitian, so pair (i, j) is det((Q Phi_i)^H Phi_j): once per
+    pass every term is Q-applied for every x, conj(Phi - x M B).  The
+    terms are ordered by sector (_sector_keys) and the rows taken
+    ROW_BLOCK at a time: one stacked product puts every later term's
+    rows against the block's Q-applied terms, contiguous N x N blocks
+    that one batched det takes.  The weights conj(w_i) w_j come from one
+    strictly upper-triangular matrix, so the pairs in a block's own
+    triangle (j <= i) weigh 0.  Terms of different sectors are exactly
+    orthogonal, so with sectors the x = 0 slice takes its own product,
+    which stops at the end of the sector of the block's last row, and
+    its weights are masked by sector; without, every x shares one.
     """
     t, d, n = s.orbitals.shape
-    order, ends = _sector_blocks(s.sectors, t)
+    order, keys = _sector_keys(s.sectors, t)
     weights = np.array([c * a for c, a in zip(s.coeffs, s.amps)])
     scale = np.array(xs, dtype=float)[:, None, None]
-    b = m.conj().T @ s.orbitals
-    require_finite(b)
-    phis = s.orbitals.transpose(0, 2, 1)
+    phis = s.orbitals
     if order is not None:
-        weights, b, phis = weights.take(order), b.take(order, 0), phis.take(order, 0)
+        weights, phis = weights.take(order), phis.take(order, 0)
+    b = m.conj().T @ phis
+    require_finite(b)
     own = np.eye(m.shape[1]) - scale[:, None] * (b @ b.conj().transpose(0, 2, 1))
     totals = np.linalg.det(own) @ (weights.conj() * weights)
     if t < 2:
         return totals.real.tolist()
-    # Rows i n ... i n + n - 1 of phis hold Phi_i^T, those of bs B_i^T.
-    phis, bs = phis.reshape(t * n, d), b.transpose(0, 2, 1).reshape(t * n, m.shape[1])
-    later_xs = scale[1:, :, :, None]
+    # qs[x, i] = conj(Q_x Phi_i); rows i n ... i n + n - 1 of rows hold Phi_i^T.
+    qs = (phis - scale[:, None] * (m @ b)).conj()
+    rows = phis.transpose(0, 2, 1).reshape(t * n, d)
+    span = np.arange(t)
+    pair_w = np.outer(weights.conj(), weights)
+    pair_w *= span[:, None] < span  # in place: the pass holds one T x T matrix
+    if keys is None:  # every x takes every later term: one product per block
+        parts, ends = [(slice(None), None)], [t] * t
+    else:
+        parts = [(slice(0, 1), keys[:, None] == keys), (slice(1, None), None)]
+        ends = np.searchsorted(keys, keys, "right").tolist()
     pairs = np.zeros(len(xs), dtype=complex)  # the sum over i < j of each x's pairs
-    for i, w_i in enumerate(weights[:-1].conj()):
-        rest, mine = t - i - 1, ends[i] - i - 1
-        now, later = slice(i * n, (i + 1) * n), slice((i + 1) * n, None)
-        # Block j of g0 is (Phi_i^H Phi_j)^T, of cross (B_i^H B_j)^T: the same dets.
-        g0 = (phis[later] @ phis[now].conj().T).reshape(rest, n, n)
-        cross = (bs[later] @ bs[now].conj().T).reshape(rest, n, n)
-        slices = (g0 - later_xs * cross).reshape((len(xs) - 1) * rest, n, n)
-        dets = np.linalg.det(np.concatenate([g0[:mine], slices]))
-        pair_w = w_i * weights[i + 1 :]
-        pairs[0] += dets[:mine] @ pair_w[:mine]
-        pairs[1:] += dets[mine:].reshape(len(xs) - 1, rest) @ pair_w
+    for i in range(0, t - 1, ROW_BLOCK):
+        last = min(i + ROW_BLOCK, t - 1)
+        # With sectors the x = 0 slice ends where the last row's sector does.
+        for (x, same), end in zip(parts, (ends[last - 1], t)):
+            # Block (x, r, j) is ((Q_x Phi_i+r)^H Phi_i+1+j)^T: the same det.
+            q = qs[x, i:last]
+            g = rows[(i + 1) * n : end * n] @ q
+            dets = np.linalg.det(g.reshape(*q.shape[:2], end - i - 1, n, n))
+            w = pair_w[i:last, i + 1 : end]
+            if same is not None:
+                w = w * same[i:last, i + 1 : end]
+            pairs[x] += dets.reshape(len(q), -1) @ w.ravel()
     return (totals + 2.0 * pairs).real.tolist()
 
 

@@ -174,20 +174,13 @@ def simulate_exact_branch(circuit, d, n, initial=None):
     touching the state; otherwise the lowest-labeled branch whose
     projector preserves determinant form (total occupation 0 or 2, or
     either single-mode outcome) is taken and renormalized (_steer).
-    Circuits containing the parity grouping are rejected up front.
+    Circuits containing the parity grouping are rejected before any step
+    runs (sampled_steps).
 
     Returns (transcript, final SlaterState).
     """
-    exact = []
-    for idx, step in enumerate(circuit):
-        if isinstance(step, MeasureTwo) and step.grouping == PARITY_GROUPING:
-            raise ParityGroupingUnsupported(
-                f"step {idx}: grouping '02/1' merges the even outcomes; no "
-                "branch of the parity measurement preserves a single "
-                "determinant, so the exact-branch simulation does not apply"
-            )
-        measures = isinstance(step, (MeasureOne, MeasureTwo))
-        exact.append(replace(step, policy="exact") if measures else step)
+    exact = [replace(step, policy="exact") if isinstance(step, (MeasureOne, MeasureTwo)) else step
+             for step in circuit]
     transcript, final = transcript_of(sampled_steps(exact, d, n, initial=initial))
     if not final.term_count:
         raise FlosimError(f"no determinant is left: the start amplitude is at most {PRUNE_TOL:g}")
@@ -205,8 +198,17 @@ def sampled_steps(circuit, d, n, seed=0, initial=None, max_terms=DEFAULT_MAX_TER
     outcome, "exact" records a certain outcome or steers into a
     determinant-preserving branch (_steer_modes).  All four
     groupings are supported; parity measurements grow the term count and
-    may hit the cap.
+    may hit the cap.  An exact-policy parity step, which has no such
+    branch, raises ParityGroupingUnsupported before any step runs.
     """
+    for idx, step in enumerate(circuit):
+        exact = isinstance(step, MeasureTwo) and step.policy == "exact"
+        if exact and step.grouping == PARITY_GROUPING:
+            raise ParityGroupingUnsupported(
+                f"step {idx}: grouping '02/1' merges the even outcomes; no "
+                "branch of the parity measurement preserves a single "
+                "determinant, so the exact-branch simulation does not apply"
+            )
     rng = np.random.default_rng(seed)
     start = initial if initial is not None else standard_state(d, n)
     state = SlaterSum.from_state(start, max_terms=max_terms)
@@ -231,12 +233,6 @@ def sampled_steps(circuit, d, n, seed=0, initial=None, max_terms=DEFAULT_MAX_TER
                 )
         else:
             two = isinstance(step, MeasureTwo)
-            if two and step.grouping == PARITY_GROUPING:
-                raise ParityGroupingUnsupported(
-                    f"step {idx}: the exact-branch rule has no "
-                    "determinant-preserving outcome for the parity "
-                    "grouping '02/1'"
-                )
             vecs = check_modes(d, step.kappa, *([step.lam] if two else []))[::-1]
             groups = GROUPINGS[step.grouping] if two else ONE_MODE
             label, prob, post = _steer_modes(idx, state, vecs, groups)

@@ -57,6 +57,7 @@ from flosim.multislater import (
     GROUPINGS,
     ONE_MODE,
     SlaterSum,
+    _expectations,
     _group_sum,
     _overlap_total,
     _probabilities,
@@ -2030,3 +2031,57 @@ class TestSectorLabels:
             for c, st_ in labelled.terms]}))
         loaded = load_state_sum(path)
         assert loaded.term_count == 2 and loaded.sectors is None
+
+
+SECTOR_PATTERNS = ((1, 0), (0, 1), (0, 0))
+
+
+def pattern_span(rng, u, n, pattern):
+    """An n-electron span holding u[:, a] where pattern[a] is 1 and
+    orthogonal to it where 0, for the two old modes u[:, 0], u[:, 1]."""
+    held = [u[:, a] for a in (0, 1) if pattern[a]]
+    rest = u[:, 2:] @ random_orthonormal_columns(rng, u.shape[0] - 2, n - len(held))
+    return np.column_stack([*held, rest]) @ random_unitary(rng, n)
+
+
+def reference_expectations(s, m, xs):
+    """Re of the sum over every ordered pair (i, j) of conj(w_i) w_j
+    det(Phi_i^H (1 - x M M^H) Phi_j), one det per pair."""
+    weights = [c * a for c, a in zip(s.coeffs, s.amps)]
+    out = []
+    for x in xs:
+        q = np.eye(s.modes) - x * (m @ m.conj().T)
+        total = sum(np.conj(wi) * wj * np.linalg.det(pi.conj().T @ q @ pj)
+                    for wi, pi in zip(weights, s.orbitals)
+                    for wj, pj in zip(weights, s.orbitals))
+        out.append(total.real)
+    return out
+
+
+class TestExpectationsAcrossBlocks:
+    """The probability pass against a per-pair det loop, at term counts
+    below, at and across the row blocks, with sector labels absent, all
+    one, in contiguous runs whose ends fall inside a block, and
+    interleaved."""
+
+    @pytest.mark.parametrize("layout", ["none", "one", "contiguous", "interleaved"])
+    @pytest.mark.parametrize("t", [1, 2, 3, 4, 5, 9, 14])
+    def test_matches_the_per_pair_loop(self, t, layout):
+        rng = rng_for(300 + t)
+        d, n = 7, 3
+        u = random_unitary(rng, d)
+        keys = {"none": [0] * t, "one": [0] * t, "contiguous": [j * 3 // t for j in range(t)],
+                "interleaved": [j % 3 for j in range(t)]}[layout]
+        patterns = [SECTOR_PATTERNS[k] for k in keys]
+        orbitals = np.array([pattern_span(rng, u, n, p) for p in patterns])
+        coeffs = list(rng.uniform(0.5, 1.5, t) * np.exp(2j * np.pi * rng.random(t)))
+        amps = list(np.exp(2j * np.pi * rng.random(t)))
+        sectors = None if layout == "none" else patterns
+        s = SlaterSum._stacked(coeffs, amps, orbitals, 64, sectors)
+        assert s.term_count == t and s.sectors == (None if sectors is None else tuple(sectors))
+        for k in (1, 2):
+            m = random_orthonormal_columns(rng, d, k)
+            for xs in ((0, 1), (0, 2), (0, 2, 1)):
+                got, want = _expectations(s, m, xs), reference_expectations(s, m, xs)
+                assert len(got) == len(xs)
+                assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-12 * want[0]

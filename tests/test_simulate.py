@@ -22,6 +22,7 @@ from conftest import (
 
 from flosim.errors import (
     FlosimError,
+    ImpossibleOutcome,
     ModesNotOrthogonal,
     NoAdmissibleBranch,
     ParityGroupingUnsupported,
@@ -356,6 +357,26 @@ class TestSampled:
         circuit = [MeasureTwo(kap, lam, grouping="02/1", policy="exact")]
         with pytest.raises(ParityGroupingUnsupported):
             simulate_sampled(circuit, 4, 2, seed=0)
+
+    def test_exact_parity_is_rejected_before_any_step_with_one_message(self):
+        """An exact parity step raises before the start record, ahead of
+        an earlier step's impossible outcome, with the message nogo's
+        run prints."""
+        rng = rng_for(107)
+        kap, lam = random_orthogonal_pair(rng, 4)
+        empty = np.eye(4, dtype=complex)[:, 3]
+        circuit = [MeasureOne(empty, policy="forced", outcome=1),
+                   MeasureTwo(kap, lam, grouping="02/1", policy="exact")]
+        with pytest.raises(ImpossibleOutcome):
+            simulate_sampled(circuit[:1], 4, 2)
+        messages = []
+        for run in (lambda: next(sampled_steps(circuit, 4, 2)),
+                    lambda: simulate_exact_branch(circuit, 4, 2)):
+            with pytest.raises(ParityGroupingUnsupported) as err:
+                run()
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
+        assert messages[0].startswith("step 1: grouping '02/1' merges the even outcomes")
 
     def test_sampled_probabilities_match_oracle(self):
         rng = rng_for(106)

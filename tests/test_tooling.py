@@ -8,6 +8,7 @@ import ast
 import importlib
 import importlib.util
 import json
+import os
 import shutil
 from pathlib import Path
 from unittest import mock
@@ -280,3 +281,32 @@ def test_corpus_reports_the_largest_digits_only_difference():
     assert where == ["simulate", "b.json"]
     assert abs(largest - 3e-13) < 1e-15
     assert corpus.largest_digit_change(differing[2:]) == (0.0, None)
+
+
+def test_corpus_names_pool_runs_relative_to_the_root(tmp_path, monkeypatch, capsys):
+    """tools/corpus.py writes its generated inputs under POOL_DIR, a path
+    relative to the checkout's root, keeps them after it exits, and
+    prints each differing run by those relative names, so the run
+    re-runs from the root exactly as printed."""
+    spec = importlib.util.spec_from_file_location("corpus", CORPUS)
+    corpus = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(corpus)
+    assert not Path(corpus.POOL_DIR).is_absolute()
+    pool = os.path.relpath(tmp_path / "pool", ROOT)
+    monkeypatch.setattr(corpus, "POOL_DIR", pool)
+    picked = ["simulate", f"{pool}/parity_sum/213/circuit-2.json", "--seed", "1896205"]
+
+    def run_tree(src, argvs, bits=False):
+        assert picked in argvs
+        return [[0, "same\n", ""] if src == "BASE" or argv != picked else [0, "moved\n", ""]
+                for argv in argvs]
+
+    monkeypatch.setattr(corpus, "run_tree", run_tree)
+    assert corpus.main(["BASE", "HEAD"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == " ".join(picked)
+    assert out[-2:] == ["1 of 458 runs differ: 0 digits only, 1 otherwise",
+                        "  otherwise: " + " ".join(picked)]
+    monkeypatch.chdir(ROOT)
+    assert cli.main(out[0].split()) == 0
+    assert capsys.readouterr().out.count("kind=measure2") == 8

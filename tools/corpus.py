@@ -37,14 +37,20 @@ The corpus, 458 runs, all on this checkout's inputs:
   - policy_mix.json under `simulate --seed 7..26 --oracle-check`;
   - the benchmark's input pools of every workload (`parity_sum`,
     `single_det`, `oracle_check` and `analysis`) at seeds 201-203 and
-    213, which perfbench/workloads.py writes to a temporary directory;
-  - 60 random circuits of tools/circuitgen.py (seed 14), written to the
-    same directory, under `simulate --seed 3/7 --oracle-check` and under
+    213, which perfbench/workloads.py writes under POOL_DIR;
+  - 60 random circuits of tools/circuitgen.py (seed 14), written under
+    POOL_DIR, under `simulate --seed 3/7 --oracle-check` and under
     `nogo`;
   - 12 two-electron state files (RANK_STATES at seeds 0 and 1), written
-    to the same directory, under `slater-rank`: their w have repeated
-    pair moduli, a zero pair, odd D, and pairs of modulus near 2e-9 and
+    under POOL_DIR, under `slater-rank`: their w have repeated pair
+    moduli, a zero pair, odd D, and pairs of modulus near 2e-9 and
     5e-10, either side of the Slater number's threshold 1e-9.
+
+POOL_DIR, `.corpus_out/` at this checkout's root, is written again on
+every comparison and kept afterwards; runs name its files relative to
+the root, so a listed run re-runs as printed from there, e.g.
+`PYTHONPATH=src python3 -m flosim.cli simulate
+.corpus_out/parity_sum/213/circuit-2.json --seed 1896205`.
 """
 
 import contextlib
@@ -57,12 +63,12 @@ import os
 import re
 import subprocess
 import sys
-import tempfile
 from pathlib import Path
 
 import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
+POOL_DIR = ".corpus_out"  # the generated inputs, relative to ROOT
 CIRCUITS = (
     *sorted(p.relative_to(ROOT).as_posix() for p in ROOT.glob("circuits/*.json")),
     "tests/data/policy_mix.json",
@@ -318,9 +324,9 @@ def main(argv=None):
         print(__doc__.strip(), file=sys.stderr)
         return 2
     base_src, head_src = args[0], args[1] if len(args) == 2 else str(ROOT / "src")
-    with tempfile.TemporaryDirectory() as pool_dir:
-        argvs = invocations(pool_dir)
-        trees = {"base": run_tree(base_src, argvs, bits), "head": run_tree(head_src, argvs, bits)}
+    with contextlib.chdir(ROOT):
+        argvs = invocations(POOL_DIR)
+    trees = {"base": run_tree(base_src, argvs, bits), "head": run_tree(head_src, argvs, bits)}
     differing = _differing(argvs, trees["base"], trees["head"])
     for run in differing:
         print(_report(*run))
