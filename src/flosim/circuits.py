@@ -19,12 +19,14 @@ Complex entries are written as two-element [real, imaginary] arrays; a
 bare number is read as a real entry.  Mode arguments of measurement
 steps are either an integer site index or an explicit length-D vector,
 which is normalized on load.  The two-mode rotate shorthand with
-"modes", "theta" and an optional "phi" expands to
+"modes", "theta" and an optional "phi" is the 2x2 block
 
     [[cos(theta),                -i sin(theta) e^{-i phi}],
      [-i sin(theta) e^{i phi},    cos(theta)             ]]
 
 acting on the named pair of sites and leaving every other site alone.
+It parses to that block and its pair (Rotate.on_pair); no D x D matrix
+is built, and its step updates the pair's two rows of every term.
 
 Mode indices are 0-based everywhere.
 """
@@ -325,11 +327,14 @@ def load_circuit(path):
 
 def load_state_sum(path):
     """Read a state file, normalized: "modes", "electrons" and either
-    "orbitals" (and "amplitude") or "terms" ("orbitals", "coefficient")."""
+    "orbitals" (and "amplitude") or "terms" ("orbitals", "coefficient").
+    A sum whose norm overflows is first divided by its largest |c a|."""
     doc = _document(_read_text(path))
-    d, n = doc.get("modes"), doc.get("electrons")
-    if not isinstance(d, int) or not isinstance(n, int):
-        raise ParseError("state file needs integer 'modes' and 'electrons'")
+    for key in ("modes", "electrons"):
+        if key not in doc:
+            raise ParseError(f"missing top-level key {key!r}")
+    d = _require_int(doc["modes"], "modes", low=1)
+    n = _require_int(doc["electrons"], "electrons", low=0, high=d)
     raw_terms = []
     if "orbitals" in doc:
         amp = _complex_from_json(doc.get("amplitude", 1.0), "amplitude")
@@ -353,6 +358,9 @@ def load_state_sum(path):
             raise ParseError(f"terms[{i}].orbitals: {exc}") from exc
     ssum = SlaterSum(terms=tuple(built), modes=d, electrons=n)
     nrm = sum_norm(ssum)
+    if not np.isfinite(nrm):  # |c|^2 overflowed, so c / max |c a| first
+        ssum = scale_sum(ssum, 1.0 / max(abs(c * a) for c, a in zip(ssum.coeffs, ssum.amps)))
+        nrm = sum_norm(ssum)
     if nrm < ZERO_STATE_TOL:
         raise ParseError("state file describes a zero state")
     return scale_sum(ssum, 1.0 / nrm)

@@ -69,7 +69,8 @@ def _oracle_judge(steps, records):
 
     records are the run's own simulate.sampled_steps records.  The dense
     vector starts from the run's start state, takes each rotation's
-    recorded unitary and projects on each measurement's recorded outcome.
+    recorded unitary, a pair rotation's 2x2 block embedded in the D x D
+    identity, and projects on each measurement's recorded outcome.
     Returns (max deviation of the recorded probabilities, min fidelity of
     the recorded states) over every step.  A recorded outcome the dense
     vector gives p = 0 has no dense post-state: the judge counts its
@@ -82,6 +83,10 @@ def _oracle_judge(steps, records):
             vec = fock.expand_sum(state)
             continue
         if u is not None:
+            pair = steps[idx].pair
+            if pair is not None:  # the shorthand's 2x2 block, embedded in the identity
+                block, u = u, np.eye(vec.modes, dtype=complex)
+                u[np.ix_(pair, pair)] = block
             vec = fock._rotated(vec, u)  # the run's evolve_sum checked u
         else:
             step = steps[idx]

@@ -52,6 +52,7 @@ from .slater import (
     check_modes,
     check_orthonormal,
     check_unitary,
+    rotate_orbitals,
     split_pair,
     split_stack,
     standard_state,
@@ -288,9 +289,13 @@ def scale_sum(s, factor):
 
 
 def evolve_sum(s, v, pair=None):
-    """evolve on every term, errors included, as one stacked matmul and check."""
+    """evolve on every term, errors included: one unitarity check, one
+    stacked product and one check_orthonormal.  A D x D unitary or a
+    generator's multiplies the whole stack; with pair (i, j), v is the
+    2x2 block of a rotation of those two sites (check_unitary's pair), and
+    only rows i and j of every term change (rotate_orbitals)."""
     mat = check_unitary(v, s.modes, pair)
-    rotated = mat @ s.orbitals
+    rotated = rotate_orbitals(mat, s.orbitals, pair)
     check_orthonormal(rotated)
     return SlaterSum._stacked(s.coeffs, s.amps, rotated, s.max_terms, s.sectors)
 

@@ -41,11 +41,13 @@ POLICIES = ("sample", "forced", "exact")
 
 @dataclass(frozen=True)
 class Rotate:
-    """One-body rotation, given directly or as a generator and a time.
+    """One-body rotation: a D x D unitary, a generator and a time, or a
+    rotation of two sites.
 
-    pair (i, j), with a unitary only, says the unitary is the identity off
-    rows and columns i and j (Rotate.on_pair builds one so), and the step
-    checks only that 2x2 block's unitarity (check_unitary's pair).
+    pair (i, j), with a unitary only, says the unitary is the 2x2 block
+    of a rotation acting on sites i and j alone, the identity on every
+    other site (Rotate.on_pair builds one so).  Its step checks that block
+    (check_unitary's pair) and updates rows i and j of every term.
     """
 
     unitary: np.ndarray | None = None
@@ -64,10 +66,10 @@ class Rotate:
     @classmethod
     def on_pair(cls, d, i, j, block):
         """The 2x2 unitary block acting on sites i and j of d, the identity
-        on every other site."""
-        full = np.eye(d, dtype=complex)
-        full[[[i], [j]], [i, j]] = block
-        return cls(unitary=full, pair=(i, j))
+        on every other site, kept as the block and its pair."""
+        if not (0 <= i < d and 0 <= j < d) or i == j:
+            raise ValueError(f"pair ({i}, {j}) does not name two sites of {d} modes")
+        return cls(unitary=block, pair=(i, j))
 
     def resolve(self):
         if self.unitary is not None:
@@ -192,8 +194,9 @@ def sampled_steps(circuit, d, n, seed=0, initial=None, max_terms=DEFAULT_MAX_TER
     """Run a circuit on a full determinant sum, sampling outcomes.
 
     Yields (index, unitary, row, state): first (None, None, None, start),
-    then per step its index, a rotation's resolved unitary or a
-    measurement's TranscriptRow, and the sum after it.  Policies:
+    then per step its index, a rotation's resolved unitary (a pair
+    rotation's 2x2 block) or a measurement's TranscriptRow, and the sum
+    after it.  Policies:
     "sample" draws from the seeded generator, "forced" takes the step's
     outcome, "exact" records a certain outcome or steers into a
     determinant-preserving branch (_steer_modes).  All four

@@ -137,30 +137,44 @@ def standard_state(d, n):
 def check_unitary(v, d, pair=None):
     """Validate a finite one-body unitary on d modes; returns it as ndarray.
 
-    pair (i, j) says v is the identity off rows and columns i and j, as
-    the two-site rotate shorthand builds it: the rest of v^H v - 1 is then
-    exactly zero, so only that 2x2 block is checked, at O(1) cost.
+    With pair (i, j), v is the 2x2 block of a rotation acting on sites i
+    and j alone, as the two-site rotate shorthand keeps it
+    (simulate.Rotate.on_pair): i and j must be two sites of d, and the
+    block is checked at O(1) cost.
     """
     mat = np.asarray(v, dtype=complex)
-    if mat.shape != (d, d):
-        raise DimensionMismatch(f"unitary has shape {mat.shape}, state has {d} modes")
-    block = mat
-    if pair is not None:
-        i, j = pair
-        block = mat[[[i], [j]], [i, j]]
-    if not np.isfinite(block).all():
+    if mat.shape != ((d, d) if pair is None else (2, 2)):
+        whole = "" if pair is None else ", and a pair rotation takes a 2x2 block"
+        raise DimensionMismatch(f"unitary has shape {mat.shape}, state has {d} modes{whole}")
+    if pair is not None and not (len(set(pair)) == 2 and all(0 <= k < d for k in pair)):
+        sites = ", ".join(map(str, pair))
+        raise DimensionMismatch(f"pair ({sites}) does not name two sites of {d} modes")
+    if not np.isfinite(mat).all():
         # an inf entry would make the product warn before this raise
         raise NotUnitary("deviation from unitarity nan")
-    dev = np.linalg.norm(block.conj().T @ block - np.eye(len(block)))
+    dev = np.linalg.norm(mat.conj().T @ mat - np.eye(len(mat)))
     if not dev <= UNITARY_TOL:
         raise NotUnitary(f"deviation from unitarity {dev:.3e}")
     return mat
 
 
+def rotate_orbitals(mat, orbitals, pair=None):
+    """A checked unitary mat applied to the orbital columns of a (D, N)
+    matrix or a (T, D, N) stack: mat @ orbitals.  With pair (i, j), mat
+    is its 2x2 block: rows i and j become mat @ those rows, and every
+    other row is copied as it is."""
+    if pair is None:
+        return mat @ orbitals
+    rows = list(pair)
+    out = orbitals.copy()
+    out[..., rows, :] = mat @ orbitals[..., rows, :]
+    return out
+
+
 def evolve(s, v, pair=None):
     """Apply a one-body unitary: every orbital column c becomes v @ c.
     pair is check_unitary's."""
-    rotated = check_unitary(v, s.modes, pair) @ s.orbitals
+    rotated = rotate_orbitals(check_unitary(v, s.modes, pair), s.orbitals, pair)
     check_orthonormal(rotated[None])
     return SlaterState._checked(rotated, s.amplitude)
 

@@ -98,17 +98,19 @@ class TestCircuitFormat:
     def test_examples_exist(self):
         assert len(EXAMPLES) == 4
 
-    def test_shorthand_expands_to_embedded_block(self):
+    def test_shorthand_keeps_its_block_and_pair(self):
+        """The shorthand parses to its 2x2 block on its pair of sites, in
+        the order given; no D x D matrix is built."""
         circ = parse_circuit(
             minimal_doc(
-                [{"kind": "rotate", "modes": [1, 3], "theta": 0.7, "phi": 0.3}]
+                [{"kind": "rotate", "modes": [3, 1], "theta": 0.7, "phi": 0.3}]
             )
         )
-        u = circ.steps[0].resolve()
-        expected = np.eye(4, dtype=complex)
-        expected[np.ix_([1, 3], [1, 3])] = pair_rotation(0.7, 0.3)
-        assert np.allclose(u, expected, atol=1e-15)
-        assert np.allclose(u.conj().T @ u, np.eye(4), atol=1e-12)
+        step = circ.steps[0]
+        assert step.pair == (3, 1)
+        u = step.resolve()
+        assert u.tobytes() == pair_rotation(0.7, 0.3).tobytes()
+        assert np.allclose(u.conj().T @ u, np.eye(2), atol=1e-12)
 
     def test_mode_index_becomes_basis_vector(self):
         circ = parse_circuit(
@@ -601,6 +603,33 @@ class TestRotationChecks:
         else:
             assert err.startswith("ImpossibleOutcome: outcome 1 has probability")
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_oracle_judges_shorthand_rotations(self, seed, tmp_path, capsys):
+        """At D = 6 a run of shorthand rotations, both site orders and
+        phi != 0, with measure1, 012 and parity measure2 steps passes the
+        judge, which embeds each recorded 2x2 block in the identity."""
+        def rot(i, j, theta, phi):
+            return {"kind": "rotate", "modes": [i, j], "theta": theta, "phi": phi}
+
+        steps = [
+            rot(0, 3, 0.7, 0.3), rot(4, 1, 1.1, -0.8), rot(2, 5, 0.4, 1.3),
+            {"kind": "measure1", "mode": 3},
+            rot(5, 0, 0.9, 0.6),
+            {"kind": "measure2", "first": 1, "second": 4, "grouping": "012"},
+            rot(3, 2, 1.3, -0.2), rot(1, 0, 0.5, 2.1),
+            {"kind": "measure2", "first": 0, "second": 5, "grouping": "02/1"},
+            rot(4, 5, 0.8, -1.4), rot(2, 1, 1.2, 0.9),
+            {"kind": "measure2", "first": 2, "second": 3, "grouping": "02/1"},
+            {"kind": "measure1", "mode": 0},
+        ]
+        path = tmp_path / "circuit.json"
+        path.write_text(minimal_doc(steps, modes=6, electrons=3))
+        code, out, err = run_cli(["simulate", path, "--seed", seed, "--oracle-check"], capsys)
+        assert (code, err) == (0, "")
+        trailer = out.splitlines()[-2:]
+        assert float(trailer[0].rsplit(" = ", 1)[1]) <= 1e-13
+        assert trailer[1] == "# oracle min fidelity = 1.000000000000"
+
     def test_each_unitary_is_checked_once_per_run(self, tmp_path, capsys, monkeypatch):
         """Under --oracle-check the run's evolve_sum checks each rotation,
         the shorthand on its block alone, and the judge checks none again."""
@@ -901,6 +930,39 @@ class TestSlaterRankCommand:
         assert err == (
             "ParseError: terms[0].orbitals: orbital columns not orthonormal, deviation nan\n"
         )
+
+
+    @pytest.mark.parametrize("coefficients", [[1.0], [1.0, 2.0]], ids=["one", "two"])
+    def test_overflowing_norm_keeps_the_state(self, coefficients, tmp_path, capsys):
+        """Coefficients of 1e200 square past float range in the norm; the
+        file still reads as the same state as with coefficients of 1."""
+        orbitals = [[[1, 0], [0, 1], [0, 0], [0, 0]], [[0, 0], [0, 0], [1, 0], [0, 1]]]
+        outs = []
+        for scale in (1.0, 1e200):
+            terms = [{"coefficient": c * scale, "orbitals": orb}
+                     for c, orb in zip(coefficients, orbitals)]
+            path = tmp_path / "state.json"
+            path.write_text(json.dumps({"modes": 4, "electrons": 2, "terms": terms}))
+            code, out, err = run_cli(["slater-rank", path], capsys)
+            assert (code, err) == (0, "")
+            outs.append(out)
+        assert outs[1] == outs[0]
+        assert int(self._value(outs[1], "Slater number")) == len(coefficients)
+
+    @pytest.mark.parametrize(
+        ("dims", "message"),
+        [
+            ({"modes": True, "electrons": 1}, "modes: expected an integer, got True"),
+            ({"modes": 4, "electrons": -1}, "electrons: -1 is below 0"),
+            ({"modes": 2, "electrons": 3}, "electrons: 3 is above 2"),
+            ({"modes": 4}, "missing top-level key 'electrons'"),
+        ],
+        ids=["bool-modes", "negative-electrons", "too-many-electrons", "missing"],
+    )
+    def test_bad_dimensions_are_one_parse_error(self, dims, message, tmp_path, capsys):
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps({**dims, "orbitals": [[1.0]]}))
+        assert run_cli(["slater-rank", path], capsys) == (1, "", f"ParseError: {message}\n")
 
 
 class TestInputBoundary:

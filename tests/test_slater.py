@@ -24,6 +24,7 @@ from flosim.errors import (
 from flosim.circuits import pair_rotation
 from flosim.linalg import one_body_unitary
 from flosim.multislater import SlaterSum, evolve_sum, measure_mode_sum
+from flosim.simulate import Rotate
 from flosim.slater import (
     SlaterState,
     annihilate,
@@ -252,9 +253,9 @@ class TestEvolve:
 
 
 class TestPairCheck:
-    """check_unitary's pair: a unitary that is the identity off two rows
-    and columns, as the rotate shorthand builds it, is checked on its 2x2
-    block alone, and the step rotates bit for bit as with the full check."""
+    """check_unitary's pair: the rotate shorthand keeps a rotation of two
+    sites as its 2x2 block, which is checked alone, and the step updates
+    rows i and j of every term and copies every other row."""
 
     @staticmethod
     def embedded(d, pair, block):
@@ -262,18 +263,31 @@ class TestPairCheck:
         u[np.ix_(pair, pair)] = block
         return u
 
-    @pytest.mark.parametrize("theta", [0.7, -2.5, 1e300])
-    def test_rotates_as_the_full_check(self, theta):
-        rng = rng_for(150)
-        s = random_state(rng, 8, 3)
-        pair = (5, 2)
-        u = self.embedded(8, pair, pair_rotation(theta, 0.4))
-        assert check_unitary(u, 8, pair) is check_unitary(u, 8)
-        got, want = evolve(s, u, pair), evolve(s, u)
-        assert got.orbitals.tobytes() == want.orbitals.tobytes()
-        assert got.amplitude == want.amplitude
-        ssum = SlaterSum.from_state(s)
-        assert evolve_sum(ssum, u, pair).orbitals.tobytes() == evolve_sum(ssum, u).orbitals.tobytes()
+    @pytest.mark.parametrize("t", [1, 3])
+    @pytest.mark.parametrize("d", [2, 5, 64])
+    def test_updates_two_rows_as_the_dense_product(self, d, t):
+        """Rows off the pair keep their bits; rows i and j agree with the
+        embedded D x D product within 1e-15, for i < j and i > j; the
+        terms' weights and sector labels carry over."""
+        rng = rng_for(150 + d + t)
+        blocks = [pair_rotation(0.7, 0.4), pair_rotation(1e300, -2.5), random_unitary(rng, 2)]
+        for n in sorted({0, 1, d // 2, d}):
+            terms = [(complex(*rng.standard_normal(2)), random_state(rng, d, n)) for _ in range(t)]
+            plain = SlaterSum(terms, d, n)
+            ssum = SlaterSum._stacked(plain.coeffs, plain.amps, plain.orbitals, plain.max_terms,
+                                      [(k % 2, 1) for k in range(t)])
+            i, j = rng.choice(d, size=2, replace=False)
+            for pair in ((min(i, j), max(i, j)), (max(i, j), min(i, j))):
+                off = [k for k in range(d) if k not in pair]
+                for block in blocks:
+                    u = self.embedded(d, pair, block)
+                    got, want = evolve_sum(ssum, block, pair), evolve_sum(ssum, u)
+                    assert (got.coeffs, got.amps) == (ssum.coeffs, ssum.amps)
+                    assert got.sectors == ssum.sectors
+                    assert got.orbitals[:, off].tobytes() == ssum.orbitals[:, off].tobytes()
+                    assert np.abs(got.orbitals - want.orbitals).max(initial=0.0) <= 1e-15
+                    one = evolve(terms[0][1], block, pair)
+                    assert one.orbitals.tobytes() == got.orbitals[0].tobytes()
 
     @pytest.mark.parametrize(
         ("block", "message"),
@@ -288,18 +302,25 @@ class TestPairCheck:
         u = self.embedded(5, (3, 0), block)
         s = standard_state(5, 2)
         for call in (
-            lambda pair: check_unitary(u, 5, pair),
-            lambda pair: evolve(s, u, pair),
-            lambda pair: evolve_sum(SlaterSum.from_state(s), u, pair),
+            lambda v, pair: check_unitary(v, 5, pair),
+            lambda v, pair: evolve(s, v, pair),
+            lambda v, pair: evolve_sum(SlaterSum.from_state(s), v, pair),
         ):
-            for pair in ((3, 0), None):
+            for v, pair in ((block, (3, 0)), (u, None)):
                 with pytest.raises(NotUnitary) as err:
-                    call(pair)
+                    call(v, pair)
                 assert str(err.value) == message
 
     def test_keeps_the_shape_check(self):
         with pytest.raises(DimensionMismatch, match=r"^unitary has shape \(4, 4\), state has 5"):
             check_unitary(np.eye(4), 5, (0, 1))
+
+    @pytest.mark.parametrize("pair", [(0, 5), (-1, 2), (2, 2)])
+    def test_rejects_a_pair_off_the_sites(self, pair):
+        with pytest.raises(DimensionMismatch, match=r"does not name two sites of 5 modes$"):
+            evolve_sum(SlaterSum.from_state(standard_state(5, 2)), np.eye(2), pair)
+        with pytest.raises(ValueError, match=r"does not name two sites of 5 modes$"):
+            Rotate.on_pair(5, *pair, np.eye(2))
 
 
 class TestDecomposeMode:
