@@ -77,16 +77,16 @@ def fermi_sea(cfg):
 
 
 def _w_rows(cfg, labels):
-    """The W orbitals W_s for s in labels, one per row.
+    """The W orbitals W_s for s in labels, one per row: the phase grid
+    times the plane-wave matrix, one product over the momenta.
 
-    Each momentum, in ascending order, adds its phase column times its
-    plane wave to all rows at once, so every entry sees the same products
-    and adds, in the same order, as a loop over momenta for one orbital;
-    a matmul would reorder the sum.  The phase arguments 2 pi i n s / N
-    are one complex array of real part 0 and imaginary part
-    ((2 pi n) s) / N in float64: the float sequence of Python's
-    2j*pi*n*s/N, whose divide by a real int divides the imaginary part
-    exactly, where numpy's complex divide would multiply by a reciprocal.
+    The phase arguments 2 pi i n s / N are one complex array of real
+    part 0 and imaginary part ((2 pi n) s) / N in float64: the float
+    sequence of Python's 2j*pi*n*s/N, whose divide by a real int divides
+    the imaginary part exactly, where numpy's complex divide would
+    multiply by a reciprocal.  The product's summation order is BLAS's,
+    so a row agrees with the one-orbital loop over momenta in rounding
+    only.
     """
     n_el = cfg.electrons
     momenta = np.array(_momenta(n_el))
@@ -94,10 +94,7 @@ def _w_rows(cfg, labels):
     args = np.zeros((len(momenta), len(labels)), dtype=complex)
     args.imag = (2 * np.pi * momenta[:, None]) * np.array(labels) / n_el
     phases = np.exp(args)
-    acc = np.zeros((len(labels), cfg.sites), dtype=complex)
-    for phase, wave in zip(phases, waves):
-        acc += phase[:, None] * wave
-    return acc / np.sqrt(n_el)
+    return (phases.T @ waves) / np.sqrt(n_el)
 
 
 def w_orbital(cfg, s):
@@ -105,7 +102,8 @@ def w_orbital(cfg, s):
 
     W_s = (1/sqrt(N)) sum_n e^{2 pi i n s / N} |k_n>, an orthonormal
     family for s = 0..N-1 spanning exactly the Fermi-sea space.  W_0
-    peaks at the origin with amplitude sqrt(filling) there.
+    peaks at the origin with amplitude sqrt(filling) there.  It is the
+    W kernel's row for the one label s.
     """
     n_el = cfg.electrons
     if not 0 <= s < n_el:

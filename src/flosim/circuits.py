@@ -38,15 +38,17 @@ from itertools import chain
 
 import numpy as np
 
-from .errors import FlosimError, ParseError
-from .multislater import GROUPINGS, SlaterSum, group_label, scale_sum, sum_norm
+from .errors import ParseError
+from .multislater import DEFAULT_MAX_TERMS, GROUPINGS, SlaterSum, group_label, scale_sum, sum_norm
 from .simulate import POLICIES, MeasureOne, MeasureTwo, Rotate
-from .slater import SlaterState
+from .slater import orthonormal_fault
 
 RENORMALIZE_WARN = 1e-6
 ZERO_STATE_TOL = 1e-12  # a state file's sum at or below this norm is the zero state
 
 _TOP_KEYS = {"modes", "electrons", "steps"}
+_STATE_KEYS = {"modes", "electrons", "orbitals", "amplitude", "terms"}
+_TERM_KEYS = {"orbitals", "coefficient"}
 _STEP_KEYS = {
     "rotate": {"kind", "unitary", "generator", "tau", "modes", "theta", "phi"},
     "measure1": {"kind", "mode", "vector", "policy", "outcome"},
@@ -325,38 +327,59 @@ def load_circuit(path):
     return parse_circuit(_read_text(path))
 
 
+def _check_term_stack(stack):
+    """Raise ParseError for the first term of a (T, D, N) stack of state
+    file orbitals that the SlaterState constructor would refuse."""
+    fault = orthonormal_fault(stack)
+    if fault is not None:
+        i, message = fault
+        raise ParseError(f"terms[{i}].orbitals: {message}")
+
+
 def load_state_sum(path):
-    """Read a state file, normalized: "modes", "electrons" and either
-    "orbitals" (and "amplitude") or "terms" ("orbitals", "coefficient").
-    A sum whose norm overflows is first divided by its largest |c a|."""
+    """Read a state file, normalized: "modes", "electrons" and exactly one
+    of "orbitals" (with an optional "amplitude") and "terms" (each with
+    "orbitals" and an optional "coefficient"); any other key is an error.
+    Every term's orbitals are parsed into one (T, D, N) stack and checked
+    by one orthonormality check; the first failing term in file order
+    raises.  A sum whose norm overflows is first divided by its largest
+    |c a|."""
     doc = _document(_read_text(path))
+    _check_keys(doc, _STATE_KEYS, "top level")
     for key in ("modes", "electrons"):
         if key not in doc:
             raise ParseError(f"missing top-level key {key!r}")
     d = _require_int(doc["modes"], "modes", low=1)
     n = _require_int(doc["electrons"], "electrons", low=0, high=d)
+    if "orbitals" in doc and "terms" in doc:
+        raise ParseError("state file takes 'orbitals' or 'terms', not both")
     raw_terms = []
     if "orbitals" in doc:
         amp = _complex_from_json(doc.get("amplitude", 1.0), "amplitude")
         raw_terms.append((amp, doc["orbitals"]))
     elif "terms" in doc:
+        if "amplitude" in doc:
+            raise ParseError("'amplitude' goes with 'orbitals'; a term takes 'coefficient'")
         if not isinstance(doc["terms"], list) or not doc["terms"]:
             raise ParseError("terms: expected a nonempty list")
         for i, term in enumerate(doc["terms"]):
             if not isinstance(term, dict) or "orbitals" not in term:
                 raise ParseError(f"terms[{i}]: expected an object with 'orbitals'")
+            _check_keys(term, _TERM_KEYS, f"terms[{i}]")
             coeff = _complex_from_json(term.get("coefficient", 1.0), f"terms[{i}].coefficient")
             raw_terms.append((coeff, term["orbitals"]))
     else:
         raise ParseError("state file needs 'orbitals' or 'terms'")
-    built = []
-    for i, (coeff, rows) in enumerate(raw_terms):
-        mat = _matrix_from_json(rows, (d, n), f"terms[{i}].orbitals")
+    stack = np.empty((len(raw_terms), d, n), dtype=complex)
+    for i, (_, rows) in enumerate(raw_terms):
         try:
-            built.append((coeff, SlaterState(mat, 1.0)))
-        except FlosimError as exc:
-            raise ParseError(f"terms[{i}].orbitals: {exc}") from exc
-    ssum = SlaterSum(terms=tuple(built), modes=d, electrons=n)
+            stack[i] = _matrix_from_json(rows, (d, n), f"terms[{i}].orbitals")
+        except ParseError:
+            _check_term_stack(stack[:i])  # an earlier term's fault comes first
+            raise
+    _check_term_stack(stack)
+    coeffs = [c for c, _ in raw_terms]
+    ssum = SlaterSum._stacked(coeffs, [1.0 + 0.0j] * len(coeffs), stack, DEFAULT_MAX_TERMS)
     nrm = sum_norm(ssum)
     if not np.isfinite(nrm):  # |c|^2 overflowed, so c / max |c a| first
         ssum = scale_sum(ssum, 1.0 / max(abs(c * a) for c, a in zip(ssum.coeffs, ssum.amps)))
@@ -364,4 +387,3 @@ def load_state_sum(path):
     if nrm < ZERO_STATE_TOL:
         raise ParseError("state file describes a zero state")
     return scale_sum(ssum, 1.0 / nrm)
-

@@ -188,17 +188,10 @@ def cmd_bands(args):
     lines.append(f"# probability = {probability!r}")
     lines.append("x,density_before,density_after,orbital_re,orbital_im,closed_form")
     closed = closed_form_w0(cfg, profile.x)
-    for r in range(cfg.sites):
-        orb = profile.first_orbital[r]
-        cells = [
-            str(int(profile.x[r])),
-            repr(float(profile.density_before[r])),
-            repr(float(profile.density_after[r])),
-            repr(float(orb.real)),
-            repr(float(orb.imag)),
-            repr(float(closed[r])),
-        ]
-        lines.append(",".join(cells))
+    orb = profile.first_orbital
+    columns = (profile.density_before, profile.density_after, orb.real, orb.imag, closed)
+    for x, *cells in zip(profile.x.tolist(), *(c.tolist() for c in columns)):
+        lines.append(",".join([str(x), *map(repr, cells)]))
     _print_lines(lines, args.out)
     return 0
 

@@ -350,8 +350,10 @@ def one_body_generator_apply(v, b):
     mat = _hermitian_checked(b, v.modes)
     out = np.zeros_like(v.amplitudes)
     for k in range(v.modes + 1):
-        basis, h = _block_hamiltonian(v.modes, k, mat)
-        out[basis] = h @ v.amplitudes[basis]
+        basis = _masks_by_weight(v.modes)[k]
+        if not v.amplitudes[basis].any():  # the block maps zero to zero
+            continue
+        out[basis] = _block_hamiltonian(v.modes, k, mat)[1] @ v.amplitudes[basis]
     return FockVector(v.modes, out)
 
 

@@ -482,14 +482,17 @@ def two_fermion_w(s):
 
     w[i, j] is half the occupation amplitude on the pair (i, j) with
     i < j, so that sum_ij w_ij a_i^dag a_j^dag |0> reproduces the state.
+    With U and V the terms' first and second orbitals as columns and
+    c_t a_t their weights (Python products), uv = (U * weights) V^T is one
+    product and w = (uv - uv^T) / 2, so w is exactly antisymmetric with a
+    zero diagonal.
     """
     if s.electrons != 2:
         raise WrongParticleNumber(f"w is defined for 2 electrons, got {s.electrons}")
-    w = np.zeros((s.modes, s.modes), dtype=complex)
-    for coeff, amp, orb in zip(s.coeffs, s.amps, s.orbitals):
-        u, v = orb[:, 0], orb[:, 1]
-        w += coeff * amp * (np.outer(u, v) - np.outer(v, u))
-    return w / 2.0
+    weights = np.array([c * a for c, a in zip(s.coeffs, s.amps)], dtype=complex)
+    u, v = s.orbitals[:, :, 0].T, s.orbitals[:, :, 1]
+    uv = (u * weights) @ v
+    return (uv - uv.T) / 2.0
 
 
 def slater_number_two_fermion(w):

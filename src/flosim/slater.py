@@ -88,10 +88,11 @@ class ModeDecomposition:
     out_orbital: np.ndarray | None
 
 
-def check_orthonormal(orbitals):
-    """The constructor's check on each state of a (T, D, N) stack: raise for
-    the first with a non-finite entry or a deviation ||Phi^H Phi - 1||_F
-    (np.linalg.norm's, bit for bit) above ORTHO_TOL or not finite."""
+def orthonormal_fault(orbitals):
+    """(i, message) for the first state of a (T, D, N) stack with a
+    non-finite entry or a deviation ||Phi^H Phi - 1||_F (np.linalg.norm's,
+    bit for bit) above ORTHO_TOL or not finite, or None if every state
+    passes; message is what the constructor raises for it."""
     t, _, n = orbitals.shape
     # A non-finite entry or an overflowing Gram product makes the
     # deviation inf or NaN, which fails the state without a warning.
@@ -100,11 +101,20 @@ def check_orthonormal(orbitals):
         gram[:, :: n + 1] -= 1.0  # Phi^H Phi - 1, as subtracting np.eye(n) rounds
         dev = row_norms(gram)
     bad = ~(dev <= ORTHO_TOL)
-    if bad.any():
-        i = bad.argmax()
-        if not np.isfinite(orbitals[i]).all():
-            raise FlosimError("orbital entries must be finite")
-        raise FlosimError(f"orbital columns not orthonormal, deviation {dev[i]:.3e}")
+    if not bad.any():
+        return None
+    i = int(bad.argmax())
+    if not np.isfinite(orbitals[i]).all():
+        return i, "orbital entries must be finite"
+    return i, f"orbital columns not orthonormal, deviation {dev[i]:.3e}"
+
+
+def check_orthonormal(orbitals):
+    """The constructor's check on each state of a (T, D, N) stack: raise
+    FlosimError for the first that orthonormal_fault finds."""
+    fault = orthonormal_fault(orbitals)
+    if fault is not None:
+        raise FlosimError(fault[1])
 
 
 def check_mode(v, d):

@@ -217,7 +217,8 @@ def reference_plane_wave(d, n):
 
 def reference_w_orbital(cfg, s):
     """The one-orbital loop over plane-wave calls that bands' W kernel
-    replaces; kept as the bitwise reference."""
+    replaces; kept as the reference, which the kernel's product matches
+    in rounding only (W_TOL)."""
     n_el = cfg.electrons
     half_n = (n_el - 1) // 2
     acc = np.zeros(cfg.sites, dtype=complex)
@@ -249,13 +250,20 @@ def lattices(draw, max_sites):
     return LatticeConfig(d, n)
 
 
+# The W kernel's product sums over the momenta in BLAS's order, not
+# the loop's; entries are at most 1 in modulus, and the largest gap seen
+# up to D = 1001 was 5.3e-15.
+W_TOL = 1e-14
+
+
 class TestWKernel:
-    """All W orbitals come from one plane-wave matrix, bit for bit equal
-    to the one-orbital loop."""
+    """All W orbitals come from one product of the phase grid and the
+    plane-wave matrix, equal to the one-orbital loop within W_TOL; the
+    plane waves and the Fermi sea stay bit for bit."""
 
     def test_phase_grid_matches_python_complex_phases(self):
         """Every odd N at D up to 51, and some at D = 101 and 201: the W
-        rows equal, bit for bit, the same kernel whose phases exponentiate
+        rows equal, bit for bit, the same product whose phases exponentiate
         Python's complex scalars 2j*pi*n*s/N."""
         sizes = [(d, n) for d in (1, 3, 5, 11, 21, 51) for n in range(1, d + 1, 2)]
         sizes += [(101, n) for n in (1, 3, 49, 51, 99, 101)]
@@ -266,10 +274,7 @@ class TestWKernel:
             for labels in (range(n_el), [n_el - 1, 0]):
                 phases = np.exp(np.array([[2j * np.pi * n * s / n_el for s in labels]
                                           for n in momenta]))
-                want = np.zeros((len(labels), d), dtype=complex)
-                for phase, wave in zip(phases, bands._plane_waves(d, momenta)):
-                    want += phase[:, None] * wave
-                want /= np.sqrt(n_el)
+                want = (phases.T @ bands._plane_waves(d, momenta)) / np.sqrt(n_el)
                 assert bands._w_rows(cfg, labels).tobytes() == want.tobytes(), (d, n_el)
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=40)
@@ -285,9 +290,9 @@ class TestWKernel:
         drawn = data.draw(st.lists(st.integers(0, n_el - 1), max_size=3))
         labels = {0, n_el - 1, *drawn}
         for s in sorted(labels):
-            want = reference_w_orbital(cfg, s).tobytes()
-            assert w[s].tobytes() == want
-            assert w_orbital(cfg, s).tobytes() == want
+            want = reference_w_orbital(cfg, s)
+            assert np.abs(w[s] - want).max() <= W_TOL
+            assert np.abs(w_orbital(cfg, s) - want).max() <= W_TOL
         sea = fermi_sea(cfg).orbitals
         assert sea.flags.c_contiguous
         assert sea.tobytes() == np.column_stack(list(waves)).tobytes()
@@ -301,7 +306,8 @@ class TestWKernel:
             return
         _, post, profile = measure_origin(cfg, outcome)
         assert post.orbitals.flags.c_contiguous
-        assert post.orbitals.tobytes() == reference_measure_origin(cfg, outcome).tobytes()
+        want = reference_measure_origin(cfg, outcome)
+        assert np.abs(post.orbitals - want).max() <= W_TOL
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=60)
     @given(cfg=lattices(1001))

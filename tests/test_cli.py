@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from flosim import cli, fock, multislater, slater
+from flosim.bands import LatticeConfig, closed_form_w0, measure_origin
 from flosim.circuits import (
     _matrix_from_json,
     _vector_from_json,
@@ -86,8 +87,9 @@ def test_golden_transcript(argv, name, capsys):
     file only for an intended change of the transcript format or numbers.
     The oracle_* files pin the oracle trailer lines, which print the
     dense oracle's probability deviation to three digits near 1e-16.
-    The bands_* files pin every digit of the W-orbital profile and of
-    the closed form, the rank_* files the printed w and its Pfaffian.
+    The bands_* files pin every digit of the W-orbital profile, as the
+    W kernel's one product rounds it, and of the closed form; the rank_*
+    files the printed w, whose diagonal is exactly 0, and its Pfaffian.
     """
     code, out, err = run_cli(argv, capsys)
     assert code == 0 and err == ""
@@ -729,6 +731,30 @@ class TestBandsCommand:
         assert code == 1
         assert err.startswith("BadConfig:")
 
+    @pytest.mark.parametrize("sites, electrons", [(101, 51), (15, 7)])
+    @pytest.mark.parametrize("outcome", [0, 1])
+    def test_rows_match_the_per_row_formatter(self, sites, electrons, outcome, capsys):
+        """The CSV rows, formatted from whole columns, are the bytes of
+        the per-cell formatter over the same profile."""
+        cfg = LatticeConfig(sites, electrons)
+        profile = measure_origin(cfg, outcome)[2]
+        closed = closed_form_w0(cfg, profile.x)
+        want = []
+        for r in range(sites):
+            orb = profile.first_orbital[r]
+            cells = [str(int(profile.x[r])), repr(float(profile.density_before[r])),
+                     repr(float(profile.density_after[r])), repr(float(orb.real)),
+                     repr(float(orb.imag)), repr(float(closed[r]))]
+            want.append(",".join(cells))
+        argv = ["bands", "--sites", sites, "--electrons", electrons, "--outcome", outcome]
+        code, out, err = run_cli(argv, capsys)
+        assert (code, err) == (0, "")
+        assert out.splitlines()[-sites:] == want
+
+
+# The orbitals of two determinants on disjoint pairs of 4 modes.
+DISJOINT = ([[1, 0], [0, 1], [0, 0], [0, 0]], [[0, 0], [0, 0], [1, 0], [0, 1]])
+
 
 class TestSlaterRankCommand:
     def _value(self, out, key):
@@ -948,6 +974,54 @@ class TestSlaterRankCommand:
             outs.append(out)
         assert outs[1] == outs[0]
         assert int(self._value(outs[1], "Slater number")) == len(coefficients)
+
+    @pytest.mark.parametrize(
+        ("doc", "message"),
+        [
+            ({"terms": [{"coeficient": [0.5, 0], "orbitals": DISJOINT[0]}]},
+             "terms[0]: unknown keys ['coeficient']"),
+            ({"terms": [{"orbitals": DISJOINT[0]},
+                        {"coefficient": 1, "orbitals": DISJOINT[1], "amplitude": 2}]},
+             "terms[1]: unknown keys ['amplitude']"),
+            ({"orbitals": DISJOINT[0], "amplitud": [0, 1]},
+             "top level: unknown keys ['amplitud']"),
+            ({"orbitals": DISJOINT[0], "terms": [{"orbitals": DISJOINT[1]}]},
+             "state file takes 'orbitals' or 'terms', not both"),
+            ({"amplitude": 0.5, "terms": [{"orbitals": DISJOINT[1]}]},
+             "'amplitude' goes with 'orbitals'; a term takes 'coefficient'"),
+        ],
+        ids=["misspelled-coefficient", "term-amplitude", "top-level", "orbitals-and-terms",
+             "amplitude-and-terms"],
+    )
+    def test_unknown_and_conflicting_keys_are_one_parse_error(
+        self, doc, message, tmp_path, capsys
+    ):
+        """A key the format does not define is refused, not ignored: a
+        misspelled coefficient read as 1 would analyse the wrong state."""
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps({"modes": 4, "electrons": 2, **doc}))
+        assert run_cli(["slater-rank", path], capsys) == (1, "", f"ParseError: {message}\n")
+
+    @pytest.mark.parametrize(
+        ("first", "second", "message"),
+        [
+            (DISJOINT[0], [[1, 0], [0, 1], [0, 0]], "terms[1].orbitals: expected 4 rows"),
+            ([[1, 1], [0, 1], [0, 0], [0, 0]], [[1, 0], [0, 1], [0, 0]],
+             "terms[0].orbitals: orbital columns not orthonormal, deviation 1.732e+00"),
+            (DISJOINT[0], [[1, 1], [0, 1], [0, 0], [0, 0]],
+             "terms[1].orbitals: orbital columns not orthonormal, deviation 1.732e+00"),
+            ([[1, 1], [0, 1], [0, 0], [0, 0]], [[2, 0], [0, 1], [0, 0], [0, 0]],
+             "terms[0].orbitals: orbital columns not orthonormal, deviation 1.732e+00"),
+        ],
+        ids=["malformed-second", "bad-first-before-malformed", "bad-second", "both-bad"],
+    )
+    def test_first_failing_term_is_named(self, first, second, message, tmp_path, capsys):
+        """The terms are checked as one stack, and the first failing term
+        in file order names the error, whatever each one's fault."""
+        path = tmp_path / "state.json"
+        terms = [{"orbitals": first}, {"coefficient": [0, 1], "orbitals": second}]
+        path.write_text(json.dumps({"modes": 4, "electrons": 2, "terms": terms}))
+        assert run_cli(["slater-rank", path], capsys) == (1, "", f"ParseError: {message}\n")
 
     @pytest.mark.parametrize(
         ("dims", "message"),

@@ -290,14 +290,17 @@ def _deep_circuit(rng, d, rounds, generic):
 @pytest.mark.parametrize("generic", [False, True], ids=["sites", "generic"])
 def test_deep_exact_branch_run_keeps_its_orbitals_orthonormal(generic):
     """3,000 steps of the single-determinant executor at D = 16, N = 8
-    end within 1e-11 of orthonormal.  Each split projects its residual
+    end within 1e-14 of orthonormal.  Each split projects its residual
     twice; projected once, the out orbital passed the orbitals' Gram
     error on to the child 1 / beta larger, and these runs failed the
     orthonormality check within a few hundred steps.  The deviation still
-    grows with depth, as nothing re-orthonormalizes the orbitals."""
+    grows with depth, as nothing re-orthonormalizes the orbitals.  The
+    runs of seeds 0-19 that complete ended at most at 1.0e-15 (generic)
+    and 2.0e-15 (sites), seed 16 at 8.5e-16 and 6.6e-16, so the bound is
+    five times the worst seen."""
     d, n = 16, 8
     circuit = _deep_circuit(np.random.default_rng(16), d, 1000, generic)
     transcript, final = simulate_exact_branch(circuit, d, n)
     assert len(transcript.rows) == 2000
     dev = np.linalg.norm(final.orbitals.conj().T @ final.orbitals - np.eye(n))
-    assert dev < 1e-11
+    assert dev < 1e-14

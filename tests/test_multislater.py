@@ -1723,6 +1723,27 @@ class TestTwoFermionW:
         with pytest.raises(WrongParticleNumber):
             two_fermion_w(SlaterSum.from_state(standard_state(4, 3)))
 
+    @settings(derandomize=True, database=None, deadline=None, max_examples=40)
+    @given(d=st.integers(2, 12), t=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+    def test_exactly_antisymmetric_and_the_outer_product_loop(self, d, t, seed):
+        """w is one product, so w = -w^T exactly (signed zeros aside) with
+        a zero diagonal; it matches the loop of outer products u v^T -
+        v u^T per term within rounding."""
+        rng = np.random.default_rng(seed)
+        terms = [(complex(c), SlaterState(random_orthonormal_columns(rng, d, 2), complex(a)))
+                 for c, a in zip(random_complex(rng, t), random_complex(rng, t))]
+        s = SlaterSum(terms, d, 2)
+        w = two_fermion_w(s)
+        assert np.array_equal(w, -w.T)
+        assert not np.diagonal(w).any()
+        want = np.zeros((d, d), dtype=complex)
+        for c, st_ in s.terms:
+            u, v = st_.orbitals[:, 0], st_.orbitals[:, 1]
+            want += c * st_.amplitude * (np.outer(u, v) - np.outer(v, u))
+        want /= 2.0
+        scale = sum(abs(c * st_.amplitude) for c, st_ in s.terms)
+        assert np.abs(w - want).max() <= 1e-14 * scale
+
 
 class TestSlaterNumber:
     def test_single_determinant(self):
