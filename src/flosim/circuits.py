@@ -327,13 +327,14 @@ def load_circuit(path):
     return parse_circuit(_read_text(path))
 
 
-def _check_term_stack(stack):
+def _check_term_stack(stack, wheres):
     """Raise ParseError for the first term of a (T, D, N) stack of state
-    file orbitals that the SlaterState constructor would refuse."""
+    file orbitals that the SlaterState constructor would refuse, named by
+    its key in wheres."""
     fault = orthonormal_fault(stack)
     if fault is not None:
         i, message = fault
-        raise ParseError(f"terms[{i}].orbitals: {message}")
+        raise ParseError(f"{wheres[i]}: {message}")
 
 
 def load_state_sum(path):
@@ -342,8 +343,8 @@ def load_state_sum(path):
     "orbitals" and an optional "coefficient"); any other key is an error.
     Every term's orbitals are parsed into one (T, D, N) stack and checked
     by one orthonormality check; the first failing term in file order
-    raises.  A sum whose norm overflows is first divided by its largest
-    |c a|."""
+    raises, named by its key ("orbitals" or "terms[i].orbitals").  A sum
+    whose norm overflows is first divided by its largest |c a|."""
     doc = _document(_read_text(path))
     _check_keys(doc, _STATE_KEYS, "top level")
     for key in ("modes", "electrons"):
@@ -356,7 +357,7 @@ def load_state_sum(path):
     raw_terms = []
     if "orbitals" in doc:
         amp = _complex_from_json(doc.get("amplitude", 1.0), "amplitude")
-        raw_terms.append((amp, doc["orbitals"]))
+        raw_terms.append((amp, doc["orbitals"], "orbitals"))
     elif "terms" in doc:
         if "amplitude" in doc:
             raise ParseError("'amplitude' goes with 'orbitals'; a term takes 'coefficient'")
@@ -367,18 +368,19 @@ def load_state_sum(path):
                 raise ParseError(f"terms[{i}]: expected an object with 'orbitals'")
             _check_keys(term, _TERM_KEYS, f"terms[{i}]")
             coeff = _complex_from_json(term.get("coefficient", 1.0), f"terms[{i}].coefficient")
-            raw_terms.append((coeff, term["orbitals"]))
+            raw_terms.append((coeff, term["orbitals"], f"terms[{i}].orbitals"))
     else:
         raise ParseError("state file needs 'orbitals' or 'terms'")
     stack = np.empty((len(raw_terms), d, n), dtype=complex)
-    for i, (_, rows) in enumerate(raw_terms):
+    wheres = [where for *_, where in raw_terms]
+    for i, (_, rows, where) in enumerate(raw_terms):
         try:
-            stack[i] = _matrix_from_json(rows, (d, n), f"terms[{i}].orbitals")
+            stack[i] = _matrix_from_json(rows, (d, n), where)
         except ParseError:
-            _check_term_stack(stack[:i])  # an earlier term's fault comes first
+            _check_term_stack(stack[:i], wheres)  # an earlier term's fault comes first
             raise
-    _check_term_stack(stack)
-    coeffs = [c for c, _ in raw_terms]
+    _check_term_stack(stack, wheres)
+    coeffs = [c for c, *_ in raw_terms]
     ssum = SlaterSum._stacked(coeffs, [1.0 + 0.0j] * len(coeffs), stack, DEFAULT_MAX_TERMS)
     nrm = sum_norm(ssum)
     if not np.isfinite(nrm):  # |c|^2 overflowed, so c / max |c a| first

@@ -8,16 +8,18 @@ the term count, which is why sums are needed at all.  Merged-outcome
 groupings concatenate the projected term lists; the {0,2} vs {1} parity
 grouping is the one that forces genuine growth.
 
-Each term is split once (slater.split_pair): two Householder reflectors
-rotate its span to [f0, f1, R], f0 = a lam + b kappa + o0 and f1 =
-c kappa + o1 with R orthogonal to both modes, and the leaves of the
-(lambda, kappa) occupations (1, 1), (1, 0), (0, 1) and (0, 0) are
-a c [lam, kappa, R], a |o1| [lam, o1^, R], |u| [kappa, u^, R] with
-u = b o1 - c o0, and |o0| |o1'| [o0^, o1'^, R].  A single-mode
-measurement of a sum takes the single-mode split (slater.split_stack)
-through the same batches, group builder and measure body.
+Each term is split once by the one split kernel (slater.split_pair):
+two Householder reflectors rotate its span to [f0, f1, R], f0 = a lam +
+b kappa + o0 and f1 = c kappa + o1 with R orthogonal to both modes, and
+the leaves of the (lambda, kappa) occupations (1, 1), (1, 0), (0, 1) and
+(0, 0) are a c [lam, kappa, R], a |o1| [lam, o1^, R], |u| [kappa, u^, R]
+with u = b o1 - c o0, and |o0| |o1'| [o0^, o1'^, R].  A single-mode
+measurement of a sum takes the same kernel on kappa alone, its first
+reflector only, f0 = a kappa + o0 and leaves a [kappa, R] and
+|o0| [o0^, R], through the same batches, group builder and measure body.
 
-Every outcome probability comes from one pass over the term pairs
+Every outcome probability, and the norm (sum_norm, its x = 0 slice
+with no measured mode), comes from one pass over the term pairs
 (_expectations): each term is Q-applied once per map Q = 1 - x M M^H,
 and the rows go ROW_BLOCK at a time, each block's N x N overlaps from
 one stacked product and one batched det.  Each leaf is an eigenstate of
@@ -54,7 +56,6 @@ from .slater import (
     check_unitary,
     rotate_orbitals,
     split_pair,
-    split_stack,
     standard_state,
 )
 
@@ -171,36 +172,16 @@ def _stack(rows, d, n):
     return np.array(rows, dtype=complex).reshape(len(rows), d, n)
 
 
-def _overlap_total(s):
-    """Sum of conj(c_i) c_j <Phi_i|Phi_j> over all ordered term pairs.
-
-    Bitwise equal to the double loop over slater_overlap in row-major
-    pair order.  Row i takes one stacked Gram product against every term
-    and one batched determinant; both round exactly like the per-pair
-    calls.  Pair weights use Python's scalar complex multiply in the
-    order (conj(c_i) c_j) ((conj(a_i) a_j) det_ij), since numpy's
-    vectorized complex multiply rounds differently, and are added one
-    after another, not by np.sum's pairwise tree.  Hermitian symmetry is
-    not used: with pivoting, det(G^H) is not bitwise conj(det G).
-    """
-    # Slot 0 carries the running total, slots 1.. the current row's weights.
-    acc = np.zeros(s.term_count + 1, dtype=complex)
-    for c, a, phi in zip(s.coeffs, s.amps, s.orbitals):
-        gram = phi.conj().T @ s.orbitals
-        require_finite(gram)
-        dets = np.linalg.det(gram).tolist()
-        ci, ai = c.conjugate(), a.conjugate()
-        acc[1:] = [ci * cj * (ai * aj * d) for cj, aj, d in zip(s.coeffs, s.amps, dets)]
-        acc[0] = np.add.accumulate(acc)[-1]
-    return complex(acc[0])
-
-
 def sum_norm(s):
-    """Norm of the represented state, via pairwise determinant overlaps.
-
-    Costs O(T^2 (D N^2 + N^3)) for T terms of N electrons on D modes.
+    """Norm of the represented state: the square root of the x = 0 slice
+    of the probability pass (_expectations) with no measured mode, so
+    pairs across sectors are skipped.  Costs O(T^2 (D N^2 + N^3)) for T
+    terms of N electrons on D modes.  A weight |c a|^2 past float range
+    makes it inf or NaN without a warning, for the caller to rescale.
     """
-    return float(np.sqrt(max(_overlap_total(s).real, 0.0)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        (sq,) = _expectations(s, np.zeros((s.modes, 0)), (0,))
+    return float(np.sqrt(max(sq, 0.0)))
 
 
 def _sector_keys(sectors, t):
@@ -265,7 +246,7 @@ def _expectations(s, m, xs):
     if keys is None:  # every x takes every later term: one product per block
         parts, ends = [(slice(None), None)], [t] * t
     else:
-        parts = [(slice(0, 1), keys[:, None] == keys), (slice(1, None), None)]
+        parts = [(slice(0, 1), keys[:, None] == keys), (slice(1, None), None)][: len(xs)]
         ends = np.searchsorted(keys, keys, "right").tolist()
     pairs = np.zeros(len(xs), dtype=complex)  # the sum over i < j of each x's pairs
     for i in range(0, t - 1, ROW_BLOCK):
@@ -300,36 +281,24 @@ def evolve_sum(s, v, pair=None):
     return SlaterSum._stacked(s.coeffs, s.amps, rotated, s.max_terms, s.sectors)
 
 
-def _split(amps, orbitals, vecs, group):
-    """split_pair's (leaves, stack) for the measured modes vecs on the
-    total occupations in group; for one mode, split_stack's children of
-    group's one outcome in the same form, with no pattern (None)."""
-    if len(vecs) == 2:
-        return split_pair(amps, orbitals, *vecs, group)
-    (want,) = group
-    pairs = split_stack(amps, orbitals, vecs[0], want)[2]
-    kept = [(i, res) for i, pair in enumerate(pairs) if (res := pair[want]) is not None]
-    rows = _stack([res[2] for _, res in kept], *orbitals.shape[1:])
-    return [[(i, res[0], res[1], None) for i, res in kept]], rows
-
-
 def _group_sum(s, vecs, group):
     """Unnormalized projection of s on one outcome group of the measured
     modes vecs ((lambda, kappa) or (kappa,)), named by its label ("02")
-    or outcomes ((0, 2)): one _split call per batch of at most
+    or outcomes ((0, 2)): one split_pair call per batch of at most
     SPLIT_ENTRIES orbital entries, which builds only the group's leaves,
     listed by outcome, then by term, (1, 0) before (0, 1).  Two modes
     label each leaf with its (lambda, kappa) pattern as its sector; one
     mode labels none."""
     group = tuple(map(int, group))
     t, d, n = s.orbitals.shape
+    lam, kap = (None, *vecs)[-2:]  # lam None for one mode
     size = max(1, SPLIT_ENTRIES // max(1, d * n))
     try:
-        batches = [(i, _split(s.amps[i : i + size], s.orbitals[i : i + size], vecs, group))
+        batches = [(i, split_pair(s.amps[i : i + size], s.orbitals[i : i + size], lam, kap, group))
                    for i in range(0, t, size)]
     except (FlosimError, ValueError):
         # Term by term, so that the first failing term's error wins.
-        batches = [(i, _split(s.amps[i : i + 1], s.orbitals[i : i + 1], vecs, group))
+        batches = [(i, split_pair(s.amps[i : i + 1], s.orbitals[i : i + 1], lam, kap, group))
                    for i in range(t)]
     # Outcome by outcome, every batch's leaves of it in turn.
     coeffs, amps, sectors, rows = [], [], [], []
@@ -344,7 +313,7 @@ def _group_sum(s, vecs, group):
         stack = batches[0][1][1]
     else:
         stack = np.concatenate([np.empty((0, d, n), complex), *rows])
-    sectors = sectors if len(vecs) == 2 else None
+    sectors = None if lam is None else sectors
     return SlaterSum._stacked(coeffs, amps, stack, s.max_terms, sectors)
 
 
@@ -447,8 +416,10 @@ def reduce_to_two_fermion(s, kappa, lam):
 
     Assumes the usual standard form: the interesting physics lives on
     modes {0, 1, N, N+1} and the context modes 2..N-1 are filled and
-    orthogonal to both measured modes.  Each takes one split_stack of
-    all terms and one check of what is left: annihilate, bit for bit.
+    orthogonal to both measured modes.  Each takes one split_pair of all
+    terms on that mode alone, keeps the outcome-1 leaves without their
+    first column, the mode, and checks what is left: annihilate, bit for
+    bit.
     """
     n = s.electrons
     if n < 2:
@@ -468,12 +439,12 @@ def reduce_to_two_fermion(s, kappa, lam):
     for m in range(n - 1, 1, -1):
         e_m = np.zeros(s.modes, dtype=complex)
         e_m[m] = 1.0
-        children = split_stack(current.amps, current.orbitals, e_m, keep=1)[2]
-        ones = [(c, one) for c, (_, one) in zip(current.coeffs, children) if one is not None]
-        reduced = _stack([orb[:, 1:] for _, (_, _, orb) in ones], s.modes, m)
+        (ones,), stack = split_pair(current.amps, current.orbitals, None, e_m, (1,))
+        reduced = np.ascontiguousarray(stack[:, :, 1:])
         check_orthonormal(reduced)
-        amps = [amp * alpha for _, (alpha, amp, _) in ones]
-        current = SlaterSum._stacked([c for c, _ in ones], amps, reduced, s.max_terms)
+        coeffs = [current.coeffs[i] for i, *_ in ones]
+        amps = [amp * alpha for _, alpha, amp, _ in ones]
+        current = SlaterSum._stacked(coeffs, amps, reduced, s.max_terms)
     return current
 
 

@@ -212,7 +212,9 @@ def sampled_steps(circuit, d, n, seed=0, initial=None, max_terms=DEFAULT_MAX_TER
                 "branch of the parity measurement preserves a single "
                 "determinant, so the exact-branch simulation does not apply"
             )
-    rng = np.random.default_rng(seed)
+    # Only a sampled step draws, so other runs never import numpy.random.
+    sampled = any(getattr(step, "policy", None) == "sample" for step in circuit)
+    rng = np.random.default_rng(seed) if sampled else None
     start = initial if initial is not None else standard_state(d, n)
     state = SlaterSum.from_state(start, max_terms=max_terms)
     yield None, None, None, state

@@ -1,10 +1,13 @@
 """Single Slater determinant states and their elementary operations.
 
 A state is a D x N matrix of orthonormal orbital columns plus a complex
-global amplitude.  One-body evolution rotates the columns, single-mode
-occupation measurements use the in/out decomposition of the measured
-mode against the filled span, and every operation keeps the state in
-determinant form.
+global amplitude.  One-body evolution rotates the columns, and every
+operation keeps the state in determinant form.  split_pair is the one
+split kernel: it rotates each filled span of a stack by Householder
+reflectors, one per measured mode (one mode or two), and reads every
+occupation projection off the rotated span.  Single-mode measurement and
+annihilation take it on one state; decompose_mode and rotate_in_first
+stay as the per-term references the tests hold it to.
 
 Convention, locked by a golden test against the dense simulator: a
 single-particle unitary V acts on an orbital column c as V @ c, and mode
@@ -208,7 +211,7 @@ def decompose_mode(s, kappa):
 
 def rotate_in_first(s, in_orbital):
     """Re-express the same state so its first orbital is in_orbital, by
-    split_stack's own rotation (_reflect).  The basis change's determinant,
+    split_pair's first reflector (_reflect).  The basis change's determinant,
     a phase known in closed form, is divided out of the amplitude, so the
     represented state, global phase included, is untouched."""
     t = check_mode(in_orbital, s.modes)
@@ -262,77 +265,6 @@ def _rotate_to(phi, phi_h, target, present=None):
     return _reflect(phi, c / norms[:, None])
 
 
-def split_stack(amps, orbitals, vec, keep=None):
-    """The single-mode occupation projections of every state of a
-    (T, D, N) orbital stack on the mode vector vec (an ndarray, as
-    check_mode returns it), each step one stacked numpy call.
-
-    Returns (alphas, betas, children): vec = alpha in + beta out against
-    each state's filled span, and per state [zero, one], each (scale,
-    amplitude, orbitals) with projector(state) == scale * (amplitude,
-    orbitals), or None when it vanishes or is not kept.  keep=None
-    builds both children; keep=0 or 1 builds and checks only that
-    outcome's child, bit for bit as keep=None builds it, and leaves the
-    other None.  Outcome 1 puts vec first in the rotated span, outcome 0
-    the in-span vector beta in - alpha out.  A state with no filled
-    component of vec (every one when N = 0) passes through as outcome 0.
-    The span is rotated by a Householder reflector (_reflect), whose
-    determinant, a phase, is divided out of the amplitude in closed
-    form; no SVD and no det is taken.  Stacked calls round like
-    per-slice ones, so each state splits bit for bit as decompose_mode
-    and rotate_in_first split its C-contiguous copy.  Each of their
-    checks and the constructor's runs once per stack, on what is built,
-    and raises the class and message of the first state that fails it.
-    """
-    # vec = alpha in + beta out; the residual is projected twice, as
-    # decompose_mode projects it.
-    phi_h = orbitals.conj().transpose(0, 2, 1)
-    coeffs = phi_h @ vec
-    alpha = row_norms(coeffs)
-    inside = (orbitals @ coeffs[:, :, None])[:, :, 0]
-    resid = vec - inside
-    resid = resid - (orbitals @ (phi_h @ resid[:, :, None]))[:, :, 0]
-    beta = row_norms(resid)
-    alphas, betas = alpha.tolist(), beta.tolist()
-    out = [[None if keep == 1 else (1.0, amp, orb), None] for amp, orb in zip(amps, orbitals)]
-    lanes = [i for i, a_i in enumerate(alphas) if a_i > ABSENT_TOL]
-    if not lanes:
-        return alphas, betas, out
-    # A full slice where every row is taken, so that indexing gives views.
-    rows = slice(None) if len(lanes) == len(amps) else lanes
-    phi, phi_h, a, b = orbitals[rows], phi_h[rows], alpha[rows, None], beta[rows, None]
-    in_orb = inside[rows] / a
-    rot, ph = _rotate_to(phi, phi_h, in_orb)
-    # Drop the stacks no longer needed before checking and building the
-    # children, so the batch's peak memory stays low.
-    del phi, phi_h
-    check_orthonormal(rot)
-    # The children share the rotated span's other orbitals; each kept
-    # child is written into rot itself once no other child needs it.
-    one = zero = None
-    if keep != 0:
-        one = rot if keep == 1 else rot.copy()
-        one[:, :, 0] = vec
-    has_out = [keep != 1 and betas[i] > ABSENT_TOL for i in lanes]
-    if keep != 1:
-        k = slice(None) if all(has_out) else np.flatnonzero(has_out)
-        out_orb = resid[rows][k] / b[k]
-        zero = rot[k]  # rot itself when every state has both children
-        zero[:, :, 0] = b[k] * in_orb[k] - a[k] * out_orb
-    del rot
-    for built in (one, zero):
-        if built is not None:
-            check_orthonormal(built)
-    zeros = iter(() if zero is None else zero)
-    for p, (i, d, out_too) in enumerate(zip(lanes, ph.tolist(), has_out)):
-        amp = amps[i] / d
-        out[i] = [
-            (betas[i], amp, next(zeros)) if out_too else None,
-            None if one is None else (alphas[i], amp, one[p]),
-        ]
-    return alphas, betas, out
-
-
 # The (lambda, kappa) occupations of each total occupation's leaves, in
 # the order split_pair lists them.
 PAIR_PATTERNS = {0: ((0, 0),), 1: ((1, 0), (0, 1)), 2: ((1, 1),)}
@@ -377,62 +309,72 @@ def _unit(x, norms):
 
 
 def split_pair(amps, orbitals, lam, kap, want):
-    """The two-mode occupation projections of every state of a (T, D, N)
-    orbital stack on the orthogonal modes lam and kap, from one rotation
-    of each span, building only the leaves of the total occupations in
-    want (increasing).  Returns (leaves, stack): per outcome of want a
-    list of (term, scale, amplitude, pattern), pattern the leaf's
-    (lambda, kappa) occupations, per term (1, 0) before (0, 1), and the
-    leaves' orbitals as the stack's rows in that order; a state's
-    projection is the sum of its scaled leaves.
+    """The occupation projections of every state of a (T, D, N) orbital
+    stack on the orthogonal modes lam and kap, or on kap alone when lam
+    is None, from one rotation of each span, building only the leaves of
+    the total occupations in want (increasing).  Returns (leaves,
+    stack): per outcome of want a list of (term, scale, amplitude,
+    pattern), pattern the leaf's (lambda, kappa) occupations (lambda's
+    0 when lam is None), per term (1, 0) before (0, 1), and the leaves'
+    orbitals as the stack's rows in that order; a state's projection is
+    the sum of its scaled leaves.
 
     Two reflectors (_reflect_onto) rotate the span to [f0, f1, R], R
     orthogonal to both modes, f0 = a lam + b kap + o0 and f1 = c kap +
     o1 with a, c >= 0.  The leaves of f0 ^ f1 are (1, 1): a c [lam, kap,
     R]; (1, 0): a |o1| [lam, o1^, R]; (0, 1): |u| [kap, u^, R] with u =
     b o1 - c o0; (0, 0): |o0| |o1'| [o0^, o1'^, R] with o1' o1 out of o0;
-    x^ = x / |x|.  N = 1 has no f1: a [lam], |b| [b^ kap], |o0| [o0^];
-    N = 0 leaves each state as its (0, 0) leaf.  Each new column is
-    projected out of [lam, kap, R] twice, a leaf of scale at most
-    ABSENT_TOL is not built, and the amplitude divides by the two
-    reflector phases.  rotate_in_first's checks run on each reflector's
-    target, check_orthonormal on the rotated span and once on the stack
-    of leaves, each raising for the first state that fails it.
+    x^ = x / |x|.  N = 1 has no f1: a [lam], |b| [b^ kap], |o0| [o0^].
+    kap alone takes the first reflector only, f0 = a kap + o0, and its
+    leaves are (0, 1): a [kap, R] and (0, 0): |o0| [o0^, R].  N = 0
+    leaves each state as its (0, 0) leaf.  Each new column is projected
+    out of [lam, kap, R] twice, a leaf of scale at most ABSENT_TOL is not
+    built, and the amplitude divides by the reflector phases.
+    rotate_in_first's checks run on each reflector's target,
+    check_orthonormal on the rotated span and once on the stack of
+    leaves, each raising for the first state that fails it.
     """
     t, d, n = orbitals.shape
     if n == 0:
         kept = list(range(t)) if 0 in want else []
         return ([[(i, 1.0, amps[i], (0, 0)) for i in kept] if o == 0 else [] for o in want],
                 orbitals[kept])
-    rot, ph, a = _reflect_onto(orbitals, lam)
+    modes = (kap,) if lam is None else (lam, kap)
+    k = len(modes)
+    two = k == 2 and n > 1  # a second reflector, and f1
+    rot, ph, a = _reflect_onto(orbitals, modes[0])
     ph2 = [1.0] * t
-    if n > 1:
+    if two:
         rot[:, :, 1:], ph2, c = _reflect_onto(rot[:, :, 1:], kap)
         ph2 = ph2.tolist()
     check_orthonormal(rot)
-    q = np.empty((t, d, max(n, 2)), dtype=complex)
-    q[:, :, 0], q[:, :, 1], q[:, :, 2:] = lam, kap, rot[:, :, 2:]
+    q = np.empty((t, d, max(n, k)), dtype=complex)
+    q[:, :, :k], q[:, :, k:] = np.transpose(modes), rot[:, :, k:]
     # Per pattern its scales and the columns (index, rows) its leaves put
     # in place of those of [lam, kap, R]; rows are per state or one vector.
-    leaf = {(1, 1): (a * c, ())} if n > 1 else {}
-    if want != (2,):  # outcome 2 alone needs no new column
+    leaf = {(1, 1): (a * c, ())} if two else {}
+    if want != (k,):  # outcome k alone, every mode filled, needs no new column
         q_h = q.conj().transpose(0, 2, 1)
         b = np.vecdot(kap, rot[:, :, 0])  # kap^H f0, row by row
-        o = _outside(q, q_h, rot[:, :, :2])
+        o = _outside(q, q_h, rot[:, :, :k])
         o0, o1 = o[:, :, 0], o[:, :, -1]
         n0 = _norms(o0)
         u0 = _unit(o0, n0)
-    if n == 1 and want != (2,):
+    if lam is None:
+        leaf[0, 1] = (a, ())
+        if 0 in want:
+            leaf[0, 0] = (n0, ((0, u0),))
+    elif n == 1 and want != (2,):
         leaf[1, 0] = (a, ())
         leaf[0, 1] = (abs(b), ((0, _unit(b[:, None] * kap, abs(b))),))
         leaf[0, 0] = (n0, ((0, u0),))
-    if n > 1 and 1 in want:
+    if two and 1 in want:
         n1 = _norms(o1)
         leaf[1, 0] = (a * n1, ((1, _unit(o1, n1)),))
         u = _outside(q, q_h, (b[:, None] * o1 - c[:, None] * o0)[:, :, None])[:, :, 0]
         nu = _norms(u)
         leaf[0, 1] = (nu, ((0, kap), (1, _unit(u, nu))))
-    if n > 1 and 0 in want:
+    if two and 0 in want:
         # o1 projected out of [o0^, lam, kap, R] twice
         q0 = np.empty((t, d, q.shape[2] + 1), dtype=complex)
         q0[:, :, 0], q0[:, :, 1:] = u0, q
@@ -457,62 +399,55 @@ def split_pair(amps, orbitals, lam, kap, want):
     return [[(i, scales[p][i], amps[i], p) for p, i in out] for out in order], stack
 
 
-def split_mode(s, vec, keep=None):
-    """split_stack on the one state s: returns ((alpha, beta), [zero, one])
-    with each projection (scale, new_state), new_state of unit norm, or
-    None.  When vec has no filled component, zero is (1.0, s) itself."""
-    orbitals = np.ascontiguousarray(s.orbitals)[None]
-    (alpha,), (beta,), (pair,) = split_stack([s.amplitude], orbitals, vec, keep)
-    if not alpha > ABSENT_TOL:
-        return (alpha, beta), [None if keep == 1 else (1.0, s), None]
-    return (alpha, beta), [r and (r[0], SlaterState._checked(r[2], r[1])) for r in pair]
-
-
 def measure_mode(s, kappa, forced=None, rng=None):
     """Measure the occupation of mode kappa.
 
-    Returns (outcome, probability, post).  The post state is split_mode's
-    projection of that outcome, renormalized, so it stays a single
-    determinant.  Pass forced=0 or forced=1 to steer the branch, or a
-    numpy Generator as rng to sample.
+    Returns (outcome, probability, post).  The post state is that
+    outcome's split_pair leaf, renormalized, so it stays a single
+    determinant, and the probability its scale squared.  Pass forced=0
+    or forced=1 to steer the branch, or a numpy Generator as rng to
+    sample.
     """
     kap = check_mode(kappa, s.modes)
     if s.electrons == 0:
         if forced == 1:
             raise ImpossibleOutcome("the vacuum never reports an occupied mode")
         return 0, 1.0, s
-    (alpha, beta), children = split_mode(s, kap)
-    p1 = alpha ** 2
-    p0 = beta ** 2
+    orbitals = np.ascontiguousarray(s.orbitals)[None]
+    leaves, stack = split_pair([s.amplitude], orbitals, None, kap, (0, 1))
+    probs = [out[0][1] ** 2 if out else 0.0 for out in leaves]
     if forced is None:
         if rng is None:
             raise ValueError("measure_mode needs forced=0/1 or an rng to sample")
-        outcome = 1 if rng.random() < p1 else 0
+        outcome = 1 if rng.random() < probs[1] else 0
     else:
         outcome = int(forced)
         if outcome not in (0, 1):
             raise ValueError(f"forced outcome must be 0 or 1, got {forced}")
-    prob = p1 if outcome == 1 else p0
+    prob = probs[outcome]
     if prob < PROB_FLOOR:
         raise ImpossibleOutcome(f"outcome {outcome} has probability below {PROB_FLOOR:g}")
-    return outcome, prob, children[outcome][1]
+    row = len(leaves[0]) * outcome  # outcome 1's leaf follows outcome 0's
+    return outcome, prob, SlaterState._checked(stack[row], leaves[outcome][0][2])
 
 
 def annihilate(s, mode):
     """Apply the annihilation operator of the given mode vector.
 
     The result has one electron fewer and amplitude scaled by the
-    overlap of the mode with the filled span; annihilating a mode with
-    no filled component returns a zero-amplitude state.
+    overlap of the mode with the filled span: split_pair's outcome-1 leaf
+    without its first column, the mode.  Annihilating a mode with no
+    filled component returns a zero-amplitude state.
     """
     kap = check_mode(mode, s.modes)
     if s.electrons == 0:
         return SlaterState(s.orbitals, 0.0)
-    one = split_mode(s, kap, keep=1)[1][1]
-    if one is None:
+    orbitals = np.ascontiguousarray(s.orbitals)[None]
+    (ones,), stack = split_pair([s.amplitude], orbitals, None, kap, (1,))
+    if not ones:
         return SlaterState(s.orbitals[:, : s.electrons - 1], 0.0)
-    alpha, occupied = one
-    return SlaterState(occupied.orbitals[:, 1:], occupied.amplitude * alpha)
+    ((_, alpha, amp, _),) = ones
+    return SlaterState(stack[0, :, 1:], amp * alpha)
 
 
 def slater_overlap(s1, s2):

@@ -3,7 +3,9 @@
 import argparse
 import dataclasses
 import json
+import os
 import re
+import subprocess
 import sys
 import warnings
 from collections import Counter
@@ -516,6 +518,22 @@ class TestNogoCommand:
         assert "parity" in err
         assert err.count("\n") == 1
 
+    def test_only_a_sampled_run_imports_numpy_random(self):
+        """sampled_steps makes its generator only for a circuit with a
+        sampled step: a nogo run, in a fresh process, leaves numpy.random
+        unimported, while a sampled simulate run imports it and prints
+        its golden transcript unchanged."""
+        script = ("import sys; from flosim.cli import main; code = main(sys.argv[1:]); "
+                  "print('numpy.random' in sys.modules, file=sys.stderr); sys.exit(code)")
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+        runs = [(["nogo", ROOT / "circuits" / "nogo_demo.json"], "nogo_nogo_demo", b"False"),
+                (["simulate", POLICY_MIX, "--seed", "7"], "simulate_policy_mix", b"True")]
+        for argv, name, loaded in runs:
+            run = subprocess.run([sys.executable, "-c", script, *map(str, argv)],
+                                 capture_output=True, env=env, check=False)
+            assert (run.returncode, run.stderr.strip()) == (0, loaded)
+            assert run.stdout == (GOLDEN / f"{name}.txt").read_bytes()
+
 
 # Rotations that fail their step's unitarity check: the shorthand with a
 # NaN or infinite theta (cos and sin give a NaN block) and a finite
@@ -954,7 +972,7 @@ class TestSlaterRankCommand:
         code, out, err = run_cli(["slater-rank", path], capsys)
         assert (code, out) == (1, "")
         assert err == (
-            "ParseError: terms[0].orbitals: orbital columns not orthonormal, deviation nan\n"
+            "ParseError: orbitals: orbital columns not orthonormal, deviation nan\n"
         )
 
 

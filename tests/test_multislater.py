@@ -48,9 +48,7 @@ from flosim.slater import (
     measure_mode,
     rotate_in_first,
     slater_overlap,
-    split_mode,
     split_pair,
-    split_stack,
     standard_state,
 )
 from flosim.multislater import (
@@ -59,9 +57,7 @@ from flosim.multislater import (
     SlaterSum,
     _expectations,
     _group_sum,
-    _overlap_total,
     _probabilities,
-    _split,
     apply_two_mode_projector,
     evolve_sum,
     generic_p1_study,
@@ -188,8 +184,8 @@ class TestSlaterSumType:
 
 
 def reference_overlap_total(s):
-    """The per-pair double loop over slater_overlap that sum_norm's
-    batched kernel replaces; kept as the bitwise reference."""
+    """The per-pair double loop over slater_overlap: the reference for
+    sum_norm, the probability pass's x = 0 slice."""
     acc = 0.0 + 0.0j
     for ci, si in s.terms:
         for cj, sj in s.terms:
@@ -242,23 +238,42 @@ def sum_recipes(draw):
 
 
 class TestSumNormKernel:
-    """sum_norm's batched kernel against the per-pair double loop,
-    bit for bit (the transcripts print 13 digits of its square)."""
+    """sum_norm, the x = 0 slice of the probability pass with no measured
+    mode, against the per-pair double loop over slater_overlap."""
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=150)
     @given(sum_recipes())
-    def test_bitwise_equal_to_pairwise_loop(self, recipe):
+    def test_within_1e_13_of_the_pairwise_loop(self, recipe):
         d, n, terms = recipe
         s = SlaterSum(terms, d, n)
-        assert bits(_overlap_total(s)) == bits(reference_overlap_total(s))
-        assert sum_norm(s).hex() == reference_sum_norm(s).hex()
-        # The kernel also matches on terms the constructor would prune,
+        want = reference_sum_norm(s)
+        assert abs(sum_norm(s) - want) <= 1e-13 * want
+        # The pass also matches on terms the constructor would prune,
         # zero amplitudes included.
         raw = SlaterSum((), d, n)
         object.__setattr__(raw, "coeffs", tuple(complex(c) for c, _ in terms))
         object.__setattr__(raw, "amps", tuple(x.amplitude for _, x in terms))
         object.__setattr__(raw, "orbitals", stack_of([x for _, x in terms], d, n))
-        assert bits(_overlap_total(raw)) == bits(reference_overlap_total(raw))
+        (got,) = _expectations(raw, np.zeros((d, 0)), (0,))
+        want = reference_overlap_total(raw).real
+        assert abs(got - want) <= 1e-13 * abs(want)
+
+    @pytest.mark.parametrize("group", [(0, 2), (1,), (0, 1, 2)])
+    def test_sectored_sum_takes_the_norm_slice_alone(self, group):
+        """A two-mode group labels its terms by sector; the pass over its
+        x = 0 slice alone skips the pairs across sectors and agrees with
+        the full pass and with the pairwise loop."""
+        rng = rng_for(204)
+        terms = tuple((random_complex(rng), random_state(rng, 6, 3)) for _ in range(3))
+        kap, lam = random_orthogonal_pair(rng, 6)
+        s = _group_sum(SlaterSum(terms), (lam, kap), group)
+        assert len(set(s.sectors)) >= 2
+        m = np.column_stack([lam, kap])
+        (alone,) = _expectations(s, m, (0,))
+        full = _expectations(s, m, (0, 1, 2))[0]
+        want = reference_overlap_total(s).real
+        assert abs(alone - want) <= 1e-13 * want and abs(full - want) <= 1e-13 * want
+        assert abs(sum_norm(s) - np.sqrt(want)) <= 1e-13 * np.sqrt(want)
 
 
 class TestSumNorm:
@@ -340,7 +355,8 @@ class TestEvolveSum:
 def reference_term_project(state, kap, want):
     """One single-mode projection with its own decomposition and
     rotation, as each outcome was projected before the split tree; kept
-    as the bitwise reference for split_mode and the two-mode tree."""
+    as the reference for the one split kernel, within 1e-12 in the dense
+    vector."""
     if state.electrons == 0:
         return (1.0, state) if want == 0 else None
     dec = decompose_mode(state, kap)
@@ -400,25 +416,29 @@ def reference_single_leaves(s, kap, want):
     return terms
 
 
-def reference_single_mode(s, kap, want):
-    terms = reference_single_leaves(s, kap, want)
-    return SlaterSum(tuple(terms), s.modes, s.electrons, s.max_terms)
-
-
 def kernel_leaves(s, vecs, want, size=1):
-    """multislater._split's leaves of the sum s on the outcomes in want,
-    one call per batch of size terms (by default per term, unstacked),
-    as (coefficient, SlaterState) lists per total occupation: the leaves
-    _group_sum stacks, before it prunes them."""
+    """split_pair's leaves of the sum s on the outcomes in want of the
+    measured modes vecs ((lambda, kappa) or (kappa,)), one call per batch
+    of size terms (by default per term, unstacked), as (coefficient,
+    SlaterState) lists per total occupation: the leaves _group_sum
+    stacks, before it prunes them."""
     out = [[], [], []]
+    lam, kap = (None, *vecs)[-2:]
     for start in range(0, s.term_count, size):
         rows = slice(start, start + size)
-        leaves, stack = _split(s.amps[rows], s.orbitals[rows], vecs, want)
+        leaves, stack = split_pair(s.amps[rows], s.orbitals[rows], lam, kap, want)
         built = iter(stack)
         for o, got in zip(want, leaves):
             out[o] += [(s.coeffs[start + i] * scale, SlaterState._checked(next(built), amp))
                        for i, scale, amp, _ in got]
     return out
+
+
+def kernel_single_mode(s, vec, want):
+    """One single-mode outcome of s built term by term (kernel_leaves),
+    then pruned and capped as a sum."""
+    terms = kernel_leaves(s, (vec,), (want,))[want]
+    return SlaterSum(tuple(terms), s.modes, s.electrons, s.max_terms)
 
 
 def batched(batch, d, n):
@@ -444,15 +464,6 @@ def dense_close(terms, want, d, n):
 def stack_of(states, d, n):
     """The states' orbitals as one C-contiguous (T, D, N) stack."""
     return np.array([st_.orbitals for st_ in states], dtype=complex).reshape(len(states), d, n)
-
-
-def split_states(pairs):
-    """A split kernel's (scale, amplitude, orbitals) children as
-    split_mode's (scale, SlaterState) children."""
-    return [
-        [None if r is None else (r[0], SlaterState._checked(r[2], r[1])) for r in pair]
-        for pair in pairs
-    ]
 
 
 def state_bits(state):
@@ -527,12 +538,12 @@ def projection_recipes(draw, placement):
 
 
 class TestSplitTree:
-    """The two-mode split (split_pair) stacked against its per-term,
-    unstacked call, bit for bit, and against the per-outcome projection
-    chain it replaces within 1e-12 in the dense vector; split_mode,
-    measure_mode, annihilate and the single-mode sum split against that
-    chain bit for bit: coefficients, probabilities, amplitudes and
-    orbital bytes of every term."""
+    """The one split kernel (split_pair), on two modes or one, stacked
+    against its per-term, unstacked call, bit for bit, and against the
+    per-outcome projection chain it replaces within 1e-12 in the dense
+    vector; measure_mode, annihilate and the single-mode sum split post
+    the kernel's per-term leaves bit for bit: coefficients,
+    probabilities, amplitudes and orbital bytes of every term."""
 
     @pytest.mark.parametrize("placement", PLACEMENTS)
     @settings(derandomize=True, database=None, deadline=None, max_examples=60)
@@ -555,45 +566,44 @@ class TestSplitTree:
             assert dense_close(ref, reference_two_mode_terms(s, kap, lam, outcome), d, n)
         for vec in (kap, lam):
             for want in (0, 1):
-                ref = reference_single_leaves(s, vec, want)
+                ref = kernel_leaves(s, (vec,), (want,))[want]
                 got = project_single_mode(s, vec, want).terms
                 assert terms_bits(got) == terms_bits(SlaterSum(tuple(ref), d, n).terms)
                 leaves = kernel_leaves(s, (vec,), (want,), max(1, s.term_count))[want]
                 assert terms_bits(leaves) == terms_bits(ref)
+                assert dense_close(ref, reference_single_leaves(s, vec, want), d, n)
                 for _, state in terms:
-                    new = split_mode(state, vec)[1][want]
-                    old = reference_term_project(state, vec, want)
-                    assert (new is None) == (old is None)
-                    if new is not None:
-                        assert float(new[0]).hex() == float(old[0]).hex()
-                        assert state_bits(new[1]) == state_bits(old[1])
-                    check_measure_mode(state, vec, want, old)
+                    check_measure_mode(state, vec, want)
             for _, state in terms:
                 check_annihilate(state, vec)
 
 
-def check_measure_mode(state, vec, want, old):
-    """measure_mode forced to `want` posts the reference projection
-    `old`, with probability its squared scale, or raises when that
-    projection vanishes or falls below PROB_FLOOR."""
-    if old is None or old[0] ** 2 < PROB_FLOOR:
+def check_measure_mode(state, vec, want):
+    """measure_mode forced to `want` posts the kernel's leaf of that
+    outcome (kernel_splits on the one state), with probability its
+    squared scale, bit for bit, or raises when that leaf is not built or
+    falls below PROB_FLOOR.  The leaf is the reference projection within
+    1e-12 in the dense vector."""
+    leaf = kernel_splits([state], state.modes, state.electrons, vec)[0][want]
+    old = reference_term_project(state, vec, want)
+    assert dense_close([leaf] if leaf else [], [old] if old else [], *state.orbitals.shape)
+    if leaf is None or leaf[0] ** 2 < PROB_FLOOR:
         with pytest.raises(ImpossibleOutcome):
             measure_mode(state, vec, forced=want)
         return
     outcome, prob, post = measure_mode(state, vec, forced=want)
     assert outcome == want
-    assert state_bits(post) == state_bits(old[1])
-    if old[1] is state:  # vec misses the span; no projection was built
-        assert post is state
-    else:
-        assert float(prob).hex() == float(old[0] ** 2).hex()
+    assert state_bits(post) == state_bits(leaf[1])
+    assert float(prob).hex() == float(leaf[0] ** 2).hex()
 
 
 def check_annihilate(state, vec):
-    """annihilate drops the reference occupation-1 projection's first
-    orbital, vec, and scales its amplitude by the projection's scale."""
+    """annihilate drops the first orbital, vec, of the kernel's outcome-1
+    leaf (kernel_splits on the one state) and scales its amplitude by the
+    leaf's scale, bit for bit; that is the reference projection's
+    annihilation within 1e-12 in the dense vector."""
     got = annihilate(state, vec)
-    one = reference_term_project(state, vec, 1)
+    one = kernel_splits([state], state.modes, state.electrons, vec)[0][1]
     if one is None:
         assert got.amplitude == 0.0
         assert got.electrons == max(state.electrons - 1, 0)
@@ -601,6 +611,9 @@ def check_annihilate(state, vec):
     scale, occupied = one
     want = SlaterState(occupied.orbitals[:, 1:], occupied.amplitude * scale)
     assert state_bits(got) == state_bits(want)
+    old_scale, old = reference_term_project(state, vec, 1)
+    old = SlaterState(old.orbitals[:, 1:], old.amplitude * old_scale)
+    assert dense_close([(1.0, got)], [(1.0, old)], state.modes, state.electrons - 1)
 
 
 def split_bits(pair):
@@ -689,26 +702,50 @@ def kernel_stacks(draw, t=None, n=None, kinds=KERNEL_TERM_KINDS):
     return d, n, tuple(terms), vec, lam
 
 
-def kernel_splits(states, d, n, vec):
-    """split_stack on the states' stack: its (alpha, beta) and children,
-    the children as split_bits."""
+def kernel_splits(states, d, n, vec, batch=None):
+    """split_pair on vec alone over the states' stack, one call per batch
+    of batch states (one call by default): per state its [zero, one]
+    leaves, each (scale, SlaterState) or None when it is not built."""
     amps = [state.amplitude for state in states]
-    alphas, betas, pairs = split_stack(amps, stack_of(states, d, n), vec)
-    scales = [(a.hex(), b.hex()) for a, b in zip(alphas, betas)]
-    return scales, [split_bits(p) for p in split_states(pairs)]
+    stack = stack_of(states, d, n)
+    size = batch or max(1, len(states))
+    out = [[None, None] for _ in states]
+    for start in range(0, len(states), size):
+        rows = slice(start, start + size)
+        leaves, built = split_pair(amps[rows], stack[rows], None, vec, (0, 1))
+        built = iter(built)
+        for outcome, got in enumerate(leaves):
+            for i, scale, amp, _ in got:
+                out[start + i][outcome] = (scale, SlaterState._checked(next(built), amp))
+    return out
 
 
-def reference_splits(states, vec):
-    """decompose_mode's (alpha, beta) and reference_split's children."""
-    decs = [decompose_mode(state, vec) for state in states]
-    scales = [(dec.alpha.hex(), dec.beta.hex()) for dec in decs]
-    return scales, [split_bits(reference_split(state, vec)) for state in states]
+def splits_bits(splits):
+    return [split_bits(pair) for pair in splits]
+
+
+def check_reference_splits(states, vec, splits):
+    """Each state's [zero, one] leaves have decompose_mode's beta and
+    alpha as scales within 1e-14, and are reference_split's projections
+    within 1e-12 in the dense vector; a leaf that is not built has a
+    reference scale within 1e-14 of ABSENT_TOL or below."""
+    for state, pair in zip(states, splits):
+        dec = decompose_mode(state, vec)
+        for leaf, old, scale in zip(pair, reference_split(state, vec), (dec.beta, dec.alpha)):
+            if leaf is None:
+                assert scale <= ABSENT_TOL + 1e-14
+            else:
+                assert abs(leaf[0] - scale) <= 1e-14
+            assert dense_close([leaf] if leaf else [], [old] if old else [],
+                               *state.orbitals.shape)
 
 
 class TestSplitKernel:
-    """The stacked split against the per-term projection, bit for bit:
-    scales, amplitudes and orbital bytes, for every batch size, one state,
-    N = 0 and 1, and the re-orthogonalization band."""
+    """The one kernel on one mode, stacked against its per-term call, bit
+    for bit: scales, amplitudes and orbital bytes, for every batch size,
+    one state, N = 0 and 1, and the re-orthogonalization band; and
+    against decompose_mode and the per-term projection chain it replaced
+    (check_reference_splits)."""
 
     @pytest.mark.parametrize("batch", [1, 7, 32])
     @settings(derandomize=True, database=None, deadline=None, max_examples=40)
@@ -716,17 +753,15 @@ class TestSplitKernel:
     def test_bitwise_equal_to_per_term_projection(self, batch, recipe):
         d, n, terms, vec, lam = recipe
         states = [state for _, state in terms]
-        ref = [split_bits(reference_split(state, vec)) for state in states]
-        amps = [state.amplitude for state in states]
-        stack = stack_of(states, d, n)
-        assert kernel_splits(states, d, n, vec) == reference_splits(states, vec)
-        batches = [slice(start, start + batch) for start in range(0, len(states), batch)]
-        got = [pair for b in batches for pair in split_stack(amps[b], stack[b], vec)[2]]
-        assert [split_bits(p) for p in split_states(got)] == ref
+        splits = kernel_splits(states, d, n, vec)
+        ref = splits_bits(kernel_splits(states, d, n, vec, 1))
+        assert splits_bits(splits) == ref
+        assert splits_bits(kernel_splits(states, d, n, vec, batch)) == ref
+        check_reference_splits(states, vec, splits)
         s = SlaterSum(terms, d, n)
         for want in (0, 1):
             got = kernel_leaves(s, (vec,), (want,), batch)[want]
-            assert terms_bits(got) == terms_bits(reference_single_leaves(s, vec, want))
+            assert terms_bits(got) == terms_bits(kernel_leaves(s, (vec,), (want,))[want])
         if lam is not None:
             for got, want in zip(kernel_leaves(s, (lam, vec), ALL_OUTCOMES, batch),
                                  kernel_tree(s, vec, lam)):
@@ -742,15 +777,15 @@ class TestSplitKernel:
     @given(data=st.data())
     def test_one_state_and_at_most_one_electron(self, t, n, data):
         """A lone state is a (1, D, N) stack, N = 0 passes every state
-        through and N = 1 rotates by the normalized c alone."""
+        through as its outcome-0 leaf and N = 1 rotates by the normalized
+        c alone."""
         d, n, terms, vec, _ = data.draw(kernel_stacks(t, n))
         states = [state for _, state in terms]
-        assert kernel_splits(states, d, n, vec) == reference_splits(states, vec)
-        for state in states:
-            (alpha, beta), pair = split_mode(state, vec)
-            assert split_bits(pair) == split_bits(reference_split(state, vec))
-            dec = decompose_mode(state, vec)
-            assert (alpha.hex(), beta.hex()) == (dec.alpha.hex(), dec.beta.hex())
+        splits = kernel_splits(states, d, n, vec)
+        assert splits_bits(splits) == splits_bits(kernel_splits(states, d, n, vec, 1))
+        check_reference_splits(states, vec, splits)
+        if n == 0:
+            assert splits_bits(splits) == [split_bits([(1.0, st_), None]) for st_ in states]
 
     @pytest.mark.parametrize(
         "t,n,kinds",
@@ -760,44 +795,37 @@ class TestSplitKernel:
     )
     @settings(derandomize=True, database=None, deadline=None, max_examples=30)
     @given(data=st.data())
-    def test_keep_builds_that_child_bit_for_bit(self, t, n, kinds, data):
-        """keep=0 or 1 gives keep=None's alphas, betas and that outcome's
-        children byte for byte, and None for the other outcome: over
-        random spans, spans holding vec (beta = 0), spans orthogonal to
-        it (passed through as outcome 0), N = 0 and 1, and the
-        re-orthogonalization band."""
+    def test_one_outcome_builds_its_leaves_bit_for_bit(self, t, n, kinds, data):
+        """want=(0,) or (1,) gives want=(0, 1)'s leaves of that outcome
+        byte for byte, and no other: over random spans, spans holding vec
+        (no outcome-0 leaf), spans orthogonal to it (no outcome-1 leaf),
+        N = 0 and 1, and the re-orthogonalization band."""
         d, n, terms, vec, _ = data.draw(kernel_stacks(t, n, kinds))
-        states = [state for _, state in terms]
-        amps = [state.amplitude for state in states]
+        amps = [state.amplitude for _, state in terms]
+        stack = stack_of([state for _, state in terms], d, n)
 
-        def child_bytes(r):
-            return None if r is None else (float(r[0]).hex(), complex(r[1]), r[2].tobytes())
+        def leaf_bits(leaves):
+            return [(i, scale.hex(), bits(amp), p) for i, scale, amp, p in leaves]
 
-        alphas, betas, both = split_stack(amps, stack_of(states, d, n), vec)
-        for keep in (0, 1):
-            got_alphas, got_betas, got = split_stack(amps, stack_of(states, d, n), vec, keep)
-            assert [a.hex() for a in got_alphas] == [a.hex() for a in alphas]
-            assert [b.hex() for b in got_betas] == [b.hex() for b in betas]
-            assert [pair[1 - keep] for pair in got] == [None] * len(states)
-            assert [child_bytes(pair[keep]) for pair in got] == [
-                child_bytes(pair[keep]) for pair in both
-            ]
-            for state in states:
-                scales, pair = split_mode(state, vec, keep)
-                assert scales == split_mode(state, vec)[0] and pair[1 - keep] is None
-                assert split_bits(pair)[keep] == split_bits(split_mode(state, vec)[1])[keep]
+        both, built = split_pair(amps, stack, None, vec, (0, 1))
+        rows = (built[: len(both[0])], built[len(both[0]) :])
+        for want in (0, 1):
+            (alone,), got = split_pair(amps, stack, None, vec, (want,))
+            assert leaf_bits(alone) == leaf_bits(both[want])
+            assert (got.shape, got.tobytes()) == (rows[want].shape, rows[want].tobytes())
 
     @pytest.mark.parametrize("t,n", [(1, 1), (2, 2), (17, 3)])
     @settings(derandomize=True, database=None, deadline=None, max_examples=20)
     @given(data=st.data())
     def test_re_orthogonalization_band(self, t, n, data):
-        """Every state lies NEAR_EPS from vec, so its beta falls in the band
-        where the residual is projected out a second time."""
+        """Every state lies NEAR_EPS from vec, so its outcome-0 scale falls
+        in the band where the new column is projected out a second time."""
         d, n, terms, vec, _ = data.draw(kernel_stacks(t, n, ("near_span",)))
         states = [state for _, state in terms]
-        got = kernel_splits(states, d, n, vec)
-        assert got == reference_splits(states, vec)
-        assert all(ABSENT_TOL < float.fromhex(b) < REORTH_TOL for _, b in got[0])
+        splits = kernel_splits(states, d, n, vec)
+        assert splits_bits(splits) == splits_bits(kernel_splits(states, d, n, vec, 1))
+        check_reference_splits(states, vec, splits)
+        assert all(ABSENT_TOL < zero[0] < REORTH_TOL for zero, _ in splits)
 
 
 class TestStoredLayout:
@@ -824,7 +852,7 @@ class TestStoredLayout:
         assert s.orbitals.shape == (5, d, n)
         assert s.orbitals.flags.c_contiguous and not s.orbitals.flags.writeable
         assert terms_bits(s.terms) == terms_bits(ref.terms)
-        assert bits(_overlap_total(s)) == bits(_overlap_total(ref))
+        assert sum_norm(s).hex() == sum_norm(ref).hex()
         v = random_unitary(rng, d)
         assert terms_bits(evolve_sum(s, v).terms) == terms_bits(evolve_sum(ref, v).terms)
         kap, lam = u[:, 0], u[:, 4]
@@ -862,7 +890,7 @@ class TestStoredForm:
     def test_parity_grown_measurement_builds_no_per_term_state(self, monkeypatch):
         """measure_two_mode on a parity-grown sum (T >= 2, N >= 2, generic
         modes) builds no SlaterState, public or _checked, and splits no
-        term through the one-state split_mode."""
+        term through a one-state split (measure_mode, annihilate)."""
         rng = rng_for(133)
         s = self._parity_grown(rng, 6, 3, 2)
         assert s.term_count >= 2
@@ -875,9 +903,10 @@ class TestStoredForm:
             SlaterState, "_checked",
             classmethod(lambda cls, orb, amp: built.append("checked") or checked(orb, amp)),
         )
-        assert not hasattr(multislater, "split_mode")
-        unused = mock.Mock(side_effect=AssertionError("a term took split_mode"))
-        monkeypatch.setattr(slater, "split_mode", unused)
+        assert not hasattr(multislater, "measure_mode")
+        unused = mock.Mock(side_effect=AssertionError("a term took a one-state split"))
+        monkeypatch.setattr(slater, "measure_mode", unused)
+        monkeypatch.setattr(slater, "annihilate", unused)
         kap, lam = random_orthogonal_pair(rng, 6)
         for grouping, label in (("02/1", "1"), ("02/1", "02"), ("012", "1")):
             post = measure_two_mode(s, kap, lam, grouping, forced=label)[2]
@@ -934,7 +963,7 @@ class TestStackedChecks:
         kap, lam = u[:, 0], u[:, 5]
         ref = raised(lambda: [reference_split(state, kap) for _, state in s.terms])
         assert ref[0] is FlosimError and "not orthonormal" in ref[1]
-        assert raised(split_mode, s.terms[index][1], kap) == ref
+        assert raised(measure_mode, s.terms[index][1], kap, 0) == ref
         tree_ref = raised(kernel_tree, s, kap, lam)
         assert tree_ref[0] is FlosimError and "not orthonormal" in tree_ref[1]
         with batched(batch, d, n):
@@ -985,18 +1014,17 @@ class TestStackedChecks:
         ref = raised(reference_term_project, state, kap, 1)
         assert ref[0] is error[0] and ref[1].startswith(error[1])
         stack = np.ascontiguousarray(state.orbitals)[None]
-        assert raised(split_stack, [state.amplitude], stack, kap) == ref
-        assert raised(split_mode, state, kap) == ref
+        assert raised(split_pair, [state.amplitude], stack, None, kap, (0, 1)) == ref
+        assert raised(measure_mode, state, kap, 0) == ref
         # kap as split_pair's lambda, with a kappa off the span
         other = standard_mode(4, 3) if span is None else u[:, 6]
         got = raised(split_pair, [state.amplitude], stack, kap, other, ALL_OUTCOMES)
         assert got[0] is error[0] and got[1].startswith(error[1])
 
     def test_nan_term_splits_as_per_term(self):
-        """A NaN orbital makes alpha NaN, so the per-term single-mode split
-        leaves the term untouched, and the stack does the same; the
-        two-mode split's check of the rotated span rejects it, stacked as
-        per term, and the norm rejects it before any split."""
+        """A NaN orbital makes alpha NaN, so the span is not rotated, and
+        the check of the rotated span rejects it, stacked as per term, on
+        one mode as on two; the norm rejects it before any split."""
         d, n = 6, 3
         rng = rng_for(94)
         u = random_unitary(rng, d)
@@ -1010,11 +1038,8 @@ class TestStackedChecks:
         assert ref == (FlosimError, "orbital entries must be finite")
         assert raised(_group_sum, s, (lam, kap), ALL_OUTCOMES) == ref
         for want in (0, 1):
-            single = kernel_leaves(s, (kap,), (want,), s.term_count)[want]
-            assert terms_bits(single) == terms_bits(reference_single_leaves(s, kap, want))
-            if want == 0:
-                assert any(np.array_equal(st_.orbitals, orbitals, equal_nan=True)
-                           for _, st_ in single)
+            assert raised(kernel_leaves, s, (kap,), (want,), s.term_count) == ref
+            assert raised(_group_sum, s, (kap,), (want,)) == ref
         assert raised(measure_two_mode, s, kap, lam, "012", "0") == (
             ValueError,
             "matrix entries must be finite",
@@ -1047,7 +1072,7 @@ class TestPrunedTree:
     """A measurement builds only the leaves of its chosen group.  Each
     group built alone is bitwise the full tree's group (two_mode_groups),
     in every grouping, and each single-mode outcome the per-term
-    projection (reference_single_mode): coefficients, amplitudes and
+    projection (kernel_single_mode): coefficients, amplitudes and
     orbital bytes."""
 
     # t = 1 is a one-state stack, 33 two batches of at most 32 terms.
@@ -1078,7 +1103,7 @@ class TestPrunedTree:
         for vec in (kap, lam):
             probs = _probabilities(s, (vec,), ONE_MODE)
             for outcome in (0, 1):
-                want = reference_single_mode(s, vec, outcome)
+                want = kernel_single_mode(s, vec, outcome)
                 got = _group_sum(s, (vec,), (outcome,))
                 assert terms_bits(got.terms) == terms_bits(want.terms)
                 if probs[outcome] >= PROB_FLOOR:
@@ -1093,7 +1118,8 @@ class TestPrunedTree:
         each falls back term by term and raises term 3's error, as every
         leaf of the full tree does.  Measured alone, kappa splits term 3
         and raises its error in both outcomes; lambda misses its span,
-        and both outcomes equal the per-term projections."""
+        which is checked unrotated and raises the same error, as per
+        term."""
         d, n = 8, 3
         u, s = TestStackedChecks._sum(rng_for(95), d, n, 12, [(3, (0, 1, 2), 1e-8)])
         kap, lam = u[:, 0], u[:, 4]
@@ -1108,9 +1134,8 @@ class TestPrunedTree:
             for outcome in (0, 1):
                 assert raised(_group_sum, s, (kap,), (outcome,)) == single_ref
                 assert raised(measure_mode_sum, s, kap, outcome) == single_ref
-                want = reference_single_mode(s, lam, outcome)
-                got = _group_sum(s, (lam,), (outcome,))
-                assert terms_bits(got.terms) == terms_bits(want.terms)
+                assert raised(_group_sum, s, (lam,), (outcome,)) == ref
+                assert raised(kernel_single_mode, s, lam, outcome) == ref
 
     def test_each_outcome_alone_builds_only_its_leaves(self, monkeypatch):
         """On one generic determinant each outcome takes one split of its
@@ -1150,9 +1175,7 @@ class TestPrunedTree:
         s = SlaterSum.from_state(standard_state(4, 2), max_terms=1)
         e = np.eye(4, dtype=complex)
         unused = mock.Mock(side_effect=AssertionError("a term was split"))
-        with mock.patch.object(multislater, "_split", unused), \
-                mock.patch.object(multislater, "split_pair", unused), \
-                mock.patch.object(multislater, "split_stack", unused):
+        with mock.patch.object(multislater, "split_pair", unused):
             if kind == "one":
                 with pytest.raises(ImpossibleOutcome, match=r"^outcome 0 has probability"):
                     measure_mode_sum(s, e[:, 0], forced=0)
@@ -1399,7 +1422,7 @@ class TestApplyTwoModeProjector:
         kap, lam = standard_mode(4, 0), standard_mode(4, 1)
         unused = mock.Mock(side_effect=AssertionError("projections were built"))
         with mock.patch.object(multislater, "_group_sum", unused), \
-                mock.patch.object(multislater, "_split", unused):
+                mock.patch.object(multislater, "split_pair", unused):
             for outcome in (3, -1, "1", None):
                 with pytest.raises(ValueError, match="outcome must be 0, 1 or 2"):
                     apply_two_mode_projector(s, kap, lam, outcome)

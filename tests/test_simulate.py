@@ -450,13 +450,13 @@ class TestKeptChildOnly:
         d, n = 6, 3
         state = SlaterState(random_orthonormal_columns(rng, d, n))
         kap = random_mode(rng, d)
-        one = slater.split_mode(state, kap)[1][1][1]
+        one = slater.split_pair([state.amplitude], state.orbitals[None], None, kap, (1,))[1][0]
         checked = self.checked_stacks(monkeypatch)
         transcript, final = simulate_exact_branch([MeasureOne(kap, "exact")], d, n, initial=state)
         assert transcript.rows[0].outcome == "0" and transcript.rows[0].probability < 0.99
         assert [c.shape for c in checked] == [(1, d, n)] * 2
         assert checked[-1][0].tobytes() == final.orbitals.tobytes()
-        assert all(c[0].tobytes() != one.orbitals.tobytes() for c in checked)
+        assert all(c[0].tobytes() != one.tobytes() for c in checked)
 
     def test_certain_measure1_builds_nothing(self, monkeypatch):
         start = standard_state(6, 3)
@@ -553,9 +553,7 @@ class TestSteeringRule:
             cumulative *= prob
             rows.append(TranscriptRow(idx, "measure2", label, prob, cumulative, 1))
         calls = []
-        for module, name in ((multislater, "_split"), (multislater, "split_stack"),
-                             (multislater, "split_pair"), (slater, "split_pair"),
-                             (slater, "split_stack"), (slater, "split_mode")):
+        for module, name in ((multislater, "split_pair"), (slater, "split_pair")):
             real = getattr(module, name)
             monkeypatch.setattr(
                 module, name, lambda *a, real=real, name=name: calls.append(name) or real(*a)
@@ -575,7 +573,7 @@ class TestSteeringRule:
         e = np.eye(6, dtype=complex)
         circuit = [MeasureOne(e[:, 0], policy="exact"), MeasureOne(e[:, 5], policy="exact")]
         calls = []
-        for module, name in ((multislater, "_split"), (multislater, "split_stack")):
+        for module, name in ((multislater, "split_pair"), (slater, "split_pair")):
             real = getattr(module, name)
             monkeypatch.setattr(
                 module, name, lambda *a, real=real, name=name: calls.append(name) or real(*a)
