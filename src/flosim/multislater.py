@@ -8,15 +8,16 @@ the term count, which is why sums are needed at all.  Merged-outcome
 groupings concatenate the projected term lists; the {0,2} vs {1} parity
 grouping is the one that forces genuine growth.
 
-Each term is split once by the one split kernel (slater.split_pair):
-two Householder reflectors rotate its span to [f0, f1, R], f0 = a lam +
-b kappa + o0 and f1 = c kappa + o1 with R orthogonal to both modes, and
-the leaves of the (lambda, kappa) occupations (1, 1), (1, 0), (0, 1) and
-(0, 0) are a c [lam, kappa, R], a |o1| [lam, o1^, R], |u| [kappa, u^, R]
-with u = b o1 - c o0, and |o0| |o1'| [o0^, o1'^, R].  A single-mode
+Each term is split once by the one split kernel (slater.split_pair), in
+one call over the sum's stack: two Householder reflectors rotate its
+span to [f0, f1, R], f0 = a lam + b kappa + o0 and f1 = c kappa + o1
+with R orthogonal to both modes, and the leaves of the (lambda, kappa)
+occupations (1, 1), (1, 0), (0, 1) and (0, 0) are a c [lam, kappa, R],
+a |o1| [lam, o1^, R], |u| [kappa, u^, R] with u = b o1 - c o0, and
+|o0| |o1'| [o0^, o1'^, R].  A single-mode
 measurement of a sum takes the same kernel on kappa alone, its first
 reflector only, f0 = a kappa + o0 and leaves a [kappa, R] and
-|o0| [o0^, R], through the same batches, group builder and measure body.
+|o0| [o0^, R], through the same call, group builder and measure body.
 
 Every outcome probability, and the norm (sum_norm, its x = 0 slice
 with no measured mode), comes from one pass over the term pairs
@@ -25,8 +26,9 @@ and the rows go ROW_BLOCK at a time, each block's N x N overlaps from
 one stacked product and one batched det.  Each leaf is an eigenstate of
 both measured number operators, so leaves of different (lambda, kappa)
 patterns are exactly orthogonal, and stay so under every later rotation.
-A two-mode group labels each term with its pattern, its sector, and the
-next probability pass skips the norm pairs across sectors.
+A two-mode group labels each term with its pattern, its sector, and
+lists each sector's terms consecutively, so the next probability pass
+takes each sector as one slice and skips the norm pairs across sectors.
 
 Projections are applied in exact operator form, term by term, so the
 relative phases between determinants are preserved to machine precision.
@@ -61,7 +63,6 @@ from .slater import (
 
 PRUNE_TOL = 1e-12
 DEFAULT_MAX_TERMS = 1024
-SPLIT_ENTRIES = 32 * 64 * 32  # most orbital entries per stacked split, bounding its scratch
 ROW_BLOCK = 4  # rows per product of the probability pass (_expectations)
 
 GROUPINGS = {
@@ -107,9 +108,11 @@ class SlaterSum:
     explicitly for the empty (zero-state) sum.
 
     sectors is None or one label per term: terms of different labels
-    are exactly orthogonal.  The two-mode split sets them (the leaves'
-    (lambda, kappa) patterns), rotations, scalings and pruning carry
-    them, and every other constructor, this one included, leaves None.
+    are exactly orthogonal, and each label's terms are consecutive.  The
+    two-mode split sets them (the leaves' (lambda, kappa) patterns, which
+    it lists pattern by pattern), rotations, scalings and pruning carry
+    them in order, and every other constructor, this one included,
+    leaves None.
     """
 
     __slots__ = ("coeffs", "amps", "orbitals", "max_terms", "sectors")
@@ -184,22 +187,15 @@ def sum_norm(s):
     return float(np.sqrt(max(sq, 0.0)))
 
 
-def _sector_keys(sectors, t):
-    """(order, keys) for a pass over t terms with these sector labels:
-    order lists the terms sector by sector, the sectors as they first
-    appear and each one's terms in stored order, or is None where the
-    stored order already does; keys[p] numbers the sector of position p
-    of that order.  Without labels, or with one sector, keys is None:
-    the whole sum is one block."""
+def _sector_keys(sectors):
+    """keys[i] numbers term i's sector, the sectors as they first appear;
+    the split lists each sector's terms consecutively, so keys never
+    decrease.  None without labels or with one: the sum is one block."""
     if sectors is None:
-        return None, None
+        return None
     first = {}
     keys = [first.setdefault(label, len(first)) for label in sectors]
-    if len(first) == 1:
-        return None, None
-    order = sorted(range(t), key=keys.__getitem__)
-    keys.sort()
-    return (None if order == list(range(t)) else np.array(order)), np.array(keys)
+    return None if len(first) == 1 else np.array(keys)
 
 
 def _expectations(s, m, xs):
@@ -214,23 +210,21 @@ def _expectations(s, m, xs):
 
     Q is Hermitian, so pair (i, j) is det((Q Phi_i)^H Phi_j): once per
     pass every term is Q-applied for every x, conj(Phi - x M B).  The
-    terms are ordered by sector (_sector_keys) and the rows taken
-    ROW_BLOCK at a time: one stacked product puts every later term's
-    rows against the block's Q-applied terms, contiguous N x N blocks
-    that one batched det takes.  The weights conj(w_i) w_j come from one
-    strictly upper-triangular matrix, so the pairs in a block's own
-    triangle (j <= i) weigh 0.  Terms of different sectors are exactly
+    rows go in stored order, each sector's terms consecutive
+    (_sector_keys), ROW_BLOCK at a time: one stacked product puts every
+    later term's rows against the block's Q-applied terms, contiguous
+    N x N blocks that one batched det takes.  The weights conj(w_i) w_j
+    come from one strictly upper-triangular matrix, so the pairs in a
+    block's own triangle (j <= i) weigh 0.  Terms of different sectors are exactly
     orthogonal, so with sectors the x = 0 slice takes its own product,
     which stops at the end of the sector of the block's last row, and
     its weights are masked by sector; without, every x shares one.
     """
-    t, d, n = s.orbitals.shape
-    order, keys = _sector_keys(s.sectors, t)
+    phis = s.orbitals
+    t, d, n = phis.shape
+    keys = _sector_keys(s.sectors)
     weights = np.array([c * a for c, a in zip(s.coeffs, s.amps)])
     scale = np.array(xs, dtype=float)[:, None, None]
-    phis = s.orbitals
-    if order is not None:
-        weights, phis = weights.take(order), phis.take(order, 0)
     b = m.conj().T @ phis
     require_finite(b)
     own = np.eye(m.shape[1]) - scale[:, None] * (b @ b.conj().transpose(0, 2, 1))
@@ -284,37 +278,24 @@ def evolve_sum(s, v, pair=None):
 def _group_sum(s, vecs, group):
     """Unnormalized projection of s on one outcome group of the measured
     modes vecs ((lambda, kappa) or (kappa,)), named by its label ("02")
-    or outcomes ((0, 2)): one split_pair call per batch of at most
-    SPLIT_ENTRIES orbital entries, which builds only the group's leaves,
-    listed by outcome, then by term, (1, 0) before (0, 1).  Two modes
-    label each leaf with its (lambda, kappa) pattern as its sector; one
-    mode labels none."""
+    or outcomes ((0, 2)): one split_pair call over the whole stack,
+    which builds only the group's leaves, listed by outcome, then
+    pattern by pattern, (1, 0) before (0, 1), then by term.  Two modes
+    label each leaf with its (lambda, kappa) pattern as its sector, so
+    each sector's terms are consecutive; one mode labels none."""
     group = tuple(map(int, group))
-    t, d, n = s.orbitals.shape
     lam, kap = (None, *vecs)[-2:]  # lam None for one mode
-    size = max(1, SPLIT_ENTRIES // max(1, d * n))
     try:
-        batches = [(i, split_pair(s.amps[i : i + size], s.orbitals[i : i + size], lam, kap, group))
-                   for i in range(0, t, size)]
+        leaves, stack = split_pair(s.amps, s.orbitals, lam, kap, group)
     except (FlosimError, ValueError):
         # Term by term, so that the first failing term's error wins.
-        batches = [(i, split_pair(s.amps[i : i + 1], s.orbitals[i : i + 1], lam, kap, group))
-                   for i in range(t)]
-    # Outcome by outcome, every batch's leaves of it in turn.
-    coeffs, amps, sectors, rows = [], [], [], []
-    for j in range(len(group)):
-        for start, (leaves, stack) in batches:
-            skip = sum(map(len, leaves[:j]))
-            coeffs += [s.coeffs[start + i] * scale for i, scale, _, _ in leaves[j]]
-            amps += [amp for _, _, amp, _ in leaves[j]]
-            sectors += [pattern for *_, pattern in leaves[j]]
-            rows.append(stack[skip : skip + len(leaves[j])])
-    if len(batches) == 1:
-        stack = batches[0][1][1]
-    else:
-        stack = np.concatenate([np.empty((0, d, n), complex), *rows])
-    sectors = None if lam is None else sectors
-    return SlaterSum._stacked(coeffs, amps, stack, s.max_terms, sectors)
+        for i in range(s.term_count):
+            split_pair(s.amps[i : i + 1], s.orbitals[i : i + 1], lam, kap, group)
+        raise
+    leaves = [leaf for out in leaves for leaf in out]
+    coeffs = [s.coeffs[i] * scale for i, scale, _, _ in leaves]
+    sectors = None if lam is None else [pattern for *_, pattern in leaves]
+    return SlaterSum._stacked(coeffs, [amp for *_, amp, _ in leaves], stack, s.max_terms, sectors)
 
 
 def apply_two_mode_projector(s, kappa, lam, outcome):

@@ -160,12 +160,16 @@ def _steer_modes(idx, s, vecs, groups):
     if certain).  Admissible are the single outcomes with every measured
     mode empty or every one filled, whose projectors keep one determinant,
     lowest label first.  Only the steered group is built, and nothing
-    when certain."""
+    when certain.  A group of one term is divided by its weight |c a|, as
+    sqrt(p) carries the pass's absolute rounding, relative at small p."""
     probs = dict(zip(map(group_label, groups), _probabilities(s, vecs, groups)))
     admissible = [group_label(g) for g in groups if g in ((0,), (len(vecs),))]
     label, prob, certain = _steer(idx, probs, admissible)
-    post = None if certain else scale_sum(_group_sum(s, vecs, label), 1.0 / np.sqrt(prob))
-    return label, prob, post
+    if certain:
+        return label, prob, None
+    built = _group_sum(s, vecs, label)
+    norm = abs(built.coeffs[0] * built.amps[0]) if built.term_count == 1 else np.sqrt(prob)
+    return label, prob, scale_sum(built, 1.0 / norm)
 
 
 def simulate_exact_branch(circuit, d, n, initial=None):

@@ -315,9 +315,10 @@ def split_pair(amps, orbitals, lam, kap, want):
     the total occupations in want (increasing).  Returns (leaves,
     stack): per outcome of want a list of (term, scale, amplitude,
     pattern), pattern the leaf's (lambda, kappa) occupations (lambda's
-    0 when lam is None), per term (1, 0) before (0, 1), and the leaves'
-    orbitals as the stack's rows in that order; a state's projection is
-    the sum of its scaled leaves.
+    0 when lam is None), pattern by pattern, (1, 0) before (0, 1), then
+    by term, and the leaves' orbitals as the stack's rows in that order,
+    each pattern's one slice; a state's projection is the sum of its
+    scaled leaves.
 
     Two reflectors (_reflect_onto) rotate the span to [f0, f1, R], R
     orthogonal to both modes, f0 = a lam + b kap + o0 and f1 = c kap +
@@ -381,22 +382,20 @@ def split_pair(amps, orbitals, lam, kap, want):
         p = _outside(q0, q0.conj().transpose(0, 2, 1), o1[:, :, None])[:, :, 0]
         n1p = _norms(p)
         leaf[0, 0] = (np.where(n0 > ABSENT_TOL, n0 * n1p, 0.0), ((0, u0), (1, _unit(p, n1p))))
+    # Per pattern, in listing order, its scales and the terms whose leaf is
+    # built; one index gathers the stack, and each pattern fills its slice.
     scales = {p: leaf[p][0].tolist() for o in want for p in PAIR_PATTERNS[o] if p in leaf}
-    order = [
-        [(p, i) for i in range(t) for p in PAIR_PATTERNS[o]
-         if p in scales and scales[p][i] > ABSENT_TOL]
-        for o in want
-    ]
-    flat = [pi for out in order for pi in out]
-    stack = q[[i for _, i in flat], :, :n]
-    for p in scales:
-        rows = [k for k, (pp, _) in enumerate(flat) if pp == p]
-        lanes = [i for pp, i in flat if pp == p]
+    terms = {p: [i for i, x in enumerate(sc) if x > ABSENT_TOL] for p, sc in scales.items()}
+    stack = q[[i for lanes in terms.values() for i in lanes], :, :n]
+    start = 0
+    for p, lanes in terms.items():
+        rows, start = slice(start, start + len(lanes)), start + len(lanes)
         for col, value in leaf[p][1]:
             stack[rows, :, col] = value if value.ndim == 1 else value[lanes]
     check_orthonormal(stack)
     amps = [amp / d0 / d1 for amp, d0, d1 in zip(amps, ph.tolist(), ph2)]
-    return [[(i, scales[p][i], amps[i], p) for p, i in out] for out in order], stack
+    return [[(i, scales[p][i], amps[i], p) for p in PAIR_PATTERNS[o] if p in terms
+             for i in terms[p]] for o in want], stack
 
 
 def measure_mode(s, kappa, forced=None, rng=None):

@@ -215,7 +215,8 @@ def test_two_mode_leaves_are_the_dense_projections(case):
     mode; a leaf that is not built has a vanishing projection.  A leaf's
     pattern, which split_pair lists with it, is the one read off its
     span, which holds each measured mode or is orthogonal to it, and the
-    leaves come in split_pair's order.  Each group of every grouping,
+    leaves come in split_pair's order: by outcome, then pattern by
+    pattern, then by term.  Each group of every grouping,
     built alone from the stack, is fock.two_mode_projector_apply of the
     sum of the states."""
     d, n, amps, orbitals, u = case
@@ -231,8 +232,8 @@ def test_two_mode_leaves_are_the_dense_projections(case):
             assert sum(pattern) == outcome and (term, pattern) not in found
             found[term, pattern] = scale * _dense(amp, orb)
     assert next(built, None) is None
-    # by outcome, then by term, (1, 0) before (0, 1)
-    assert list(found) == sorted(found, key=lambda k: (sum(k[1]), k[0], k[1] == (0, 1)))
+    # by outcome, then by pattern, (1, 0) before (0, 1), then by term
+    assert list(found) == sorted(found, key=lambda k: (sum(k[1]), k[1] == (0, 1), k[0]))
     for term, (amp, orb) in enumerate(zip(amps, orbitals)):
         psi = fock.FockVector(d, _dense(amp, orb))
         for pattern in ((0, 0), (1, 0), (0, 1), (1, 1)):
@@ -259,9 +260,10 @@ def test_expectations_of_split_made_sums_are_the_dense_ones(case, group, k, one_
     """A group of a two-mode split, its terms labelled by sector, then
     rotated, and then, if one_mode is set, that outcome of a single-mode
     split of a new mode: _expectations over new measured modes equals
-    the dense <psi|G(1 - x M M^H)|psi> at x = 0, 1, 2.  The norm pass
-    skips the pairs across sectors; the other slices and a single-mode
-    split's children must not."""
+    the dense <psi|G(1 - x M M^H)|psi> at x = 0, 1, 2.  The two-mode
+    group labels every term, and each label's terms are consecutive, as
+    the pass takes them.  The norm pass skips the pairs across sectors;
+    the other slices and a single-mode split's children must not."""
     d, n, amps, orbitals, u = case
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     coeffs = [complex(c) for c in rng.uniform(0.3, 1.0, len(amps))
@@ -269,7 +271,9 @@ def test_expectations_of_split_made_sums_are_the_dense_ones(case, group, k, one_
     s = SlaterSum([(c, SlaterState._checked(orb, a)) for c, a, orb in zip(coeffs, amps, orbitals)],
                   d, n)
     split = evolve_sum(_group_sum(s, (u[:, 0], u[:, 1]), group), random_unitary(rng, d))
-    assert split.sectors is None or len(split.sectors) == split.term_count
+    assert len(split.sectors) == split.term_count
+    runs = [p for k, p in enumerate(split.sectors) if k == 0 or split.sectors[k - 1] != p]
+    assert len(runs) == len(set(runs))
     if one_mode is not None:
         split = _group_sum(split, (random_orthonormal_columns(rng, d, 1)[:, 0],), (one_mode,))
     _assert_dense_expectations(split, random_orthonormal_columns(rng, d, min(k, d)))
@@ -292,19 +296,23 @@ def _deep_circuit(rng, d, rounds, generic):
     return steps
 
 
+@pytest.mark.parametrize("seed", [0, 16])
 @pytest.mark.parametrize("generic", [False, True], ids=["sites", "generic"])
-def test_deep_exact_branch_run_keeps_its_orbitals_orthonormal(generic):
+def test_deep_exact_branch_run_keeps_its_orbitals_orthonormal(generic, seed):
     """3,000 steps of the single-determinant executor at D = 16, N = 8
     end within 1e-14 of orthonormal.  Each split projects its residual
     twice; projected once, the out orbital passed the orbitals' Gram
     error on to the child 1 / beta larger, and these runs failed the
     orthonormality check within a few hundred steps.  The deviation still
     grows with depth, as nothing re-orthonormalizes the orbitals.  The
-    runs of seeds 0-19 that complete ended at most at 9.4e-16 (generic)
-    and 1.3e-15 (sites), seed 16 at 7.0e-16 and 8.9e-16, so the bound is
-    over seven times the worst seen."""
+    runs of seeds 0-19 end at most at 9.4e-16 (generic) and 1.3e-15
+    (sites), seed 16 at 7.0e-16 and 8.9e-16, seed 0 at 5.3e-16 and
+    9.3e-16, so the bound is over seven times the worst seen.  Seed 0's
+    site run stopped at step 1,466 with NoAdmissibleBranch while a
+    steered one-term branch was divided by sqrt(p), whose absolute
+    rounding a small p makes relative; it is divided by its own weight."""
     d, n = 16, 8
-    circuit = _deep_circuit(np.random.default_rng(16), d, 1000, generic)
+    circuit = _deep_circuit(np.random.default_rng(seed), d, 1000, generic)
     transcript, final = simulate_exact_branch(circuit, d, n)
     assert len(transcript.rows) == 2000
     dev = np.linalg.norm(final.orbitals.conj().T @ final.orbitals - np.eye(n))

@@ -420,8 +420,10 @@ def kernel_leaves(s, vecs, want, size=1):
     """split_pair's leaves of the sum s on the outcomes in want of the
     measured modes vecs ((lambda, kappa) or (kappa,)), one call per batch
     of size terms (by default per term, unstacked), as (coefficient,
-    SlaterState) lists per total occupation: the leaves _group_sum
-    stacks, before it prunes them."""
+    SlaterState) lists per total occupation, each listed as one call on
+    the whole stack lists it: pattern by pattern, (1, 0) before (0, 1),
+    then by term.  These are the leaves _group_sum stacks, before it
+    prunes them."""
     out = [[], [], []]
     lam, kap = (None, *vecs)[-2:]
     for start in range(0, s.term_count, size):
@@ -429,9 +431,10 @@ def kernel_leaves(s, vecs, want, size=1):
         leaves, stack = split_pair(s.amps[rows], s.orbitals[rows], lam, kap, want)
         built = iter(stack)
         for o, got in zip(want, leaves):
-            out[o] += [(s.coeffs[start + i] * scale, SlaterState._checked(next(built), amp))
-                       for i, scale, amp, _ in got]
-    return out
+            out[o] += [((p == (0, 1), start + i),
+                        (s.coeffs[start + i] * scale, SlaterState._checked(next(built), amp)))
+                       for i, scale, amp, p in got]
+    return [[leaf for _, leaf in sorted(leaves, key=lambda x: x[0])] for leaves in out]
 
 
 def kernel_single_mode(s, vec, want):
@@ -439,12 +442,6 @@ def kernel_single_mode(s, vec, want):
     then pruned and capped as a sum."""
     terms = kernel_leaves(s, (vec,), (want,))[want]
     return SlaterSum(tuple(terms), s.modes, s.electrons, s.max_terms)
-
-
-def batched(batch, d, n):
-    """_group_sum's batches patched down to batch terms of N electrons
-    on D modes."""
-    return mock.patch.object(multislater, "SPLIT_ENTRIES", batch * max(1, d * n))
 
 
 def kernel_tree(s, kap, lam):
@@ -766,11 +763,10 @@ class TestSplitKernel:
             for got, want in zip(kernel_leaves(s, (lam, vec), ALL_OUTCOMES, batch),
                                  kernel_tree(s, vec, lam)):
                 assert terms_bits(got) == terms_bits(want)
-            with batched(batch, d, n):
-                for outcome in ALL_OUTCOMES:
-                    got = apply_two_mode_projector(s, vec, lam, outcome).terms
-                    want = two_mode_groups(s, vec, lam, "012")[str(outcome)].terms
-                    assert terms_bits(got) == terms_bits(want)
+            for outcome in ALL_OUTCOMES:
+                got = apply_two_mode_projector(s, vec, lam, outcome).terms
+                want = two_mode_groups(s, vec, lam, "012")[str(outcome)].terms
+                assert terms_bits(got) == terms_bits(want)
 
     @pytest.mark.parametrize("t,n", [(1, None), (None, 0), (None, 1), (1, 0), (1, 1)])
     @settings(derandomize=True, database=None, deadline=None, max_examples=30)
@@ -955,9 +951,8 @@ class TestStackedChecks:
             terms[index] = (0.5, off_orthonormal_state(u, n, span, delta))
         return u, SlaterSum(tuple(terms), d, n)
 
-    @pytest.mark.parametrize("batch", [7, 32])
     @pytest.mark.parametrize("t,index", [(2, 0), (2, 1), (17, 8), (40, 39)])
-    def test_off_orthonormal_term(self, batch, t, index):
+    def test_off_orthonormal_term(self, t, index):
         d, n = 7, 3
         u, s = self._sum(rng_for(90 + t), d, n, t, [(index, (0, 1, 2), 1e-8)])
         kap, lam = u[:, 0], u[:, 5]
@@ -966,15 +961,13 @@ class TestStackedChecks:
         assert raised(measure_mode, s.terms[index][1], kap, 0) == ref
         tree_ref = raised(kernel_tree, s, kap, lam)
         assert tree_ref[0] is FlosimError and "not orthonormal" in tree_ref[1]
-        with batched(batch, d, n):
-            for want in (0, 1):
-                assert raised(project_single_mode, s, kap, want) == ref
-                assert raised(measure_mode_sum, s, kap, want) == ref
-            assert raised(_group_sum, s, (lam, kap), ALL_OUTCOMES) == tree_ref
-            assert raised(measure_two_mode, s, kap, lam, "02/1", "02") == tree_ref
+        for want in (0, 1):
+            assert raised(project_single_mode, s, kap, want) == ref
+            assert raised(measure_mode_sum, s, kap, want) == ref
+        assert raised(_group_sum, s, (lam, kap), ALL_OUTCOMES) == tree_ref
+        assert raised(measure_two_mode, s, kap, lam, "02/1", "02") == tree_ref
 
-    @pytest.mark.parametrize("batch", [7, 32])
-    def test_first_failing_term_wins_across_checks(self, batch):
+    def test_first_failing_term_wins_across_checks(self):
         """Term 3 fails only the check of its rotated span (lambda misses
         its span), term 5 already the mode-norm check of lambda's
         reflector.  Term by term, term 3's error comes first, though the
@@ -989,8 +982,7 @@ class TestStackedChecks:
         assert ref[0] is FlosimError and "not orthonormal" in ref[1]
         five = raised(split_pair, [s.amps[5]], s.orbitals[5:6], lam, kap, ALL_OUTCOMES)
         assert five[0] is FlosimError and five[1].startswith("mode vector norm")
-        with batched(batch, d, n):
-            assert raised(_group_sum, s, (lam, kap), ALL_OUTCOMES) == ref
+        assert raised(_group_sum, s, (lam, kap), ALL_OUTCOMES) == ref
 
     @pytest.mark.parametrize(
         "span,delta,error",
@@ -1075,14 +1067,13 @@ class TestPrunedTree:
     projection (kernel_single_mode): coefficients, amplitudes and
     orbital bytes."""
 
-    # t = 1 is a one-state stack, 33 two batches of at most 32 terms.
+    # t = 1 is a one-state stack.
     @pytest.mark.parametrize("t", [1, 2, 9, 33])
     @settings(derandomize=True, database=None, deadline=None, max_examples=20)
     @given(data=st.data())
     def test_chosen_group_alone_matches_full_tree(self, t, data):
         s, kap, lam = data.draw(pruned_tree_cases(t))
-        with batched(32, s.modes, s.electrons):
-            self._check_groups(s, kap, lam)
+        self._check_groups(s, kap, lam)
 
     @staticmethod
     def _check_groups(s, kap, lam):
@@ -1111,8 +1102,7 @@ class TestPrunedTree:
                     want = scale_sum(want, 1.0 / np.sqrt(probs[outcome]))
                     assert terms_bits(post.terms) == terms_bits(want.terms)
 
-    @pytest.mark.parametrize("batch", [7, 32])
-    def test_failing_term_raises_its_error_in_every_group(self, batch):
+    def test_failing_term_raises_its_error_in_every_group(self):
         """Term 3 lies orthogonal to lambda and fails the check of its
         rotated span.  Every two-mode group rotates every term's span, so
         each falls back term by term and raises term 3's error, as every
@@ -1126,16 +1116,15 @@ class TestPrunedTree:
         ref = raised(kernel_tree, s, kap, lam)
         assert ref[0] is FlosimError and "not orthonormal" in ref[1]
         single_ref = raised(reference_split, s.terms[3][1], kap)
-        with batched(batch, d, n):
-            for grouping, groups in GROUPINGS.items():
-                for label in map(group_label, groups):
-                    assert raised(_group_sum, s, (lam, kap), label) == ref
-                    assert raised(measure_two_mode, s, kap, lam, grouping, label) == ref
-            for outcome in (0, 1):
-                assert raised(_group_sum, s, (kap,), (outcome,)) == single_ref
-                assert raised(measure_mode_sum, s, kap, outcome) == single_ref
-                assert raised(_group_sum, s, (lam,), (outcome,)) == ref
-                assert raised(kernel_single_mode, s, lam, outcome) == ref
+        for grouping, groups in GROUPINGS.items():
+            for label in map(group_label, groups):
+                assert raised(_group_sum, s, (lam, kap), label) == ref
+                assert raised(measure_two_mode, s, kap, lam, grouping, label) == ref
+        for outcome in (0, 1):
+            assert raised(_group_sum, s, (kap,), (outcome,)) == single_ref
+            assert raised(measure_mode_sum, s, kap, outcome) == single_ref
+            assert raised(_group_sum, s, (lam,), (outcome,)) == ref
+            assert raised(kernel_single_mode, s, lam, outcome) == ref
 
     def test_each_outcome_alone_builds_only_its_leaves(self, monkeypatch):
         """On one generic determinant each outcome takes one split of its
@@ -2105,17 +2094,16 @@ def reference_expectations(s, m, xs):
 class TestExpectationsAcrossBlocks:
     """The probability pass against a per-pair det loop, at term counts
     below, at and across the row blocks, with sector labels absent, all
-    one, in contiguous runs whose ends fall inside a block, and
-    interleaved."""
+    one, and in contiguous runs whose ends fall inside a block, the only
+    layouts a sum can hold."""
 
-    @pytest.mark.parametrize("layout", ["none", "one", "contiguous", "interleaved"])
+    @pytest.mark.parametrize("layout", ["none", "one", "contiguous"])
     @pytest.mark.parametrize("t", [1, 2, 3, 4, 5, 9, 14])
     def test_matches_the_per_pair_loop(self, t, layout):
         rng = rng_for(300 + t)
         d, n = 7, 3
         u = random_unitary(rng, d)
-        keys = {"none": [0] * t, "one": [0] * t, "contiguous": [j * 3 // t for j in range(t)],
-                "interleaved": [j % 3 for j in range(t)]}[layout]
+        keys = [j * 3 // t for j in range(t)] if layout == "contiguous" else [0] * t
         patterns = [SECTOR_PATTERNS[k] for k in keys]
         orbitals = np.array([pattern_span(rng, u, n, p) for p in patterns])
         coeffs = list(rng.uniform(0.5, 1.5, t) * np.exp(2j * np.pi * rng.random(t)))

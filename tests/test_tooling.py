@@ -259,6 +259,30 @@ def test_corpus_reports_each_trees_oracle_worst_case(monkeypatch, capsys):
                         "  otherwise: simulate b.json"]
 
 
+def test_corpus_bit_mode_counts_unprinted_changes_as_bits_only(monkeypatch, capsys):
+    """Under --bits, a run whose exit code, stdout and stderr match and
+    whose digest alone differs counts as bits only, apart from a run
+    whose printed digits moved and from one that differs otherwise."""
+    spec = importlib.util.spec_from_file_location("corpus", CORPUS)
+    corpus = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(corpus)
+    row = "step=1 kind=measure2 outcome=02 p={} cumulative=1.0 terms=2\n"
+    same = [0, row.format("9.004742287683e-01"), "", "a"]
+    trees = {
+        "BASE": [same, same, same, same],
+        "HEAD": [same, [0, same[1], "", "b"], [0, row.format("9.004742287684e-01"), "", "b"],
+                 [1, same[1], "", "b"]],
+    }
+    argvs = [["nogo", f"{name}.json"] for name in "abcd"]
+    monkeypatch.setattr(corpus, "invocations", lambda pool_dir: argvs)
+    monkeypatch.setattr(corpus, "run_tree", lambda src, runs, bits=False: trees[src])
+    assert corpus.main(["--bits", "BASE", "HEAD"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[-2:] == ["3 of 4 runs differ: 1 digits only, 1 bits only, 1 otherwise",
+                        "  otherwise: nogo d.json"]
+    assert out[-5] == "largest digits-only difference 1.000e-13, in nogo c.json"
+
+
 def test_corpus_reports_the_largest_digits_only_difference():
     """Over the runs that differ in digits only, tools/corpus.py finds
     the largest absolute difference between paired printed numbers and

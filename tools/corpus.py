@@ -14,7 +14,9 @@ differs in digits only when its exit code is the same and its stdout
 and stderr match once every numeric literal with a fraction or an
 exponent is masked (integers such as outcome labels, step indices and
 `terms=` counts are not masked).  The last lines print how many runs
-differ in digits only and how many otherwise, then list the latter.
+differ in digits only and how many otherwise, then list the latter;
+with --bits, a run whose exit code, stdout and stderr are the same and
+only its digest differs counts as bits only, apart from digits only.
 Before them, one line gives the size of the digits-only change: the
 largest absolute difference between paired numeric literals over those
 runs, and the run that shows it.
@@ -338,8 +340,10 @@ def main(argv=None):
         print(f"{name}: over {checked} oracle-checked runs, max probability deviation "
               f"{dev:.3e}, min fidelity {fid:.12f}")
     other = [argv for argv, base, head in differing if not digits_only(base, head)]
+    unprinted = sum(base[:3] == head[:3] for _, base, head in differing)
     print(f"{len(differing)} of {len(argvs)} runs differ: "
-          f"{len(differing) - len(other)} digits only, {len(other)} otherwise")
+          f"{len(differing) - len(other) - unprinted} digits only, "
+          + (f"{unprinted} bits only, " if bits else "") + f"{len(other)} otherwise")
     for argv in other:
         print("  otherwise: " + " ".join(argv))
     return 1 if differing else 0
