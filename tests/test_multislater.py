@@ -2091,29 +2091,85 @@ def reference_expectations(s, m, xs):
     return out
 
 
+def sector_sum(rng, u, n, keys, sectors=True):
+    """A sum whose term j spans SECTOR_PATTERNS[keys[j]] of the modes
+    u[:, 0], u[:, 1], random coefficients and amplitudes, labelled
+    with those patterns if sectors is set."""
+    t = len(keys)
+    patterns = [SECTOR_PATTERNS[k] for k in keys]
+    orbitals = np.array([pattern_span(rng, u, n, p) for p in patterns])
+    coeffs = list(rng.uniform(0.5, 1.5, t) * np.exp(2j * np.pi * rng.random(t)))
+    amps = list(np.exp(2j * np.pi * rng.random(t)))
+    return SlaterSum._stacked(coeffs, amps, orbitals, 64, patterns if sectors else None)
+
+
+def assert_pass_matches_the_per_pair_loop(rng, s):
+    for k in (1, 2):
+        m = random_orthonormal_columns(rng, s.modes, k)
+        for xs in ((0, 1), (0, 2), (0, 2, 1)):
+            got, want = _expectations(s, m, xs), reference_expectations(s, m, xs)
+            assert len(got) == len(xs)
+            assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-12 * want[0]
+
+
+def assert_sectors_consecutive(s):
+    runs = [p for k, p in enumerate(s.sectors) if k == 0 or s.sectors[k - 1] != p]
+    assert len(runs) == len(set(runs))
+
+
 class TestExpectationsAcrossBlocks:
     """The probability pass against a per-pair det loop, at term counts
     below, at and across the row blocks, with sector labels absent, all
-    one, and in contiguous runs whose ends fall inside a block, the only
-    layouts a sum can hold."""
+    one, in contiguous runs whose ends fall inside a block, and as the
+    two-mode split lists terms that come to it interleaved by sector:
+    each sector's terms consecutive, the only layout a labelled sum can
+    hold."""
 
-    @pytest.mark.parametrize("layout", ["none", "one", "contiguous"])
+    @pytest.mark.parametrize("layout", ["none", "one", "contiguous", "interleaved"])
     @pytest.mark.parametrize("t", [1, 2, 3, 4, 5, 9, 14])
     def test_matches_the_per_pair_loop(self, t, layout):
         rng = rng_for(300 + t)
         d, n = 7, 3
         u = random_unitary(rng, d)
-        keys = [j * 3 // t for j in range(t)] if layout == "contiguous" else [0] * t
-        patterns = [SECTOR_PATTERNS[k] for k in keys]
-        orbitals = np.array([pattern_span(rng, u, n, p) for p in patterns])
-        coeffs = list(rng.uniform(0.5, 1.5, t) * np.exp(2j * np.pi * rng.random(t)))
-        amps = list(np.exp(2j * np.pi * rng.random(t)))
-        sectors = None if layout == "none" else patterns
-        s = SlaterSum._stacked(coeffs, amps, orbitals, 64, sectors)
-        assert s.term_count == t and s.sectors == (None if sectors is None else tuple(sectors))
-        for k in (1, 2):
-            m = random_orthonormal_columns(rng, d, k)
-            for xs in ((0, 1), (0, 2), (0, 2, 1)):
-                got, want = _expectations(s, m, xs), reference_expectations(s, m, xs)
-                assert len(got) == len(xs)
-                assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-12 * want[0]
+        if layout == "interleaved":
+            # Each term lies in one sector, so the split keeps it whole.
+            source = sector_sum(rng, u, n, [j % 3 for j in range(t)], sectors=False)
+            s = _group_sum(source, (u[:, 0], u[:, 1]), (0, 1))
+            assert s.term_count == t and sorted(s.sectors) == sorted(
+                SECTOR_PATTERNS[j % 3] for j in range(t))
+            assert_sectors_consecutive(s)
+        else:
+            keys = [j * 3 // t for j in range(t)] if layout == "contiguous" else [0] * t
+            s = sector_sum(rng, u, n, keys, sectors=layout != "none")
+            assert s.term_count == t
+            assert s.sectors == (None if layout == "none"
+                                 else tuple(SECTOR_PATTERNS[k] for k in keys))
+        assert_pass_matches_the_per_pair_loop(rng, s)
+
+    @pytest.mark.parametrize("op", ["scale", "evolve", "rotate_pair", "prune"])
+    def test_sum_operations_keep_each_sector_consecutive(self, op):
+        """A split-made sum, then scaled, evolved by a D x D unitary,
+        rotated on two sites or pruned of its whole middle sector and one
+        more term, keeps its labels in their order, each sector's terms
+        consecutive, and its pass still matches the per-pair loop."""
+        rng = rng_for(320)
+        d, n, t = 7, 3, 9
+        u = random_unitary(rng, d)
+        source = sector_sum(rng, u, n, [j % 3 for j in range(t)], sectors=False)
+        s = _group_sum(source, (u[:, 0], u[:, 1]), (0, 1))
+        assert [p for k, p in enumerate(s.sectors) if k == 0 or s.sectors[k - 1] != p] == [
+            (0, 0), (1, 0), (0, 1)]
+        keep = range(t)
+        if op == "scale":
+            got = scale_sum(s, 0.5 - 0.25j)
+        elif op == "evolve":
+            got = evolve_sum(s, random_unitary(rng, d))
+        elif op == "rotate_pair":
+            got = evolve_sum(s, random_unitary(rng, 2), (1, 4))
+        else:
+            keep = [0, 1, 6, 7, 8]
+            coeffs = [c if i in keep else 0.0 for i, c in enumerate(s.coeffs)]
+            got = SlaterSum._stacked(coeffs, s.amps, s.orbitals, s.max_terms, s.sectors)
+        assert got.sectors == tuple(s.sectors[i] for i in keep)
+        assert_sectors_consecutive(got)
+        assert_pass_matches_the_per_pair_loop(rng, got)
