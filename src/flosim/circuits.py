@@ -39,7 +39,9 @@ from itertools import chain
 import numpy as np
 
 from .errors import ParseError
-from .multislater import DEFAULT_MAX_TERMS, GROUPINGS, SlaterSum, group_label, scale_sum, sum_norm
+from .multislater import (
+    DEFAULT_MAX_TERMS, GROUPINGS, SlaterSum, _measured, _normalized, _scaled, group_label,
+)
 from .simulate import POLICIES, MeasureOne, MeasureTwo, Rotate
 from .slater import orthonormal_fault
 
@@ -381,11 +383,11 @@ def load_state_sum(path):
             raise
     _check_term_stack(stack, wheres)
     coeffs = [c for c, *_ in raw_terms]
-    ssum = SlaterSum._stacked(coeffs, [1.0 + 0.0j] * len(coeffs), stack, DEFAULT_MAX_TERMS)
-    nrm = sum_norm(ssum)
-    if not np.isfinite(nrm):  # |c|^2 overflowed, so c / max |c a| first
-        ssum = scale_sum(ssum, 1.0 / max(abs(c * a) for c, a in zip(ssum.coeffs, ssum.amps)))
-        nrm = sum_norm(ssum)
+    ssum = _measured(SlaterSum._stacked(coeffs, [1.0 + 0.0j] * len(coeffs), stack,
+                                        DEFAULT_MAX_TERMS, None))
+    if not np.isfinite(ssum.norm_sq):  # |c|^2 overflowed, so c / max |c| first
+        ssum = _measured(_scaled(ssum, 1.0 / max(abs(c) for c in ssum.coeffs), None))
+    nrm = np.sqrt(ssum.norm_sq)  # sum_norm(ssum): sqrt undoes the square exactly
     if nrm < ZERO_STATE_TOL:
         raise ParseError("state file describes a zero state")
-    return scale_sum(ssum, 1.0 / nrm)
+    return _normalized(ssum, nrm)

@@ -19,16 +19,15 @@ measurement of a sum takes the same kernel on kappa alone, its first
 reflector only, f0 = a kappa + o0 and leaves a [kappa, R] and
 |o0| [o0^, R], through the same call, group builder and measure body.
 
-Every outcome probability, and the norm (sum_norm, its x = 0 slice
-with no measured mode), comes from one pass over the term pairs
-(_expectations): each term is Q-applied once per map Q = 1 - x M M^H,
-and the rows go ROW_BLOCK at a time, each block's N x N overlaps from
-one stacked product and one batched det.  Each leaf is an eigenstate of
-both measured number operators, so leaves of different (lambda, kappa)
-patterns are exactly orthogonal, and stay so under every later rotation.
-A two-mode group labels each term with its pattern, its sector, and
-lists each sector's terms consecutively, so the next probability pass
-takes each sector as one slice and skips the norm pairs across sectors.
+A sum carries its norm squared n: a run starts at amplitude 1, rotations
+keep n and a measurement divides the kept group by the root of its
+probability, so only a sum that enters (the public constructor, a state
+file) or is projected with no probability (the projectors, the context
+reduction) takes sum_norm, the x = 0 slice of the pass with no measured
+mode.  Every outcome probability comes from n and one pass over the term
+pairs (_expectations) for the slices x != 0: each term is Q-applied once
+per map Q = 1 - x M M^H, and the rows go ROW_BLOCK at a time, each
+block's N x N overlaps from one stacked product and one batched det.
 
 Projections are applied in exact operator form, term by term, so the
 relative phases between determinants are preserved to machine precision.
@@ -98,8 +97,8 @@ def _kept(coeffs, amps):
 class SlaterSum:
     """A linear combination of determinants with identical D and N, stored
     once: one Python complex per term in coeffs and in amps (apart, as the
-    kernels multiply them in a fixed order) and one read-only C-contiguous
-    (T, D, N) orbital stack.
+    kernels multiply them in a fixed order), one read-only C-contiguous
+    (T, D, N) orbital stack, and norm_sq, the norm squared of the state.
 
     Terms whose total weight |coefficient * amplitude| is at or below
     the prune tolerance are dropped on construction; a non-finite
@@ -107,15 +106,13 @@ class SlaterSum:
     max_terms raises TermCapExceeded.  modes/electrons may be given
     explicitly for the empty (zero-state) sum.
 
-    sectors is None or one label per term: terms of different labels
-    are exactly orthogonal, and each label's terms are consecutive.  The
-    two-mode split sets them (the leaves' (lambda, kappa) patterns, which
-    it lists pattern by pattern), rotations, scalings and pruning carry
-    them in order, and every other constructor, this one included,
-    leaves None.
+    Every constructor sets norm_sq: this one by one sum_norm of the
+    pruned sum, from_state as |a|^2; scale_sum multiplies it by |f|^2,
+    evolve_sum keeps it, a measured post carries 1, and pruning (of
+    weights at most PRUNE_TOL) leaves it as it is.
     """
 
-    __slots__ = ("coeffs", "amps", "orbitals", "max_terms", "sectors")
+    __slots__ = ("coeffs", "amps", "orbitals", "max_terms", "norm_sq")
 
     def __init__(self, terms=(), modes=None, electrons=None, max_terms=DEFAULT_MAX_TERMS):
         terms = tuple(terms)
@@ -128,34 +125,36 @@ class SlaterSum:
         if modes is None or electrons is None:
             raise DimensionMismatch("an empty sum needs explicit modes and electrons")
         orbitals = _stack([st.orbitals for st in states], modes, electrons)
-        self._store(coeffs, [st.amplitude for st in states], orbitals, max_terms)
+        self._store(coeffs, [st.amplitude for st in states], orbitals, max_terms, None)
+        _measured(self)
 
     @classmethod
-    def _stacked(cls, coeffs, amps, orbitals, max_terms, sectors=None):
+    def _stacked(cls, coeffs, amps, orbitals, max_terms, norm_sq):
         """The kernels' constructor: the sum of coeffs[i] (amps[i],
         orbitals[i]) over a C-contiguous (T, D, N) stack it takes over,
-        with sectors[i] its sector, pruned and capped as the public one
-        does."""
+        pruned and capped as the public one does, of norm squared
+        norm_sq, as its caller knows it."""
         keep, coeffs = _kept(coeffs, amps)
         if len(keep) < len(amps):
             amps, orbitals = [amps[i] for i in keep], orbitals[keep]
-            sectors = None if sectors is None else [sectors[i] for i in keep]
         s = object.__new__(cls)
-        s._store(coeffs, amps, orbitals, max_terms, sectors)
+        s._store(coeffs, amps, orbitals, max_terms, norm_sq)
         return s
 
-    def _store(self, coeffs, amps, orbitals, max_terms, sectors=None):
-        """Every sum's cap check, then its fields."""
+    def _store(self, coeffs, amps, orbitals, max_terms, norm_sq):
+        """Every sum's cap check, then its fields; norm_sq None is for _measured."""
         if len(coeffs) > max_terms:
             raise TermCapExceeded(f"{len(coeffs)} terms exceed the cap of {max_terms}")
         orbitals.flags.writeable = False
         self.coeffs, self.amps, self.orbitals = tuple(coeffs), tuple(amps), orbitals
-        self.max_terms = max_terms
-        self.sectors = None if sectors is None else tuple(sectors)
+        self.max_terms, self.norm_sq = max_terms, norm_sq
 
     @classmethod
     def from_state(cls, state, max_terms=DEFAULT_MAX_TERMS):
-        return cls(((1.0 + 0.0j, state),), state.modes, state.electrons, max_terms)
+        """The one-term sum of state, of norm squared |a|^2."""
+        orbitals = _stack([state.orbitals], state.modes, state.electrons)
+        return cls._stacked([1.0 + 0.0j], [state.amplitude], orbitals, max_terms,
+                            abs(state.amplitude) ** 2)
 
     modes = property(lambda self: self.orbitals.shape[1])
     electrons = property(lambda self: self.orbitals.shape[2])
@@ -170,38 +169,34 @@ class SlaterSum:
         )
 
 
+def _measured(s):
+    """s, built where no norm is known, given one sum_norm of it."""
+    s.norm_sq = sum_norm(s) ** 2
+    return s
+
+
 def _stack(rows, d, n):
     """The (T, D, N) stack of T orbital matrices, copied in C order."""
     return np.array(rows, dtype=complex).reshape(len(rows), d, n)
 
 
 def sum_norm(s):
-    """Norm of the represented state: the square root of the x = 0 slice
-    of the probability pass (_expectations) with no measured mode, so
-    pairs across sectors are skipped.  Costs O(T^2 (D N^2 + N^3)) for T
-    terms of N electrons on D modes.  A weight |c a|^2 past float range
-    makes it inf or NaN without a warning, for the caller to rescale.
+    """Norm of the represented state, measured: the square root of the
+    x = 0 slice of the probability pass (_expectations) with no measured
+    mode.  Costs O(T^2 (D N^2 + N^3)) for T terms of N electrons on D
+    modes; a run's steps carry the norm (SlaterSum.norm_sq) instead.  A
+    weight |c a|^2 past float range makes it inf or NaN without a
+    warning, for the caller to rescale.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         (sq,) = _expectations(s, np.zeros((s.modes, 0)), (0,))
     return float(np.sqrt(max(sq, 0.0)))
 
 
-def _sector_keys(sectors):
-    """keys[i] numbers term i's sector, the sectors as they first appear;
-    the split lists each sector's terms consecutively, so keys never
-    decrease.  None without labels or with one: the sum is one block."""
-    if sectors is None:
-        return None
-    first = {}
-    keys = [first.setdefault(label, len(first)) for label in sectors]
-    return None if len(first) == 1 else np.array(keys)
-
-
 def _expectations(s, m, xs):
-    """Re <psi|G(1 - x M M^H)|psi> for each x of xs, the first 0, G(Q)
-    being the Fock map of the one-body map Q and m's columns orthonormal
-    modes: the norm squared (x = 0), the weight with m's modes empty (1),
+    """Re <psi|G(1 - x M M^H)|psi> for each x of xs, G(Q) being the Fock
+    map of the one-body map Q and m's columns orthonormal modes: the norm
+    squared (x = 0, sum_norm's), the weight with m's modes empty (1),
     their parity (2).
     Pair (i, j) is det(Phi_i^H Q Phi_j) and pair (j, i) its conjugate, so
     only j > i is summed.  Stored stacks are orthonormal, so pair (i, i)
@@ -210,19 +205,14 @@ def _expectations(s, m, xs):
 
     Q is Hermitian, so pair (i, j) is det((Q Phi_i)^H Phi_j): once per
     pass every term is Q-applied for every x, conj(Phi - x M B).  The
-    rows go in stored order, each sector's terms consecutive
-    (_sector_keys), ROW_BLOCK at a time: one stacked product puts every
-    later term's rows against the block's Q-applied terms, contiguous
-    N x N blocks that one batched det takes.  The weights conj(w_i) w_j
-    come from one strictly upper-triangular matrix, so the pairs in a
-    block's own triangle (j <= i) weigh 0.  Terms of different sectors are exactly
-    orthogonal, so with sectors the x = 0 slice takes its own product,
-    which stops at the end of the sector of the block's last row, and
-    its weights are masked by sector; without, every x shares one.
+    rows go in stored order, ROW_BLOCK at a time: one stacked product
+    puts every later term's rows against the block's Q-applied terms for
+    every x, contiguous N x N blocks that one batched det takes.  The
+    weights conj(w_i) w_j come from one strictly upper-triangular
+    matrix, so the pairs in a block's own triangle (j <= i) weigh 0.
     """
     phis = s.orbitals
     t, d, n = phis.shape
-    keys = _sector_keys(s.sectors)
     weights = np.array([c * a for c, a in zip(s.coeffs, s.amps)])
     scale = np.array(xs, dtype=float)[:, None, None]
     b = m.conj().T @ phis
@@ -237,30 +227,30 @@ def _expectations(s, m, xs):
     span = np.arange(t)
     pair_w = np.outer(weights.conj(), weights)
     pair_w *= span[:, None] < span  # in place: the pass holds one T x T matrix
-    if keys is None:  # every x takes every later term: one product per block
-        parts, ends = [(slice(None), None)], [t] * t
-    else:
-        parts = [(slice(0, 1), keys[:, None] == keys), (slice(1, None), None)][: len(xs)]
-        ends = np.searchsorted(keys, keys, "right").tolist()
     pairs = np.zeros(len(xs), dtype=complex)  # the sum over i < j of each x's pairs
     for i in range(0, t - 1, ROW_BLOCK):
         last = min(i + ROW_BLOCK, t - 1)
-        # With sectors the x = 0 slice ends where the last row's sector does.
-        for (x, same), end in zip(parts, (ends[last - 1], t)):
-            # Block (x, r, j) is ((Q_x Phi_i+r)^H Phi_i+1+j)^T: the same det.
-            q = qs[x, i:last]
-            g = rows[(i + 1) * n : end * n] @ q
-            dets = np.linalg.det(g.reshape(*q.shape[:2], end - i - 1, n, n))
-            w = pair_w[i:last, i + 1 : end]
-            if same is not None:
-                w = w * same[i:last, i + 1 : end]
-            pairs[x] += dets.reshape(len(q), -1) @ w.ravel()
+        # Block (x, r, j) is ((Q_x Phi_i+r)^H Phi_i+1+j)^T: the same det.
+        q = qs[:, i:last]
+        g = rows[(i + 1) * n :] @ q
+        dets = np.linalg.det(g.reshape(*q.shape[:2], t - i - 1, n, n))
+        pairs += dets.reshape(len(xs), -1) @ pair_w[i:last, i + 1 :].ravel()
     return (totals + 2.0 * pairs).real.tolist()
 
 
 def scale_sum(s, factor):
+    """factor times s, of norm squared |factor|^2 times s's."""
+    return _scaled(s, factor, s.norm_sq * abs(factor) ** 2)
+
+
+def _normalized(s, norm):
+    """s divided by its norm, as the caller knows it: a post of norm 1."""
+    return _scaled(s, 1.0 / norm, 1.0)
+
+
+def _scaled(s, factor, norm_sq):
     coeffs = [c * factor for c in s.coeffs]
-    return SlaterSum._stacked(coeffs, s.amps, s.orbitals, s.max_terms, s.sectors)
+    return SlaterSum._stacked(coeffs, s.amps, s.orbitals, s.max_terms, norm_sq)
 
 
 def evolve_sum(s, v, pair=None):
@@ -268,21 +258,20 @@ def evolve_sum(s, v, pair=None):
     stacked product and one check_orthonormal.  A D x D unitary or a
     generator's multiplies the whole stack; with pair (i, j), v is the
     2x2 block of a rotation of those two sites (check_unitary's pair), and
-    only rows i and j of every term change (rotate_orbitals)."""
+    only rows i and j of every term change (rotate_orbitals); the norm stays."""
     mat = check_unitary(v, s.modes, pair)
     rotated = rotate_orbitals(mat, s.orbitals, pair)
     check_orthonormal(rotated)
-    return SlaterSum._stacked(s.coeffs, s.amps, rotated, s.max_terms, s.sectors)
+    return SlaterSum._stacked(s.coeffs, s.amps, rotated, s.max_terms, s.norm_sq)
 
 
-def _group_sum(s, vecs, group):
-    """Unnormalized projection of s on one outcome group of the measured
-    modes vecs ((lambda, kappa) or (kappa,)), named by its label ("02")
-    or outcomes ((0, 2)): one split_pair call over the whole stack,
-    which builds only the group's leaves, listed by outcome, then
-    pattern by pattern, (1, 0) before (0, 1), then by term.  Two modes
-    label each leaf with its (lambda, kappa) pattern as its sector, so
-    each sector's terms are consecutive; one mode labels none."""
+def _group_terms(s, vecs, group):
+    """(coeffs, amps, stack) of the unnormalized projection of s on one
+    outcome group of the measured modes vecs ((lambda, kappa) or
+    (kappa,)), named by its label ("02") or outcomes ((0, 2)): one
+    split_pair call over the whole stack, which builds only the group's
+    leaves, listed by outcome, then pattern by pattern, (1, 0) before
+    (0, 1), then by term."""
     group = tuple(map(int, group))
     lam, kap = (None, *vecs)[-2:]  # lam None for one mode
     try:
@@ -293,9 +282,12 @@ def _group_sum(s, vecs, group):
             split_pair(s.amps[i : i + 1], s.orbitals[i : i + 1], lam, kap, group)
         raise
     leaves = [leaf for out in leaves for leaf in out]
-    coeffs = [s.coeffs[i] * scale for i, scale, _, _ in leaves]
-    sectors = None if lam is None else [pattern for *_, pattern in leaves]
-    return SlaterSum._stacked(coeffs, [amp for *_, amp, _ in leaves], stack, s.max_terms, sectors)
+    return [s.coeffs[i] * scale for i, scale, _, _ in leaves], [amp for *_, amp, _ in leaves], stack
+
+
+def _group_sum(s, vecs, group):
+    """_group_terms as a sum whose norm one sum_norm measures: a projector's."""
+    return _measured(SlaterSum._stacked(*_group_terms(s, vecs, group), s.max_terms, None))
 
 
 def apply_two_mode_projector(s, kappa, lam, outcome):
@@ -322,20 +314,21 @@ def project_single_mode(s, kappa, outcome):
 
 def _probabilities(s, vecs, groups):
     """Each group's probability, in order, for the measured modes vecs
-    ((lambda, kappa) or (kappa,)), from the norm n, the weight p0 with every measured
-    mode empty and the parity par of s itself: outcome 0 has p0 and the
-    other outcomes n - p0; of two modes, outcome 1 has (n - par)/2,
-    outcomes 0 and 2 (n + par)/2 and outcome 2 that minus p0.  Each is
-    clamped at 0, as sum_norm clamps.  Nothing is projected."""
+    ((lambda, kappa) or (kappa,)), from the norm squared n s carries and
+    the pass's weight p0 with every measured mode empty and parity par:
+    outcome 0 has p0 and the other outcomes n - p0; of two modes, outcome
+    1 has (n - par)/2, outcomes 0 and 2 (n + par)/2 and outcome 2 that
+    minus p0.  Each is clamped at 0, as sum_norm clamps.  Nothing is projected."""
     m = np.column_stack(vecs)
+    n = s.norm_sq
     if groups in (ONE_MODE, GROUPINGS["0/12"]):
-        n, p0 = _expectations(s, m, (0, 1))
+        (p0,) = _expectations(s, m, (1,))
         probs = [p0, n - p0]
     elif groups == GROUPINGS["02/1"]:
-        n, par = _expectations(s, m, (0, 2))
+        (par,) = _expectations(s, m, (2,))
         probs = [(n + par) / 2, (n - par) / 2]
     else:
-        n, par, p0 = _expectations(s, m, (0, 2, 1))
+        par, p0 = _expectations(s, m, (2, 1))
         p2 = (n + par) / 2 - p0
         table = {(0,): p0, (1,): (n - par) / 2, (2,): p2, (0, 1): n - p2}
         probs = [table[g] for g in groups]
@@ -366,7 +359,8 @@ def _measure(s, vecs, groups, forced, rng):
     if probs[i] < PROB_FLOOR:
         shown = labels[i] if len(vecs) == 1 else repr(labels[i])
         raise ImpossibleOutcome(f"outcome {shown} has probability below {PROB_FLOOR:g}")
-    return i, probs[i], scale_sum(_group_sum(s, vecs, groups[i]), 1.0 / np.sqrt(probs[i]))
+    built = SlaterSum._stacked(*_group_terms(s, vecs, groups[i]), s.max_terms, probs[i])
+    return i, probs[i], _normalized(built, np.sqrt(probs[i]))
 
 
 def measure_two_mode(s, kappa, lam, grouping, forced=None, rng=None):
@@ -400,7 +394,8 @@ def reduce_to_two_fermion(s, kappa, lam):
     orthogonal to both measured modes.  Each takes one split_pair of all
     terms on that mode alone, keeps the outcome-1 leaves without their
     first column, the mode, and checks what is left: annihilate, bit for
-    bit.
+    bit.  The reduced sum takes one sum_norm, as a term that misses a
+    context mode loses weight; two electrons come back as s, norm and all.
     """
     n = s.electrons
     if n < 2:
@@ -425,8 +420,8 @@ def reduce_to_two_fermion(s, kappa, lam):
         check_orthonormal(reduced)
         coeffs = [current.coeffs[i] for i, *_ in ones]
         amps = [amp * alpha for _, alpha, amp, _ in ones]
-        current = SlaterSum._stacked(coeffs, amps, reduced, s.max_terms)
-    return current
+        current = SlaterSum._stacked(coeffs, amps, reduced, s.max_terms, None)
+    return current if current is s else _measured(current)
 
 
 def two_fermion_w(s):
@@ -479,9 +474,9 @@ def generic_p1_study(theta, phi, xi, n=2):
     ) * (np.cos(xi) * e[:, 1] + np.sin(xi) * e[:, n + 1])
     start = SlaterSum.from_state(standard_state(d, n))
     proj = apply_two_mode_projector(start, kap, lam, 1)
-    nrm = sum_norm(proj)
+    nrm = np.sqrt(proj.norm_sq)  # sum_norm(proj), as the projector measured it
     if nrm > PRUNE_TOL:
-        proj = scale_sum(proj, 1.0 / nrm)
+        proj = _normalized(proj, nrm)
     red = reduce_to_two_fermion(proj, kap, lam)
     w_full = two_fermion_w(red)
     active = [0, 1, n, n + 1]

@@ -23,13 +23,13 @@ from .multislater import (
     ONE_MODE,
     PRUNE_TOL,
     SlaterSum,
-    _group_sum,
+    _group_terms,
+    _normalized,
     _probabilities,
     evolve_sum,
     group_label,
     measure_mode_sum,
     measure_two_mode,
-    scale_sum,
 )
 from .slater import PROB_FLOOR, SlaterState, check_modes, standard_state
 
@@ -167,9 +167,9 @@ def _steer_modes(idx, s, vecs, groups):
     label, prob, certain = _steer(idx, probs, admissible)
     if certain:
         return label, prob, None
-    built = _group_sum(s, vecs, label)
+    built = SlaterSum._stacked(*_group_terms(s, vecs, label), s.max_terms, prob)
     norm = abs(built.coeffs[0] * built.amps[0]) if built.term_count == 1 else np.sqrt(prob)
-    return label, prob, scale_sum(built, 1.0 / norm)
+    return label, prob, _normalized(built, norm)
 
 
 def simulate_exact_branch(circuit, d, n, initial=None):

@@ -57,6 +57,7 @@ from flosim.multislater import (
     SlaterSum,
     _expectations,
     _group_sum,
+    _measured,
     _probabilities,
     apply_two_mode_projector,
     evolve_sum,
@@ -260,20 +261,25 @@ class TestSumNormKernel:
 
     @pytest.mark.parametrize("group", [(0, 2), (1,), (0, 1, 2)])
     def test_sectored_sum_takes_the_norm_slice_alone(self, group):
-        """A two-mode group labels its terms by sector; the pass over its
-        x = 0 slice alone skips the pairs across sectors and agrees with
-        the full pass and with the pairwise loop."""
+        """A two-mode group lists its leaves pattern by pattern (their
+        span_pattern), each pattern's terms consecutive; the pass over its
+        x = 0 slice alone takes every pair, across patterns too, and
+        agrees with the full pass, with the pairwise loop and with the
+        norm the group measured."""
         rng = rng_for(204)
         terms = tuple((random_complex(rng), random_state(rng, 6, 3)) for _ in range(3))
         kap, lam = random_orthogonal_pair(rng, 6)
         s = _group_sum(SlaterSum(terms), (lam, kap), group)
-        assert len(set(s.sectors)) >= 2
+        patterns = [span_pattern(orb, lam, kap) for orb in s.orbitals]
+        assert len(set(patterns)) >= 2
+        assert_runs_distinct(patterns)
         m = np.column_stack([lam, kap])
         (alone,) = _expectations(s, m, (0,))
         full = _expectations(s, m, (0, 1, 2))[0]
         want = reference_overlap_total(s).real
         assert abs(alone - want) <= 1e-13 * want and abs(full - want) <= 1e-13 * want
         assert abs(sum_norm(s) - np.sqrt(want)) <= 1e-13 * np.sqrt(want)
+        assert abs(s.norm_sq - want) <= 1e-13 * want
 
 
 class TestSumNorm:
@@ -1207,9 +1213,8 @@ def eager_pick(sums, rng):
     return len(probs) - 1, probs[-1]
 
 
-@pytest.fixture
-def norm_calls(monkeypatch):
-    """Records every sum passed to multislater.sum_norm."""
+def spy_norm_calls(monkeypatch):
+    """Records, from this call on, every sum passed to multislater.sum_norm."""
     calls = []
     real = multislater.sum_norm
 
@@ -1245,11 +1250,13 @@ class TestLazyPick:
     """Outcome probabilities come from one pass over the measured sum's
     own term pairs; no projected group is normed."""
 
-    def test_measurements_call_sum_norm_zero_times(self, norm_calls):
+    def test_measurements_call_sum_norm_zero_times(self, monkeypatch):
         rng = rng_for(71)
         d = 6
         s = parity_grown_sum(rng, d, 3, 2)
         kap, lam = random_orthogonal_pair(rng, d)
+        # Opened once s is built: the reference groups' constructor measures.
+        norm_calls = spy_norm_calls(monkeypatch)
         for grouping, groups in GROUPINGS.items():
             for group in groups:
                 measure_two_mode(s, kap, lam, grouping, forced=group_label(group))
@@ -2001,17 +2008,29 @@ def span_pattern(orbitals, lam, kap):
     return tuple(round(np.linalg.norm(orbitals.conj().T @ vec) ** 2) for vec in (lam, kap))
 
 
-class TestSectorLabels:
-    """The sector labels of a sum's terms: a two-mode group labels each
-    term with its (lambda, kappa) pattern, rotation, scaling and pruning
-    carry the labels, and every other construction leaves None."""
+def assert_runs_distinct(patterns):
+    """Each pattern's terms are consecutive: no pattern starts two runs."""
+    runs = [p for k, p in enumerate(patterns) if k == 0 or patterns[k - 1] != p]
+    assert len(runs) == len(set(runs))
+
+
+def assert_norm_carried(s):
+    """The norm squared s carries against one sum_norm of it."""
+    assert abs(s.norm_sq - sum_norm(s) ** 2) <= 1e-13, (s.norm_sq, sum_norm(s) ** 2)
+
+
+class TestLeafPatterns:
+    """The order of a sum's terms by the (lambda, kappa) patterns read
+    off their spans: a two-mode group lists its leaves pattern by
+    pattern, and rotation (of the terms and the modes alike), scaling
+    and pruning keep that order.  Every construction carries its norm."""
 
     @staticmethod
     def _sum(rng, d=6, n=3, t=4):
         terms = tuple((complex(c), random_state(rng, d, n)) for c in rng.uniform(0.5, 1.5, t))
         return SlaterSum(terms, d, n)
 
-    def test_two_mode_groups_label_each_term_with_its_pattern(self):
+    def test_two_mode_groups_list_their_leaves_pattern_by_pattern(self):
         rng = rng_for(201)
         s = self._sum(rng)
         kap, lam = random_orthogonal_pair(rng, s.modes)
@@ -2019,51 +2038,62 @@ class TestSectorLabels:
             for group in groups:
                 got = _group_sum(s, (lam, kap), group)
                 leaves = split_pair(s.amps, s.orbitals, lam, kap, group)[0]
-                assert got.sectors == tuple(p for out in leaves for *_, p in out)
-                assert set(got.sectors) == {p for o in group for p in PAIR_PATTERNS[o]}
-                assert got.sectors == tuple(span_pattern(orb, lam, kap) for orb in got.orbitals)
+                patterns = tuple(span_pattern(orb, lam, kap) for orb in got.orbitals)
+                assert patterns == tuple(p for out in leaves for *_, p in out)
+                assert set(patterns) == {p for o in group for p in PAIR_PATTERNS[o]}
+                assert_runs_distinct(patterns)
         post = measure_two_mode(s, kap, lam, "02/1", forced="1")[2]
-        assert set(post.sectors) == {(1, 0), (0, 1)} and len(post.sectors) == post.term_count
+        patterns = [span_pattern(orb, lam, kap) for orb in post.orbitals]
+        assert set(patterns) == {(1, 0), (0, 1)} and post.norm_sq == 1.0
+        assert_runs_distinct(patterns)
 
-    def test_rotation_scaling_and_pruning_carry_the_labels(self):
+    def test_rotation_scaling_and_pruning_keep_the_order(self):
         rng = rng_for(202)
         s = self._sum(rng)
         kap, lam = random_orthogonal_pair(rng, s.modes)
         group = _group_sum(s, (lam, kap), (0, 2))
-        assert len(set(group.sectors)) == 2
-        assert evolve_sum(group, random_unitary(rng, s.modes)).sectors == group.sectors
-        assert scale_sum(group, 0.5j).sectors == group.sectors
-        assert scale_sum(group, 0.0).sectors == ()
-        # Every other term's weight at the prune tolerance: those go.
+        patterns = [span_pattern(orb, lam, kap) for orb in group.orbitals]
+        assert len(set(patterns)) == 2
+        u = random_unitary(rng, s.modes)
+        rotated = evolve_sum(group, u)
+        assert [span_pattern(orb, u @ lam, u @ kap) for orb in rotated.orbitals] == patterns
+        assert rotated.norm_sq == group.norm_sq
+        scaled = scale_sum(group, 0.5j)
+        assert [span_pattern(orb, lam, kap) for orb in scaled.orbitals] == patterns
+        assert scaled.norm_sq == group.norm_sq / 4
+        assert scale_sum(group, 0.0).term_count == 0
+        # Every other term's weight at the prune tolerance: those go, the norm stays.
         coeffs = [c * (1e-13 if i % 2 else 1.0) for i, c in enumerate(group.coeffs)]
         pruned = SlaterSum._stacked(coeffs, group.amps, group.orbitals, group.max_terms,
-                                    group.sectors)
-        assert pruned.sectors == group.sectors[::2]
-        assert pruned.term_count == len(group.sectors[::2])
+                                    group.norm_sq)
+        assert [span_pattern(orb, lam, kap) for orb in pruned.orbitals] == patterns[::2]
+        assert pruned.norm_sq == group.norm_sq
 
-    def test_other_constructions_leave_no_labels(self, tmp_path):
+    def test_other_constructions_carry_their_norm(self, tmp_path):
         rng = rng_for(203)
         d, n = 6, 4
         e = np.eye(d, dtype=complex)
         # Modes on {0, 1, N, N + 1}, off the context modes 2..N-1.
         kap, lam = (e[:, 0] + e[:, n]) / np.sqrt(2), (e[:, 1] - e[:, n + 1]) / np.sqrt(2)
         start = SlaterSum.from_state(standard_state(d, n))
-        assert start.sectors is None
-        labelled = apply_two_mode_projector(start, kap, lam, 1)
-        assert labelled.sectors == ((1, 0), (0, 1))
-        assert reduce_to_two_fermion(labelled, kap, lam).sectors is None
+        assert start.norm_sq == 1.0
+        projected = apply_two_mode_projector(start, kap, lam, 1)
+        assert [span_pattern(orb, lam, kap) for orb in projected.orbitals] == [(1, 0), (0, 1)]
+        assert_norm_carried(projected)
+        assert_norm_carried(reduce_to_two_fermion(projected, kap, lam))
         mode = random_mode(rng, d)
         for outcome in (0, 1):
-            assert project_single_mode(labelled, mode, outcome).sectors is None
-            assert measure_mode_sum(labelled, mode, forced=outcome)[2].sectors is None
-        assert SlaterSum(labelled.terms, d, n).sectors is None
+            assert_norm_carried(project_single_mode(projected, mode, outcome))
+            assert_norm_carried(measure_mode_sum(projected, mode, forced=outcome)[2])
+        assert_norm_carried(SlaterSum(projected.terms, d, n))
         path = tmp_path / "state.json"
         path.write_text(json.dumps({"modes": d, "electrons": n, "terms": [
             {"coefficient": [(c * st_.amplitude).real, (c * st_.amplitude).imag],
              "orbitals": [[[z.real, z.imag] for z in row] for row in st_.orbitals]}
-            for c, st_ in labelled.terms]}))
+            for c, st_ in projected.terms]}))
         loaded = load_state_sum(path)
-        assert loaded.term_count == 2 and loaded.sectors is None
+        assert loaded.term_count == 2 and loaded.norm_sq == 1.0
+        assert_norm_carried(loaded)
 
 
 SECTOR_PATTERNS = ((1, 0), (0, 1), (0, 0))
@@ -2091,39 +2121,38 @@ def reference_expectations(s, m, xs):
     return out
 
 
-def sector_sum(rng, u, n, keys, sectors=True):
+def sector_sum(rng, u, n, keys):
     """A sum whose term j spans SECTOR_PATTERNS[keys[j]] of the modes
-    u[:, 0], u[:, 1], random coefficients and amplitudes, labelled
-    with those patterns if sectors is set."""
-    t = len(keys)
-    patterns = [SECTOR_PATTERNS[k] for k in keys]
-    orbitals = np.array([pattern_span(rng, u, n, p) for p in patterns])
+    u[:, 0], u[:, 1], or a random span where keys[j] is None, with
+    random coefficients and amplitudes, its norm measured."""
+    t, d = len(keys), u.shape[0]
+    orbitals = np.array([random_orthonormal_columns(rng, d, n) if k is None
+                         else pattern_span(rng, u, n, SECTOR_PATTERNS[k]) for k in keys],
+                        dtype=complex).reshape(t, d, n)
     coeffs = list(rng.uniform(0.5, 1.5, t) * np.exp(2j * np.pi * rng.random(t)))
     amps = list(np.exp(2j * np.pi * rng.random(t)))
-    return SlaterSum._stacked(coeffs, amps, orbitals, 64, patterns if sectors else None)
+    return _measured(SlaterSum._stacked(coeffs, amps, orbitals, 64, None))
 
 
 def assert_pass_matches_the_per_pair_loop(rng, s):
+    """The slices the library asks for, the norm's (0,) and a
+    measurement's (1,), (2,) or (2, 1), and all three at once, against
+    the per-pair loop, relative to the norm squared."""
     for k in (1, 2):
         m = random_orthonormal_columns(rng, s.modes, k)
-        for xs in ((0, 1), (0, 2), (0, 2, 1)):
+        norm_sq = reference_expectations(s, m, (0,))[0]
+        for xs in ((0,), (1,), (2,), (2, 1), (0, 2, 1)):
             got, want = _expectations(s, m, xs), reference_expectations(s, m, xs)
             assert len(got) == len(xs)
-            assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-12 * want[0]
-
-
-def assert_sectors_consecutive(s):
-    runs = [p for k, p in enumerate(s.sectors) if k == 0 or s.sectors[k - 1] != p]
-    assert len(runs) == len(set(runs))
+            assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-12 * norm_sq
 
 
 class TestExpectationsAcrossBlocks:
     """The probability pass against a per-pair det loop, at term counts
-    below, at and across the row blocks, with sector labels absent, all
-    one, in contiguous runs whose ends fall inside a block, and as the
-    two-mode split lists terms that come to it interleaved by sector:
-    each sector's terms consecutive, the only layout a labelled sum can
-    hold."""
+    below, at and across the row blocks, over random spans, spans of one
+    pattern, spans of three patterns in contiguous runs whose ends fall
+    inside a block, and as the two-mode split lists terms that come to
+    it interleaved by pattern: each pattern's terms consecutive."""
 
     @pytest.mark.parametrize("layout", ["none", "one", "contiguous", "interleaved"])
     @pytest.mark.parametrize("t", [1, 2, 3, 4, 5, 9, 14])
@@ -2132,44 +2161,54 @@ class TestExpectationsAcrossBlocks:
         d, n = 7, 3
         u = random_unitary(rng, d)
         if layout == "interleaved":
-            # Each term lies in one sector, so the split keeps it whole.
-            source = sector_sum(rng, u, n, [j % 3 for j in range(t)], sectors=False)
+            # Each term lies in one pattern, so the split keeps it whole.
+            source = sector_sum(rng, u, n, [j % 3 for j in range(t)])
             s = _group_sum(source, (u[:, 0], u[:, 1]), (0, 1))
-            assert s.term_count == t and sorted(s.sectors) == sorted(
+            patterns = [span_pattern(orb, u[:, 0], u[:, 1]) for orb in s.orbitals]
+            assert s.term_count == t and sorted(patterns) == sorted(
                 SECTOR_PATTERNS[j % 3] for j in range(t))
-            assert_sectors_consecutive(s)
+            assert_runs_distinct(patterns)
         else:
-            keys = [j * 3 // t for j in range(t)] if layout == "contiguous" else [0] * t
-            s = sector_sum(rng, u, n, keys, sectors=layout != "none")
+            keys = {"none": [None] * t, "one": [0] * t,
+                    "contiguous": [j * 3 // t for j in range(t)]}[layout]
+            s = sector_sum(rng, u, n, keys)
             assert s.term_count == t
-            assert s.sectors == (None if layout == "none"
-                                 else tuple(SECTOR_PATTERNS[k] for k in keys))
+            if layout != "none":
+                assert [span_pattern(orb, u[:, 0], u[:, 1]) for orb in s.orbitals] == [
+                    SECTOR_PATTERNS[k] for k in keys]
         assert_pass_matches_the_per_pair_loop(rng, s)
 
     @pytest.mark.parametrize("op", ["scale", "evolve", "rotate_pair", "prune"])
     def test_sum_operations_keep_each_sector_consecutive(self, op):
         """A split-made sum, then scaled, evolved by a D x D unitary,
-        rotated on two sites or pruned of its whole middle sector and one
-        more term, keeps its labels in their order, each sector's terms
-        consecutive, and its pass still matches the per-pair loop."""
+        rotated on two sites or pruned of its whole middle pattern and one
+        more term, keeps its leaves' patterns (of the modes rotated with
+        it) in their order, each pattern's terms consecutive, and carries
+        its norm; its pass still matches the per-pair loop."""
         rng = rng_for(320)
         d, n, t = 7, 3, 9
         u = random_unitary(rng, d)
-        source = sector_sum(rng, u, n, [j % 3 for j in range(t)], sectors=False)
+        source = sector_sum(rng, u, n, [j % 3 for j in range(t)])
         s = _group_sum(source, (u[:, 0], u[:, 1]), (0, 1))
-        assert [p for k, p in enumerate(s.sectors) if k == 0 or s.sectors[k - 1] != p] == [
+        patterns = [span_pattern(orb, u[:, 0], u[:, 1]) for orb in s.orbitals]
+        assert [p for k, p in enumerate(patterns) if k == 0 or patterns[k - 1] != p] == [
             (0, 0), (1, 0), (0, 1)]
-        keep = range(t)
+        keep, v = range(t), np.eye(d, dtype=complex)
         if op == "scale":
             got = scale_sum(s, 0.5 - 0.25j)
         elif op == "evolve":
-            got = evolve_sum(s, random_unitary(rng, d))
+            v = random_unitary(rng, d)
+            got = evolve_sum(s, v)
         elif op == "rotate_pair":
-            got = evolve_sum(s, random_unitary(rng, 2), (1, 4))
+            block = random_unitary(rng, 2)
+            v[np.ix_((1, 4), (1, 4))] = block
+            got = evolve_sum(s, block, (1, 4))
         else:
             keep = [0, 1, 6, 7, 8]
             coeffs = [c if i in keep else 0.0 for i, c in enumerate(s.coeffs)]
-            got = SlaterSum._stacked(coeffs, s.amps, s.orbitals, s.max_terms, s.sectors)
-        assert got.sectors == tuple(s.sectors[i] for i in keep)
-        assert_sectors_consecutive(got)
+            got = _measured(SlaterSum._stacked(coeffs, s.amps, s.orbitals, s.max_terms, None))
+        moved = [span_pattern(orb, v @ u[:, 0], v @ u[:, 1]) for orb in got.orbitals]
+        assert moved == [patterns[i] for i in keep]
+        assert_runs_distinct(moved)
+        assert_norm_carried(got)
         assert_pass_matches_the_per_pair_loop(rng, got)

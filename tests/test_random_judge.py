@@ -5,8 +5,8 @@ form (every measurement sampled, so no run ends on an impossible
 outcome or a refused exact parity step), run through `simulate
 --oracle-check` under two seeds.  Each has at most 6 modes.  Among them
 are parity and merged groupings followed by more measurements, so the
-judge checks probability passes over sums whose terms carry sector
-labels.  The 120 runs take about 0.35 s on a 2-core Xeon; their budget
+judge checks probability passes over split-made sums, each of which
+carries its norm from the measurement before.  The 120 runs take about 0.35 s on a 2-core Xeon; their budget
 is 2 s.
 """
 

@@ -27,13 +27,18 @@ from flosim.errors import (
     NoAdmissibleBranch,
     ParityGroupingUnsupported,
 )
-from flosim.circuits import parse_circuit
-from flosim.slater import SlaterState, standard_state
+from flosim.circuits import load_state_sum, parse_circuit
+from flosim.slater import SlaterState, check_modes, standard_state
 from flosim.multislater import (
+    GROUPINGS,
+    ONE_MODE,
     SlaterSum,
+    _expectations,
+    _probabilities,
     evolve_sum,
     measure_mode_sum,
     measure_two_mode,
+    scale_sum,
     sum_norm,
 )
 from flosim.simulate import (
@@ -770,3 +775,98 @@ class TestSampledSteps:
             step = MeasureTwo(e[:, 1], e[:, 1], grouping, policy="exact")
             with pytest.raises(error):
                 execute([step], 4, 2)
+
+
+def pass_probabilities(s, vecs, groups):
+    """_probabilities with the norm squared n taken from the same pass as
+    p0 and the parity, not carried: the x = 0 slice over every pair."""
+    n, par, p0 = _expectations(s, np.column_stack(vecs), (0, 2, 1))
+    if groups in (ONE_MODE, GROUPINGS["0/12"]):
+        probs = [p0, n - p0]
+    elif groups == GROUPINGS["02/1"]:
+        probs = [(n + par) / 2, (n - par) / 2]
+    else:
+        p2 = (n + par) / 2 - p0
+        table = {(0,): p0, (1,): (n - par) / 2, (2,): p2, (0, 1): n - p2}
+        probs = [table[g] for g in groups]
+    return [max(p, 0.0) for p in probs]
+
+
+def parity_chain(rng, d, rounds):
+    """rounds times a random D x D rotation, then a sampled parity
+    measurement of two random orthonormal modes: T doubles per round."""
+    steps = []
+    for _ in range(rounds):
+        steps.append(Rotate(unitary=random_unitary(rng, d)))
+        steps.append(MeasureTwo(*random_orthogonal_pair(rng, d), "02/1"))
+    return steps
+
+
+class TestCarriedNorm:
+    """A sum carries its norm squared: from_state sets |a|^2, rotations
+    keep it, scaling multiplies it by |f|^2 and a measured or steered
+    post carries 1.  Every step of a run stays within 1e-13 of one
+    sum_norm of its sum, and each measurement's probabilities within
+    1e-13 + 1e-12 p of those whose n the pass itself takes."""
+
+    @staticmethod
+    def assert_run_carries_its_norm(steps, d, n, seed):
+        records = list(sampled_steps(steps, d, n, seed=seed))
+        for (_, _, _, before), (idx, _, row, after) in zip(records, records[1:]):
+            assert abs(after.norm_sq - sum_norm(after) ** 2) <= 1e-13, (idx, after.norm_sq)
+            step = steps[idx]
+            if row is None:
+                continue
+            if isinstance(step, MeasureTwo):
+                vecs, groups = check_modes(d, step.kappa, step.lam)[::-1], GROUPINGS[step.grouping]
+            else:
+                vecs, groups = check_modes(d, step.kappa), ONE_MODE
+            got = _probabilities(before, vecs, groups)
+            for p, want in zip(got, pass_probabilities(before, vecs, groups)):
+                assert abs(p - want) <= 1e-13 + 1e-12 * want, (idx, p, want)
+        return records[-1][3]
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_parity_chains(self, seed):
+        rng = rng_for(2600 + seed)
+        final = self.assert_run_carries_its_norm(parity_chain(rng, 12, 6), 12, 6, seed)
+        assert final.term_count == 64
+
+    def test_mixed_grouping_circuits(self):
+        """tools/circuitgen.py's circuits of seed 14 in their sample-policy
+        form, and circuits of every grouping under the sample, forced and
+        exact policies (policy_circuit), whose exact steps steer."""
+        spec = importlib.util.spec_from_file_location("circuitgen", ROOT / "tools" / "circuitgen.py")
+        gen = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(gen)
+        for i in range(60):
+            circuit = parse_circuit(json.dumps(gen.random_circuit(14, i, sample=True)))
+            self.assert_run_carries_its_norm(circuit.steps, circuit.modes, circuit.electrons, i)
+        rng = rng_for(2611)
+        for k in range(20):
+            d = int(rng.integers(3, 7))
+            n = int(rng.integers(1, d))
+            steps, to_force = policy_circuit(rng, d)
+            drawn = simulate_sampled(steps, d, n, seed=k)[0].rows
+            self.assert_run_carries_its_norm(forced_to(steps, to_force, drawn), d, n, k)
+
+    def test_boundary_constructions(self, tmp_path):
+        rng = rng_for(2612)
+        d, n = 6, 3
+        a = 0.8 * np.exp(0.3j)
+        one = SlaterSum.from_state(SlaterState(random_orthonormal_columns(rng, d, n), a))
+        assert one.norm_sq == abs(a) ** 2
+        terms = [(complex(*rng.standard_normal(2)), SlaterState(random_orthonormal_columns(rng, d, n)))
+                 for _ in range(4)]
+        s = SlaterSum(terms, d, n)
+        f = 0.3 - 1.1j
+        for got in (one, s, scale_sum(s, f)):
+            assert abs(got.norm_sq - sum_norm(got) ** 2) <= 1e-13 * max(1.0, got.norm_sq)
+        assert scale_sum(s, f).norm_sq == s.norm_sq * abs(f) ** 2
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps({"modes": d, "electrons": n, "terms": [
+            {"coefficient": [c.real, c.imag],
+             "orbitals": [[[z.real, z.imag] for z in row] for row in st_.orbitals]}
+            for c, st_ in terms]}))
+        loaded = load_state_sum(path)
+        assert loaded.norm_sq == 1.0 and abs(sum_norm(loaded) ** 2 - 1.0) <= 1e-13

@@ -268,14 +268,12 @@ class TestPairCheck:
     def test_updates_two_rows_as_the_dense_product(self, d, t):
         """Rows off the pair keep their bits; rows i and j agree with the
         embedded D x D product within 1e-15, for i < j and i > j; the
-        terms' weights and sector labels carry over."""
+        terms' weights and the norm carry over."""
         rng = rng_for(150 + d + t)
         blocks = [pair_rotation(0.7, 0.4), pair_rotation(1e300, -2.5), random_unitary(rng, 2)]
         for n in sorted({0, 1, d // 2, d}):
             terms = [(complex(*rng.standard_normal(2)), random_state(rng, d, n)) for _ in range(t)]
-            plain = SlaterSum(terms, d, n)
-            ssum = SlaterSum._stacked(plain.coeffs, plain.amps, plain.orbitals, plain.max_terms,
-                                      [(k % 2, 1) for k in range(t)])
+            ssum = SlaterSum(terms, d, n)
             i, j = rng.choice(d, size=2, replace=False)
             for pair in ((min(i, j), max(i, j)), (max(i, j), min(i, j))):
                 off = [k for k in range(d) if k not in pair]
@@ -283,7 +281,7 @@ class TestPairCheck:
                     u = self.embedded(d, pair, block)
                     got, want = evolve_sum(ssum, block, pair), evolve_sum(ssum, u)
                     assert (got.coeffs, got.amps) == (ssum.coeffs, ssum.amps)
-                    assert got.sectors == ssum.sectors
+                    assert got.norm_sq == ssum.norm_sq
                     assert got.orbitals[:, off].tobytes() == ssum.orbitals[:, off].tobytes()
                     assert np.abs(got.orbitals - want.orbitals).max(initial=0.0) <= 1e-15
                     one = evolve(terms[0][1], block, pair)
