@@ -39,9 +39,7 @@ from itertools import chain
 import numpy as np
 
 from .errors import ParseError
-from .multislater import (
-    DEFAULT_MAX_TERMS, GROUPINGS, SlaterSum, _measured, _normalized, _scaled, group_label,
-)
+from .multislater import DEFAULT_MAX_TERMS, GROUPINGS, SlaterSum, group_label, scale_sum
 from .simulate import POLICIES, MeasureOne, MeasureTwo, Rotate
 from .slater import orthonormal_fault
 
@@ -383,11 +381,12 @@ def load_state_sum(path):
             raise
     _check_term_stack(stack, wheres)
     coeffs = [c for c, *_ in raw_terms]
-    ssum = _measured(SlaterSum._stacked(coeffs, [1.0 + 0.0j] * len(coeffs), stack,
-                                        DEFAULT_MAX_TERMS, None))
+    ssum = SlaterSum._stacked(coeffs, [1.0 + 0.0j] * len(coeffs), stack, DEFAULT_MAX_TERMS)
     if not np.isfinite(ssum.norm_sq):  # |c|^2 overflowed, so c / max |c| first
-        ssum = _measured(_scaled(ssum, 1.0 / max(abs(c) for c in ssum.coeffs), None))
+        factor = 1.0 / max(abs(c) for c in ssum.coeffs)
+        ssum = SlaterSum._stacked([c * factor for c in ssum.coeffs], ssum.amps, ssum.orbitals,
+                                  DEFAULT_MAX_TERMS)
     nrm = np.sqrt(ssum.norm_sq)  # sum_norm(ssum): sqrt undoes the square exactly
     if nrm < ZERO_STATE_TOL:
         raise ParseError("state file describes a zero state")
-    return _normalized(ssum, nrm)
+    return scale_sum(ssum, 1.0 / nrm)

@@ -19,15 +19,18 @@ measurement of a sum takes the same kernel on kappa alone, its first
 reflector only, f0 = a kappa + o0 and leaves a [kappa, R] and
 |o0| [o0^, R], through the same call, group builder and measure body.
 
-A sum carries its norm squared n: a run starts at amplitude 1, rotations
-keep n and a measurement divides the kept group by the root of its
-probability, so only a sum that enters (the public constructor, a state
-file) or is projected with no probability (the projectors, the context
-reduction) takes sum_norm, the x = 0 slice of the pass with no measured
+A sum carries its norm squared n and a bound on n's error: a run starts
+at amplitude 1, rotations keep n and a measurement divides the kept group
+by the root of its probability, so only a sum that enters (the public
+constructor, a state file) or is projected with no probability (the
+projectors) takes sum_norm, the x = 0 slice of the pass with no measured
 mode.  Every outcome probability comes from n and one pass over the term
 pairs (_expectations) for the slices x != 0: each term is Q-applied once
 per map Q = 1 - x M M^H, and the rows go ROW_BLOCK at a time, each
-block's N x N overlaps from one stacked product and one batched det.
+block's N x N overlaps from one stacked product and one batched det.  A
+probability that takes n takes its error too, and a post divides it by
+p, so a pass whose sum's bound is past NORM_TOL n measures n again, as
+its x = 0 slice.
 
 Projections are applied in exact operator form, term by term, so the
 relative phases between determinants are preserved to machine precision.
@@ -48,7 +51,9 @@ from .errors import (
 )
 from .linalg import PAIR_THRESHOLD, antisymmetric_part, pfaffian, require_finite
 from .slater import (
+    ABSENT_TOL,
     ORTHOGONAL_TOL,
+    PAIR_PATTERNS,
     PROB_FLOOR,
     SlaterState,
     check_mode,
@@ -63,6 +68,8 @@ from .slater import (
 PRUNE_TOL = 1e-12
 DEFAULT_MAX_TERMS = 1024
 ROW_BLOCK = 4  # rows per product of the probability pass (_expectations)
+NORM_TOL = 1e-13  # a carried norm squared whose error bound passes this times n is measured again
+PASS_ROUND = 4e-15  # the rounding a pass or a split may leave in n, per unit of _mass
 
 GROUPINGS = {
     "012": ((0,), (1,), (2,)),
@@ -79,8 +86,9 @@ def group_label(group):
 
 def _kept(coeffs, amps):
     """Indices and complex coefficients of the terms whose weight |c a| is
-    above PRUNE_TOL; a non-finite c or a NaN weight raises FlosimError."""
-    keep, kept = [], []
+    above PRUNE_TOL, and the summed weight of the others; a non-finite c
+    or a NaN weight raises FlosimError."""
+    keep, kept, lost = [], [], 0.0
     for i, (coeff, amp) in enumerate(zip(coeffs, amps)):
         coeff = complex(coeff)
         if not cmath.isfinite(coeff):
@@ -91,14 +99,17 @@ def _kept(coeffs, amps):
             kept.append(coeff)
         elif weight != weight:
             raise FlosimError(f"term {i}: coefficient * amplitude is {weight}")
-    return keep, kept
+        else:
+            lost += abs(weight)
+    return keep, kept, lost
 
 
 class SlaterSum:
     """A linear combination of determinants with identical D and N, stored
     once: one Python complex per term in coeffs and in amps (apart, as the
     kernels multiply them in a fixed order), one read-only C-contiguous
-    (T, D, N) orbital stack, and norm_sq, the norm squared of the state.
+    (T, D, N) orbital stack, norm_sq, the norm squared of the state, and
+    norm_err, a bound on how far norm_sq is from it.
 
     Terms whose total weight |coefficient * amplitude| is at or below
     the prune tolerance are dropped on construction; a non-finite
@@ -107,16 +118,18 @@ class SlaterSum:
     explicitly for the empty (zero-state) sum.
 
     Every constructor sets norm_sq: this one by one sum_norm of the
-    pruned sum, from_state as |a|^2; scale_sum multiplies it by |f|^2,
-    evolve_sum keeps it, a measured post carries 1, and pruning (of
-    weights at most PRUNE_TOL) leaves it as it is.
+    pruned sum, from_state as |a|^2; scale_sum multiplies it and its
+    bound by |f|^2, evolve_sum keeps both, and a measured post carries 1
+    within the bound _probabilities gives.  Pruning leaves norm_sq and
+    widens the bound by what the dropped weight w may change: 2 w |psi|
+    + w^2.
     """
 
-    __slots__ = ("coeffs", "amps", "orbitals", "max_terms", "norm_sq")
+    __slots__ = ("coeffs", "amps", "orbitals", "max_terms", "norm_sq", "norm_err")
 
     def __init__(self, terms=(), modes=None, electrons=None, max_terms=DEFAULT_MAX_TERMS):
         terms = tuple(terms)
-        keep, coeffs = _kept([c for c, _ in terms], [st.amplitude for _, st in terms])
+        keep, coeffs, _ = _kept([c for c, _ in terms], [st.amplitude for _, st in terms])
         states = [terms[i][1] for i in keep]
         modes = states[0].modes if modes is None and states else modes
         electrons = states[0].electrons if electrons is None and states else electrons
@@ -125,29 +138,35 @@ class SlaterSum:
         if modes is None or electrons is None:
             raise DimensionMismatch("an empty sum needs explicit modes and electrons")
         orbitals = _stack([st.orbitals for st in states], modes, electrons)
-        self._store(coeffs, [st.amplitude for st in states], orbitals, max_terms, None)
-        _measured(self)
+        self._store(coeffs, [st.amplitude for st in states], orbitals, max_terms, None, 0.0)
 
     @classmethod
-    def _stacked(cls, coeffs, amps, orbitals, max_terms, norm_sq):
+    def _stacked(cls, coeffs, amps, orbitals, max_terms, norm_sq=None, norm_err=0.0):
         """The kernels' constructor: the sum of coeffs[i] (amps[i],
         orbitals[i]) over a C-contiguous (T, D, N) stack it takes over,
         pruned and capped as the public one does, of norm squared
-        norm_sq, as its caller knows it."""
-        keep, coeffs = _kept(coeffs, amps)
+        norm_sq within norm_err, as its caller knows them, or measured
+        when norm_sq is None."""
+        keep, coeffs, lost = _kept(coeffs, amps)
         if len(keep) < len(amps):
             amps, orbitals = [amps[i] for i in keep], orbitals[keep]
+            if norm_sq is not None:
+                norm_err += 2.0 * lost * np.sqrt(norm_sq) + lost**2
         s = object.__new__(cls)
-        s._store(coeffs, amps, orbitals, max_terms, norm_sq)
+        s._store(coeffs, amps, orbitals, max_terms, norm_sq, norm_err)
         return s
 
-    def _store(self, coeffs, amps, orbitals, max_terms, norm_sq):
-        """Every sum's cap check, then its fields; norm_sq None is for _measured."""
+    def _store(self, coeffs, amps, orbitals, max_terms, norm_sq, norm_err):
+        """Every sum's cap check, then its fields; with norm_sq None, one
+        sum_norm sets it, within the pass's rounding."""
         if len(coeffs) > max_terms:
             raise TermCapExceeded(f"{len(coeffs)} terms exceed the cap of {max_terms}")
         orbitals.flags.writeable = False
         self.coeffs, self.amps, self.orbitals = tuple(coeffs), tuple(amps), orbitals
-        self.max_terms, self.norm_sq = max_terms, norm_sq
+        self.max_terms = max_terms
+        if norm_sq is None:
+            norm_sq, norm_err = sum_norm(self) ** 2, PASS_ROUND * _mass(self)
+        self.norm_sq, self.norm_err = norm_sq, norm_err
 
     @classmethod
     def from_state(cls, state, max_terms=DEFAULT_MAX_TERMS):
@@ -169,10 +188,10 @@ class SlaterSum:
         )
 
 
-def _measured(s):
-    """s, built where no norm is known, given one sum_norm of it."""
-    s.norm_sq = sum_norm(s) ** 2
-    return s
+def _mass(s):
+    """The sum of the terms' |c a|^2: n where they are orthogonal, more
+    where they cancel, and the scale of a pass's rounding either way."""
+    return sum(w * w for w in (abs(c * a) for c, a in zip(s.coeffs, s.amps)))
 
 
 def _stack(rows, d, n):
@@ -239,18 +258,10 @@ def _expectations(s, m, xs):
 
 
 def scale_sum(s, factor):
-    """factor times s, of norm squared |factor|^2 times s's."""
-    return _scaled(s, factor, s.norm_sq * abs(factor) ** 2)
-
-
-def _normalized(s, norm):
-    """s divided by its norm, as the caller knows it: a post of norm 1."""
-    return _scaled(s, 1.0 / norm, 1.0)
-
-
-def _scaled(s, factor, norm_sq):
-    coeffs = [c * factor for c in s.coeffs]
-    return SlaterSum._stacked(coeffs, s.amps, s.orbitals, s.max_terms, norm_sq)
+    """factor times s, of norm squared |factor|^2 times s's, bound and all."""
+    coeffs, sq = [c * factor for c in s.coeffs], abs(factor) ** 2
+    return SlaterSum._stacked(coeffs, s.amps, s.orbitals, s.max_terms, s.norm_sq * sq,
+                              s.norm_err * sq)
 
 
 def evolve_sum(s, v, pair=None):
@@ -262,16 +273,19 @@ def evolve_sum(s, v, pair=None):
     mat = check_unitary(v, s.modes, pair)
     rotated = rotate_orbitals(mat, s.orbitals, pair)
     check_orthonormal(rotated)
-    return SlaterSum._stacked(s.coeffs, s.amps, rotated, s.max_terms, s.norm_sq)
+    return SlaterSum._stacked(s.coeffs, s.amps, rotated, s.max_terms, s.norm_sq, s.norm_err)
 
 
 def _group_terms(s, vecs, group):
-    """(coeffs, amps, stack) of the unnormalized projection of s on one
-    outcome group of the measured modes vecs ((lambda, kappa) or
+    """(coeffs, amps, stack, lost) of the unnormalized projection of s on
+    one outcome group of the measured modes vecs ((lambda, kappa) or
     (kappa,)), named by its label ("02") or outcomes ((0, 2)): one
     split_pair call over the whole stack, which builds only the group's
     leaves, listed by outcome, then pattern by pattern, (1, 0) before
-    (0, 1), then by term."""
+    (0, 1), then by term.  A term's leaf that is not built had a scale
+    of at most ABSENT_TOL, so lost, ABSENT_TOL times the weight |c a| of
+    each term per group pattern it has no leaf of, bounds what they
+    weigh."""
     group = tuple(map(int, group))
     lam, kap = (None, *vecs)[-2:]  # lam None for one mode
     try:
@@ -282,12 +296,28 @@ def _group_terms(s, vecs, group):
             split_pair(s.amps[i : i + 1], s.orbitals[i : i + 1], lam, kap, group)
         raise
     leaves = [leaf for out in leaves for leaf in out]
-    return [s.coeffs[i] * scale for i, scale, _, _ in leaves], [amp for *_, amp, _ in leaves], stack
+    slots = sum(sum(p) <= s.electrons and (lam is not None or not p[0])
+                for o in group for p in PAIR_PATTERNS[o])
+    weights = [abs(c * a) for c, a in zip(s.coeffs, s.amps)]
+    lost = ABSENT_TOL * max(slots * sum(weights) - sum(weights[i] for i, *_ in leaves), 0.0)
+    coeffs = [s.coeffs[i] * scale for i, scale, _, _ in leaves]
+    return coeffs, [amp for *_, amp, _ in leaves], stack, lost
 
 
 def _group_sum(s, vecs, group):
     """_group_terms as a sum whose norm one sum_norm measures: a projector's."""
-    return _measured(SlaterSum._stacked(*_group_terms(s, vecs, group), s.max_terms, None))
+    return SlaterSum._stacked(*_group_terms(s, vecs, group)[:3], s.max_terms)
+
+
+def _post(s, terms, norm, err):
+    """_group_terms' terms divided by norm, in one construction: a post of
+    norm squared 1, within err / norm^2, err bounding norm^2's error, and
+    what the unbuilt leaves may take, lost / norm: 2 lost / norm + its square."""
+    coeffs, amps, stack, lost = terms
+    factor = 1.0 / norm
+    lost *= factor
+    return SlaterSum._stacked([c * factor for c in coeffs], amps, stack, s.max_terms, 1.0,
+                              err * factor**2 + 2.0 * lost + lost**2)
 
 
 def apply_two_mode_projector(s, kappa, lam, outcome):
@@ -313,26 +343,39 @@ def project_single_mode(s, kappa, outcome):
 
 
 def _probabilities(s, vecs, groups):
-    """Each group's probability, in order, for the measured modes vecs
-    ((lambda, kappa) or (kappa,)), from the norm squared n s carries and
-    the pass's weight p0 with every measured mode empty and parity par:
-    outcome 0 has p0 and the other outcomes n - p0; of two modes, outcome
-    1 has (n - par)/2, outcomes 0 and 2 (n + par)/2 and outcome 2 that
-    minus p0.  Each is clamped at 0, as sum_norm clamps.  Nothing is projected."""
+    """(probs, errs): each group's probability, in order, for the measured
+    modes vecs ((lambda, kappa) or (kappa,)), and a bound on its error.
+    They come from the norm squared n and the pass's weight p0 with every
+    measured mode empty and parity par: outcome 0 has p0 and the other
+    outcomes n - p0; of two modes, outcome 1 has (n - par)/2, outcomes 0
+    and 2 (n + par)/2 and outcome 2 that minus p0.  Each is clamped at 0,
+    as sum_norm clamps.  n is s's own unless its bound is past NORM_TOL n,
+    when the pass takes its x = 0 slice too; a probability's bound is its
+    share of n's (0, 1/2 or 1) plus the pass's rounding.  Nothing is
+    projected."""
     m = np.column_stack(vecs)
-    n = s.norm_sq
-    if groups in (ONE_MODE, GROUPINGS["0/12"]):
-        (p0,) = _expectations(s, m, (1,))
-        probs = [p0, n - p0]
-    elif groups == GROUPINGS["02/1"]:
-        (par,) = _expectations(s, m, (2,))
-        probs = [(n + par) / 2, (n - par) / 2]
+    one, parity = groups in (ONE_MODE, GROUPINGS["0/12"]), groups == GROUPINGS["02/1"]
+    xs = (1,) if one else (2,) if parity else (2, 1)
+    n, err = s.norm_sq, s.norm_err
+    rounding = PASS_ROUND * _mass(s)
+    if err > NORM_TOL * n:
+        n, *vals = _expectations(s, m, (0, *xs))
+        err = rounding
     else:
-        par, p0 = _expectations(s, m, (2, 1))
+        vals = _expectations(s, m, xs)
+    if one:
+        (p0,) = vals
+        probs, shares = [p0, n - p0], (0.0, 1.0)
+    elif parity:
+        (par,) = vals
+        probs, shares = [(n + par) / 2, (n - par) / 2], (0.5, 0.5)
+    else:
+        par, p0 = vals
         p2 = (n + par) / 2 - p0
         table = {(0,): p0, (1,): (n - par) / 2, (2,): p2, (0, 1): n - p2}
-        probs = [table[g] for g in groups]
-    return [max(p, 0.0) for p in probs]
+        probs, shares = [table[g] for g in groups], [0.5 * (g != (0,)) for g in groups]
+    errs = [share * err + rounding for share in shares]
+    return [max(p, 0.0) for p in probs], errs
 
 
 def _pick(labels, probs, forced, rng):
@@ -353,14 +396,13 @@ def _measure(s, vecs, groups, forced, rng):
     """Measure the modes vecs ((lambda, kappa) or (kappa,)) under groups: every
     group's probability, the pick, the PROB_FLOOR check, and only then the
     chosen group, built and renormalized.  Returns (index, p, post)."""
-    probs = _probabilities(s, vecs, groups)
+    probs, errs = _probabilities(s, vecs, groups)
     labels = [group_label(g) for g in groups]
     i = _pick(labels, probs, forced, rng)
     if probs[i] < PROB_FLOOR:
         shown = labels[i] if len(vecs) == 1 else repr(labels[i])
         raise ImpossibleOutcome(f"outcome {shown} has probability below {PROB_FLOOR:g}")
-    built = SlaterSum._stacked(*_group_terms(s, vecs, groups[i]), s.max_terms, probs[i])
-    return i, probs[i], _normalized(built, np.sqrt(probs[i]))
+    return i, probs[i], _post(s, _group_terms(s, vecs, groups[i]), np.sqrt(probs[i]), errs[i])
 
 
 def measure_two_mode(s, kappa, lam, grouping, forced=None, rng=None):
@@ -394,19 +436,15 @@ def reduce_to_two_fermion(s, kappa, lam):
     orthogonal to both measured modes.  Each takes one split_pair of all
     terms on that mode alone, keeps the outcome-1 leaves without their
     first column, the mode, and checks what is left: annihilate, bit for
-    bit.  The reduced sum takes one sum_norm, as a term that misses a
-    context mode loses weight; two electrons come back as s, norm and all.
+    bit.  A filled mode's annihilation keeps the norm, so the reduced sum
+    carries s's; two electrons come back as s.
     """
     n = s.electrons
     if n < 2:
         raise WrongParticleNumber(f"reduction needs at least 2 electrons, got {n}")
     kap = check_mode(kappa, s.modes)
     lamv = check_mode(lam, s.modes)
-    context = slice(2, n)
-    overlap = max(
-        float(np.max(np.abs(kap[context]), initial=0.0)),
-        float(np.max(np.abs(lamv[context]), initial=0.0)),
-    )
+    overlap = float(np.max(np.abs(np.stack([kap, lamv])[:, 2:n]), initial=0.0))
     if overlap > ORTHOGONAL_TOL:
         raise BadContext(
             f"measured modes overlap the context modes 2..{n - 1} by {overlap:.3e}"
@@ -420,8 +458,9 @@ def reduce_to_two_fermion(s, kappa, lam):
         check_orthonormal(reduced)
         coeffs = [current.coeffs[i] for i, *_ in ones]
         amps = [amp * alpha for _, alpha, amp, _ in ones]
-        current = SlaterSum._stacked(coeffs, amps, reduced, s.max_terms, None)
-    return current if current is s else _measured(current)
+        current = SlaterSum._stacked(coeffs, amps, reduced, s.max_terms, s.norm_sq,
+                                     current.norm_err)
+    return current
 
 
 def two_fermion_w(s):
@@ -476,7 +515,7 @@ def generic_p1_study(theta, phi, xi, n=2):
     proj = apply_two_mode_projector(start, kap, lam, 1)
     nrm = np.sqrt(proj.norm_sq)  # sum_norm(proj), as the projector measured it
     if nrm > PRUNE_TOL:
-        proj = _normalized(proj, nrm)
+        proj = scale_sum(proj, 1.0 / nrm)
     red = reduce_to_two_fermion(proj, kap, lam)
     w_full = two_fermion_w(red)
     active = [0, 1, n, n + 1]

@@ -21,10 +21,11 @@ from .multislater import (
     DEFAULT_MAX_TERMS,
     GROUPINGS,
     ONE_MODE,
+    PASS_ROUND,
     PRUNE_TOL,
     SlaterSum,
     _group_terms,
-    _normalized,
+    _post,
     _probabilities,
     evolve_sum,
     group_label,
@@ -162,14 +163,17 @@ def _steer_modes(idx, s, vecs, groups):
     lowest label first.  Only the steered group is built, and nothing
     when certain.  A group of one term is divided by its weight |c a|, as
     sqrt(p) carries the pass's absolute rounding, relative at small p."""
-    probs = dict(zip(map(group_label, groups), _probabilities(s, vecs, groups)))
-    admissible = [group_label(g) for g in groups if g in ((0,), (len(vecs),))]
+    labels = [group_label(g) for g in groups]
+    probs, errs = (dict(zip(labels, v)) for v in _probabilities(s, vecs, groups))
+    admissible = [label for label, g in zip(labels, groups) if g in ((0,), (len(vecs),))]
     label, prob, certain = _steer(idx, probs, admissible)
     if certain:
         return label, prob, None
-    built = SlaterSum._stacked(*_group_terms(s, vecs, label), s.max_terms, prob)
-    norm = abs(built.coeffs[0] * built.amps[0]) if built.term_count == 1 else np.sqrt(prob)
-    return label, prob, _normalized(built, norm)
+    terms = _group_terms(s, vecs, label)
+    if len(terms[0]) == 1:  # the one term's own weight, exact to its rounding
+        weight = abs(terms[0][0] * terms[1][0])
+        return label, prob, _post(s, terms, weight, PASS_ROUND * weight**2)
+    return label, prob, _post(s, terms, np.sqrt(prob), errs[label])
 
 
 def simulate_exact_branch(circuit, d, n, initial=None):

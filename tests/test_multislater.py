@@ -57,7 +57,6 @@ from flosim.multislater import (
     SlaterSum,
     _expectations,
     _group_sum,
-    _measured,
     _probabilities,
     apply_two_mode_projector,
     evolve_sum,
@@ -636,7 +635,7 @@ ALL_OUTCOMES = (0, 1, 2)
 def outcome_probs(s, kap, lam, grouping):
     """_probabilities of a two-mode measurement, keyed by group label."""
     groups = GROUPINGS[grouping]
-    return dict(zip(map(group_label, groups), _probabilities(s, (lam, kap), groups)))
+    return dict(zip(map(group_label, groups), _probabilities(s, (lam, kap), groups)[0]))
 
 
 def two_mode_groups(s, kap, lam, grouping):
@@ -1098,7 +1097,7 @@ class TestPrunedTree:
                     got = apply_two_mode_projector(s, kap, lam, outcome)
                     assert terms_bits(got.terms) == terms_bits(full[str(outcome)].terms)
         for vec in (kap, lam):
-            probs = _probabilities(s, (vec,), ONE_MODE)
+            probs = _probabilities(s, (vec,), ONE_MODE)[0]
             for outcome in (0, 1):
                 want = kernel_single_mode(s, vec, outcome)
                 got = _group_sum(s, (vec,), (outcome,))
@@ -1358,7 +1357,7 @@ def assert_probabilities_match_norms(s, kap, lam):
             if probs[label] >= PROB_FLOOR:
                 post = measure_two_mode(s, kap, lam, grouping, forced=label)[2]
                 assert abs(sum_norm(post) - 1.0) <= 1e-12
-    probs = _probabilities(s, (kap,), ONE_MODE)
+    probs = _probabilities(s, (kap,), ONE_MODE)[0]
     for outcome in (0, 1):
         branch = project_single_mode(s, kap, outcome)
         assert_close_probability(probs[outcome], sum_norm(branch) ** 2)
@@ -1386,10 +1385,10 @@ class TestOutcomeProbabilities:
         s = SlaterSum((), 4, 2)
         kap, lam = standard_mode(4, 0), standard_mode(4, 1)
         for grouping in GROUPINGS:
-            assert _probabilities(s, (lam, kap), GROUPINGS[grouping]) == [0.0] * len(
+            assert _probabilities(s, (lam, kap), GROUPINGS[grouping])[0] == [0.0] * len(
                 GROUPINGS[grouping]
             )
-        assert _probabilities(s, (kap,), ONE_MODE) == [0.0, 0.0]
+        assert _probabilities(s, (kap,), ONE_MODE)[0] == [0.0, 0.0]
 
 
 class TestApplyTwoModeProjector:
@@ -1611,15 +1610,15 @@ class TestMeasureModeSum:
             measure_mode_sum(s, standard_mode(4, 3), forced=1)
 
     def test_builds_only_its_outcome(self):
-        """One SlaterSum for the kept outcome's projection and one for its
-        renormalization; the other outcome is never built."""
+        """One SlaterSum for the kept outcome's projection, renormalized as
+        it is built; the other outcome is never built."""
         rng = rng_for(75)
         s = random_two_term_sum(rng, 5, 2)
         kap = random_mode(rng, 5)
         for outcome in (0, 1):
             with mock.patch.object(SlaterSum, "_stacked", wraps=SlaterSum._stacked) as built:
                 _, prob, post = measure_mode_sum(s, kap, forced=outcome)
-            assert built.call_count == 2
+            assert built.call_count == 1
             want = scale_sum(project_single_mode(s, kap, outcome), 1.0 / np.sqrt(prob))
             assert terms_bits(post.terms) == terms_bits(want.terms)
 
@@ -2092,7 +2091,7 @@ class TestLeafPatterns:
              "orbitals": [[[z.real, z.imag] for z in row] for row in st_.orbitals]}
             for c, st_ in projected.terms]}))
         loaded = load_state_sum(path)
-        assert loaded.term_count == 2 and loaded.norm_sq == 1.0
+        assert loaded.term_count == 2 and abs(loaded.norm_sq - 1.0) <= 1e-15
         assert_norm_carried(loaded)
 
 
@@ -2131,7 +2130,7 @@ def sector_sum(rng, u, n, keys):
                         dtype=complex).reshape(t, d, n)
     coeffs = list(rng.uniform(0.5, 1.5, t) * np.exp(2j * np.pi * rng.random(t)))
     amps = list(np.exp(2j * np.pi * rng.random(t)))
-    return _measured(SlaterSum._stacked(coeffs, amps, orbitals, 64, None))
+    return SlaterSum._stacked(coeffs, amps, orbitals, 64, None)
 
 
 def assert_pass_matches_the_per_pair_loop(rng, s):
@@ -2206,7 +2205,7 @@ class TestExpectationsAcrossBlocks:
         else:
             keep = [0, 1, 6, 7, 8]
             coeffs = [c if i in keep else 0.0 for i, c in enumerate(s.coeffs)]
-            got = _measured(SlaterSum._stacked(coeffs, s.amps, s.orbitals, s.max_terms, None))
+            got = SlaterSum._stacked(coeffs, s.amps, s.orbitals, s.max_terms, None)
         moved = [span_pattern(orb, v @ u[:, 0], v @ u[:, 1]) for orb in got.orbitals]
         assert moved == [patterns[i] for i in keep]
         assert_runs_distinct(moved)

@@ -803,11 +803,12 @@ def parity_chain(rng, d, rounds):
 
 
 class TestCarriedNorm:
-    """A sum carries its norm squared: from_state sets |a|^2, rotations
-    keep it, scaling multiplies it by |f|^2 and a measured or steered
-    post carries 1.  Every step of a run stays within 1e-13 of one
-    sum_norm of its sum, and each measurement's probabilities within
-    1e-13 + 1e-12 p of those whose n the pass itself takes."""
+    """A sum carries its norm squared and a bound on its error: from_state
+    sets |a|^2, rotations keep it, scaling multiplies it by |f|^2 and a
+    measured or steered post carries 1.  Every step of a run stays within
+    1e-13 of one sum_norm of its sum, and each measurement's probabilities
+    within 1e-13 + 1e-12 p of those whose n the pass itself takes.
+    Pruning and unbuilt leaves widen the bound by what they may take."""
 
     @staticmethod
     def assert_run_carries_its_norm(steps, d, n, seed):
@@ -821,7 +822,7 @@ class TestCarriedNorm:
                 vecs, groups = check_modes(d, step.kappa, step.lam)[::-1], GROUPINGS[step.grouping]
             else:
                 vecs, groups = check_modes(d, step.kappa), ONE_MODE
-            got = _probabilities(before, vecs, groups)
+            got = _probabilities(before, vecs, groups)[0]
             for p, want in zip(got, pass_probabilities(before, vecs, groups)):
                 assert abs(p - want) <= 1e-13 + 1e-12 * want, (idx, p, want)
         return records[-1][3]
@@ -869,4 +870,130 @@ class TestCarriedNorm:
              "orbitals": [[[z.real, z.imag] for z in row] for row in st_.orbitals]}
             for c, st_ in terms]}))
         loaded = load_state_sum(path)
-        assert loaded.norm_sq == 1.0 and abs(sum_norm(loaded) ** 2 - 1.0) <= 1e-13
+        assert abs(loaded.norm_sq - 1.0) <= 1e-15 and abs(sum_norm(loaded) ** 2 - 1.0) <= 1e-13
+
+    def test_pruning_widens_the_bound_by_what_it_drops(self):
+        """A term scaled to at most PRUNE_TOL goes; norm_sq stays |f|^2 n,
+        and the bound grows by 2 w |psi| + w^2 for the dropped weight w,
+        which covers the norm the pruned sum has."""
+        rng = rng_for(2613)
+        d, n = 6, 3
+        terms = [(1.0, SlaterState(random_orthonormal_columns(rng, d, n))),
+                 (2.0e-12, SlaterState(random_orthonormal_columns(rng, d, n)))]
+        s = SlaterSum(terms, d, n)
+        pruned = scale_sum(s, 0.4)
+        assert pruned.term_count == 1 and pruned.norm_sq == s.norm_sq * abs(0.4) ** 2
+        assert 6.3e-13 < pruned.norm_err - s.norm_err * abs(0.4) ** 2 < 6.5e-13  # 2 (0.8e-12) 0.4
+        assert abs(pruned.norm_sq - sum_norm(pruned) ** 2) <= pruned.norm_err
+
+    def test_unbuilt_leaves_widen_the_post_bound(self):
+        """Term a's span holds mode 0 at 9e-13, below ABSENT_TOL, so its
+        outcome-1 leaf is not built, though it overlaps term b's: the
+        post of p = 0.04 misses 2 (9e-13) (0.2) / p of its norm squared,
+        which its bound must take in."""
+        d, n, eps, sin = 6, 3, 9e-13, 0.2
+        e = np.eye(d, dtype=complex)
+        a = np.column_stack([e[:, 1] + eps * e[:, 0], e[:, 2], e[:, 3]])
+        a[:, 0] /= np.linalg.norm(a[:, 0])
+        b = np.column_stack([np.sqrt(1 - sin**2) * e[:, 1] + sin * e[:, 0], e[:, 2], e[:, 3]])
+        s = SlaterSum([(1.0, SlaterState(a)), (1.0, SlaterState(b))], d, n)
+        post = measure_mode_sum(s, e[:, 0], forced=1)[2]
+        assert post.term_count == 1
+        missed = abs(post.norm_sq - sum_norm(post) ** 2)
+        assert 5e-12 < missed <= post.norm_err
+
+
+def dense_probability(s, vecs, group):
+    """The group's weight in the dense vector of s, from the oracle's own
+    annihilator (one mode) or two-mode projector."""
+    v = fock.expand_sum(s)
+    if len(vecs) == 1:
+        return fock.norm(fock.annihilation_op_apply(v, vecs[0])) ** 2
+    lam, kap = vecs
+    return sum(fock.norm(fock.two_mode_projector_apply(v, kap, lam, o)) ** 2 for o in group)
+
+
+class TestForcedLowProbabilityChains:
+    """A chain of rotations and measurements forced into outcomes of
+    probability 0.03 to 0.3 divides any error in the carried norm by p at
+    every step.  The bounds must follow: each step's probability stays
+    within its bound of the dense oracle's, the post's norm_sq within
+    norm_err of the dense norm, and the bounds stay small because a pass
+    measures n again once the carried bound passes NORM_TOL n."""
+
+    @staticmethod
+    def run_chain(rng, s, steps, pick):
+        """Apply random rotations until pick(t) names the modes, groups and
+        group index of a low-probability outcome, then force it; steps times."""
+        taken = 0
+        while taken < steps:
+            t = evolve_sum(s, random_unitary(rng, s.modes))
+            chosen = pick(t)
+            if chosen is None:
+                continue
+            vecs, groups, i = chosen
+            probs, errs = _probabilities(t, vecs, groups)
+            mass = multislater._mass(t)
+            assert abs(probs[i] - dense_probability(t, vecs, groups[i])) <= errs[i]
+            assert errs[i] <= 2e-13 * max(1.0, mass), (taken, errs[i], mass)
+            label = multislater.group_label(groups[i])
+            if len(vecs) == 1:
+                _, p, s = measure_mode_sum(t, vecs[0], forced=int(label))
+            else:
+                _, p, s = measure_two_mode(t, vecs[1], vecs[0], {
+                    g: k for k, g in GROUPINGS.items()}[groups], forced=label)
+            assert p == probs[i]
+            dense = fock.norm(fock.expand_sum(s)) ** 2
+            assert abs(s.norm_sq - dense) <= s.norm_err, (taken, s.norm_sq, dense, s.norm_err)
+            taken += 1
+        return s
+
+    def test_single_mode_outcome_one(self):
+        rng = rng_for(2614)
+        d, n = 6, 3
+        s = SlaterSum.from_state(SlaterState(random_orthonormal_columns(rng, d, n)))
+        for _ in range(2):
+            s = measure_two_mode(s, *random_orthogonal_pair(rng, d), "02/1", rng=rng)[2]
+        assert s.term_count == 4
+
+        def pick(t):
+            kap = random_mode(rng, d)
+            p1 = _probabilities(t, (kap,), ONE_MODE)[0][1]
+            return ((kap,), ONE_MODE, 1) if 0.05 <= p1 <= 0.3 else None
+
+        assert self.run_chain(rng, s, 25, pick).term_count == 4
+
+    def test_parity_less_likely_outcome(self):
+        rng = rng_for(2615)
+        d, n = 6, 3
+        s = SlaterSum.from_state(SlaterState(random_orthonormal_columns(rng, d, n)))
+
+        def pick(t):
+            kap, lam = random_orthogonal_pair(rng, d)
+            groups = GROUPINGS["02/1"]
+            probs = _probabilities(t, (lam, kap), groups)[0]
+            i = int(np.argmin(probs))
+            return ((lam, kap), groups, i) if 0.03 <= probs[i] <= 0.3 else None
+
+        assert self.run_chain(rng, s, 8, pick).term_count == 256
+
+    def test_mixed_groupings(self):
+        rng = rng_for(2616)
+        d, n = 6, 3
+        s = SlaterSum.from_state(SlaterState(random_orthonormal_columns(rng, d, n)))
+        s = measure_two_mode(s, *random_orthogonal_pair(rng, d), "02/1", rng=rng)[2]
+        order = iter(["012", "0/12", "01/2", "02/1", "012", "0/12", "01/2"] * 2)
+        grouping = next(order)
+
+        def pick(t):
+            nonlocal grouping
+            kap, lam = random_orthogonal_pair(rng, d)
+            groups = GROUPINGS[grouping]
+            probs = _probabilities(t, (lam, kap), groups)[0]
+            i = int(np.argmin(probs))
+            if not 0.03 <= probs[i] <= 0.3:
+                return None
+            grouping = next(order)
+            return (lam, kap), groups, i
+
+        self.run_chain(rng, s, 12, pick)
