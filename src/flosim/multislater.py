@@ -265,14 +265,15 @@ def scale_sum(s, factor):
 
 
 def evolve_sum(s, v, pair=None):
-    """evolve on every term, errors included: one unitarity check, one
-    stacked product and one check_orthonormal.  A D x D unitary or a
-    generator's multiplies the whole stack; with pair (i, j), v is the
-    2x2 block of a rotation of those two sites (check_unitary's pair), and
-    only rows i and j of every term change (rotate_orbitals); the norm stays."""
-    mat = check_unitary(v, s.modes, pair)
-    rotated = rotate_orbitals(mat, s.orbitals, pair)
-    check_orthonormal(rotated)
+    """evolve on every term: one unitarity check and one stacked product.
+    A D x D unitary or a generator's multiplies the whole stack; with pair
+    (i, j), v is the 2x2 block of a rotation of those two sites
+    (check_unitary's pair), and only rows i and j of every term change
+    (rotate_orbitals); the norm stays.  The rotated stack is not checked:
+    a checked unitary keeps orthonormal columns orthonormal, and a term
+    that came in off orthonormal fails its next split's check of the
+    rotated span."""
+    rotated = rotate_orbitals(check_unitary(v, s.modes, pair), s.orbitals, pair)
     return SlaterSum._stacked(s.coeffs, s.amps, rotated, s.max_terms, s.norm_sq, s.norm_err)
 
 

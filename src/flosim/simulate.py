@@ -194,7 +194,7 @@ def simulate_exact_branch(circuit, d, n, initial=None):
     transcript, final = transcript_of(sampled_steps(exact, d, n, initial=initial))
     if not final.term_count:
         raise FlosimError(f"no determinant is left: the start amplitude is at most {PRUNE_TOL:g}")
-    # every kept orbital stack passed check_orthonormal
+    # a checked start or split leaf, rotated since only by checked unitaries
     return transcript, SlaterState._checked(final.orbitals[0], final.amps[0] * final.coeffs[0])
 
 

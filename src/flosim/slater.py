@@ -9,6 +9,12 @@ occupation projection off the rotated span.  Single-mode measurement and
 annihilation take it on one state; decompose_mode and rotate_in_first
 stay as the per-term references the tests hold it to.
 
+Inputs are validated where they enter: the constructor, check_mode(s),
+check_unitary and the public per-state evolve, decompose_mode and
+rotate_in_first.  Inside a step nothing re-checks what a checked input
+already guarantees; split_pair checks only the rotated span and the
+leaves it builds.
+
 Convention, locked by a golden test against the dense simulator: a
 single-particle unitary V acts on an orbital column c as V @ c, and mode
 index m corresponds to component m of a column (0-based).
@@ -242,50 +248,34 @@ def _reflect(phi, c):
     return rot, ph
 
 
-def _rotate_to(phi, phi_h, target, present=None):
-    """rotate_in_first on each state of a (T, D, N) stack phi (phi_h its
-    conjugate transpose) and unit in-span target row: its mode-norm and
-    span checks, then _reflect.  Returns (rot, ph).  A lane that present
-    marks False is not checked and reflects by the identity (c = 0)."""
-    norms = row_norms(target)
-    off_norm = ~(abs(norms - 1.0) <= MODE_NORM_TOL)
-    if present is not None:
-        off_norm &= present
-    if off_norm.any():
-        raise FlosimError(f"mode vector norm {norms[off_norm.argmax()]:.12f} is not 1")
-    c = phi_h @ target[:, :, None]
-    span_resid = row_norms(target - (phi @ c)[:, :, 0])
-    far = span_resid > SPAN_TOL
-    if far.any():
-        raise NotInSpan(f"vector is {span_resid[far.argmax()]:.3e} away from the filled span")
-    c = c[:, :, 0]
-    norms = row_norms(c)
-    if present is not None:
-        c[~present], norms[~present] = 0.0, 1.0
-    return _reflect(phi, c / norms[:, None])
-
-
 # The (lambda, kappa) occupations of each total occupation's leaves, in
 # the order split_pair lists them.
 PAIR_PATTERNS = {0: ((0, 0),), 1: ((1, 0), (0, 1)), 2: ((1, 1),)}
 
 
 def _reflect_onto(phi, vec):
-    """Each span of a (T, D, N) stack phi rotated by _rotate_to to put
+    """Each span of a (T, D, N) stack phi rotated by _reflect to put
     vec's normalized in-span part first: (rot, ph, alpha) with alpha the
     norm of vec's span coordinates, or 0 where that is at most ABSENT_TOL
-    (or NaN) and the span is left as it is, ph = 1."""
+    (or NaN) and the span is left as it is, ph = 1.  The target, phi's
+    in-span part over alpha, is built from the span, so it is not checked
+    again: an orthonormal span keeps it a unit vector in the span, and
+    one that is not fails split_pair's check of the rotated span, whose
+    Gram deviation a unitary change of basis keeps."""
     phi_h = phi.conj().transpose(0, 2, 1)
     coeffs = phi_h @ vec
     alpha = _norms(coeffs)
     present = alpha > ABSENT_TOL
-    inside = (phi @ coeffs[:, :, None])[:, :, 0]
-    if present.all():  # the same values without the mask's calls
-        rot, ph = _rotate_to(phi, phi_h, inside / alpha[:, None])
-        return rot, ph, alpha
-    target = inside / np.where(present, alpha, np.inf)[:, None]
-    rot, ph = _rotate_to(phi, phi_h, target, present)
-    return rot, ph, np.where(present, alpha, 0.0)
+    every = present.all()  # then the same values without the mask's calls
+    inside = phi @ coeffs[:, :, None]
+    target = inside / (alpha if every else np.where(present, alpha, np.inf))[:, None, None]
+    c = (phi_h @ target)[:, :, 0]
+    norms = row_norms(c)
+    if not every:
+        c[~present], norms[~present] = 0.0, 1.0
+        alpha = np.where(present, alpha, 0.0)
+    rot, ph = _reflect(phi, c / norms[:, None])
+    return rot, ph, alpha
 
 
 def _outside(q, q_h, x):
@@ -331,9 +321,9 @@ def split_pair(amps, orbitals, lam, kap, want):
     leaves each state as its (0, 0) leaf.  Each new column is projected
     out of [lam, kap, R] twice, a leaf of scale at most ABSENT_TOL is not
     built, and the amplitude divides by the reflector phases.
-    rotate_in_first's checks run on each reflector's target,
-    check_orthonormal on the rotated span and once on the stack of
-    leaves, each raising for the first state that fails it.
+    check_orthonormal runs twice, on the rotated span and on the stack of
+    leaves, each raising for the first state that fails it; a reflector's
+    target, built from its span, is not checked (_reflect_onto).
     """
     t, d, n = orbitals.shape
     if n == 0:

@@ -43,6 +43,7 @@ from flosim.slater import (
     PROB_FLOOR,
     SlaterState,
     annihilate,
+    check_orthonormal,
     decompose_mode,
     evolve,
     measure_mode,
@@ -346,6 +347,10 @@ class TestEvolveSum:
             assert raised(evolve_sum, empty, bad) == want
 
     def test_off_orthonormal_term_raises_as_per_term(self):
+        """Term 3, built off orthonormal through the bypass, fails evolve.
+        evolve_sum checks the unitary alone: its rows are v @ orbitals bit
+        for bit, and the sum's next measurement raises term 3's error, from
+        the split's check of the rotated span, as term 3 split alone does."""
         rng = rng_for(55)
         u = random_unitary(rng, 7)
         terms = [(1.0, random_state(rng, 7, 3)) for _ in range(5)]
@@ -354,7 +359,15 @@ class TestEvolveSum:
         v = random_unitary(rng, 7)
         want = raised(lambda: [evolve(state, v) for _, state in s.terms])
         assert want[0] is FlosimError and "not orthonormal" in want[1]
-        assert raised(evolve_sum, s, v) == want
+        got = evolve_sum(s, v)
+        assert got.orbitals.tobytes() == (v @ s.orbitals).tobytes()
+        kap = random_mode(rng, 7)
+        ref = raised(lambda: [split_pair([a], orb[None], None, kap, (0, 1))
+                              for a, orb in zip(got.amps, got.orbitals)])
+        assert ref == raised(split_pair, got.amps[3:4], got.orbitals[3:4], None, kap, (0, 1))
+        assert ref[0] is FlosimError and ref[1].startswith("orbital columns not orthonormal")
+        for outcome in (0, 1):
+            assert raised(measure_mode_sum, got, kap, outcome) == ref
 
 
 def reference_term_project(state, kap, want):
@@ -973,10 +986,11 @@ class TestStackedChecks:
         assert raised(measure_two_mode, s, kap, lam, "02/1", "02") == tree_ref
 
     def test_first_failing_term_wins_across_checks(self):
-        """Term 3 fails only the check of its rotated span (lambda misses
-        its span), term 5 already the mode-norm check of lambda's
-        reflector.  Term by term, term 3's error comes first, though the
-        stacked reflector check meets term 5 first."""
+        """Term 3 fails the check of its rotated span (lambda misses its
+        span), and so does term 5, whose lambda target rotate_in_first
+        would reject by its norm: a split's reflector targets are not
+        checked.  Term 3's error comes first, term by term and in the
+        stacked check alike."""
         d, n = 8, 3
         bad = [(3, (0, 1, 2), 1e-8), (5, (1, 4, 3), 1e-4)]
         u, s = self._sum(rng_for(93), d, n, 12, bad)
@@ -985,8 +999,11 @@ class TestStackedChecks:
         one = [s.amps[3]], s.orbitals[3:4], lam, kap, ALL_OUTCOMES
         assert ref == raised(split_pair, *one)
         assert ref[0] is FlosimError and "not orthonormal" in ref[1]
+        five_state = SlaterState._checked(s.orbitals[5], s.amps[5])
+        assert raised(reference_term_project, five_state, lam, 1)[1].startswith("mode vector norm")
         five = raised(split_pair, [s.amps[5]], s.orbitals[5:6], lam, kap, ALL_OUTCOMES)
-        assert five[0] is FlosimError and five[1].startswith("mode vector norm")
+        assert five[0] is FlosimError and five[1].startswith("orbital columns not orthonormal")
+        assert raised(split_pair, s.amps, s.orbitals, lam, kap, ALL_OUTCOMES) == ref
         assert raised(_group_sum, s, (lam, kap), ALL_OUTCOMES) == ref
 
     @pytest.mark.parametrize(
@@ -1000,9 +1017,13 @@ class TestStackedChecks:
         ],
     )
     def test_one_term_stack_raises_the_reference_error(self, span, delta, error):
-        """A (1, D, N) stack of a failing state raises reference_term_project's
-        class and message, from the rotation's mode-norm and span checks
-        to the orthonormality of the rotated span."""
+        """reference_term_project rejects each failing state with error,
+        from rotate_in_first's mode-norm and span checks to the
+        constructor's orthonormality check.  A (1, D, N) stack of it
+        raises FlosimError from the check of its rotated span, which is
+        the reference's class and message where that is the
+        orthonormality check: a split's reflector targets, built from the
+        span, are not checked."""
         if span is None:
             state, kap = unequal_norm_state(delta)
         else:
@@ -1011,12 +1032,17 @@ class TestStackedChecks:
         ref = raised(reference_term_project, state, kap, 1)
         assert ref[0] is error[0] and ref[1].startswith(error[1])
         stack = np.ascontiguousarray(state.orbitals)[None]
-        assert raised(split_pair, [state.amplitude], stack, None, kap, (0, 1)) == ref
-        assert raised(measure_mode, state, kap, 0) == ref
+        rotated = raised(check_orthonormal, slater._reflect_onto(stack, kap)[0])
+        assert rotated[0] is FlosimError
+        assert rotated[1].startswith("orbital columns not orthonormal")
+        if ref[1].startswith("orbital"):
+            assert rotated == ref
+        assert raised(split_pair, [state.amplitude], stack, None, kap, (0, 1)) == rotated
+        assert raised(measure_mode, state, kap, 0) == rotated
         # kap as split_pair's lambda, with a kappa off the span
         other = standard_mode(4, 3) if span is None else u[:, 6]
         got = raised(split_pair, [state.amplitude], stack, kap, other, ALL_OUTCOMES)
-        assert got[0] is error[0] and got[1].startswith(error[1])
+        assert got[0] is FlosimError and got[1].startswith("orbital columns not orthonormal")
 
     def test_nan_term_splits_as_per_term(self):
         """A NaN orbital makes alpha NaN, so the span is not rotated, and
@@ -1041,6 +1067,39 @@ class TestStackedChecks:
             ValueError,
             "matrix entries must be finite",
         )
+
+
+class TestConstructorTolerance:
+    """A state the constructor accepts is measured.  One orbital scaled by
+    1 + 3e-11 leaves a Gram deviation of 6.0e-11, within ORTHO_TOL; a
+    split's reflector target along that orbital has norm 1 + 3e-11, which
+    a check at MODE_NORM_TOL (ORTHO_TOL / 4) would reject.  Probabilities
+    agree with the dense state's within 1e-10, the state's own distance
+    from a normalized one."""
+
+    def test_scaled_orbital_measures_as_the_dense_state(self):
+        rng = rng_for(98)
+        d, n = 6, 3
+        u = random_unitary(rng, d)
+        phi = u[:, :n].copy()
+        phi[:, 0] *= 1 + 3e-11
+        state = SlaterState(phi)
+        s = SlaterSum.from_state(state)
+        v = fock.expand(state)
+        mass = fock.norm(v) ** 2
+        kap = (u[:, 0] + u[:, 4]) / np.sqrt(2)
+        lam = (u[:, 1] - u[:, 5]) / np.sqrt(2)
+        p1 = fock.norm(fock.annihilation_op_apply(v, kap)) ** 2 / mass
+        for outcome, want in ((0, 1 - p1), (1, p1)):
+            assert measure_mode(state, kap, forced=outcome)[1] == pytest.approx(want, abs=1e-10)
+            got, prob, post = measure_mode_sum(s, kap, forced=outcome)
+            assert (got, prob) == (outcome, pytest.approx(want, abs=1e-10))
+            assert post.term_count == project_single_mode(s, kap, outcome).term_count == 1
+        for label in ("0", "1", "2"):
+            projected = fock.two_mode_projector_apply(v, kap, lam, int(label))
+            got, prob, post = measure_two_mode(s, kap, lam, "012", forced=label)
+            assert prob == pytest.approx(fock.norm(projected) ** 2 / mass, abs=1e-10)
+            assert fock.fidelity(fock.expand_sum(post), projected) >= 1 - 1e-12
 
 
 @st.composite

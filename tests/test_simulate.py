@@ -411,8 +411,8 @@ NO_BRANCH = (
 class TestKeptChildOnly:
     """nogo builds and checks only the child its step keeps: per split, the
     rotated span, then the kept child, and no check after it; a certain
-    step builds nothing.  check_orthonormal is every split's and the
-    constructor's orthonormality check."""
+    step builds nothing, and a rotation checks nothing.  check_orthonormal
+    is every split's and the constructor's orthonormality check."""
 
     @staticmethod
     def checked_stacks(monkeypatch):
@@ -471,6 +471,37 @@ class TestKeptChildOnly:
         transcript, final = simulate_exact_branch(circuit, 6, 3, initial=start)
         assert [row.outcome for row in transcript.rows] == ["1", "0"]
         assert checked == [] and np.array_equal(final.orbitals, np.eye(6, 3))
+
+    def test_rotations_check_nothing_and_each_split_checks_twice(self, monkeypatch):
+        """Through the slater and the multislater binding alike, a nogo
+        run's rotations (whole, pair and generator) make no
+        check_orthonormal call, and each split makes two: its rotated span,
+        then its one kept leaf."""
+        rng = rng_for(153)
+        d, n = 8, 4
+        state = SlaterState(random_orthonormal_columns(rng, d, n))
+        kap, lam = random_orthogonal_pair(rng, d)
+        events = []
+        real_split, real_check = multislater.split_pair, slater.check_orthonormal
+        monkeypatch.setattr(
+            multislater, "split_pair", lambda *a: events.append("split") or real_split(*a)
+        )
+        for module in (slater, multislater):
+            monkeypatch.setattr(
+                module, "check_orthonormal", lambda orb: events.append(orb.shape) or real_check(orb)
+            )
+        rotations = [
+            Rotate(unitary=random_unitary(rng, d)),
+            Rotate.on_pair(d, 2, 5, random_unitary(rng, 2)),
+            Rotate(generator=random_hermitian(rng, d), tau=0.4),
+        ]
+        simulate_exact_branch(rotations * 3, d, n, initial=state)
+        assert events == []
+        circuit = [*rotations, MeasureOne(random_mode(rng, d), "exact"), *rotations,
+                   MeasureTwo(kap, lam, "012", "exact"), *rotations]
+        transcript, _ = simulate_exact_branch(circuit, d, n, initial=state)
+        assert [row.probability < 0.99 for row in transcript.rows] == [True, True]
+        assert events == ["split", (1, d, n), (1, d, n)] * 2
 
 
 class TestSteeringRule:
