@@ -7,12 +7,18 @@ the lowest N bits set, and a_m^dag acting on a mask carries the sign
 (-1)^(number of occupied modes below m).  That single choice anchors
 every sign convention in the package.
 
+A determinant's amplitudes are its row-set minors (Terhal & DiVincenzo):
+_minors takes all C(D, N) of them by one Laplace recursion over the
+subset lattice, each k-row minor from k minors one row smaller, and
+expand, expand_sum and unitary_apply share it.
+
 Dense vectors are capped at 12 modes and density matrices at 8, which
 keeps everything desk sized.
 """
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import comb
 
 import numpy as np
 
@@ -28,7 +34,7 @@ from .slater import check_mode, check_modes, check_unitary
 
 VECTOR_MODE_CAP = 12
 DENSITY_MODE_CAP = 8
-MINOR_BATCH = 4096  # most minors per stacked determinant call
+MINOR_BATCH = 4096  # most minors in one layer of a _minors call: caps its scratch
 DENSITY_HERMITIAN_TOL = 1e-9  # largest ||rho - rho^H|| of a FockDensity
 
 
@@ -207,20 +213,74 @@ def _accumulate(total, scales, images):
     return np.add.reduce(rows.view(float), axis=0).view(complex)
 
 
+@lru_cache(maxsize=None)
+def _laplace_table(d, k):
+    """Read-only (rows, sub, signs) of _minors' step k >= 2 on d rows:
+    the k-row minor of the first k columns on the i-th weight-k row set
+    r_0 < ... < r_{k-1} is sum_j signs[j] a[rows[j, i], k-1] M[sub[j, i]],
+    with rows[j, i] = r_j, sub[j, i] the position of r without r_j among
+    the weight-(k-1) row sets, M their minors of the first k - 1
+    columns, and signs[j] = (-1)^(j+k-1)."""
+    rows = np.ascontiguousarray(_occupied_modes(d, k).T)
+    sub = np.searchsorted(_masks_by_weight(d)[k - 1], _masks_by_weight(d)[k] ^ (1 << rows))
+    table = (rows, sub, 1.0 - 2.0 * ((np.arange(k) + k - 1) % 2))
+    for arr in table:
+        arr.setflags(write=False)
+    return table
+
+
+def _minors(a):
+    """(T, C(D, N)) row-set minors det(a[t][r, :]) of a (T, D, N) stack,
+    N >= 1, over the weight-N row sets r in ascending mask order.
+
+    One Laplace recursion over the subset lattice: column 0's entries are
+    the one-row minors, and step k expands every k-row minor of the first
+    k columns along column k - 1 over the (k-1)-row minors just taken
+    (_laplace_table).  So each minor is shared by every row set above
+    it, where a factorization per minor took C(D, N) N^3 / 3.  A step
+    forms its k terms as one contiguous (k, C(D, k), T) product, which
+    numpy's vectorized complex multiply rounds the same whatever the
+    shape, and adds them in j order, the sign applied by negating the
+    first term or subtracting a later one.  The inputs have orthonormal
+    columns, so by Hadamard's bound no minor exceeds 1 in modulus and
+    each step adds k rounded products: the error stays O(N^2 eps)
+    absolute.
+    """
+    d, n = a.shape[1:]
+    cols = a.transpose(2, 1, 0)
+    minors = cols[0]
+    for k in range(2, n + 1):
+        rows, sub, signs = _laplace_table(d, k)
+        terms = cols[k - 1].take(rows, axis=0)
+        terms *= minors.take(sub, axis=0)
+        minors = terms[0]
+        if signs[0] < 0:
+            np.negative(minors, out=minors)
+        for term, sign in zip(terms[1:], signs[1:]):
+            (np.add if sign > 0 else np.subtract)(minors, term, out=minors)
+    return minors.T
+
+
+def _chunk(d, n):
+    """Matrices per _minors call: the recursion's widest layer, C(D, k)
+    minors at k = min(N, D // 2), times the matrices stays within
+    MINOR_BATCH, or one matrix."""
+    return max(1, MINOR_BATCH // comb(d, min(n, d // 2)))
+
+
 def _term_minors(d, n, orbitals, amps):
     """Yields (chunk, rows) per slice of the (T, D, N) stack: row t is
     amps[t] * det(orbitals[t][r, :]) over the weight-n row sets r in
-    ascending mask order, rounded as expand always has (the N = 0
-    "minor" is the amplitude itself).  A det call takes at most
-    MINOR_BATCH minors, or one term's."""
-    occ = _occupied_modes(d, n)
-    step = max(1, MINOR_BATCH // len(occ))
+    ascending mask order, each minor from _minors and the amplitude's
+    product rounded as the scalar complex product (the N = 0 "minor" is
+    the amplitude itself).  A slice holds _chunk(d, n) terms."""
+    step = _chunk(d, n)
     for start in range(0, len(amps), step):
         chunk = slice(start, start + step)
         if n == 0:
             yield chunk, amps[chunk, None].copy()
         else:
-            yield chunk, _scaled(amps[chunk, None], np.linalg.det(orbitals[chunk][:, occ]))
+            yield chunk, _scaled(amps[chunk, None], _minors(orbitals[chunk]))
 
 
 def _finite_amps(d, amps):
@@ -253,8 +313,9 @@ def expand(s):
 def expand_sum(ssum):
     """Expand a determinant sum: sum_t coeff_t * expand(term_t).
 
-    Every term's C(D, N) minors come from stacked det calls over the
-    (T, D, N) orbital stack.  Each chunk's rows are multiplied by their
+    Every term's C(D, N) minors come from _minors over slices of the
+    (T, D, N) orbital stack, each slice's widest recursion layer at most
+    MINOR_BATCH minors.  Each chunk's rows are multiplied by their
     coefficients and added to the running total in term order, so
     the sum is bit for bit the term-by-term loop 0 + c_0 x_0 + c_1 x_1
     + ...; only the weight-N entries are touched, as every other entry
@@ -277,9 +338,11 @@ def unitary_apply(v, u):
 
     Basis mask c of weight k maps to the determinant of its columns of
     u, whose amplitude on mask r is the minor det(u[rows_r, cols_c]): a
-    column of the k-th compound matrix of u.  The minors of a block come
-    from stacked determinant calls of at most MINOR_BATCH matrices, and
-    each chunk's amplitude-scaled images are added to the block's entries
+    column of the k-th compound matrix of u.  Only the blocks v occupies
+    are visited.  A block's minors come from _minors over the stack of
+    the column sets v occupies, u[:, cols_c], in chunks whose widest
+    recursion layer holds at most MINOR_BATCH minors, and each chunk's
+    amplitude-scaled images are added to the block's entries
     only, in ascending mask order.  That is the same sum, bit for bit, as
     one pass of full-length images over all masks in ascending order: an
     image is zero off its own block, and adding a signed zero cannot
@@ -296,15 +359,17 @@ def _rotated(v, mat):
     amps = v.amplitudes
     out = np.zeros_like(amps)
     out[0] += amps[0]  # the vacuum is invariant
+    sectors = np.bincount(_popcounts(d)[amps != 0], minlength=d + 1)
     for k in range(1, d + 1):
+        if not sectors[k]:
+            continue
         basis = _masks_by_weight(d)[k]
         occ = _occupied_modes(d, k)
         present = np.flatnonzero(amps[basis])
-        step = max(1, MINOR_BATCH // len(basis))
+        step = _chunk(d, k)
         for start in range(0, len(present), step):
             chunk = present[start : start + step]
-            cols = occ[chunk][:, None, None, :]
-            minors = np.linalg.det(mat[occ[None, :, :, None], cols])
+            minors = _minors(mat[:, occ[chunk]].transpose(1, 0, 2))
             # _scaled(1.0, .) rounds the images as expand rounds 1.0 * det
             out[basis] = _accumulate(out[basis], amps[basis[chunk]], _scaled(1.0, minors))
     return FockVector._checked(d, out)

@@ -126,13 +126,14 @@ def check_orthonormal(orbitals):
         raise FlosimError(fault[1])
 
 
-def check_mode(v, d):
-    """Validate a mode vector: length d, finite, unit norm; returns it as ndarray."""
+def check_mode(v, d, tol=MODE_NORM_TOL):
+    """Validate a mode vector: length d, finite, norm within tol of 1;
+    returns it as ndarray."""
     vec = np.asarray(v, dtype=complex)
     if vec.ndim != 1 or vec.shape[0] != d:
         raise DimensionMismatch(f"mode vector has shape {vec.shape}, expected ({d},)")
     norm = np.linalg.norm(vec)
-    if not abs(norm - 1.0) <= MODE_NORM_TOL:
+    if not abs(norm - 1.0) <= tol:
         raise FlosimError(f"mode vector norm {norm:.12f} is not 1")
     return vec
 
@@ -219,8 +220,13 @@ def rotate_in_first(s, in_orbital):
     """Re-express the same state so its first orbital is in_orbital, by
     split_pair's first reflector (_reflect).  The basis change's determinant,
     a phase known in closed form, is divided out of the amplitude, so the
-    represented state, global phase included, is untouched."""
-    t = check_mode(in_orbital, s.modes)
+    represented state, global phase included, is untouched.
+
+    The target's norm is checked at ORTHO_TOL, not a measured mode's
+    MODE_NORM_TOL: decompose_mode's in_orbital is built from the span,
+    and a span the constructor accepts (Gram deviation up to ORTHO_TOL)
+    leaves it a unit vector only to about ORTHO_TOL / 2."""
+    t = check_mode(in_orbital, s.modes, ORTHO_TOL)
     n = s.electrons
     c = s.orbitals.conj().T @ t
     resid = np.linalg.norm(t - s.orbitals @ c) if n else 1.0

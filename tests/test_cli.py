@@ -534,6 +534,26 @@ class TestNogoCommand:
             assert (run.returncode, run.stderr.strip()) == (0, loaded)
             assert run.stdout == (GOLDEN / f"{name}.txt").read_bytes()
 
+    def test_no_run_imports_numpy_ma(self):
+        """numpy.ma's first import takes 9-18 ms on a 2-core Xeon, and
+        np.unique makes one: an oracle-checked simulate, a nogo, a bands
+        and a slater-rank run, in one fresh process, leave it unimported
+        and print their golden transcripts."""
+        script = ("import json, sys; from flosim.cli import main; "
+                  "codes = [main(argv) for argv in json.loads(sys.argv[1])]; "
+                  "print(codes, 'numpy.ma' in sys.modules, file=sys.stderr)")
+        demo = ROOT / "circuits" / "nogo_demo.json"
+        runs = [(["simulate", demo, "--seed", "3", "--oracle-check"], "oracle_nogo_demo"),
+                (["nogo", demo], "nogo_nogo_demo"),
+                (ANALYSIS["bands_15_7"], "bands_15_7"),
+                (ANALYSIS["rank_d8"], "rank_d8")]
+        argvs = json.dumps([[str(a) for a in argv] for argv, _ in runs])
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+        run = subprocess.run([sys.executable, "-c", script, argvs],
+                             capture_output=True, env=env, check=True)
+        assert run.stderr.strip() == b"[0, 0, 0, 0] False"
+        assert run.stdout == b"".join((GOLDEN / f"{name}.txt").read_bytes() for _, name in runs)
+
 
 # Rotations that fail their step's unitarity check: the shorthand with a
 # NaN or infinite theta (cos and sin give a NaN block) and a finite

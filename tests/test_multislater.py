@@ -1077,13 +1077,15 @@ class TestConstructorTolerance:
     agree with the dense state's within 1e-10, the state's own distance
     from a normalized one."""
 
-    def test_scaled_orbital_measures_as_the_dense_state(self):
-        rng = rng_for(98)
-        d, n = 6, 3
-        u = random_unitary(rng, d)
-        phi = u[:, :n].copy()
+    @staticmethod
+    def _scaled_state():
+        u = random_unitary(rng_for(98), 6)
+        phi = u[:, :3].copy()
         phi[:, 0] *= 1 + 3e-11
-        state = SlaterState(phi)
+        return u, SlaterState(phi)
+
+    def test_scaled_orbital_measures_as_the_dense_state(self):
+        u, state = self._scaled_state()
         s = SlaterSum.from_state(state)
         v = fock.expand(state)
         mass = fock.norm(v) ** 2
@@ -1100,6 +1102,26 @@ class TestConstructorTolerance:
             got, prob, post = measure_two_mode(s, kap, lam, "012", forced=label)
             assert prob == pytest.approx(fock.norm(projected) ** 2 / mass, abs=1e-10)
             assert fock.fidelity(fock.expand_sum(post), projected) >= 1 - 1e-12
+
+    def test_scaled_orbital_rotates_in_its_decomposition_target(self):
+        """rotate_in_first takes every in_orbital decompose_mode returns
+        for the state (norm 1 + 3e-11 along the scaled orbital), and the
+        rotated state has the same dense vector; so does the per-term
+        reference projection built on them."""
+        u, state = self._scaled_state()
+        v = fock.expand(state)
+        kap = (u[:, 0] + u[:, 4]) / np.sqrt(2)
+        for vec in (kap, u[:, 0], (u[:, 1] - u[:, 5]) / np.sqrt(2)):
+            dec = decompose_mode(state, vec)
+            rot = rotate_in_first(state, dec.in_orbital)
+            assert np.linalg.norm(rot.orbitals[:, 0] - dec.in_orbital) < 1e-10
+            assert np.max(np.abs(fock.expand(rot).amplitudes - v.amplitudes)) < 1e-10
+        p1 = fock.norm(fock.annihilation_op_apply(v, kap)) ** 2 / fock.norm(v) ** 2
+        for outcome, want in ((0, 1 - p1), (1, p1)):
+            scale, new = reference_term_project(state, kap, outcome)
+            assert scale ** 2 == pytest.approx(want, abs=1e-10)
+            dense = fock.expand(measure_mode(state, kap, forced=outcome)[2])
+            assert fock.fidelity(fock.expand(new), dense) >= 1 - 1e-12
 
 
 @st.composite
