@@ -41,7 +41,7 @@ import numpy as np
 from .errors import ParseError
 from .multislater import DEFAULT_MAX_TERMS, GROUPINGS, SlaterSum, group_label, scale_sum
 from .simulate import POLICIES, MeasureOne, MeasureTwo, Rotate
-from .slater import orthonormal_fault
+from .slater import measured_gram_err, orthonormal_fault
 
 RENORMALIZE_WARN = 1e-6
 ZERO_STATE_TOL = 1e-12  # a state file's sum at or below this norm is the zero state
@@ -243,6 +243,10 @@ def _parse_measure1(step, d, where):
 def _parse_measure2(step, d, where):
     kappa = _mode_argument(step, "first", d, where)
     lam = _mode_argument(step, "second", d, where)
+    sites = step["first"], step["second"]
+    if all(type(k) is int for k in sites) and sites[0] == sites[1]:
+        # a vector on either side keeps the run's orthogonality check
+        raise ParseError(f"{where}: 'first' and 'second' name the same site {sites[0]}")
     grouping = step.get("grouping", "012")
     if grouping not in GROUPINGS:
         raise ParseError(
@@ -330,11 +334,12 @@ def load_circuit(path):
 def _check_term_stack(stack, wheres):
     """Raise ParseError for the first term of a (T, D, N) stack of state
     file orbitals that the SlaterState constructor would refuse, named by
-    its key in wheres."""
-    fault = orthonormal_fault(stack)
+    its key in wheres; else return the largest deviation."""
+    fault, top = orthonormal_fault(stack)
     if fault is not None:
         i, message = fault
         raise ParseError(f"{wheres[i]}: {message}")
+    return top
 
 
 def load_state_sum(path):
@@ -342,9 +347,10 @@ def load_state_sum(path):
     of "orbitals" (with an optional "amplitude") and "terms" (each with
     "orbitals" and an optional "coefficient"); any other key is an error.
     Every term's orbitals are parsed into one (T, D, N) stack and checked
-    by one orthonormality check; the first failing term in file order
-    raises, named by its key ("orbitals" or "terms[i].orbitals").  A sum
-    whose norm overflows is first divided by its largest |c a|."""
+    by one orthonormality check, which also sets the sum's Gram bound;
+    the first failing term in file order raises, named by its key
+    ("orbitals" or "terms[i].orbitals").  A sum whose norm overflows is
+    first divided by its largest |c a|."""
     doc = _document(_read_text(path))
     _check_keys(doc, _STATE_KEYS, "top level")
     for key in ("modes", "electrons"):
@@ -379,13 +385,14 @@ def load_state_sum(path):
         except ParseError:
             _check_term_stack(stack[:i], wheres)  # an earlier term's fault comes first
             raise
-    _check_term_stack(stack, wheres)
+    gram_err = measured_gram_err(_check_term_stack(stack, wheres), d, n)
     coeffs = [c for c, *_ in raw_terms]
-    ssum = SlaterSum._stacked(coeffs, [1.0 + 0.0j] * len(coeffs), stack, DEFAULT_MAX_TERMS)
+    ssum = SlaterSum._stacked(coeffs, [1.0 + 0.0j] * len(coeffs), stack, DEFAULT_MAX_TERMS,
+                              gram_err=gram_err)
     if not np.isfinite(ssum.norm_sq):  # |c|^2 overflowed, so c / max |c| first
         factor = 1.0 / max(abs(c) for c in ssum.coeffs)
         ssum = SlaterSum._stacked([c * factor for c in ssum.coeffs], ssum.amps, ssum.orbitals,
-                                  DEFAULT_MAX_TERMS)
+                                  DEFAULT_MAX_TERMS, gram_err=gram_err)
     nrm = np.sqrt(ssum.norm_sq)  # sum_norm(ssum): sqrt undoes the square exactly
     if nrm < ZERO_STATE_TOL:
         raise ParseError("state file describes a zero state")

@@ -16,6 +16,7 @@ inputs and seeds.  Exit codes: 0 success, 1 parse or config failure,
 import argparse
 import functools
 import sys
+import warnings
 
 import numpy as np
 
@@ -62,6 +63,23 @@ def _print_lines(lines, path=None):
             handle.writelines(line + "\n" for line in lines)
     except OSError as exc:
         raise FlosimError(f"cannot write {path}: {exc}") from exc
+
+
+def _loaded(loader, path):
+    """loader(path), each UserWarning it raises printed to stderr as one
+    line, "warning: <message>", with no source line; other categories
+    keep Python's filters and display."""
+    show = warnings.showwarning
+
+    def one_line(message, category, *args, **kwargs):
+        if issubclass(category, UserWarning):
+            print(f"warning: {message}", file=sys.stderr)
+        else:
+            show(message, category, *args, **kwargs)
+
+    with warnings.catch_warnings():  # restores showwarning on the way out
+        warnings.showwarning = one_line
+        return loader(path)
 
 
 def _oracle_judge(steps, records):
@@ -112,7 +130,7 @@ def _oracle_judge(steps, records):
 
 
 def cmd_simulate(args):
-    circuit = load_circuit(args.path)
+    circuit = _loaded(load_circuit, args.path)
     if args.oracle_check and circuit.modes > ORACLE_MODE_CAP:
         raise BadConfig(
             f"the oracle check handles at most {ORACLE_MODE_CAP} modes, "
@@ -155,7 +173,7 @@ def cmd_simulate(args):
 
 
 def cmd_nogo(args):
-    circuit = load_circuit(args.path)
+    circuit = _loaded(load_circuit, args.path)
     transcript, final = simulate_exact_branch(
         circuit.steps, circuit.modes, circuit.electrons
     )
@@ -209,7 +227,7 @@ def cmd_slater_rank(args):
         w, pf, closed = generic_p1_study(theta, phi, xi, args.electrons)
         closed_text = repr(float(closed))
     else:
-        ssum = load_state_sum(args.path)
+        ssum = _loaded(load_state_sum, args.path)
         w = two_fermion_w(ssum)
         pf = pfaffian(w) if w.shape[0] % 2 == 0 else None
         closed_text = "n/a"

@@ -349,7 +349,7 @@ def unitary_apply(v, u):
     change an entry that started at +0.
     """
     _check_vector_cap(v.modes)
-    return _rotated(v, check_unitary(u, v.modes))
+    return _rotated(v, check_unitary(u, v.modes)[0])
 
 
 def _rotated(v, mat):

@@ -32,6 +32,12 @@ probability that takes n takes its error too, and a post divides it by
 p, so a pass whose sum's bound is past NORM_TOL n measures n again, as
 its x = 0 slice.
 
+A sum carries a bound on its stack's Gram deviation in the same way
+(SlaterSum.gram_err): a split's check of the leaves it builds measures
+it, and a rotation widens it by its unitary's measured deviation and the
+product's rounding, so a split measures the span it rotates only when
+the bound cannot show that it passes (slater.split_pair).
+
 Projections are applied in exact operator form, term by term, so the
 relative phases between determinants are preserved to machine precision.
 """
@@ -58,9 +64,9 @@ from .slater import (
     SlaterState,
     check_mode,
     check_modes,
-    check_orthonormal,
     check_unitary,
     rotate_orbitals,
+    rotated_gram_err,
     split_pair,
     standard_state,
 )
@@ -108,8 +114,10 @@ class SlaterSum:
     """A linear combination of determinants with identical D and N, stored
     once: one Python complex per term in coeffs and in amps (apart, as the
     kernels multiply them in a fixed order), one read-only C-contiguous
-    (T, D, N) orbital stack, norm_sq, the norm squared of the state, and
-    norm_err, a bound on how far norm_sq is from it.
+    (T, D, N) orbital stack, norm_sq, the norm squared of the state,
+    norm_err, a bound on how far norm_sq is from it, and gram_err, a bound
+    on max_t ||Phi_t^H Phi_t - 1||_F over the stack and on any measurement
+    of it (slater.gram_round), inf when unknown.
 
     Terms whose total weight |coefficient * amplitude| is at or below
     the prune tolerance are dropped on construction; a non-finite
@@ -123,9 +131,16 @@ class SlaterSum:
     within the bound _probabilities gives.  Pruning leaves norm_sq and
     widens the bound by what the dropped weight w may change: 2 w |psi|
     + w^2.
+
+    Every constructor sets gram_err too: this one and from_state as inf,
+    so the next split measures the span it rotates; a split's leaves
+    (the projectors, a measured post) and a state file carry the bound
+    their check measured (slater.measured_gram_err); evolve_sum adds its
+    unitary's deviation and rounding (slater.rotated_gram_err); and
+    scale_sum, pruning and reduce_to_two_fermion keep it.
     """
 
-    __slots__ = ("coeffs", "amps", "orbitals", "max_terms", "norm_sq", "norm_err")
+    __slots__ = ("coeffs", "amps", "orbitals", "max_terms", "norm_sq", "norm_err", "gram_err")
 
     def __init__(self, terms=(), modes=None, electrons=None, max_terms=DEFAULT_MAX_TERMS):
         terms = tuple(terms)
@@ -138,32 +153,35 @@ class SlaterSum:
         if modes is None or electrons is None:
             raise DimensionMismatch("an empty sum needs explicit modes and electrons")
         orbitals = _stack([st.orbitals for st in states], modes, electrons)
-        self._store(coeffs, [st.amplitude for st in states], orbitals, max_terms, None, 0.0)
+        self._store(coeffs, [st.amplitude for st in states], orbitals, max_terms, None, 0.0,
+                    np.inf)
 
     @classmethod
-    def _stacked(cls, coeffs, amps, orbitals, max_terms, norm_sq=None, norm_err=0.0):
+    def _stacked(cls, coeffs, amps, orbitals, max_terms, norm_sq=None, norm_err=0.0,
+                 gram_err=np.inf):
         """The kernels' constructor: the sum of coeffs[i] (amps[i],
         orbitals[i]) over a C-contiguous (T, D, N) stack it takes over,
         pruned and capped as the public one does, of norm squared
         norm_sq within norm_err, as its caller knows them, or measured
-        when norm_sq is None."""
+        when norm_sq is None, and of Gram bound gram_err, unknown unless
+        given."""
         keep, coeffs, lost = _kept(coeffs, amps)
         if len(keep) < len(amps):
             amps, orbitals = [amps[i] for i in keep], orbitals[keep]
             if norm_sq is not None:
                 norm_err += 2.0 * lost * np.sqrt(norm_sq) + lost**2
         s = object.__new__(cls)
-        s._store(coeffs, amps, orbitals, max_terms, norm_sq, norm_err)
+        s._store(coeffs, amps, orbitals, max_terms, norm_sq, norm_err, gram_err)
         return s
 
-    def _store(self, coeffs, amps, orbitals, max_terms, norm_sq, norm_err):
+    def _store(self, coeffs, amps, orbitals, max_terms, norm_sq, norm_err, gram_err):
         """Every sum's cap check, then its fields; with norm_sq None, one
         sum_norm sets it, within the pass's rounding."""
         if len(coeffs) > max_terms:
             raise TermCapExceeded(f"{len(coeffs)} terms exceed the cap of {max_terms}")
         orbitals.flags.writeable = False
         self.coeffs, self.amps, self.orbitals = tuple(coeffs), tuple(amps), orbitals
-        self.max_terms = max_terms
+        self.max_terms, self.gram_err = max_terms, gram_err
         if norm_sq is None:
             norm_sq, norm_err = sum_norm(self) ** 2, PASS_ROUND * _mass(self)
         self.norm_sq, self.norm_err = norm_sq, norm_err
@@ -258,10 +276,11 @@ def _expectations(s, m, xs):
 
 
 def scale_sum(s, factor):
-    """factor times s, of norm squared |factor|^2 times s's, bound and all."""
+    """factor times s, of norm squared |factor|^2 times s's, bound and all,
+    and of s's Gram bound."""
     coeffs, sq = [c * factor for c in s.coeffs], abs(factor) ** 2
     return SlaterSum._stacked(coeffs, s.amps, s.orbitals, s.max_terms, s.norm_sq * sq,
-                              s.norm_err * sq)
+                              s.norm_err * sq, s.gram_err)
 
 
 def evolve_sum(s, v, pair=None):
@@ -270,29 +289,35 @@ def evolve_sum(s, v, pair=None):
     (i, j), v is the 2x2 block of a rotation of those two sites
     (check_unitary's pair), and only rows i and j of every term change
     (rotate_orbitals); the norm stays.  The rotated stack is not checked:
-    a checked unitary keeps orthonormal columns orthonormal, and a term
-    that came in off orthonormal fails its next split's check of the
-    rotated span."""
-    rotated = rotate_orbitals(check_unitary(v, s.modes, pair), s.orbitals, pair)
-    return SlaterSum._stacked(s.coeffs, s.amps, rotated, s.max_terms, s.norm_sq, s.norm_err)
+    its Gram bound b grows to rotated_gram_err's b + dev (1 + b) plus
+    rounding, dev the unitary's measured deviation, and the next split
+    measures the span it rotates only when that bound cannot show it
+    passes; a term that came in off orthonormal, of unknown bound, fails
+    that check."""
+    mat, dev = check_unitary(v, s.modes, pair)
+    bound = rotated_gram_err(s.gram_err, dev, len(mat), s.electrons)
+    return SlaterSum._stacked(s.coeffs, s.amps, rotate_orbitals(mat, s.orbitals, pair),
+                              s.max_terms, s.norm_sq, s.norm_err, bound)
 
 
 def _group_terms(s, vecs, group):
-    """(coeffs, amps, stack, lost) of the unnormalized projection of s on
-    one outcome group of the measured modes vecs ((lambda, kappa) or
-    (kappa,)), named by its label ("02") or outcomes ((0, 2)): one
-    split_pair call over the whole stack, which builds only the group's
-    leaves, listed by outcome, then pattern by pattern, (1, 0) before
-    (0, 1), then by term.  A term's leaf that is not built had a scale
+    """(coeffs, amps, stack, lost, gram_err) of the unnormalized
+    projection of s on one outcome group of the measured modes vecs
+    ((lambda, kappa) or (kappa,)), named by its label ("02") or outcomes
+    ((0, 2)): one split_pair call over the whole stack, given s's Gram
+    bound, which builds only the group's leaves, listed by outcome, then
+    pattern by pattern, (1, 0) before (0, 1), then by term, and measures
+    their bound.  A term's leaf that is not built had a scale
     of at most ABSENT_TOL, so lost, ABSENT_TOL times the weight |c a| of
     each term per group pattern it has no leaf of, bounds what they
     weigh."""
     group = tuple(map(int, group))
     lam, kap = (None, *vecs)[-2:]  # lam None for one mode
     try:
-        leaves, stack = split_pair(s.amps, s.orbitals, lam, kap, group)
+        leaves, stack, gram_err = split_pair(s.amps, s.orbitals, lam, kap, group, s.gram_err)
     except (FlosimError, ValueError):
-        # Term by term, so that the first failing term's error wins.
+        # Term by term, each span measured, so that the first failing
+        # term's error wins.
         for i in range(s.term_count):
             split_pair(s.amps[i : i + 1], s.orbitals[i : i + 1], lam, kap, group)
         raise
@@ -302,23 +327,25 @@ def _group_terms(s, vecs, group):
     weights = [abs(c * a) for c, a in zip(s.coeffs, s.amps)]
     lost = ABSENT_TOL * max(slots * sum(weights) - sum(weights[i] for i, *_ in leaves), 0.0)
     coeffs = [s.coeffs[i] * scale for i, scale, _, _ in leaves]
-    return coeffs, [amp for *_, amp, _ in leaves], stack, lost
+    return coeffs, [amp for *_, amp, _ in leaves], stack, lost, gram_err
 
 
 def _group_sum(s, vecs, group):
     """_group_terms as a sum whose norm one sum_norm measures: a projector's."""
-    return SlaterSum._stacked(*_group_terms(s, vecs, group)[:3], s.max_terms)
+    coeffs, amps, stack, _, gram_err = _group_terms(s, vecs, group)
+    return SlaterSum._stacked(coeffs, amps, stack, s.max_terms, gram_err=gram_err)
 
 
 def _post(s, terms, norm, err):
     """_group_terms' terms divided by norm, in one construction: a post of
     norm squared 1, within err / norm^2, err bounding norm^2's error, and
-    what the unbuilt leaves may take, lost / norm: 2 lost / norm + its square."""
-    coeffs, amps, stack, lost = terms
+    what the unbuilt leaves may take, lost / norm: 2 lost / norm + its
+    square; its Gram bound is the leaves'."""
+    coeffs, amps, stack, lost, gram_err = terms
     factor = 1.0 / norm
     lost *= factor
     return SlaterSum._stacked([c * factor for c in coeffs], amps, stack, s.max_terms, 1.0,
-                              err * factor**2 + 2.0 * lost + lost**2)
+                              err * factor**2 + 2.0 * lost + lost**2, gram_err)
 
 
 def apply_two_mode_projector(s, kappa, lam, outcome):
@@ -435,10 +462,12 @@ def reduce_to_two_fermion(s, kappa, lam):
     Assumes the usual standard form: the interesting physics lives on
     modes {0, 1, N, N+1} and the context modes 2..N-1 are filled and
     orthogonal to both measured modes.  Each takes one split_pair of all
-    terms on that mode alone, keeps the outcome-1 leaves without their
-    first column, the mode, and checks what is left: annihilate, bit for
-    bit.  A filled mode's annihilation keeps the norm, so the reduced sum
-    carries s's; two electrons come back as s.
+    terms on that mode alone and keeps the outcome-1 leaves without their
+    first column, the mode: annihilate, bit for bit.  A filled mode's
+    annihilation keeps the norm, so the reduced sum carries s's.  What is
+    left is not checked again: its Gram matrix is a principal block of
+    the leaf stack's, which the split has just checked, so it keeps the
+    leaves' bound.  Two electrons come back as s.
     """
     n = s.electrons
     if n < 2:
@@ -454,13 +483,13 @@ def reduce_to_two_fermion(s, kappa, lam):
     for m in range(n - 1, 1, -1):
         e_m = np.zeros(s.modes, dtype=complex)
         e_m[m] = 1.0
-        (ones,), stack = split_pair(current.amps, current.orbitals, None, e_m, (1,))
+        (ones,), stack, gram_err = split_pair(current.amps, current.orbitals, None, e_m, (1,),
+                                              current.gram_err)
         reduced = np.ascontiguousarray(stack[:, :, 1:])
-        check_orthonormal(reduced)
         coeffs = [current.coeffs[i] for i, *_ in ones]
         amps = [amp * alpha for _, alpha, amp, _ in ones]
         current = SlaterSum._stacked(coeffs, amps, reduced, s.max_terms, s.norm_sq,
-                                     current.norm_err)
+                                     current.norm_err, gram_err)
     return current
 
 

@@ -12,14 +12,18 @@ stay as the per-term references the tests hold it to.
 Inputs are validated where they enter: the constructor, check_mode(s),
 check_unitary and the public per-state evolve, decompose_mode and
 rotate_in_first.  Inside a step nothing re-checks what a checked input
-already guarantees; split_pair checks only the rotated span and the
-leaves it builds.
+already guarantees.  split_pair checks the leaves it builds, and the
+rotated span only when the stack's carried Gram bound (gram_err) cannot
+show that it passes: the leaf check measures the bound, and a rotation
+adds its unitary's measured deviation and a rounding allowance
+(rotated_gram_err), so a run's split takes one Gram product.
 
 Convention, locked by a golden test against the dense simulator: a
 single-particle unitary V acts on an orbital column c as V @ c, and mode
 index m corresponds to component m of a column (0-based).
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +47,7 @@ PROB_FLOOR = 1e-12
 ORTHOGONAL_TOL = 1e-10  # largest |<kappa|lambda>| for two measured modes
 ABSENT_TOL = 1e-12
 MODE_NORM_TOL = ORTHO_TOL / 4  # a split child's Gram error is about twice its mode's norm error
+UNIT_ROUND = 2.0**-53  # u, the unit roundoff of a float64
 
 
 @dataclass(frozen=True)
@@ -98,10 +103,11 @@ class ModeDecomposition:
 
 
 def orthonormal_fault(orbitals):
-    """(i, message) for the first state of a (T, D, N) stack with a
-    non-finite entry or a deviation ||Phi^H Phi - 1||_F (np.linalg.norm's,
-    bit for bit) above ORTHO_TOL or not finite, or None if every state
-    passes; message is what the constructor raises for it."""
+    """(fault, top) for a (T, D, N) stack: fault is (i, message) for the
+    first state with a non-finite entry or a deviation ||Phi^H Phi - 1||_F
+    (np.linalg.norm's, bit for bit) above ORTHO_TOL or not finite, message
+    what the constructor raises for it, or None if every state passes;
+    top is the largest deviation, 0 for no state."""
     t, _, n = orbitals.shape
     # A non-finite entry or an overflowing Gram product makes the
     # deviation inf or NaN, which fails the state without a warning.
@@ -109,21 +115,93 @@ def orthonormal_fault(orbitals):
         gram = (orbitals.conj().transpose(0, 2, 1) @ orbitals).reshape(t, n * n)
         gram[:, :: n + 1] -= 1.0  # Phi^H Phi - 1, as subtracting np.eye(n) rounds
         dev = row_norms(gram)
-    bad = ~(dev <= ORTHO_TOL)
-    if not bad.any():
-        return None
-    i = int(bad.argmax())
+    top = float(dev.max(initial=0.0))  # NaN if any deviation is
+    if top <= ORTHO_TOL:
+        return None, top
+    i = int((~(dev <= ORTHO_TOL)).argmax())
     if not np.isfinite(orbitals[i]).all():
-        return i, "orbital entries must be finite"
-    return i, f"orbital columns not orthonormal, deviation {dev[i]:.3e}"
+        return (i, "orbital entries must be finite"), top
+    return (i, f"orbital columns not orthonormal, deviation {dev[i]:.3e}"), top
 
 
 def check_orthonormal(orbitals):
     """The constructor's check on each state of a (T, D, N) stack: raise
-    FlosimError for the first that orthonormal_fault finds."""
-    fault = orthonormal_fault(orbitals)
+    FlosimError for the first that orthonormal_fault finds, else return
+    the largest deviation."""
+    fault, top = orthonormal_fault(orbitals)
     if fault is not None:
         raise FlosimError(fault[1])
+    return top
+
+
+# Rounding allowances of a stack's carried Gram bound (SlaterSum.gram_err).
+# The bound b of a (T, D, N) stack keeps b >= G + gram_round(D, N), G
+# the exact max ||Phi^H Phi - 1||_F of the stored stack, so it bounds
+# every measurement of it too.  Each allowance is a worst-case bound
+# from Higham, Accuracy and Stability of Numerical Algorithms (2nd ed.,
+# 2002): a complex inner product of length m errs by at most
+# sqrt(2) gamma_(m+2) |x|^T |y| (section 3.6), gamma_k = k u / (1 - k u)
+# <= 1.01 k u, whatever the summation order or FMA; times a margin of
+# at least 1.39.  Each holds for deviations up to 1e-6, far past ORTHO_TOL,
+# beyond which the next split measures anyway.
+
+
+def gram_round(d, n):
+    """How far a measured deviation (orthonormal_fault's) of a D x N
+    matrix may be from its exact one: 2 (D + 2) N u.
+
+    Each Gram entry errs by at most sqrt(2) gamma_(D+2) |phi_i| |phi_j|,
+    so the error matrix has Frobenius norm at most sqrt(2) gamma_(D+2)
+    trace(Phi^H Phi) <= sqrt(2) gamma_(D+2) N (1 + G).  Subtracting 1 from
+    a diagonal entry in [1/2, 2] is exact (Sterbenz), and the norm of N^2
+    complex entries adds a relative gamma_(2 N^2 + 1) of a deviation G of
+    at most 1e-6: below (D + 2) N u / 100 as N <= D.  Sum: at most
+    1.44 (D + 2) N u."""
+    return 2.0 * (d + 2) * n * UNIT_ROUND
+
+
+def measured_gram_err(top, d, n):
+    """The carried bound of a (T, D, N) stack whose largest measured
+    deviation is top: the exact one is within gram_round of top, and a
+    later measurement within gram_round of that."""
+    return top + 2.0 * gram_round(d, n)
+
+
+def rotated_gram_err(bound, dev, k, n):
+    """The carried bound after a unitary V on k rows (k = D, or 2 for a
+    pair block) acts on a stack of N columns and bound b:
+    b + (dev + gram_round(k, k) + 4 (k + 2) sqrt(k N) u) (1 + b), dev the
+    deviation check_unitary measured on V.
+
+    In exact arithmetic (V Phi)^H V Phi - 1 = (Phi^H Phi - 1) +
+    Phi^H (V^H V - 1) Phi, and ||Phi||_2^2 <= 1 + G, so the deviation grows
+    by at most (1 + G) ||V^H V - 1||_F, which V's measured dev bounds
+    within gram_round(k, k) (a pair block's equals its embedding's).
+    The computed product is V Phi + E with |E| <= sqrt(2) gamma_(k+2)
+    |V| |Phi|, so ||E||_F <= sqrt(2) gamma_(k+2) ||V||_F ||Phi||_F, about
+    sqrt(2) gamma_(k+2) sqrt(k N (1 + G)), and E adds at most
+    2 ||V Phi||_2 ||E||_F + ||E||_F^2 <= 2.86 (k + 2) sqrt(k N) (1 + G) u.
+    An unknown bound (inf) stays inf."""
+    product = 4.0 * (k + 2) * math.sqrt(k * n) * UNIT_ROUND
+    return bound + (dev + gram_round(k, k) + product) * (1.0 + bound)
+
+
+def reflect_round(n):
+    """What split_pair's two Householder updates may add to the deviation
+    of a span of N columns: 40 (N + 3) sqrt(N) u, times 1 + G.
+
+    _reflect applies 1 - s w w^H, w = c + ph e1, |w|^2 in [2, 4], s = 2 /
+    |w|^2, to each row x of the span (Higham's lemmas 19.2-19.3, in the
+    form computed here): x w errs by sqrt(2) gamma_(N+2) |x| |w|, s by
+    gamma_(2N+1), the product p s w_j by sqrt(2) gamma_2 + u and the
+    subtraction by u, so with s |w|^2 = 2 the row errs by at most
+    (7 N + 17) u |x| against the exactly unitary reflector of the
+    computed w; scaling the first column by the computed unit ph (|ph| = 1
+    within 3 u) errs by 6 u of that column.  The two updates, the second
+    on N - 1 columns, so err by at most (14 N + 39) sqrt(N (1 + G)) u in
+    Frobenius norm, and an error E adds at most 2 ||Phi||_2 ||E||_F +
+    ||E||_F^2 to the exact rotation's deviation, the span's own."""
+    return 40.0 * (n + 3) * math.sqrt(n) * UNIT_ROUND
 
 
 def check_mode(v, d, tol=MODE_NORM_TOL):
@@ -155,7 +233,8 @@ def standard_state(d, n):
 
 
 def check_unitary(v, d, pair=None):
-    """Validate a finite one-body unitary on d modes; returns it as ndarray.
+    """Validate a finite one-body unitary on d modes; returns (matrix,
+    dev), the matrix as ndarray and dev its measured ||V^H V - 1||_F.
 
     With pair (i, j), v is the 2x2 block of a rotation acting on sites i
     and j alone, as the two-site rotate shorthand keeps it
@@ -175,7 +254,7 @@ def check_unitary(v, d, pair=None):
     dev = np.linalg.norm(mat.conj().T @ mat - np.eye(len(mat)))
     if not dev <= UNITARY_TOL:
         raise NotUnitary(f"deviation from unitarity {dev:.3e}")
-    return mat
+    return mat, float(dev)
 
 
 def rotate_orbitals(mat, orbitals, pair=None):
@@ -194,7 +273,7 @@ def rotate_orbitals(mat, orbitals, pair=None):
 def evolve(s, v, pair=None):
     """Apply a one-body unitary: every orbital column c becomes v @ c.
     pair is check_unitary's."""
-    rotated = rotate_orbitals(check_unitary(v, s.modes, pair), s.orbitals, pair)
+    rotated = rotate_orbitals(check_unitary(v, s.modes, pair)[0], s.orbitals, pair)
     check_orthonormal(rotated[None])
     return SlaterState._checked(rotated, s.amplitude)
 
@@ -304,17 +383,18 @@ def _unit(x, norms):
     return x / np.where(norms > ABSENT_TOL, norms, 1.0)[:, None]
 
 
-def split_pair(amps, orbitals, lam, kap, want):
+def split_pair(amps, orbitals, lam, kap, want, gram_err=math.inf):
     """The occupation projections of every state of a (T, D, N) orbital
     stack on the orthogonal modes lam and kap, or on kap alone when lam
     is None, from one rotation of each span, building only the leaves of
-    the total occupations in want (increasing).  Returns (leaves,
-    stack): per outcome of want a list of (term, scale, amplitude,
+    the total occupations in want (increasing).  Returns (leaves, stack,
+    bound): per outcome of want a list of (term, scale, amplitude,
     pattern), pattern the leaf's (lambda, kappa) occupations (lambda's
     0 when lam is None), pattern by pattern, (1, 0) before (0, 1), then
     by term, and the leaves' orbitals as the stack's rows in that order,
-    each pattern's one slice; a state's projection is the sum of its
-    scaled leaves.
+    each pattern's one slice, and the leaves' carried Gram bound
+    (measured_gram_err); a state's projection is the sum of its scaled
+    leaves.
 
     Two reflectors (_reflect_onto) rotate the span to [f0, f1, R], R
     orthogonal to both modes, f0 = a lam + b kap + o0 and f1 = c kap +
@@ -327,15 +407,20 @@ def split_pair(amps, orbitals, lam, kap, want):
     leaves each state as its (0, 0) leaf.  Each new column is projected
     out of [lam, kap, R] twice, a leaf of scale at most ABSENT_TOL is not
     built, and the amplitude divides by the reflector phases.
-    check_orthonormal runs twice, on the rotated span and on the stack of
-    leaves, each raising for the first state that fails it; a reflector's
+
+    check_orthonormal runs on the stack of leaves, and first on the
+    rotated span unless gram_err, the stack's carried bound
+    (SlaterSum.gram_err; inf when unknown), shows that it passes: the
+    rotation keeps the span's deviation up to reflect_round.  Each raises
+    for the first state that fails it, so a stack of unknown or too large
+    a bound raises as if every split measured its span.  A reflector's
     target, built from its span, is not checked (_reflect_onto).
     """
     t, d, n = orbitals.shape
     if n == 0:
         kept = list(range(t)) if 0 in want else []
         return ([[(i, 1.0, amps[i], (0, 0)) for i in kept] if o == 0 else [] for o in want],
-                orbitals[kept])
+                orbitals[kept], 0.0)
     modes = (kap,) if lam is None else (lam, kap)
     k = len(modes)
     two = k == 2 and n > 1  # a second reflector, and f1
@@ -344,7 +429,8 @@ def split_pair(amps, orbitals, lam, kap, want):
     if two:
         rot[:, :, 1:], ph2, c = _reflect_onto(rot[:, :, 1:], kap)
         ph2 = ph2.tolist()
-    check_orthonormal(rot)
+    if not gram_err + reflect_round(n) * (1.0 + gram_err) <= ORTHO_TOL:
+        check_orthonormal(rot)
     q = np.empty((t, d, max(n, k)), dtype=complex)
     q[:, :, :k], q[:, :, k:] = np.transpose(modes), rot[:, :, k:]
     # Per pattern its scales and the columns (index, rows) its leaves put
@@ -388,10 +474,10 @@ def split_pair(amps, orbitals, lam, kap, want):
         rows, start = slice(start, start + len(lanes)), start + len(lanes)
         for col, value in leaf[p][1]:
             stack[rows, :, col] = value if value.ndim == 1 else value[lanes]
-    check_orthonormal(stack)
+    bound = measured_gram_err(check_orthonormal(stack), d, n)
     amps = [amp / d0 / d1 for amp, d0, d1 in zip(amps, ph.tolist(), ph2)]
     return [[(i, scales[p][i], amps[i], p) for p in PAIR_PATTERNS[o] if p in terms
-             for i in terms[p]] for o in want], stack
+             for i in terms[p]] for o in want], stack, bound
 
 
 def measure_mode(s, kappa, forced=None, rng=None):
@@ -409,7 +495,7 @@ def measure_mode(s, kappa, forced=None, rng=None):
             raise ImpossibleOutcome("the vacuum never reports an occupied mode")
         return 0, 1.0, s
     orbitals = np.ascontiguousarray(s.orbitals)[None]
-    leaves, stack = split_pair([s.amplitude], orbitals, None, kap, (0, 1))
+    leaves, stack, _ = split_pair([s.amplitude], orbitals, None, kap, (0, 1))
     probs = [out[0][1] ** 2 if out else 0.0 for out in leaves]
     if forced is None:
         if rng is None:
@@ -438,7 +524,7 @@ def annihilate(s, mode):
     if s.electrons == 0:
         return SlaterState(s.orbitals, 0.0)
     orbitals = np.ascontiguousarray(s.orbitals)[None]
-    (ones,), stack = split_pair([s.amplitude], orbitals, None, kap, (1,))
+    (ones,), stack, _ = split_pair([s.amplitude], orbitals, None, kap, (1,))
     if not ones:
         return SlaterState(s.orbitals[:, : s.electrons - 1], 0.0)
     ((_, alpha, amp, _),) = ones

@@ -1147,6 +1147,66 @@ class TestInputBoundary:
             "error: argument --max-terms: invalid int value: 'abc'"
         )
 
+    @pytest.mark.parametrize("command", ["simulate", "nogo"])
+    @pytest.mark.parametrize("grouping", ["012", "02/1"])
+    def test_measure2_naming_one_site_twice_fails_at_load(self, command, grouping, tmp_path,
+                                                          capsys):
+        """A measure2 whose first and second are one site index is a
+        ParseError naming its step, raised on load, before any step runs:
+        so nogo on a parity step exits 1, not 2."""
+        steps = [{"kind": "rotate", "modes": [0, 2], "theta": 0.7},
+                 {"kind": "measure2", "first": 1, "second": 1, "grouping": grouping}]
+        path = tmp_path / "circuit.json"
+        path.write_text(minimal_doc(steps))
+        want = "ParseError: step 1: 'first' and 'second' name the same site 1\n"
+        assert run_cli([command, path], capsys) == (1, "", want)
+
+    @pytest.mark.parametrize("command", ["simulate", "nogo"])
+    @pytest.mark.parametrize("second", [1, [0, 1, 0, 0]])
+    def test_measure2_vectors_keep_the_run_time_check(self, command, second, tmp_path, capsys):
+        """Where first or second is a vector, the run checks the pair."""
+        steps = [{"kind": "measure2", "first": [0, 1, 0, 0], "second": second}]
+        path = tmp_path / "circuit.json"
+        path.write_text(minimal_doc(steps))
+        want = "ModesNotOrthogonal: <kappa|lambda> = 1.000e+00\n"
+        assert run_cli([command, path], capsys) == (1, "", want)
+
+    @pytest.mark.parametrize("command", ["simulate", "nogo"])
+    def test_renormalization_warning_is_one_line(self, command, tmp_path, capsys):
+        """A vector of norm 2 prints one stderr line and no source line;
+        stdout and the exit code are those of its unit vector."""
+        step = {"kind": "measure1", "vector": [2, 0, 0, 0]}
+        path, unit = tmp_path / "circuit.json", tmp_path / "unit.json"
+        path.write_text(minimal_doc([step]))
+        unit.write_text(minimal_doc([{**step, "vector": [1, 0, 0, 0]}]))
+        code, out, err = run_cli([command, path], capsys)
+        assert err == "warning: step 0.vector: renormalizing a vector of norm 2\n"
+        assert (code, out, "") == run_cli([command, unit], capsys)
+
+    def test_other_warnings_keep_their_filters(self, tmp_path, capsys, monkeypatch):
+        """Only a UserWarning raised while loading is reformatted: another
+        category reaches Python's display, and its error filter (tier 1
+        turns RuntimeWarning into an error) still raises."""
+        def warning_load(path):
+            warnings.warn("a user warning")
+            warnings.warn("a runtime warning", RuntimeWarning)
+            return load_circuit(path)
+
+        monkeypatch.setattr(cli, "load_circuit", warning_load)
+        path = ROOT / "circuits" / "nogo_demo.json"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(["nogo", path], capsys)
+        assert [(w.category, str(w.message)) for w in caught] == [
+            (RuntimeWarning, "a runtime warning")]
+        assert (code, err) == (0, "warning: a user warning\n")
+        assert out.encode("utf-8") == (GOLDEN / "nogo_nogo_demo.txt").read_bytes()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(RuntimeWarning, match="a runtime warning"):
+                cli.main(["nogo", str(path)])
+        assert capsys.readouterr().err == "warning: a user warning\n"
+
     def test_unwritable_out_path(self, tmp_path, capsys):
         out_path = tmp_path / "missing" / "x.csv"
         code, out, err = run_cli(

@@ -106,7 +106,7 @@ def test_split_children_are_the_dense_projections(case):
     which shares the reflector, leaves the dense vector as it was."""
     d, n, amps, orbitals, u = case
     vec = u[:, 0]
-    leaves, stack = split_pair(amps, orbitals, None, vec, (0, 1))
+    leaves, stack, _ = split_pair(amps, orbitals, None, vec, (0, 1))
     built = iter(stack)
     children = [[None, None] for _ in amps]
     for outcome, out in enumerate(leaves):
@@ -226,7 +226,7 @@ def test_two_mode_leaves_are_the_dense_projections(case):
     sum of the states."""
     d, n, amps, orbitals, u = case
     lam, kap = u[:, 0], u[:, 1]
-    leaves, stack = split_pair(amps, orbitals, lam, kap, (0, 1, 2))
+    leaves, stack, _ = split_pair(amps, orbitals, lam, kap, (0, 1, 2))
     built = iter(stack)
     found = {}
     for outcome, out in enumerate(leaves):

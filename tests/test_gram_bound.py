@@ -1,0 +1,314 @@
+"""Tests for the carried orthonormality bound, SlaterSum.gram_err.
+
+Every sum carries a bound on max_t ||Phi_t^H Phi_t - 1||_F over its
+stack, and a split measures the span it rotates only when that bound
+cannot show it passes.  The bound must hold after every operation,
+stay small enough under exact unitaries that the skip happens, and
+grow past ORTHO_TOL under drift so that a failing stack is measured
+and raises as it always has.
+"""
+
+import json
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from conftest import (
+    random_complex,
+    random_hermitian,
+    random_mode,
+    random_orthogonal_pair,
+    random_orthonormal_columns,
+    random_unitary,
+    rng_for,
+)
+
+from flosim import slater
+from flosim.circuits import load_state_sum
+from flosim.errors import FlosimError, NoAdmissibleBranch
+from flosim.linalg import one_body_unitary
+from flosim.multislater import (
+    GROUPINGS,
+    ONE_MODE,
+    SlaterSum,
+    _probabilities,
+    apply_two_mode_projector,
+    evolve_sum,
+    group_label,
+    measure_mode_sum,
+    measure_two_mode,
+    reduce_to_two_fermion,
+    scale_sum,
+)
+from flosim.simulate import _steer_modes
+from flosim.slater import (
+    ORTHO_TOL,
+    UNITARY_TOL,
+    SlaterState,
+    gram_round,
+    reflect_round,
+    split_pair,
+    standard_state,
+)
+
+
+def gram_deviation(s):
+    """The numpy reference: the largest ||Phi^H Phi - 1||_F over the
+    stack, one np.linalg.norm per term; 0 for no term."""
+    eye = np.eye(s.electrons)
+    return max((np.linalg.norm(phi.conj().T @ phi - eye) for phi in s.orbitals), default=0.0)
+
+
+def drifted_unitary(rng, d, delta, along=None):
+    """A random unitary times 1 + E, E Hermitian with ||E||_F = delta / 2,
+    so that its measured unitarity deviation is about delta: E is along
+    the span of the orbitals along when given (the deviation then adds
+    to that term's Gram deviation in full), else random."""
+    e = along @ along.conj().T if along is not None else random_hermitian(rng, d)
+    return random_unitary(rng, d) @ (np.eye(d) + e * (delta / 2 / np.linalg.norm(e)))
+
+
+def rotated(rng, s, kind, frac, aligned):
+    """s after one rotation of the given kind, a dense or pair unitary
+    drifted to a unitarity deviation of about frac * 0.9 UNITARY_TOL."""
+    d, delta = s.modes, frac * 0.9 * UNITARY_TOL
+    if kind == "generator":
+        return evolve_sum(s, one_body_unitary(random_hermitian(rng, d), rng.uniform(0.2, 1.5)))
+    if kind == "pair":
+        i, j = (int(k) for k in rng.choice(d, size=2, replace=False))
+        return evolve_sum(s, random_unitary(rng, 2) @ np.diag([1 + delta / 2, 1.0]), (i, j))
+    along = s.orbitals[0] if aligned and s.term_count and s.electrons else None
+    return evolve_sum(s, drifted_unitary(rng, d, delta, along))
+
+
+def measured(rng, s, kind, pick, idx):
+    """s after one measurement: one mode or two under a grouping, its
+    outcome sampled, forced to the least likely outcome above 1e-6, or
+    steered by the exact policy's rule."""
+    d = s.modes
+    if kind == "one":
+        vecs, groups = (random_mode(rng, d),), ONE_MODE
+    else:
+        kap, lam = random_orthogonal_pair(rng, d)
+        if rng.random() < 0.3:
+            kap, lam = np.eye(d, dtype=complex)[:, rng.choice(d, size=2, replace=False)].T
+        vecs, groups = (lam, kap), GROUPINGS[kind]
+    if pick == "exact" and kind != "02/1":
+        try:
+            post = _steer_modes(idx, s, vecs, groups)[2]
+        except NoAdmissibleBranch:
+            return s
+        return s if post is None else post
+    forced, sampler = None, rng
+    if pick == "small":
+        probs = _probabilities(s, vecs, groups)[0]
+        labels = [group_label(g) for g in groups]
+        forced, sampler = min((p, label) for p, label in zip(probs, labels) if p > 1e-6)[1], None
+    if kind == "one":
+        return measure_mode_sum(s, vecs[0], forced=forced, rng=sampler)[2]
+    return measure_two_mode(s, kap, lam, kind, forced=forced, rng=sampler)[2]
+
+
+def normalized(rng, s):
+    """s over its norm, times a random phase: scale_sum keeps the bound."""
+    return scale_sum(s, np.exp(2j * np.pi * rng.random()) / np.sqrt(s.norm_sq))
+
+
+def pruned(rng, s):
+    """s with every other term's coefficient set to 0, which pruning
+    drops, its norm measured again, then normalized: both keep the
+    bound."""
+    coeffs = [0.0 if i % 2 else c for i, c in enumerate(s.coeffs)]
+    cut = SlaterSum._stacked(coeffs, s.amps, s.orbitals, s.max_terms, None, 0.0, s.gram_err)
+    assert cut.gram_err == s.gram_err and cut.term_count <= (s.term_count + 1) // 2
+    return normalized(rng, cut)
+
+
+ROTATIONS = ("dense", "pair", "generator")
+MEASUREMENTS = ("one", "012", "01/2", "0/12", "02/1")
+
+
+@st.composite
+def gram_chains(draw, big):
+    """(d, n, t, drift, rounds, seed): t random terms of n electrons on d
+    modes, D <= 10, or one determinant at D = 64, N = 32 (big); each round
+    one or two rotations, (kind, drift fraction, aligned), then a
+    measurement (kind, pick) or a prune.  Without drift every unitary is
+    exact.  The big case measures as nogo does: one mode under any pick,
+    two modes steered."""
+    if big:
+        d, n, t = 64, 32, 1
+        step = st.one_of(st.tuples(st.just("one"), st.sampled_from(("sample", "small", "exact"))),
+                         st.tuples(st.sampled_from(("012", "01/2", "0/12")), st.just("exact")))
+    else:
+        d = draw(st.integers(2, 10))
+        n, t = draw(st.integers(1, d)), draw(st.integers(1, 4))
+        step = st.tuples(st.sampled_from((*MEASUREMENTS, "prune")),
+                         st.sampled_from(("sample", "small", "exact")))
+    drift = draw(st.booleans())
+    fracs = (0.0, 0.3, 0.6, 1.0) if drift else (0.0,)
+    rotation = st.tuples(st.sampled_from(ROTATIONS), st.sampled_from(fracs), st.booleans())
+    rounds = draw(st.lists(st.tuples(st.lists(rotation, min_size=1, max_size=2), step),
+                           min_size=1, max_size=3 if big else 6))
+    return d, n, t, drift, rounds, draw(st.integers(0, 2**32 - 1))
+
+
+def run_chain(case):
+    """Run a gram_chains case, asserting after every step that gram_err
+    bounds the measured deviation and, under exact unitaries once a split
+    has measured the bound, that it stays below ORTHO_TOL / 10.  A drifted
+    chain may raise from a split, but only what the same split raises on
+    the same stack of unknown bound, which measures its span."""
+    d, n, t, drift, rounds, seed = case
+    rng = np.random.default_rng(seed)
+    terms = [(random_complex(rng), SlaterState(random_orthonormal_columns(rng, d, n)))
+             for _ in range(t)]
+    s = normalized(rng, SlaterSum(terms, d, n))
+    assert s.gram_err == math.inf
+    measured_once = False
+    for idx, (rotations, (kind, pick)) in enumerate(rounds):
+        for rot in rotations:
+            s = rotated(rng, s, *rot)
+            assert s.gram_err >= gram_deviation(s)
+        if kind == "prune" or s.term_count > 16:
+            s = pruned(rng, s)
+        else:
+            before, draws = s, rng.bit_generator.state
+            try:
+                s = measured(rng, s, kind, pick, idx)
+            except FlosimError as exc:
+                assert drift and str(exc).startswith("orbital columns not orthonormal")
+                rng.bit_generator.state = draws
+                unknown = SlaterSum._stacked(before.coeffs, before.amps, before.orbitals,
+                                             before.max_terms, before.norm_sq, before.norm_err)
+                with pytest.raises(FlosimError) as err:
+                    measured(rng, unknown, kind, pick, idx)
+                assert str(err.value) == str(exc)
+                return
+            measured_once |= s is not before
+        assert s.gram_err >= gram_deviation(s)
+        if measured_once and not drift:
+            assert s.gram_err < ORTHO_TOL / 10, (idx, s.gram_err)
+
+
+class TestCarriedGramBound:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @given(gram_chains(big=False))
+    def test_bound_holds_on_random_sums(self, case):
+        run_chain(case)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=8)
+    @given(gram_chains(big=True))
+    def test_bound_holds_on_a_large_determinant(self, case):
+        run_chain(case)
+
+    def test_constructors_set_the_bound(self, tmp_path):
+        """The public constructor and from_state leave it unknown; a
+        projector's leaves, a state file and the reduction carry what
+        their check measured, the reduction its leaves' bound."""
+        d, n = 6, 4
+        e = np.eye(d, dtype=complex)
+        kap, lam = (e[:, 0] + e[:, n]) / np.sqrt(2), (e[:, 1] - e[:, n + 1]) / np.sqrt(2)
+        start = SlaterSum.from_state(standard_state(d, n))
+        assert start.gram_err == SlaterSum(start.terms, d, n).gram_err == math.inf
+        projected = apply_two_mode_projector(start, kap, lam, 1)
+        top = slater.check_orthonormal(projected.orbitals)
+        assert projected.gram_err == top + 2 * gram_round(d, n) >= gram_deviation(projected)
+        assert projected.gram_err < ORTHO_TOL / 100
+        reduced = reduce_to_two_fermion(projected, kap, lam)
+        assert reduced.electrons == 2 and reduced.gram_err >= gram_deviation(reduced)
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps({"modes": d, "electrons": n, "terms": [
+            {"coefficient": [(c * st_.amplitude).real, (c * st_.amplitude).imag],
+             "orbitals": [[[z.real, z.imag] for z in row] for row in st_.orbitals]}
+            for c, st_ in projected.terms]}))
+        loaded = load_state_sum(path)
+        assert loaded.gram_err == slater.check_orthonormal(loaded.orbitals) + 2 * gram_round(d, n)
+
+    def test_reduction_checks_no_reduced_stack(self, monkeypatch):
+        """Each mode it annihilates takes one split, which checks its span
+        only where the bound is unknown, and its leaves; the reduced stack
+        is not checked again."""
+        d, n = 7, 5
+        e = np.eye(d, dtype=complex)
+        kap, lam = (e[:, 0] + e[:, n]) / np.sqrt(2), (e[:, 1] - e[:, n + 1]) / np.sqrt(2)
+        projected = apply_two_mode_projector(SlaterSum.from_state(standard_state(d, n)),
+                                             kap, lam, 1)
+        shapes, real = [], slater.check_orthonormal
+        monkeypatch.setattr(slater, "check_orthonormal",
+                            lambda orb: shapes.append(orb.shape) or real(orb))
+        reduce_to_two_fermion(projected, kap, lam)
+        assert shapes == [(2, d, n), (2, d, n - 1), (2, d, n - 2)]
+        shapes.clear()
+        unknown = SlaterSum(projected.terms, d, n)
+        reduce_to_two_fermion(unknown, kap, lam)
+        assert shapes == [(2, d, n), (2, d, n), (2, d, n - 1), (2, d, n - 2)]
+
+
+class TestSpanCheckThreshold:
+    """split_pair measures its rotated span exactly when the bound plus
+    the reflectors' allowance passes ORTHO_TOL."""
+
+    @pytest.mark.parametrize("lam", [False, True])
+    def test_a_bound_past_the_threshold_measures(self, lam, monkeypatch):
+        rng = rng_for(2961)
+        d, n = 7, 3
+        stack = np.array([random_orthonormal_columns(rng, d, n) for _ in range(3)])
+        kap, other = random_orthogonal_pair(rng, d)
+        shapes, real = [], slater.check_orthonormal
+        monkeypatch.setattr(slater, "check_orthonormal",
+                            lambda orb: shapes.append(orb.shape) or real(orb))
+        edge = (ORTHO_TOL - reflect_round(n)) / (1 + reflect_round(n)) * (1 - 1e-9)
+        for bound, spans in ((0.0, 0), (edge, 0), (math.nextafter(ORTHO_TOL, 0), 1),
+                             (ORTHO_TOL, 1), (math.inf, 1), (math.nan, 1)):
+            shapes.clear()
+            split_pair([1.0] * 3, stack, other if lam else None, kap, (0, 1), bound)
+            assert shapes[:-1] == [(3, d, n)] * spans, bound
+
+
+class TestDrift:
+    """Two rotations at 0.6 UNITARY_TOL add about 1.2e-10 to the bound,
+    past ORTHO_TOL, so the next split measures its span: along term 2's
+    span that term's deviation passes ORTHO_TOL, and the split raises
+    what it raised when every split measured its span; along a random
+    direction no term fails, and the split measures and goes on."""
+
+    @staticmethod
+    def drifted_sum(aligned):
+        rng = rng_for(2960)
+        d, n = 6, 3
+        s = SlaterSum([(c, SlaterState(random_orthonormal_columns(rng, d, n)))
+                       for c in (0.6, 0.5j, 0.4, -0.3)], d, n)
+        s = measure_mode_sum(s, random_mode(rng, d), forced=0)[2]
+        assert s.term_count == 4 and s.gram_err < ORTHO_TOL / 100
+        for _ in range(2):
+            s = evolve_sum(s, drifted_unitary(rng, d, 0.6 * UNITARY_TOL,
+                                              s.orbitals[2] if aligned else None))
+        assert s.gram_err > ORTHO_TOL
+        return s, random_orthogonal_pair(rng, d)
+
+    def test_a_deviation_past_the_tolerance_raises_as_before(self):
+        s, (kap, lam) = self.drifted_sum(aligned=True)
+        devs = [np.linalg.norm(o.conj().T @ o - np.eye(3)) for o in s.orbitals]
+        assert [k for k, dev in enumerate(devs) if dev > ORTHO_TOL] == [2]
+        want = "orbital columns not orthonormal, deviation 1.200e-10"
+        for call in (lambda: measure_two_mode(s, kap, lam, "012", forced="1"),
+                     lambda: measure_mode_sum(s, kap, forced=0),
+                     lambda: measure_mode_sum(s, kap, forced=1),
+                     lambda: split_pair(s.amps[2:3], s.orbitals[2:3], None, kap, (0, 1))):
+            with pytest.raises(FlosimError) as err:
+                call()
+            assert str(err.value) == want
+
+    def test_a_bound_past_the_tolerance_measures(self, monkeypatch):
+        s, (kap, lam) = self.drifted_sum(aligned=False)
+        assert gram_deviation(s) < ORTHO_TOL / 2
+        shapes, real = [], slater.check_orthonormal
+        monkeypatch.setattr(slater, "check_orthonormal",
+                            lambda orb: shapes.append(orb.shape) or real(orb))
+        label, p, post = measure_two_mode(s, kap, lam, "012", forced="1")
+        assert (label, p, post.term_count) == ("1", 0.5283797692731856, 8)
+        assert shapes == [(4, 6, 3), (8, 6, 3)]
+        assert gram_deviation(post) <= post.gram_err < ORTHO_TOL

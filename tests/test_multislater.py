@@ -446,7 +446,7 @@ def kernel_leaves(s, vecs, want, size=1):
     lam, kap = (None, *vecs)[-2:]
     for start in range(0, s.term_count, size):
         rows = slice(start, start + size)
-        leaves, stack = split_pair(s.amps[rows], s.orbitals[rows], lam, kap, want)
+        leaves, stack, _ = split_pair(s.amps[rows], s.orbitals[rows], lam, kap, want)
         built = iter(stack)
         for o, got in zip(want, leaves):
             out[o] += [((p == (0, 1), start + i),
@@ -727,7 +727,7 @@ def kernel_splits(states, d, n, vec, batch=None):
     out = [[None, None] for _ in states]
     for start in range(0, len(states), size):
         rows = slice(start, start + size)
-        leaves, built = split_pair(amps[rows], stack[rows], None, vec, (0, 1))
+        leaves, built, _ = split_pair(amps[rows], stack[rows], None, vec, (0, 1))
         built = iter(built)
         for outcome, got in enumerate(leaves):
             for i, scale, amp, _ in got:
@@ -821,10 +821,10 @@ class TestSplitKernel:
         def leaf_bits(leaves):
             return [(i, scale.hex(), bits(amp), p) for i, scale, amp, p in leaves]
 
-        both, built = split_pair(amps, stack, None, vec, (0, 1))
+        both, built, _ = split_pair(amps, stack, None, vec, (0, 1))
         rows = (built[: len(both[0])], built[len(both[0]) :])
         for want in (0, 1):
-            (alone,), got = split_pair(amps, stack, None, vec, (want,))
+            (alone,), got, _ = split_pair(amps, stack, None, vec, (want,))
             assert leaf_bits(alone) == leaf_bits(both[want])
             assert (got.shape, got.tobytes()) == (rows[want].shape, rows[want].tobytes())
 

@@ -410,9 +410,10 @@ NO_BRANCH = (
 
 class TestKeptChildOnly:
     """nogo builds and checks only the child its step keeps: per split, the
-    rotated span, then the kept child, and no check after it; a certain
-    step builds nothing, and a rotation checks nothing.  check_orthonormal
-    is every split's and the constructor's orthonormality check."""
+    rotated span where the sum's Gram bound cannot show it passes, then
+    the kept child, and no check after it; a certain step builds nothing,
+    and a rotation checks nothing.  check_orthonormal is every split's and
+    the constructor's orthonormality check."""
 
     @staticmethod
     def checked_stacks(monkeypatch):
@@ -435,7 +436,7 @@ class TestKeptChildOnly:
         state = SlaterState(random_orthonormal_columns(rng, d, n))
         kap, lam = random_orthogonal_pair(rng, d)
         # every leaf, (0, 0), (1, 0), (0, 1) and (1, 1), built before counting
-        _, every = slater.split_pair(
+        _, every, _ = slater.split_pair(
             [state.amplitude], np.ascontiguousarray(state.orbitals)[None], lam, kap, (0, 1, 2)
         )
         checked = self.checked_stacks(monkeypatch)
@@ -472,11 +473,12 @@ class TestKeptChildOnly:
         assert [row.outcome for row in transcript.rows] == ["1", "0"]
         assert checked == [] and np.array_equal(final.orbitals, np.eye(6, 3))
 
-    def test_rotations_check_nothing_and_each_split_checks_twice(self, monkeypatch):
-        """Through the slater and the multislater binding alike, a nogo
-        run's rotations (whole, pair and generator) make no
-        check_orthonormal call, and each split makes two: its rotated span,
-        then its one kept leaf."""
+    def test_rotations_check_nothing_and_later_splits_check_only_their_leaf(self, monkeypatch):
+        """A nogo run's rotations (whole, pair and generator) make no
+        check_orthonormal call.  The first split makes two: its rotated
+        span, as the start's Gram bound is unknown, then its one kept leaf.
+        A later split checks its leaf alone: the leaf check and the
+        rotations' unitarity checks bound the span it rotates."""
         rng = rng_for(153)
         d, n = 8, 4
         state = SlaterState(random_orthonormal_columns(rng, d, n))
@@ -486,10 +488,9 @@ class TestKeptChildOnly:
         monkeypatch.setattr(
             multislater, "split_pair", lambda *a: events.append("split") or real_split(*a)
         )
-        for module in (slater, multislater):
-            monkeypatch.setattr(
-                module, "check_orthonormal", lambda orb: events.append(orb.shape) or real_check(orb)
-            )
+        monkeypatch.setattr(
+            slater, "check_orthonormal", lambda orb: events.append(orb.shape) or real_check(orb)
+        )
         rotations = [
             Rotate(unitary=random_unitary(rng, d)),
             Rotate.on_pair(d, 2, 5, random_unitary(rng, 2)),
@@ -501,7 +502,7 @@ class TestKeptChildOnly:
                    MeasureTwo(kap, lam, "012", "exact"), *rotations]
         transcript, _ = simulate_exact_branch(circuit, d, n, initial=state)
         assert [row.probability < 0.99 for row in transcript.rows] == [True, True]
-        assert events == ["split", (1, d, n), (1, d, n)] * 2
+        assert events == ["split", (1, d, n), (1, d, n), "split", (1, d, n)]
 
 
 class TestSteeringRule:
