@@ -39,6 +39,7 @@ from itertools import chain
 import numpy as np
 
 from .errors import ParseError
+from .linalg import HERMITIAN_TOL, hermitian_deviation
 from .multislater import DEFAULT_MAX_TERMS, GROUPINGS, SlaterSum, group_label, scale_sum
 from .simulate import POLICIES, MeasureOne, MeasureTwo, Rotate
 from .slater import measured_gram_err, orthonormal_fault
@@ -204,6 +205,12 @@ def _parse_rotate(step, d, where):
         if "tau" not in step:
             raise ParseError(f"{where}: 'generator' needs 'tau'")
         mat = _matrix_from_json(step["generator"], (d, d), f"{where}.generator")
+        dev = hermitian_deviation(mat)
+        if dev > HERMITIAN_TOL:
+            raise ParseError(
+                f"{where}.generator: deviation from Hermiticity {dev:.3e} exceeds "
+                f"{HERMITIAN_TOL:.1e}"
+            )
         return Rotate(generator=mat, tau=_require_real(step["tau"], f"{where}.tau"))
     pair = step["modes"]
     if not isinstance(pair, list) or len(pair) != 2:

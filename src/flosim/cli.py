@@ -92,13 +92,17 @@ def _oracle_judge(steps, records):
     Returns (max deviation of the recorded probabilities, min fidelity of
     the recorded states) over every step.  A recorded outcome the dense
     vector gives p = 0 has no dense post-state: the judge counts its
-    deviation, takes fidelity 0 and follows the run no further.
+    deviation, takes fidelity 0 and follows the run no further.  Every
+    recorded state is expanded before the loop, in one fock.expand_sums
+    pass; those past such a stop go unused.
     """
+    records = list(records)
+    expanded = fock.expand_sums(state for *_, state in records)
     max_dev = 0.0
     min_fid = 1.0
-    for idx, u, row, state in records:
+    for (idx, u, row, _), recorded in zip(records, expanded):
         if idx is None:
-            vec = fock.expand_sum(state)
+            vec = recorded
             continue
         if u is not None:
             pair = steps[idx].pair
@@ -125,7 +129,7 @@ def _oracle_judge(steps, records):
             if p_oracle == 0.0:
                 return max_dev, 0.0
             vec = fock.FockVector(vec.modes, total / np.sqrt(p_oracle))
-        min_fid = min(min_fid, fock.fidelity(fock.expand_sum(state), vec))
+        min_fid = min(min_fid, fock.fidelity(recorded, vec))
     return max_dev, min_fid
 
 

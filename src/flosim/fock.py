@@ -10,14 +10,18 @@ every sign convention in the package.
 A determinant's amplitudes are its row-set minors (Terhal & DiVincenzo):
 _minors takes all C(D, N) of them by one Laplace recursion over the
 subset lattice, each k-row minor from k minors one row smaller, and
-expand, expand_sum and unitary_apply share it.
+expand, expand_sums and unitary_apply share it.  expand_sums expands a
+list of sums in one streamed pass, its calls cut across the sums'
+edges; expand_sum is its one-sum case.
 
 Dense vectors are capped at 12 modes and density matrices at 8, which
 keeps everything desk sized.
 """
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 from math import comb
 
 import numpy as np
@@ -29,7 +33,7 @@ from .errors import (
     TooManyModes,
     ZeroVector,
 )
-from .linalg import HERMITIAN_TOL
+from .linalg import HERMITIAN_TOL, hermitian_deviation
 from .slater import check_mode, check_modes, check_unitary
 
 VECTOR_MODE_CAP = 12
@@ -268,19 +272,14 @@ def _chunk(d, n):
     return max(1, MINOR_BATCH // comb(d, min(n, d // 2)))
 
 
-def _term_minors(d, n, orbitals, amps):
-    """Yields (chunk, rows) per slice of the (T, D, N) stack: row t is
-    amps[t] * det(orbitals[t][r, :]) over the weight-n row sets r in
-    ascending mask order, each minor from _minors and the amplitude's
-    product rounded as the scalar complex product (the N = 0 "minor" is
-    the amplitude itself).  A slice holds _chunk(d, n) terms."""
-    step = _chunk(d, n)
-    for start in range(0, len(amps), step):
-        chunk = slice(start, start + step)
-        if n == 0:
-            yield chunk, amps[chunk, None].copy()
-        else:
-            yield chunk, _scaled(amps[chunk, None], _minors(orbitals[chunk]))
+def _scaled_minors(n, amps, orbitals):
+    """(T, C(D, N)) rows: row t is amps[t] * det(orbitals[t][r, :]) over
+    the weight-n row sets r in ascending mask order, each minor from
+    _minors and the amplitude's product rounded as the scalar complex
+    product (the N = 0 "minor" is the amplitude itself)."""
+    if n == 0:
+        return amps[:, None].copy()
+    return _scaled(amps[:, None], _minors(orbitals))
 
 
 def _finite_amps(d, amps):
@@ -299,38 +298,69 @@ def expand(s):
     The amplitude on a sorted index set is the state's amplitude times
     the determinant of the selected orbital rows, which reproduces the
     creation-operator ordering convention above: the one-term case of
-    expand_sum's kernel, without a coefficient.
+    expand_sums' rows, without a coefficient.
     """
     d, n = s.modes, s.electrons
     amp = _finite_amps(d, [s.amplitude])
     out = np.zeros(1 << d, dtype=complex)
     if amp[0] != 0.0:
-        ((_, rows),) = _term_minors(d, n, s.orbitals[None], amp)
-        out[_masks_by_weight(d)[n]] = rows[0]
+        out[_masks_by_weight(d)[n]] = _scaled_minors(n, amp, s.orbitals[None])[0]
     return FockVector._checked(d, out)
 
 
 def expand_sum(ssum):
-    """Expand a determinant sum: sum_t coeff_t * expand(term_t).
+    """Expand a determinant sum, sum_t coeff_t * expand(term_t): the
+    one-sum case of expand_sums."""
+    return expand_sums([ssum])[0]
 
-    Every term's C(D, N) minors come from _minors over slices of the
-    (T, D, N) orbital stack, each slice's widest recursion layer at most
-    MINOR_BATCH minors.  Each chunk's rows are multiplied by their
-    coefficients and added to the running total in term order, so
-    the sum is bit for bit the term-by-term loop 0 + c_0 x_0 + c_1 x_1
-    + ...; only the weight-N entries are touched, as every other entry
-    of that loop stays +0.
+
+def expand_sums(sums):
+    """[expand_sum(s) for s in sums], bit for bit, from one streamed pass
+    over sums of one mode count D and electron count N.
+
+    The sums' terms are walked in order, as one stream, and cut into
+    _minors calls of _chunk(D, N) terms, so that a call may span the end
+    of one sum and the start of the next, and its widest recursion layer
+    stays within MINOR_BATCH minors; only one call's orbitals are
+    concatenated at a time.  Each term's row of minors is scaled by its
+    amplitude (entry by entry) and by its coefficient, and added to its
+    sum's running total in term order, so every total is bit for bit
+    the term-by-term loop 0 + c_0 x_0 + c_1 x_1 + ...: _minors rounds
+    each matrix the same in any batch, and a sum's first row in a call
+    takes its running total (0 at its first term) in one add, then the
+    rest follow it in an axis-0 reduce, one row after another, so a sum
+    cut at a call's edge adds the same sequence.  Only the weight-N
+    entries are touched, as every other entry of that loop stays +0.
     """
-    d, n = ssum.modes, ssum.electrons
-    amps = _finite_amps(d, ssum.amps)
-    coeffs = np.asarray(ssum.coeffs, dtype=complex)
-    basis = _masks_by_weight(d)[n]
-    total = np.zeros(len(basis), dtype=complex)
-    for chunk, minors in _term_minors(d, n, ssum.orbitals, amps):
-        total = _accumulate(total, coeffs[chunk], minors)
-    out = np.zeros(1 << d, dtype=complex)
-    out[basis] = total
-    return FockVector._checked(d, out)
+    sums = list(sums)
+    if not sums:
+        return []
+    d, n = sums[0].modes, sums[0].electrons
+    if any((s.modes, s.electrons) != (d, n) for s in sums):
+        raise DimensionMismatch("expand_sums needs sums of one mode and electron count")
+    amps = _finite_amps(d, [amp for s in sums for amp in s.amps])
+    coeffs = np.array([coeff for s in sums for coeff in s.coeffs], dtype=complex)
+    begins = list(accumulate((s.term_count for s in sums), initial=0))
+    totals = np.zeros((len(sums), comb(d, n)), dtype=complex)
+    step = _chunk(d, n)
+    for start in range(0, len(amps), step):
+        stop = min(start + step, len(amps))
+        # (sum, its first and end row) of each sum with terms in the call
+        pieces = [(k, max(begins[k], start) - start, min(begins[k + 1], stop) - start)
+                  for k in range(bisect_right(begins, start) - 1, bisect_left(begins, stop))
+                  if begins[k] < begins[k + 1]]
+        orbitals = np.concatenate([sums[k].orbitals[start + a - begins[k] : start + b - begins[k]]
+                                   for k, a, b in pieces])
+        rows = np.empty((stop - start, totals.shape[1]), dtype=complex)
+        np.multiply(coeffs[start:stop, None], _scaled_minors(n, amps[start:stop], orbitals),
+                    out=rows)
+        ks, firsts, _ = zip(*pieces)
+        rows[list(firsts)] += totals[list(ks)]
+        for k, a, b in pieces:
+            totals[k] = np.add.reduce(rows[a:b].view(float), axis=0).view(complex)
+    out = np.zeros((len(sums), 1 << d), dtype=complex)
+    out[:, _masks_by_weight(d)[n]] = totals
+    return [FockVector._checked(d, vec) for vec in out]
 
 
 def unitary_apply(v, u):
@@ -379,7 +409,7 @@ def _hermitian_checked(b, d):
     mat = np.asarray(b, dtype=complex)
     if mat.shape != (d, d):
         raise DimensionMismatch(f"generator has shape {mat.shape}, expected ({d}, {d})")
-    dev = np.linalg.norm(mat - mat.conj().T)
+    dev = hermitian_deviation(mat)
     if dev > HERMITIAN_TOL:
         raise NotHermitian(f"generator deviates from Hermiticity by {dev:.3e}")
     return (mat + mat.conj().T) / 2

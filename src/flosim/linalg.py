@@ -85,22 +85,43 @@ def determinant(m):
     return complex(np.linalg.det(a))
 
 
+def hermitian_deviation(a):
+    """||a - a^H||_F of a square complex matrix: what every generator
+    check compares with HERMITIAN_TOL."""
+    return np.linalg.norm(a - a.conj().T)
+
+
+def one_body_unitaries(bs, taus):
+    """exp(-i b_k tau_k) of a (K, D, D) stack of Hermitian b_k and K
+    times tau_k: one eigendecomposition, one phase product and one
+    matmul for the whole stack, unchecked.
+
+    numpy's stacked eigh and matmul call LAPACK and BLAS once per
+    matrix, and the phase product works entry by entry, so each unitary
+    is bit for bit the one the stack of that matrix alone gives.
+    """
+    # An overflow or an infinite tau gives, silently, a NaN that check_unitary rejects.
+    with np.errstate(all="ignore"):
+        sym = (bs + bs.conj().swapaxes(-1, -2)) / 2
+        evals, vecs = np.linalg.eigh(sym)
+        phases = np.exp(-1j * evals * np.asarray(taus)[:, np.newaxis])
+        return (vecs * phases[:, np.newaxis, :]) @ vecs.conj().swapaxes(-1, -2)
+
+
 def one_body_unitary(b, tau):
-    """exp(-i b tau) for Hermitian b, via eigendecomposition.
+    """exp(-i b tau) for Hermitian b, via eigendecomposition: the
+    one-matrix case of one_body_unitaries, after its checks (finite,
+    square, Hermitian within HERMITIAN_TOL).
 
     This is the single-particle evolution matrix of a quadratic
     Hamiltonian held constant for a time tau.
     """
     a = as_complex_matrix(b)
     _require_square(a, "one_body_unitary")
-    dev = np.linalg.norm(a - a.conj().T)
+    dev = hermitian_deviation(a)
     if dev > HERMITIAN_TOL:
         raise NotHermitian(f"deviation from Hermiticity {dev:.3e} exceeds {HERMITIAN_TOL:.1e}")
-    # An overflow or an infinite tau gives, silently, a NaN that check_unitary rejects.
-    with np.errstate(all="ignore"):
-        sym = (a + a.conj().T) / 2
-        evals, vecs = np.linalg.eigh(sym)
-        return (vecs * np.exp(-1j * evals * tau)[np.newaxis, :]) @ vecs.conj().T
+    return one_body_unitaries(a[np.newaxis], [tau])[0]
 
 
 def antisymmetric_part(w, what, even=False):

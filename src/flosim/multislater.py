@@ -406,9 +406,10 @@ def _probabilities(s, vecs, groups):
     return [max(p, 0.0) for p in probs], errs
 
 
-def _pick(labels, probs, forced, rng):
+def _pick(labels, probs, forced, rng, total):
     """Index of the chosen outcome: the forced label, or where one draw
-    falls among the probabilities taken in label order."""
+    u total, u in [0, 1), falls among the probabilities taken in label
+    order, total being what they add up to (the sum's norm squared)."""
     if forced is not None:
         label = str(forced)
         if label not in labels:
@@ -416,7 +417,7 @@ def _pick(labels, probs, forced, rng):
         return labels.index(label)
     if rng is None:
         raise ValueError("need a forced outcome or an rng to sample")
-    u = rng.random()
+    u = rng.random() * total
     return next((i for i, acc in enumerate(accumulate(probs)) if u < acc), len(probs) - 1)
 
 
@@ -426,7 +427,7 @@ def _measure(s, vecs, groups, forced, rng):
     chosen group, built and renormalized.  Returns (index, p, post)."""
     probs, errs = _probabilities(s, vecs, groups)
     labels = [group_label(g) for g in groups]
-    i = _pick(labels, probs, forced, rng)
+    i = _pick(labels, probs, forced, rng, s.norm_sq)
     if probs[i] < PROB_FLOOR:
         shown = labels[i] if len(vecs) == 1 else repr(labels[i])
         raise ImpossibleOutcome(f"outcome {shown} has probability below {PROB_FLOOR:g}")

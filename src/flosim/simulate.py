@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import FlosimError, NoAdmissibleBranch, ParityGroupingUnsupported
-from .linalg import one_body_unitary
+from .linalg import HERMITIAN_TOL, hermitian_deviation, one_body_unitaries, one_body_unitary
 from .multislater import (
     DEFAULT_MAX_TERMS,
     GROUPINGS,
@@ -73,6 +73,8 @@ class Rotate:
         return cls(unitary=block, pair=(i, j))
 
     def resolve(self):
+        """The step's unitary: its own, or its generator's
+        one_body_unitary, checked there and raising at this call."""
         if self.unitary is not None:
             return np.asarray(self.unitary, dtype=complex)
         return one_body_unitary(self.generator, self.tau)
@@ -198,6 +200,28 @@ def simulate_exact_branch(circuit, d, n, initial=None):
     return transcript, SlaterState._checked(final.orbitals[0], final.amps[0] * final.coeffs[0])
 
 
+def _generator_unitaries(circuit, d):
+    """{index: unitary} of every generator rotation with a float tau whose
+    generator passes one_body_unitary's checks as a D x D matrix (finite,
+    within HERMITIAN_TOL of Hermitian), from one one_body_unitaries call:
+    bit for bit each step's own resolve().  Any other rotation is left
+    to its step, whose resolve() raises there."""
+    sound = {}
+    for idx, step in enumerate(circuit):
+        if not isinstance(step, Rotate) or step.generator is None or not isinstance(step.tau, float):
+            continue
+        try:
+            a = np.asarray(step.generator, dtype=complex)
+        except (TypeError, ValueError):
+            continue
+        if a.shape == (d, d) and np.isfinite(a).all() and hermitian_deviation(a) <= HERMITIAN_TOL:
+            sound[idx] = a, step.tau
+    if not sound:
+        return {}
+    mats, taus = zip(*sound.values())
+    return dict(zip(sound, one_body_unitaries(np.stack(mats), taus)))
+
+
 def sampled_steps(circuit, d, n, seed=0, initial=None, max_terms=DEFAULT_MAX_TERMS):
     """Run a circuit on a full determinant sum, sampling outcomes.
 
@@ -211,6 +235,12 @@ def sampled_steps(circuit, d, n, seed=0, initial=None, max_terms=DEFAULT_MAX_TER
     groupings are supported; parity measurements grow the term count and
     may hit the cap.  An exact-policy parity step, which has no such
     branch, raises ParityGroupingUnsupported before any step runs.
+
+    Every sound generator rotation's unitary is taken before the first
+    step, in one stacked call (_generator_unitaries), and handed to its
+    step; any other rotation resolves at its step (Rotate.resolve).  So a faulty
+    generator raises at its own step, after every earlier step's error,
+    and evolve_sum checks each unitary where it is applied.
     """
     for idx, step in enumerate(circuit):
         exact = isinstance(step, MeasureTwo) and step.policy == "exact"
@@ -227,9 +257,10 @@ def sampled_steps(circuit, d, n, seed=0, initial=None, max_terms=DEFAULT_MAX_TER
     state = SlaterSum.from_state(start, max_terms=max_terms)
     yield None, None, None, state
     cumulative = 1.0
+    unitaries = _generator_unitaries(circuit, d)
     for idx, step in enumerate(circuit):
         if isinstance(step, Rotate):
-            u = step.resolve()
+            u = unitaries[idx] if idx in unitaries else step.resolve()
             state = evolve_sum(state, u, step.pair)
             yield idx, u, None, state
             continue

@@ -26,8 +26,8 @@ from flosim.circuits import (
     pair_rotation,
     parse_circuit,
 )
-from flosim.errors import NotUnitary, ParseError
-from flosim.simulate import sampled_steps, simulate_exact_branch
+from flosim.errors import NotHermitian, NotUnitary, ParseError
+from flosim.simulate import Rotate, sampled_steps, simulate_exact_branch
 
 ROOT = Path(__file__).resolve().parent.parent
 EXAMPLES = sorted((ROOT / "circuits").glob("*.json"))
@@ -691,6 +691,51 @@ class TestRotationChecks:
         code, out, _ = self.run(tmp_path, capsys, steps, COMMANDS[2])
         assert code == 0 and "# oracle min fidelity = 1.0" in out
         assert calls == [(3, 1), None, None]
+
+
+class TestGeneratorChecks:
+    """A file's generator is checked for Hermiticity when it loads: a
+    non-Hermitian one is a ParseError naming its step, at the tolerance
+    and with the measure that one_body_unitary applies to an API-built
+    Rotate at its step."""
+
+    @staticmethod
+    def generator(asymmetry):
+        b = np.zeros((4, 4))
+        b[0, 1], b[1, 0] = 1.0 + asymmetry, 1.0
+        return b
+
+    def steps(self, asymmetry):
+        return [{"kind": "measure1", "mode": 0},
+                {"kind": "rotate", "generator": self.generator(asymmetry).tolist(), "tau": 0.3}]
+
+    @pytest.mark.parametrize("command", COMMANDS, ids=["nogo", "simulate", "oracle"])
+    def test_non_hermitian_generator_fails_at_load(self, command, tmp_path, capsys):
+        path = tmp_path / "circuit.json"
+        b = np.zeros((4, 4))
+        b[0, 1] = 1.0
+        path.write_text(minimal_doc([{"kind": "measure1", "mode": 0},
+                                     {"kind": "rotate", "generator": b.tolist(), "tau": 0.3}]))
+        want = ("ParseError: step 1.generator: deviation from Hermiticity 1.414e+00 "
+                "exceeds 1.0e-10\n")
+        assert run_cli([command[0], path, *command[1:]], capsys) == (1, "", want)
+
+    def test_the_tolerance_is_one_body_unitarys(self):
+        """An entry 0.5e-10 off its mirror (a deviation of 7.1e-11) loads
+        and runs, 2e-10 off (2.8e-10) fails at load, and an API-built
+        Rotate of it fails at its own step, NotHermitian."""
+        circuit = parse_circuit(minimal_doc(self.steps(0.5e-10)))
+        assert len(list(sampled_steps(circuit.steps, 4, 2, seed=1))) == 3
+        with pytest.raises(ParseError, match=r"^step 1\.generator: deviation from Hermiticity "
+                           r"2\.828e-10 exceeds 1\.0e-10$"):
+            parse_circuit(minimal_doc(self.steps(2e-10)))
+        steps = [*parse_circuit(minimal_doc(self.steps(0.0))).steps[:1],
+                 Rotate(generator=self.generator(2e-10), tau=0.3)]
+        seen = []
+        with pytest.raises(NotHermitian, match="^deviation from Hermiticity 2.828e-10 exceeds"):
+            for idx, *_ in sampled_steps(steps, 4, 2, seed=1):
+                seen.append(idx)
+        assert seen == [None, 0]
 
 
 class TestBandsCommand:

@@ -293,6 +293,29 @@ def sum_recipes(draw):
 
 
 @st.composite
+def sums_recipes(draw):
+    """One to five sums of one D and N, of 0 to 12 terms each, and the
+    MINOR_BATCH to expand them under."""
+    d = draw(st.integers(1, 6))
+    n = draw(st.integers(0, d))
+    counts = draw(st.lists(st.integers(0, 12), min_size=1, max_size=5))
+    basis = draw(st.sampled_from(("haar", "identity", "permutation")))
+    batch = draw(st.sampled_from((1, 7, 50, fock.MINOR_BATCH)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return [random_sum(rng, d, n, t, basis) for t in counts], batch
+
+
+def random_sum(rng, d, n, t, basis="haar"):
+    """A sum of t terms with generic weights over 1e-3 to 10."""
+    weights = random_complex(rng, 2, t) * 10.0 ** rng.integers(-3, 2, (2, t))
+    terms = [
+        (complex(c), SlaterState(_unitary(rng, d, basis)[:, :n], complex(a)))
+        for c, a in weights.T
+    ]
+    return SlaterSum(terms, d, n)
+
+
+@st.composite
 def ladder_recipes(draw):
     """A vector and an orthonormal mode pair, standard or generic."""
     d = draw(st.integers(2, 7))
@@ -355,6 +378,61 @@ class TestDenseKernels:
             )
             fast = fock.expand_sum(ssum).amplitudes.tobytes()
             assert fast == reference_expand_sum(ssum).amplitudes.tobytes()
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=150)
+    @given(sums_recipes())
+    def test_expand_sums_bitwise_equal_to_expand_sum_of_each(self, recipe):
+        sums, batch = recipe
+        with mock.patch.object(fock, "MINOR_BATCH", batch):
+            fast = [v.amplitudes.tobytes() for v in fock.expand_sums(sums)]
+        assert fast == [fock.expand_sum(s).amplitudes.tobytes() for s in sums]
+        assert fast == [reference_expand_sum(s).amplitudes.tobytes() for s in sums]
+
+    @pytest.mark.parametrize("batch", [1, 7, 50])
+    @pytest.mark.parametrize("d,n", [(4, 2), (5, 0), (6, 3), (6, 6)])
+    def test_expand_sums_streams_across_sums(self, d, n, batch, monkeypatch):
+        """Sums of 3, 0, 5, 1 and 7 terms take ceil(16 / _chunk) _minors
+        calls, which cut the stream of terms wherever the chunk ends, in
+        a sum or between two, and still give each sum's expand_sum."""
+        rng = rng_for(48)
+        sums = [random_sum(rng, d, n, t) for t in (3, 0, 5, 1, 7)]
+        want = [fock.expand_sum(s).amplitudes.tobytes() for s in sums]
+        monkeypatch.setattr(fock, "MINOR_BATCH", batch)
+        stacks = []
+        real = fock._minors
+        monkeypatch.setattr(fock, "_minors", lambda a: stacks.append(len(a)) or real(a))
+        assert [v.amplitudes.tobytes() for v in fock.expand_sums(sums)] == want
+        step = fock._chunk(d, n)
+        assert stacks == ([] if n == 0 else [min(step, 16 - k) for k in range(0, 16, step)])
+
+    def test_expand_sums_edge_cases(self):
+        """No sums, a sum of no terms, and sums of two shapes."""
+        assert fock.expand_sums([]) == []
+        empty = SlaterSum([], 3, 1)
+        (vec,) = fock.expand_sums([empty])
+        assert vec.amplitudes.tobytes() == fock.expand_sum(empty).amplitudes.tobytes()
+        assert not vec.amplitudes.any()
+        rng = rng_for(49)
+        with pytest.raises(DimensionMismatch):
+            fock.expand_sums([random_sum(rng, 3, 1, 2), random_sum(rng, 3, 2, 2)])
+
+    def test_expand_sums_scratch_is_capped(self):
+        """Eight sums of 16 terms at D = 12, N = 6: the scratch stays at
+        one _minors call's, beside the eight 64 KB vectors it returns."""
+        rng = rng_for(50)
+        sums = [
+            SlaterSum([(1.0 + 0j, SlaterState(random_orthonormal_columns(rng, 12, 6)))
+                       for _ in range(16)], 12, 6)
+            for _ in range(8)
+        ]
+        fock.expand_sums(sums[:1])  # the cached index tables
+        tracemalloc.start()
+        try:
+            fock.expand_sums(sums)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=100)
     @given(ladder_recipes())

@@ -134,6 +134,19 @@ class TestOneBodyUnitary:
         with pytest.raises(NotHermitian):
             linalg.one_body_unitary(np.array([[0.0, 1.0], [0.0, 0.0]]), 1.0)
 
+    @pytest.mark.parametrize("d", [2, 6, 12, 64])
+    def test_stack_bitwise_equal_to_one_body_unitary(self, d):
+        """The stacked kernel gives each matrix's one_body_unitary, bit for
+        bit, NaN and infinite taus (NaN unitaries) among the others."""
+        rng = rng_for(60 + d)
+        bs = np.stack([random_hermitian(rng, d) for _ in range(5)])
+        taus = [0.4, float("nan"), -1.3, float("inf"), 2.0]
+        got = linalg.one_body_unitaries(bs, taus)
+        assert got.shape == (5, d, d)
+        for u, b, tau in zip(got, bs, taus):
+            assert u.tobytes() == linalg.one_body_unitary(b, tau).tobytes()
+        assert np.isnan(got[1]).all() and np.isnan(got[3]).all()
+
 
 class TestPfaffian:
     def test_elementary_block(self):

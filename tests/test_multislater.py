@@ -1326,6 +1326,30 @@ def assert_close_probability(got, want):
     assert abs(got - want) <= 1e-13 + 1e-12 * want, (got, want)
 
 
+class TestUnnormalizedPick:
+    """A sampled measurement draws against the sum's own norm squared, so
+    an unnormalized sum picks each outcome by its share of it."""
+
+    def test_certain_outcome_of_a_sum_of_norm_squared_one_quarter(self):
+        e = np.eye(4, dtype=complex)
+        s = SlaterSum([(0.5, standard_state(4, 2))])
+        assert s.norm_sq == 0.25
+        for k in range(20):
+            outcome, p, _ = measure_mode_sum(s, e[:, 3], rng=np.random.default_rng(k))
+            assert (outcome, p) == (0, 0.25)
+            label, p, _ = measure_two_mode(s, e[:, 2], e[:, 3], "012", rng=np.random.default_rng(k))
+            assert (label, p) == ("0", 0.25)
+
+    def test_outcomes_follow_their_share(self):
+        """Half of a norm-squared-4 sum lies on each outcome of mode 0: 400
+        draws pick each about half the time."""
+        e = np.eye(2, dtype=complex)
+        s = SlaterSum([(np.sqrt(2), SlaterState(e[:, :1])), (np.sqrt(2), SlaterState(e[:, 1:]))])
+        rng = np.random.default_rng(5)
+        ones = sum(measure_mode_sum(s, e[:, 0], rng=rng)[0] for _ in range(400))
+        assert 150 < ones < 250
+
+
 class TestLazyPick:
     """Outcome probabilities come from one pass over the measured sum's
     own term pairs; no projected group is normed."""

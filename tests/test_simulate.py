@@ -21,10 +21,13 @@ from conftest import (
 )
 
 from flosim.errors import (
+    DimensionMismatch,
     FlosimError,
     ImpossibleOutcome,
     ModesNotOrthogonal,
     NoAdmissibleBranch,
+    NotHermitian,
+    NotUnitary,
     ParityGroupingUnsupported,
 )
 from flosim.circuits import load_state_sum, parse_circuit
@@ -807,6 +810,73 @@ class TestSampledSteps:
             step = MeasureTwo(e[:, 1], e[:, 1], grouping, policy="exact")
             with pytest.raises(error):
                 execute([step], 4, 2)
+
+
+class TestGeneratorBatch:
+    """sampled_steps resolves every sound generator rotation in one
+    stacked call before its first step, bit for bit each step's own
+    resolve(); a generator that fails a check still raises at its step."""
+
+    def test_one_stacked_call_gives_each_steps_unitary(self, monkeypatch):
+        circuit = generator_circuit(rng_for(122), 5, 14, ALL_GROUPINGS, "sample")
+        generators = [step for step in circuit if isinstance(step, Rotate)]
+        assert len(generators) > 2
+        want = [step.resolve().tobytes() for step in generators]
+        stacks = []
+        real = simulate.one_body_unitaries
+        monkeypatch.setattr(simulate, "one_body_unitaries",
+                            lambda bs, taus: stacks.append(len(bs)) or real(bs, taus))
+        monkeypatch.setattr(simulate, "one_body_unitary", None)  # no step resolves its own
+        records = list(sampled_steps(circuit, 5, 2, seed=4))
+        assert stacks == [len(generators)]
+        assert [u.tobytes() for _, u, row, _ in records[1:] if row is None] == want
+
+    def test_an_earlier_impossible_outcome_wins(self):
+        """Mode 3 of the standard state is empty: the forced outcome 1 at
+        step 0 fails before the non-Hermitian generator of step 1."""
+        b = np.zeros((4, 4), dtype=complex)
+        b[0, 1] = 1.0
+        circuit = [MeasureOne(standard_mode(4, 3), policy="forced", outcome=1),
+                   Rotate(generator=b, tau=0.3)]
+        with pytest.raises(ImpossibleOutcome):
+            list(sampled_steps(circuit, 4, 2))
+        with pytest.raises(NotHermitian, match="^deviation from Hermiticity 1.414e"):
+            list(sampled_steps(circuit[1:], 4, 2))
+
+    def test_a_nan_unitary_fails_at_its_step(self):
+        """[good, NaN-tau, good] generators: the run yields its start and
+        step 0, then step 1's evolve_sum rejects the NaN unitary."""
+        rng = rng_for(123)
+        circuit = [Rotate(generator=random_hermitian(rng, 4), tau=tau)
+                   for tau in (0.5, float("nan"), 0.8)]
+        seen = []
+        with pytest.raises(NotUnitary, match="^deviation from unitarity nan$"):
+            for idx, *_ in sampled_steps(circuit, 4, 2):
+                seen.append(idx)
+        assert seen == [None, 0]
+
+    @pytest.mark.parametrize(
+        "generator,error",
+        [(np.eye(3), DimensionMismatch), (np.diag([np.inf, 0, 0, 0]), ValueError),
+         ([[1.0, 0.0], [0.0]], ValueError)],
+        ids=["wrong-size", "non-finite", "ragged"],
+    )
+    def test_a_generator_left_out_fails_at_its_step(self, generator, error):
+        """A 3 x 3 generator on 4 modes, one with an infinite entry, or one
+        numpy cannot read is left out of the batch and fails at its own
+        step, after the step before it."""
+        circuit = [Rotate(generator=random_hermitian(rng_for(124), 4), tau=0.7),
+                   Rotate(generator=generator, tau=0.4)]
+        seen = []
+        with pytest.raises(error):
+            for idx, *_ in sampled_steps(circuit, 4, 2):
+                seen.append(idx)
+        assert seen == [None, 0]
+
+    def test_an_int_tau_resolves_at_its_step(self):
+        step = Rotate(generator=random_hermitian(rng_for(125), 4), tau=1)
+        (_, (_, u, _, _)) = sampled_steps([step], 4, 2)
+        assert u.tobytes() == step.resolve().tobytes()
 
 
 def pass_probabilities(s, vecs, groups):
