@@ -255,7 +255,7 @@ def _parse_measure2(step, d, where):
         # a vector on either side keeps the run's orthogonality check
         raise ParseError(f"{where}: 'first' and 'second' name the same site {sites[0]}")
     grouping = step.get("grouping", "012")
-    if grouping not in GROUPINGS:
+    if not isinstance(grouping, str) or grouping not in GROUPINGS:
         raise ParseError(
             f"{where}.grouping: expected one of {sorted(GROUPINGS)}, got {grouping!r}"
         )
@@ -321,7 +321,7 @@ def parse_circuit(text):
         if not isinstance(step, dict):
             raise ParseError(f"{where}: expected an object")
         kind = step.get("kind")
-        if kind not in _STEP_PARSERS:
+        if not isinstance(kind, str) or kind not in _STEP_PARSERS:
             raise ParseError(
                 f"{where}.kind: expected one of {sorted(_STEP_PARSERS)}, got {kind!r}"
             )

@@ -95,6 +95,11 @@ def _oracle_judge(steps, records):
     deviation, takes fidelity 0 and follows the run no further.  Every
     recorded state is expanded before the loop, in one fock.expand_sums
     pass; those past such a stop go unused.
+
+    A measure2 step takes one fock._group_projection of its recorded
+    group, a measure1 step its ladder product.  Neither checks a mode:
+    the run checked the same vectors at their step, and cmd_simulate
+    ends the run before judging it.
     """
     records = list(records)
     expanded = fock.expand_sums(state for *_, state in records)
@@ -112,23 +117,21 @@ def _oracle_judge(steps, records):
             vec = fock._rotated(vec, u)  # the run's evolve_sum checked u
         else:
             step = steps[idx]
+            d, amps = vec.modes, vec.amplitudes
+            kap = np.asarray(step.kappa, dtype=complex)
             if isinstance(step, MeasureOne):
-                kap = step.kappa
-                if row.outcome == "1":
-                    proj = fock.creation_op_apply(fock.annihilation_op_apply(vec, kap), kap)
-                else:
-                    proj = fock.annihilation_op_apply(fock.creation_op_apply(vec, kap), kap)
-                total = proj.amplitudes
+                filled = row.outcome == "1"
+                inner = fock._ladder_apply(amps, d, kap, not filled)
+                total = fock._ladder_apply(inner, d, kap, filled)
             else:
-                total = np.zeros_like(vec.amplitudes)
-                for digit in row.outcome:
-                    part = fock.two_mode_projector_apply(vec, step.kappa, step.lam, int(digit))
-                    total += part.amplitudes
+                lam = np.asarray(step.lam, dtype=complex)
+                total = fock._group_projection(amps, d, kap, lam, map(int, row.outcome))
             p_oracle = float(np.linalg.norm(total)) ** 2
             max_dev = max(max_dev, abs(row.probability - p_oracle))
             if p_oracle == 0.0:
                 return max_dev, 0.0
-            vec = fock.FockVector(vec.modes, total / np.sqrt(p_oracle))
+            # no entry exceeds the norm sqrt(p), so the quotient is finite
+            vec = fock.FockVector._checked(d, total / np.sqrt(p_oracle))
         min_fid = min(min_fid, fock.fidelity(recorded, vec))
     return max_dev, min_fid
 

@@ -14,6 +14,10 @@ expand, expand_sums and unitary_apply share it.  expand_sums expands a
 list of sums in one streamed pass, its calls cut across the sums'
 edges; expand_sum is its one-sum case.
 
+A measurement outcome group of two orthogonal modes is projected by one
+kernel, _group_projection, from ladder-operator products; the public
+two_mode_projector_apply is its checked one-outcome case.
+
 Dense vectors are capped at 12 modes and density matrices at 8, which
 keeps everything desk sized.
 """
@@ -469,17 +473,18 @@ def one_body_apply(v, b, tau):
     return FockVector(v.modes, out)
 
 
-def two_mode_projector_apply(v, kappa, lam, outcome):
-    """Project onto total occupation 0, 1 or 2 of two orthogonal modes.
+def _group_projection(amps, d, kap, lam, group):
+    """amps projected onto total occupation in group, a collection of
+    outcomes 0, 1 and 2, of the modes kap and lam: the one projection
+    kernel.  Unchecked: kap and lam must be mode vectors check_modes has
+    passed for d modes (unit and orthogonal).
 
-    The projectors are built operator by operator:
-      P0 = a_k a_k^dag a_l a_l^dag
-      P2 = a_k^dag a_k a_l^dag a_l
-      P1 = a_k a_k^dag a_l^dag a_l + a_k^dag a_k a_l a_l^dag
+    A single outcome is its operator product (two_mode_projector_apply
+    lists them), 4 ladder applies for P0 and P2 and 8 for P1.  As
+    P0 + P1 + P2 = 1 on orthonormal modes, {0, 1} is amps - P2 amps and
+    {1, 2} is amps - P0 amps, 4 applies each; {0, 2} is
+    P0 amps + P2 amps, and {0, 1, 2} is a copy of amps.
     """
-    kap, lamv = check_modes(v.modes, kappa, lam)
-    d = v.modes
-    amps = v.amplitudes
 
     def cre(vec, a):
         return _ladder_apply(a, d, vec, True)
@@ -487,17 +492,37 @@ def two_mode_projector_apply(v, kappa, lam, outcome):
     def ann(vec, a):
         return _ladder_apply(a, d, vec, False)
 
-    if outcome == 0:
-        out = ann(kap, cre(kap, ann(lamv, cre(lamv, amps))))
-    elif outcome == 2:
-        out = cre(kap, ann(kap, cre(lamv, ann(lamv, amps))))
-    elif outcome == 1:
-        first = ann(kap, cre(kap, cre(lamv, ann(lamv, amps))))
-        second = cre(kap, ann(kap, ann(lamv, cre(lamv, amps))))
-        out = first + second
-    else:
+    def single(outcome):
+        if outcome == 0:
+            return ann(kap, cre(kap, ann(lam, cre(lam, amps))))
+        if outcome == 2:
+            return cre(kap, ann(kap, cre(lam, ann(lam, amps))))
+        first = ann(kap, cre(kap, cre(lam, ann(lam, amps))))
+        second = cre(kap, ann(kap, ann(lam, cre(lam, amps))))
+        return first + second
+
+    group = sorted(set(group))
+    if group == [0, 1, 2]:
+        return amps.copy()
+    if group in ([0, 1], [1, 2]):
+        return amps - single(2 if group[0] == 0 else 0)
+    return sum(map(single, group[1:]), single(group[0]))
+
+
+def two_mode_projector_apply(v, kappa, lam, outcome):
+    """Project onto total occupation 0, 1 or 2 of two orthogonal modes.
+
+    The projectors are built operator by operator:
+      P0 = a_k a_k^dag a_l a_l^dag
+      P2 = a_k^dag a_k a_l^dag a_l
+      P1 = a_k a_k^dag a_l^dag a_l + a_k^dag a_k a_l a_l^dag
+    This is the checked one-outcome case of _group_projection.
+    """
+    kap, lamv = check_modes(v.modes, kappa, lam)
+    if outcome not in (0, 1, 2):
         raise ValueError(f"outcome must be 0, 1 or 2, got {outcome}")
-    return FockVector._checked(d, out)
+    out = _group_projection(v.amplitudes, v.modes, kap, lamv, [outcome])
+    return FockVector._checked(v.modes, out)
 
 
 def creation_matrix(d, mode):

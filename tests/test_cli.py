@@ -392,6 +392,49 @@ class TestSimulateCommand:
         stale = records[:-1] + [(*records[-1][:3], records[-2][3])]
         assert cli._oracle_judge(circuit.steps, stale)[1] < 0.5
 
+    def test_oracle_judge_keeps_the_minimum_fidelity(self):
+        """A middle record carrying its predecessor's state shows as the
+        judge's fidelity though every later step matches: the judge keeps
+        the least fidelity of all its steps, not the last step's."""
+        circuit = load_circuit(POLICY_MIX)
+        records = list(sampled_steps(circuit.steps, circuit.modes, circuit.electrons, seed=7))
+        k = 4  # after step 3, the exact 012 measure2
+        assert (records[k][0], records[k][2].outcome) == (3, "0")
+        stale = records[:k] + [(*records[k][:3], records[k - 1][3])] + records[k + 1:]
+        dev, fid = cli._oracle_judge(circuit.steps, stale)
+        assert dev <= 1e-12 and fid < 0.5
+
+    def test_oracle_judge_checks_no_mode(self, monkeypatch, capsys):
+        """The run checks every measured mode at its step and ends before
+        the judge starts, so the judge checks none again: check_mode and
+        check_modes, counted through every flosim module's binding of
+        them, are called by the run and never while _oracle_judge runs."""
+        calls = Counter()
+        judging = []
+        reals = (slater.check_mode, slater.check_modes)
+
+        def counted(real):
+            def call(*args, **kwargs):
+                calls[real.__name__, bool(judging)] += 1
+                return real(*args, **kwargs)
+            return call
+
+        for name, module in list(sys.modules.items()):
+            for real in reals:
+                if name.startswith("flosim") and getattr(module, real.__name__, None) is real:
+                    monkeypatch.setattr(module, real.__name__, counted(real))
+        judge = cli._oracle_judge
+
+        def watched(steps, records):
+            judging.append(True)
+            return judge(steps, records)
+
+        monkeypatch.setattr(cli, "_oracle_judge", watched)
+        code, _, err = run_cli(["simulate", POLICY_MIX, "--seed", "7", "--oracle-check"], capsys)
+        assert (code, err) == (0, "")
+        assert judging and calls["check_modes", False] > 0
+        assert not [key for key in calls if key[1]]
+
     def _empty_mode_records(self):
         """A run's records on standard_state(4, 2) with its measure1 of the
         empty mode 3 rewritten to outcome 1 at p = 0.5: an outcome the
@@ -1205,6 +1248,26 @@ class TestInputBoundary:
         path.write_text(minimal_doc(steps))
         want = "ParseError: step 1: 'first' and 'second' name the same site 1\n"
         assert run_cli([command, path], capsys) == (1, "", want)
+
+    @pytest.mark.parametrize("argv", [["simulate"], ["nogo"], ["simulate", "--oracle-check"]],
+                             ids=["simulate", "nogo", "oracle"])
+    @pytest.mark.parametrize("value", [[0], {"a": 1}], ids=["list", "object"])
+    @pytest.mark.parametrize(
+        ("key", "step", "choices"),
+        [("kind", {}, "['measure1', 'measure2', 'rotate']"),
+         ("grouping", {"kind": "measure2", "first": 0, "second": 1},
+          "['0/12', '01/2', '012', '02/1']")],
+        ids=["kind", "grouping"],
+    )
+    def test_unhashable_kind_or_grouping_is_a_parse_error(self, argv, value, key, step, choices,
+                                                          tmp_path, capsys):
+        """A list or an object where a step's kind or grouping names one
+        of a fixed set is a ParseError naming its step, not a crash."""
+        path = tmp_path / "circuit.json"
+        path.write_text(minimal_doc([{"kind": "rotate", "modes": [0, 2], "theta": 0.7},
+                                     {**step, key: value}]))
+        want = f"ParseError: step 1.{key}: expected one of {choices}, got {value!r}\n"
+        assert run_cli([argv[0], path, *argv[1:]], capsys) == (1, "", want)
 
     @pytest.mark.parametrize("command", ["simulate", "nogo"])
     @pytest.mark.parametrize("second", [1, [0, 1, 0, 0]])

@@ -617,6 +617,27 @@ class TestTwoModeProjectors:
         with pytest.raises(ValueError):
             fock.two_mode_projector_apply(fock.vacuum(3), kap, lam, 3)
 
+    # ladder applies per group: an operator product per outcome, or one
+    # for the complement of a group of two with outcome 1
+    GROUP_APPLIES = {(0,): 4, (1,): 8, (2,): 4, (0, 1): 4, (1, 2): 4, (0, 2): 8, (0, 1, 2): 0}
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @given(st.integers(2, 8), st.integers(0, 2**32 - 1), st.sampled_from(sorted(GROUP_APPLIES)))
+    def test_group_projection_sums_its_outcomes(self, d, seed, group):
+        """Every group of generic orthogonal modes is within 1e-12 of its
+        outcomes' summed two_mode_projector_apply, a single outcome byte
+        for byte, at the ladder applies GROUP_APPLIES counts."""
+        rng = np.random.default_rng(seed)
+        v = fock.FockVector(d, random_complex(rng, 1 << d))
+        kap, lam = random_orthogonal_pair(rng, d)
+        with mock.patch.object(fock, "_ladder_apply", wraps=fock._ladder_apply) as spy:
+            out = fock._group_projection(v.amplitudes, d, kap, lam, group)
+        assert spy.call_count == self.GROUP_APPLIES[group]
+        parts = [fock.two_mode_projector_apply(v, kap, lam, o).amplitudes for o in group]
+        assert np.abs(out - sum(parts)).max() <= 1e-12
+        if len(group) == 1:
+            assert out.tobytes() == parts[0].tobytes()
+
 
 class TestDensityAndChannel:
     def test_vacuum_projector_fixed(self):

@@ -627,6 +627,22 @@ class TestSteeringRule:
         (coeff, term), = final.terms
         assert coeff == 1.0 and np.array_equal(term.orbitals, np.eye(6, 3))
 
+    def test_near_certain_outcome_steers(self):
+        """Outcome 1 at p = 1 - 1e-6 lies outside CERTAINTY_TOL (1e-9) of
+        1, so the exact measure1 steers to the first admissible label,
+        "0" at p = 1e-6, in both executors, and its post state is the
+        dense projection within 1e-10."""
+        eps = 1e-6
+        kap = np.sqrt(1 - eps) * standard_mode(4, 0) + np.sqrt(eps) * standard_mode(4, 2)
+        circuit = [MeasureOne(kap, policy="exact")]
+        *_, (_, _, row, post) = sampled_steps(circuit, 4, 2)
+        assert row.outcome == "0" and row.probability == pytest.approx(eps, rel=1e-8)
+        assert simulate_exact_branch(circuit, 4, 2)[0].rows == (row,)
+        start = fock.expand(standard_state(4, 2))
+        dense = fock.annihilation_op_apply(fock.creation_op_apply(start, kap), kap).amplitudes
+        dense /= np.linalg.norm(dense)
+        assert np.abs(fock.expand_sum(post).amplitudes - dense).max() <= 1e-10
+
     def test_vacuum_measure1_is_certain_in_both_executors(self):
         """The vacuum reports occupation 0 with probability exactly 1,
         though this mode vector's squared norm rounds to 1 - 2**-52."""
