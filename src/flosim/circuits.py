@@ -38,14 +38,11 @@ from itertools import chain
 
 import numpy as np
 
-from .errors import ParseError
-from .linalg import HERMITIAN_TOL, hermitian_deviation
+from .errors import RENORMALIZE_WARN, ZERO_STATE_TOL, ParseError
+from .linalg import hermitian_fault
 from .multislater import DEFAULT_MAX_TERMS, GROUPINGS, SlaterSum, group_label, scale_sum
 from .simulate import POLICIES, MeasureOne, MeasureTwo, Rotate
 from .slater import measured_gram_err, orthonormal_fault
-
-RENORMALIZE_WARN = 1e-6
-ZERO_STATE_TOL = 1e-12  # a state file's sum at or below this norm is the zero state
 
 _TOP_KEYS = {"modes", "electrons", "steps"}
 _STATE_KEYS = {"modes", "electrons", "orbitals", "amplitude", "terms"}
@@ -205,12 +202,8 @@ def _parse_rotate(step, d, where):
         if "tau" not in step:
             raise ParseError(f"{where}: 'generator' needs 'tau'")
         mat = _matrix_from_json(step["generator"], (d, d), f"{where}.generator")
-        dev = hermitian_deviation(mat)
-        if dev > HERMITIAN_TOL:
-            raise ParseError(
-                f"{where}.generator: deviation from Hermiticity {dev:.3e} exceeds "
-                f"{HERMITIAN_TOL:.1e}"
-            )
+        if fault := hermitian_fault(mat):
+            raise ParseError(f"{where}.generator: {fault}")
         return Rotate(generator=mat, tau=_require_real(step["tau"], f"{where}.tau"))
     pair = step["modes"]
     if not isinstance(pair, list) or len(pair) != 2:
@@ -304,15 +297,21 @@ def _document(text):
     return doc
 
 
-def parse_circuit(text):
-    """Parse a circuit document from a JSON string."""
-    doc = _document(text)
-    _check_keys(doc, _TOP_KEYS, "top level")
-    for key in ("modes", "electrons", "steps"):
+def _header(doc, allowed, required):
+    """(modes, electrons) of a circuit or state document whose top-level
+    keys are among allowed and include each of required, in turn."""
+    _check_keys(doc, allowed, "top level")
+    for key in required:
         if key not in doc:
             raise ParseError(f"missing top-level key {key!r}")
     d = _require_int(doc["modes"], "modes", low=1)
-    n = _require_int(doc["electrons"], "electrons", low=0, high=d)
+    return d, _require_int(doc["electrons"], "electrons", low=0, high=d)
+
+
+def parse_circuit(text):
+    """Parse a circuit document from a JSON string."""
+    doc = _document(text)
+    d, n = _header(doc, _TOP_KEYS, ("modes", "electrons", "steps"))
     if not isinstance(doc["steps"], list):
         raise ParseError("steps: expected a list")
     steps = []
@@ -359,12 +358,7 @@ def load_state_sum(path):
     ("orbitals" or "terms[i].orbitals").  A sum whose norm overflows is
     first divided by its largest |c a|."""
     doc = _document(_read_text(path))
-    _check_keys(doc, _STATE_KEYS, "top level")
-    for key in ("modes", "electrons"):
-        if key not in doc:
-            raise ParseError(f"missing top-level key {key!r}")
-    d = _require_int(doc["modes"], "modes", low=1)
-    n = _require_int(doc["electrons"], "electrons", low=0, high=d)
+    d, n = _header(doc, _STATE_KEYS, ("modes", "electrons"))
     if "orbitals" in doc and "terms" in doc:
         raise ParseError("state file takes 'orbitals' or 'terms', not both")
     raw_terms = []

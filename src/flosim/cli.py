@@ -9,8 +9,9 @@ Subcommands:
 
 Transcripts go to stdout as plain text: comment lines prefixed '# ',
 then one row per measurement.  Outputs are byte-identical for identical
-inputs and seeds.  Exit codes: 0 success, 1 parse or config failure,
-2 parity grouping rejected, 3 numerical check failure, 4 term cap hit.
+inputs and seeds.  A failure prints one stderr line and exits with its
+error class's exit_code (errors.py); an input too large to allocate
+exits 1.
 """
 
 import argparse
@@ -23,14 +24,7 @@ import numpy as np
 from . import fock
 from .bands import LatticeConfig, closed_form_w0, measure_origin
 from .circuits import load_circuit, load_state_sum
-from .errors import (
-    BadConfig,
-    FlosimError,
-    OracleCheckFailed,
-    ParityGroupingUnsupported,
-    ParseError,
-    TermCapExceeded,
-)
+from .errors import ORACLE_TOL, BadConfig, FlosimError, OracleCheckFailed, ParseError
 from .linalg import pfaffian
 from .multislater import (
     DEFAULT_MAX_TERMS,
@@ -41,7 +35,6 @@ from .multislater import (
 from .simulate import MeasureOne, sampled_steps, simulate_exact_branch, transcript_of
 
 RNG_NAME = "numpy-default-pcg64"
-ORACLE_TOL = 1e-8
 ORACLE_MODE_CAP = 6
 
 
@@ -357,17 +350,11 @@ def main(argv=None):
     args = build_parser().parse_args(_negative_angles(argv))
     try:
         return args.func(args)
-    except ParityGroupingUnsupported as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
-    except OracleCheckFailed as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3
-    except TermCapExceeded as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 4
     except FlosimError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+        return exc.exit_code
+    except MemoryError as exc:  # numpy names the array it could not allocate
+        print(f"MemoryError: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
 
 

@@ -31,19 +31,15 @@ from math import comb
 import numpy as np
 
 from .errors import (
-    DimensionMismatch,
-    FlosimError,
-    NotHermitian,
-    TooManyModes,
-    ZeroVector,
+    DENSITY_HERMITIAN_TOL,
+    DimensionMismatch, FlosimError, NotHermitian, TooManyModes, ZeroVector,
 )
-from .linalg import HERMITIAN_TOL, hermitian_deviation
+from .linalg import hermitian_fault
 from .slater import check_mode, check_modes, check_unitary
 
 VECTOR_MODE_CAP = 12
 DENSITY_MODE_CAP = 8
 MINOR_BATCH = 4096  # most minors in one layer of a _minors call: caps its scratch
-DENSITY_HERMITIAN_TOL = 1e-9  # largest ||rho - rho^H|| of a FockDensity
 
 
 @dataclass(frozen=True)
@@ -413,9 +409,8 @@ def _hermitian_checked(b, d):
     mat = np.asarray(b, dtype=complex)
     if mat.shape != (d, d):
         raise DimensionMismatch(f"generator has shape {mat.shape}, expected ({d}, {d})")
-    dev = hermitian_deviation(mat)
-    if dev > HERMITIAN_TOL:
-        raise NotHermitian(f"generator deviates from Hermiticity by {dev:.3e}")
+    if fault := hermitian_fault(mat):
+        raise NotHermitian(f"generator {fault}")
     return (mat + mat.conj().T) / 2
 
 

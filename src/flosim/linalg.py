@@ -8,17 +8,9 @@ so the implementations favour clarity and testability over speed.
 import numpy as np
 
 from .errors import (
-    NonSquare,
-    NotAntisymmetric,
-    NotHermitian,
-    OddDimension,
-    RankDeficient,
+    ANTISYM_TOL, HERMITIAN_TOL, PAIR_REL_TOL, RANK_TOL, TOPSPACE_TOL,
+    NonSquare, NotAntisymmetric, NotHermitian, OddDimension, RankDeficient,
 )
-
-RANK_TOL = 1e-10
-HERMITIAN_TOL = 1e-10
-ANTISYM_TOL = 1e-10
-PAIR_THRESHOLD = 1e-9
 
 
 def as_complex_matrix(m):
@@ -85,10 +77,14 @@ def determinant(m):
     return complex(np.linalg.det(a))
 
 
-def hermitian_deviation(a):
-    """||a - a^H||_F of a square complex matrix: what every generator
-    check compares with HERMITIAN_TOL."""
-    return np.linalg.norm(a - a.conj().T)
+def hermitian_fault(a):
+    """The fault of a square complex matrix whose deviation ||a - a^H||_F
+    exceeds HERMITIAN_TOL, as one message, else None: every generator
+    check's one comparison."""
+    dev = np.linalg.norm(a - a.conj().T)
+    if dev > HERMITIAN_TOL:
+        return f"deviation from Hermiticity {dev:.3e} exceeds {HERMITIAN_TOL:.1e}"
+    return None
 
 
 def one_body_unitaries(bs, taus):
@@ -118,9 +114,8 @@ def one_body_unitary(b, tau):
     """
     a = as_complex_matrix(b)
     _require_square(a, "one_body_unitary")
-    dev = hermitian_deviation(a)
-    if dev > HERMITIAN_TOL:
-        raise NotHermitian(f"deviation from Hermiticity {dev:.3e} exceeds {HERMITIAN_TOL:.1e}")
+    if fault := hermitian_fault(a):
+        raise NotHermitian(fault)
     return one_body_unitaries(a[np.newaxis], [tau])[0]
 
 
@@ -135,6 +130,11 @@ def antisymmetric_part(w, what, even=False):
     if dev > ANTISYM_TOL:
         raise NotAntisymmetric(f"deviation from antisymmetry {dev:.3e} exceeds {ANTISYM_TOL:.1e}")
     return (a - a.T) / 2
+
+
+def pair_floor(largest):
+    """The relative floor of a pair modulus: PAIR_REL_TOL max(1, largest)."""
+    return PAIR_REL_TOL * max(1.0, largest)
 
 
 def _pfaffian_expansion(a, idx=None):
@@ -222,15 +222,15 @@ def antisym_canonical(w):
     restricted to the complement of the rows found so far per pair: a
     top right singular vector v1 is paired with v2 = -conj(w v1)/|w v1|,
     which is automatically orthogonal to v1 and closes a 2x2 block
-    exactly.  Singular values within 1e-10 of the top one, relative,
-    count as its space; pairs at or below 1e-12 max(1, largest) end the
-    walk.
+    exactly.  Singular values within TOPSPACE_TOL of the top one,
+    relative, count as its space; pairs at or below pair_floor of the
+    largest end the walk.
     """
     a = antisymmetric_part(w, "antisym_canonical")
     n = a.shape[0]
     if n == 0:
         return np.eye(0, dtype=complex), []
-    floor = 1e-12 * max(1.0, float(np.linalg.norm(a, 2)))
+    floor = pair_floor(float(np.linalg.norm(a, 2)))
 
     rows = []
     pairs = []
@@ -239,7 +239,7 @@ def antisym_canonical(w):
         _, sv, vh = np.linalg.svd(a @ comp, full_matrices=False)
         if sv[0] <= floor:
             break
-        topspace = vh[sv >= sv[0] * (1 - 1e-10)].conj().T
+        topspace = vh[sv >= sv[0] * (1 - TOPSPACE_TOL)].conj().T
         # Deterministic representative of the top singular space: project
         # the standard basis vectors and keep the first sizable one.
         proj = topspace @ (topspace.conj().T @ comp.conj().T)

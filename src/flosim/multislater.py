@@ -48,19 +48,14 @@ from itertools import accumulate
 import numpy as np
 
 from .errors import (
-    BadContext,
-    DimensionMismatch,
-    FlosimError,
-    ImpossibleOutcome,
-    TermCapExceeded,
+    ABSENT_TOL, CLOSED_FORM_FLOOR, NORM_TOL, ORTHOGONAL_TOL, PAIR_THRESHOLD, PASS_ROUND,
+    PROB_FLOOR, PRUNE_TOL,
+    BadContext, DimensionMismatch, FlosimError, ImpossibleOutcome, TermCapExceeded,
     WrongParticleNumber,
 )
-from .linalg import PAIR_THRESHOLD, antisymmetric_part, pfaffian, require_finite
+from .linalg import antisymmetric_part, pair_floor, pfaffian, require_finite
 from .slater import (
-    ABSENT_TOL,
-    ORTHOGONAL_TOL,
     PAIR_PATTERNS,
-    PROB_FLOOR,
     SlaterState,
     check_mode,
     check_modes,
@@ -71,11 +66,8 @@ from .slater import (
     standard_state,
 )
 
-PRUNE_TOL = 1e-12
 DEFAULT_MAX_TERMS = 1024
 ROW_BLOCK = 4  # rows per product of the probability pass (_expectations)
-NORM_TOL = 1e-13  # a carried norm squared whose error bound passes this times n is measured again
-PASS_ROUND = 4e-15  # the rounding a pass or a split may leave in n, per unit of _mass
 
 GROUPINGS = {
     "012": ((0,), (1,), (2,)),
@@ -516,9 +508,9 @@ def slater_number_two_fermion(w):
     """Number of determinants needed for a two-fermion state: rank(w)/2,
     from one SVD.  Singular values of an antisymmetric w come in equal
     pairs, the moduli of antisym_canonical's 2x2 blocks; every other one
-    counts above PAIR_THRESHOLD and 1e-12 max(1, largest)."""
+    counts above PAIR_THRESHOLD and pair_floor of the largest."""
     sv = np.linalg.svd(antisymmetric_part(w, "antisym_canonical"), compute_uv=False)
-    floor = max(PAIR_THRESHOLD, 1e-12 * max(1.0, sv.max(initial=0.0)))
+    floor = max(PAIR_THRESHOLD, pair_floor(sv.max(initial=0.0)))
     return int(np.count_nonzero(sv[::2] > floor))
 
 
@@ -554,7 +546,7 @@ def generic_p1_study(theta, phi, xi, n=2):
     pf = pfaffian(w)
     f_c = np.sqrt(np.cos(phi) ** 2 + np.cos(xi) ** 2 * np.sin(phi) ** 2)
     f_s = np.sqrt(np.cos(phi) ** 2 + np.sin(xi) ** 2 * np.sin(phi) ** 2)
-    if f_s * f_c < 1e-15:
+    if f_s * f_c < CLOSED_FORM_FLOOR:
         closed_form = 0.0
     else:
         closed_form = float(np.sin(phi) ** 2 * np.sin(2 * xi) / (2 * f_s * f_c))

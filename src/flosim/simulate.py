@@ -15,14 +15,15 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import FlosimError, NoAdmissibleBranch, ParityGroupingUnsupported
-from .linalg import HERMITIAN_TOL, hermitian_deviation, one_body_unitaries, one_body_unitary
+from .errors import (
+    CERTAINTY_TOL, PASS_ROUND, PROB_FLOOR, PRUNE_TOL,
+    FlosimError, NoAdmissibleBranch, ParityGroupingUnsupported,
+)
+from .linalg import hermitian_fault, one_body_unitaries, one_body_unitary
 from .multislater import (
     DEFAULT_MAX_TERMS,
     GROUPINGS,
     ONE_MODE,
-    PASS_ROUND,
-    PRUNE_TOL,
     SlaterSum,
     _group_terms,
     _post,
@@ -32,9 +33,8 @@ from .multislater import (
     measure_mode_sum,
     measure_two_mode,
 )
-from .slater import PROB_FLOOR, SlaterState, check_modes, standard_state
+from .slater import SlaterState, check_modes, standard_state
 
-CERTAINTY_TOL = 1e-9
 PARITY_GROUPING = "02/1"
 
 POLICIES = ("sample", "forced", "exact")
@@ -182,7 +182,7 @@ def simulate_exact_branch(circuit, d, n, initial=None):
     """Run a circuit keeping one Slater determinant throughout:
     sampled_steps with every measurement's policy set to "exact".
 
-    An outcome with probability within 1e-9 of 1 is recorded without
+    An outcome with probability within CERTAINTY_TOL of 1 is recorded without
     touching the state; otherwise the lowest-labeled branch whose
     projector preserves determinant form (total occupation 0 or 2, or
     either single-mode outcome) is taken and renormalized (_steer).
@@ -203,7 +203,7 @@ def simulate_exact_branch(circuit, d, n, initial=None):
 def _generator_unitaries(circuit, d):
     """{index: unitary} of every generator rotation with a float tau whose
     generator passes one_body_unitary's checks as a D x D matrix (finite,
-    within HERMITIAN_TOL of Hermitian), from one one_body_unitaries call:
+    no hermitian_fault), from one one_body_unitaries call:
     bit for bit each step's own resolve().  Any other rotation is left
     to its step, whose resolve() raises there."""
     sound = {}
@@ -214,7 +214,7 @@ def _generator_unitaries(circuit, d):
             a = np.asarray(step.generator, dtype=complex)
         except (TypeError, ValueError):
             continue
-        if a.shape == (d, d) and np.isfinite(a).all() and hermitian_deviation(a) <= HERMITIAN_TOL:
+        if a.shape == (d, d) and np.isfinite(a).all() and not hermitian_fault(a):
             sound[idx] = a, step.tau
     if not sound:
         return {}

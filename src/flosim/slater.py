@@ -29,25 +29,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    BadDimensions,
-    BadIndexSet,
-    DimensionMismatch,
-    FlosimError,
-    ImpossibleOutcome,
-    ModesNotOrthogonal,
-    NotInSpan,
-    NotUnitary,
+    ABSENT_TOL, MODE_NORM_TOL, ORTHO_TOL, ORTHOGONAL_TOL, PROB_FLOOR, SPAN_TOL, UNIT_ROUND,
+    UNITARY_TOL,
+    BadDimensions, BadIndexSet, DimensionMismatch, FlosimError, ImpossibleOutcome,
+    ModesNotOrthogonal, NotInSpan, NotUnitary,
 )
 from .linalg import determinant, row_norms
-
-ORTHO_TOL = 1e-10
-UNITARY_TOL = 1e-10
-SPAN_TOL = 1e-9
-PROB_FLOOR = 1e-12
-ORTHOGONAL_TOL = 1e-10  # largest |<kappa|lambda>| for two measured modes
-ABSENT_TOL = 1e-12
-MODE_NORM_TOL = ORTHO_TOL / 4  # a split child's Gram error is about twice its mode's norm error
-UNIT_ROUND = 2.0**-53  # u, the unit roundoff of a float64
 
 
 @dataclass(frozen=True)

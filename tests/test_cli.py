@@ -1167,8 +1167,9 @@ class TestSlaterRankCommand:
 
 class TestInputBoundary:
     """Whatever the input, main ends in one stderr line and an exit code:
-    an unreadable input file or --out path exits 1, a negative --seed or
-    a --max-terms below 1 is a usage error like --seed abc (exit 2)."""
+    an unreadable input file or --out path and an input too large to
+    allocate exit 1, a negative --seed or a --max-terms below 1 is a
+    usage error like --seed abc (exit 2)."""
 
     @staticmethod
     def _unreadable(kind, tmp_path):
@@ -1314,6 +1315,20 @@ class TestInputBoundary:
             with pytest.raises(RuntimeWarning, match="a runtime warning"):
                 cli.main(["nogo", str(path)])
         assert capsys.readouterr().err == "warning: a user warning\n"
+
+    @pytest.mark.parametrize("command", ["simulate", "nogo", "slater-rank"])
+    def test_an_input_too_large_to_allocate_is_one_line(self, command, tmp_path, capsys):
+        """10^7 electrons on 10^7 modes, or the study state's 10^7 + 2
+        modes, take a first array of 1.4 PiB, past a 64-bit host's 128 TiB
+        address space, so it fails at once: one MemoryError line, exit 1."""
+        path = tmp_path / "huge.json"
+        path.write_text(minimal_doc([], modes=10**7, electrons=10**7))
+        argv = [command, path]
+        if command == "slater-rank":
+            argv = [command, "--angles", "0.3", "0.4", "0.5", "--electrons", 10**7]
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith("MemoryError: Unable to allocate ") and err.count("\n") == 1
 
     def test_unwritable_out_path(self, tmp_path, capsys):
         out_path = tmp_path / "missing" / "x.csv"

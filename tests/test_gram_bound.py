@@ -45,9 +45,12 @@ from flosim.multislater import (
 from flosim.simulate import _steer_modes
 from flosim.slater import (
     ORTHO_TOL,
+    UNIT_ROUND,
     UNITARY_TOL,
     SlaterState,
+    check_unitary,
     gram_round,
+    measured_gram_err,
     reflect_round,
     split_pair,
     standard_state,
@@ -266,6 +269,40 @@ class TestSpanCheckThreshold:
             shapes.clear()
             split_pair([1.0] * 3, stack, other if lam else None, kap, (0, 1), bound)
             assert shapes[:-1] == [(3, d, n)] * spans, bound
+
+
+class TestRotationAllowance:
+    """A rotation adds to the bound what it may add to the exact deviation:
+    its unitary's measured deviation, that measurement's rounding and the
+    product's rounding, whose worst case (Higham) rotated_gram_err's
+    docstring derives as 2.86 (k + 2) sqrt(k N) (1 + G) u.  Measured in
+    extended precision on 3,000 seeded rotations (D = 2-16, dense and
+    pair), a rotation's rise in the exact deviation stayed within 0.35 of
+    the first two allowances alone, so no seeded input shows the third;
+    the bound's rise is held to it here."""
+
+    @staticmethod
+    def exact_deviation(s):
+        """The largest ||Phi^H Phi - 1||_F over the stack, in extended
+        precision."""
+        eye = np.eye(s.electrons, dtype=np.clongdouble)
+        return max(float(np.linalg.norm(phi.conj().T @ phi - eye))
+                   for phi in s.orbitals.astype(np.clongdouble))
+
+    @pytest.mark.parametrize("pair", [False, True])
+    def test_the_bound_rises_by_the_worst_case_product_rounding(self, pair):
+        rng = rng_for(2962)
+        for d, n in ((2, 1), (4, 4), (7, 3), (12, 6), (64, 32)):
+            stack = np.array([random_orthonormal_columns(rng, d, n) for _ in range(2)])
+            bound = measured_gram_err(slater.check_orthonormal(stack), d, n)
+            s = SlaterSum._stacked([0.8, 0.6j], [1.0 + 0j] * 2, stack, 1024, gram_err=bound)
+            sites, k = ((0, d - 1), 2) if pair else (None, d)
+            u = random_unitary(rng, k)
+            after = evolve_sum(s, u, sites)
+            dev = check_unitary(u, d, sites)[1]
+            product = 2.86 * (k + 2) * math.sqrt(k * n) * UNIT_ROUND
+            assert after.gram_err - bound >= (dev + gram_round(k, k) + product) * (1 + bound)
+            assert self.exact_deviation(after) + gram_round(d, n) <= after.gram_err
 
 
 class TestDrift:

@@ -72,7 +72,7 @@ from flosim.multislater import (
     sum_norm,
     two_fermion_w,
 )
-from flosim import fock, linalg, multislater, slater
+from flosim import errors, fock, linalg, multislater, slater
 
 REORTH_TOL = 1e-4  # below this beta, one projection alone loses orthogonality to the span
 
@@ -1901,7 +1901,7 @@ class TestSlaterNumber:
 def reference_slater_number(w):
     """The pair count of the canonical-form deflation, which
     slater_number_two_fermion took before it counted singular values."""
-    return sum(1 for z in linalg.antisym_canonical(w)[1] if abs(z) > linalg.PAIR_THRESHOLD)
+    return sum(1 for z in linalg.antisym_canonical(w)[1] if abs(z) > errors.PAIR_THRESHOLD)
 
 
 def pair_blocks(zs, d):
@@ -1941,7 +1941,7 @@ class TestSlaterNumberFromSingularValues:
         """The count is of the moduli above PAIR_THRESHOLD and above
         1e-12 max(1, top), and equals the canonical deflation's count."""
         w, moduli = case
-        floor = max(linalg.PAIR_THRESHOLD, 1e-12 * max([1.0, *moduli]))
+        floor = max(errors.PAIR_THRESHOLD, 1e-12 * max([1.0, *moduli]))
         want = sum(1 for m in moduli if m > floor)
         got = slater_number_two_fermion(w)
         assert type(got) is int

@@ -334,3 +334,18 @@ def test_corpus_names_pool_runs_relative_to_the_root(tmp_path, monkeypatch, caps
     monkeypatch.chdir(ROOT)
     assert cli.main(out[0].split()) == 0
     assert capsys.readouterr().out.count("kind=measure2") == 8
+
+
+def test_every_tolerance_is_stated_in_the_errors_table():
+    """Every float constant in src/flosim with 0 < |x| < 1e-5, a
+    tolerance, floor or rounding allowance, is written in errors.py's
+    table, so each value has one place and the modules read it there."""
+    outside = []
+    for path in sorted((ROOT / "src" / "flosim").glob("*.py")):
+        if path.name == "errors.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Constant) and isinstance(node.value, float) \
+                    and 0 < abs(node.value) < 1e-5:
+                outside.append(f"{path.name}:{node.lineno}: {node.value!r}")
+    assert outside == []
