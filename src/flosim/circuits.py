@@ -26,7 +26,8 @@ which is normalized on load.  The two-mode rotate shorthand with
 
 acting on the named pair of sites and leaving every other site alone.
 It parses to that block and its pair (Rotate.on_pair); no D x D matrix
-is built, and its step updates the pair's two rows of every term.
+is built, and its step updates the pair's two rows of every term.  A
+generator with its time loads as its unitary exp(-i g tau).
 
 Mode indices are 0-based everywhere.
 """
@@ -39,7 +40,7 @@ from itertools import chain
 import numpy as np
 
 from .errors import RENORMALIZE_WARN, ZERO_STATE_TOL, ParseError
-from .linalg import hermitian_fault
+from .linalg import hermitian_fault, one_body_unitaries
 from .multislater import DEFAULT_MAX_TERMS, GROUPINGS, SlaterSum, group_label, scale_sum
 from .simulate import POLICIES, MeasureOne, MeasureTwo, Rotate
 from .slater import measured_gram_err, orthonormal_fault
@@ -309,7 +310,12 @@ def _header(doc, allowed, required):
 
 
 def parse_circuit(text):
-    """Parse a circuit document from a JSON string."""
+    """Parse a circuit document from a JSON string.
+
+    Every generator rotation, checked by _parse_rotate, loads as its
+    unitary: one one_body_unitaries call takes them all, bit for bit
+    each step's own one_body_unitary.
+    """
     doc = _document(text)
     d, n = _header(doc, _TOP_KEYS, ("modes", "electrons", "steps"))
     if not isinstance(doc["steps"], list):
@@ -329,6 +335,12 @@ def parse_circuit(text):
             steps.append(_STEP_PARSERS[kind](step, d, where))
         except ValueError as exc:
             raise ParseError(f"{where}: {exc}") from exc
+    gens = [i for i, step in enumerate(steps) if getattr(step, "generator", None) is not None]
+    if gens:
+        unitaries = one_body_unitaries(np.stack([steps[i].generator for i in gens]),
+                                       [steps[i].tau for i in gens])
+        for i, u in zip(gens, unitaries):
+            steps[i] = Rotate(unitary=u)
     return Circuit(modes=d, electrons=n, steps=tuple(steps))
 
 

@@ -89,10 +89,10 @@ def _oracle_judge(steps, records):
     recorded state is expanded before the loop, in one fock.expand_sums
     pass; those past such a stop go unused.
 
-    A measure2 step takes one fock._group_projection of its recorded
-    group, a measure1 step its ladder product.  Neither checks a mode:
-    the run checked the same vectors at their step, and cmd_simulate
-    ends the run before judging it.
+    A measurement step takes one fock._group_projection of its recorded
+    group, on its modes (kappa,) or (kappa, lam).  It checks no mode: the
+    run checked the same vectors at their step, and cmd_simulate ends the
+    run before judging it.
     """
     records = list(records)
     expanded = fock.expand_sums(state for *_, state in records)
@@ -109,16 +109,10 @@ def _oracle_judge(steps, records):
                 u[np.ix_(pair, pair)] = block
             vec = fock._rotated(vec, u)  # the run's evolve_sum checked u
         else:
-            step = steps[idx]
-            d, amps = vec.modes, vec.amplitudes
-            kap = np.asarray(step.kappa, dtype=complex)
-            if isinstance(step, MeasureOne):
-                filled = row.outcome == "1"
-                inner = fock._ladder_apply(amps, d, kap, not filled)
-                total = fock._ladder_apply(inner, d, kap, filled)
-            else:
-                lam = np.asarray(step.lam, dtype=complex)
-                total = fock._group_projection(amps, d, kap, lam, map(int, row.outcome))
+            step, d = steps[idx], vec.modes
+            modes = [step.kappa] if isinstance(step, MeasureOne) else [step.kappa, step.lam]
+            modes = [np.asarray(m, dtype=complex) for m in modes]
+            total = fock._group_projection(vec.amplitudes, d, modes, map(int, row.outcome))
             p_oracle = float(np.linalg.norm(total)) ** 2
             max_dev = max(max_dev, abs(row.probability - p_oracle))
             if p_oracle == 0.0:

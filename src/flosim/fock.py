@@ -14,9 +14,10 @@ expand, expand_sums and unitary_apply share it.  expand_sums expands a
 list of sums in one streamed pass, its calls cut across the sums'
 edges; expand_sum is its one-sum case.
 
-A measurement outcome group of two orthogonal modes is projected by one
-kernel, _group_projection, from ladder-operator products; the public
-two_mode_projector_apply is its checked one-outcome case.
+A measurement outcome group of one mode or of two orthogonal modes is
+projected by one kernel, _group_projection, from ladder-operator
+products; the public two_mode_projector_apply is its checked
+one-outcome two-mode case.
 
 Dense vectors are capped at 12 modes and density matrices at 8, which
 keeps everything desk sized.
@@ -25,7 +26,7 @@ keeps everything desk sized.
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, product
 from math import comb
 
 import numpy as np
@@ -468,36 +469,34 @@ def one_body_apply(v, b, tau):
     return FockVector(v.modes, out)
 
 
-def _group_projection(amps, d, kap, lam, group):
+def _group_projection(amps, d, modes, group):
     """amps projected onto total occupation in group, a collection of
-    outcomes 0, 1 and 2, of the modes kap and lam: the one projection
-    kernel.  Unchecked: kap and lam must be mode vectors check_modes has
-    passed for d modes (unit and orthogonal).
+    outcomes 0 to len(modes), of the modes (kap,) or (kap, lam): the one
+    projection kernel.  Unchecked: the modes must be mode vectors
+    check_modes has passed for d modes (unit and orthogonal).
 
-    A single outcome is its operator product (two_mode_projector_apply
-    lists them), 4 ladder applies for P0 and P2 and 8 for P1.  As
-    P0 + P1 + P2 = 1 on orthonormal modes, {0, 1} is amps - P2 amps and
-    {1, 2} is amps - P0 amps, 4 applies each; {0, 2} is
-    P0 amps + P2 amps, and {0, 1, 2} is a copy of amps.
+    A mode's occupation projector is a_k a_k^dag (empty) or a_k^dag a_k
+    (filled), two ladder applies, and a single outcome sums the products
+    over the fillings of the modes with that many filled, the last
+    mode's projector applied first (two_mode_projector_apply lists
+    them): 2 applies for either one-mode outcome, 4 for P0 and P2 and 8
+    for P1.  As P0 + P1 + P2 = 1 on orthonormal modes, {0, 1} is
+    amps - P2 amps and {1, 2} is amps - P0 amps, 4 applies each; {0, 2}
+    is P0 amps + P2 amps, and every outcome together is a copy of amps.
     """
 
-    def cre(vec, a):
-        return _ladder_apply(a, d, vec, True)
-
-    def ann(vec, a):
-        return _ladder_apply(a, d, vec, False)
-
     def single(outcome):
-        if outcome == 0:
-            return ann(kap, cre(kap, ann(lam, cre(lam, amps))))
-        if outcome == 2:
-            return cre(kap, ann(kap, cre(lam, ann(lam, amps))))
-        first = ann(kap, cre(kap, cre(lam, ann(lam, amps))))
-        second = cre(kap, ann(kap, ann(lam, cre(lam, amps))))
-        return first + second
+        images = []
+        for filling in product((False, True), repeat=len(modes)):
+            if sum(filling) == outcome:
+                a = amps
+                for vec, filled in zip(modes[::-1], filling[::-1]):
+                    a = _ladder_apply(_ladder_apply(a, d, vec, not filled), d, vec, filled)
+                images.append(a)
+        return sum(images[1:], images[0])
 
     group = sorted(set(group))
-    if group == [0, 1, 2]:
+    if group == list(range(len(modes) + 1)):
         return amps.copy()
     if group in ([0, 1], [1, 2]):
         return amps - single(2 if group[0] == 0 else 0)
@@ -511,12 +510,12 @@ def two_mode_projector_apply(v, kappa, lam, outcome):
       P0 = a_k a_k^dag a_l a_l^dag
       P2 = a_k^dag a_k a_l^dag a_l
       P1 = a_k a_k^dag a_l^dag a_l + a_k^dag a_k a_l a_l^dag
-    This is the checked one-outcome case of _group_projection.
+    This is the checked one-outcome (kap, lam) case of _group_projection.
     """
     kap, lamv = check_modes(v.modes, kappa, lam)
     if outcome not in (0, 1, 2):
         raise ValueError(f"outcome must be 0, 1 or 2, got {outcome}")
-    out = _group_projection(v.amplitudes, v.modes, kap, lamv, [outcome])
+    out = _group_projection(v.amplitudes, v.modes, (kap, lamv), [outcome])
     return FockVector._checked(v.modes, out)
 
 

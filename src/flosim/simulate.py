@@ -19,7 +19,7 @@ from .errors import (
     CERTAINTY_TOL, PASS_ROUND, PROB_FLOOR, PRUNE_TOL,
     FlosimError, NoAdmissibleBranch, ParityGroupingUnsupported,
 )
-from .linalg import hermitian_fault, one_body_unitaries, one_body_unitary
+from .linalg import one_body_unitary
 from .multislater import (
     DEFAULT_MAX_TERMS,
     GROUPINGS,
@@ -200,28 +200,6 @@ def simulate_exact_branch(circuit, d, n, initial=None):
     return transcript, SlaterState._checked(final.orbitals[0], final.amps[0] * final.coeffs[0])
 
 
-def _generator_unitaries(circuit, d):
-    """{index: unitary} of every generator rotation with a float tau whose
-    generator passes one_body_unitary's checks as a D x D matrix (finite,
-    no hermitian_fault), from one one_body_unitaries call:
-    bit for bit each step's own resolve().  Any other rotation is left
-    to its step, whose resolve() raises there."""
-    sound = {}
-    for idx, step in enumerate(circuit):
-        if not isinstance(step, Rotate) or step.generator is None or not isinstance(step.tau, float):
-            continue
-        try:
-            a = np.asarray(step.generator, dtype=complex)
-        except (TypeError, ValueError):
-            continue
-        if a.shape == (d, d) and np.isfinite(a).all() and not hermitian_fault(a):
-            sound[idx] = a, step.tau
-    if not sound:
-        return {}
-    mats, taus = zip(*sound.values())
-    return dict(zip(sound, one_body_unitaries(np.stack(mats), taus)))
-
-
 def sampled_steps(circuit, d, n, seed=0, initial=None, max_terms=DEFAULT_MAX_TERMS):
     """Run a circuit on a full determinant sum, sampling outcomes.
 
@@ -236,11 +214,11 @@ def sampled_steps(circuit, d, n, seed=0, initial=None, max_terms=DEFAULT_MAX_TER
     may hit the cap.  An exact-policy parity step, which has no such
     branch, raises ParityGroupingUnsupported before any step runs.
 
-    Every sound generator rotation's unitary is taken before the first
-    step, in one stacked call (_generator_unitaries), and handed to its
-    step; any other rotation resolves at its step (Rotate.resolve).  So a faulty
-    generator raises at its own step, after every earlier step's error,
-    and evolve_sum checks each unitary where it is applied.
+    Every rotation resolves at its step (Rotate.resolve): a loaded
+    generator is already its unitary (circuits.parse_circuit), and an
+    API-built one resolves, and a faulty one raises, at its own step,
+    after every earlier step's error.  evolve_sum checks each unitary
+    where it is applied.
     """
     for idx, step in enumerate(circuit):
         exact = isinstance(step, MeasureTwo) and step.policy == "exact"
@@ -257,10 +235,9 @@ def sampled_steps(circuit, d, n, seed=0, initial=None, max_terms=DEFAULT_MAX_TER
     state = SlaterSum.from_state(start, max_terms=max_terms)
     yield None, None, None, state
     cumulative = 1.0
-    unitaries = _generator_unitaries(circuit, d)
     for idx, step in enumerate(circuit):
         if isinstance(step, Rotate):
-            u = unitaries[idx] if idx in unitaries else step.resolve()
+            u = step.resolve()
             state = evolve_sum(state, u, step.pair)
             yield idx, u, None, state
             continue

@@ -1,15 +1,20 @@
 """End-to-end checks for the command-line front end and circuit files."""
 
 import argparse
+import copy
 import dataclasses
+import importlib.util
+import io
 import json
+import math
 import os
 import re
 import subprocess
 import sys
+import tempfile
 import warnings
 from collections import Counter
-from contextlib import ExitStack
+from contextlib import ExitStack, redirect_stderr, redirect_stdout
 from pathlib import Path
 from unittest import mock
 
@@ -17,7 +22,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from flosim import cli, fock, multislater, slater
+from flosim import circuits, cli, fock, linalg, multislater, slater
 from flosim.bands import LatticeConfig, closed_form_w0, measure_origin
 from flosim.circuits import (
     _matrix_from_json,
@@ -763,6 +768,32 @@ class TestGeneratorChecks:
                 "exceeds 1.0e-10\n")
         assert run_cli([command[0], path, *command[1:]], capsys) == (1, "", want)
 
+    @pytest.mark.parametrize("command", COMMANDS, ids=["nogo", "simulate", "oracle"])
+    def test_each_generator_is_measured_once_per_run(self, command, tmp_path, capsys,
+                                                     monkeypatch):
+        """The loader measures each generator's Hermiticity, and nothing
+        after it does: hermitian_fault, counted through every flosim
+        module's binding, is called once per generator of the file."""
+        rng = np.random.default_rng(154)
+        steps = []
+        for _ in range(3):
+            m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+            b = (m + m.conj().T) / 2
+            steps += [{"kind": "rotate", "generator": [[[z.real, z.imag] for z in row] for row in b],
+                       "tau": 0.4},
+                      {"kind": "measure1", "mode": 1}]
+        real = linalg.hermitian_fault
+        calls = []
+        for name, module in list(sys.modules.items()):
+            if name.startswith("flosim") and getattr(module, "hermitian_fault", None) is real:
+                monkeypatch.setattr(module, "hermitian_fault",
+                                    lambda a: calls.append(a.shape) or real(a))
+        path = tmp_path / "circuit.json"
+        path.write_text(minimal_doc(steps))
+        code, _, err = run_cli([command[0], path, *command[1:]], capsys)
+        assert (code, err) == (0, "")
+        assert calls == [(4, 4)] * 3
+
     def test_the_tolerance_is_one_body_unitarys(self):
         """An entry 0.5e-10 off its mirror (a deviation of 7.1e-11) loads
         and runs, 2e-10 off (2.8e-10) fails at load, and an API-built
@@ -1338,6 +1369,89 @@ class TestInputBoundary:
         assert (code, out) == (1, "")
         assert err.startswith(f"FlosimError: cannot write {out_path}: ")
         assert err.count("\n") == 1
+
+
+def _circuitgen():
+    spec = importlib.util.spec_from_file_location("circuitgen", ROOT / "tools" / "circuitgen.py")
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    return gen
+
+
+# The valid documents the fuzz mutates: the example circuits and
+# tools/circuitgen.py circuits of seed 34, in both policy forms.
+FUZZ_DOCUMENTS = [json.loads(p.read_text()) for p in EXAMPLES] + [
+    _circuitgen().random_circuit(34, i, sample=i % 2 == 1) for i in range(8)
+]
+# Every key the file grammar names, circuit or state, and the odd values
+# a node may take: none of the file's number ranges, and every name of a
+# step kind, grouping or policy.
+FUZZ_KEYS = sorted(set().union(circuits._TOP_KEYS, circuits._STATE_KEYS, circuits._TERM_KEYS,
+                               *circuits._STEP_KEYS.values()))
+FUZZ_VALUES = [
+    None, True, False, math.inf, -math.inf, math.nan, 1e30, -1e30, -1, 0, 2, "", "x",
+    *sorted(circuits._STEP_KEYS), "02/1", "0/12", "exact", "forced", [], [None], [0, 1],
+    [[1, 0], [0, 1]], {}, {"kind": [1]},
+]
+
+
+def _node_paths(node, path=()):
+    """The path of node and of every node below it, as keys and indices."""
+    yield path
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(
+        node, list) else ()
+    for key, child in items:
+        yield from _node_paths(child, path + (key,))
+
+
+@st.composite
+def fuzzed_documents(draw):
+    """A valid circuit document with 1 to 3 nodes set to an odd value,
+    deleted, or given a key of the grammar.  Half the picks are among the
+    nodes down to a step's values, which matrix entries would outnumber."""
+    doc = copy.deepcopy(draw(st.sampled_from(FUZZ_DOCUMENTS)))
+    for _ in range(draw(st.integers(1, 3))):
+        paths = list(_node_paths(doc))
+        shallow = [path for path in paths if len(path) <= 3]
+        path = draw(st.sampled_from(shallow) | st.sampled_from(paths))
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        node = parent[path[-1]] if path else doc
+        action = draw(st.sampled_from(["set", "delete", "add"]))
+        value = copy.deepcopy(draw(st.sampled_from(FUZZ_VALUES)))  # shares no node
+        if action == "add" and isinstance(node, dict):
+            node[draw(st.sampled_from(FUZZ_KEYS))] = value
+        elif action == "delete" and path:
+            del parent[path[-1]]
+        elif path:
+            parent[path[-1]] = value
+    return doc
+
+
+class TestBoundaryFuzz:
+    """Mutated circuit documents through simulate, nogo and simulate
+    --oracle-check, in process: each run exits 0 to 4 with at most one
+    stderr line besides warning lines, and no traceback."""
+
+    COMMANDS = (["simulate", "--seed", "3"], ["nogo"],
+                ["simulate", "--seed", "3", "--oracle-check"])
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(fuzzed_documents())
+    def test_every_mutated_document_ends_in_one_line_and_a_code(self, doc):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "circuit.json"
+            path.write_text(json.dumps(doc))
+            for command in self.COMMANDS:
+                out, err = io.StringIO(), io.StringIO()
+                with redirect_stdout(out), redirect_stderr(err):
+                    code = cli.main([command[0], str(path), *command[1:]])
+                lines = [line for line in err.getvalue().splitlines()
+                         if not line.startswith("warning: ")]
+                assert code in range(5), (command, code, err.getvalue())
+                assert len(lines) <= 1, (command, err.getvalue())
+                assert "Traceback" not in err.getvalue() + out.getvalue()
 
 
 class TestParser:

@@ -631,12 +631,30 @@ class TestTwoModeProjectors:
         v = fock.FockVector(d, random_complex(rng, 1 << d))
         kap, lam = random_orthogonal_pair(rng, d)
         with mock.patch.object(fock, "_ladder_apply", wraps=fock._ladder_apply) as spy:
-            out = fock._group_projection(v.amplitudes, d, kap, lam, group)
+            out = fock._group_projection(v.amplitudes, d, (kap, lam), group)
         assert spy.call_count == self.GROUP_APPLIES[group]
         parts = [fock.two_mode_projector_apply(v, kap, lam, o).amplitudes for o in group]
         assert np.abs(out - sum(parts)).max() <= 1e-12
         if len(group) == 1:
             assert out.tobytes() == parts[0].tobytes()
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=40)
+    @given(st.integers(1, 6), st.integers(0, 2**32 - 1), st.sampled_from([0, 1]))
+    def test_one_mode_outcome_is_its_ladder_pair(self, d, seed, outcome):
+        """The one-mode case (kap,) projects outcome 0 as a_k a_k^dag and
+        outcome 1 as a_k^dag a_k, byte for byte the two _ladder_apply calls
+        in that order, and their group {0, 1} is a copy of the vector."""
+        rng = np.random.default_rng(seed)
+        amps = random_complex(rng, 1 << d)
+        kap = random_mode(rng, d)
+        filled = outcome == 1
+        want = fock._ladder_apply(fock._ladder_apply(amps, d, kap, not filled), d, kap, filled)
+        with mock.patch.object(fock, "_ladder_apply", wraps=fock._ladder_apply) as spy:
+            got = fock._group_projection(amps, d, (kap,), [outcome])
+        assert spy.call_count == 2
+        assert got.tobytes() == want.tobytes()
+        both = fock._group_projection(amps, d, (kap,), [0, 1])
+        assert both.tobytes() == amps.tobytes() and both is not amps
 
 
 class TestDensityAndChannel:

@@ -55,7 +55,8 @@ from flosim.simulate import (
     simulate_exact_branch,
     simulate_sampled,
 )
-from flosim import fock, multislater, simulate, slater
+from flosim import circuits, fock, multislater, simulate, slater
+from flosim.linalg import one_body_unitary
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -829,23 +830,36 @@ class TestSampledSteps:
 
 
 class TestGeneratorBatch:
-    """sampled_steps resolves every sound generator rotation in one
-    stacked call before its first step, bit for bit each step's own
-    resolve(); a generator that fails a check still raises at its step."""
+    """parse_circuit loads every generator rotation as its unitary, from
+    one stacked call, bit for bit each step's own one_body_unitary; an
+    API-built generator resolves at its step, and one that fails a check
+    raises there."""
 
     def test_one_stacked_call_gives_each_steps_unitary(self, monkeypatch):
-        circuit = generator_circuit(rng_for(122), 5, 14, ALL_GROUPINGS, "sample")
-        generators = [step for step in circuit if isinstance(step, Rotate)]
-        assert len(generators) > 2
-        want = [step.resolve().tobytes() for step in generators]
+        rng = rng_for(122)
+        generators = [(random_hermitian(rng, 5), float(rng.uniform(0.2, 1.4))) for _ in range(6)]
+        steps = [{"kind": "rotate", "generator": [[[z.real, z.imag] for z in row] for row in b],
+                  "tau": tau} for b, tau in generators]
+        measurements = [{"kind": "measure1", "mode": 3},
+                        {"kind": "measure2", "first": 0, "second": 4, "grouping": "02/1"},
+                        {"kind": "measure2", "first": 1, "second": 2, "grouping": "01/2"}]
+        steps[2:2] = measurements[:2]
+        steps.append(measurements[2])
+        want = [one_body_unitary(b, tau).tobytes() for b, tau in generators]
         stacks = []
-        real = simulate.one_body_unitaries
-        monkeypatch.setattr(simulate, "one_body_unitaries",
+        real = circuits.one_body_unitaries
+        monkeypatch.setattr(circuits, "one_body_unitaries",
                             lambda bs, taus: stacks.append(len(bs)) or real(bs, taus))
-        monkeypatch.setattr(simulate, "one_body_unitary", None)  # no step resolves its own
-        records = list(sampled_steps(circuit, 5, 2, seed=4))
+        loaded = parse_circuit(json.dumps({"modes": 5, "electrons": 2, "steps": steps})).steps
         assert stacks == [len(generators)]
+        rotations = [step for step in loaded if isinstance(step, Rotate)]
+        assert [step.generator for step in rotations] == [None] * len(generators)
+        assert [step.resolve().tobytes() for step in rotations] == want
+        monkeypatch.setattr(simulate, "one_body_unitary", None)  # no step resolves its own
+        records = list(sampled_steps(loaded, 5, 2, seed=4))
         assert [u.tobytes() for _, u, row, _ in records[1:] if row is None] == want
+        parse_circuit(json.dumps({"modes": 5, "electrons": 2, "steps": measurements}))
+        assert stacks == [len(generators)]
 
     def test_an_earlier_impossible_outcome_wins(self):
         """Mode 3 of the standard state is empty: the forced outcome 1 at
